@@ -8,14 +8,8 @@ VERSION = "0.1.0"              # keep in sync with pyproject
 
 # Linear algebra / frames
 UNIT_NORM_TOL = 1e-10          # orthonormality of supplied or constructed frames
-HERMITIAN_TOL = 1e-14          # conjugate-symmetry of the inner product
-DET_MULT_REL_TOL = 1e-10       # |det(AB)| vs |det A||det B|, relative
-DET_PRODUCT_REL_TOL = 1e-9     # |det L| vs prod(mu), relative
-COMPOSE_TOL = 1e-12            # map o inverse vs identity
-FRAME_ACTION_TOL = 1e-10       # L(u_alpha) vs mu_alpha e_alpha
 
 # Domains
-MEMBERSHIP_TOL = 1e-9          # half-space / containment slack
 GAUGE_HOMOGENEITY_TOL = 1e-10  # balanced gauge g(cv) = |c| g(v)
 AUTOMORPHISM_MAP_TOL = 1e-12   # model_automorphism(from) vs to
 CONVEXITY_WITNESS_SAMPLES = 10_000
@@ -29,19 +23,16 @@ MIN_VOLUME_SAMPLES = 1000
 
 # Scaling
 GRID_EQUIVALENCE_TOL = 1e-8    # sup-grid |tau - A^{-1} o sigma|
-MU_INVARIANCE_TOL = 1e-8       # unitary conjugation invariance of mu
 TREND_GUARD_FACTOR = 10.0      # regression bound multiplier
 
 # Convex box
 SLOPE_BOUND_TOL = 1e-9
-ROTATION_INVARIANCE_TOL = 1e-9
 CONTAINMENT_SLACK = 1e-9
 
 # Domination
 DOMINATION_TOL = 1e-6          # gauge vs lambda bound, relative slack
 SHARPNESS_TOL = 1e-9           # analytic Apollonius extremum vs lambda(r)
 AFFINE_MATCH_TOL = 1e-6        # profile invariance under affine images
-LAMBDA_SMALL_R_TOL = 1e-3      # lambda(r)/t(r) -> 1 window for r <= 1e-2
 
 # Circularity
 CERTIFICATE_SLACK = 1e-9       # re-verification sample violation allowance

@@ -102,6 +102,11 @@ class Domain:
         """Signed gauge-like margin: positive inside, negative outside."""
         raise NotImplementedError
 
+    def contains_margins(self, Z):
+        """Vectorized margins for a stack of points (..., n); the sign of each
+        row agrees with ``contains`` on that row."""
+        raise NotImplementedError
+
     def require_interior(self, z, what: str = "point"):
         if self.contains(z) <= 0:
             raise NotInteriorError(f"{what} is not in the domain interior")
@@ -110,6 +115,10 @@ class Domain:
     def section_boundary_distance(self, x, v) -> float:
         """Euclidean distance from x to the boundary of the planar section
         Omega  intersect (x + C v).  ``v`` may be a stack of directions."""
+        raise NotImplementedError
+
+    def section_distance_paired(self, P, V):
+        """Row-paired section distances: row i is through P[i] along V[i]."""
         raise NotImplementedError
 
     def supporting_half_spaces(self, near=None, count: int = config.HALF_SPACE_COUNT,
@@ -164,6 +173,9 @@ class UnitBall(Domain):
     def contains(self, z) -> float:
         z = self._check_dim(z)
         return 1.0 - float(np.linalg.norm(z))
+
+    def contains_margins(self, Z):
+        return 1.0 - np.linalg.norm(np.asarray(Z, dtype=complex), axis=-1)
 
     def section_boundary_distance(self, x, v):
         x = self._check_dim(cvector(x))
@@ -235,6 +247,9 @@ class Polydisc(Domain):
     def contains(self, z) -> float:
         z = self._check_dim(z)
         return float(np.min(self.radii - np.abs(z)))
+
+    def contains_margins(self, Z):
+        return np.min(self.radii - np.abs(np.asarray(Z, dtype=complex)), axis=-1)
 
     def section_boundary_distance(self, x, v):
         x = self._check_dim(cvector(x))
@@ -325,6 +340,9 @@ class HalfPlaneProduct(Domain):
     def contains(self, z) -> float:
         z = self._check_dim(z)
         return float(np.min(self._heights(z)))
+
+    def contains_margins(self, Z):
+        return np.min(self._heights(Z), axis=-1)
 
     def section_boundary_distance(self, x, v):
         x = self._check_dim(cvector(x))
@@ -559,6 +577,12 @@ class ConvexPolyhedron(Domain):
         return out
 
 
+# Rows of a paired section query bisected together: each gauge call then sees
+# at most 32 * rays points, however many rows the query has, which bounds the
+# bisection's temporaries.
+_SECTION_BLOCK = 32
+
+
 class BalancedConvex(Domain):
     """Balanced convex body {g < 1} given by a homogeneous gauge oracle.
 
@@ -606,33 +630,56 @@ class BalancedConvex(Domain):
         z = self._check_dim(z)
         return (1.0 - float(self.gauge(z))) * self.inner_radius
 
-    def section_boundary_distance(self, x, v, rays: int = config.SECTION_RAYS):
-        """Exact disc radius at the center; inscribed-polygon bound elsewhere.
+    def contains_margins(self, Z):
+        # > 0 exactly when g < 1
+        return (1.0 - self.gauge(np.asarray(Z, dtype=complex))) * self.inner_radius
 
-        Off center, boundary points along ``rays`` planar directions are found
-        by bisection and the inradius of their convex hull is returned -- a
-        certified lower bound on the true section distance (the section is
-        convex, so it contains the sampled polygon).
-        """
+    def section_boundary_distance(self, x, v, rays: int = config.SECTION_RAYS):
+        """Section distances from one point x; see ``section_distance_paired``."""
         x = self._check_dim(cvector(x))
         V, single = _as_direction_stack(v, self.dim)
-        gx = float(self.gauge(x)) if np.any(x != 0) else 0.0
-        if gx >= 1.0:
-            raise NotInteriorError("x is not inside the body")
+        out = self.section_distance_paired(np.broadcast_to(x, V.shape), V, rays)
+        return float(out[0]) if single else out
+
+    def section_distance_paired(self, P, V, rays: int = config.SECTION_RAYS):
+        """Row-paired section distances: row i is through P[i] along V[i].
+
+        Exact disc radius at the center; off center, boundary points along
+        ``rays`` planar directions are found by bisection and the inradius of
+        their convex hull is returned -- a certified lower bound on the true
+        section distance (the section is convex, so it contains the sampled
+        polygon).  Off-center rows are bisected together, _SECTION_BLOCK rows
+        at a time.
+        """
+        P = self._check_dim(P)
+        V = self._check_dim(V)
         nv = np.linalg.norm(V, axis=1)
-        if gx == 0.0:
-            out = nv / np.asarray(self.gauge(V), dtype=float)
-            return float(out[0]) if single else out
-        n = V.shape[0]
-        vhat = V / nv[:, None]
+        if np.any(nv == 0.0):
+            raise DegenerateInputError("zero direction")
+        out = np.empty(P.shape[0])
+        centre = ~np.any(P != 0, axis=1)
+        off = np.flatnonzero(~centre)
+        if off.size and np.any(self.gauge(P[off]) >= 1.0):
+            raise NotInteriorError("x is not inside the body")
+        if np.any(centre):
+            out[centre] = nv[centre] / self.gauge(V[centre])
         phase = np.exp(2j * np.pi * np.arange(rays) / rays)
+        for start in range(0, off.size, _SECTION_BLOCK):
+            rows = off[start:start + _SECTION_BLOCK]
+            out[rows] = self._polygon_inradius(P[rows], V[rows] / nv[rows, None], phase)
+        return out
+
+    def _polygon_inradius(self, X, vhat, phase):
+        """Inradius about X[i] of the polygon of ray boundary hits along
+        vhat[i] * phase, bisected on the gauge."""
+        n, rays = X.shape[0], phase.size
         dirs = vhat[:, None, :] * phase[None, :, None]          # (n, rays, dim)
         lo = np.zeros((n, rays))
         hi = np.full((n, rays), 2.0 * self.bounding_radius)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            P = (x[None, None, :] + mid[:, :, None] * dirs).reshape(-1, self.dim)
-            inside = np.asarray(self.gauge(P), dtype=float).reshape(n, rays) < 1.0
+            Z = (X[:, None, :] + mid[:, :, None] * dirs).reshape(-1, self.dim)
+            inside = self.gauge(Z).reshape(n, rays) < 1.0
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
         # inradius of the inscribed polygon around 0 in section coordinates
@@ -642,15 +689,15 @@ class BalancedConvex(Domain):
         L2 = np.abs(seg) ** 2
         ts = np.clip(-np.real(a * np.conj(seg)) / np.where(L2 > 0, L2, 1.0),
                      0.0, 1.0)
-        out = np.min(np.abs(a + ts * seg), axis=1)
-        return float(out[0]) if single else out
+        return np.min(np.abs(a + ts * seg), axis=1)
 
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None, h: float = 1e-6):
         """Numerical tangent half-spaces at boundary points near ``near``.
 
         The gauge is convex, so the tangent plane at a boundary point supports
-        the body; gradients come from central differences.
+        the body; gradients come from central differences.  One gauge call finds
+        every boundary point and a second takes every difference step.
         """
         stream = stream or SampleStream(0)
         dirs = []
@@ -664,20 +711,19 @@ class BalancedConvex(Domain):
             mixed = dirs[0][None, :] + 0.35 * base_dirs
             mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
             base_dirs = np.vstack([base_dirs[: count // 2], mixed[: count - count // 2]])
-        for u in base_dirs:
-            dirs.append(u)
-        out = []
+        U = np.vstack(dirs + [base_dirs])
         n = self.dim
-        for u in dirs:
-            y = u / float(self.gauge(u))  # boundary point on the ray
-            grad = np.empty(2 * n)
-            for j in range(2 * n):
-                e = np.zeros(n, dtype=complex)
-                e[j // 2] = h if j % 2 == 0 else 1j * h
-                grad[j] = (float(self.gauge(y + e)) - float(self.gauge(y - e))) / (2 * h)
-            normal = grad[0::2] + 1j * grad[1::2]
-            nn = np.linalg.norm(normal)
-            if nn == 0:
+        Y = U / self.gauge(U)[:, None]  # boundary points on the rays
+        # steps h and i h along each coordinate, in the order Re z_0, Im z_0, ...
+        E = np.zeros((2 * n, n), dtype=complex)
+        E[0::2] = h * np.eye(n)
+        E[1::2] = 1j * h * np.eye(n)
+        steps = np.stack([Y[:, None, :] + E, Y[:, None, :] - E])  # (2, k, 2n, n)
+        g = self.gauge(steps.reshape(-1, n)).reshape(steps.shape[:-1])
+        grad = (g[0] - g[1]) / (2 * h)
+        out = []
+        for y, normal in zip(Y, grad[:, 0::2] + 1j * grad[:, 1::2]):
+            if np.linalg.norm(normal) == 0:
                 continue
             out.append(half_space_through(normal, y))
         if not out:
@@ -720,6 +766,9 @@ class AffineImage(Domain):
     def contains(self, z) -> float:
         z = self._check_dim(z)
         return self.inner.contains(self.map_inv(z)) * self._sv_min
+
+    def contains_margins(self, Z):
+        return self.inner.contains_margins(self.map_inv(Z)) * self._sv_min
 
     def section_boundary_distance(self, x, v):
         x = self._check_dim(cvector(x))
@@ -872,15 +921,15 @@ def load_domain(spec) -> Domain:
     """
     if isinstance(spec, str):
         try:
-            with open(spec) as fh:
-                obj = json.load(fh)
+            if spec.lstrip().startswith("{"):
+                obj = json.loads(spec)
+            else:
+                with open(spec) as fh:
+                    obj = json.load(fh)
         except FileNotFoundError:
             raise SpecLoadError(f"no such file: {spec}")
         except (OSError, json.JSONDecodeError) as exc:
-            try:
-                obj = json.loads(spec)
-            except json.JSONDecodeError:
-                raise SpecLoadError(f"cannot parse domain spec: {exc}")
+            raise SpecLoadError(f"cannot parse domain spec: {exc}")
     else:
         obj = spec
     if not isinstance(obj, dict):

@@ -24,7 +24,6 @@ from . import config
 from .core import cvector
 from .domains import (
     AffineImage,
-    BalancedConvex,
     ConvexPolyhedron,
     Domain,
     HalfPlaneProduct,
@@ -163,9 +162,7 @@ def _section_distance_paired(d: Domain, P, V):
         with np.errstate(divide="ignore"):
             t = np.where(av > 0, slack / np.where(av > 0, av, 1.0), np.inf)
         return np.linalg.norm(V, axis=1) * t.min(axis=1)
-    # generic fallback: per-row oracle calls
-    return np.array([float(d.section_boundary_distance(P[i], V[i]))
-                     for i in range(P.shape[0])])
+    return d.section_distance_paired(P, V)
 
 
 def metric_upper_paired(d: Domain, P, V):
@@ -216,27 +213,18 @@ def metric_lower_paired(d: Domain, P, V, stream: SampleStream | None = None):
 
 def _section_nearest_boundary_point(d: Domain, x, v, rays: int = 24):
     """Approximate nearest boundary point of the planar section through (x, v)."""
+    if not np.isfinite(d.bounding_radius):
+        return x  # no finite bracket to bisect
     vhat = v / np.linalg.norm(v)
     th = np.linspace(0.0, 2.0 * np.pi, rays, endpoint=False)
     dirs = np.exp(1j * th)[:, None] * vhat[None, :]
-    if isinstance(d, BalancedConvex):
-        # vectorized bisection on the gauge along all rays at once
-        lo = np.zeros(rays)
-        hi = np.full(rays, 2.0 * d.bounding_radius)
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            inside = d.gauge(x[None, :] + mid[:, None] * dirs) < 1.0
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
-    else:
-        lo = np.zeros(rays)
-        hi = np.full(rays, 2.0 * d.bounding_radius)
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            inside = np.array([d.contains(x + m * dr) > 0
-                               for m, dr in zip(mid, dirs)])
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
+    lo = np.zeros(rays)
+    hi = np.full(rays, 2.0 * d.bounding_radius)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        inside = d.contains_margins(x[None, :] + mid[:, None] * dirs) > 0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
     k = int(np.argmin(lo))
     return x + lo[k] * dirs[k]
 

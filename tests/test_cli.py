@@ -38,6 +38,12 @@ def test_metric_malformed_vector_is_exit_2(capsys, polydisc2_file):
     assert "invalid JSON" in err
 
 
+def test_metric_accepts_inline_json_domain(capsys):
+    code, out, _ = run(capsys, "metric", "--domain", '{"kind":"ball","dim":2}',
+                       "--at", "[0,0]", "--dir", "[1,0]")
+    assert code == 0 and out.splitlines()[0] == "1.0"
+
+
 def test_missing_file_is_exit_2(capsys):
     code, _, err = run(capsys, "metric", "--domain", "/nope/missing.json",
                        "--at", "[0]", "--dir", "[1]")

@@ -19,7 +19,13 @@ from invmet import (
     zoo_domain,
     zoo_names,
 )
-from invmet.domains import AffineImage
+from invmet.domains import (
+    AffineImage,
+    BalancedConvex,
+    ConvexPolyhedron,
+    ModulusFace,
+    RealFace,
+)
 from invmet.errors import (
     DimensionMismatchError,
     NotInteriorError,
@@ -208,3 +214,106 @@ def test_zoo_names_and_fresh_instances():
 def test_resolve_domain_falls_back_to_files(polydisc2_file):
     assert resolve_domain("ball2").dim == 2
     assert resolve_domain(str(polydisc2_file)).dim == 2
+
+
+# ---------------------------------------------------------------------------
+# Batched oracles agree with their single-point forms
+# ---------------------------------------------------------------------------
+
+def _random_polyhedron(seed):
+    """Modulus faces with constants plus real faces, inside the bidisc of radius 2."""
+    rng = np.random.default_rng(seed)
+    faces = [ModulusFace(np.eye(2, dtype=complex)[k], 0.0, 2.0) for k in range(2)]
+    for _ in range(3):
+        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        faces.append(ModulusFace(c, 0.3 * complex(*rng.standard_normal(2)),
+                                 float(rng.uniform(1.0, 2.0))))
+    for _ in range(2):
+        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        faces.append(RealFace(a, float(rng.uniform(0.5, 1.5))))
+    return ConvexPolyhedron(faces, dim=2, bounding_radius=2.0 * np.sqrt(2.0))
+
+
+def _one_vector_balanced():
+    """The zoo balanced body behind a gauge that refuses stacks of rows."""
+    C = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
+    s = np.array([1.0, 1.2])
+
+    def g(v):
+        v = np.asarray(v, dtype=complex)
+        if v.ndim != 1:
+            raise TypeError("one vector at a time")
+        return float(np.max(np.abs(C @ v) / s))
+
+    ref = balanced_two_face()
+    return BalancedConvex(g, 2, ref.bounding_radius, ref.inner_radius)
+
+
+def _margin_cases():
+    cases = [pytest.param(zoo_domain(name), id=name) for name in zoo_names()]
+    cases.append(pytest.param(AffineImage(balanced_two_face(), twin_map(2)),
+                              id="balanced-twin"))
+    cases.append(pytest.param(_one_vector_balanced(), id="balanced-one-vector"))
+    cases.append(pytest.param(AffineImage(_one_vector_balanced(), twin_map(2)),
+                              id="one-vector-twin"))
+    cases += [pytest.param(_random_polyhedron(k), id=f"random-polyhedron-{k}")
+              for k in range(3)]
+    return cases
+
+
+@pytest.mark.parametrize("d", _margin_cases())
+def test_contains_margins_sign_matches_scalar_contains(d):
+    stream = SampleStream(11)
+    Z = d.interior_samples(150, stream)
+    # push the samples away from the base point so both signs occur
+    t = stream.uniform(150, 0.5, 3.0)
+    Z = d.basepoint + t[:, None] * (Z - d.basepoint)
+    m = d.contains_margins(Z)
+    scalar = np.array([d.contains(z) for z in Z])
+    assert m.shape == (150,)
+    np.testing.assert_array_equal(m > 0, scalar > 0)
+    assert np.any(scalar > 0) and np.any(scalar <= 0)
+
+
+# the one-vector gauge makes a Python call per point, so it gets fewer rays
+@pytest.mark.parametrize("make,rays", [(balanced_two_face, 128), (_one_vector_balanced, 8)])
+def test_balanced_paired_section_distance_matches_per_row(make, rays):
+    d = make()
+    stream = SampleStream(12)
+    rows = 75                                  # more than two blocks of rows
+    P = d.interior_samples(rows, stream)
+    P[::7] = 0.0                               # centre rows take the closed form
+    V = stream.unit_directions(rows, 2) * stream.uniform(rows, 0.2, 2.0)[:, None]
+    paired = d.section_distance_paired(P, V, rays)
+    per_row = np.array([d.section_boundary_distance(p, v, rays) for p, v in zip(P, V)])
+    assert np.array_equal(paired, per_row)
+    assert np.all(paired > 0)
+
+
+def test_balanced_paired_section_distance_rejects_exterior_rows():
+    d = balanced_two_face()
+    P = np.array([[0.1, 0.0], [5.0, 0.0]], dtype=complex)
+    with pytest.raises(NotInteriorError):
+        d.section_distance_paired(P, np.ones((2, 2), dtype=complex))
+
+
+def test_balanced_half_space_normals_match_ellipsoid_gradient():
+    C = np.array([[1.2, 0.3 - 0.4j], [0.2j, 0.8]], dtype=complex)
+    sv = np.linalg.svd(C, compute_uv=False)
+    d = BalancedConvex(lambda v: np.linalg.norm(np.asarray(v) @ C.T, axis=-1),
+                       2, 1.0 / sv[-1], 1.0 / sv[0])
+    half_spaces = d.supporting_half_spaces(near=[0.3 + 0.1j, -0.2j], count=8,
+                                           stream=SampleStream(13))
+    assert len(half_spaces) == 9
+    A = C.conj().T @ C
+    for hs in half_spaces:
+        assert float(d.gauge(hs.base)) == pytest.approx(1.0, abs=1e-12)
+        expected = A @ hs.base / np.linalg.norm(A @ hs.base)
+        assert np.linalg.norm(hs.normal - expected) < 1e-6
+
+
+def test_load_domain_parses_inline_json():
+    d = load_domain('  {"kind": "ball", "dim": 2}')
+    assert isinstance(d, UnitBall) and d.dim == 2
+    with pytest.raises(SpecLoadError, match="cannot parse"):
+        load_domain('{"kind": "ball", ')
