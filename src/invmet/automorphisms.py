@@ -250,15 +250,3 @@ def cayley(n: int) -> ComponentwiseMap:
     has a pole at zeta = 1.
     """
     return ComponentwiseMap([Mobius1D.cayley_factor() for _ in range(n)])
-
-
-def numerical_derivative(phi, z, h: float = 1e-7):
-    """Central-difference complex Jacobian; test oracle for closed forms."""
-    z = cvector(z)
-    n = z.size
-    cols = []
-    for j in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[j] = 1.0
-        cols.append((np.asarray(phi(z + h * e)) - np.asarray(phi(z - h * e))) / (2 * h))
-    return np.column_stack(cols)

@@ -6,7 +6,8 @@ complete circular model D; it implies the circularity lower bound
 c(x) >= (r/R)^2.  Certificates come from three constructions:
 
 * identity-translate: phi(z) = z - x, with exact face arithmetic on
-  polyhedra and gauge bodies and a deflated sampled search otherwise;
+  polyhedra and the ball and polydisc, and a deflated sampled search
+  otherwise;
 * model automorphisms: phi(Omega) = D exactly, ratio 1;
 * the corner pipeline: near a boundary point of a convex polyhedron where
   exactly n faces meet, the composition of a half-space normalization A_x,
@@ -207,15 +208,6 @@ def _inner_radius_exact(d: Domain, x, model: Domain):
             c = float(np.linalg.norm(x) ** 2 - 1.0)
             return (-b + math.sqrt(b * b - a * c)) / a
         return None
-    if isinstance(d, BalancedConvex) and d.funcs is not None:
-        rs = []
-        for f in d.funcs:
-            C = np.asarray(f["coeffs"], dtype=complex)
-            S = _linear_sup_over_model(C, model)
-            if S is None:
-                return None
-            rs.append((f["scale"] - abs(complex(x @ C))) / float(S[0]))
-        return float(min(rs))
     return None
 
 

@@ -338,7 +338,6 @@ def _add_common(p: argparse.ArgumentParser, domain: bool = True):
     p.add_argument("--convention", choices=list(CONVENTIONS),
                    default=_env("convention", "standard"))
     p.add_argument("--out", default=_env("out"))
-    p.add_argument("--workers", type=int, default=int(_env("workers", 1)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,6 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run every suite, write CSVs + manifest")
     _add_common(p, domain=False)
+    p.add_argument("--workers", type=int, default=int(_env("workers", 1)))
     p.set_defaults(func=cmd_verify_all)
 
     return parser

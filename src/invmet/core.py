@@ -141,9 +141,6 @@ class CLinearMap:
         inv = np.linalg.solve(self.matrix, np.eye(n, dtype=complex))
         return CLinearMap(inv)
 
-    def adjoint(self) -> "CLinearMap":
-        return CLinearMap(self.matrix.conj().T)
-
     def __repr__(self):
         return f"CLinearMap({self.matrix!r})"
 

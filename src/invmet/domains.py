@@ -40,11 +40,6 @@ class SupportingHalfSpace:
     offset: float
     base: np.ndarray
 
-    def signed_excess(self, z) -> float:
-        """Re<z, normal> - offset; negative strictly inside."""
-        z = np.asarray(z, dtype=complex)
-        return float(np.real(z @ self.normal.conj()) - self.offset)
-
     def distance_inside(self, z):
         """Euclidean distance from interior points to the bounding hyperplane."""
         z = np.asarray(z, dtype=complex)
@@ -73,10 +68,6 @@ class ModulusFace:
         z = np.asarray(z, dtype=complex)
         return z @ self.coeffs + self.const
 
-    @property
-    def coeff_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
 
 @dataclass(frozen=True)
 class RealFace:
@@ -85,10 +76,6 @@ class RealFace:
     normal: np.ndarray
     offset: float
 
-    def excess(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.real(z @ self.normal.conj()) - self.offset
-
 
 class Domain:
     """Common interface; concrete kinds override the oracles they support."""
@@ -96,6 +83,8 @@ class Domain:
     dim: int
     bounding_radius: float
     basepoint: np.ndarray
+    # method tag of the half-space lower bounds on this kind
+    lower_method = "half-space"
 
     # -- membership -------------------------------------------------------
     def contains(self, z) -> float:
@@ -589,15 +578,20 @@ class BalancedConvex(Domain):
     ``inner_radius``/``bounding_radius`` declare a Euclidean annulus
     B(0, inner) subset {g < 1} subset B(0, bounding); both are spot-checked by
     sampling at construction, as is |c|-homogeneity of the gauge.
+
+    The supporting half-spaces come from finite-difference gradients, which
+    can cut the body by roundoff, so lower bounds built on them are tagged
+    heuristic ("half-space-fd").
     """
 
+    lower_method = "half-space-fd"
+
     def __init__(self, gauge, dim: int, bounding_radius: float, inner_radius: float,
-                 funcs=None, check_samples: int = 64, seed: int = 0):
+                 check_samples: int = 64, seed: int = 0):
         self.dim = int(dim)
         self._gauge = gauge
         self.bounding_radius = float(bounding_radius)
         self.inner_radius = float(inner_radius)
-        self.funcs = funcs
         self.basepoint = np.zeros(self.dim, dtype=complex)
         if not (0 < self.inner_radius <= self.bounding_radius < np.inf):
             raise DegenerateInputError("need 0 < inner_radius <= bounding_radius < inf")
@@ -763,6 +757,10 @@ class AffineImage(Domain):
         else:
             self.bounding_radius = np.inf
 
+    @property
+    def lower_method(self) -> str:
+        return self.inner.lower_method
+
     def contains(self, z) -> float:
         z = self._check_dim(z)
         return self.inner.contains(self.map_inv(z)) * self._sv_min
@@ -815,6 +813,21 @@ class AffineImage(Domain):
 
     def interior_samples(self, count, stream: SampleStream):
         return self.map(self.inner.interior_samples(count, stream))
+
+
+def balanced_polyhedron(coeffs, scales, dim: int, name: str = "") -> ConvexPolyhedron:
+    """The balanced body max_k |c_k . z| / s_k < 1, as const-0 modulus faces.
+
+    Raises DegenerateInputError unless the functionals c_k span C^dim.
+    """
+    C = np.asarray(coeffs, dtype=complex).reshape(-1, dim)
+    s = np.asarray(scales, dtype=float)
+    sv = np.linalg.svd(C, compute_uv=False)
+    if C.shape[0] < dim or sv[-1] <= 1e-12:
+        raise DegenerateInputError("functionals do not span C^n; body is unbounded")
+    # max_k |c_k . z| / s_k < 1 forces ||C z|| < ||s||, so ||z|| < ||s|| / sigma_min(C)
+    return ConvexPolyhedron([ModulusFace(c, 0.0, float(sk)) for c, sk in zip(C, s)],
+                            dim, None, float(np.linalg.norm(s) / sv[-1]), name=name)
 
 
 def convexity_witness(domain: Domain, samples: int = config.CONVEXITY_WITNESS_SAMPLES,
@@ -1006,23 +1019,10 @@ def _domain_from_dict(obj, loc) -> Domain:
             if sc <= 0:
                 raise SpecLoadError("scale must be positive", f"{floc}.scale")
             scales.append(float(sc))
-        C = np.stack(coeffs)
-        s = np.array(scales)
-
-        def g(v, _C=C, _s=s):
-            v = np.asarray(v, dtype=complex)
-            return np.max(np.abs(v @ _C.T) / _s, axis=-1)
-
-        sv = np.linalg.svd(C, compute_uv=False)
-        if sv[-1] <= 1e-12:
-            raise SpecLoadError("functionals do not span C^n; body is unbounded",
-                                f"{p}funcs")
-        inner = float(1.0 / np.sum(np.linalg.norm(C, axis=1) / s))
-        # g(v) < 1 forces ||C v|| < ||s||, so ||v|| < ||s|| / sigma_min(C)
-        bounding = float(np.linalg.norm(s) / sv[-1])
-        return BalancedConvex(g, dim, bounding, inner,
-                              funcs=[{"coeffs": c, "scale": sc}
-                                     for c, sc in zip(coeffs, scales)])
+        try:
+            return balanced_polyhedron(coeffs, scales, dim, name=obj.get("name", ""))
+        except DegenerateInputError as exc:
+            raise SpecLoadError(str(exc), f"{p}funcs")
     if kind == "affine_image":
         inner_obj = _require(obj, "inner", f"{p}inner", dict)
         inner = _domain_from_dict(inner_obj, f"{p}inner")

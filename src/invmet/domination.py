@@ -101,9 +101,6 @@ class DominationProfile:
         return all(c.worst_gauge <= c.claimed_bound * (1.0 + self.tolerance)
                    for c in self.cells)
 
-    def worst_gauge_for(self, r: float) -> float:
-        return max(c.worst_gauge for c in self.cells if c.radius == r)
-
     def to_dict(self) -> dict:
         return {
             "domain": self.domain,

@@ -281,7 +281,7 @@ def kobayashi_metric(d: Domain, x, v, *, seed: int = 0,
         lower = _lower_via_half_spaces(d, x, vhat, SampleStream(seed),
                                        half_space_count) * nv
     return MetricBound(min(lower, upper), upper,
-                       lower_method="half-space", upper_method="affine-disc")
+                       lower_method=d.lower_method, upper_method="affine-disc")
 
 
 def kobayashi_metric_values(d: Domain, x, V, *, which: str = "mid",
@@ -382,7 +382,7 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
             lower = max(lower, math.atanh(t))
     lower = min(lower, upper)
     return DistanceBound(lower * scale, upper * scale,
-                         lower_method="half-space", upper_method="quadrature")
+                         lower_method=d.lower_method, upper_method="quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +413,6 @@ class IndicatrixSample:
     @property
     def radius_mid(self):
         return 0.5 * (self.radius_lower + self.radius_upper)
-
-    def bound_for(self, i: int) -> MetricBound:
-        return MetricBound(float(self.gauge_lower[i]), float(self.gauge_upper[i]),
-                           "sample", "sample")
 
 
 def indicatrix(d: Domain, x, directions: int = 256, convexify: bool = False,

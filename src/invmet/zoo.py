@@ -13,13 +13,13 @@ import numpy as np
 from .core import AffineMap, CLinearMap
 from .domains import (
     AffineImage,
-    BalancedConvex,
     ConvexPolyhedron,
     Domain,
     HalfPlaneProduct,
     ModulusFace,
     Polydisc,
     UnitBall,
+    balanced_polyhedron,
     load_domain,
 )
 from .errors import SpecLoadError
@@ -49,22 +49,10 @@ def polydisc_as_polyhedron(radii) -> ConvexPolyhedron:
                             name="polydisc-faces")
 
 
-def balanced_two_face() -> BalancedConvex:
-    """Balanced body with gauge max(|z_1|, |z_1 + z_2| / 1.2)."""
-    C = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
-    s = np.array([1.0, 1.2])
-
-    def g(v, _C=C, _s=s):
-        v = np.asarray(v, dtype=complex)
-        return np.max(np.abs(v @ _C.T) / _s, axis=-1)
-
-    sv = np.linalg.svd(C, compute_uv=False)
-    inner = float(1.0 / np.sum(np.linalg.norm(C, axis=1) / s))
-    # g(v) < 1 forces ||C v|| < ||s||, so ||v|| < ||s|| / sigma_min(C)
-    bounding = float(np.linalg.norm(s) / sv[-1])
-    return BalancedConvex(g, 2, bounding, inner,
-                          funcs=[{"coeffs": C[0], "scale": 1.0},
-                                 {"coeffs": C[1], "scale": 1.2}])
+def balanced_two_face() -> ConvexPolyhedron:
+    """Balanced body max(|z_1|, |z_1 + z_2| / 1.2) < 1."""
+    return balanced_polyhedron([[1.0, 0.0], [1.0, 1.0]], [1.0, 1.2], 2,
+                               name="balanced")
 
 
 def twin_map(dim: int) -> AffineMap:

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from invmet.cli import main
+from invmet.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -192,3 +192,12 @@ def test_env_defaults_are_honored(capsys, monkeypatch, polydisc2_file):
                        "--at", "[0,0]", "--dir", "[1,1]")
     assert code == 0
     assert "seed 4" in out
+
+
+def test_workers_is_a_verify_all_flag(capsys):
+    assert build_parser().parse_args(["verify-all", "--workers", "1"]).workers == 1
+    with pytest.raises(SystemExit) as ei:
+        main(["metric", "--domain", "polydisc2", "--at", "[0,0]", "--dir", "[1,1]",
+              "--workers", "2"])
+    assert ei.value.code == 2
+    assert "--workers" in capsys.readouterr().err

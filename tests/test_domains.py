@@ -14,6 +14,7 @@ from invmet import (
     SampleStream,
     UnitBall,
     convexity_witness,
+    kobayashi_metric,
     load_domain,
     model_automorphism,
     zoo_domain,
@@ -32,9 +33,24 @@ from invmet.errors import (
     SpecLoadError,
     UnsupportedKindError,
 )
-from invmet.zoo import balanced_two_face, resolve_domain, twin_map
+from invmet.zoo import resolve_domain, twin_map
 
 from conftest import assert_inside
+
+# the zoo balanced set max(|z_1|, |z_1 + z_2| / 1.2) < 1
+TWO_FACE_C = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
+TWO_FACE_S = np.array([1.0, 1.2])
+
+
+def _gauge_balanced():
+    """The zoo balanced set behind a vectorized gauge callable."""
+    def g(v):
+        return np.max(np.abs(np.asarray(v, dtype=complex) @ TWO_FACE_C.T) / TWO_FACE_S,
+                      axis=-1)
+
+    sv = np.linalg.svd(TWO_FACE_C, compute_uv=False)
+    return BalancedConvex(g, 2, float(np.linalg.norm(TWO_FACE_S) / sv[-1]),
+                          float(1.0 / np.sum(np.linalg.norm(TWO_FACE_C, axis=1) / TWO_FACE_S)))
 
 
 def test_polydisc_membership_and_section():
@@ -98,7 +114,7 @@ def test_three_face_contains_margins_matches_scalar(three_face):
 
 
 def test_balanced_gauge_homogeneity_and_radii():
-    d = balanced_two_face()
+    d = _gauge_balanced()
     v = np.array([0.4 - 0.1j, 0.2 + 0.3j])
     g = float(d.gauge(v))
     assert float(d.gauge(-3j * v)) == pytest.approx(3 * g, rel=1e-12)
@@ -109,7 +125,7 @@ def test_balanced_gauge_homogeneity_and_radii():
 
 
 def test_balanced_section_distance_certified_under_ray_minimum():
-    d = balanced_two_face()
+    d = _gauge_balanced()
     x = np.array([0.1 + 0.05j, -0.2 + 0j])
     v = np.array([1.0 + 0.3j, 0.7 - 0.2j])
     sec = float(d.section_boundary_distance(x, v))
@@ -182,6 +198,10 @@ def test_load_domain_error_locations():
         load_domain({"kind": "polyhedron", "dim": 2, "faces": [{"type": "modulus", "coeffs": [1, 0]}],
                      "bounding_radius": 2.0})
     assert "faces[0].bound" in str(ei.value)
+    with pytest.raises(SpecLoadError) as ei:
+        load_domain({"kind": "balanced", "dim": 2, "funcs": [
+            {"coeffs": [1.0, 0.0], "scale": 1.0}, {"coeffs": [0.0, 1.0], "scale": 0.0}]})
+    assert ei.value.location == "funcs[1].scale"
     with pytest.raises(SpecLoadError, match="kind"):
         load_domain({"dim": 2})
 
@@ -235,23 +255,21 @@ def _random_polyhedron(seed):
 
 
 def _one_vector_balanced():
-    """The zoo balanced body behind a gauge that refuses stacks of rows."""
-    C = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
-    s = np.array([1.0, 1.2])
-
+    """The zoo balanced set behind a gauge that refuses stacks of rows."""
     def g(v):
         v = np.asarray(v, dtype=complex)
         if v.ndim != 1:
             raise TypeError("one vector at a time")
-        return float(np.max(np.abs(C @ v) / s))
+        return float(np.max(np.abs(TWO_FACE_C @ v) / TWO_FACE_S))
 
-    ref = balanced_two_face()
+    ref = _gauge_balanced()
     return BalancedConvex(g, 2, ref.bounding_radius, ref.inner_radius)
 
 
 def _margin_cases():
     cases = [pytest.param(zoo_domain(name), id=name) for name in zoo_names()]
-    cases.append(pytest.param(AffineImage(balanced_two_face(), twin_map(2)),
+    cases.append(pytest.param(_gauge_balanced(), id="balanced-gauge"))
+    cases.append(pytest.param(AffineImage(_gauge_balanced(), twin_map(2)),
                               id="balanced-twin"))
     cases.append(pytest.param(_one_vector_balanced(), id="balanced-one-vector"))
     cases.append(pytest.param(AffineImage(_one_vector_balanced(), twin_map(2)),
@@ -276,7 +294,7 @@ def test_contains_margins_sign_matches_scalar_contains(d):
 
 
 # the one-vector gauge makes a Python call per point, so it gets fewer rays
-@pytest.mark.parametrize("make,rays", [(balanced_two_face, 128), (_one_vector_balanced, 8)])
+@pytest.mark.parametrize("make,rays", [(_gauge_balanced, 128), (_one_vector_balanced, 8)])
 def test_balanced_paired_section_distance_matches_per_row(make, rays):
     d = make()
     stream = SampleStream(12)
@@ -291,7 +309,7 @@ def test_balanced_paired_section_distance_matches_per_row(make, rays):
 
 
 def test_balanced_paired_section_distance_rejects_exterior_rows():
-    d = balanced_two_face()
+    d = _gauge_balanced()
     P = np.array([[0.1, 0.0], [5.0, 0.0]], dtype=complex)
     with pytest.raises(NotInteriorError):
         d.section_distance_paired(P, np.ones((2, 2), dtype=complex))
@@ -317,3 +335,30 @@ def test_load_domain_parses_inline_json():
     assert isinstance(d, UnitBall) and d.dim == 2
     with pytest.raises(SpecLoadError, match="cannot parse"):
         load_domain('{"kind": "ball", ')
+
+
+def test_balanced_spec_and_zoo_body_are_exact_polyhedra():
+    spec = {"kind": "balanced", "dim": 2, "funcs": [
+        {"coeffs": [1.0, 0.0], "scale": 1.0}, {"coeffs": [1.0, 1.0], "scale": 1.2}]}
+    stream = SampleStream(14)
+    Z = stream.unit_directions(200, 2) * stream.uniform(200, 0.1, 3.0)[:, None]
+    true = np.max(np.abs(Z @ TWO_FACE_C.T) / TWO_FACE_S, axis=1)
+    for d in (load_domain(spec), zoo_domain("balanced")):
+        assert isinstance(d, ConvexPolyhedron)
+        np.testing.assert_allclose(d.gauge(Z), true, rtol=1e-15)
+        # Barth: at the centre of a balanced convex body the metric is its gauge
+        for v, g in zip(Z[:40], true[:40]):
+            b = kobayashi_metric(d, [0, 0], v)
+            assert b.upper == pytest.approx(g, rel=1e-12)
+            assert b.lower <= b.upper
+
+
+@pytest.mark.parametrize("funcs", [
+    [{"coeffs": [1.0, 0.0], "scale": 1.0}],
+    [{"coeffs": [1.0, 1.0], "scale": 1.0}, {"coeffs": [2.0, 2.0], "scale": 3.0}],
+    [],
+], ids=["one-functional", "parallel", "empty"])
+def test_balanced_spec_rejects_non_spanning_funcs(funcs):
+    with pytest.raises(SpecLoadError) as ei:
+        load_domain({"kind": "balanced", "dim": 2, "funcs": funcs})
+    assert ei.value.location == "funcs"

@@ -21,7 +21,9 @@ from invmet import (
     zoo_domain,
     zoo_names,
 )
+from invmet.domains import AffineImage, BalancedConvex
 from invmet.metrics import indicatrix_gauge_upper, metric_lower_paired, metric_upper_paired
+from invmet.zoo import twin_map
 
 
 def test_polydisc_metric_closed_form(pd2):
@@ -65,6 +67,21 @@ def test_three_face_origin_brackets(three_face):
     b2 = kobayashi_metric(three_face, [0, 0], [1, 1])
     assert b2.lower == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert b2.upper == pytest.approx(4.0 / 3.0, abs=1e-12)
+
+
+def test_finite_difference_lower_bounds_are_tagged(three_face):
+    C = np.array([[1.2, 0.3 - 0.4j], [0.2j, 0.8]], dtype=complex)
+    sv = np.linalg.svd(C, compute_uv=False)
+    ellipsoid = BalancedConvex(lambda v: np.linalg.norm(np.asarray(v) @ C.T, axis=-1),
+                               2, 1.0 / sv[-1], 1.0 / sv[0])
+    x, v, y = [0.1, -0.2j], [1.0, 0.5], [0.2j, 0.1]
+    for d, tag in ((ellipsoid, "half-space-fd"),
+                   (AffineImage(ellipsoid, twin_map(2)), "half-space-fd"),
+                   (three_face, "half-space")):
+        x2 = d.basepoint + np.asarray(x)
+        assert kobayashi_metric(d, x2, v).lower_method == tag
+        assert kobayashi_distance(d, x2, d.basepoint + np.asarray(y),
+                                  tol=1e-3).lower_method == tag
 
 
 def test_sandwich_holds_across_the_zoo():
