@@ -10,6 +10,7 @@ import numpy as np
 
 from .core import AffineMap, CLinearMap, cvector
 from .errors import (
+    DegenerateInputError,
     DimensionMismatchError,
     NotInteriorError,
     SingularMapError,
@@ -62,7 +63,7 @@ class Mobius1D:
                 raise NotInteriorError("points must lie in the left half-plane")
             s = to.real / frm.real
             return cls(s, 1j * (to.imag - s * frm.imag), 0, 1)
-        raise ValueError(f"unknown orientation {orientation!r}")
+        raise DegenerateInputError(f"unknown orientation {orientation!r}")
 
     @classmethod
     def cayley_factor(cls) -> "Mobius1D":

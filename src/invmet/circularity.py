@@ -22,7 +22,6 @@ Omega samples must stay inside R*D in the model gauge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,15 +29,7 @@ import numpy as np
 from . import config
 from .automorphisms import ComponentwiseMap, ComposedMap, Mobius1D, cayley
 from .core import AffineMap, CLinearMap, cvector
-from .domains import (
-    AffineImage,
-    BalancedConvex,
-    ConvexPolyhedron,
-    Domain,
-    Polydisc,
-    UnitBall,
-    model_automorphism,
-)
+from .domains import ConvexPolyhedron, Domain, Polydisc, UnitBall, model_automorphism
 from .errors import (
     CertificateError,
     DegenerateInputError,
@@ -133,84 +124,6 @@ class CircularityBound:
 # Identity-translate and automorphism certificates
 # ---------------------------------------------------------------------------
 
-def _coordinate_bounds(d: Domain):
-    """Certified per-coordinate sup of |z_alpha| over the domain, or None."""
-    if isinstance(d, UnitBall):
-        return np.ones(d.dim)
-    if isinstance(d, Polydisc):
-        return d.radii.copy()
-    if isinstance(d, ConvexPolyhedron):
-        return d.coordinate_bounds()
-    if np.isfinite(d.bounding_radius):
-        return np.full(d.dim, d.bounding_radius)
-    return None
-
-
-def _outer_radius(d: Domain, x, model: Domain):
-    """Certified sup of the model gauge of z - x over z in the domain."""
-    if isinstance(model, Polydisc):
-        cb = _coordinate_bounds(d)
-        if cb is not None:
-            return float(np.max((cb + np.abs(x)) / model.radii)), "coordinate-bounds"
-    if isinstance(model, UnitBall):
-        if np.isfinite(d.bounding_radius):
-            return float(d.bounding_radius + np.linalg.norm(x)), "norm-bound"
-    if isinstance(model, BalancedConvex) and np.isfinite(d.bounding_radius):
-        # gauge_D(w) <= |w| / inner_radius(D)
-        return (float((d.bounding_radius + np.linalg.norm(x)) / model.inner_radius),
-                "norm-bound")
-    raise UnsupportedKindError(
-        f"no certified outer radius for model {type(model).__name__}")
-
-
-def _linear_sup_over_model(coeffs, model: Domain):
-    """Exact sup of |coeffs . w| over the model's closed unit body, or None."""
-    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
-    if isinstance(model, Polydisc):
-        return np.abs(coeffs) @ model.radii
-    if isinstance(model, UnitBall):
-        return np.linalg.norm(coeffs, axis=1)
-    return None
-
-
-def _inner_radius_exact(d: Domain, x, model: Domain):
-    """Largest r with x + r*D inside the domain, via exact face arithmetic."""
-    if isinstance(d, ConvexPolyhedron):
-        rs = []
-        if d._W.size:
-            S = _linear_sup_over_model(d._W, model)
-            if S is None:
-                return None
-            fx = np.abs(x @ d._W.T + d._wd)
-            rs.append(np.min((d._wc - fx) / S))
-        if d._A.size:
-            S = _linear_sup_over_model(d._A.conj(), model)
-            if S is None:
-                return None
-            rx = d._ab - np.real(x @ d._A.conj().T)
-            rs.append(np.min(rx / S))
-        return float(min(rs))
-    if isinstance(d, Polydisc):
-        slack = d.radii - np.abs(x)
-        if isinstance(model, Polydisc):
-            return float(np.min(slack / model.radii))
-        if isinstance(model, UnitBall):
-            return float(np.min(slack))
-        return None
-    if isinstance(d, UnitBall):
-        if isinstance(model, UnitBall):
-            return float(1.0 - np.linalg.norm(x))
-        if isinstance(model, Polydisc):
-            # solve sum (|x_a| + r R_a)^2 = 1 for the positive root
-            R = model.radii
-            a = float(R @ R)
-            b = float(np.abs(x) @ R)
-            c = float(np.linalg.norm(x) ** 2 - 1.0)
-            return (-b + math.sqrt(b * b - a * c)) / a
-        return None
-    return None
-
-
 def _inner_radius_sampled(d: Domain, x, inverse, model: Domain, hi: float,
                           samples: int, stream: SampleStream) -> float:
     """Deflated bisection on sampled shells of r*D pulled back into the domain."""
@@ -225,7 +138,7 @@ def _inner_radius_sampled(d: Domain, x, inverse, model: Domain, hi: float,
             Z = np.asarray(inverse(rho * pts), dtype=complex)
         except SingularMapError:
             return False
-        return all(d.contains(z) > 0 for z in Z)
+        return bool(np.all(d.contains_margins(Z) > 0))
 
     lo, hi = 0.0, float(hi)
     if not ok(hi * 1e-6):
@@ -290,14 +203,14 @@ def squeeze_lower_bound(d: Domain, x, model: Domain, embedding=None, *,
         forward = AffineMap.translation_by(-x)
         inverse = AffineMap.translation_by(x)
         description = "identity translate"
-        R, outer_method = _outer_radius(d, x, model)
+        R, outer_method = model.outer_radius_bound(d, x)
     else:
         forward, inverse, R, description = embedding
         R = float(R)
         outer_method = "declared"
         _fold_check(d, forward, inverse, stream.fork(3))
 
-    r = _inner_radius_exact(d, x, model) if embedding is None else None
+    r = d.inner_radius_exact(x, model) if embedding is None else None
     if r is not None:
         inner_method = "closed-form"
     else:
@@ -361,15 +274,14 @@ def barth_check(d: Domain, samples: int = 512, *, seed: int = 0) -> float:
 
 def _active_faces(d: ConvexPolyhedron, q, tol: float = 1e-9):
     """Indices of modulus/real faces active at the boundary point q."""
-    q = cvector(q)
+    fq, rq = d.face_values(cvector(q))
     mods, reals = [], []
-    if d._W.size:
-        fq = np.abs(q @ d._W.T + d._wd)
-        if np.any(fq > d._wc * (1.0 + tol) + tol):
+    if fq is not None:
+        wc = d.mod_bounds
+        if np.any(fq > wc * (1.0 + tol) + tol):
             raise DegenerateInputError("corner point lies outside the closure")
-        mods = list(np.flatnonzero(np.abs(fq - d._wc) <= tol * np.maximum(1.0, d._wc)))
-    if d._A.size:
-        rq = np.real(q @ d._A.conj().T) - d._ab
+        mods = list(np.flatnonzero(np.abs(fq - wc) <= tol * np.maximum(1.0, wc)))
+    if rq is not None:
         if np.any(rq > tol):
             raise DegenerateInputError("corner point lies outside the closure")
         reals = list(np.flatnonzero(np.abs(rq) <= tol))
@@ -415,21 +327,21 @@ def polyhedral_pipeline(d: ConvexPolyhedron, q, x, *, seed: int = 0) -> SqueezeC
     t = np.zeros(n, dtype=complex)
     s = np.zeros(n)
     for row, k in enumerate(mods):
-        w = d._W[k]
-        nw = float(np.linalg.norm(w))
-        fx = complex(x @ w + d._wd[k])
+        f = d.modulus_faces[k]
+        nw = float(np.linalg.norm(f.coeffs))
+        fx = complex(x @ f.coeffs + f.const)
         if abs(fx) == 0:
             raise NormalityError("face value vanishes at the pipeline point; "
                                  "tangent phase is undefined")
         phase = fx / abs(fx)
-        M[row] = np.conj(phase) * w / nw
-        t[row] = (np.conj(phase) * d._wd[k] - d._wc[k]) / nw
-        s[row] = (d._wc[k] - abs(fx)) / nw
+        M[row] = np.conj(phase) * f.coeffs / nw
+        t[row] = (np.conj(phase) * f.const - f.bound) / nw
+        s[row] = (f.bound - abs(fx)) / nw
     for row, k in enumerate(reals, start=len(mods)):
-        a = d._A[k]
+        a, b = d.real_faces[k].normal, d.real_faces[k].offset
         M[row] = a.conj()
-        t[row] = -(d._ab[k] + 1j * float(np.imag(x @ a.conj())))
-        s[row] = d._ab[k] - float(np.real(x @ a.conj()))
+        t[row] = -(b + 1j * float(np.imag(x @ a.conj())))
+        s[row] = b - float(np.real(x @ a.conj()))
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:
         raise NormalityError("active face normals are degenerate at the corner")
@@ -451,10 +363,11 @@ def polyhedral_pipeline(d: ConvexPolyhedron, q, x, *, seed: int = 0) -> SqueezeC
     # is affine in zeta with matrix B = W Minv; the sup of |affine| over a
     # product of closed discs is |value at centers| + sum |B| * radii, exactly.
     Minv = np.linalg.solve(M, np.eye(n, dtype=complex))
-    Bmod = d._W @ Minv if d._W.size else np.zeros((0, n), dtype=complex)
-    fmod_p = (p @ d._W.T + d._wd) if d._W.size else np.zeros(0, dtype=complex)
-    Breal = d._A.conj() @ Minv if d._A.size else np.zeros((0, n), dtype=complex)
-    freal_p = (np.real(p @ d._A.conj().T) - d._ab) if d._A.size else np.zeros(0)
+    W, A = d.mod_coeffs, d.real_normals
+    Bmod = W @ Minv
+    fmod_p = p @ W.T + d.mod_consts
+    Breal = A.conj() @ Minv
+    freal_p = np.real(p @ A.conj().T) - d.real_offsets
     phi_inv = Mobius1D.cayley_factor().inverse()
 
     def feasible(rho: float) -> bool:
@@ -467,7 +380,7 @@ def polyhedral_pipeline(d: ConvexPolyhedron, q, x, *, seed: int = 0) -> SqueezeC
         if Bmod.size:
             sup = (np.abs(fmod_p + Bmod @ centers)
                    + np.abs(Bmod) @ radii)
-            if np.any(sup >= d._wc):
+            if np.any(sup >= d.mod_bounds):
                 return False
         if Breal.size:
             sup = (freal_p + np.real(Breal @ centers)

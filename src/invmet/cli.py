@@ -8,9 +8,10 @@ through an ``INVMET_``-prefixed environment variable (``INVMET_SEED``,
 
 Exit codes: 0 on success, 1 when a verified property fails (a witness is
 dumped to stderr as JSON), 2 on malformed input (the message names the
-offending location).  Artifacts record the seed; CSV bodies contain no
-timestamps, so reruns with the same seed are byte-identical.  Wall-clock time
-appears only in the ``verify-all`` manifest.
+offending location), 3 on an internal error, a fault in the program itself
+(the traceback goes to stderr).  Artifacts record the seed; CSV bodies
+contain no timestamps, so reruns with the same seed are byte-identical.
+Wall-clock time appears only in the ``verify-all`` manifest.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,7 @@ from .domains import (
     HalfPlaneProduct,
     Polydisc,
     UnitBall,
-    _load_cvector,
+    load_cvector,
 )
 from .errors import (
     CertificateError,
@@ -64,7 +66,7 @@ def _parse_vector(text: str, flag: str):
     except json.JSONDecodeError as exc:
         raise SpecLoadError(f"invalid JSON ({exc.msg})",
                             f"{flag} offset {exc.pos}")
-    return _load_cvector(obj, flag)
+    return load_cvector(obj, flag)
 
 
 def _parse_points(text: str, flag: str):
@@ -75,7 +77,7 @@ def _parse_points(text: str, flag: str):
                             f"{flag} offset {exc.pos}")
     if not isinstance(obj, list) or not obj:
         raise SpecLoadError("expected a list of points", flag)
-    return [_load_cvector(p, f"{flag}[{i}]") for i, p in enumerate(obj)]
+    return [load_cvector(p, f"{flag}[{i}]") for i, p in enumerate(obj)]
 
 
 def _radii_list(text: str, flag: str):
@@ -431,15 +433,13 @@ def main(argv=None) -> int:
         if payload is None:
             payload = {"index": getattr(exc, "index", None)}
         return _witness(str(exc), payload)
-    except SpecLoadError as exc:
+    except (InvmetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvmetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,17 +7,35 @@ balanced convex bodies given by a gauge, and affine images of any of these.
 Every domain carries a declared bounding radius and an interior base point.
 Membership returns a signed gauge-like margin (positive inside). Directions and
 normals use the Hermitian inner product <u, v> = sum u_i conj(v_i).
+
+Every kind answers one row-paired protocol, where row i is the point P[i]
+with the direction V[i] (in ``metric_paired`` and ``section_distance_paired``
+P may also be a single row, shared by every row of V):
+
+* ``metric_paired(P, V)``: the closed-form metric K(P[i]; V[i]), or None when
+  the kind has none;
+* ``section_distance_paired(P, V)``: the distance from P[i] to the boundary of
+  the planar section through P[i] along V[i];
+* ``lower_bound_paired(P, V, stream, count)``: a certified lower bound of the
+  metric, the closed form where there is one;
+* ``contains_margins(Z)`` and ``coordinate_bounds()``;
+* for the squeeze radii, ``inner_radius_exact(x, model)`` on the domain, and
+  ``linear_sup(coeffs)`` and ``outer_radius_bound(domain, x)`` on the model.
+
+``metric_value`` and ``section_boundary_distance`` are their single-point
+forms.  ``AffineImage`` pulls the rows back to its inner domain.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .core import AffineMap, CLinearMap, canonical_phase, cvector, hdot
+from .core import AffineMap, CLinearMap, cvector, hdot
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -100,23 +118,75 @@ class Domain:
         if self.contains(z) <= 0:
             raise NotInteriorError(f"{what} is not in the domain interior")
 
-    # -- sections and support ---------------------------------------------
-    def section_boundary_distance(self, x, v) -> float:
-        """Euclidean distance from x to the boundary of the planar section
-        Omega  intersect (x + C v).  ``v`` may be a stack of directions."""
-        raise NotImplementedError
+    # -- the row-paired protocol: row i is P[i] with direction V[i] --------
+    def metric_paired(self, P, V):
+        """Closed-form K(P[i]; V[i]) per row, or None when the kind has none."""
+        return None
 
     def section_distance_paired(self, P, V):
-        """Row-paired section distances: row i is through P[i] along V[i]."""
+        """Euclidean distance from P[i] to the boundary of the planar section
+        Omega intersect (P[i] + C V[i]), per row."""
         raise NotImplementedError
 
+    def lower_bound_paired(self, P, V, stream: SampleStream | None = None,
+                           count: int = config.HALF_SPACE_COUNT):
+        """Certified lower bound of K(P[i]; V[i]) per row: the closed form where
+        the kind has one, else ``half_space_lower_bound`` on row i with ``count``
+        half-spaces drawn from ``stream.fork(i)``."""
+        exact = self.metric_paired(P, V)
+        if exact is not None:
+            return exact
+        stream = stream or SampleStream(0)
+        return np.array([half_space_lower_bound(self, P[i], V[i], stream.fork(i), count)
+                         for i in range(P.shape[0])])
+
+    def coordinate_bounds(self):
+        """Certified per-coordinate sup |z_alpha| over the domain, or None."""
+        if np.isfinite(self.bounding_radius):
+            return np.full(self.dim, self.bounding_radius)
+        return None
+
+    # -- single-point forms of the paired oracles --------------------------
+    def metric_value(self, x, v):
+        """K(x; v) (a vector for a stack of directions), or None."""
+        P, V, single = self._rows_at(x, v)
+        k = self.metric_paired(P, V)
+        if k is None:
+            return None
+        return float(k[0]) if single else k
+
+    def section_boundary_distance(self, x, v):
+        """Section distance from x along v (a vector for a stack of directions)."""
+        P, V, single = self._rows_at(x, v)
+        d = self.section_distance_paired(P, V)
+        return float(d[0]) if single else d
+
+    def _rows_at(self, x, v):
+        x = self._check_dim(cvector(x))
+        V, single = _as_direction_stack(v, self.dim)
+        return x[None, :], V, single
+
+    # -- squeeze radii ------------------------------------------------------
+    def inner_radius_exact(self, x, model: "Domain"):
+        """Largest r with x + r * model inside the domain, by exact arithmetic,
+        or None."""
+        return None
+
+    def linear_sup(self, coeffs):
+        """As a model: exact sup of |c . w| over the closed unit body for each
+        row c of ``coeffs``, or None."""
+        return None
+
+    def outer_radius_bound(self, domain: "Domain", x):
+        """As a model: certified sup of the gauge of z - x over z in ``domain``,
+        with its method tag."""
+        raise UnsupportedKindError(
+            f"no certified outer radius for model {type(self).__name__}")
+
+    # -- support and the other closed forms ---------------------------------
     def supporting_half_spaces(self, near=None, count: int = config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None):
         raise NotImplementedError
-
-    # -- closed forms (None when the kind has no exact formula) ------------
-    def metric_value(self, x, v):
-        return None
 
     def distance_value(self, x, y):
         return None
@@ -149,6 +219,17 @@ def _as_direction_stack(v, dim):
     return v, single
 
 
+def _slack_section(slack, V, what: str):
+    """Section distances in a product domain where coordinate k of row i has
+    room slack[i, k] before its factor's boundary."""
+    if np.any(slack <= 0):
+        raise NotInteriorError(f"point outside the {what}")
+    av = np.abs(V)
+    with np.errstate(divide="ignore"):
+        t = np.where(av > 0, slack / np.where(av > 0, av, 1.0), np.inf)
+    return np.linalg.norm(V, axis=1) * t.min(axis=1)
+
+
 class UnitBall(Domain):
     """Open Euclidean unit ball in C^n."""
 
@@ -166,16 +247,44 @@ class UnitBall(Domain):
     def contains_margins(self, Z):
         return 1.0 - np.linalg.norm(np.asarray(Z, dtype=complex), axis=-1)
 
-    def section_boundary_distance(self, x, v):
-        x = self._check_dim(cvector(x))
-        V, single = _as_direction_stack(v, self.dim)
+    def metric_paired(self, P, V):
+        s2 = 1.0 - np.sum(np.abs(P) ** 2, axis=1)
+        if np.any(s2 <= 0):
+            raise NotInteriorError("point outside the ball")
+        nv2 = np.sum(np.abs(V) ** 2, axis=1)
+        c2 = np.abs(np.sum(V * P.conj(), axis=1)) ** 2
+        return np.sqrt(s2 * nv2 + c2) / s2
+
+    def section_distance_paired(self, P, V):
         nv = np.linalg.norm(V, axis=1)
-        c = np.abs(V @ x.conj())
-        r2 = 1.0 - float(np.linalg.norm(x)) ** 2
-        if r2 <= 0:
-            raise NotInteriorError("x is not inside the ball")
-        d = (np.sqrt(c * c + r2 * nv * nv) - c) / nv
-        return float(d[0]) if single else d
+        c = np.abs(np.sum(V * P.conj(), axis=1))
+        r2 = 1.0 - np.sum(np.abs(P) ** 2, axis=1)
+        if np.any(r2 <= 0):
+            raise NotInteriorError("point outside the ball")
+        return (np.sqrt(c * c + r2 * nv * nv) - c) / nv
+
+    def coordinate_bounds(self):
+        return np.ones(self.dim)
+
+    def inner_radius_exact(self, x, model):
+        if isinstance(model, UnitBall):
+            return float(1.0 - np.linalg.norm(x))
+        if isinstance(model, Polydisc):
+            # solve sum (|x_a| + r R_a)^2 = 1 for the positive root
+            R = model.radii
+            a = float(R @ R)
+            b = float(np.abs(x) @ R)
+            c = float(np.linalg.norm(x) ** 2 - 1.0)
+            return (-b + math.sqrt(b * b - a * c)) / a
+        return None
+
+    def linear_sup(self, coeffs):
+        return np.linalg.norm(coeffs, axis=1)
+
+    def outer_radius_bound(self, domain, x):
+        if np.isfinite(domain.bounding_radius):
+            return float(domain.bounding_radius + np.linalg.norm(x)), "norm-bound"
+        return super().outer_radius_bound(domain, x)
 
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None):
@@ -189,17 +298,6 @@ class UnitBall(Domain):
         for u in stream.unit_directions(count, self.dim):
             out.append(half_space_through(u, u))
         return out
-
-    def metric_value(self, x, v):
-        x = self._check_dim(cvector(x))
-        V, single = _as_direction_stack(v, self.dim)
-        s2 = 1.0 - float(np.linalg.norm(x)) ** 2
-        if s2 <= 0:
-            raise NotInteriorError("x is not inside the ball")
-        nv2 = np.sum(np.abs(V) ** 2, axis=1)
-        c2 = np.abs(V @ x.conj()) ** 2
-        k = np.sqrt(s2 * nv2 + c2) / s2
-        return float(k[0]) if single else k
 
     def distance_value(self, x, y):
         from .automorphisms import BallMobius
@@ -240,17 +338,33 @@ class Polydisc(Domain):
     def contains_margins(self, Z):
         return np.min(self.radii - np.abs(np.asarray(Z, dtype=complex)), axis=-1)
 
-    def section_boundary_distance(self, x, v):
-        x = self._check_dim(cvector(x))
-        V, single = _as_direction_stack(v, self.dim)
-        slack = self.radii - np.abs(x)
-        if np.any(slack <= 0):
-            raise NotInteriorError("x is not inside the polydisc")
-        av = np.abs(V)
-        with np.errstate(divide="ignore"):
-            per = np.where(av > 0, slack[None, :] / np.where(av > 0, av, 1.0), np.inf)
-        d = np.linalg.norm(V, axis=1) * per.min(axis=1)
-        return float(d[0]) if single else d
+    def metric_paired(self, P, V):
+        den = self.radii ** 2 - np.abs(P) ** 2
+        if np.any(den <= 0):
+            raise NotInteriorError("point outside the polydisc")
+        return np.max(self.radii * np.abs(V) / den, axis=1)
+
+    def section_distance_paired(self, P, V):
+        return _slack_section(self.radii - np.abs(P), V, "polydisc")
+
+    def coordinate_bounds(self):
+        return self.radii.copy()
+
+    def inner_radius_exact(self, x, model):
+        # the polydisc is the polyhedron of faces |z_k| < radii_k
+        S = model.linear_sup(np.eye(self.dim))
+        if S is None:
+            return None
+        return float(np.min((self.radii - np.abs(x)) / S))
+
+    def linear_sup(self, coeffs):
+        return np.abs(coeffs) @ self.radii
+
+    def outer_radius_bound(self, domain, x):
+        cb = domain.coordinate_bounds()
+        if cb is None:
+            return super().outer_radius_bound(domain, x)
+        return float(np.max((cb + np.abs(x)) / self.radii)), "coordinate-bounds"
 
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None):
@@ -274,15 +388,6 @@ class Polydisc(Domain):
             out.append(SupportingHalfSpace(normal, self.radii[k],
                                            normal * self.radii[k]))
         return out
-
-    def metric_value(self, x, v):
-        x = self._check_dim(cvector(x))
-        V, single = _as_direction_stack(v, self.dim)
-        denom = self.radii ** 2 - np.abs(x) ** 2
-        if np.any(denom <= 0):
-            raise NotInteriorError("x is not inside the polydisc")
-        k = np.max(self.radii[None, :] * np.abs(V) / denom[None, :], axis=1)
-        return float(k[0]) if single else k
 
     def distance_value(self, x, y):
         x = self._check_dim(cvector(x))
@@ -311,7 +416,7 @@ class HalfPlaneProduct(Domain):
 
     def __init__(self, dim: int, orientation: str = "upper"):
         if orientation not in ("upper", "left"):
-            raise ValueError(f"unknown orientation {orientation!r}")
+            raise DegenerateInputError(f"unknown orientation {orientation!r}")
         if dim < 1:
             raise DimensionMismatchError("dim must be >= 1")
         self.dim = int(dim)
@@ -333,19 +438,14 @@ class HalfPlaneProduct(Domain):
     def contains_margins(self, Z):
         return np.min(self._heights(Z), axis=-1)
 
-    def section_boundary_distance(self, x, v):
-        x = self._check_dim(cvector(x))
-        V, single = _as_direction_stack(v, self.dim)
-        h = self._heights(x)
+    def metric_paired(self, P, V):
+        h = self._heights(P)
         if np.any(h <= 0):
-            raise NotInteriorError("x is not inside the half-plane product")
-        av = np.abs(V)
-        with np.errstate(divide="ignore"):
-            per = np.where(av > 0, h[None, :] / np.where(av > 0, av, 1.0), np.inf)
-        d = np.linalg.norm(V, axis=1) * per.min(axis=1)
-        if np.any(~np.isfinite(d)):
-            raise DegenerateInputError("section has no boundary in this direction")
-        return float(d[0]) if single else d
+            raise NotInteriorError("point outside the half-plane product")
+        return np.max(np.abs(V) / (2.0 * h), axis=1)
+
+    def section_distance_paired(self, P, V):
+        return _slack_section(self._heights(P), V, "half-plane product")
 
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None):
@@ -356,15 +456,6 @@ class HalfPlaneProduct(Domain):
             normal[k] = -1j if self.orientation == "upper" else 1.0
             out.append(SupportingHalfSpace(normal, 0.0, np.zeros(self.dim, dtype=complex)))
         return out
-
-    def metric_value(self, x, v):
-        x = self._check_dim(cvector(x))
-        V, single = _as_direction_stack(v, self.dim)
-        h = self._heights(x)
-        if np.any(h <= 0):
-            raise NotInteriorError("x is not inside the half-plane product")
-        k = np.max(np.abs(V) / (2.0 * h[None, :]), axis=1)
-        return float(k[0]) if single else k
 
     def distance_value(self, x, y):
         x = self._check_dim(cvector(x))
@@ -395,7 +486,7 @@ def halfplane_rotation(dim: int, frm: str, to: str) -> CLinearMap:
         return CLinearMap.diagonal([-1j] * dim)
     if (frm, to) == ("upper", "left"):
         return CLinearMap.diagonal([1j] * dim)
-    raise ValueError(f"unknown orientations {frm!r} -> {to!r}")
+    raise DegenerateInputError(f"unknown orientations {frm!r} -> {to!r}")
 
 
 class ConvexPolyhedron(Domain):
@@ -432,14 +523,14 @@ class ConvexPolyhedron(Domain):
         self.modulus_faces = tuple(mods)
         self.real_faces = tuple(reals)
         # stacked arrays for vectorized evaluation
-        self._W = (np.stack([f.coeffs for f in mods]) if mods
-                   else np.zeros((0, dim), dtype=complex))
-        self._wd = np.array([f.const for f in mods], dtype=complex)
-        self._wc = np.array([f.bound for f in mods], dtype=float)
-        self._wn = np.linalg.norm(self._W, axis=1) if mods else np.zeros(0)
-        self._A = (np.stack([f.normal for f in reals]) if reals
-                   else np.zeros((0, dim), dtype=complex))
-        self._ab = np.array([f.offset for f in reals], dtype=float)
+        self.mod_coeffs = (np.stack([f.coeffs for f in mods]) if mods
+                           else np.zeros((0, dim), dtype=complex))
+        self.mod_consts = np.array([f.const for f in mods], dtype=complex)
+        self.mod_bounds = np.array([f.bound for f in mods], dtype=float)
+        self._wn = np.linalg.norm(self.mod_coeffs, axis=1) if mods else np.zeros(0)
+        self.real_normals = (np.stack([f.normal for f in reals]) if reals
+                             else np.zeros((0, dim), dtype=complex))
+        self.real_offsets = np.array([f.offset for f in reals], dtype=float)
 
         self.basepoint = (np.zeros(dim, dtype=complex) if basepoint is None
                           else cvector(basepoint))
@@ -452,8 +543,10 @@ class ConvexPolyhedron(Domain):
     def face_values(self, z):
         """(|f_k(z)| stack, Re-face excesses) for z of shape (..., n)."""
         z = np.asarray(z, dtype=complex)
-        mv = np.abs(z @ self._W.T + self._wd) if self._W.size else None
-        rv = (np.real(z @ self._A.conj().T) - self._ab) if self._A.size else None
+        mv = (np.abs(z @ self.mod_coeffs.T + self.mod_consts) if self.mod_coeffs.size
+              else None)
+        rv = (np.real(z @ self.real_normals.conj().T) - self.real_offsets
+              if self.real_normals.size else None)
         return mv, rv
 
     def contains(self, z) -> float:
@@ -461,7 +554,7 @@ class ConvexPolyhedron(Domain):
         mv, rv = self.face_values(z)
         margins = []
         if mv is not None:
-            margins.append(np.min((self._wc - mv) / self._wn))
+            margins.append(np.min((self.mod_bounds - mv) / self._wn))
         if rv is not None:
             margins.append(np.min(-rv))
         return float(min(margins))
@@ -472,37 +565,63 @@ class ConvexPolyhedron(Domain):
         mv, rv = self.face_values(Z)
         parts = []
         if mv is not None:
-            parts.append(np.min((self._wc - mv) / self._wn, axis=-1))
+            parts.append(np.min((self.mod_bounds - mv) / self._wn, axis=-1))
         if rv is not None:
             parts.append(np.min(-rv, axis=-1))
         return np.min(np.stack(parts), axis=0) if len(parts) > 1 else parts[0]
 
-    def section_boundary_distance(self, x, v):
-        x = self._check_dim(cvector(x))
-        V, single = _as_direction_stack(v, self.dim)
-        nv = np.linalg.norm(V, axis=1)
-        per = np.full((V.shape[0],), np.inf)
-        if self._W.size:
-            fx = np.abs(x @ self._W.T + self._wd)
-            if np.any(fx >= self._wc):
-                raise NotInteriorError("x is not inside the polyhedron")
-            fl = np.abs(V @ self._W.T)  # |f_lin(v_i)| per face
+    def section_distance_paired(self, P, V):
+        fx, rx = self.face_values(P)
+        per = np.full(P.shape[0], np.inf)
+        if fx is not None:
+            if np.any(fx >= self.mod_bounds):
+                raise NotInteriorError("point outside the polyhedron")
+            fl = np.abs(V @ self.mod_coeffs.T)  # |f_lin(v_i)| per face
             with np.errstate(divide="ignore"):
-                dist = np.where(fl > 0, (self._wc - fx)[None, :] / np.where(fl > 0, fl, 1.0),
-                                np.inf)
-            per = np.minimum(per, dist.min(axis=1))
-        if self._A.size:
-            rx = np.real(x @ self._A.conj().T) - self._ab
+                t = np.where(fl > 0, (self.mod_bounds[None, :] - fx) / np.where(fl > 0, fl, 1.0),
+                             np.inf)
+            per = np.minimum(per, t.min(axis=1))
+        if rx is not None:
             if np.any(rx >= 0):
-                raise NotInteriorError("x is not inside the polyhedron")
-            s = np.abs(V @ self._A.conj().T)
+                raise NotInteriorError("point outside the polyhedron")
+            s = np.abs(V @ self.real_normals.conj().T)
             with np.errstate(divide="ignore"):
-                dist = np.where(s > 0, (-rx)[None, :] / np.where(s > 0, s, 1.0), np.inf)
-            per = np.minimum(per, dist.min(axis=1))
-        d = nv * per
-        if np.any(~np.isfinite(d)):
-            raise DegenerateInputError("section has no boundary in this direction")
-        return float(d[0]) if single else d
+                t = np.where(s > 0, -rx / np.where(s > 0, s, 1.0), np.inf)
+            per = np.minimum(per, t.min(axis=1))
+        return np.linalg.norm(V, axis=1) * per
+
+    def lower_bound_paired(self, P, V, stream=None, count=config.HALF_SPACE_COUNT):
+        """max over faces of the half-plane metric of the face projection.
+
+        For a modulus face the tangent-plane phase that maximizes the bound is
+        arg f(x), and the resulting value |f_lin(v)| / (2(c - |f(x)|)) does not
+        depend on the phase, so the optimum is exact, vectorizes and draws no
+        half-spaces.
+        """
+        fx, rx = self.face_values(P)
+        best = np.zeros(P.shape[0])
+        if fx is not None:
+            fl = np.abs(V @ self.mod_coeffs.T)
+            best = np.max(fl / (2.0 * (self.mod_bounds[None, :] - fx)), axis=1)
+        if rx is not None:
+            s = np.abs(V @ self.real_normals.conj().T)
+            best = np.maximum(best, np.max(s / (2.0 * -rx), axis=1))
+        return best
+
+    def inner_radius_exact(self, x, model):
+        fx, rx = self.face_values(x)
+        rs = []
+        if fx is not None:
+            S = model.linear_sup(self.mod_coeffs)
+            if S is None:
+                return None
+            rs.append(np.min((self.mod_bounds - fx) / S))
+        if rx is not None:
+            S = model.linear_sup(self.real_normals.conj())
+            if S is None:
+                return None
+            rs.append(np.min(-rx / S))
+        return float(min(rs))
 
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None):
@@ -540,10 +659,10 @@ class ConvexPolyhedron(Domain):
 
     def gauge(self, v):
         """Minkowski gauge when every face is balanced (modulus faces, const 0)."""
-        if self.real_faces or (self._wd.size and np.any(self._wd != 0)):
+        if self.real_faces or np.any(self.mod_consts != 0):
             return None
         v = np.asarray(v, dtype=complex)
-        return np.max(np.abs(v @ self._W.T) / self._wc, axis=-1)
+        return np.max(np.abs(v @ self.mod_coeffs.T) / self.mod_bounds, axis=-1)
 
     def interior_samples(self, count, stream: SampleStream):
         cb = self.coordinate_bounds()
@@ -628,25 +747,19 @@ class BalancedConvex(Domain):
         # > 0 exactly when g < 1
         return (1.0 - self.gauge(np.asarray(Z, dtype=complex))) * self.inner_radius
 
-    def section_boundary_distance(self, x, v, rays: int = config.SECTION_RAYS):
-        """Section distances from one point x; see ``section_distance_paired``."""
-        x = self._check_dim(cvector(x))
-        V, single = _as_direction_stack(v, self.dim)
-        out = self.section_distance_paired(np.broadcast_to(x, V.shape), V, rays)
-        return float(out[0]) if single else out
-
-    def section_distance_paired(self, P, V, rays: int = config.SECTION_RAYS):
+    def section_distance_paired(self, P, V):
         """Row-paired section distances: row i is through P[i] along V[i].
 
         Exact disc radius at the center; off center, boundary points along
-        ``rays`` planar directions are found by bisection and the inradius of
-        their convex hull is returned -- a certified lower bound on the true
-        section distance (the section is convex, so it contains the sampled
-        polygon).  Off-center rows are bisected together, _SECTION_BLOCK rows
-        at a time.
+        config.SECTION_RAYS planar directions are found by bisection and the
+        inradius of their convex hull is returned -- a certified lower bound on
+        the true section distance (the section is convex, so it contains the
+        sampled polygon).  Off-center rows are bisected together,
+        _SECTION_BLOCK rows at a time.
         """
-        P = self._check_dim(P)
+        rays = config.SECTION_RAYS
         V = self._check_dim(V)
+        P = np.broadcast_to(self._check_dim(P), V.shape)
         nv = np.linalg.norm(V, axis=1)
         if np.any(nv == 0.0):
             raise DegenerateInputError("zero direction")
@@ -724,6 +837,13 @@ class BalancedConvex(Domain):
             raise DegenerateInputError("no supporting half-spaces found")
         return out
 
+    def outer_radius_bound(self, domain, x):
+        if np.isfinite(domain.bounding_radius):
+            # gauge(w) <= |w| / inner_radius
+            return (float((domain.bounding_radius + np.linalg.norm(x)) / self.inner_radius),
+                    "norm-bound")
+        return super().outer_radius_bound(domain, x)
+
     def interior_samples(self, count, stream: SampleStream):
         u = stream.unit_directions(count, self.dim)
         g = self.gauge(u)
@@ -768,16 +888,19 @@ class AffineImage(Domain):
     def contains_margins(self, Z):
         return self.inner.contains_margins(self.map_inv(Z)) * self._sv_min
 
-    def section_boundary_distance(self, x, v):
-        x = self._check_dim(cvector(x))
-        V, single = _as_direction_stack(v, self.dim)
-        xp = self.map_inv(x)
-        Vp = V @ self.map_inv.linear.matrix.T
-        nv = np.linalg.norm(V, axis=1)
-        nvp = np.linalg.norm(Vp, axis=1)
-        d = self.inner.section_boundary_distance(xp, Vp)
-        d = np.atleast_1d(d) * nv / nvp
-        return float(d[0]) if single else d
+    def _pull_back(self, P, V):
+        return self.map_inv(P), V @ self.map_inv.linear.matrix.T
+
+    def metric_paired(self, P, V):
+        return self.inner.metric_paired(*self._pull_back(P, V))
+
+    def section_distance_paired(self, P, V):
+        Pp, Vp = self._pull_back(P, V)
+        return (self.inner.section_distance_paired(Pp, Vp)
+                * np.linalg.norm(V, axis=1) / np.linalg.norm(Vp, axis=1))
+
+    def lower_bound_paired(self, P, V, stream=None, count=config.HALF_SPACE_COUNT):
+        return self.inner.lower_bound_paired(*self._pull_back(P, V), stream, count)
 
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None):
@@ -789,13 +912,6 @@ class AffineImage(Domain):
             normal = Linv_star @ hs.normal
             out.append(half_space_through(normal, self.map(hs.base)))
         return out
-
-    def metric_value(self, x, v):
-        xp = self.map_inv(self._check_dim(cvector(x)))
-        V, single = _as_direction_stack(v, self.dim)
-        Vp = V @ self.map_inv.linear.matrix.T
-        val = self.inner.metric_value(xp, Vp if not single else Vp[0])
-        return val
 
     def distance_value(self, x, y):
         xp = self.map_inv(cvector(x))
@@ -830,16 +946,51 @@ def balanced_polyhedron(coeffs, scales, dim: int, name: str = "") -> ConvexPolyh
                             dim, None, float(np.linalg.norm(s) / sv[-1]), name=name)
 
 
+def _section_nearest_boundary_point(d: Domain, x, v, rays: int = 24):
+    """Approximate nearest boundary point of the planar section through (x, v)."""
+    if not np.isfinite(d.bounding_radius):
+        return x  # no finite bracket to bisect
+    vhat = v / np.linalg.norm(v)
+    th = np.linspace(0.0, 2.0 * np.pi, rays, endpoint=False)
+    dirs = np.exp(1j * th)[:, None] * vhat[None, :]
+    lo = np.zeros(rays)
+    hi = np.full(rays, 2.0 * d.bounding_radius)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        inside = d.contains_margins(x[None, :] + mid[:, None] * dirs) > 0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    k = int(np.argmin(lo))
+    return x + lo[k] * dirs[k]
+
+
+def half_space_lower_bound(d: Domain, x, v, stream: SampleStream,
+                           count: int = config.HALF_SPACE_COUNT) -> float:
+    """Lower bound of K(x; v) from the projections onto ``count`` supporting
+    half-spaces near the section's nearest boundary point: the metric of a
+    half-space is |<v, n>| / (2 gap), and it only shrinks as the domain grows."""
+    near = _section_nearest_boundary_point(d, x, v)
+    best = 0.0
+    for hs in d.supporting_half_spaces(near=near, count=count, stream=stream):
+        gap = float(hs.distance_inside(x))
+        if gap <= 0:
+            continue
+        best = max(best, abs(complex(v @ hs.normal.conj())) / (2.0 * gap))
+    # bounding-sphere floor: a supporting half-space with normal v/|v| exists
+    # within distance |x| + R of x, giving K >= |v| / (2(|x| + R))
+    if np.isfinite(d.bounding_radius):
+        best = max(best, float(np.linalg.norm(v))
+                   / (2.0 * (np.linalg.norm(x) + d.bounding_radius)))
+    return best
+
+
 def convexity_witness(domain: Domain, samples: int = config.CONVEXITY_WITNESS_SAMPLES,
                       seed: int = 0) -> float:
     """Worst midpoint margin over sampled interior pairs (>= 0 for convex sets)."""
     stream = SampleStream(seed)
     pts = domain.interior_samples(2 * samples, stream)
     mids = 0.5 * (pts[:samples] + pts[samples:])
-    worst = np.inf
-    for m in mids:
-        worst = min(worst, domain.contains(m))
-    return float(worst)
+    return float(np.min(domain.contains_margins(mids)))
 
 
 def model_automorphism(domain: Domain, frm, to):
@@ -908,7 +1059,8 @@ def _load_complex(obj, loc):
     raise SpecLoadError("expected a number, [re, im] pair, or complex string", loc)
 
 
-def _load_cvector(obj, loc, dim=None):
+def load_cvector(obj, loc, dim=None):
+    """A complex vector from a JSON list; SpecLoadError names ``loc`` when malformed."""
     if not isinstance(obj, (list, tuple)) or not obj:
         raise SpecLoadError("expected a nonempty list", loc)
     v = np.array([_load_complex(x, f"{loc}[{i}]") for i, x in enumerate(obj)])
@@ -983,23 +1135,23 @@ def _domain_from_dict(obj, loc) -> Domain:
                 raise SpecLoadError("face must be an object", floc)
             ftype = _require(fo, "type", f"{floc}.type", str)
             if ftype == "modulus":
-                coeffs = _load_cvector(_require(fo, "coeffs", f"{floc}.coeffs"),
-                                       f"{floc}.coeffs", dim)
+                coeffs = load_cvector(_require(fo, "coeffs", f"{floc}.coeffs"),
+                                      f"{floc}.coeffs", dim)
                 const = _load_complex(fo.get("const", 0.0), f"{floc}.const")
                 bound = _require(fo, "bound", f"{floc}.bound", (int, float))
                 if bound <= 0:
                     raise SpecLoadError("bound must be positive", f"{floc}.bound")
                 faces.append(ModulusFace(coeffs, const, float(bound)))
             elif ftype == "real":
-                normal = _load_cvector(_require(fo, "normal", f"{floc}.normal"),
-                                       f"{floc}.normal", dim)
+                normal = load_cvector(_require(fo, "normal", f"{floc}.normal"),
+                                      f"{floc}.normal", dim)
                 offset = _require(fo, "offset", f"{floc}.offset", (int, float))
                 faces.append(RealFace(normal, float(offset)))
             else:
                 raise SpecLoadError(f"unknown face type {ftype!r}", f"{floc}.type")
         br = _require(obj, "bounding_radius", f"{p}bounding_radius", (int, float))
         basepoint = (np.zeros(dim, dtype=complex) if "basepoint" not in obj else
-                     _load_cvector(obj["basepoint"], f"{p}basepoint", dim))
+                     load_cvector(obj["basepoint"], f"{p}basepoint", dim))
         try:
             return ConvexPolyhedron(faces, dim, basepoint, br,
                                     name=obj.get("name", ""))
@@ -1013,8 +1165,8 @@ def _domain_from_dict(obj, loc) -> Domain:
             floc = f"{p}funcs[{i}]"
             if not isinstance(fo, dict):
                 raise SpecLoadError("func must be an object", floc)
-            coeffs.append(_load_cvector(_require(fo, "coeffs", f"{floc}.coeffs"),
-                                        f"{floc}.coeffs", dim))
+            coeffs.append(load_cvector(_require(fo, "coeffs", f"{floc}.coeffs"),
+                                       f"{floc}.coeffs", dim))
             sc = _require(fo, "scale", f"{floc}.scale", (int, float))
             if sc <= 0:
                 raise SpecLoadError("scale must be positive", f"{floc}.scale")
@@ -1027,13 +1179,13 @@ def _domain_from_dict(obj, loc) -> Domain:
         inner_obj = _require(obj, "inner", f"{p}inner", dict)
         inner = _domain_from_dict(inner_obj, f"{p}inner")
         mat_obj = _require(obj, "matrix", f"{p}matrix", list)
-        rows = [_load_cvector(r, f"{p}matrix[{i}]", inner.dim)
+        rows = [load_cvector(r, f"{p}matrix[{i}]", inner.dim)
                 for i, r in enumerate(mat_obj)]
         if len(rows) != inner.dim:
             raise SpecLoadError(f"expected {inner.dim} rows", f"{p}matrix")
         translation = (np.zeros(inner.dim, dtype=complex) if "translation" not in obj
-                       else _load_cvector(obj["translation"], f"{p}translation",
-                                          inner.dim))
+                       else load_cvector(obj["translation"], f"{p}translation",
+                                         inner.dim))
         try:
             amap = AffineMap(CLinearMap(np.stack(rows)), translation)
             amap.inverse()

@@ -23,7 +23,7 @@ import numpy as np
 from . import config
 from .core import cvector
 from .domains import Domain, HalfPlaneProduct
-from .errors import UnboundedValueError
+from .errors import DegenerateInputError, UnboundedValueError
 from .metrics import (
     CONVENTIONS,
     distance_ball_sample,
@@ -36,7 +36,7 @@ from .sampling import SampleStream
 def tanh_parameter(r: float, convention: str = "standard") -> float:
     """The t with distance r = atanh(t) (standard) or 2 atanh(t) (paper)."""
     if r < 0:
-        raise ValueError("radius must be nonnegative")
+        raise DegenerateInputError("radius must be nonnegative")
     return math.tanh(r / distance_scale(convention))
 
 
@@ -55,7 +55,7 @@ def lambda_halfplane(r: float, convention: str = "standard") -> float:
 def apollonius_disc(b: float, r: float, convention: str = "standard"):
     """(imaginary center height, Euclidean radius) of B(ib; r) in Im z > 0."""
     if b <= 0:
-        raise ValueError("base height must be positive")
+        raise DegenerateInputError("base height must be positive")
     t = tanh_parameter(r, convention)
     if t >= 1.0:
         raise UnboundedValueError("distance ball fills the half-plane")

@@ -16,21 +16,14 @@ switches its tanh parameter accordingly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
 from .core import cvector
-from .domains import (
-    AffineImage,
-    ConvexPolyhedron,
-    Domain,
-    HalfPlaneProduct,
-    Polydisc,
-    UnitBall,
-)
-from .errors import DegenerateInputError, NotInteriorError, UnboundedValueError
+from .domains import AffineImage, Domain
+from .errors import DegenerateInputError, UnboundedValueError
 from .sampling import SampleStream
 
 CONVENTIONS = ("standard", "paper")
@@ -39,7 +32,8 @@ CONVENTIONS = ("standard", "paper")
 def distance_scale(convention: str) -> float:
     """Factor applied to standard (tanh^{-1}) distances: 1 or 2."""
     if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; pick from {CONVENTIONS}")
+        raise DegenerateInputError(
+            f"unknown convention {convention!r}; pick from {CONVENTIONS}")
     return 2.0 if convention == "paper" else 1.0
 
 
@@ -90,161 +84,20 @@ class DistanceBound:
 # Paired evaluators: stacks of (point, direction) rows, exact on models
 # ---------------------------------------------------------------------------
 
-def _exact_paired(d: Domain, P, V):
-    """Exact metric values for row-paired points/directions, or None."""
-    if isinstance(d, UnitBall):
-        s2 = 1.0 - np.sum(np.abs(P) ** 2, axis=1)
-        if np.any(s2 <= 0):
-            raise NotInteriorError("point outside the ball")
-        nv2 = np.sum(np.abs(V) ** 2, axis=1)
-        c2 = np.abs(np.sum(V * P.conj(), axis=1)) ** 2
-        return np.sqrt(s2 * nv2 + c2) / s2
-    if isinstance(d, Polydisc):
-        den = d.radii[None, :] ** 2 - np.abs(P) ** 2
-        if np.any(den <= 0):
-            raise NotInteriorError("point outside the polydisc")
-        return np.max(d.radii[None, :] * np.abs(V) / den, axis=1)
-    if isinstance(d, HalfPlaneProduct):
-        h = P.imag if d.orientation == "upper" else -P.real
-        if np.any(h <= 0):
-            raise NotInteriorError("point outside the half-plane product")
-        return np.max(np.abs(V) / (2.0 * h), axis=1)
-    if isinstance(d, AffineImage):
-        Minv = d.map_inv.linear.matrix
-        inner = _exact_paired(d.inner, d.map_inv(P), V @ Minv.T)
-        return inner
-    return None
-
-
-def _section_distance_paired(d: Domain, P, V):
-    """Distance from P_i to the boundary of the section through direction V_i."""
-    if isinstance(d, ConvexPolyhedron):
-        nv = np.linalg.norm(V, axis=1)
-        per = np.full(P.shape[0], np.inf)
-        if d._W.size:
-            fx = np.abs(P @ d._W.T + d._wd)
-            if np.any(fx >= d._wc):
-                raise NotInteriorError("point outside the polyhedron")
-            fl = np.abs(V @ d._W.T)
-            with np.errstate(divide="ignore"):
-                t = np.where(fl > 0, (d._wc[None, :] - fx) / np.where(fl > 0, fl, 1.0),
-                             np.inf)
-            per = np.minimum(per, t.min(axis=1))
-        if d._A.size:
-            rx = np.real(P @ d._A.conj().T) - d._ab
-            if np.any(rx >= 0):
-                raise NotInteriorError("point outside the polyhedron")
-            s = np.abs(V @ d._A.conj().T)
-            with np.errstate(divide="ignore"):
-                t = np.where(s > 0, -rx / np.where(s > 0, s, 1.0), np.inf)
-            per = np.minimum(per, t.min(axis=1))
-        return nv * per
-    if isinstance(d, AffineImage):
-        Pp = d.map_inv(P)
-        Vp = V @ d.map_inv.linear.matrix.T
-        inner = _section_distance_paired(d.inner, Pp, Vp)
-        return inner * np.linalg.norm(V, axis=1) / np.linalg.norm(Vp, axis=1)
-    if isinstance(d, UnitBall):
-        nv = np.linalg.norm(V, axis=1)
-        c = np.abs(np.sum(V * P.conj(), axis=1))
-        r2 = 1.0 - np.sum(np.abs(P) ** 2, axis=1)
-        if np.any(r2 <= 0):
-            raise NotInteriorError("point outside the ball")
-        return (np.sqrt(c * c + r2 * nv * nv) - c) / nv
-    if isinstance(d, (Polydisc, HalfPlaneProduct)):
-        if isinstance(d, Polydisc):
-            slack = d.radii[None, :] - np.abs(P)
-        else:
-            slack = P.imag if d.orientation == "upper" else -P.real
-        if np.any(slack <= 0):
-            raise NotInteriorError("point outside the domain")
-        av = np.abs(V)
-        with np.errstate(divide="ignore"):
-            t = np.where(av > 0, slack / np.where(av > 0, av, 1.0), np.inf)
-        return np.linalg.norm(V, axis=1) * t.min(axis=1)
-    return d.section_distance_paired(P, V)
-
-
 def metric_upper_paired(d: Domain, P, V):
     """Certified upper bound for row-paired (point, direction) stacks."""
     P = np.asarray(P, dtype=complex)
     V = np.asarray(V, dtype=complex)
-    exact = _exact_paired(d, P, V)
+    exact = d.metric_paired(P, V)
     if exact is not None:
         return exact
-    return np.linalg.norm(V, axis=1) / _section_distance_paired(d, P, V)
-
-
-def _polyhedron_lower_paired(d: ConvexPolyhedron, P, V):
-    """max over faces of the half-plane metric of the face projection.
-
-    For a modulus face the tangent-plane phase that maximizes the bound is
-    arg f(x), and the resulting value |f_lin(v)| / (2(c - |f(x)|)) does not
-    depend on the phase, so the optimum is exact and vectorizes.
-    """
-    best = np.zeros(P.shape[0])
-    if d._W.size:
-        fx = np.abs(P @ d._W.T + d._wd)
-        fl = np.abs(V @ d._W.T)
-        best = np.max(fl / (2.0 * (d._wc[None, :] - fx)), axis=1)
-    if d._A.size:
-        rx = d._ab[None, :] - np.real(P @ d._A.conj().T)
-        s = np.abs(V @ d._A.conj().T)
-        best = np.maximum(best, np.max(s / (2.0 * rx), axis=1))
-    return best
+    return np.linalg.norm(V, axis=1) / d.section_distance_paired(P, V)
 
 
 def metric_lower_paired(d: Domain, P, V, stream: SampleStream | None = None):
     """Certified lower bound for row-paired stacks (exact on models)."""
-    P = np.asarray(P, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    exact = _exact_paired(d, P, V)
-    if exact is not None:
-        return exact
-    if isinstance(d, ConvexPolyhedron):
-        return _polyhedron_lower_paired(d, P, V)
-    if isinstance(d, AffineImage):
-        return metric_lower_paired(d.inner, d.map_inv(P),
-                                   V @ d.map_inv.linear.matrix.T, stream)
-    stream = stream or SampleStream(0)
-    return np.array([_lower_via_half_spaces(d, P[i], V[i], stream.fork(i))
-                     for i in range(P.shape[0])])
-
-
-def _section_nearest_boundary_point(d: Domain, x, v, rays: int = 24):
-    """Approximate nearest boundary point of the planar section through (x, v)."""
-    if not np.isfinite(d.bounding_radius):
-        return x  # no finite bracket to bisect
-    vhat = v / np.linalg.norm(v)
-    th = np.linspace(0.0, 2.0 * np.pi, rays, endpoint=False)
-    dirs = np.exp(1j * th)[:, None] * vhat[None, :]
-    lo = np.zeros(rays)
-    hi = np.full(rays, 2.0 * d.bounding_radius)
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        inside = d.contains_margins(x[None, :] + mid[:, None] * dirs) > 0
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    k = int(np.argmin(lo))
-    return x + lo[k] * dirs[k]
-
-
-def _lower_via_half_spaces(d: Domain, x, v, stream: SampleStream,
-                           count: int = config.HALF_SPACE_COUNT) -> float:
-    """Half-space projection bound near the section's nearest boundary point."""
-    near = _section_nearest_boundary_point(d, x, v)
-    best = 0.0
-    for hs in d.supporting_half_spaces(near=near, count=count, stream=stream):
-        gap = float(hs.distance_inside(x))
-        if gap <= 0:
-            continue
-        best = max(best, abs(complex(v @ hs.normal.conj())) / (2.0 * gap))
-    # bounding-sphere floor: a supporting half-space with normal v/|v| exists
-    # within distance |x| + R of x, giving K >= |v| / (2(|x| + R))
-    if np.isfinite(d.bounding_radius):
-        best = max(best, float(np.linalg.norm(v))
-                   / (2.0 * (np.linalg.norm(x) + d.bounding_radius)))
-    return best
+    return d.lower_bound_paired(np.asarray(P, dtype=complex),
+                                np.asarray(V, dtype=complex), stream)
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +120,15 @@ def kobayashi_metric(d: Domain, x, v, *, seed: int = 0,
     if nv == 0.0:
         raise DegenerateInputError("direction must be nonzero")
     d.require_interior(x, "base point")
-    if not np.isfinite(d.bounding_radius) and d.metric_value(x, v) is None:
-        raise UnboundedValueError("unbounded domain without a closed-form metric")
-    vhat = v / nv
-    exact = d.metric_value(x, vhat)
+    P, V = x[None, :], (v / nv)[None, :]
+    exact = d.metric_paired(P, V)
     if exact is not None:
-        val = float(exact) * nv
+        val = float(exact[0]) * nv
         return MetricBound(val, val)
-    upper = float(metric_upper_paired(d, x[None, :], vhat[None, :])[0]) * nv
-    if isinstance(d, (ConvexPolyhedron, AffineImage)):
-        lower = float(metric_lower_paired(d, x[None, :], vhat[None, :])[0]) * nv
-    else:
-        lower = _lower_via_half_spaces(d, x, vhat, SampleStream(seed),
-                                       half_space_count) * nv
+    if not np.isfinite(d.bounding_radius):
+        raise UnboundedValueError("unbounded domain without a closed-form metric")
+    upper = float(metric_upper_paired(d, P, V)[0]) * nv
+    lower = float(d.lower_bound_paired(P, V, SampleStream(seed), half_space_count)[0]) * nv
     return MetricBound(min(lower, upper), upper,
                        lower_method=d.lower_method, upper_method="affine-disc")
 
@@ -293,7 +142,7 @@ def kobayashi_metric_values(d: Domain, x, V, *, which: str = "mid",
     x = cvector(x)
     V = np.asarray(V, dtype=complex)
     P = np.broadcast_to(x, V.shape)
-    exact = _exact_paired(d, P, V)
+    exact = d.metric_paired(P, V)
     if exact is not None:
         if which == "both":
             return exact, exact.copy()
@@ -504,7 +353,7 @@ def indicatrix_volume(d: Domain, x, samples: int = 100_000, *,
     variance, so the model cases are exact up to floating point.
     """
     if samples < config.MIN_VOLUME_SAMPLES:
-        raise ValueError(f"need at least {config.MIN_VOLUME_SAMPLES} samples")
+        raise DegenerateInputError(f"need at least {config.MIN_VOLUME_SAMPLES} samples")
     x = cvector(x)
     d.require_interior(x, "base point")
     stream = SampleStream(seed)
@@ -571,7 +420,7 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
     overestimates the true distance, so membership stays certified.
     """
     if r <= 0:
-        raise ValueError("radius must be positive")
+        raise DegenerateInputError("radius must be positive")
     x = cvector(x)
     d.require_interior(x, "center")
     scale = distance_scale(convention)

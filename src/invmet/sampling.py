@@ -7,6 +7,8 @@ draws, regardless of what sibling streams consumed.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -14,8 +16,12 @@ class SampleStream:
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed)
         self.path = tuple(int(p) for p in path)
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=self.path))
+
+    @functools.cached_property
+    def _rng(self):
+        # built on the first draw: a stream that is only forked, or handed to
+        # an oracle that draws nothing, costs no generator
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.path))
 
     def fork(self, index: int) -> "SampleStream":
         """Independent child stream; deterministic in (seed, path, index)."""

@@ -35,12 +35,10 @@ from .convexbox import (
     slope_check,
 )
 from .core import cvector
-from .domains import AutomorphismFamily, Polydisc, model_automorphism
+from .domains import AutomorphismFamily, Polydisc, half_space_lower_bound, model_automorphism
 from .domination import verify_convex_domination, verify_halfplane_domination
 from .errors import LemmaViolationError
 from .metrics import (
-    _lower_via_half_spaces,
-    _section_distance_paired,
     kobayashi_metric,
     metric_lower_paired,
     metric_upper_paired,
@@ -134,11 +132,11 @@ def run_metric_suite(seed: int = 0, triples: int = 10_000, *,
                 0.5 * (upper + lower)[:generic_rows] - closed_all)))
             # generic machinery must bracket the closed form
             m = closed_all.size
-            sec = _section_distance_paired(d, X[:m], V[:m])
+            sec = d.section_distance_paired(X[:m], V[:m])
             gen_upper = np.linalg.norm(V[:m], axis=1) / sec
             gst = stream.fork(4)
             gen_lower = np.array([
-                _lower_via_half_spaces(d, X[k], V[k], gst.fork(k))
+                half_space_lower_bound(d, X[k], V[k], gst.fork(k))
                 for k in range(m)])
             generic_cross = float(max(np.max(closed_all - gen_upper),
                                       np.max(gen_lower - closed_all)))

@@ -201,3 +201,23 @@ def test_workers_is_a_verify_all_flag(capsys):
               "--workers", "2"])
     assert ei.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_bad_input_is_exit_2_and_a_program_fault_exit_3(capsys, monkeypatch):
+    # argparse does not check an environment default against its choices, so
+    # the convention reaches distance_scale, which rejects it as bad input
+    monkeypatch.setenv("INVMET_CONVENTION", "bogus")
+    code, _, err = run(capsys, "distance", "--domain", "disc",
+                       "--from", "[0]", "--to", "[0.5]")
+    assert code == 2
+    assert err.startswith("error: unknown convention 'bogus'")
+    monkeypatch.delenv("INVMET_CONVENTION")
+
+    def broken(args):
+        raise ValueError("invalid bound [1.0, 0.5]")
+
+    monkeypatch.setattr("invmet.cli.cmd_metric", broken)
+    code, _, err = run(capsys, "metric", "--domain", "disc", "--at", "[0]", "--dir", "[1]")
+    assert code == 3
+    assert err.startswith("internal error:")
+    assert "ValueError: invalid bound" in err

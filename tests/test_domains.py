@@ -13,6 +13,7 @@ from invmet import (
     Polydisc,
     SampleStream,
     UnitBall,
+    config,
     convexity_witness,
     kobayashi_metric,
     load_domain,
@@ -33,7 +34,8 @@ from invmet.errors import (
     SpecLoadError,
     UnsupportedKindError,
 )
-from invmet.zoo import resolve_domain, twin_map
+from invmet.metrics import metric_lower_paired, metric_upper_paired
+from invmet.zoo import affine_twin, resolve_domain, twin_map
 
 from conftest import assert_inside
 
@@ -293,19 +295,48 @@ def test_contains_margins_sign_matches_scalar_contains(d):
     assert np.any(scalar > 0) and np.any(scalar <= 0)
 
 
-# the one-vector gauge makes a Python call per point, so it gets fewer rays
-@pytest.mark.parametrize("make,rays", [(_gauge_balanced, 128), (_one_vector_balanced, 8)])
-def test_balanced_paired_section_distance_matches_per_row(make, rays):
+def _protocol_cases():
+    cases = []
+    for name in zoo_names():
+        cases.append(pytest.param(lambda name=name: zoo_domain(name), None, id=name))
+        cases.append(pytest.param(lambda name=name: affine_twin(zoo_domain(name)), None,
+                                  id=f"{name}-twin"))
+    # the one-vector gauge makes a Python call per point, so it gets fewer rays
+    cases += [pytest.param(_gauge_balanced, 128, id="_gauge_balanced-128"),
+              pytest.param(_one_vector_balanced, 8, id="_one_vector_balanced-8")]
+    return cases
+
+
+@pytest.mark.parametrize("make,rays", _protocol_cases())
+def test_balanced_paired_section_distance_matches_per_row(make, rays, monkeypatch):
+    """Every kind answers the row-paired protocol, and its single-point forms
+    are rows of the paired forms."""
+    if rays is not None:
+        monkeypatch.setattr(config, "SECTION_RAYS", rays)
     d = make()
     stream = SampleStream(12)
     rows = 75                                  # more than two blocks of rows
     P = d.interior_samples(rows, stream)
-    P[::7] = 0.0                               # centre rows take the closed form
-    V = stream.unit_directions(rows, 2) * stream.uniform(rows, 0.2, 2.0)[:, None]
-    paired = d.section_distance_paired(P, V, rays)
-    per_row = np.array([d.section_boundary_distance(p, v, rays) for p, v in zip(P, V)])
-    assert np.array_equal(paired, per_row)
-    assert np.all(paired > 0)
+    P[::7] = d.basepoint                       # the centre of balanced bodies
+    V = stream.unit_directions(rows, d.dim) * stream.uniform(rows, 0.2, 2.0)[:, None]
+    assert np.all(d.section_distance_paired(P, V) > 0)
+    for paired, single in ((d.section_distance_paired, d.section_boundary_distance),
+                           (d.metric_paired, d.metric_value)):
+        one_row = [paired(P[i:i + 1], V[i:i + 1]) for i in range(rows)]
+        per_point = [single(p, v) for p, v in zip(P, V)]
+        if one_row[0] is None:
+            assert all(k is None for k in one_row + per_point)
+            continue
+        one_row = np.concatenate(one_row)
+        assert np.array_equal(one_row, np.array(per_point))
+        if isinstance(d, AffineImage):
+            # BLAS rounds the pull-back's many-row complex matmul apart from a
+            # one-row one by an ulp, which the cancellation in a short section
+            # distance can lift to 1e-13 relative
+            np.testing.assert_allclose(paired(P, V), one_row, rtol=1e-12)
+        else:
+            assert np.array_equal(paired(P, V), one_row)
+    assert np.all(metric_lower_paired(d, P, V) <= metric_upper_paired(d, P, V))
 
 
 def test_balanced_paired_section_distance_rejects_exterior_rows():

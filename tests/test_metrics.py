@@ -23,7 +23,7 @@ from invmet import (
 )
 from invmet.domains import AffineImage, BalancedConvex
 from invmet.metrics import indicatrix_gauge_upper, metric_lower_paired, metric_upper_paired
-from invmet.zoo import twin_map
+from invmet.zoo import affine_twin, twin_map
 
 
 def test_polydisc_metric_closed_form(pd2):
@@ -82,6 +82,26 @@ def test_finite_difference_lower_bounds_are_tagged(three_face):
         assert kobayashi_metric(d, x2, v).lower_method == tag
         assert kobayashi_distance(d, x2, d.basepoint + np.asarray(y),
                                   tol=1e-3).lower_method == tag
+
+
+def test_affine_image_lower_bound_follows_seed_and_half_space_count():
+    """kobayashi_metric on the affine image of a gauge body draws the same
+    half-spaces as on the body, for every seed and half-space count."""
+    d = BalancedConvex(lambda v: np.sum(np.abs(np.asarray(v)) ** 4, axis=-1) ** 0.25,
+                       2, 2.0 ** 0.25, 1.0)
+    twin = affine_twin(d)
+    T = twin.map
+    stream = SampleStream(18)
+    X = 0.8 * d.interior_samples(20, stream)
+    V = stream.unit_directions(20, 2)
+    for seed, count in ((0, 8), (5, 8), (0, 32)):
+        for x, v in zip(X, V):
+            body = kobayashi_metric(d, x, v, seed=seed, half_space_count=count)
+            image = kobayashi_metric(twin, T(x), T.linear(v), seed=seed,
+                                     half_space_count=count)
+            # the pull-back moves x by an ulp, which the finite differences
+            # (step 1e-6) lift to about 1e-11; other half-spaces move it by 1e-4
+            assert image.lower == pytest.approx(body.lower, rel=1e-9, abs=0)
 
 
 def test_sandwich_holds_across_the_zoo():
