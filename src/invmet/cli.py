@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Subcommands: metric, distance, indicatrix, scale audit, boxlemma stress,
-dominate, squeeze {cert,sweep}, verify-all.  Every flag can also be supplied
-through an ``INVMET_``-prefixed environment variable (``INVMET_SEED``,
+dominate, squeeze {cert,sweep}, verify-all.  The common flags can also be
+supplied through an ``INVMET_``-prefixed environment variable (``INVMET_SEED``,
 ``INVMET_TOL``, ``INVMET_CONVENTION``, ``INVMET_OUT``, ``INVMET_WORKERS``,
-``INVMET_DOMAIN``); an explicit flag always wins over the environment.
+``INVMET_DOMAIN``); an explicit flag always wins over the environment.  The
+parser is built once per process and reads no environment: each ``main``
+call reads the variables for the flags its subcommand has, ignores the rest
+(an empty variable counts as unset), and exits 2 naming the variable when a
+value does not convert.
 
 Exit codes: 0 on success, 1 when a verified property fails (a witness is
 dumped to stderr as JSON), 2 on malformed input (the message names the
@@ -17,6 +21,7 @@ Wall-clock time appears only in the ``verify-all`` manifest.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -54,10 +59,11 @@ from .suites import box_stress_rows, verify_all
 from .zoo import resolve_domain, zoo_names
 
 _ENV_PREFIX = "INVMET_"
-
-
-def _env(name: str, fallback=None):
-    return os.environ.get(_ENV_PREFIX + name.upper(), fallback)
+# Flags that fall back to INVMET_<FLAG>: dest -> (type, value when neither the
+# flag nor the variable is given).
+_ENV_FLAGS = {"domain": (str, None), "seed": (int, 0), "tol": (float, None),
+              "convention": (str, "standard"), "out": (str, None),
+              "workers": (int, 1)}
 
 
 def _parse_vector(text: str, flag: str):
@@ -330,103 +336,127 @@ def cmd_verify_all(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _add_env_flag(p: argparse.ArgumentParser, dest: str, **kw):
+    p.add_argument("--" + dest, type=_ENV_FLAGS[dest][0], **kw)
+
+
 def _add_common(p: argparse.ArgumentParser, domain: bool = True):
     if domain:
-        p.add_argument("--domain", default=_env("domain"), required=_env("domain") is None,
-                       help="zoo name, JSON file path, or inline JSON")
-    p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
-    p.add_argument("--tol", type=float,
-                   default=(float(_env("tol")) if _env("tol") else None))
-    p.add_argument("--convention", choices=list(CONVENTIONS),
-                   default=_env("convention", "standard"))
-    p.add_argument("--out", default=_env("out"))
+        _add_env_flag(p, "domain",
+                      help="zoo name, JSON file path, or inline JSON;"
+                           " required unless INVMET_DOMAIN is set")
+    _add_env_flag(p, "seed")
+    _add_env_flag(p, "tol")
+    _add_env_flag(p, "convention", choices=list(CONVENTIONS))
+    _add_env_flag(p, "out")
 
 
+def _command(sub, name: str, handler: str, help: str,
+             domain: bool = True) -> argparse.ArgumentParser:
+    """A subcommand with the common flags; ``handler`` names its ``cmd_``
+    function, looked up when the command runs."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler, parser=p)
+    _add_common(p, domain)
+    return p
+
+
+def _fill_from_env(args):
+    """Fill each unset flag of the chosen subcommand from INVMET_<FLAG>,
+    converted with the flag's type, or else from its fallback."""
+    for dest, (kind, fallback) in _ENV_FLAGS.items():
+        if not hasattr(args, dest) or getattr(args, dest) is not None:
+            continue
+        var = _ENV_PREFIX + dest.upper()
+        text = os.environ.get(var)
+        if not text:
+            setattr(args, dest, fallback)
+            continue
+        try:
+            setattr(args, dest, kind(text))
+        except ValueError:
+            args.parser.error(f"{var}: invalid {kind.__name__} value {text!r}")
+    if hasattr(args, "domain") and args.domain is None:
+        args.parser.error("the following arguments are required: --domain")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invmet",
         description="Certified invariant-metric computations on convex domains.",
         epilog="Environment defaults: INVMET_SEED, INVMET_TOL, "
                "INVMET_CONVENTION, INVMET_OUT, INVMET_WORKERS, INVMET_DOMAIN "
-               "(explicit flags win).  Bundled domains: "
+               "(explicit flags win; read on each call).  Bundled domains: "
                + ", ".join(zoo_names()) + ".")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("metric", help="metric bracket at a point/direction")
-    _add_common(p)
+    p = _command(sub, "metric", "cmd_metric",
+                 "metric bracket at a point/direction")
     p.add_argument("--at", required=True)
     p.add_argument("--dir", required=True)
-    p.set_defaults(func=cmd_metric)
 
-    p = sub.add_parser("distance", help="distance bracket between two points")
-    _add_common(p)
+    p = _command(sub, "distance", "cmd_distance",
+                 "distance bracket between two points")
     p.add_argument("--from", dest="frm", required=True)
     p.add_argument("--to", required=True)
-    p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("indicatrix", help="radial indicatrix profile as CSV")
-    _add_common(p)
+    p = _command(sub, "indicatrix", "cmd_indicatrix",
+                 "radial indicatrix profile as CSV")
     p.add_argument("--at", required=True)
     p.add_argument("--directions", type=int, default=256)
     p.add_argument("--convexify", action="store_true")
-    p.set_defaults(func=cmd_indicatrix)
 
     p = sub.add_parser("scale", help="rescaling audits")
     scale_sub = p.add_subparsers(dest="subcommand", required=True)
-    pa = scale_sub.add_parser("audit", help="tau vs A^-1 sigma along a schedule")
-    _add_common(pa)
+    pa = _command(scale_sub, "audit", "cmd_scale_audit",
+                  "tau vs A^-1 sigma along a schedule")
     pa.add_argument("--family", choices=sorted(_FAMILY_KINDS), required=True)
     pa.add_argument("--target", required=True)
     pa.add_argument("--steps", type=int, default=20)
     pa.add_argument("--grid", type=int, default=100)
-    pa.set_defaults(func=cmd_scale_audit)
 
     p = sub.add_parser("boxlemma", help="symmetric box bounds")
     box_sub = p.add_subparsers(dest="subcommand", required=True)
-    pb = box_sub.add_parser("stress", help="random polytope stress battery")
-    _add_common(pb, domain=False)
+    pb = _command(box_sub, "stress", "cmd_boxlemma_stress",
+                  "random polytope stress battery", domain=False)
     pb.add_argument("--dim", type=int, required=True)
     pb.add_argument("--instances", type=int, default=500)
-    pb.set_defaults(func=cmd_boxlemma_stress)
 
-    p = sub.add_parser("dominate", help="distance-ball domination profile")
-    _add_common(p)
+    p = _command(sub, "dominate", "cmd_dominate",
+                 "distance-ball domination profile")
     p.add_argument("--radii", required=True,
                    help="comma-separated list, e.g. 0.25,0.5,1")
     p.add_argument("--points", default="auto",
                    help="'auto' or JSON list of points")
     p.add_argument("--samples", type=int, default=2000)
-    p.set_defaults(func=cmd_dominate)
 
     p = sub.add_parser("squeeze", help="squeeze certificates")
     sq_sub = p.add_subparsers(dest="subcommand", required=True)
-    pc = sq_sub.add_parser("cert", help="identity-translate certificate")
-    _add_common(pc)
+    pc = _command(sq_sub, "cert", "cmd_squeeze_cert",
+                  "identity-translate certificate")
     pc.add_argument("--at", required=True)
     pc.add_argument("--model", choices=("polydisc", "ball"),
                     default="polydisc")
     pc.add_argument("--samples", type=int, default=10_000)
-    pc.set_defaults(func=cmd_squeeze_cert)
-    ps = sq_sub.add_parser("sweep", help="corner asymptotics sweep")
-    _add_common(ps)
+    ps = _command(sq_sub, "sweep", "cmd_squeeze_sweep",
+                  "corner asymptotics sweep")
     ps.add_argument("--corner", required=True)
     ps.add_argument("--steps", type=int, default=12)
     ps.add_argument("--threshold", type=float, default=None)
-    ps.set_defaults(func=cmd_squeeze_sweep)
 
-    p = sub.add_parser("verify-all", help="run every suite, write CSVs + manifest")
-    _add_common(p, domain=False)
-    p.add_argument("--workers", type=int, default=int(_env("workers", 1)))
-    p.set_defaults(func=cmd_verify_all)
+    p = _command(sub, "verify-all", "cmd_verify_all",
+                 "run every suite, write CSVs + manifest", domain=False)
+    _add_env_flag(p, "workers")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _fill_from_env(args)
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except (LemmaViolationError, ScheduleError, CertificateError,
             EvaluationError) as exc:
         payload = getattr(exc, "witness", None)

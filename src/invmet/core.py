@@ -245,10 +245,13 @@ def maximize_on_unit_sphere(f, basis=None, dim: int | None = None, *,
     """Maximize a phase-invariant functional over unit vectors of a complex subspace.
 
     ``basis``: orthonormal vectors spanning the subspace (columns); omit (with
-    ``dim``) for the whole of C^dim.  Coarse sampling (2048 directions for
-    subspace dimension <= 3, scaled 4x per extra dimension) is followed by a
-    simplex refinement on a real chart; the returned value is never below the
-    coarse-grid maximum.  Ties within a relative band resolve to the
+    ``dim``) for the whole of C^dim.  On a subspace of dimension 1, spanned by
+    ``b``, every unit vector is a phase of ``b``, so the maximum is ``f(b)``
+    and the result is ``(canonical_phase(b), f(b))`` in closed form; the
+    sampling options are not used.  Otherwise coarse sampling (2048 directions
+    for subspace dimension <= 3, scaled 4x per extra dimension) is followed by
+    a simplex refinement on a real chart; the returned value is never below
+    the coarse-grid maximum.  Ties within a relative band resolve to the
     lexicographically smallest canonical representative.
 
     Returns ``(direction, value)`` with the direction phase-canonicalized.
@@ -264,10 +267,17 @@ def maximize_on_unit_sphere(f, basis=None, dim: int | None = None, *,
     gram = B.conj().T @ B
     if np.max(np.abs(gram - np.eye(m))) > 1e-8:
         raise DegenerateInputError("subspace basis must be orthonormal")
+    fb = _as_batch_callable(f)
+    if m == 1:
+        b = B[:, 0]
+        val = float(fb(b[None, :])[0])
+        if not np.isfinite(val):
+            raise EvaluationError("functional returned a non-finite value",
+                                  direction=b)
+        return canonical_phase(b), val
+
     if coarse is None:
         coarse = config.SPHERE_COARSE_BASE * (4 ** max(0, m - 3))
-
-    fb = _as_batch_callable(f)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     C = rng.standard_normal((coarse, m)) + 1j * rng.standard_normal((coarse, m))
     # deterministic anchors: coordinate directions of the subspace

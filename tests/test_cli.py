@@ -221,3 +221,42 @@ def test_bad_input_is_exit_2_and_a_program_fault_exit_3(capsys, monkeypatch):
     assert code == 3
     assert err.startswith("internal error:")
     assert "ValueError: invalid bound" in err
+
+
+@pytest.mark.parametrize("var, argv", [
+    ("INVMET_SEED", ["metric", "--domain", "disc", "--at", "[0]", "--dir", "[1]"]),
+    ("INVMET_TOL", ["distance", "--domain", "disc", "--from", "[0]", "--to", "[0.5]"]),
+    ("INVMET_WORKERS", ["verify-all", "--out", "unused"]),
+], ids=["seed-metric", "tol-distance", "workers-verify-all"])
+def test_malformed_env_value_is_exit_2_naming_the_variable(capsys, monkeypatch,
+                                                           var, argv):
+    monkeypatch.setenv(var, "x")
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    assert f"error: {var}: invalid" in capsys.readouterr().err
+
+
+def test_env_value_for_a_flag_the_subcommand_lacks_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("INVMET_WORKERS", "abc")
+    code, out, _ = run(capsys, "metric", "--domain", "disc", "--at", "[0]", "--dir", "[1]")
+    assert code == 0 and out.splitlines()[0] == "1.0"
+
+
+def test_cached_parser_reads_the_environment_on_each_call(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    monkeypatch.delenv("INVMET_SEED", raising=False)
+    argv = ("metric", "--domain", "polydisc2", "--at", "[0,0]", "--dir", "[1,1]")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "seed 0" in out
+    monkeypatch.setenv("INVMET_SEED", "9")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "seed 9" in out
+
+
+def test_domain_is_required_without_the_environment(capsys, monkeypatch):
+    monkeypatch.delenv("INVMET_DOMAIN", raising=False)
+    with pytest.raises(SystemExit) as ei:
+        main(["metric", "--at", "[0]", "--dir", "[1]"])
+    assert ei.value.code == 2
+    assert "the following arguments are required: --domain" in capsys.readouterr().err

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from invmet import AffineMap, CLinearMap, Interval, SampleStream, cvector
+from invmet import AffineMap, CLinearMap, Interval, SampleStream, cvector, zoo_domain
 from invmet.core import canonical_phase, hdot, maximize_on_unit_sphere, norm
 from invmet.core import orthonormal_complement_basis
-from invmet.errors import DimensionMismatchError, SingularMapError
+from invmet.errors import DimensionMismatchError, EvaluationError, SingularMapError
+from invmet.metrics import kobayashi_metric_values
 
 
 def test_cvector_coerces_scalars_and_lists():
@@ -92,6 +93,40 @@ def test_maximize_on_unit_sphere_linear_functional():
     u, val = maximize_on_unit_sphere(f, dim=2)
     assert val == pytest.approx(5.0, rel=1e-6)
     assert norm(u) == pytest.approx(1.0)
+
+
+def _modulus_of_pairing(a):
+    a = cvector(a)
+    return lambda V: np.abs(np.asarray(V) @ np.conj(a))
+
+
+def _ball2_metric():
+    d = zoo_domain("ball2")
+    return lambda V: kobayashi_metric_values(d, [0.3 - 0.2j, 0.1 + 0.4j], V)
+
+
+@pytest.mark.parametrize("f, b", [
+    (_modulus_of_pairing([3, 4j]), [0.6j, -0.8]),
+    (_modulus_of_pairing([1, 2 - 1j, 0.5j]), [0.5 - 0.5j, 0.5j, 0.5]),
+    (_ball2_metric(), [0.28 + 0.96j, 0.0]),
+    (_ball2_metric(), [-0.6 + 0.0j, 0.48 - 0.64j]),
+], ids=["pairing-C2", "pairing-C3", "ball2-axis", "ball2-oblique"])
+def test_maximize_on_a_complex_line_is_the_closed_form(f, b):
+    b = cvector(b)
+    u, val = maximize_on_unit_sphere(f, basis=[b])
+    assert np.array_equal(u, canonical_phase(b))
+    assert val == float(f(b[None, :])[0])
+    phases = np.exp(2j * np.pi * np.random.default_rng(5).uniform(size=2048))
+    best = float(np.max(f(phases[:, None] * b)))
+    assert abs(val - best) <= 1e-12 * best
+
+
+def test_maximize_on_a_complex_line_rejects_a_non_finite_value():
+    def f(V):
+        return np.full(len(V), np.nan)
+
+    with pytest.raises(EvaluationError):
+        maximize_on_unit_sphere(f, basis=[cvector([0.6, 0.8j])])
 
 
 def test_sample_stream_reproducible_and_forked():
