@@ -43,4 +43,4 @@ PIPELINE_PROXIMITY_RADIUS = 1.0
 
 # Search
 SPHERE_COARSE_BASE = 2048      # coarse directions for complex dimension <= 3
-SPHERE_TIE_BAND = 1e-9         # relative band for lexicographic tie-breaking
+SPHERE_TIE_BAND = 1e-9         # relative band within which sphere and frame values tie

@@ -6,6 +6,11 @@ in [-r_1, r_1] x 2*B', where B' is the box obtained by repeating the procedure
 on the slice {x_1 = 0}.  Unwinding gives box radii (r_1, 2 r_2, 4 r_3, ...,
 2^{n-1} r_n), where r_k is the minimum boundary distance of the (k-1)-fold
 slice.  Every computed box is verified by brute force before it is returned.
+
+Vertex bodies answer every query exactly from their facets.  Support-oracle
+bodies keep a mirrored cloud of sampled outer half-spaces for radial queries,
+and their minimum boundary distance is the minimum of the support function,
+found by ``core.pattern_search`` from the best cloud direction.
 """
 
 from __future__ import annotations
@@ -13,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import ConvexHull, QhullError
 
 from . import config
+from .core import pattern_search
 from .errors import DegenerateInputError, LemmaViolationError, NotInteriorError
 from .sampling import SampleStream
 
@@ -42,9 +46,10 @@ class SymmetricBody:
             if scale == 0:
                 raise DegenerateInputError("degenerate (zero) body")
             # central symmetry: every vertex must have its exact negative
-            for v in V:
-                if np.min(np.linalg.norm(V + v, axis=1)) > 1e-9 * scale:
-                    raise DegenerateInputError("vertex list is not symmetric")
+            gaps = np.linalg.norm(V[:, None, :] + V[None, :, :], axis=2)
+            if np.max(np.min(gaps, axis=1)) > 1e-9 * scale:
+                raise DegenerateInputError("vertex list is not symmetric")
+            from scipy.spatial import ConvexHull, QhullError
             try:
                 hull = ConvexHull(V)
             except QhullError as exc:
@@ -122,36 +127,27 @@ def _householder_to_e1(u: np.ndarray) -> np.ndarray:
     return np.eye(m) - 2.0 * np.outer(w, w)
 
 
-def min_boundary_distance(body: SymmetricBody, *, seed: int = 0):
+def min_boundary_distance(body: SymmetricBody):
     """(r_1, direction): minimum boundary norm and a unit direction achieving it.
 
     For vertex bodies this is the minimum facet-plane distance, which is exact:
     the foot of the perpendicular onto the minimizing plane lies in the body
-    (any plane crossed earlier would be closer still).  Oracle bodies sample
-    directions and refine with a local simplex search.
+    (any plane crossed earlier would be closer still).  For oracle bodies it
+    is the minimum of the support function over unit directions (the ball of
+    radius r_1 touches the boundary where its tangent plane supports the
+    body), searched from the best direction of the half-space cloud; the
+    returned value is never above the support value in that direction.
     """
+    A, b = body.halfspace_data()
+    i = int(np.argmin(b))
     if body.is_vertex_body:
-        A, b = body.halfspace_data()
-        i = int(np.argmin(b))
         return float(b[i]), A[i]
-    stream = SampleStream(seed)
-    U = stream.unit_directions(4096, body.dim, field="real")
-    rho = body.radial(U)
-    i = int(np.argmin(rho))
-    u0 = U[i]
 
-    def obj(u):
-        n = np.linalg.norm(u)
-        if n == 0:
-            return np.inf
-        return float(body.radial((u / n)[None, :])[0])
+    def neg_support(X):
+        return -body.support_value(X / np.linalg.norm(X, axis=1, keepdims=True))
 
-    res = minimize(obj, u0, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000})
-    if res.fun <= rho[i]:
-        u = res.x / np.linalg.norm(res.x)
-        return float(res.fun), u
-    return float(rho[i]), u0
+    x, val = pattern_search(neg_support, A[i])
+    return -val, x / np.linalg.norm(x)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import config
 from .errors import (
@@ -238,21 +237,54 @@ def _as_batch_callable(f):
     return batched
 
 
-def maximize_on_unit_sphere(f, basis=None, dim: int | None = None, *,
-                            coarse: int | None = None, seed: int = 0,
-                            refine: bool = True, xatol: float = 1e-10,
-                            tie_band: float = config.SPHERE_TIE_BAND):
+def pattern_search(g, x0, *, step: float = 0.1, xtol: float = 1e-10,
+                   max_iter: int = 1000):
+    """Maximize g over R^d by a batched compass search started at ``x0``.
+
+    ``g`` maps an (N, d) stack of points to N values.  Each iteration scores
+    the 2d trial points x +- step e_i in one call of g and moves to the best
+    of them when it improves on g(x); otherwise the step halves.  The search
+    stops once the step is below ``xtol`` or after ``max_iter`` iterations.
+
+    Returns ``(x, g(x))``; the value is never below g(x0).
+    """
+    x = np.array(x0, dtype=float)
+    val = float(g(x[None, :])[0])
+    moves = np.vstack([np.eye(x.size), -np.eye(x.size)])
+    for _ in range(max_iter):
+        if step < xtol:
+            break
+        trials = x + step * moves
+        vals = g(trials)
+        k = int(np.argmax(vals))
+        if vals[k] > val:
+            x, val = trials[k], float(vals[k])
+        else:
+            step *= 0.5
+    return x, val
+
+
+def _require_finite(vals, V):
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.argmax(~np.isfinite(vals)))
+        raise EvaluationError("functional returned a non-finite value",
+                              direction=V[bad])
+    return vals
+
+
+def maximize_on_unit_sphere(f, basis=None, dim: int | None = None, *, seed: int = 0):
     """Maximize a phase-invariant functional over unit vectors of a complex subspace.
 
     ``basis``: orthonormal vectors spanning the subspace (columns); omit (with
     ``dim``) for the whole of C^dim.  On a subspace of dimension 1, spanned by
     ``b``, every unit vector is a phase of ``b``, so the maximum is ``f(b)``
-    and the result is ``(canonical_phase(b), f(b))`` in closed form; the
-    sampling options are not used.  Otherwise coarse sampling (2048 directions
-    for subspace dimension <= 3, scaled 4x per extra dimension) is followed by
-    a simplex refinement on a real chart; the returned value is never below
-    the coarse-grid maximum.  Ties within a relative band resolve to the
-    lexicographically smallest canonical representative.
+    and the result is ``(canonical_phase(b), f(b))`` in closed form.
+    Otherwise the coordinate directions and seeded random directions (2048
+    for subspace dimension <= 3, scaled 4x per extra dimension) are scored in
+    one call, and ``pattern_search`` climbs from the best of them on the real
+    chart c -> c / |c| of the subspace coefficients; the returned value is
+    never below the coarse-grid maximum.  Grid ties within a relative band
+    resolve to the lexicographically smallest canonical representative.
 
     Returns ``(direction, value)`` with the direction phase-canonicalized.
     Raises EvaluationError if f produces a non-finite value.
@@ -270,29 +302,20 @@ def maximize_on_unit_sphere(f, basis=None, dim: int | None = None, *,
     fb = _as_batch_callable(f)
     if m == 1:
         b = B[:, 0]
-        val = float(fb(b[None, :])[0])
-        if not np.isfinite(val):
-            raise EvaluationError("functional returned a non-finite value",
-                                  direction=b)
+        val = float(_require_finite(fb(b[None, :]), b[None, :])[0])
         return canonical_phase(b), val
 
-    if coarse is None:
-        coarse = config.SPHERE_COARSE_BASE * (4 ** max(0, m - 3))
+    coarse = config.SPHERE_COARSE_BASE * (4 ** max(0, m - 3))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     C = rng.standard_normal((coarse, m)) + 1j * rng.standard_normal((coarse, m))
     # deterministic anchors: coordinate directions of the subspace
     C = np.vstack([np.eye(m, dtype=complex), C])
     C /= np.linalg.norm(C, axis=1, keepdims=True)
     V = C @ B.T
-
-    vals = fb(V)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.argmax(~np.isfinite(vals)))
-        raise EvaluationError("functional returned a non-finite value",
-                              direction=V[bad])
+    vals = _require_finite(fb(V), V)
 
     best = float(vals.max())
-    band = abs(best) * tie_band + tie_band
+    band = abs(best) * config.SPHERE_TIE_BAND + config.SPHERE_TIE_BAND
     cand_idx = np.flatnonzero(vals >= best - band)
 
     def lex_key(vec):
@@ -301,41 +324,16 @@ def maximize_on_unit_sphere(f, basis=None, dim: int | None = None, *,
 
     start = min(cand_idx, key=lambda i: lex_key(V[i]))
     coarse_val = float(vals[start])
-    best_coeff = C[start]
-    best_vec = V[start]
-    best_val = coarse_val
 
-    if refine:
-        def chart(params):
-            c = params[:m] + 1j * params[m:]
-            nc = np.linalg.norm(c)
-            if nc == 0.0:
-                return None
-            return (c / nc) @ B.T
+    def chart(X):
+        c = X[:, :m] + 1j * X[:, m:]
+        return (c / np.linalg.norm(c, axis=1, keepdims=True)) @ B.T
 
-        def objective(params):
-            v = chart(params)
-            if v is None:
-                return np.inf
-            val = float(fb(v[None, :])[0])
-            if not np.isfinite(val):
-                raise EvaluationError("functional returned a non-finite value",
-                                      direction=v)
-            if val > 0:
-                return -np.log(val)
-            return -val
+    def objective(X):
+        W = chart(X)
+        return _require_finite(fb(W), W)
 
-        p0 = np.concatenate([best_coeff.real, best_coeff.imag])
-        res = minimize(objective, p0, method="Nelder-Mead",
-                       options={"xatol": xatol, "fatol": 1e-14, "maxiter": 800})
-        v = chart(res.x)
-        if v is not None:
-            val = float(fb(v[None, :])[0])
-            if val > best_val:
-                best_val = val
-                best_vec = v
-
-    # post: never below the coarse-grid max
-    if best_val < coarse_val:
-        best_val, best_vec = coarse_val, V[start]
-    return canonical_phase(best_vec), best_val
+    x, val = pattern_search(objective, np.concatenate([C[start].real, C[start].imag]))
+    if val > coarse_val:
+        return canonical_phase(chart(x[None, :])[0]), val
+    return canonical_phase(V[start]), coarse_val

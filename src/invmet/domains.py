@@ -18,6 +18,8 @@ P may also be a single row, shared by every row of V):
   the planar section through P[i] along V[i];
 * ``lower_bound_paired(P, V, stream, count)``: a certified lower bound of the
   metric, the closed form where there is one;
+* ``metric_form(x)``: K(x; .) at one point as a ``MetricForm`` (a Hermitian
+  form or a max of moduli of linear functionals), or None;
 * ``contains_margins(Z)`` and ``coordinate_bounds()``;
 * for the squeeze radii, ``inner_radius_exact(x, model)`` on the domain, and
   ``linear_sup(coeffs)`` and ``outer_radius_bound(domain, x)`` on the model.
@@ -95,6 +97,24 @@ class RealFace:
     offset: float
 
 
+@dataclass(frozen=True)
+class MetricForm:
+    """K(x; .) at one point x in closed form.
+
+    ``hermitian``: K(x; v)^2 = v* Q v with Q = ``matrix`` positive definite;
+    otherwise K(x; v) = max_k |matrix[k] . v| over the rows of ``matrix``.
+    """
+
+    matrix: np.ndarray
+    hermitian: bool
+
+    def pulled_back(self, M) -> "MetricForm":
+        """The form of v -> K(x; M v)."""
+        if self.hermitian:
+            return MetricForm(M.conj().T @ self.matrix @ M, True)
+        return MetricForm(self.matrix @ M, False)
+
+
 class Domain:
     """Common interface; concrete kinds override the oracles they support."""
 
@@ -123,6 +143,11 @@ class Domain:
         """Closed-form K(P[i]; V[i]) per row, or None when the kind has none."""
         return None
 
+    def metric_form(self, x):
+        """K(x; .) at the point x as a ``MetricForm``, or None when the kind
+        has no closed form."""
+        return None
+
     def section_distance_paired(self, P, V):
         """Euclidean distance from P[i] to the boundary of the planar section
         Omega intersect (P[i] + C V[i]), per row."""
@@ -131,14 +156,12 @@ class Domain:
     def lower_bound_paired(self, P, V, stream: SampleStream | None = None,
                            count: int = config.HALF_SPACE_COUNT):
         """Certified lower bound of K(P[i]; V[i]) per row: the closed form where
-        the kind has one, else ``half_space_lower_bound`` on row i with ``count``
-        half-spaces drawn from ``stream.fork(i)``."""
+        the kind has one, else ``half_space_lower_bound`` with ``count``
+        half-spaces for row i drawn from ``stream.fork(i)``."""
         exact = self.metric_paired(P, V)
         if exact is not None:
             return exact
-        stream = stream or SampleStream(0)
-        return np.array([half_space_lower_bound(self, P[i], V[i], stream.fork(i), count)
-                         for i in range(P.shape[0])])
+        return half_space_lower_bound(self, P, V, stream or SampleStream(0), count)
 
     def coordinate_bounds(self):
         """Certified per-coordinate sup |z_alpha| over the domain, or None."""
@@ -255,6 +278,14 @@ class UnitBall(Domain):
         c2 = np.abs(np.sum(V * P.conj(), axis=1)) ** 2
         return np.sqrt(s2 * nv2 + c2) / s2
 
+    def metric_form(self, x):
+        x = self._check_dim(cvector(x))
+        s2 = 1.0 - float(np.sum(np.abs(x) ** 2))
+        if s2 <= 0:
+            raise NotInteriorError("point outside the ball")
+        Q = (s2 * np.eye(self.dim) + np.outer(x, x.conj())) / (s2 * s2)
+        return MetricForm(Q, True)
+
     def section_distance_paired(self, P, V):
         nv = np.linalg.norm(V, axis=1)
         c = np.abs(np.sum(V * P.conj(), axis=1))
@@ -343,6 +374,13 @@ class Polydisc(Domain):
         if np.any(den <= 0):
             raise NotInteriorError("point outside the polydisc")
         return np.max(self.radii * np.abs(V) / den, axis=1)
+
+    def metric_form(self, x):
+        x = self._check_dim(cvector(x))
+        den = self.radii ** 2 - np.abs(x) ** 2
+        if np.any(den <= 0):
+            raise NotInteriorError("point outside the polydisc")
+        return MetricForm(np.diag(self.radii / den).astype(complex), False)
 
     def section_distance_paired(self, P, V):
         return _slack_section(self.radii - np.abs(P), V, "polydisc")
@@ -443,6 +481,12 @@ class HalfPlaneProduct(Domain):
         if np.any(h <= 0):
             raise NotInteriorError("point outside the half-plane product")
         return np.max(np.abs(V) / (2.0 * h), axis=1)
+
+    def metric_form(self, x):
+        h = self._heights(self._check_dim(cvector(x)))
+        if np.any(h <= 0):
+            raise NotInteriorError("point outside the half-plane product")
+        return MetricForm(np.diag(1.0 / (2.0 * h)).astype(complex), False)
 
     def section_distance_paired(self, P, V):
         return _slack_section(self._heights(P), V, "half-plane product")
@@ -737,7 +781,8 @@ class BalancedConvex(Domain):
                 return out
         except Exception:
             pass
-        return np.array([float(self._gauge(row)) for row in v])
+        rows = v.reshape(-1, v.shape[-1])
+        return np.array([float(self._gauge(row)) for row in rows]).reshape(v.shape[:-1])
 
     def contains(self, z) -> float:
         z = self._check_dim(z)
@@ -894,6 +939,10 @@ class AffineImage(Domain):
     def metric_paired(self, P, V):
         return self.inner.metric_paired(*self._pull_back(P, V))
 
+    def metric_form(self, x):
+        form = self.inner.metric_form(self.map_inv(self._check_dim(cvector(x))))
+        return None if form is None else form.pulled_back(self.map_inv.linear.matrix)
+
     def section_distance_paired(self, P, V):
         Pp, Vp = self._pull_back(P, V)
         return (self.inner.section_distance_paired(Pp, Vp)
@@ -946,41 +995,59 @@ def balanced_polyhedron(coeffs, scales, dim: int, name: str = "") -> ConvexPolyh
                             dim, None, float(np.linalg.norm(s) / sv[-1]), name=name)
 
 
-def _section_nearest_boundary_point(d: Domain, x, v, rays: int = 24):
-    """Approximate nearest boundary point of the planar section through (x, v)."""
+# Rows bisected together for the nearest boundary points: each margins call
+# then sees at most 1024 * rays points, however many rows the query has.
+_NEAREST_BLOCK = 1024
+
+
+def _section_nearest_boundary_points(d: Domain, P, V, rays: int = 24):
+    """Approximate nearest boundary point of the planar section through each
+    (P[i], V[i]): 50 bisection steps on ``rays`` section rays, every row and
+    ray in one ``contains_margins`` call per step."""
     if not np.isfinite(d.bounding_radius):
-        return x  # no finite bracket to bisect
-    vhat = v / np.linalg.norm(v)
+        return P  # no finite bracket to bisect
+    rows, n = P.shape
+    # each row is scaled by its own 1-D norm, which rounds as a one-row call
+    # does (a row-axis norm can differ in the last bit)
+    vhat = V / np.array([np.linalg.norm(v) for v in V])[:, None]
     th = np.linspace(0.0, 2.0 * np.pi, rays, endpoint=False)
-    dirs = np.exp(1j * th)[:, None] * vhat[None, :]
-    lo = np.zeros(rays)
-    hi = np.full(rays, 2.0 * d.bounding_radius)
+    dirs = (np.exp(1j * th)[None, :, None] * vhat[:, None, :]).reshape(-1, n)
+    X = np.repeat(P, rays, axis=0)                      # row i's rays are a block
+    lo = np.zeros(rows * rays)
+    hi = np.full_like(lo, 2.0 * d.bounding_radius)
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        inside = d.contains_margins(x[None, :] + mid[:, None] * dirs) > 0
+        inside = d.contains_margins(X + mid[:, None] * dirs) > 0
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
-    k = int(np.argmin(lo))
-    return x + lo[k] * dirs[k]
+    k = np.arange(rows) * rays + np.argmin(lo.reshape(rows, rays), axis=1)
+    return P + lo[k][:, None] * dirs[k]
 
 
-def half_space_lower_bound(d: Domain, x, v, stream: SampleStream,
-                           count: int = config.HALF_SPACE_COUNT) -> float:
-    """Lower bound of K(x; v) from the projections onto ``count`` supporting
-    half-spaces near the section's nearest boundary point: the metric of a
-    half-space is |<v, n>| / (2 gap), and it only shrinks as the domain grows."""
-    near = _section_nearest_boundary_point(d, x, v)
-    best = 0.0
-    for hs in d.supporting_half_spaces(near=near, count=count, stream=stream):
-        gap = float(hs.distance_inside(x))
-        if gap <= 0:
-            continue
-        best = max(best, abs(complex(v @ hs.normal.conj())) / (2.0 * gap))
-    # bounding-sphere floor: a supporting half-space with normal v/|v| exists
-    # within distance |x| + R of x, giving K >= |v| / (2(|x| + R))
-    if np.isfinite(d.bounding_radius):
-        best = max(best, float(np.linalg.norm(v))
-                   / (2.0 * (np.linalg.norm(x) + d.bounding_radius)))
+def half_space_lower_bound(d: Domain, P, V, stream: SampleStream,
+                           count: int = config.HALF_SPACE_COUNT):
+    """Lower bound of K(P[i]; V[i]) per row from the projections onto ``count``
+    supporting half-spaces, drawn from ``stream.fork(i)``, near the section's
+    nearest boundary point: the metric of a half-space is |<v, n>| / (2 gap),
+    and it only shrinks as the domain grows."""
+    P = np.asarray(P, dtype=complex)
+    V = np.asarray(V, dtype=complex)
+    near = np.empty_like(P)
+    for s in range(0, P.shape[0], _NEAREST_BLOCK):
+        block = slice(s, s + _NEAREST_BLOCK)
+        near[block] = _section_nearest_boundary_points(d, P[block], V[block])
+    best = np.zeros(P.shape[0])
+    for i, (x, v) in enumerate(zip(P, V)):
+        # bounding-sphere floor: a supporting half-space with normal v/|v|
+        # exists within distance |x| + R of x, giving K >= |v| / (2(|x| + R))
+        if np.isfinite(d.bounding_radius):
+            best[i] = (float(np.linalg.norm(v))
+                       / (2.0 * (np.linalg.norm(x) + d.bounding_radius)))
+        for hs in d.supporting_half_spaces(near=near[i], count=count,
+                                           stream=stream.fork(i)):
+            gap = float(hs.distance_inside(x))
+            if gap > 0:
+                best[i] = max(best[i], abs(complex(v @ hs.normal.conj())) / (2.0 * gap))
     return best
 
 

@@ -22,6 +22,7 @@ from .core import (
     AffineMap,
     CLinearMap,
     Interval,
+    canonical_phase,
     cvector,
     maximize_on_unit_sphere,
     orthonormal_complement_basis,
@@ -58,34 +59,33 @@ class StretchingFrame:
         return abs(self.map.det)
 
 
-def stretching_frame(d: Domain, x, *, seed: int = 0,
-                     refine: bool = True) -> StretchingFrame:
+def stretching_frame(d: Domain, x, *, seed: int = 0) -> StretchingFrame:
     """Greedy construction of the stretching frame at an interior point.
 
-    Model domains evaluate the metric exactly; general convex domains use the
-    bracket midpoint, with the certified bracket kept alongside each value.
+    Where the domain has a ``metric_form`` at x the frame is in closed form:
+    for a Hermitian form Q it is the eigenbasis of Q by descending eigenvalue;
+    for K = max_k |a_k . v| the maximum on a subspace S is max_k |P_S conj(a_k)|,
+    attained along P_S conj(a_k).  Ties are broken deterministically: inside
+    a cluster of eigenvalues equal within ``config.SPHERE_TIE_BAND`` the
+    directions are the Householder QR of the cluster's projections of
+    e_1, ..., e_n, in that order, and among tied rows the lowest index wins.
+    Otherwise ``maximize_on_unit_sphere`` searches each complement on the
+    bracket midpoint.  The certified bracket is kept alongside each value.
     """
     x = cvector(x)
     d.require_interior(x, "base point")
     n = d.dim
-    stream = SampleStream(seed)
-
-    def f(V):
-        return kobayashi_metric_values(d, x, V, which="mid", stream=stream.fork(0))
-
-    chosen: list[np.ndarray] = []
-    values: list[float] = []
-    brackets: list[Interval] = []
+    form = d.metric_form(x)
+    if form is None:
+        U, mu = _searched_frame(d, x, seed)
+    elif form.hermitian:
+        U, mu = _eigen_frame(form.matrix)
+    else:
+        U, mu = _row_frame(form.matrix)
+    brackets = []
     for alpha in range(n):
-        basis = orthonormal_complement_basis(chosen, dim=n)
-        u, val = maximize_on_unit_sphere(f, basis=basis, seed=seed + alpha,
-                                         refine=refine)
-        bound = kobayashi_metric(d, x, u, seed=seed + alpha)
-        chosen.append(u)
-        values.append(float(val))
+        bound = kobayashi_metric(d, x, U[alpha], seed=seed + alpha)
         brackets.append(Interval(bound.lower, bound.upper))
-    U = np.stack(chosen)
-    mu = np.array(values)
     # numerical near-ties may land out of order by strictly less than the
     # tie band; clamp to the theoretical monotone profile
     for a in range(1, n):
@@ -95,6 +95,54 @@ def stretching_frame(d: Domain, x, *, seed: int = 0,
             mu[a] = mu[a - 1]
     L = CLinearMap(np.diag(mu) @ U.conj())
     return StretchingFrame(x, U, mu, L, tuple(brackets))
+
+
+def _eigen_frame(Q):
+    w, E = np.linalg.eigh(Q)
+    w, E = w[::-1], E[:, ::-1]
+    if w[-1] <= 0:
+        raise DegenerateInputError("metric form is not positive definite")
+    start = 0
+    for end in range(1, w.size + 1):
+        if end == w.size or w[end - 1] - w[end] > config.SPHERE_TIE_BAND * w[end - 1]:
+            cluster = E[:, start:end]
+            E[:, start:end] = cluster @ np.linalg.qr(cluster.conj().T)[0]
+            start = end
+    U = np.stack([canonical_phase(E[:, a]) for a in range(w.size)])
+    return U, np.sqrt(w)
+
+
+def _row_frame(A):
+    n = A.shape[1]
+    U = np.empty((n, n), dtype=complex)
+    mu = np.empty(n)
+    proj = np.eye(n, dtype=complex)
+    for alpha in range(n):
+        W = (A @ proj).conj()            # rows P_S conj(a_k), as P_S is Hermitian
+        norms = np.linalg.norm(W, axis=1)
+        top = norms.max()
+        if top <= 0:
+            raise DegenerateInputError("metric form vanishes on a subspace")
+        k = int(np.argmax(norms >= top * (1.0 - config.SPHERE_TIE_BAND)))
+        U[alpha] = canonical_phase(W[k] / norms[k])
+        mu[alpha] = norms[k]
+        proj = proj - np.outer(U[alpha], U[alpha].conj())
+    return U, mu
+
+
+def _searched_frame(d: Domain, x, seed: int):
+    stream = SampleStream(seed)
+
+    def f(V):
+        return kobayashi_metric_values(d, x, V, which="mid", stream=stream.fork(0))
+
+    chosen, values = [], []
+    for alpha in range(d.dim):
+        basis = orthonormal_complement_basis(chosen, dim=d.dim)
+        u, val = maximize_on_unit_sphere(f, basis=basis, seed=seed + alpha)
+        chosen.append(u)
+        values.append(float(val))
+    return np.stack(chosen), np.array(values)
 
 
 @dataclass(frozen=True)

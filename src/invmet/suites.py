@@ -134,10 +134,7 @@ def run_metric_suite(seed: int = 0, triples: int = 10_000, *,
             m = closed_all.size
             sec = d.section_distance_paired(X[:m], V[:m])
             gen_upper = np.linalg.norm(V[:m], axis=1) / sec
-            gst = stream.fork(4)
-            gen_lower = np.array([
-                half_space_lower_bound(d, X[k], V[k], gst.fork(k))
-                for k in range(m)])
+            gen_lower = half_space_lower_bound(d, X[:m], V[:m], stream.fork(4))
             generic_cross = float(max(np.max(closed_all - gen_upper),
                                       np.max(gen_lower - closed_all)))
             ok = (ok and model_gap <= config.MODEL_BRACKET_TOL

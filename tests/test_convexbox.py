@@ -43,6 +43,19 @@ def test_min_boundary_distance_square_and_cross():
     assert r2 == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
 
+def test_min_boundary_distance_of_a_support_oracle_ellipse():
+    a, b, t = 2.0, 0.7, 0.4
+    R = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    M = R @ np.diag([a, b])
+
+    def support(u):
+        return float(np.linalg.norm(M.T @ u))
+
+    r, u = min_boundary_distance(SymmetricBody(support=support, dim=2))
+    assert r == pytest.approx(b, abs=1e-8)
+    assert abs(u @ R[:, 1]) == pytest.approx(1.0, abs=1e-6)
+
+
 def test_box_lemma_square_doubling():
     body = SymmetricBody(vertices=SQUARE)
     bb = box_lemma_bound(body)

@@ -2,10 +2,14 @@
 
 No module imports another module's private ``_`` names, and ``metrics`` sees
 the domain kinds only through the oracle protocol of ``Domain`` (plus the
-``AffineImage`` pull-back of ``distance_ball_sample``).
+``AffineImage`` pull-back of ``distance_ball_sample``).  Importing the package
+and its command line loads no scipy: the two scipy users import it lazily.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +38,12 @@ def test_metrics_sees_domains_only_through_the_protocol():
     names = {name for module, name in _package_imports(PACKAGE / "metrics.py")
              if module == "domains"}
     assert names <= {"Domain", "AffineImage"}, sorted(names)
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    probe = ("import sys, invmet, invmet.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]", out

@@ -21,7 +21,7 @@ from invmet import (
     zoo_domain,
     zoo_names,
 )
-from invmet.domains import AffineImage, BalancedConvex
+from invmet.domains import AffineImage, BalancedConvex, half_space_lower_bound
 from invmet.metrics import indicatrix_gauge_upper, metric_lower_paired, metric_upper_paired
 from invmet.zoo import affine_twin, twin_map
 
@@ -214,3 +214,59 @@ def test_indicatrix_volume_disc_exact():
     assert ve.value == pytest.approx(math.pi * 0.5625, rel=1e-12)
     assert ve.se < 1e-12
     assert ve.lower <= ve.value <= ve.upper + 1e-15
+
+
+def _per_row_half_space_bound(d, x, v, stream, count=8, rays=24):
+    """Reference: the half-space lower bound of one row, bisected on its own."""
+    best = 0.0
+    if np.isfinite(d.bounding_radius):
+        vhat = v / np.linalg.norm(v)
+        dirs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, rays, endpoint=False))[:, None] * vhat
+        lo, hi = np.zeros(rays), np.full(rays, 2.0 * d.bounding_radius)
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            inside = d.contains_margins(x[None, :] + mid[:, None] * dirs) > 0
+            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+        k = int(np.argmin(lo))
+        near = x + lo[k] * dirs[k]
+        best = float(np.linalg.norm(v)) / (2.0 * (np.linalg.norm(x) + d.bounding_radius))
+    else:
+        near = x
+    for hs in d.supporting_half_spaces(near=near, count=count, stream=stream):
+        gap = float(hs.distance_inside(x))
+        if gap > 0:
+            best = max(best, abs(complex(v @ hs.normal.conj())) / (2.0 * gap))
+    return best
+
+
+def _ellipsoid():
+    C = np.array([[1.2, 0.3j], [-0.2, 0.8 + 0.1j]])
+    sv = np.linalg.svd(C, compute_uv=False)
+    return BalancedConvex(lambda v: np.linalg.norm(np.asarray(v) @ C.T, axis=-1),
+                          2, 1.0 / sv[-1], 1.0 / sv[0])
+
+
+@pytest.mark.parametrize("name", zoo_names() + ["ellipsoid"])
+def test_batched_half_space_bound_matches_the_per_row_bound(name):
+    d = _ellipsoid() if name == "ellipsoid" else zoo_domain(name)
+    stream = SampleStream(31)
+    X = d.interior_samples(24, stream.fork(0))
+    V = stream.fork(1).unit_directions(24, d.dim)
+    V = V * stream.fork(2).uniform(24, 0.1, 3.0)[:, None]
+    got = half_space_lower_bound(d, X, V, stream.fork(3))
+    want = [_per_row_half_space_bound(d, X[i], V[i], stream.fork(3).fork(i))
+            for i in range(X.shape[0])]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert np.all(got > 0)
+
+
+@pytest.mark.parametrize("name", ["disc", "polydisc2", "ball2", "halfplane",
+                                  "sheared_polydisc", "turned_ball"])
+def test_batched_half_space_bound_is_below_the_closed_form(name):
+    d = zoo_domain(name)
+    stream = SampleStream(32)
+    X = d.interior_samples(64, stream.fork(0))
+    V = stream.fork(1).unit_directions(64, d.dim)
+    lower = half_space_lower_bound(d, X, V, stream.fork(2))
+    assert np.all(lower <= d.metric_paired(X, V) * (1.0 + 1e-12))
+    assert np.all(lower > 0)

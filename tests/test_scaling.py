@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from invmet import (
+    AffineImage,
+    AffineMap,
     AutomorphismFamily,
+    CLinearMap,
     Polydisc,
+    SampleStream,
     default_schedule,
     equivalence_audit,
     frankel_tau,
@@ -14,6 +18,7 @@ from invmet import (
     volume_jacobian_check,
     zoo_domain,
 )
+from invmet.core import orthonormal_complement_basis
 from invmet.errors import NotInteriorError, ScheduleError
 
 
@@ -40,6 +45,34 @@ def test_stretching_frame_orders_values():
     assert fr.values[0] == pytest.approx(1.0, rel=1e-6)
     assert fr.values[1] == pytest.approx(0.5, rel=1e-6)
     assert fr.values[0] >= fr.values[1]
+
+
+@pytest.mark.parametrize("name", ["ball2", "polydisc2", "sheared_polydisc", "turned_ball"])
+def test_closed_form_frame_values_are_the_subspace_maxima(name):
+    d = zoo_domain(name)
+    assert d.metric_form(d.basepoint) is not None
+    stream = SampleStream(41)
+    for k, x in enumerate(d.interior_samples(4, stream.fork(0))):
+        fr = stretching_frame(d, x, seed=k)
+        for alpha in range(d.dim):
+            basis = np.column_stack(orthonormal_complement_basis(list(fr.directions[:alpha]),
+                                                                 dim=d.dim))
+            C = stream.fork(1 + 4 * k + alpha).unit_directions(4096, basis.shape[1])
+            sampled = float(np.max(d.metric_value(x, C @ basis.T)))
+            assert fr.values[alpha] >= sampled * (1.0 - 1e-12)
+            assert fr.values[alpha] <= sampled * (1.0 + 1e-3)
+            assert d.metric_value(x, fr.directions[alpha]) == pytest.approx(
+                fr.values[alpha], rel=1e-12)
+
+
+def test_frame_ties_resolve_toward_the_coordinate_axes(ball2, pd2):
+    # eigenvalues 1 +- 2e-12 lie inside the tie band, and the eigensolver's
+    # basis of them is the diagonal pair (1, +-1) / sqrt(2)
+    near_tie = AffineImage(ball2, AffineMap(CLinearMap([[1, 1e-12], [1e-12, 1]]), [0, 0]))
+    for d in (ball2, pd2, near_tie):
+        fr = stretching_frame(d, [0, 0])
+        np.testing.assert_allclose(fr.directions, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(fr.values, [1.0, 1.0], rtol=1e-9)
 
 
 def test_frankel_tau_normalization(ball2):
