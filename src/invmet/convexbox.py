@@ -175,7 +175,12 @@ def _slice_halfspaces(A, b):
 
 
 def box_lemma_bound(body: SymmetricBody, *, seed: int = 0) -> BoxBound:
-    """Compute the cascaded box and verify containment by brute force."""
+    """Compute the cascaded box and verify containment by brute force.
+
+    Every level slices ``halfspace_data``, so for oracle bodies r_1 is the
+    least offset of the half-space cloud, not the support minimum that
+    ``min_boundary_distance`` searches for.
+    """
     n = body.dim
     A, b = body.halfspace_data()
     norms = np.linalg.norm(A, axis=1)
@@ -236,11 +241,17 @@ def slope_check(body: SymmetricBody):
     the segment [-r_2, r_2] e_2, and any supporting line x_2 = a_1 x_1 + r_2 at
     (0, r_2) must satisfy |a_1| <= sqrt((r_2/r_1)^2 - 1).  Returns
     (max |slope| over facets through the point, bound).
+
+    Like ``box_lemma_bound``, the check runs on ``halfspace_data``: r_1, its
+    direction, the slice and the facets all come from one polytope, which for
+    oracle bodies is the half-space cloud (its r_1 is at least the support
+    minimum that ``min_boundary_distance`` returns).
     """
     if body.dim != 2:
         raise DegenerateInputError("slope check is a planar statement")
     A, b = body.halfspace_data()
-    r1, u = min_boundary_distance(body)
+    i = int(np.argmin(b))
+    r1, u = float(b[i]), A[i]
     Q = _householder_to_e1(u)
     A = A @ Q.T
     A2, b2 = _slice_halfspaces(A, b)

@@ -237,22 +237,23 @@ def _as_batch_callable(f):
     return batched
 
 
-def pattern_search(g, x0, *, step: float = 0.1, xtol: float = 1e-10,
-                   max_iter: int = 1000):
+def pattern_search(g, x0):
     """Maximize g over R^d by a batched compass search started at ``x0``.
 
     ``g`` maps an (N, d) stack of points to N values.  Each iteration scores
     the 2d trial points x +- step e_i in one call of g and moves to the best
-    of them when it improves on g(x); otherwise the step halves.  The search
-    stops once the step is below ``xtol`` or after ``max_iter`` iterations.
+    of them when it improves on g(x); otherwise the step halves.  The step
+    starts at 0.1, and the search stops once it is below 1e-10 or after 1000
+    iterations.
 
     Returns ``(x, g(x))``; the value is never below g(x0).
     """
     x = np.array(x0, dtype=float)
     val = float(g(x[None, :])[0])
     moves = np.vstack([np.eye(x.size), -np.eye(x.size)])
-    for _ in range(max_iter):
-        if step < xtol:
+    step = 0.1
+    for _ in range(1000):
+        if step < 1e-10:
             break
         trials = x + step * moves
         vals = g(trials)

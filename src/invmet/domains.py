@@ -115,6 +115,15 @@ class MetricForm:
         return MetricForm(self.matrix @ M, False)
 
 
+def _coordinate_form(d, x) -> MetricForm:
+    """The form of a metric K(x; v) = max_k c_k |v_k|, for products of discs
+    and half-planes: c_k = K(x; e_k), read off ``metric_paired``."""
+    x = d._check_dim(cvector(x))
+    E = np.eye(d.dim, dtype=complex)
+    return MetricForm(np.diag(d.metric_paired(np.broadcast_to(x, E.shape), E)).astype(complex),
+                      False)
+
+
 class Domain:
     """Common interface; concrete kinds override the oracles they support."""
 
@@ -270,28 +279,32 @@ class UnitBall(Domain):
     def contains_margins(self, Z):
         return 1.0 - np.linalg.norm(np.asarray(Z, dtype=complex), axis=-1)
 
-    def metric_paired(self, P, V):
-        s2 = 1.0 - np.sum(np.abs(P) ** 2, axis=1)
+    @staticmethod
+    def _slack(P):
+        """1 - |p|^2 over the last axis; raises unless every point is inside."""
+        s2 = 1.0 - np.sum(np.abs(P) ** 2, axis=-1)
         if np.any(s2 <= 0):
             raise NotInteriorError("point outside the ball")
+        return s2
+
+    def metric_paired(self, P, V):
+        """K(p; v) = sqrt(s |v|^2 + |<v, p>|^2) / s with s = 1 - |p|^2: the
+        batched value of ``metric_form``'s v* Q v, which it must agree with."""
+        s2 = self._slack(P)
         nv2 = np.sum(np.abs(V) ** 2, axis=1)
         c2 = np.abs(np.sum(V * P.conj(), axis=1)) ** 2
         return np.sqrt(s2 * nv2 + c2) / s2
 
     def metric_form(self, x):
         x = self._check_dim(cvector(x))
-        s2 = 1.0 - float(np.sum(np.abs(x) ** 2))
-        if s2 <= 0:
-            raise NotInteriorError("point outside the ball")
+        s2 = self._slack(x)
         Q = (s2 * np.eye(self.dim) + np.outer(x, x.conj())) / (s2 * s2)
         return MetricForm(Q, True)
 
     def section_distance_paired(self, P, V):
         nv = np.linalg.norm(V, axis=1)
         c = np.abs(np.sum(V * P.conj(), axis=1))
-        r2 = 1.0 - np.sum(np.abs(P) ** 2, axis=1)
-        if np.any(r2 <= 0):
-            raise NotInteriorError("point outside the ball")
+        r2 = self._slack(P)
         return (np.sqrt(c * c + r2 * nv * nv) - c) / nv
 
     def coordinate_bounds(self):
@@ -376,11 +389,7 @@ class Polydisc(Domain):
         return np.max(self.radii * np.abs(V) / den, axis=1)
 
     def metric_form(self, x):
-        x = self._check_dim(cvector(x))
-        den = self.radii ** 2 - np.abs(x) ** 2
-        if np.any(den <= 0):
-            raise NotInteriorError("point outside the polydisc")
-        return MetricForm(np.diag(self.radii / den).astype(complex), False)
+        return _coordinate_form(self, x)
 
     def section_distance_paired(self, P, V):
         return _slack_section(self.radii - np.abs(P), V, "polydisc")
@@ -483,10 +492,7 @@ class HalfPlaneProduct(Domain):
         return np.max(np.abs(V) / (2.0 * h), axis=1)
 
     def metric_form(self, x):
-        h = self._heights(self._check_dim(cvector(x)))
-        if np.any(h <= 0):
-            raise NotInteriorError("point outside the half-plane product")
-        return MetricForm(np.diag(1.0 / (2.0 * h)).astype(complex), False)
+        return _coordinate_form(self, x)
 
     def section_distance_paired(self, P, V):
         return _slack_section(self._heights(P), V, "half-plane product")

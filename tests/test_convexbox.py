@@ -89,6 +89,13 @@ def test_slope_bound_on_random_planar_bodies():
                                          stream.fork(k))
         slope, bound = slope_check(body)
         assert slope <= bound + 1e-9
+        if k % 10 == 0:
+            # the same body through its support function: the check runs on
+            # the oracle's half-space cloud
+            oracle = SymmetricBody(support=lambda u, V=body.vertices: float(np.max(V @ u)),
+                                   dim=2, seed=k)
+            slope, bound = slope_check(oracle)
+            assert slope <= bound + 1e-9
 
 
 def test_slope_check_is_planar_only():

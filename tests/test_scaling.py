@@ -19,7 +19,10 @@ from invmet import (
     zoo_domain,
 )
 from invmet.core import orthonormal_complement_basis
+from invmet.domains import balanced_polyhedron
 from invmet.errors import NotInteriorError, ScheduleError
+from invmet.metrics import kobayashi_metric_values
+from invmet.zoo import affine_twin, three_face_polyhedron
 
 
 def test_default_schedule_halves_boundary_distance():
@@ -63,6 +66,28 @@ def test_closed_form_frame_values_are_the_subspace_maxima(name):
             assert fr.values[alpha] <= sampled * (1.0 + 1e-3)
             assert d.metric_value(x, fr.directions[alpha]) == pytest.approx(
                 fr.values[alpha], rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [
+    three_face_polyhedron(),
+    affine_twin(three_face_polyhedron()),
+    balanced_polyhedron([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]],
+                        [1.0, 1.2, 1.1, 1.0], 3),
+], ids=["three_face", "twin_three_face", "balanced3"])
+def test_searched_frame_values_are_at_least_the_sampled_maxima(d):
+    # no closed form: each value is a search maximum of the bracket midpoint,
+    # a max of face terms that is not smooth where two faces tie
+    assert d.metric_form(d.basepoint) is None
+    stream = SampleStream(43)
+    for k, x in enumerate(d.interior_samples(3, stream.fork(0))):
+        fr = stretching_frame(d, x, seed=k)
+        assert np.all(np.diff(fr.values) <= 0)
+        for alpha in range(d.dim):
+            basis = np.column_stack(orthonormal_complement_basis(list(fr.directions[:alpha]),
+                                                                 dim=d.dim))
+            C = stream.fork(1 + 4 * k + alpha).unit_directions(4096, basis.shape[1])
+            sampled = float(np.max(kobayashi_metric_values(d, x, C @ basis.T, which="mid")))
+            assert fr.values[alpha] >= sampled * (1.0 - 1e-12)
 
 
 def test_frame_ties_resolve_toward_the_coordinate_axes(ball2, pd2):
