@@ -145,6 +145,8 @@ def cmd_distance(args) -> int:
     print(f"# bracket [{bound.lower!r}, {bound.upper!r}]"
           f" methods {bound.lower_method}|{bound.upper_method}"
           f" convention {args.convention} seed {args.seed}")
+    print(f"# nodes {bound.nodes} converged {bound.converged}"
+          f" final_delta {bound.final_delta!r}")
     return 0
 
 

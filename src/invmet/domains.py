@@ -16,6 +16,9 @@ P may also be a single row, shared by every row of V):
   the kind has none;
 * ``section_distance_paired(P, V)``: the distance from P[i] to the boundary of
   the planar section through P[i] along V[i];
+* ``section_distance_along(x, W, T)``: the same at the nodes x + T[i, j] W[i]
+  of rays from one point x, along W[i] (the distance quadrature and the
+  distance-ball sampler); polyhedra answer it in closed form;
 * ``lower_bound_paired(P, V, stream, count)``: a certified lower bound of the
   metric, the closed form where there is one;
 * ``metric_form(x)``: K(x; .) at one point as a ``MetricForm`` (a Hermitian
@@ -161,6 +164,17 @@ class Domain:
         """Euclidean distance from P[i] to the boundary of the planar section
         Omega intersect (P[i] + C V[i]), per row."""
         raise NotImplementedError
+
+    def section_distance_along(self, x, W, T):
+        """Section distance at x + T[i, j] W[i] along W[i], of shape T.shape
+        (rays W of shape (rows, n), nodes T of shape (rows, nodes)): the rows
+        of ``section_distance_paired`` on the points of rays from x."""
+        W = np.asarray(W, dtype=complex)
+        T = np.asarray(T, dtype=float)
+        P = x + T[:, :, None] * W[:, None, :]
+        V = np.broadcast_to(W[:, None, :], P.shape)
+        return self.section_distance_paired(P.reshape(-1, self.dim),
+                                            V.reshape(-1, self.dim)).reshape(T.shape)
 
     def lower_bound_paired(self, P, V, stream: SampleStream | None = None,
                            count: int = config.HALF_SPACE_COUNT):
@@ -640,6 +654,39 @@ class ConvexPolyhedron(Domain):
             per = np.minimum(per, t.min(axis=1))
         return np.linalg.norm(V, axis=1) * per
 
+    def section_distance_along(self, x, W, T):
+        """Closed form along rays: each face is affine on a ray,
+        f(x + t w) = f(x) + t f_lin(w), so f(x) and f_lin(W) are taken once
+        and a node costs one multiply-add per face.  The arrays are
+        faces-major, (faces, rows, nodes), so the minimum over faces is
+        elementwise; the per-node work runs in place, as fresh arrays of that
+        size cost more in page faults than in arithmetic."""
+        x = np.asarray(x, dtype=complex)
+        W = np.asarray(W, dtype=complex)
+        T = np.asarray(T, dtype=float)
+        per = np.full(T.shape, np.inf)
+        # a face with f_lin(w) = 0 never meets the ray's section: slack / 0 = inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.mod_coeffs.size:
+                B = self.mod_coeffs @ W.T
+                F = T * B[:, :, None]
+                F += (self.mod_coeffs @ x + self.mod_consts)[:, None, None]
+                reach = np.abs(F)
+                np.subtract(self.mod_bounds[:, None, None], reach, out=reach)
+                np.divide(reach, np.abs(B)[:, :, None], out=reach)
+                np.minimum(per, reach.min(axis=0), out=per)
+            if self.real_normals.size:
+                S = self.real_normals.conj() @ W.T
+                reach = T * S.real[:, :, None]
+                np.subtract((self.real_offsets - np.real(self.real_normals.conj() @ x))[:, None, None],
+                            reach, out=reach)
+                np.divide(reach, np.abs(S)[:, :, None], out=reach)
+                np.minimum(per, reach.min(axis=0), out=per)
+        # a node on or outside a face has slack <= 0, so per <= 0 or nan
+        if not np.all(per > 0):
+            raise NotInteriorError("point outside the polyhedron")
+        return np.linalg.norm(W, axis=1)[:, None] * per
+
     def lower_bound_paired(self, P, V, stream=None, count=config.HALF_SPACE_COUNT):
         """max over faces of the half-plane metric of the face projection.
 
@@ -940,6 +987,11 @@ class AffineImage(Domain):
         return self.inner.contains_margins(self.map_inv(Z)) * self._sv_min
 
     def _pull_back(self, P, V):
+        # a shared row P is mapped as its broadcast stack, so it keeps the bits
+        # it has when the caller broadcasts it: numpy multiplies a stride-0
+        # stack in its own loop, which rounds apart from a one-row BLAS product
+        if len(P) != len(V):
+            P = np.broadcast_to(P, V.shape)
         return self.map_inv(P), V @ self.map_inv.linear.matrix.T
 
     def metric_paired(self, P, V):
@@ -953,6 +1005,12 @@ class AffineImage(Domain):
         Pp, Vp = self._pull_back(P, V)
         return (self.inner.section_distance_paired(Pp, Vp)
                 * np.linalg.norm(V, axis=1) / np.linalg.norm(Vp, axis=1))
+
+    def section_distance_along(self, x, W, T):
+        W = np.asarray(W, dtype=complex)
+        Wp = W @ self.map_inv.linear.matrix.T
+        return (self.inner.section_distance_along(self.map_inv(x), Wp, T)
+                * (np.linalg.norm(W, axis=1) / np.linalg.norm(Wp, axis=1))[:, None])
 
     def lower_bound_paired(self, P, V, stream=None, count=config.HALF_SPACE_COUNT):
         return self.inner.lower_bound_paired(*self._pull_back(P, V), stream, count)

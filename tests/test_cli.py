@@ -74,6 +74,18 @@ def test_distance_conventions(capsys, polydisc2_file):
     assert float(out.splitlines()[0]) == pytest.approx(2 * math.atanh(1 / 3), abs=1e-12)
 
 
+def test_distance_prints_its_quadrature_work(capsys):
+    code, out, _ = run(capsys, "distance", "--domain", "three_face",
+                       "--from", "[0,0]", "--to", "[0.9,0]")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1].startswith("# bracket [")
+    assert lines[2].startswith("# nodes 131073 converged False final_delta ")
+    code, out, _ = run(capsys, "distance", "--domain", "three_face",
+                       "--from", "[0,0]", "--to", "[0.9,0]", "--tol", "1e-4")
+    assert code == 0 and " converged True final_delta " in out.splitlines()[2]
+
+
 def test_indicatrix_csv_artifact(capsys, tmp_path, polydisc2_file):
     out_file = tmp_path / "ind.csv"
     code, out, _ = run(capsys, "indicatrix", "--domain", str(polydisc2_file),

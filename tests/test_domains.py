@@ -15,6 +15,8 @@ from invmet import (
     UnitBall,
     config,
     convexity_witness,
+    distance_ball_sample,
+    kobayashi_distance,
     kobayashi_metric,
     load_domain,
     model_automorphism,
@@ -35,7 +37,7 @@ from invmet.errors import (
     UnsupportedKindError,
 )
 from invmet.metrics import metric_lower_paired, metric_upper_paired
-from invmet.zoo import affine_twin, resolve_domain, twin_map
+from invmet.zoo import affine_twin, polydisc_as_polyhedron, resolve_domain, twin_map
 
 from conftest import assert_inside
 
@@ -242,18 +244,19 @@ def test_resolve_domain_falls_back_to_files(polydisc2_file):
 # Batched oracles agree with their single-point forms
 # ---------------------------------------------------------------------------
 
-def _random_polyhedron(seed):
-    """Modulus faces with constants plus real faces, inside the bidisc of radius 2."""
+def _random_polyhedron(seed, dim=2, mods=3, reals=2):
+    """``mods`` modulus faces with constants plus ``reals`` real faces, inside
+    the polydisc of radius 2 in C^dim."""
     rng = np.random.default_rng(seed)
-    faces = [ModulusFace(np.eye(2, dtype=complex)[k], 0.0, 2.0) for k in range(2)]
-    for _ in range(3):
-        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    faces = [ModulusFace(np.eye(dim, dtype=complex)[k], 0.0, 2.0) for k in range(dim)]
+    for _ in range(mods):
+        c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         faces.append(ModulusFace(c, 0.3 * complex(*rng.standard_normal(2)),
                                  float(rng.uniform(1.0, 2.0))))
-    for _ in range(2):
-        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    for _ in range(reals):
+        a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         faces.append(RealFace(a, float(rng.uniform(0.5, 1.5))))
-    return ConvexPolyhedron(faces, dim=2, bounding_radius=2.0 * np.sqrt(2.0))
+    return ConvexPolyhedron(faces, dim=dim, bounding_radius=2.0 * np.sqrt(dim))
 
 
 def _one_vector_balanced():
@@ -393,3 +396,128 @@ def test_balanced_spec_rejects_non_spanning_funcs(funcs):
     with pytest.raises(SpecLoadError) as ei:
         load_domain({"kind": "balanced", "dim": 2, "funcs": funcs})
     assert ei.value.location == "funcs"
+
+
+# ---------------------------------------------------------------------------
+# Section distances along rays agree with the materialised rows
+# ---------------------------------------------------------------------------
+
+# (seed, dim, modulus faces with constants, real faces): C^2 to C^4, up to 16 faces
+RANDOM_SHAPES = ((3, 2, 1, 1), (4, 3, 3, 2), (5, 4, 4, 4), (6, 4, 6, 6), (7, 3, 5, 0),
+                 (8, 2, 0, 4))
+
+
+def _along_cases():
+    cases = []
+    for name in zoo_names():
+        cases.append(pytest.param(lambda name=name: zoo_domain(name), id=name))
+        cases.append(pytest.param(lambda name=name: affine_twin(zoo_domain(name)),
+                                  id=f"{name}-twin"))
+    for seed, dim, mods, reals in RANDOM_SHAPES:
+        cases.append(pytest.param(
+            lambda args=(seed, dim, mods, reals): _random_polyhedron(*args),
+            id=f"random-C{dim}-{dim + mods + reals}-faces"))
+    return cases
+
+
+def _paired_on_rows(d, x, W, T):
+    P = x + T[:, :, None] * W[:, None, :]
+    V = np.broadcast_to(W[:, None, :], P.shape)
+    return d.section_distance_paired(P.reshape(-1, d.dim),
+                                     V.reshape(-1, d.dim)).reshape(T.shape), P
+
+
+@pytest.mark.parametrize("make", _along_cases())
+def test_section_distance_along_matches_the_materialised_rows(make):
+    d = make()
+    stream = SampleStream(21)
+    rows, nodes = 6, 33
+    W = stream.unit_directions(rows, d.dim) * stream.uniform(rows, 0.2, 2.0)[:, None]
+    u = stream.unit_directions(1, d.dim)[0]
+    x = d.basepoint + 0.4 * float(d.section_boundary_distance(d.basepoint, u)) * u
+    # the section distance is at most the ray's exit, so every node is inside;
+    # the last ones are within 1e-7 of it
+    exit_t = d.section_boundary_distance(x, W) / np.linalg.norm(W, axis=1)
+    T = exit_t[:, None] * (1.0 - np.logspace(0.0, -7.0, nodes))[None, :]
+    expected, P = _paired_on_rows(d, x, W, T)
+    along = d.section_distance_along(x, W, T)
+    assert along.shape == T.shape
+    # nodes near the boundary cancel in the slack, so an absolute term scaled
+    # by the body's size allows for the rounding of either form
+    scale = d.bounding_radius if np.isfinite(d.bounding_radius) else np.abs(P).max()
+    np.testing.assert_allclose(along, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_section_distance_along_keeps_the_slack_of_faces_parallel_to_the_ray():
+    # |z_2| < 2 has f_lin(e_1) = 0: it never meets the section along e_1
+    d = polydisc_as_polyhedron([1.0, 2.0])
+    x = np.array([0.2, 0.5j])
+    W = np.array([[1.0, 0.0]], dtype=complex)
+    T = np.linspace(0.0, 0.79, 9)[None, :]
+    along = d.section_distance_along(x, W, T)
+    np.testing.assert_allclose(along, 0.8 - T, rtol=1e-12)
+    np.testing.assert_allclose(along, _paired_on_rows(d, x, W, T)[0], rtol=1e-12)
+    # Re<z, e_1> < 0.5 along i e_1: Re<w, a> = 0, so its slack 0.4 stays put
+    # while |<w, a>| = 1 keeps it in the section
+    d = ConvexPolyhedron([ModulusFace(np.array([1.0, 0.0]), 0.0, 1.0),
+                          ModulusFace(np.array([0.0, 1.0]), 0.0, 1.0),
+                          RealFace(np.array([1.0, 0.0]), 0.5)], 2, bounding_radius=2 ** 0.5)
+    x = np.array([0.1, 0.3])
+    W = np.array([[1j, 0.0]])
+    T = np.linspace(0.0, 0.9, 10)[None, :]
+    along = d.section_distance_along(x, W, T)
+    np.testing.assert_allclose(along, np.minimum(1.0 - np.hypot(0.1, T), 0.4), rtol=1e-12)
+    np.testing.assert_allclose(along, _paired_on_rows(d, x, W, T)[0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: zoo_domain("three_face"),
+    lambda: affine_twin(zoo_domain("three_face")),
+    lambda: _random_polyhedron(4, 3, 3, 2),
+], ids=["three_face", "three_face-twin", "random-C3-8-faces"])
+def test_section_distance_along_rejects_exterior_nodes(make):
+    d = make()
+    W = SampleStream(22).unit_directions(2, d.dim)
+    far = 10.0 * d.bounding_radius
+    with pytest.raises(NotInteriorError):
+        d.section_distance_along(d.basepoint, W, np.array([[0.0, 0.1], [0.2, far]]))
+    with pytest.raises(NotInteriorError):
+        d.section_distance_along(d.basepoint + far * W[0], W, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("make,x,y,upper", [
+    (lambda: zoo_domain("three_face"), [0, 0], [0.3 + 0.1j, -0.2j], 0.38013040810152565),
+    (lambda: affine_twin(zoo_domain("three_face")), twin_map(2)([0.1j, 0.2]),
+     twin_map(2)([-0.4, 0.3 - 0.2j]), 0.535626762864548),
+    (lambda: _random_polyhedron(1), [0.1, -0.05j], [-0.2 + 0.1j, 0.15], 0.791265570416647),
+], ids=["three_face", "three_face-twin", "random-polyhedron-1"])
+def test_polyhedron_distance_uppers_are_pinned(make, x, y, upper):
+    """Quadrature uppers from the rows materialised at every node."""
+    assert kobayashi_distance(make(), x, y).upper == pytest.approx(upper, rel=1e-12)
+
+
+BALL_GRID = 1.0 - np.logspace(0.0, -7.0, 97)   # the ball sampler's nodes on a ray
+
+
+@pytest.mark.parametrize("make,x,r,seed,nodes", [
+    (lambda: zoo_domain("three_face"), [0.1, -0.2j], 0.8, 5,
+     [5, 4, 4, 4, 5, 7, 1, 1, 1, 5, 1, 5, 0, 4, 5, 5, 4, 2, 7, 6, 4, 6, 5, 6, 5, 5, 6, 7,
+      1, 3, 5, 8, 4, 2, 3, 3, 5, 3, 5, 2]),
+    (lambda: _random_polyhedron(6, 4, 6, 6), [0, 0, 0, 0], 0.7, 6,
+     [2, 4, 10, 4, 4, 11, 0, 6, 5, 6, 1, 3, 12, 3, 6, 1, 3, 5, 4, 3, 6, 7, 6, 4, 3, 9, 4,
+      5, 4, 5, 9, 5, 1, 11, 7, 3, 8, 3, 10, 5]),
+], ids=["three_face", "random-C4-16-faces"])
+def test_distance_ball_sample_keeps_its_ray_nodes(make, x, r, seed, nodes):
+    """Each point is the last node of its ray whose cumulative upper distance
+    is below the ray's target; the node indices are pinned from a per-ray
+    ``searchsorted``."""
+    d = make()
+    x = np.asarray(x, dtype=complex)
+    ball = distance_ball_sample(d, x, r, len(nodes), seed=seed)
+    rad = np.linalg.norm(ball.points - x, axis=1)
+    got = np.zeros(len(nodes), dtype=int)
+    moved = rad > 0
+    sec = d.section_boundary_distance(x, (ball.points[moved] - x) / rad[moved, None])
+    got[moved] = np.argmin(np.abs(BALL_GRID[None, :] - (rad[moved] / sec)[:, None]), axis=1)
+    assert got.tolist() == nodes
+    assert np.all(ball.distance_upper < r)

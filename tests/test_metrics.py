@@ -17,6 +17,7 @@ from invmet import (
     indicatrix_volume,
     kobayashi_distance,
     kobayashi_metric,
+    config,
     write_indicatrix_csv,
     zoo_domain,
     zoo_names,
@@ -158,6 +159,21 @@ def test_distance_symmetry_and_triangle_upper(three_face):
     dzy = kobayashi_distance(three_face, z, y)
     # triangle inequality on the certified upper bounds
     assert dxy.lower <= dxz.upper + dzy.upper + 1e-9
+
+
+def test_distance_reports_its_quadrature_work(three_face, pd2, ball2):
+    # 9 nodes doubled 14 times is the cap: 131,073 nodes
+    capped = kobayashi_distance(three_face, [0, 0], [0.9, 0])
+    assert capped.nodes == 131_073 and capped.converged is False
+    assert capped.final_delta >= config.QUADRATURE_TOL
+    loose = kobayashi_distance(three_face, [0, 0], [0.9, 0], tol=1e-4)
+    assert loose.converged is True and loose.nodes < capped.nodes
+    assert 0.0 < loose.final_delta < 1e-4
+    # the upper side folds the last refinement step in
+    assert loose.upper >= capped.upper - capped.final_delta
+    for d, y in ((pd2, [0.3, 0.1j]), (ball2, [0.5, 0])):
+        b = kobayashi_distance(d, [0, 0], y)
+        assert (b.nodes, b.converged, b.final_delta) == (0, True, 0.0)
 
 
 def test_distance_ball_sample_is_certified(pd2):
