@@ -782,10 +782,59 @@ class ConvexPolyhedron(Domain):
         return out
 
 
-# Rows of a paired section query bisected together: each gauge call then sees
+# Rows of a paired section query searched together: each gauge call then sees
 # at most 32 * rays points, however many rows the query has, which bounds the
-# bisection's temporaries.
+# search's temporaries.
 _SECTION_BLOCK = 32
+
+
+def _ray_exits(margin, X, D, lo, f_lo, hi, f_hi, width):
+    """Boundary crossings of the rays t -> X[k] + t D[k] inside the evaluated
+    brackets [lo[k], hi[k]].
+
+    ``margin`` maps a stack of points to values > 0 exactly inside; on entry
+    f_lo = margin > 0 at lo and f_hi = margin <= 0 at hi.  Each ray takes a
+    secant step through its two latest iterates, kept about the points'
+    rounding resolution away from both ends, and takes the bracket's midpoint
+    instead when the secant leaves [lo, hi] or the bracket has not halved in
+    three steps.  A ray stops once hi is the next double above lo or
+    hi - lo <= width.  Returns (lo, hi): per ray the last evaluated parameter
+    inside and the first evaluated parameter outside.
+    """
+    eps = np.finfo(float).eps
+    # per ray, updated in place: the bracket, the parameter step that moves a
+    # point by about one rounding unit, the two latest iterates and their
+    # margins, and the bracket's half-widths three, two and one steps ago
+    S = np.empty((10, len(lo)))
+    S[0], S[1], S[3], S[4], S[5], S[6], S[7:] = lo, hi, lo, f_lo, hi, f_hi, np.inf
+    S[2] = eps * np.linalg.norm(X, axis=1) / np.linalg.norm(D, axis=1)
+    out = S[:2].copy()
+    idx = np.arange(len(lo))
+    while True:
+        live = (S[1] > np.nextafter(S[0], np.inf)) & (S[1] - S[0] > width)
+        if not live.all():
+            out[:, idx[~live]] = S[:2, ~live]
+            S, idx = S.compress(live, axis=1), idx.compress(live)
+            if not idx.size:
+                return out[0], out[1]
+        lo, hi, res, a, fa, b, fb, h3 = S[:8]
+        half = 0.5 * (hi - lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = b - fb * (b - a) / (fb - fa)
+        s = np.where((s >= lo) & (s <= hi) & (half <= 0.5 * h3), s, lo + half)
+        # at least one double in from each end (the midpoint once the bracket
+        # is that narrow), so each evaluation shrinks the bracket
+        nudge = np.minimum(res + 2.0 * eps * hi, half)
+        s = np.maximum(np.minimum(s, hi - nudge), lo + nudge)
+        Z = D.take(idx, axis=0)
+        Z *= s[:, None]
+        Z += X.take(idx, axis=0)
+        f = margin(Z)
+        inside = f > 0
+        np.copyto(lo, s, where=inside)
+        np.copyto(hi, s, where=~inside)
+        S[3:5], S[5], S[6] = S[5:7], s, f
+        S[7:9], S[9] = S[8:10], half
 
 
 class BalancedConvex(Domain):
@@ -848,12 +897,13 @@ class BalancedConvex(Domain):
     def section_distance_paired(self, P, V):
         """Row-paired section distances: row i is through P[i] along V[i].
 
-        Exact disc radius at the center; off center, boundary points along
-        config.SECTION_RAYS planar directions are found by bisection and the
-        inradius of their convex hull is returned -- a certified lower bound on
-        the true section distance (the section is convex, so it contains the
-        sampled polygon).  Off-center rows are bisected together,
-        _SECTION_BLOCK rows at a time.
+        Exact disc radius at the center; off center, boundary hits along
+        config.SECTION_RAYS planar directions are searched on the gauge
+        (``_ray_exits``) and the inradius of the polygon of the last points
+        found inside is returned -- a certified lower bound on the true
+        section distance (the section is convex, so it contains that
+        polygon).  Off-center rows are searched together, _SECTION_BLOCK rows
+        at a time.
         """
         rays = config.SECTION_RAYS
         V = self._check_dim(V)
@@ -864,37 +914,63 @@ class BalancedConvex(Domain):
         out = np.empty(P.shape[0])
         centre = ~np.any(P != 0, axis=1)
         off = np.flatnonzero(~centre)
-        if off.size and np.any(self.gauge(P[off]) >= 1.0):
+        vhat = V[off] / nv[off, None]
+        g = self.gauge(np.concatenate([P[off], vhat])) if off.size else np.empty(0)
+        gx, gv = g[:off.size], g[off.size:]
+        if np.any(gx >= 1.0):
             raise NotInteriorError("x is not inside the body")
         if np.any(centre):
             out[centre] = nv[centre] / self.gauge(V[centre])
         phase = np.exp(2j * np.pi * np.arange(rays) / rays)
         for start in range(0, off.size, _SECTION_BLOCK):
-            rows = off[start:start + _SECTION_BLOCK]
-            out[rows] = self._polygon_inradius(P[rows], V[rows] / nv[rows, None], phase)
+            block = slice(start, start + _SECTION_BLOCK)
+            out[off[block]] = self._polygon_inradius(P[off[block]], vhat[block], phase,
+                                                     gx[block], gv[block])
         return out
 
-    def _polygon_inradius(self, X, vhat, phase):
-        """Inradius about X[i] of the polygon of ray boundary hits along
-        vhat[i] * phase, bisected on the gauge."""
+    def _polygon_inradius(self, X, vhat, phase, gx, gv):
+        """Inradius about X[i] of the polygon of boundary hits along
+        vhat[i] * phase, searched on the gauge from gx = g(X) and gv = g(vhat)."""
         n, rays = X.shape[0], phase.size
-        dirs = vhat[:, None, :] * phase[None, :, None]          # (n, rays, dim)
-        lo = np.zeros((n, rays))
-        hi = np.full((n, rays), 2.0 * self.bounding_radius)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            Z = (X[:, None, :] + mid[:, :, None] * dirs).reshape(-1, self.dim)
-            inside = self.gauge(Z).reshape(n, rays) < 1.0
-            lo = np.where(inside, mid, lo)
-            hi = np.where(inside, hi, mid)
+        dirs = (vhat[:, None, :] * phase[None, :, None]).reshape(-1, self.dim)
+        Xr = np.repeat(X, rays, axis=0)
+        brackets = self._hit_brackets(Xr, dirs, np.repeat(gx, rays), np.repeat(gv, rays))
+        lo, _ = _ray_exits(lambda Z: 1.0 - self.gauge(Z), Xr, dirs, *brackets,
+                           2.0 * self.bounding_radius * 2.0 ** -60)
         # inradius of the inscribed polygon around 0 in section coordinates
-        a = lo * phase[None, :]
+        a = lo.reshape(n, rays) * phase[None, :]
         b = np.roll(a, -1, axis=1)
         seg = b - a
         L2 = np.abs(seg) ** 2
         ts = np.clip(-np.real(a * np.conj(seg)) / np.where(L2 > 0, L2, 1.0),
                      0.0, 1.0)
         return np.min(np.abs(a + ts * seg), axis=1)
+
+    def _hit_brackets(self, X, D, gx, gv):
+        """Evaluated brackets (lo, f_lo, hi, f_hi) of the boundary hits of the
+        rays X[k] + t D[k], for unit D[k] = vhat e^{i theta}, g(X[k]) = gx[k]
+        and g(vhat) = gv[k]; f is the margin 1 - g.
+
+        The gauge is subadditive and g(vhat e^{i theta}) = g(vhat), so each
+        hit lies in [t0, t1] = [(1 - g(x)) / g(vhat), (1 + g(x)) / g(vhat)].
+        Both ends are evaluated, one call each to halve the peak memory, and
+        a ray whose end rounding puts on the wrong side falls back on t = 0
+        (inside, as g(x) < 1) or on t = 2R.
+        """
+        t0, t1 = (1.0 - gx) / gv, (1.0 + gx) / gv
+        f0, f1 = (1.0 - self.gauge(X + t[:, None] * D) for t in (t0, t1))
+        inner = f0 > 0
+        lo, f_lo = np.where(inner, t0, 0.0), np.where(inner, f0, 1.0 - gx)
+        hi, f_hi = np.where(inner, t1, t0), np.where(inner, f1, f0)
+        short = f_hi > 0
+        if np.any(short):
+            lo[short], f_lo[short] = hi[short], f_hi[short]
+            hi[short] = 2.0 * self.bounding_radius
+            f_hi[short] = 1.0 - self.gauge(X[short] + hi[short, None] * D[short])
+            if np.any(f_hi > 0):
+                raise DegenerateInputError(
+                    "declared bounding radius does not contain the body")
+        return lo, f_lo, hi, f_hi
 
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None, h: float = 1e-6):
@@ -1100,18 +1176,23 @@ def half_space_lower_bound(d: Domain, P, V, stream: SampleStream,
     for s in range(0, P.shape[0], _NEAREST_BLOCK):
         block = slice(s, s + _NEAREST_BLOCK)
         near[block] = _section_nearest_boundary_points(d, P[block], V[block])
-    best = np.zeros(P.shape[0])
-    for i, (x, v) in enumerate(zip(P, V)):
+    spaces = [d.supporting_half_spaces(near=near[i], count=count, stream=stream.fork(i))
+              for i in range(P.shape[0])]
+    # each row's unit normals and offsets; padded slots get offset -inf, no gap
+    N = np.zeros((P.shape[0], max(map(len, spaces), default=0), d.dim), dtype=complex)
+    b = np.full(N.shape[:2], -np.inf)
+    for i, row in enumerate(spaces):
+        N[i, :len(row)] = [hs.normal for hs in row]
+        b[i, :len(row)] = [hs.offset for hs in row]
+    N = N.conj()
+    gap = b - np.real(np.einsum("ikn,in->ik", N, P))
+    best = np.divide(np.abs(np.einsum("ikn,in->ik", N, V)), 2.0 * gap,
+                     out=np.zeros_like(gap), where=gap > 0).max(axis=1, initial=0.0)
+    if np.isfinite(d.bounding_radius):
         # bounding-sphere floor: a supporting half-space with normal v/|v|
         # exists within distance |x| + R of x, giving K >= |v| / (2(|x| + R))
-        if np.isfinite(d.bounding_radius):
-            best[i] = (float(np.linalg.norm(v))
-                       / (2.0 * (np.linalg.norm(x) + d.bounding_radius)))
-        for hs in d.supporting_half_spaces(near=near[i], count=count,
-                                           stream=stream.fork(i)):
-            gap = float(hs.distance_inside(x))
-            if gap > 0:
-                best[i] = max(best[i], abs(complex(v @ hs.normal.conj())) / (2.0 * gap))
+        best = np.maximum(best, np.linalg.norm(V, axis=1)
+                          / (2.0 * (np.linalg.norm(P, axis=1) + d.bounding_radius)))
     return best
 
 

@@ -23,6 +23,7 @@ from invmet import (
     zoo_domain,
     zoo_names,
 )
+from invmet import domains
 from invmet.domains import (
     AffineImage,
     BalancedConvex,
@@ -31,6 +32,7 @@ from invmet.domains import (
     RealFace,
 )
 from invmet.errors import (
+    DegenerateInputError,
     DimensionMismatchError,
     NotInteriorError,
     SpecLoadError,
@@ -521,3 +523,181 @@ def test_distance_ball_sample_keeps_its_ray_nodes(make, x, r, seed, nodes):
     got[moved] = np.argmin(np.abs(BALL_GRID[None, :] - (rad[moved] / sec)[:, None]), axis=1)
     assert got.tolist() == nodes
     assert np.all(ball.distance_upper < r)
+
+
+# ---------------------------------------------------------------------------
+# Gauge-body sections: boundary hits searched along rays
+# ---------------------------------------------------------------------------
+
+ELLIPSOID_C = np.array([[1.2, 0.3 - 0.4j], [0.2j, 0.8]])
+
+
+class _CountingGauge:
+    """A vectorized gauge that counts its calls."""
+
+    def __init__(self, g):
+        self.g, self.calls = g, 0
+
+    def __call__(self, v):
+        self.calls += 1
+        return self.g(np.asarray(v, dtype=complex))
+
+
+def _ellipsoid_gauge(v):
+    # |C v| elementwise: a matmul rounds a one-row stack apart from a longer
+    # one, and the tests evaluate the searched points again in other stacks
+    w = v[..., :1] * ELLIPSOID_C[:, 0] + v[..., 1:] * ELLIPSOID_C[:, 1]
+    return np.sqrt(np.sum(np.abs(w) ** 2, axis=-1))
+
+
+def _balanced_gauge(v):
+    return np.max(np.abs(v @ TWO_FACE_C.T) / TWO_FACE_S, axis=-1)
+
+
+def _four_norm_gauge(v):
+    return np.sum(np.abs(v) ** 4, axis=-1) ** 0.25
+
+
+def _counted_body(name):
+    """(body, counting gauge) for the ellipsoid {|C z| < 1}, the kinked zoo
+    balanced set and the unit ball of the 4-norm."""
+    if name == "ellipsoid":
+        g = _CountingGauge(_ellipsoid_gauge)
+        sv = np.linalg.svd(ELLIPSOID_C, compute_uv=False)
+        return BalancedConvex(g, 2, 1.0 / sv[-1], 1.0 / sv[0]), g
+    if name == "balanced":
+        g, ref = _CountingGauge(_balanced_gauge), _gauge_balanced()
+        return BalancedConvex(g, 2, ref.bounding_radius, ref.inner_radius), g
+    g = _CountingGauge(_four_norm_gauge)
+    return BalancedConvex(g, 2, 2.0 ** 0.25, 1.0), g
+
+
+def _ellipsoid_section_distance(x, v):
+    """The section through x along v is the disc |Cx + zeta C vhat| < 1, of
+    centre c0 = -<Cx, C vhat> / |C vhat|^2 and radius rho; x sits at zeta = 0,
+    so its distance to the boundary is rho - |c0|."""
+    a = ELLIPSOID_C @ x
+    b = ELLIPSOID_C @ (v / np.linalg.norm(v))
+    bb = np.vdot(b, b).real
+    c0 = -np.vdot(b, a) / bb
+    rho = np.sqrt((1.0 - np.vdot(a, a).real) / bb + abs(c0) ** 2)
+    return rho - abs(c0)
+
+
+def _bisected_section_distance(d, x, v, rays=128):
+    """The section distance of one row from 60 bisection steps per ray on
+    [0, 2R] and the inradius of the polygon of the inside ends."""
+    phase = np.exp(2j * np.pi * np.arange(rays) / rays)
+    dirs = (v / np.linalg.norm(v))[None, :] * phase[:, None]
+    lo, hi = np.zeros(rays), np.full(rays, 2.0 * d.bounding_radius)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        inside = d.gauge(x[None, :] + mid[:, None] * dirs) < 1.0
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    a = lo * phase
+    seg = np.roll(a, -1) - a
+    L2 = np.abs(seg) ** 2
+    ts = np.clip(-np.real(a * np.conj(seg)) / np.where(L2 > 0, L2, 1.0), 0.0, 1.0)
+    return float(np.min(np.abs(a + ts * seg)))
+
+
+def _record_ray_searches(monkeypatch):
+    """Every (X, D, lo, hi) that ``domains._ray_exits`` returns from now on."""
+    searches, ray_exits = [], domains._ray_exits
+
+    def recorded(margin, X, D, *bracket):
+        lo, hi = ray_exits(margin, X, D, *bracket)
+        searches.append((X, D, lo, hi))
+        return lo, hi
+
+    monkeypatch.setattr(domains, "_ray_exits", recorded)
+    return searches
+
+
+def _assert_searches_end_on_evaluated_hits(d, searches, rays):
+    assert sum(X.shape[0] for X, *_ in searches) == rays
+    for X, D, lo, hi in searches:
+        assert np.all(d.contains_margins(X + lo[:, None] * D) > 0)
+        assert np.all(d.contains_margins(X + hi[:, None] * D) <= 0)
+        assert np.all((hi == np.nextafter(lo, np.inf))
+                      | (hi - lo <= 2.0 * d.bounding_radius * 2.0 ** -60))
+
+
+def _assert_pinned_to_the_ellipsoid_sections(got, P, V):
+    true = np.array([_ellipsoid_section_distance(x, v) for x, v in zip(P, V)])
+    # the polygon is inscribed, so only the closed form's rounding can put it
+    # above the true value
+    assert np.all(got <= true * (1.0 + 1e-12))
+    assert np.all(got >= true * (1.0 - 5e-4))
+
+
+def test_ellipsoid_section_distance_is_pinned_to_its_closed_form(monkeypatch):
+    """Off centre the 128-ray polygon lies inside the disc section, within
+    5e-4 of its true inradius, and each of its vertices is a point the gauge
+    put inside."""
+    d = _counted_body("ellipsoid")[0]
+    searches = _record_ray_searches(monkeypatch)
+    stream = SampleStream(41)
+    P = 0.95 * d.interior_samples(48, stream)
+    V = stream.unit_directions(48, 2) * stream.uniform(48, 0.2, 2.0)[:, None]
+    _assert_pinned_to_the_ellipsoid_sections(d.section_distance_paired(P, V), P, V)
+    _assert_searches_end_on_evaluated_hits(d, searches, 48 * config.SECTION_RAYS)
+
+
+def test_ellipsoid_section_search_costs_at_most_15_gauge_calls():
+    d, g = _counted_body("ellipsoid")
+    x, v = np.array([0.5, 0.2j]), np.array([0.3, 1.0])
+    assert float(d.gauge(x)) > 0.7
+    g.calls = 0
+    got = d.section_boundary_distance(x, v)
+    assert g.calls <= 15                     # 61 with 60 bisection steps
+    assert got == pytest.approx(_bisected_section_distance(d, x, v), rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "balanced", "four-norm"])
+def test_section_search_stays_on_the_bisection_values(name):
+    """One block of 32 rows costs at most the 60 calls of bisection, and each
+    row's section distance is the 60-step bisection's within 1e-13."""
+    d, g = _counted_body(name)
+    stream = SampleStream(42)
+    P = d.interior_samples(32, stream)
+    V = stream.unit_directions(32, 2) * stream.uniform(32, 0.2, 2.0)[:, None]
+    g.calls = 0
+    got = d.section_distance_paired(P, V)
+    assert g.calls <= 60
+    want = [_bisected_section_distance(d, x, v) for x, v in zip(P, V)]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_section_search_falls_back_when_the_sublinear_ends_round_across(sign, monkeypatch):
+    """Along its own line, x = sign * a * vhat meets the boundary at exactly
+    (1 -+ g(x)) / g(vhat), an end of the sublinear bracket, which rounding can
+    put on either side; the search still returns the inscribed polygon."""
+    d = _counted_body("ellipsoid")[0]
+    searches = _record_ray_searches(monkeypatch)
+    stream = SampleStream(43)
+    V = stream.unit_directions(24, 2)
+    vhat = V / np.linalg.norm(V, axis=1, keepdims=True)
+    P = sign * stream.uniform(24, 0.1, 0.9)[:, None] * vhat / d.gauge(vhat)[:, None]
+    got = d.section_distance_paired(P, V)
+    _assert_pinned_to_the_ellipsoid_sections(got, P, V)
+    _assert_searches_end_on_evaluated_hits(d, searches, 24 * config.SECTION_RAYS)
+    want = [_bisected_section_distance(d, x, v) for x, v in zip(P, V)]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_section_search_refuses_a_body_past_its_bounding_radius():
+    """A gauge whose body reaches 3 along the complex line of e_1 passes the
+    sampled construction checks with bounding radius 1.  From x = -0.18 e_1
+    the sublinear end (1 + g(x)) / g(e_1) rounds inside, and so does the
+    fallback end 2R = 2."""
+    def spiked(v):
+        v = np.asarray(v, dtype=complex)
+        r = np.linalg.norm(v, axis=-1)
+        s = np.clip((np.abs(v[..., 0]) / r - 0.9999) / 1e-4, 0.0, 1.0)
+        return r * (1.0 - (2.0 / 3.0) * s)
+
+    d = BalancedConvex(spiked, 2, 1.0, 1.0)
+    with pytest.raises(DegenerateInputError, match="bounding radius"):
+        d.section_boundary_distance([-0.18, 0.0], [1.0, 0.0])
