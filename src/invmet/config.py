@@ -18,7 +18,7 @@ CONVEXITY_WITNESS_SAMPLES = 10_000
 MODEL_BRACKET_TOL = 1e-9       # upper - lower on closed-form domains
 HALF_SPACE_COUNT = 8           # sampled supporting half-spaces for lower bounds
 SECTION_RAYS = 128             # planar rays for oracle-domain section distance
-QUADRATURE_TOL = 1e-10         # distance upper-bound integration target
+QUADRATURE_TOL = 1e-10         # distance upper-bound quadrature target (gauge callables)
 MIN_VOLUME_SAMPLES = 1000
 
 # Scaling

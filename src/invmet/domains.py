@@ -17,12 +17,18 @@ P may also be a single row, shared by every row of V):
 * ``section_distance_paired(P, V)``: the distance from P[i] to the boundary of
   the planar section through P[i] along V[i];
 * ``section_distance_along(x, W, T)``: the same at the nodes x + T[i, j] W[i]
-  of rays from one point x, along W[i] (the distance quadrature and the
-  distance-ball sampler); polyhedra answer it in closed form;
+  of rays from one point x, along W[i] (the distance quadrature of gauge
+  bodies and the distance-ball sampler); polyhedra answer it in closed form;
 * ``lower_bound_paired(P, V, stream, count)``: a certified lower bound of the
   metric, the closed form where there is one;
 * ``metric_form(x)``: K(x; .) at one point as a ``MetricForm`` (a Hermitian
   form or a max of moduli of linear functionals), or None;
+* ``affine_disc_length(x, y)``: the integral of the affine-disc metric upper
+  bound along [x, y] with its rounding allowance, in closed form on
+  polyhedra, or None (the distance then takes a quadrature);
+* ``distance_lower_bound(x, y, stream, count)``: a certified lower bound of
+  the distance from projections onto half-planes (on polyhedra, onto the
+  faces' discs and half-planes);
 * ``contains_margins(Z)`` and ``coordinate_bounds()``;
 * for the squeeze radii, ``inner_radius_exact(x, model)`` on the domain, and
   ``linear_sup(coeffs)`` and ``outer_radius_bound(domain, x)`` on the model.
@@ -236,6 +242,32 @@ class Domain:
 
     def distance_value(self, x, y):
         return None
+
+    def affine_disc_length(self, x, y):
+        """The integral over t in [0, 1] of |w| / (section distance at x + t w
+        along w), w = y - x, in closed form: the affine-disc upper bound of
+        the distance, as (length, rounding) with the exact integral within
+        ``rounding`` of ``length``, or None when the kind has no closed form."""
+        return None
+
+    def distance_lower_bound(self, x, y, stream: SampleStream | None = None,
+                             count: int = config.HALF_SPACE_COUNT) -> float:
+        """Certified lower bound of the distance from x to y: the largest
+        half-plane distance between the projections of x and y onto the
+        supporting half-spaces drawn from ``stream`` near x, y and their
+        midpoint, ``count`` per call."""
+        lower = 0.0
+        for near in (x, y, 0.5 * (x + y)):
+            for hs in self.supporting_half_spaces(near=near, count=count, stream=stream):
+                w1 = complex(x @ hs.normal.conj())
+                w2 = complex(y @ hs.normal.conj())
+                den = w2 + np.conj(w1) - 2.0 * hs.offset
+                if den == 0:
+                    continue
+                t = abs((w2 - w1) / den)
+                if t < 1.0:
+                    lower = max(lower, math.atanh(t))
+        return lower
 
     def gauge(self, v):
         """Minkowski gauge for balanced kinds centered at 0; None otherwise."""
@@ -705,6 +737,112 @@ class ConvexPolyhedron(Domain):
             best = np.maximum(best, np.max(s / (2.0 * -rx), axis=1))
         return best
 
+    def _line_faces(self, x, u):
+        """The faces in the coordinate s of the complex line x + s u, |u| = 1:
+        modulus face k allows the disc |s - tau_k| < R_k, tau_k = p_k + i q_k
+        with q_k >= 0, and real face k a half-plane, so at real s their slacks
+        are R_k - |s - tau_k| and alpha_k - gamma_k s, with |gamma_k| <= 1.
+        A face constant on the line (f_lin(u) = 0, or <u, a> = 0) bounds no
+        section and is left out.  Returns (R, p, q, alpha, gamma)."""
+        B = self.mod_coeffs @ u
+        on = B != 0
+        tau = -(self.mod_coeffs[on] @ x + self.mod_consts[on]) / B[on]
+        R = self.mod_bounds[on] / np.abs(B[on])
+        S = self.real_normals.conj() @ u
+        on = S != 0
+        aS = np.abs(S[on])
+        alpha = (self.real_offsets[on] - np.real(self.real_normals[on].conj() @ x)) / aS
+        return R, tau.real, np.abs(tau.imag), alpha, S[on].real / aS
+
+    def affine_disc_length(self, x, y):
+        """Closed form in the arc length s on [0, |y - x|] of the line from x
+        towards y: the section distance at s is min_k d_k(s) over the slacks
+        of ``_line_faces``, and between two parameters where the smallest
+        slack may change face the integrand is 1 / d_k of one face, with an
+        antiderivative in closed form (``_disc_antiderivative``, or a
+        logarithm for a real face).  Arc length keeps the face data the size
+        of the domain however short the segment.
+
+        Each piece [a, b] gets a certified bracket: its closed form I_k plus
+        or minus r_k, which bounds the rounding of the terms summed (each
+        moves by about eps times its size) and of the face data (a relative
+        eps moves I_k by at most about eps m_k (g(a) + g(b) + max(g(a),
+        g(b)) I_k), with g = 1 / d_k convex on the piece, so that the
+        integral of g^2 is at most max g times I_k, and m_k the face's
+        magnitude 1 + |p_k| + q_k + R_k or 1 + |alpha_k| + |gamma_k|),
+        intersected with the convexity bracket (b - a) g(mid) <= I_k <=
+        (b - a) (g(a) + g(b)) / 2, each g good to about eps m_k g.  The
+        second is the tighter on a piece much shorter than the domain, where
+        the closed form cancels most of its digits.  ``length`` and
+        ``rounding`` are the centre and half-width of the sum.  Against
+        40-digit quadrature the error stays below ``rounding``, and below a
+        hundredth of it on random polyhedra's segments across the domain."""
+        x = np.asarray(x, dtype=complex)
+        w = np.asarray(y, dtype=complex) - x
+        L = float(np.linalg.norm(w))
+        if L == 0.0:
+            return 0.0, 0.0
+        R, p, q, alpha, gamma = self._line_faces(x, w / L)
+        nd = R.size
+        if nd + alpha.size == 0:
+            return 0.0, 0.0
+        # a repeated parameter makes a piece of width 0, whose bracket is [0, 0]
+        T = np.sort(np.concatenate([[0.0, L], _slack_crossings(R, p, q, alpha, gamma, L)]))
+        mid = 0.5 * (T[:-1] + T[1:])[:, None]
+        D = np.concatenate([R - np.hypot(mid - p, q), alpha - gamma * mid], axis=1)
+        face = D.argmin(axis=1)
+        ends = np.stack([T[:-1], T[1:]])     # each piece's start over its end
+        # per piece: the integral, the size of its terms, the face's
+        # magnitude and the slack at both ends
+        value, size, magnitude = (np.empty(face.size) for _ in range(3))
+        slack = np.empty(ends.shape)
+        on = face < nd
+        if on.any():
+            k = face[on]
+            U = ends[:, on] - p[k]
+            F, terms = _disc_antiderivative(U, R[k], q[k])
+            value[on], size[on] = F[1] - F[0], terms.sum(axis=0)
+            magnitude[on] = 1.0 + np.abs(p[k]) + q[k] + R[k]
+            slack[:, on] = R[k] - np.hypot(U, q[k])
+        if not on.all():
+            k = face[~on] - nd
+            t = ends[:, ~on]
+            al, ga = alpha[k], gamma[k]
+            slack[:, ~on] = al - ga * t
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v = np.where(ga == 0, (t[1] - t[0]) / al,
+                             np.log1p(ga * (t[1] - t[0]) / slack[1, ~on]) / ga)
+            value[~on], size[~on] = v, np.abs(v)
+            magnitude[~on] = 1.0 + np.abs(al) + np.abs(ga)
+        if not ((slack > 0).all() and np.isfinite(value).all()):
+            raise NotInteriorError("segment leaves the polyhedron")
+        eps = np.finfo(float).eps
+        g, gm = 1.0 / slack, 1.0 / D.min(axis=1)
+        r = 16.0 * eps * (size + magnitude * (g.sum(axis=0) + g.max(axis=0) * np.abs(value)))
+        h = ends[1] - ends[0]
+        e = 16.0 * eps * (1.0 + magnitude * np.maximum(g.max(axis=0), gm))
+        lo = np.maximum(value - r, h * gm * (1.0 - e))
+        hi = np.minimum(value + r, 0.5 * h * (g[0] + g[1]) * (1.0 + e))
+        return 0.5 * math.fsum(lo + hi), float(0.5 * (hi - lo).sum() + 4.0 * eps * hi.sum())
+
+    def distance_lower_bound(self, x, y, stream=None, count=config.HALF_SPACE_COUNT):
+        """max over faces of the distance between the face images of x and y.
+
+        A modulus face maps the polyhedron into the disc |f| < c, where
+        a = f(x) / c and b = f(y) / c are atanh|(a - b) / (1 - conj(a) b)|
+        apart; a real face maps it into the half-plane Re<z, n> < offset.
+        Each tangent half-space of a modulus face contains its disc, so this
+        is at least the half-space bound, and it draws no half-spaces.
+        """
+        Z = np.stack([x, y])
+        a, b = (Z @ self.mod_coeffs.T + self.mod_consts) / self.mod_bounds
+        t = np.abs((a - b) / (1.0 - a.conj() * b))
+        if self.real_offsets.size:
+            w1, w2 = Z @ self.real_normals.conj().T
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.append(t, np.abs((w2 - w1) / (w2 + w1.conj() - 2.0 * self.real_offsets)))
+        return float(np.arctanh(t[t < 1.0]).max(initial=0.0))
+
     def inner_radius_exact(self, x, model):
         fx, rx = self.face_values(x)
         rs = []
@@ -780,6 +918,73 @@ class ConvexPolyhedron(Domain):
             out[have:have + take.shape[0]] = take
             have += take.shape[0]
         return out
+
+
+def _slack_crossings(R, p, q, alpha, gamma, L):
+    """The parameters s in (0, L) where the slacks of two faces of
+    ``_line_faces`` may be equal.
+
+    Each pair's equality becomes a quadratic by squaring away its square
+    roots: disc-disc, rho_j - rho_k = R_j - R_k squared twice (the s^2 terms
+    cancel the first time); disc-line, rho_j = R_j - alpha_k + gamma_k s
+    squared once; line-line, linear.  Squaring only adds roots, and a
+    negative discriminant is taken as zero, so each quadratic also yields its
+    vertex: the extra parameters only split a piece of the segment.  Only a
+    face all but constant on the line, R_k beyond about 1e77 times the
+    domain's size, can overflow a pair's coefficients and lose its roots;
+    such a face binds only within about 1e-77 of its own boundary.
+    """
+    # every ordered pair, as outer arrays: a pair of a face with itself, or a
+    # repeated face, gives a = b = c = 0 and no root
+    Rj, pj, qj, Rk, pk, qk = R[:, None], p[:, None], q[:, None], R, p, q
+    with np.errstate(over="ignore", invalid="ignore"):
+        dR2 = (Rj - Rk) ** 2
+        m = 2.0 * (pk - pj)
+        n = (pj - pk) * (pj + pk) + (qj - qk) * (qj + qk) - dR2
+        # disc-disc: (m s + n)^2 = 4 dR^2 rho_k^2
+        s = [_quadratic_roots(m * m - 4.0 * dR2, 2.0 * m * n + 8.0 * dR2 * pk,
+                              n * n - 4.0 * dR2 * (pk * pk + qk * qk))]
+        if alpha.size:
+            e = Rj - alpha
+            # disc-line and line-line
+            s += [_quadratic_roots(1.0 - gamma * gamma, -2.0 * (pj + e * gamma),
+                                   pj * pj + qj * qj - e * e),
+                  _quadratic_roots(0.0, gamma - gamma[:, None], alpha[:, None] - alpha)]
+    s = np.concatenate(s)
+    return s[(s > 0.0) & (s < L)]
+
+
+def _quadratic_roots(a, b, c):
+    """Both roots of a s^2 + b s + c (broadcast), in the form that cancels
+    nothing; a negative discriminant counts as zero, giving the vertex twice,
+    and a = 0 gives the linear root and a non-finite one."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        Q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
+        return np.concatenate([np.ravel(Q / a), np.ravel(c / Q)])
+
+
+def _disc_antiderivative(u, R, q):
+    """(F(u), size): an antiderivative of 1 / (R - sqrt(u^2 + q^2)) for
+    |u| < A = sqrt(R^2 - q^2), odd with F(0) = 0, and the sum of the moduli
+    of the terms it adds.
+
+    For u > 0, with rho = sqrt(u^2 + q^2) and z = R u / (A rho),
+    F(u) = (R/A) log((1 + z) A rho / (A - u)) - log(u + rho)
+    + (1 - R/A) log q, the last term 0 at q = 0.  No two terms cancel an
+    infinity as q -> 0, and at q = 0 it is log(R / (R - u)).
+    """
+    au = np.abs(u)
+    A = np.sqrt((R - q) * (R + q))
+    rho = np.hypot(au, q)
+    ra = R / A
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (ra * np.log((1.0 + R * au / (A * rho)) * A * rho / (A - au)),
+                 -np.log(au + rho),
+                 np.where(q > 0, (1.0 - ra) * np.log(q), 0.0))
+        F = np.sign(u) * (terms[0] + terms[1] + terms[2])
+        size = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
+    zero = u == 0
+    return np.where(zero, 0.0, F), np.where(zero, 0.0, size)
 
 
 # Rows of a paired section query searched together: each gauge call then sees
@@ -1090,6 +1295,14 @@ class AffineImage(Domain):
 
     def lower_bound_paired(self, P, V, stream=None, count=config.HALF_SPACE_COUNT):
         return self.inner.lower_bound_paired(*self._pull_back(P, V), stream, count)
+
+    def affine_disc_length(self, x, y):
+        # a complex-affine map scales each complex line uniformly, so the
+        # integrand, a section distance in units of |y - x|, is unchanged
+        return self.inner.affine_disc_length(self.map_inv(x), self.map_inv(y))
+
+    def distance_lower_bound(self, x, y, stream=None, count=config.HALF_SPACE_COUNT):
+        return self.inner.distance_lower_bound(self.map_inv(x), self.map_inv(y), stream, count)
 
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None):

@@ -7,6 +7,12 @@ planar section through (x, v) and the lower bound from holomorphic projections
 onto supporting half-spaces; both directions are certified by monotonicity of
 the metric under holomorphic maps, so lower <= K <= upper always holds.
 
+The distance's upper bound integrates that affine-disc upper bound along the
+segment: exactly, in closed form, on polyhedra and their affine images, and
+by a trapezoid quadrature to ``tol`` on bodies known through a gauge.  Its
+lower bound is the largest distance between the projections of the two
+points onto a disc or half-plane the domain maps into.
+
 Distance conventions: "standard" pairs the metric |v|/(2 Im z) on the upper
 half-plane with the distance tanh^{-1}|.|, its actual integral.  "paper"
 doubles all distances (2 tanh^{-1}); the lambda function of `domination`
@@ -173,8 +179,32 @@ def _ray_metric_upper(d: Domain, x, W, T):
     return np.linalg.norm(W, axis=1)[:, None] / d.section_distance_along(x, W, T)
 
 
-def _segment_upper_integrand(d: Domain, x, y, ts):
-    return _ray_metric_upper(d, x, (y - x)[None, :], ts[None, :])[0]
+def _trapezoid_upper(d: Domain, x, y, tol: float):
+    """Trapezoid quadrature of the affine-disc metric upper bound along
+    [x, y], nodes doubling from 9 until a refinement moves the estimate by
+    less than ``tol`` or 131,073 nodes are spent: (upper, nodes, converged,
+    last move), the last move folded into the upper side."""
+    def integrand(ts):
+        return _ray_metric_upper(d, x, (y - x)[None, :], ts[None, :])[0]
+
+    ts = np.linspace(0.0, 1.0, 9)
+    vals = integrand(ts)
+    est = float(np.trapezoid(vals, ts))
+    delta = np.inf
+    for _ in range(14):
+        mids = 0.5 * (ts[:-1] + ts[1:])
+        mid_vals = integrand(mids)
+        merged_t = np.empty(ts.size + mids.size)
+        merged_v = np.empty_like(merged_t)
+        merged_t[0::2], merged_t[1::2] = ts, mids
+        merged_v[0::2], merged_v[1::2] = vals, mid_vals
+        ts, vals = merged_t, merged_v
+        new_est = float(np.trapezoid(vals, ts))
+        delta = abs(est - new_est)
+        est = new_est
+        if delta < tol:
+            break
+    return est + delta, ts.size, bool(delta < tol), delta
 
 
 def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
@@ -183,16 +213,20 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
                        half_space_count: int = config.HALF_SPACE_COUNT) -> DistanceBound:
     """Certified bounds for the induced distance.
 
-    Upper: trapezoid quadrature of the affine-disc metric upper bound along
-    [x, y], its section distances taken by ``section_distance_along`` on the
-    ray from x; the integrand is convex along the segment (the section
-    distance is concave), so every trapezoid refinement overestimates the
-    integral and the result is one-sided safe.  The nodes double from 9 until
-    a refinement moves the estimate by less than ``tol`` or 131,073 nodes are
+    Upper: the integral of the affine-disc metric upper bound along [x, y]
+    (its section distances taken on the line through x and y).  Polyhedra
+    and their affine images give it in closed form (``affine_disc_length``,
+    tag "affine-disc-length"), with the rounding allowance added to the upper
+    side and reported as ``final_delta``, and 0 nodes.  Other kinds take a
+    trapezoid quadrature (tag "quadrature"): the integrand is convex along
+    the segment (the section distance is concave), so every trapezoid
+    refinement overestimates the integral.  The nodes double from 9 until a
+    refinement moves the estimate by less than ``tol`` or 131,073 nodes are
     spent; the last move is added to the upper side, and the bound reports
-    the nodes, whether it converged and that move.  Lower: max over
-    supporting half-spaces of the hyperbolic distance between the
-    projections of x and y.
+    the nodes, whether it converged and that move.  Lower: the domain's
+    ``distance_lower_bound``, distances between projections of x and y onto
+    supporting half-spaces or, on polyhedra, onto the faces' discs and
+    half-planes.
     """
     scale = distance_scale(convention)
     x = cvector(x)
@@ -208,48 +242,17 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
     if np.linalg.norm(y - x) == 0.0:
         return DistanceBound(0.0, 0.0, "coincident", "coincident")
 
-    # upper: adaptive trapezoid, doubling nodes until stable
-    ts = np.linspace(0.0, 1.0, 9)
-    vals = _segment_upper_integrand(d, x, y, ts)
-    est = float(np.trapezoid(vals, ts))
-    delta = np.inf
-    for _ in range(14):
-        mids = 0.5 * (ts[:-1] + ts[1:])
-        mid_vals = _segment_upper_integrand(d, x, y, mids)
-        merged_t = np.empty(ts.size + mids.size)
-        merged_v = np.empty_like(merged_t)
-        merged_t[0::2], merged_t[1::2] = ts, mids
-        merged_v[0::2], merged_v[1::2] = vals, mid_vals
-        ts, vals = merged_t, merged_v
-        new_est = float(np.trapezoid(vals, ts))
-        delta = abs(est - new_est)
-        est = new_est
-        if delta < tol:
-            break
-    upper = est + delta  # fold the last refinement step in, one-sided
-    converged = bool(delta < tol)
-
-    # lower: half-space projections from both endpoints
-    stream = SampleStream(seed)
-    lower = 0.0
-    half_spaces = []
-    for near in (x, y, 0.5 * (x + y)):
-        half_spaces.extend(d.supporting_half_spaces(near=near,
-                                                    count=half_space_count,
-                                                    stream=stream))
-    for hs in half_spaces:
-        w1 = complex(x @ hs.normal.conj())
-        w2 = complex(y @ hs.normal.conj())
-        den = w2 + np.conj(w1) - 2.0 * hs.offset
-        if den == 0:
-            continue
-        t = abs((w2 - w1) / den)
-        if t < 1.0:
-            lower = max(lower, math.atanh(t))
-    lower = min(lower, upper)
+    closed = d.affine_disc_length(x, y)
+    if closed is None:
+        upper, nodes, converged, delta = _trapezoid_upper(d, x, y, tol)
+        method = "quadrature"
+    else:
+        length, delta = closed
+        upper, nodes, converged, method = length + delta, 0, True, "affine-disc-length"
+    lower = min(d.distance_lower_bound(x, y, SampleStream(seed), half_space_count), upper)
     return DistanceBound(lower * scale, upper * scale,
-                         lower_method=d.lower_method, upper_method="quadrature",
-                         nodes=ts.size, converged=converged, final_delta=delta * scale)
+                         lower_method=d.lower_method, upper_method=method,
+                         nodes=nodes, converged=converged, final_delta=delta * scale)
 
 
 # ---------------------------------------------------------------------------

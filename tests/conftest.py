@@ -48,3 +48,18 @@ def three_face():
 def assert_inside(domain, points):
     margins = np.array([float(domain.contains(z)) for z in np.atleast_2d(points)])
     assert margins.min() > 0
+
+
+def segment_sandwich(d, x, y, intervals):
+    """(midpoint sum, trapezoid) of the affine-disc integrand
+    |w| / (section distance along w) on [x, y], w = y - x, over ``intervals``
+    equal intervals.  The integrand is convex along the segment, so its
+    integral lies between the two."""
+    w = np.asarray(y) - np.asarray(x)
+    nodes = np.linspace(0.0, 1.0, intervals + 1)
+    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    # one ray per row: the nodes, and the midpoints padded with t = 0
+    T = np.stack([nodes, np.append(mids, 0.0)])
+    g = np.linalg.norm(w) / d.section_distance_along(x, np.stack([w, w]), T)
+    trapezoid = (g[0].sum() - 0.5 * (g[0, 0] + g[0, -1])) / intervals
+    return g[1, :-1].sum() / intervals, trapezoid

@@ -28,6 +28,7 @@ from invmet.domains import (
     AffineImage,
     BalancedConvex,
     ConvexPolyhedron,
+    Domain,
     ModulusFace,
     RealFace,
 )
@@ -41,7 +42,7 @@ from invmet.errors import (
 from invmet.metrics import metric_lower_paired, metric_upper_paired
 from invmet.zoo import affine_twin, polydisc_as_polyhedron, resolve_domain, twin_map
 
-from conftest import assert_inside
+from conftest import assert_inside, segment_sandwich
 
 # the zoo balanced set max(|z_1|, |z_1 + z_2| / 1.2) < 1
 TWO_FACE_C = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
@@ -487,15 +488,101 @@ def test_section_distance_along_rejects_exterior_nodes(make):
         d.section_distance_along(d.basepoint + far * W[0], W, np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize("make,x,y,upper", [
-    (lambda: zoo_domain("three_face"), [0, 0], [0.3 + 0.1j, -0.2j], 0.38013040810152565),
+@pytest.mark.parametrize("make,x,y,length", [
+    (lambda: zoo_domain("three_face"), [0, 0], [0.3 + 0.1j, -0.2j], 0.3801304080661717),
     (lambda: affine_twin(zoo_domain("three_face")), twin_map(2)([0.1j, 0.2]),
-     twin_map(2)([-0.4, 0.3 - 0.2j]), 0.535626762864548),
-    (lambda: _random_polyhedron(1), [0.1, -0.05j], [-0.2 + 0.1j, 0.15], 0.791265570416647),
+     twin_map(2)([-0.4, 0.3 - 0.2j]), 0.5356267628250426),
+    (lambda: _random_polyhedron(1), [0.1, -0.05j], [-0.2 + 0.1j, 0.15], 0.7912655702977802),
 ], ids=["three_face", "three_face-twin", "random-polyhedron-1"])
-def test_polyhedron_distance_uppers_are_pinned(make, x, y, upper):
-    """Quadrature uppers from the rows materialised at every node."""
-    assert kobayashi_distance(make(), x, y).upper == pytest.approx(upper, rel=1e-12)
+def test_polyhedron_distance_uppers_are_pinned(make, x, y, length):
+    """The closed-form affine-disc lengths, each inside the sandwich of a
+    16,384-interval midpoint sum and trapezoid of the same integrand, and the
+    distance's upper side that length plus its rounding allowance."""
+    d = make()
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    got, rounding = d.affine_disc_length(x, y)
+    assert got == pytest.approx(length, rel=1e-14)
+    below, above = segment_sandwich(d, x, y, 2 ** 14)
+    assert below <= length <= above and above - below < 1e-8 * length
+    b = kobayashi_distance(d, x, y)
+    assert (b.upper_method, b.nodes, b.converged) == ("affine-disc-length", 0, True)
+    assert b.upper == got + rounding and b.final_delta == rounding < 1e-12
+
+
+def test_disc_antiderivative_limits_symmetry_and_derivative():
+    """F is an odd antiderivative of 1 / (R - sqrt(u^2 + q^2)) that reaches
+    log(R / (R - u)) continuously as q -> 0."""
+    F = domains._disc_antiderivative
+    R = 1.3
+    u = np.array([1e-9, 0.1, 0.5, 1.0, 1.2, 1.29])
+    flat, _ = F(u, R, 0.0)
+    np.testing.assert_allclose(flat, -np.log1p(-u / R), rtol=1e-13, atol=1e-14)
+    for q in (1e-300, 1e-12):
+        np.testing.assert_allclose(F(u, R, q)[0], flat, rtol=0, atol=1e-14)
+    h = 1e-6
+    for q in (0.0, 0.3, 1.2):
+        v = np.linspace(-0.95, 0.95, 11) * np.sqrt(R * R - q * q)
+        assert F(0.0, R, q)[0] == 0.0
+        np.testing.assert_array_equal(F(-v, R, q)[0], -F(v, R, q)[0])
+        slope = (F(v + h, R, q)[0] - F(v - h, R, q)[0]) / (2.0 * h)
+        np.testing.assert_allclose(slope, 1.0 / (R - np.hypot(v, q)), rtol=1e-6)
+
+
+def test_affine_disc_length_with_constant_faces():
+    """Along i e_1 from (0.1, 0.3): |z_2| < 1 has f_lin(w) = 0 and bounds no
+    section, and Re z_1 < 0.5 has Re<w, a> = 0, a constant slack 0.4, which
+    binds until the disc |z_1| < 1 takes over at t = sqrt(0.35)."""
+    d = ConvexPolyhedron([ModulusFace(np.array([1.0, 0.0]), 0.0, 1.0),
+                          ModulusFace(np.array([0.0, 1.0]), 0.0, 1.0),
+                          RealFace(np.array([1.0, 0.0]), 0.5)], 2, bounding_radius=2 ** 0.5)
+    x = np.array([0.1, 0.3], dtype=complex)
+    y = x + np.array([0.9j, 0.0])
+    length, rounding = d.affine_disc_length(x, y)
+    # the disc piece in the slack's own coordinate s = 0.9 t
+    s = np.array([0.35 ** 0.5, 0.9])
+    F, _ = domains._disc_antiderivative(s, 1.0, 0.1)
+    assert length == pytest.approx(s[0] / 0.4 + F[1] - F[0], rel=1e-14)
+    below, above = segment_sandwich(d, x, y, 2 ** 14)
+    assert below - rounding <= length <= above + rounding
+    # the constant face alone: a real face with Re<w, a> = 0 the whole way
+    short = x + np.array([0.5j, 0.0])
+    assert d.affine_disc_length(x, short)[0] == pytest.approx(0.5 / 0.4, rel=1e-15)
+
+
+def test_affine_disc_length_stays_tight_on_short_segments():
+    """On a segment far shorter than the domain the closed form cancels most
+    of its digits; each piece's convexity bracket keeps the rounding
+    allowance small, and the length inside a 16-interval sandwich."""
+    d = zoo_domain("three_face")
+    x, u = np.array([0.1, 0.2j]), np.array([0.6, 0.8j])
+    for h in (1e-5, 1e-8):
+        y = x + h * u
+        length, rounding = d.affine_disc_length(x, y)
+        assert rounding < 1e-10 * length
+        below, above = segment_sandwich(d, x, y, 16)
+        assert below * (1.0 - 1e-15) <= length + rounding
+        assert length - rounding <= above * (1.0 + 1e-15)
+
+
+@pytest.mark.parametrize("make,exact", [
+    (lambda: zoo_domain("three_face"), None),
+    (lambda: affine_twin(zoo_domain("three_face")), None),
+    (lambda: polydisc_as_polyhedron([1.0, 0.7]), Polydisc([1.0, 0.7])),
+    (lambda: _random_polyhedron(0), None),
+    (lambda: _random_polyhedron(2, 3, 3, 2), None),
+], ids=["three_face", "three_face-twin", "polydisc-faces", "random-0", "random-C3"])
+def test_polyhedron_distance_lower_bound_dominates_the_half_space_bound(make, exact):
+    """The faces' disc and half-plane projections bound the distance at
+    least as well as the tangent half-spaces of ``Domain``'s loop, and on
+    the polydisc as faces they give its closed-form distance."""
+    d = make()
+    P = d.interior_samples(16, SampleStream(41))
+    for x, y in zip(P[:8], P[8:]):
+        lower = d.distance_lower_bound(x, y, SampleStream(0))
+        assert lower >= Domain.distance_lower_bound(d, x, y, SampleStream(0)) * (1 - 1e-15)
+        assert lower <= kobayashi_distance(d, x, y).upper
+        if exact is not None:
+            assert lower == pytest.approx(exact.distance_value(x, y), rel=1e-14)
 
 
 BALL_GRID = 1.0 - np.logspace(0.0, -7.0, 97)   # the ball sampler's nodes on a ray

@@ -22,7 +22,12 @@ from invmet import (
     zoo_domain,
     zoo_names,
 )
-from invmet.domains import AffineImage, BalancedConvex, half_space_lower_bound
+from invmet.domains import (
+    AffineImage,
+    BalancedConvex,
+    ConvexPolyhedron,
+    half_space_lower_bound,
+)
 from invmet.metrics import indicatrix_gauge_upper, metric_lower_paired, metric_upper_paired
 from invmet.zoo import affine_twin, twin_map
 
@@ -161,16 +166,37 @@ def test_distance_symmetry_and_triangle_upper(three_face):
     assert dxy.lower <= dxz.upper + dzy.upper + 1e-9
 
 
+class _QuadraturePolyhedron(ConvexPolyhedron):
+    """A polyhedron without the closed-form length: its distances take the
+    trapezoid quadrature that gauge bodies take."""
+
+    def affine_disc_length(self, x, y):
+        return None
+
+
 def test_distance_reports_its_quadrature_work(three_face, pd2, ball2):
+    x, y = np.zeros(2, dtype=complex), np.array([0.9, 0.0], dtype=complex)
+    # along the axis the section is the disc |z_1| < 1: the length is log 10
+    length, _ = three_face.affine_disc_length(x, y)
+    assert length == pytest.approx(math.log(10.0), rel=1e-15)
+    exact = kobayashi_distance(three_face, x, y)
+    assert (exact.upper_method, exact.nodes, exact.converged) == ("affine-disc-length", 0, True)
+    assert exact.upper == length + exact.final_delta and 0.0 < exact.final_delta < 1e-12
+    quadrature = _QuadraturePolyhedron(three_face.modulus_faces, 2,
+                                       bounding_radius=three_face.bounding_radius)
     # 9 nodes doubled 14 times is the cap: 131,073 nodes
-    capped = kobayashi_distance(three_face, [0, 0], [0.9, 0])
+    capped = kobayashi_distance(quadrature, x, y)
+    assert capped.upper_method == "quadrature"
     assert capped.nodes == 131_073 and capped.converged is False
     assert capped.final_delta >= config.QUADRATURE_TOL
-    loose = kobayashi_distance(three_face, [0, 0], [0.9, 0], tol=1e-4)
+    loose = kobayashi_distance(quadrature, x, y, tol=1e-4)
     assert loose.converged is True and loose.nodes < capped.nodes
     assert 0.0 < loose.final_delta < 1e-4
-    # the upper side folds the last refinement step in
-    assert loose.upper >= capped.upper - capped.final_delta
+    # the trapezoid overestimates, and the last refinement step folded into
+    # the upper side covers the rest of its error
+    for b in (capped, loose):
+        assert length <= b.upper <= length + 2.0 * b.final_delta
+        assert b.lower == exact.lower
     for d, y in ((pd2, [0.3, 0.1j]), (ball2, [0.5, 0])):
         b = kobayashi_distance(d, [0, 0], y)
         assert (b.nodes, b.converged, b.final_delta) == (0, True, 0.0)

@@ -1,14 +1,19 @@
 """Property tests with ``hypothesis``: random ellipsoids known only through a
 gauge callable, against the closed form of the same set as an affine image of
-the unit ball."""
+the unit ball; and random polyhedra, whose closed-form distance uppers must
+lie inside quadrature sandwiches and agree across affine images."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invmet import AffineMap, SampleStream, UnitBall, kobayashi_metric
-from invmet.domains import AffineImage, BalancedConvex
+from invmet import AffineMap, SampleStream, UnitBall, kobayashi_distance, kobayashi_metric
+from invmet.domains import AffineImage, BalancedConvex, ConvexPolyhedron, ModulusFace, RealFace
 from invmet.metrics import metric_upper_paired
+from invmet.zoo import affine_twin
+
+from conftest import segment_sandwich
 
 RTOL = 1e-9
 
@@ -54,3 +59,46 @@ def test_gauge_ellipsoid_metric_encloses_the_affine_ball_closed_form(row):
     P, V = x[None, :], v[None, :]
     lower = body.lower_bound_paired(P, V, SampleStream(0))
     assert lower[0] <= metric_upper_paired(body, P, V)[0]
+
+
+@st.composite
+def polyhedron_segments(draw):
+    """(d, x, y, z): a polyhedron in C^2 or C^3 (the polydisc of radius 2,
+    then modulus faces with constants and real faces, all with 0 inside) and
+    three points at drawn fractions of the section distance from 0."""
+    dim = draw(st.sampled_from([2, 3]))
+    faces = [ModulusFace(np.eye(dim)[k], 0.0, 2.0) for k in range(dim)]
+    mods, reals = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    C = _complex_array(draw, (mods + reals + 3, dim))
+    assume(np.all(np.linalg.norm(C, axis=1) > 1e-3))
+    for c in C[:mods]:
+        bound = draw(st.floats(0.5, 2.0))
+        const = 0.9 * bound * _complex_array(draw, (1,))[0] / 2 ** 0.5
+        faces.append(ModulusFace(c, const, bound))
+    faces += [RealFace(c, draw(st.floats(0.2, 1.5))) for c in C[mods:mods + reals]]
+    d = ConvexPolyhedron(faces, dim, bounding_radius=2.0 * dim ** 0.5)
+    U = C[mods + reals:]
+    reach = d.section_boundary_distance(np.zeros(dim), U) / np.linalg.norm(U, axis=1)
+    P = np.array([draw(st.floats(0.0, 0.95)) for _ in range(3)])[:, None] * reach[:, None] * U
+    assume(np.any(P[0] != P[1]) and np.any(P[1] != P[2]))
+    return d, P[0], P[1], P[2]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(polyhedron_segments())
+def test_polyhedron_length_lies_in_the_quadrature_sandwich(case):
+    d, x, y, z = case
+    length, rounding = d.affine_disc_length(x, y)
+    # the integrand is convex along the segment: a trapezoid overestimates
+    # and a midpoint sum underestimates its integral (up to their own sums'
+    # rounding)
+    assert length - rounding <= segment_sandwich(d, x, y, 8)[1] * (1.0 + 1e-12)
+    assert length + rounding >= segment_sandwich(d, x, y, 4097)[0] * (1.0 - 1e-12)
+    twin = affine_twin(d)
+    T = twin.map
+    assert twin.affine_disc_length(T(x), T(y))[0] == pytest.approx(length, rel=1e-12)
+    assert d.affine_disc_length(y, x)[0] == pytest.approx(length, rel=1e-12)
+    xy, yz, xz = (kobayashi_distance(d, a, b) for a, b in ((x, y), (y, z), (x, z)))
+    for b in (xy, yz, xz):
+        assert b.lower <= b.upper
+    assert xz.lower <= xy.upper + yz.upper
