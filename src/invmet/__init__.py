@@ -44,7 +44,6 @@ from .domains import (
     ModulusFace,
     Polydisc,
     RealFace,
-    SupportingHalfSpace,
     UnitBall,
     convexity_witness,
     load_domain,

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: metric, distance, indicatrix, scale audit, boxlemma stress,
-dominate, squeeze {cert,sweep}, verify-all.  The common flags can also be
-supplied through an ``INVMET_``-prefixed environment variable (``INVMET_SEED``,
-``INVMET_TOL``, ``INVMET_CONVENTION``, ``INVMET_OUT``, ``INVMET_WORKERS``,
+dominate, squeeze {cert,sweep}, verify-all.  Each subcommand takes only the
+common flags its handler reads, each also supplied through an
+``INVMET_``-prefixed environment variable (``INVMET_SEED``, ``INVMET_TOL``,
+``INVMET_CONVENTION``, ``INVMET_OUT``, ``INVMET_WORKERS``,
 ``INVMET_DOMAIN``); an explicit flag always wins over the environment.  The
 parser is built once per process and reads no environment: each ``main``
 call reads the variables for the flags its subcommand has, ignores the rest
@@ -136,11 +137,7 @@ def cmd_distance(args) -> int:
     d = resolve_domain(args.domain)
     x = _parse_vector(args.frm, "--from")
     y = _parse_vector(args.to, "--to")
-    kw = {}
-    if args.tol is not None:
-        kw["tol"] = args.tol
-    bound = kobayashi_distance(d, x, y, convention=args.convention,
-                               seed=args.seed, **kw)
+    bound = kobayashi_distance(d, x, y, convention=args.convention, seed=args.seed)
     print(repr(bound.value))
     print(f"# bracket [{bound.lower!r}, {bound.upper!r}]"
           f" methods {bound.lower_method}|{bound.upper_method}"
@@ -338,28 +335,21 @@ def cmd_verify_all(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_env_flag(p: argparse.ArgumentParser, dest: str, **kw):
-    p.add_argument("--" + dest, type=_ENV_FLAGS[dest][0], **kw)
-
-
-def _add_common(p: argparse.ArgumentParser, domain: bool = True):
-    if domain:
-        _add_env_flag(p, "domain",
-                      help="zoo name, JSON file path, or inline JSON;"
-                           " required unless INVMET_DOMAIN is set")
-    _add_env_flag(p, "seed")
-    _add_env_flag(p, "tol")
-    _add_env_flag(p, "convention", choices=list(CONVENTIONS))
-    _add_env_flag(p, "out")
-
-
 def _command(sub, name: str, handler: str, help: str,
-             domain: bool = True) -> argparse.ArgumentParser:
-    """A subcommand with the common flags; ``handler`` names its ``cmd_``
-    function, looked up when the command runs."""
+             flags: str) -> argparse.ArgumentParser:
+    """A subcommand with the common flags its handler reads, named in
+    ``flags``; ``handler`` names its ``cmd_`` function, looked up when the
+    command runs."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(handler=handler, parser=p)
-    _add_common(p, domain)
+    for dest in flags.split():
+        kw = {}
+        if dest == "domain":
+            kw["help"] = ("zoo name, JSON file path, or inline JSON;"
+                          " required unless INVMET_DOMAIN is set")
+        elif dest == "convention":
+            kw["choices"] = list(CONVENTIONS)
+        p.add_argument("--" + dest, type=_ENV_FLAGS[dest][0], **kw)
     return p
 
 
@@ -394,17 +384,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "metric", "cmd_metric",
-                 "metric bracket at a point/direction")
+                 "metric bracket at a point/direction", "domain seed tol")
     p.add_argument("--at", required=True)
     p.add_argument("--dir", required=True)
 
     p = _command(sub, "distance", "cmd_distance",
-                 "distance bracket between two points")
+                 "distance bracket between two points", "domain seed convention")
     p.add_argument("--from", dest="frm", required=True)
     p.add_argument("--to", required=True)
 
     p = _command(sub, "indicatrix", "cmd_indicatrix",
-                 "radial indicatrix profile as CSV")
+                 "radial indicatrix profile as CSV", "domain seed convention out")
     p.add_argument("--at", required=True)
     p.add_argument("--directions", type=int, default=256)
     p.add_argument("--convexify", action="store_true")
@@ -412,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scale", help="rescaling audits")
     scale_sub = p.add_subparsers(dest="subcommand", required=True)
     pa = _command(scale_sub, "audit", "cmd_scale_audit",
-                  "tau vs A^-1 sigma along a schedule")
+                  "tau vs A^-1 sigma along a schedule", "domain seed tol out")
     pa.add_argument("--family", choices=sorted(_FAMILY_KINDS), required=True)
     pa.add_argument("--target", required=True)
     pa.add_argument("--steps", type=int, default=20)
@@ -421,12 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boxlemma", help="symmetric box bounds")
     box_sub = p.add_subparsers(dest="subcommand", required=True)
     pb = _command(box_sub, "stress", "cmd_boxlemma_stress",
-                  "random polytope stress battery", domain=False)
+                  "random polytope stress battery", "seed convention out")
     pb.add_argument("--dim", type=int, required=True)
     pb.add_argument("--instances", type=int, default=500)
 
     p = _command(sub, "dominate", "cmd_dominate",
-                 "distance-ball domination profile")
+                 "distance-ball domination profile", "domain seed tol convention out")
     p.add_argument("--radii", required=True,
                    help="comma-separated list, e.g. 0.25,0.5,1")
     p.add_argument("--points", default="auto",
@@ -436,20 +426,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("squeeze", help="squeeze certificates")
     sq_sub = p.add_subparsers(dest="subcommand", required=True)
     pc = _command(sq_sub, "cert", "cmd_squeeze_cert",
-                  "identity-translate certificate")
+                  "identity-translate certificate", "domain seed out")
     pc.add_argument("--at", required=True)
     pc.add_argument("--model", choices=("polydisc", "ball"),
                     default="polydisc")
     pc.add_argument("--samples", type=int, default=10_000)
     ps = _command(sq_sub, "sweep", "cmd_squeeze_sweep",
-                  "corner asymptotics sweep")
+                  "corner asymptotics sweep", "domain seed convention out")
     ps.add_argument("--corner", required=True)
     ps.add_argument("--steps", type=int, default=12)
     ps.add_argument("--threshold", type=float, default=None)
 
-    p = _command(sub, "verify-all", "cmd_verify_all",
-                 "run every suite, write CSVs + manifest", domain=False)
-    _add_env_flag(p, "workers")
+    _command(sub, "verify-all", "cmd_verify_all",
+             "run every suite, write CSVs + manifest", "seed convention out workers")
 
     return parser
 

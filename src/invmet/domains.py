@@ -29,6 +29,9 @@ P may also be a single row, shared by every row of V):
 * ``distance_lower_bound(x, y, stream, count)``: a certified lower bound of
   the distance from projections onto half-planes (on polyhedra, onto the
   faces' discs and half-planes);
+* ``supporting_half_spaces(near, count, stream)``: arrays (N, b) of the
+  half-spaces {Re<z, N[k]> < b[k]} containing the domain, with unit rows N,
+  tangent near ``near`` and ``count`` more drawn from ``stream``;
 * ``contains_margins(Z)`` and ``coordinate_bounds()``;
 * for the squeeze radii, ``inner_radius_exact(x, model)`` on the domain, and
   ``linear_sup(coeffs)`` and ``outer_radius_bound(domain, x)`` on the model.
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .core import AffineMap, CLinearMap, cvector, hdot
+from .core import AffineMap, CLinearMap, cvector
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -56,33 +59,6 @@ from .errors import (
     UnsupportedKindError,
 )
 from .sampling import SampleStream
-
-
-@dataclass(frozen=True)
-class SupportingHalfSpace:
-    """The half-space {z : Re<z, normal> < offset} with a boundary base point.
-
-    ``normal`` is a unit vector; ``base`` lies on the bounding hyperplane.
-    """
-
-    normal: np.ndarray
-    offset: float
-    base: np.ndarray
-
-    def distance_inside(self, z):
-        """Euclidean distance from interior points to the bounding hyperplane."""
-        z = np.asarray(z, dtype=complex)
-        return self.offset - np.real(z @ self.normal.conj())
-
-
-def half_space_through(normal, base) -> SupportingHalfSpace:
-    normal = cvector(normal)
-    nn = np.linalg.norm(normal)
-    if nn == 0:
-        raise DegenerateInputError("half-space normal must be nonzero")
-    normal = normal / nn
-    base = cvector(base)
-    return SupportingHalfSpace(normal, float(np.real(hdot(base, normal))), base)
 
 
 @dataclass(frozen=True)
@@ -238,6 +214,8 @@ class Domain:
     # -- support and the other closed forms ---------------------------------
     def supporting_half_spaces(self, near=None, count: int = config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None):
+        """(N, b): the half-spaces {Re<z, N[k]> < b[k]} containing the domain,
+        unit rows N of shape (k, n) and offsets b of shape (k,)."""
         raise NotImplementedError
 
     def distance_value(self, x, y):
@@ -256,18 +234,10 @@ class Domain:
         half-plane distance between the projections of x and y onto the
         supporting half-spaces drawn from ``stream`` near x, y and their
         midpoint, ``count`` per call."""
-        lower = 0.0
-        for near in (x, y, 0.5 * (x + y)):
-            for hs in self.supporting_half_spaces(near=near, count=count, stream=stream):
-                w1 = complex(x @ hs.normal.conj())
-                w2 = complex(y @ hs.normal.conj())
-                den = w2 + np.conj(w1) - 2.0 * hs.offset
-                if den == 0:
-                    continue
-                t = abs((w2 - w1) / den)
-                if t < 1.0:
-                    lower = max(lower, math.atanh(t))
-        return lower
+        N, b = map(np.concatenate, zip(*[self.supporting_half_spaces(near, count, stream)
+                                         for near in (x, y, 0.5 * (x + y))]))
+        w1, w2 = np.stack([x, y]) @ N.conj().T
+        return float(_half_plane_distances(w1, w2, b).max(initial=0.0))
 
     def gauge(self, v):
         """Minkowski gauge for balanced kinds centered at 0; None otherwise."""
@@ -295,6 +265,15 @@ def _as_direction_stack(v, dim):
     if np.any(np.linalg.norm(v, axis=1) == 0.0):
         raise DegenerateInputError("zero direction")
     return v, single
+
+
+def _half_plane_distances(w1, w2, b):
+    """atanh|(w2 - w1) / (w2 + conj(w1) - 2 b)|, the distance between w1 and
+    w2 in the half-plane Re w < b, per entry; 0 where they are not both
+    inside it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.abs((w2 - w1) / (w2 + np.conj(w1) - 2.0 * b))
+    return np.arctanh(np.where(t < 1.0, t, 0.0))
 
 
 def _slack_section(slack, V, what: str):
@@ -378,16 +357,14 @@ class UnitBall(Domain):
 
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None):
-        out = []
+        """The tangent half-spaces Re<z, u> < 1 at unit u: the direction of
+        ``near`` first, then ``count`` drawn directions."""
+        N = (stream or SampleStream(0)).unit_directions(count, self.dim)
         if near is not None:
             q = cvector(near)
             nq = np.linalg.norm(q)
-            q = q / nq if nq > 0 else np.eye(self.dim, dtype=complex)[:, 0]
-            out.append(half_space_through(q, q))
-        stream = stream or SampleStream(0)
-        for u in stream.unit_directions(count, self.dim):
-            out.append(half_space_through(u, u))
-        return out
+            N = np.vstack([q / nq if nq > 0 else np.eye(self.dim)[0], N])
+        return N, np.ones(len(N))
 
     def distance_value(self, x, y):
         from .automorphisms import BallMobius
@@ -461,26 +438,20 @@ class Polydisc(Domain):
 
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None):
-        out = []
-        if near is not None:
-            q = cvector(near)
-            for k in range(self.dim):
-                if abs(q[k]) > 0:
-                    phase = q[k] / abs(q[k])
-                    normal = np.zeros(self.dim, dtype=complex)
-                    normal[k] = phase
-                    out.append(SupportingHalfSpace(normal, self.radii[k],
-                                                   normal * self.radii[k]))
+        """The tangent half-spaces Re(z_k conj(u)) < radii_k at phases u: at
+        the phase of each nonzero coordinate of ``near`` first, then at
+        ``count`` drawn coordinates and phases."""
         stream = stream or SampleStream(0)
         ph = stream.phases((count, self.dim))
         ks = stream.integers(0, self.dim, size=count)
-        for i in range(count):
-            k = int(ks[i])
-            normal = np.zeros(self.dim, dtype=complex)
-            normal[k] = ph[i, k]
-            out.append(SupportingHalfSpace(normal, self.radii[k],
-                                           normal * self.radii[k]))
-        return out
+        phases = ph[np.arange(count), ks]
+        if near is not None:
+            q = cvector(near)
+            on = np.flatnonzero(np.abs(q) > 0)
+            ks, phases = np.concatenate([on, ks]), np.concatenate([q[on] / np.abs(q[on]), phases])
+        N = np.zeros((ks.size, self.dim), dtype=complex)
+        N[np.arange(ks.size), ks] = phases
+        return N, self.radii[ks]
 
     def distance_value(self, x, y):
         x = self._check_dim(cvector(x))
@@ -546,12 +517,8 @@ class HalfPlaneProduct(Domain):
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None):
         # the n flat faces; the sampled extras coincide with them
-        out = []
-        for k in range(self.dim):
-            normal = np.zeros(self.dim, dtype=complex)
-            normal[k] = -1j if self.orientation == "upper" else 1.0
-            out.append(SupportingHalfSpace(normal, 0.0, np.zeros(self.dim, dtype=complex)))
-        return out
+        return (np.eye(self.dim, dtype=complex) * (-1j if self.orientation == "upper" else 1.0),
+                np.zeros(self.dim))
 
     def distance_value(self, x, y):
         x = self._check_dim(cvector(x))
@@ -837,11 +804,11 @@ class ConvexPolyhedron(Domain):
         Z = np.stack([x, y])
         a, b = (Z @ self.mod_coeffs.T + self.mod_consts) / self.mod_bounds
         t = np.abs((a - b) / (1.0 - a.conj() * b))
+        lower = np.arctanh(t[t < 1.0]).max(initial=0.0)
         if self.real_offsets.size:
             w1, w2 = Z @ self.real_normals.conj().T
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.append(t, np.abs((w2 - w1) / (w2 + w1.conj() - 2.0 * self.real_offsets)))
-        return float(np.arctanh(t[t < 1.0]).max(initial=0.0))
+            lower = max(lower, _half_plane_distances(w1, w2, self.real_offsets).max())
+        return float(lower)
 
     def inner_radius_exact(self, x, model):
         fx, rx = self.face_values(x)
@@ -868,19 +835,14 @@ class ConvexPolyhedron(Domain):
         extra sampled half-spaces are needed for polyhedra.
         """
         ref = cvector(near) if near is not None else self.basepoint
-        out = []
-        for f in self.modulus_faces:
-            val = complex(f.value(ref))
-            phase = val / abs(val) if abs(val) > 0 else 1.0
-            w = np.conj(f.coeffs) * phase   # Hermitian normal of Re<z, n> form
-            nw = np.linalg.norm(w)
-            normal = w / nw
-            offset = (f.bound - np.real(np.conj(phase) * f.const)) / nw
-            base = normal * offset
-            out.append(SupportingHalfSpace(normal, float(offset), base))
-        for f in self.real_faces:
-            out.append(SupportingHalfSpace(f.normal, f.offset, f.normal * f.offset))
-        return out
+        val = self.mod_coeffs @ ref + self.mod_consts
+        av = np.abs(val)
+        phase = np.divide(val, av, out=np.ones_like(val), where=av > 0)
+        W = self.mod_coeffs.conj() * phase[:, None]   # Hermitian normals of Re<z, n> form
+        nw = np.linalg.norm(W, axis=1)
+        return (np.vstack([W / nw[:, None], self.real_normals]),
+                np.concatenate([(self.mod_bounds - np.real(phase.conj() * self.mod_consts)) / nw,
+                                self.real_offsets]))
 
     def coordinate_bounds(self):
         """Per-coordinate sup |z_alpha| upper bounds from matching faces."""
@@ -1178,13 +1140,15 @@ class BalancedConvex(Domain):
         return lo, f_lo, hi, f_hi
 
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
-                               stream: SampleStream | None = None, h: float = 1e-6):
+                               stream: SampleStream | None = None):
         """Numerical tangent half-spaces at boundary points near ``near``.
 
         The gauge is convex, so the tangent plane at a boundary point supports
-        the body; gradients come from central differences.  One gauge call finds
-        every boundary point and a second takes every difference step.
+        the body; gradients come from central differences of step 1e-6, and a
+        point whose difference vanishes gives no half-space.  One gauge call
+        finds every boundary point and a second takes every difference step.
         """
+        h = 1e-6
         stream = stream or SampleStream(0)
         dirs = []
         if near is not None:
@@ -1207,14 +1171,13 @@ class BalancedConvex(Domain):
         steps = np.stack([Y[:, None, :] + E, Y[:, None, :] - E])  # (2, k, 2n, n)
         g = self.gauge(steps.reshape(-1, n)).reshape(steps.shape[:-1])
         grad = (g[0] - g[1]) / (2 * h)
-        out = []
-        for y, normal in zip(Y, grad[:, 0::2] + 1j * grad[:, 1::2]):
-            if np.linalg.norm(normal) == 0:
-                continue
-            out.append(half_space_through(normal, y))
-        if not out:
+        N = grad[:, 0::2] + 1j * grad[:, 1::2]
+        nn = np.linalg.norm(N, axis=1)
+        keep = nn > 0
+        if not keep.any():
             raise DegenerateInputError("no supporting half-spaces found")
-        return out
+        N = N[keep] / nn[keep, None]
+        return N, np.real(np.sum(Y[keep] * N.conj(), axis=1))
 
     def outer_radius_bound(self, domain, x):
         if np.isfinite(domain.bounding_radius):
@@ -1306,14 +1269,12 @@ class AffineImage(Domain):
 
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None):
+        # Re<w, n> < b at w = L^-1 z + s is Re<z, L^-* n> < b - Re<s, n>
         nearp = self.map_inv(cvector(near)) if near is not None else None
-        out = []
-        Linv_star = self.map_inv.linear.matrix.conj().T
-        for hs in self.inner.supporting_half_spaces(near=nearp, count=count,
-                                                    stream=stream):
-            normal = Linv_star @ hs.normal
-            out.append(half_space_through(normal, self.map(hs.base)))
-        return out
+        N, b = self.inner.supporting_half_spaces(nearp, count, stream)
+        M = N @ self.map_inv.linear.matrix.conj()
+        nm = np.linalg.norm(M, axis=1)
+        return M / nm[:, None], (b - np.real(N.conj() @ self.map_inv.translation)) / nm
 
     def distance_value(self, x, y):
         xp = self.map_inv(cvector(x))
@@ -1389,14 +1350,14 @@ def half_space_lower_bound(d: Domain, P, V, stream: SampleStream,
     for s in range(0, P.shape[0], _NEAREST_BLOCK):
         block = slice(s, s + _NEAREST_BLOCK)
         near[block] = _section_nearest_boundary_points(d, P[block], V[block])
-    spaces = [d.supporting_half_spaces(near=near[i], count=count, stream=stream.fork(i))
+    spaces = [d.supporting_half_spaces(near[i], count, stream.fork(i))
               for i in range(P.shape[0])]
     # each row's unit normals and offsets; padded slots get offset -inf, no gap
-    N = np.zeros((P.shape[0], max(map(len, spaces), default=0), d.dim), dtype=complex)
+    N = np.zeros((P.shape[0], max((bi.size for _, bi in spaces), default=0), d.dim),
+                 dtype=complex)
     b = np.full(N.shape[:2], -np.inf)
-    for i, row in enumerate(spaces):
-        N[i, :len(row)] = [hs.normal for hs in row]
-        b[i, :len(row)] = [hs.offset for hs in row]
+    for i, (Ni, bi) in enumerate(spaces):
+        N[i, :bi.size], b[i, :bi.size] = Ni, bi
     N = N.conj()
     gap = b - np.real(np.einsum("ikn,in->ik", N, P))
     best = np.divide(np.abs(np.einsum("ikn,in->ik", N, V)), 2.0 * gap,

@@ -108,12 +108,6 @@ def metric_upper_paired(d: Domain, P, V):
     return np.linalg.norm(V, axis=1) / d.section_distance_paired(P, V)
 
 
-def metric_lower_paired(d: Domain, P, V, stream: SampleStream | None = None):
-    """Certified lower bound for row-paired stacks (exact on models)."""
-    return d.lower_bound_paired(np.asarray(P, dtype=complex),
-                                np.asarray(V, dtype=complex), stream)
-
-
 # ---------------------------------------------------------------------------
 # Public single-evaluation API
 # ---------------------------------------------------------------------------
@@ -165,7 +159,7 @@ def kobayashi_metric_values(d: Domain, x, V, *, which: str = "mid",
     upper = metric_upper_paired(d, x[None, :], V)
     if which == "upper":
         return upper
-    lower = metric_lower_paired(d, np.broadcast_to(x, V.shape), V, stream)
+    lower = d.lower_bound_paired(np.broadcast_to(x, V.shape), V, stream)
     lower = np.minimum(lower, upper)
     if which == "lower":
         return lower

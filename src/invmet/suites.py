@@ -38,11 +38,7 @@ from .core import cvector
 from .domains import AutomorphismFamily, Polydisc, half_space_lower_bound, model_automorphism
 from .domination import verify_convex_domination, verify_halfplane_domination
 from .errors import LemmaViolationError
-from .metrics import (
-    kobayashi_metric,
-    metric_lower_paired,
-    metric_upper_paired,
-)
+from .metrics import kobayashi_metric, metric_upper_paired
 from .sampling import SampleStream
 from .scaling import default_schedule, equivalence_audit, volume_jacobian_check
 from .zoo import (
@@ -117,7 +113,7 @@ def run_metric_suite(seed: int = 0, triples: int = 10_000, *,
         V = V * stream.fork(2).uniform(n, 0.1, 3.0)[:, None]
 
         upper = metric_upper_paired(d, X, V)
-        lower = metric_lower_paired(d, X, V, stream.fork(3))
+        lower = d.lower_bound_paired(X, V, stream.fork(3))
         scale = max(1.0, float(np.max(upper)))
         worst_cross = float(np.max(lower - upper))
         ok = worst_cross <= 1e-12 * scale

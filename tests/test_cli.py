@@ -75,15 +75,23 @@ def test_distance_conventions(capsys, polydisc2_file):
 
 
 def test_distance_prints_its_quadrature_work(capsys):
-    # a polyhedron's upper side is its closed-form length: no nodes, at any tol
-    for tol in ((), ("--tol", "1e-4")):
-        code, out, _ = run(capsys, "distance", "--domain", "three_face",
-                           "--from", "[0,0]", "--to", "[0.9,0]", *tol)
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[1].startswith("# bracket [")
-        assert "|affine-disc-length " in lines[1]
-        assert lines[2].startswith("# nodes 0 converged True final_delta ")
+    # a polyhedron's upper side is its closed-form length: no nodes
+    code, out, _ = run(capsys, "distance", "--domain", "three_face",
+                       "--from", "[0,0]", "--to", "[0.9,0]")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1].startswith("# bracket [")
+    assert "|affine-disc-length " in lines[1]
+    assert lines[2].startswith("# nodes 0 converged True final_delta ")
+
+
+def test_distance_has_no_tol_flag(capsys):
+    # every body the command line loads has a closed-form distance upper
+    with pytest.raises(SystemExit) as ei:
+        main(["distance", "--domain", "three_face", "--from", "[0,0]", "--to", "[0.9,0]",
+              "--tol", "1e-4"])
+    assert ei.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_indicatrix_csv_artifact(capsys, tmp_path, polydisc2_file):
@@ -237,9 +245,9 @@ def test_bad_input_is_exit_2_and_a_program_fault_exit_3(capsys, monkeypatch):
 
 @pytest.mark.parametrize("var, argv", [
     ("INVMET_SEED", ["metric", "--domain", "disc", "--at", "[0]", "--dir", "[1]"]),
-    ("INVMET_TOL", ["distance", "--domain", "disc", "--from", "[0]", "--to", "[0.5]"]),
+    ("INVMET_TOL", ["metric", "--domain", "disc", "--at", "[0]", "--dir", "[1]"]),
     ("INVMET_WORKERS", ["verify-all", "--out", "unused"]),
-], ids=["seed-metric", "tol-distance", "workers-verify-all"])
+], ids=["seed-metric", "tol-metric", "workers-verify-all"])
 def test_malformed_env_value_is_exit_2_naming_the_variable(capsys, monkeypatch,
                                                            var, argv):
     monkeypatch.setenv(var, "x")

@@ -39,7 +39,7 @@ from invmet.errors import (
     SpecLoadError,
     UnsupportedKindError,
 )
-from invmet.metrics import metric_lower_paired, metric_upper_paired
+from invmet.metrics import metric_upper_paired
 from invmet.zoo import affine_twin, polydisc_as_polyhedron, resolve_domain, twin_map
 
 from conftest import assert_inside, segment_sandwich
@@ -342,7 +342,7 @@ def test_balanced_paired_section_distance_matches_per_row(make, rays, monkeypatc
             np.testing.assert_allclose(paired(P, V), one_row, rtol=1e-12)
         else:
             assert np.array_equal(paired(P, V), one_row)
-    assert np.all(metric_lower_paired(d, P, V) <= metric_upper_paired(d, P, V))
+    assert np.all(d.lower_bound_paired(P, V) <= metric_upper_paired(d, P, V))
 
 
 def test_balanced_paired_section_distance_rejects_exterior_rows():
@@ -352,19 +352,47 @@ def test_balanced_paired_section_distance_rejects_exterior_rows():
         d.section_distance_paired(P, np.ones((2, 2), dtype=complex))
 
 
+ELLIPSOID_C = np.array([[1.2, 0.3 - 0.4j], [0.2j, 0.8]], dtype=complex)
+
+
+def _gauge_ellipsoid():
+    """The ellipsoid |C z| < 1 behind a vectorized gauge callable."""
+    sv = np.linalg.svd(ELLIPSOID_C, compute_uv=False)
+    return BalancedConvex(lambda v: np.linalg.norm(np.asarray(v) @ ELLIPSOID_C.T, axis=-1),
+                          2, 1.0 / sv[-1], 1.0 / sv[0])
+
+
 def test_balanced_half_space_normals_match_ellipsoid_gradient():
-    C = np.array([[1.2, 0.3 - 0.4j], [0.2j, 0.8]], dtype=complex)
-    sv = np.linalg.svd(C, compute_uv=False)
-    d = BalancedConvex(lambda v: np.linalg.norm(np.asarray(v) @ C.T, axis=-1),
-                       2, 1.0 / sv[-1], 1.0 / sv[0])
-    half_spaces = d.supporting_half_spaces(near=[0.3 + 0.1j, -0.2j], count=8,
-                                           stream=SampleStream(13))
-    assert len(half_spaces) == 9
-    A = C.conj().T @ C
-    for hs in half_spaces:
-        assert float(d.gauge(hs.base)) == pytest.approx(1.0, abs=1e-12)
-        expected = A @ hs.base / np.linalg.norm(A @ hs.base)
-        assert np.linalg.norm(hs.normal - expected) < 1e-6
+    C = ELLIPSOID_C
+    d = _gauge_ellipsoid()
+    N, b = d.supporting_half_spaces(near=[0.3 + 0.1j, -0.2j], count=8,
+                                    stream=SampleStream(13))
+    assert N.shape == (9, 2)
+    np.testing.assert_allclose(np.linalg.norm(N, axis=1), 1.0, rtol=1e-12)
+    # the support value of {|C z| < 1} in direction n is |C^-* n|, reached
+    # only where n is the normal, so a wrong normal gives a smaller offset
+    np.testing.assert_allclose(b, np.linalg.norm(N @ np.linalg.inv(C).conj(), axis=1),
+                               rtol=1e-10)
+
+
+def _half_space_cases():
+    cases = [pytest.param(zoo_domain(name), id=name) for name in zoo_names()]
+    cases.append(pytest.param(_gauge_ellipsoid(), id="ellipsoid"))
+    cases.append(pytest.param(affine_twin(_gauge_ellipsoid()), id="ellipsoid-twin"))
+    cases.append(pytest.param(_random_polyhedron(4), id="random-polyhedron"))
+    return cases
+
+
+@pytest.mark.parametrize("d", _half_space_cases())
+def test_supporting_half_spaces_are_unit_rows_containing_the_domain(d):
+    stream = SampleStream(19)
+    Z = d.interior_samples(400, stream.fork(0))
+    N, b = d.supporting_half_spaces(near=Z[0], stream=stream.fork(1))
+    assert b.ndim == 1 and b.size > 0 and N.shape == (b.size, d.dim)
+    np.testing.assert_allclose(np.linalg.norm(N, axis=1), 1.0, rtol=1e-12)
+    # finite-difference normals of the ellipsoid may cut it by roundoff
+    slack = 1e-12 * np.abs(b) if d.lower_method == "half-space-fd" else 0.0
+    assert np.all(np.real(Z @ N.conj().T) <= b + slack)
 
 
 def test_load_domain_parses_inline_json():

@@ -28,7 +28,7 @@ from invmet.domains import (
     ConvexPolyhedron,
     half_space_lower_bound,
 )
-from invmet.metrics import indicatrix_gauge_upper, metric_lower_paired, metric_upper_paired
+from invmet.metrics import indicatrix_gauge_upper, metric_upper_paired
 from invmet.zoo import affine_twin, twin_map
 
 
@@ -117,7 +117,7 @@ def test_sandwich_holds_across_the_zoo():
         P = d.interior_samples(40, stream.fork(hash(name) % 1000))
         V = stream.unit_directions(40, d.dim)
         upper = metric_upper_paired(d, P, V)
-        lower = metric_lower_paired(d, P, V)
+        lower = d.lower_bound_paired(P, V)
         assert np.all(np.isfinite(upper))
         assert np.all(lower <= upper * (1 + 1e-12) + 1e-12), name
 
@@ -274,10 +274,10 @@ def _per_row_half_space_bound(d, x, v, stream, count=8, rays=24):
         best = float(np.linalg.norm(v)) / (2.0 * (np.linalg.norm(x) + d.bounding_radius))
     else:
         near = x
-    for hs in d.supporting_half_spaces(near=near, count=count, stream=stream):
-        gap = float(hs.distance_inside(x))
+    N, b = d.supporting_half_spaces(near=near, count=count, stream=stream)
+    for n, gap in zip(N, b - np.real(N.conj() @ x)):
         if gap > 0:
-            best = max(best, abs(complex(v @ hs.normal.conj())) / (2.0 * gap))
+            best = max(best, abs(complex(v @ n.conj())) / (2.0 * gap))
     return best
 
 
