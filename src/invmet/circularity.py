@@ -101,7 +101,7 @@ class SqueezeCertificate:
         if self.inner_r > 0 and self.inverse is not None:
             Wi = self.model.interior_samples(samples, stream.fork(1)) * self.inner_r
             Zi = np.asarray(self.inverse(Wi), dtype=complex)
-            inner = min(float(self.domain.contains(z)) for z in Zi)
+            inner = float(np.min(self.domain.contains_margins(Zi)))
         else:
             inner = np.inf if self.inner_r == 0 else -np.inf
         return CertificateCheck(samples, outer, inner, base_err, self.outer_R)
@@ -273,19 +273,13 @@ def barth_check(d: Domain, samples: int = 512, *, seed: int = 0) -> float:
 # ---------------------------------------------------------------------------
 
 def _active_faces(d: ConvexPolyhedron, q, tol: float = 1e-9):
-    """Indices of modulus/real faces active at the boundary point q."""
-    fq, rq = d.face_values(cvector(q))
-    mods, reals = [], []
-    if fq is not None:
-        wc = d.mod_bounds
-        if np.any(fq > wc * (1.0 + tol) + tol):
-            raise DegenerateInputError("corner point lies outside the closure")
-        mods = list(np.flatnonzero(np.abs(fq - wc) <= tol * np.maximum(1.0, wc)))
-    if rq is not None:
-        if np.any(rq > tol):
-            raise DegenerateInputError("corner point lies outside the closure")
-        reals = list(np.flatnonzero(np.abs(rq) <= tol))
-    return mods, reals
+    """Table indices of the faces active at the boundary point q: slack
+    within ``tol`` of 0, relative to max(1, bound) on modulus faces."""
+    s = d.slacks(cvector(q))
+    scale = np.where(np.arange(s.size) < d.modulus_count, np.maximum(1.0, d.bounds), 1.0)
+    if np.any(s < -tol * scale):
+        raise DegenerateInputError("corner point lies outside the closure")
+    return np.flatnonzero(np.abs(s) <= tol * scale)
 
 
 def polyhedral_pipeline(d: ConvexPolyhedron, q, x, *, seed: int = 0) -> SqueezeCertificate:
@@ -315,33 +309,28 @@ def polyhedral_pipeline(d: ConvexPolyhedron, q, x, *, seed: int = 0) -> SqueezeC
         raise ProximityError(
             f"point is {gap:.3f} away from the corner; the tangent-hyperplane "
             f"association is only certified within {config.PIPELINE_PROXIMITY_RADIUS}")
-    mods, reals = _active_faces(d, q)
+    active = _active_faces(d, q)
     n = d.dim
-    if len(mods) + len(reals) != n:
+    if active.size != n:
         raise NormalityError(
-            f"corner must have exactly {n} active faces, found "
-            f"{len(mods) + len(reals)}")
+            f"corner must have exactly {n} active faces, found {active.size}")
 
-    # rows of the normalization A_x(z) = M z + t
-    M = np.zeros((n, n), dtype=complex)
-    t = np.zeros(n, dtype=complex)
-    s = np.zeros(n)
-    for row, k in enumerate(mods):
-        f = d.modulus_faces[k]
-        nw = float(np.linalg.norm(f.coeffs))
-        fx = complex(x @ f.coeffs + f.const)
-        if abs(fx) == 0:
-            raise NormalityError("face value vanishes at the pipeline point; "
-                                 "tangent phase is undefined")
-        phase = fx / abs(fx)
-        M[row] = np.conj(phase) * f.coeffs / nw
-        t[row] = (np.conj(phase) * f.const - f.bound) / nw
-        s[row] = (f.bound - abs(fx)) / nw
-    for row, k in enumerate(reals, start=len(mods)):
-        a, b = d.real_faces[k].normal, d.real_faces[k].offset
-        M[row] = a.conj()
-        t[row] = -(b + 1j * float(np.imag(x @ a.conj())))
-        s[row] = b - float(np.real(x @ a.conj()))
+    # rows of the normalization A_x(z) = M z + t, one per active face: face k
+    # is rotated by u_k (conj(f(x)) / |f(x)| on a modulus face, 1 on a real
+    # one) and scaled by its margin divisor w_k, so that Re A_x < 0 is the
+    # face's tangent half-space at x; a real row's imaginary part at x is
+    # moved to 0 as well.  s is each face's gap at x.
+    modulus = active < d.modulus_count
+    F = d.face_values(x)[active]
+    aF = np.abs(F)
+    if np.any(aF[modulus] == 0):
+        raise NormalityError("face value vanishes at the pipeline point; "
+                             "tangent phase is undefined")
+    u = np.where(modulus, F.conj() / np.where(modulus, aF, 1.0), 1.0)
+    w, b = d.face_norms[active], d.bounds[active]
+    M = u[:, None] * d.coeffs[active] / w[:, None]
+    t = (u * d.consts[active] - b - 1j * np.where(modulus, 0.0, F.imag)) / w
+    s = d.slacks(x)[active] / w
     sv = np.linalg.svd(M, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:
         raise NormalityError("active face normals are degenerate at the corner")
@@ -359,15 +348,14 @@ def polyhedral_pipeline(d: ConvexPolyhedron, q, x, *, seed: int = 0) -> SqueezeC
     forward = ComposedMap([A, phi, psi])
     inverse = forward.inverse()
 
-    # pulled-back face arithmetic: z = Minv zeta + p, so every face functional
-    # is affine in zeta with matrix B = W Minv; the sup of |affine| over a
-    # product of closed discs is |value at centers| + sum |B| * radii, exactly.
+    # pulled-back face arithmetic: z = Minv zeta + p, so every face value is
+    # affine in zeta with matrix B = coeffs Minv; the sup of |affine| (of
+    # Re affine on a real face) over a product of closed discs is its value
+    # at the centers plus sum |B| * radii, exactly.
     Minv = np.linalg.solve(M, np.eye(n, dtype=complex))
-    W, A = d.mod_coeffs, d.real_normals
-    Bmod = W @ Minv
-    fmod_p = p @ W.T + d.mod_consts
-    Breal = A.conj() @ Minv
-    freal_p = np.real(p @ A.conj().T) - d.real_offsets
+    B = d.coeffs @ Minv
+    Fp = d.face_values(p)
+    mc = d.modulus_count
     phi_inv = Mobius1D.cayley_factor().inverse()
 
     def feasible(rho: float) -> bool:
@@ -377,17 +365,9 @@ def polyhedral_pipeline(d: ConvexPolyhedron, q, x, *, seed: int = 0) -> SqueezeC
             c1, r1 = Mobius1D(1.0, g[a], g[a], 1.0).disc_image(0.0, rho)
             c2, r2 = phi_inv.disc_image(c1, r1)
             centers[a], radii[a] = c2, r2
-        if Bmod.size:
-            sup = (np.abs(fmod_p + Bmod @ centers)
-                   + np.abs(Bmod) @ radii)
-            if np.any(sup >= d.mod_bounds):
-                return False
-        if Breal.size:
-            sup = (freal_p + np.real(Breal @ centers)
-                   + np.abs(Breal) @ radii)
-            if np.any(sup >= 0.0):
-                return False
-        return True
+        at = Fp + B @ centers
+        sup = np.concatenate([np.abs(at[:mc]), at[mc:].real]) + np.abs(B) @ radii
+        return not np.any(sup >= d.bounds)
 
     lo, hi = 0.0, 1.0 - 1e-12
     if feasible(hi):
@@ -410,8 +390,8 @@ def polyhedral_pipeline(d: ConvexPolyhedron, q, x, *, seed: int = 0) -> SqueezeC
             "disc_factor": "componentwise Moebius fixing the boundary point 1; "
                            "any automorphism interpolating the two conditions "
                            "would do",
-            "active_modulus_faces": [int(k) for k in mods],
-            "active_real_faces": [int(k) for k in reals],
+            "active_modulus_faces": [int(k) for k in active[modulus]],
+            "active_real_faces": [int(k) - mc for k in active[~modulus]],
             "corner": [[float(c.real), float(c.imag)] for c in q],
             "tangent_point": [[float(c.real), float(c.imag)] for c in p],
             "face_gaps": [float(v) for v in s],

@@ -9,8 +9,9 @@ Membership returns a signed gauge-like margin (positive inside). Directions and
 normals use the Hermitian inner product <u, v> = sum u_i conj(v_i).
 
 Every kind answers one row-paired protocol, where row i is the point P[i]
-with the direction V[i] (in ``metric_paired`` and ``section_distance_paired``
-P may also be a single row, shared by every row of V):
+with the direction V[i] (in ``metric_paired``, ``section_distance_paired``
+and ``lower_bound_paired`` P may also be a single row, shared by every row
+of V):
 
 * ``metric_paired(P, V)``: the closed-form metric K(P[i]; V[i]), or None when
   the kind has none;
@@ -69,10 +70,6 @@ class ModulusFace:
     const: complex
     bound: float
 
-    def value(self, z):
-        z = np.asarray(z, dtype=complex)
-        return z @ self.coeffs + self.const
-
 
 @dataclass(frozen=True)
 class RealFace:
@@ -121,11 +118,10 @@ class Domain:
     # -- membership -------------------------------------------------------
     def contains(self, z) -> float:
         """Signed gauge-like margin: positive inside, negative outside."""
-        raise NotImplementedError
+        return float(self.contains_margins(self._check_dim(z)))
 
     def contains_margins(self, Z):
-        """Vectorized margins for a stack of points (..., n); the sign of each
-        row agrees with ``contains`` on that row."""
+        """Vectorized margins for a stack of points (..., n)."""
         raise NotImplementedError
 
     def require_interior(self, z, what: str = "point"):
@@ -162,10 +158,13 @@ class Domain:
                            count: int = config.HALF_SPACE_COUNT):
         """Certified lower bound of K(P[i]; V[i]) per row: the closed form where
         the kind has one, else ``half_space_lower_bound`` with ``count``
-        half-spaces for row i drawn from ``stream.fork(i)``."""
+        half-spaces for row i drawn from ``stream.fork(i)`` (a shared row P is
+        broadcast to every row)."""
         exact = self.metric_paired(P, V)
         if exact is not None:
             return exact
+        if len(P) != len(V):
+            P = np.broadcast_to(P, V.shape)
         return half_space_lower_bound(self, P, V, stream or SampleStream(0), count)
 
     def coordinate_bounds(self):
@@ -297,10 +296,6 @@ class UnitBall(Domain):
         self.bounding_radius = 1.0
         self.basepoint = np.zeros(self.dim, dtype=complex)
 
-    def contains(self, z) -> float:
-        z = self._check_dim(z)
-        return 1.0 - float(np.linalg.norm(z))
-
     def contains_margins(self, Z):
         return 1.0 - np.linalg.norm(np.asarray(Z, dtype=complex), axis=-1)
 
@@ -398,10 +393,6 @@ class Polydisc(Domain):
         self.bounding_radius = float(np.linalg.norm(radii))
         self.basepoint = np.zeros(self.dim, dtype=complex)
 
-    def contains(self, z) -> float:
-        z = self._check_dim(z)
-        return float(np.min(self.radii - np.abs(z)))
-
     def contains_margins(self, Z):
         return np.min(self.radii - np.abs(np.asarray(Z, dtype=complex)), axis=-1)
 
@@ -495,10 +486,6 @@ class HalfPlaneProduct(Domain):
         z = np.asarray(z, dtype=complex)
         return z.imag if self.orientation == "upper" else -z.real
 
-    def contains(self, z) -> float:
-        z = self._check_dim(z)
-        return float(np.min(self._heights(z)))
-
     def contains_margins(self, Z):
         return np.min(self._heights(Z), axis=-1)
 
@@ -555,6 +542,15 @@ def halfplane_rotation(dim: int, frm: str, to: str) -> CLinearMap:
 class ConvexPolyhedron(Domain):
     """Intersection of modulus faces |f_k(z)| < c_k and real faces Re<z,a_k> < b_k.
 
+    The faces are held as one table, modulus faces first: ``coeffs`` of
+    shape (faces, n), ``consts`` and ``bounds``.  Face k takes
+    F_k(z) = z . coeffs[k] + consts[k] and allows |F_k| < bounds[k] for
+    k < ``modulus_count`` and Re F_k < bounds[k] after that; a real face
+    Re<z, a> < b is stored as conj(a) / |a|, const 0 and b / |a|.
+    ``face_norms`` divides a face's slack into a membership margin: |coeffs[k]|
+    on modulus faces and 1 on real faces.  Every oracle reads the table
+    through ``face_values`` and ``slacks``.
+
     Convexity holds automatically (each face set is convex). Boundedness is
     declared via ``bounding_radius`` and spot-checked by sampling, not inferred.
     """
@@ -572,28 +568,24 @@ class ConvexPolyhedron(Domain):
                 if np.linalg.norm(c) == 0 or f.bound <= 0:
                     raise DegenerateInputError("modulus face must have nonzero "
                                                "coefficients and positive bound")
-                mods.append(ModulusFace(c, complex(f.const), float(f.bound)))
+                mods.append((c, complex(f.const), float(f.bound)))
             elif isinstance(f, RealFace):
                 a = cvector(f.normal)
                 na = np.linalg.norm(a)
                 if na == 0:
                     raise DegenerateInputError("real face normal must be nonzero")
-                reals.append(RealFace(a / na, float(f.offset) / na))
+                reals.append(((a / na).conj(), 0j, float(f.offset) / na))
             else:
                 raise UnsupportedKindError(f"unknown face type {type(f).__name__}")
         if not mods and not reals:
             raise DegenerateInputError("polyhedron needs at least one face")
-        self.modulus_faces = tuple(mods)
-        self.real_faces = tuple(reals)
-        # stacked arrays for vectorized evaluation
-        self.mod_coeffs = (np.stack([f.coeffs for f in mods]) if mods
-                           else np.zeros((0, dim), dtype=complex))
-        self.mod_consts = np.array([f.const for f in mods], dtype=complex)
-        self.mod_bounds = np.array([f.bound for f in mods], dtype=float)
-        self._wn = np.linalg.norm(self.mod_coeffs, axis=1) if mods else np.zeros(0)
-        self.real_normals = (np.stack([f.normal for f in reals]) if reals
-                             else np.zeros((0, dim), dtype=complex))
-        self.real_offsets = np.array([f.offset for f in reals], dtype=float)
+        coeffs, consts, bounds = zip(*(mods + reals))
+        self.coeffs = np.stack(coeffs)
+        self.consts = np.array(consts, dtype=complex)
+        self.bounds = np.array(bounds, dtype=float)
+        self.modulus_count = len(mods)
+        self.face_norms = np.concatenate([np.linalg.norm(self.coeffs[:len(mods)], axis=1),
+                                          np.ones(len(reals))])
 
         self.basepoint = (np.zeros(dim, dtype=complex) if basepoint is None
                           else cvector(basepoint))
@@ -604,54 +596,36 @@ class ConvexPolyhedron(Domain):
             raise NotInteriorError("declared basepoint is not interior")
 
     def face_values(self, z):
-        """(|f_k(z)| stack, Re-face excesses) for z of shape (..., n)."""
-        z = np.asarray(z, dtype=complex)
-        mv = (np.abs(z @ self.mod_coeffs.T + self.mod_consts) if self.mod_coeffs.size
-              else None)
-        rv = (np.real(z @ self.real_normals.conj().T) - self.real_offsets
-              if self.real_normals.size else None)
-        return mv, rv
+        """F_k(z) of every face, of shape (..., faces), for z of shape (..., n)."""
+        return np.asarray(z, dtype=complex) @ self.coeffs.T + self.consts
 
-    def contains(self, z) -> float:
-        z = self._check_dim(z)
-        mv, rv = self.face_values(z)
-        margins = []
-        if mv is not None:
-            margins.append(np.min((self.mod_bounds - mv) / self._wn))
-        if rv is not None:
-            margins.append(np.min(-rv))
-        return float(min(margins))
+    def slacks(self, z):
+        """bounds - |F| on the modulus faces and bounds - Re F on the real
+        faces, of shape (..., faces): positive exactly inside each face."""
+        F = self.face_values(z)
+        S = np.empty(F.shape)
+        mc = self.modulus_count
+        np.abs(F[..., :mc], out=S[..., :mc])
+        S[..., mc:] = F[..., mc:].real
+        return np.subtract(self.bounds, S, out=S)
 
     def contains_margins(self, Z):
-        """Vectorized membership margins for a stack of points."""
-        Z = np.asarray(Z, dtype=complex)
-        mv, rv = self.face_values(Z)
-        parts = []
-        if mv is not None:
-            parts.append(np.min((self.mod_bounds - mv) / self._wn, axis=-1))
-        if rv is not None:
-            parts.append(np.min(-rv, axis=-1))
-        return np.min(np.stack(parts), axis=0) if len(parts) > 1 else parts[0]
+        S = self.slacks(Z)
+        S /= self.face_norms
+        return S.min(axis=-1)
 
     def section_distance_paired(self, P, V):
-        fx, rx = self.face_values(P)
-        per = np.full(P.shape[0], np.inf)
-        if fx is not None:
-            if np.any(fx >= self.mod_bounds):
-                raise NotInteriorError("point outside the polyhedron")
-            fl = np.abs(V @ self.mod_coeffs.T)  # |f_lin(v_i)| per face
-            with np.errstate(divide="ignore"):
-                t = np.where(fl > 0, (self.mod_bounds[None, :] - fx) / np.where(fl > 0, fl, 1.0),
-                             np.inf)
-            per = np.minimum(per, t.min(axis=1))
-        if rx is not None:
-            if np.any(rx >= 0):
-                raise NotInteriorError("point outside the polyhedron")
-            s = np.abs(V @ self.real_normals.conj().T)
-            with np.errstate(divide="ignore"):
-                t = np.where(s > 0, -rx / np.where(s > 0, s, 1.0), np.inf)
-            per = np.minimum(per, t.min(axis=1))
-        return np.linalg.norm(V, axis=1) * per
+        """|V[i]| min over faces of slack / rate: the section is cut by each
+        face at that distance from P[i] or further, and a face with rate 0
+        never meets it (slack / 0 = inf, as every slack is > 0; so does a
+        face whose slack / rate overflows)."""
+        slack = self.slacks(P)
+        if not np.all(slack > 0):
+            raise NotInteriorError("point outside the polyhedron")
+        t = np.abs(V @ self.coeffs.T)   # |f_lin(V[i])| per face
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(slack, t, out=t)
+        return np.linalg.norm(V, axis=1) * t.min(axis=1)
 
     def section_distance_along(self, x, W, T):
         """Closed form along rays: each face is affine on a ray,
@@ -659,67 +633,58 @@ class ConvexPolyhedron(Domain):
         and a node costs one multiply-add per face.  The arrays are
         faces-major, (faces, rows, nodes), so the minimum over faces is
         elementwise; the per-node work runs in place, as fresh arrays of that
-        size cost more in page faults than in arithmetic."""
-        x = np.asarray(x, dtype=complex)
+        size cost more in page faults than in arithmetic, and a real face
+        needs only the real part of its values."""
         W = np.asarray(W, dtype=complex)
         T = np.asarray(T, dtype=float)
-        per = np.full(T.shape, np.inf)
+        B = self.coeffs @ W.T
+        Fx = self.face_values(x)
+        mc = self.modulus_count
+        reach = np.empty((B.shape[0],) + T.shape)
+        F = T * B[:mc, :, None]
+        F += Fx[:mc, None, None]
+        np.abs(F, out=reach[:mc])
+        del F
+        np.multiply(T, B[mc:, :, None].real, out=reach[mc:])
+        reach[mc:] += Fx[mc:, None, None].real
+        np.subtract(self.bounds[:, None, None], reach, out=reach)
         # a face with f_lin(w) = 0 never meets the ray's section: slack / 0 = inf
         with np.errstate(divide="ignore", invalid="ignore"):
-            if self.mod_coeffs.size:
-                B = self.mod_coeffs @ W.T
-                F = T * B[:, :, None]
-                F += (self.mod_coeffs @ x + self.mod_consts)[:, None, None]
-                reach = np.abs(F)
-                np.subtract(self.mod_bounds[:, None, None], reach, out=reach)
-                np.divide(reach, np.abs(B)[:, :, None], out=reach)
-                np.minimum(per, reach.min(axis=0), out=per)
-            if self.real_normals.size:
-                S = self.real_normals.conj() @ W.T
-                reach = T * S.real[:, :, None]
-                np.subtract((self.real_offsets - np.real(self.real_normals.conj() @ x))[:, None, None],
-                            reach, out=reach)
-                np.divide(reach, np.abs(S)[:, :, None], out=reach)
-                np.minimum(per, reach.min(axis=0), out=per)
+            np.divide(reach, np.abs(B)[:, :, None], out=reach)
+        per = reach.min(axis=0)
         # a node on or outside a face has slack <= 0, so per <= 0 or nan
         if not np.all(per > 0):
             raise NotInteriorError("point outside the polyhedron")
         return np.linalg.norm(W, axis=1)[:, None] * per
 
     def lower_bound_paired(self, P, V, stream=None, count=config.HALF_SPACE_COUNT):
-        """max over faces of the half-plane metric of the face projection.
+        """max over faces of rate / (2 slack), the half-plane metric of the
+        face projection.
 
         For a modulus face the tangent-plane phase that maximizes the bound is
         arg f(x), and the resulting value |f_lin(v)| / (2(c - |f(x)|)) does not
         depend on the phase, so the optimum is exact, vectorizes and draws no
         half-spaces.
         """
-        fx, rx = self.face_values(P)
-        best = np.zeros(P.shape[0])
-        if fx is not None:
-            fl = np.abs(V @ self.mod_coeffs.T)
-            best = np.max(fl / (2.0 * (self.mod_bounds[None, :] - fx)), axis=1)
-        if rx is not None:
-            s = np.abs(V @ self.real_normals.conj().T)
-            best = np.maximum(best, np.max(s / (2.0 * -rx), axis=1))
-        return best
+        t = np.abs(V @ self.coeffs.T)
+        np.divide(t, 2.0 * self.slacks(P), out=t)
+        return t.max(axis=1)
 
     def _line_faces(self, x, u):
         """The faces in the coordinate s of the complex line x + s u, |u| = 1:
         modulus face k allows the disc |s - tau_k| < R_k, tau_k = p_k + i q_k
         with q_k >= 0, and real face k a half-plane, so at real s their slacks
         are R_k - |s - tau_k| and alpha_k - gamma_k s, with |gamma_k| <= 1.
-        A face constant on the line (f_lin(u) = 0, or <u, a> = 0) bounds no
-        section and is left out.  Returns (R, p, q, alpha, gamma)."""
-        B = self.mod_coeffs @ u
-        on = B != 0
-        tau = -(self.mod_coeffs[on] @ x + self.mod_consts[on]) / B[on]
-        R = self.mod_bounds[on] / np.abs(B[on])
-        S = self.real_normals.conj() @ u
-        on = S != 0
-        aS = np.abs(S[on])
-        alpha = (self.real_offsets[on] - np.real(self.real_normals[on].conj() @ x)) / aS
-        return R, tau.real, np.abs(tau.imag), alpha, S[on].real / aS
+        A face constant on the line (f_lin(u) = 0) bounds no section and is
+        left out.  Returns (R, p, q, alpha, gamma)."""
+        B = self.coeffs @ u
+        F = self.face_values(x)
+        modulus = np.arange(B.size) < self.modulus_count
+        mod, real = modulus & (B != 0), ~modulus & (B != 0)
+        aB = np.abs(B)
+        tau = -F[mod] / B[mod]
+        return (self.bounds[mod] / aB[mod], tau.real, np.abs(tau.imag),
+                (self.bounds[real] - F[real].real) / aB[real], B[real].real / aB[real])
 
     def affine_disc_length(self, x, y):
         """Closed form in the arc length s on [0, |y - x|] of the line from x
@@ -797,33 +762,26 @@ class ConvexPolyhedron(Domain):
 
         A modulus face maps the polyhedron into the disc |f| < c, where
         a = f(x) / c and b = f(y) / c are atanh|(a - b) / (1 - conj(a) b)|
-        apart; a real face maps it into the half-plane Re<z, n> < offset.
+        apart; a real face maps it into the half-plane Re F < bound.
         Each tangent half-space of a modulus face contains its disc, so this
         is at least the half-space bound, and it draws no half-spaces.
         """
-        Z = np.stack([x, y])
-        a, b = (Z @ self.mod_coeffs.T + self.mod_consts) / self.mod_bounds
+        F = self.face_values(np.stack([x, y]))
+        mc = self.modulus_count
+        a, b = F[:, :mc] / self.bounds[:mc]
         t = np.abs((a - b) / (1.0 - a.conj() * b))
         lower = np.arctanh(t[t < 1.0]).max(initial=0.0)
-        if self.real_offsets.size:
-            w1, w2 = Z @ self.real_normals.conj().T
-            lower = max(lower, _half_plane_distances(w1, w2, self.real_offsets).max())
+        if mc < self.bounds.size:
+            # skipped without real faces: on empty arrays the helper costs
+            # about a tenth of a polyhedron distance
+            lower = max(lower, _half_plane_distances(*F[:, mc:], self.bounds[mc:]).max())
         return float(lower)
 
     def inner_radius_exact(self, x, model):
-        fx, rx = self.face_values(x)
-        rs = []
-        if fx is not None:
-            S = model.linear_sup(self.mod_coeffs)
-            if S is None:
-                return None
-            rs.append(np.min((self.mod_bounds - fx) / S))
-        if rx is not None:
-            S = model.linear_sup(self.real_normals.conj())
-            if S is None:
-                return None
-            rs.append(np.min(-rx / S))
-        return float(min(rs))
+        S = model.linear_sup(self.coeffs)
+        if S is None:
+            return None
+        return float(np.min(self.slacks(x) / S))
 
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None):
@@ -832,34 +790,34 @@ class ConvexPolyhedron(Domain):
         For a modulus face the complex tangent hyperplane closest to ``near`` is
         f(z) = c e^{i arg f(near)}; the associated real supporting half-space is
         Re<z, phase * w / |w|> < (c - Re(conj(phase) d)) / |w| -- exact, so no
-        extra sampled half-spaces are needed for polyhedra.
+        extra sampled half-spaces are needed for polyhedra.  A real face is its
+        own half-space, phase 1.
         """
-        ref = cvector(near) if near is not None else self.basepoint
-        val = self.mod_coeffs @ ref + self.mod_consts
+        val = self.face_values(cvector(near) if near is not None else self.basepoint)
         av = np.abs(val)
-        phase = np.divide(val, av, out=np.ones_like(val), where=av > 0)
-        W = self.mod_coeffs.conj() * phase[:, None]   # Hermitian normals of Re<z, n> form
-        nw = np.linalg.norm(W, axis=1)
-        return (np.vstack([W / nw[:, None], self.real_normals]),
-                np.concatenate([(self.mod_bounds - np.real(phase.conj() * self.mod_consts)) / nw,
-                                self.real_offsets]))
+        phase = np.divide(val, av, out=np.ones_like(val),
+                          where=(av > 0) & (np.arange(val.size) < self.modulus_count))
+        W = self.coeffs.conj() * phase[:, None]   # Hermitian normals of Re<z, n> form
+        return (W / self.face_norms[:, None],
+                (self.bounds - np.real(phase.conj() * self.consts)) / self.face_norms)
 
     def coordinate_bounds(self):
-        """Per-coordinate sup |z_alpha| upper bounds from matching faces."""
+        """Per-coordinate sup |z_alpha| upper bounds from the const-0 modulus
+        faces on a single coordinate."""
         bounds = np.full(self.dim, self.bounding_radius)
-        for f in self.modulus_faces:
-            nz = np.flatnonzero(np.abs(f.coeffs) > 0)
-            if nz.size == 1 and f.const == 0:
-                k = int(nz[0])
-                bounds[k] = min(bounds[k], f.bound / abs(f.coeffs[k]))
+        mc = self.modulus_count
+        on = np.abs(self.coeffs[:mc]) > 0
+        single = (on.sum(axis=1) == 1) & (self.consts[:mc] == 0)
+        k = on[single].argmax(axis=1)
+        np.minimum.at(bounds, k, self.bounds[:mc][single] / np.abs(self.coeffs[:mc][single, k]))
         return bounds
 
     def gauge(self, v):
         """Minkowski gauge when every face is balanced (modulus faces, const 0)."""
-        if self.real_faces or np.any(self.mod_consts != 0):
+        if self.modulus_count < self.bounds.size or np.any(self.consts != 0):
             return None
         v = np.asarray(v, dtype=complex)
-        return np.max(np.abs(v @ self.mod_coeffs.T) / self.mod_bounds, axis=-1)
+        return np.max(np.abs(v @ self.coeffs.T) / self.bounds, axis=-1)
 
     def interior_samples(self, count, stream: SampleStream):
         cb = self.coordinate_bounds()
@@ -1053,10 +1011,6 @@ class BalancedConvex(Domain):
         rows = v.reshape(-1, v.shape[-1])
         return np.array([float(self._gauge(row)) for row in rows]).reshape(v.shape[:-1])
 
-    def contains(self, z) -> float:
-        z = self._check_dim(z)
-        return (1.0 - float(self.gauge(z))) * self.inner_radius
-
     def contains_margins(self, Z):
         # > 0 exactly when g < 1
         return (1.0 - self.gauge(np.asarray(Z, dtype=complex))) * self.inner_radius
@@ -1222,10 +1176,6 @@ class AffineImage(Domain):
     @property
     def lower_method(self) -> str:
         return self.inner.lower_method
-
-    def contains(self, z) -> float:
-        z = self._check_dim(z)
-        return self.inner.contains(self.map_inv(z)) * self._sv_min
 
     def contains_margins(self, Z):
         return self.inner.contains_margins(self.map_inv(Z)) * self._sv_min

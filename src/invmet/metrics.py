@@ -149,8 +149,7 @@ def kobayashi_metric_values(d: Domain, x, V, *, which: str = "mid",
     """
     x = cvector(x)
     V = np.asarray(V, dtype=complex)
-    # the paired oracles take the base point as one shared row; the lower
-    # bound forks its stream per row, so it gets the broadcast stack
+    # the paired oracles take the base point as one shared row
     exact = d.metric_paired(x[None, :], V)
     if exact is not None:
         if which == "both":
@@ -159,7 +158,7 @@ def kobayashi_metric_values(d: Domain, x, V, *, which: str = "mid",
     upper = metric_upper_paired(d, x[None, :], V)
     if which == "upper":
         return upper
-    lower = d.lower_bound_paired(np.broadcast_to(x, V.shape), V, stream)
+    lower = d.lower_bound_paired(x[None, :], V, stream)
     lower = np.minimum(lower, upper)
     if which == "lower":
         return lower

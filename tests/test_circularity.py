@@ -16,6 +16,7 @@ from invmet import (
     zoo_domain,
 )
 from invmet.circularity import SqueezeCertificate
+from invmet.domains import ConvexPolyhedron, ModulusFace, RealFace
 from invmet.errors import CertificateError, ScheduleError, UnsupportedKindError
 from invmet.zoo import balanced_two_face, polydisc_as_polyhedron
 
@@ -120,6 +121,23 @@ def test_asymptotics_sweep_polydisc_faces_ratio_climbs():
     assert rep.threshold_met
     assert rep.final_ratio == pytest.approx(0.9997558891181151, abs=1e-9)
     assert rep.rows[-1].ratio > rep.rows[0].ratio
+
+
+def test_polyhedral_pipeline_real_face_corner():
+    # |z_1| < 1, |z_2| < 1, Re z_1 < 0.5: at (0.5, i) the second modulus
+    # face and the real face meet
+    d = ConvexPolyhedron([ModulusFace([1, 0], 0.0, 1.0), ModulusFace([0, 1], 0.0, 1.0),
+                          RealFace([1, 0], 0.5)], 2, bounding_radius=1.5)
+    q = [0.5, 1j]
+    cert = polyhedral_pipeline(d, q, [0.3, 0.7j])
+    assert cert.notes["active_modulus_faces"] == [1]
+    assert cert.notes["active_real_faces"] == [0]
+    # the gaps of x to |z_2| = 1 and to Re z_1 = 0.5, modulus faces first
+    np.testing.assert_allclose(cert.notes["face_gaps"], [0.3, 0.2], rtol=0, atol=1e-15)
+    assert cert.validate(1500, seed=6).passed
+    ratios = [row.ratio for row in asymptotics_sweep(d, q, steps=10).rows]
+    assert all(b >= a for a, b in zip(ratios, ratios[1:]))
+    assert ratios[-1] >= 0.99
 
 
 def test_sweep_rejects_exterior_corner_path(three_face):

@@ -26,6 +26,7 @@ from invmet.domains import (
     AffineImage,
     BalancedConvex,
     ConvexPolyhedron,
+    ModulusFace,
     half_space_lower_bound,
 )
 from invmet.metrics import indicatrix_gauge_upper, metric_upper_paired
@@ -167,8 +168,15 @@ def test_distance_symmetry_and_triangle_upper(three_face):
 
 
 class _QuadraturePolyhedron(ConvexPolyhedron):
-    """A polyhedron without the closed-form length: its distances take the
-    trapezoid quadrature that gauge bodies take."""
+    """The three-face wedge |z_1| < 1, |z_2| < 1, |z_1 + z_2| < 1.5 without
+    the closed-form length: its distances take the trapezoid quadrature that
+    gauge bodies take."""
+
+    def __init__(self):
+        super().__init__([ModulusFace(np.array([1.0, 0.0]), 0.0, 1.0),
+                          ModulusFace(np.array([0.0, 1.0]), 0.0, 1.0),
+                          ModulusFace(np.array([1.0, 1.0]), 0.0, 1.5)],
+                         2, bounding_radius=math.sqrt(2.0))
 
     def affine_disc_length(self, x, y):
         return None
@@ -182,8 +190,7 @@ def test_distance_reports_its_quadrature_work(three_face, pd2, ball2):
     exact = kobayashi_distance(three_face, x, y)
     assert (exact.upper_method, exact.nodes, exact.converged) == ("affine-disc-length", 0, True)
     assert exact.upper == length + exact.final_delta and 0.0 < exact.final_delta < 1e-12
-    quadrature = _QuadraturePolyhedron(three_face.modulus_faces, 2,
-                                       bounding_radius=three_face.bounding_radius)
+    quadrature = _QuadraturePolyhedron()
     # 9 nodes doubled 14 times is the cap: 131,073 nodes
     capped = kobayashi_distance(quadrature, x, y)
     assert capped.upper_method == "quadrature"

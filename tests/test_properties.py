@@ -1,7 +1,10 @@
 """Property tests with ``hypothesis``: random ellipsoids known only through a
 gauge callable, against the closed form of the same set as an affine image of
 the unit ball; and random polyhedra, whose closed-form distance uppers must
-lie inside quadrature sandwiches and agree across affine images."""
+lie inside quadrature sandwiches and agree across affine images, and whose
+face-table oracles must agree with the drawn faces taken one by one."""
+
+import math
 
 import numpy as np
 import pytest
@@ -63,9 +66,10 @@ def test_gauge_ellipsoid_metric_encloses_the_affine_ball_closed_form(row):
 
 @st.composite
 def polyhedron_segments(draw):
-    """(d, x, y, z): a polyhedron in C^2 or C^3 (the polydisc of radius 2,
-    then modulus faces with constants and real faces, all with 0 inside) and
-    three points at drawn fractions of the section distance from 0."""
+    """(d, faces, x, y, z): a polyhedron in C^2 or C^3 (the polydisc of
+    radius 2, then modulus faces with constants and real faces, all with 0
+    inside), the faces it was built from, and three points at drawn
+    fractions of the section distance from 0."""
     dim = draw(st.sampled_from([2, 3]))
     faces = [ModulusFace(np.eye(dim)[k], 0.0, 2.0) for k in range(dim)]
     mods, reals = draw(st.integers(0, 4)), draw(st.integers(0, 3))
@@ -81,13 +85,13 @@ def polyhedron_segments(draw):
     reach = d.section_boundary_distance(np.zeros(dim), U) / np.linalg.norm(U, axis=1)
     P = np.array([draw(st.floats(0.0, 0.95)) for _ in range(3)])[:, None] * reach[:, None] * U
     assume(np.any(P[0] != P[1]) and np.any(P[1] != P[2]))
-    return d, P[0], P[1], P[2]
+    return d, faces, P[0], P[1], P[2]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(polyhedron_segments())
 def test_polyhedron_length_lies_in_the_quadrature_sandwich(case):
-    d, x, y, z = case
+    d, _, x, y, z = case
     length, rounding = d.affine_disc_length(x, y)
     # the integrand is convex along the segment: a trapezoid overestimates
     # and a midpoint sum underestimates its integral (up to their own sums'
@@ -102,3 +106,43 @@ def test_polyhedron_length_lies_in_the_quadrature_sandwich(case):
     for b in (xy, yz, xz):
         assert b.lower <= b.upper
     assert xz.lower <= xy.upper + yz.upper
+
+
+def _face_by_face(face, x, v):
+    """(slack, rate, norm) of one drawn face at x along v, from its own
+    definition: the room left before the face's bound, the speed of its
+    value along v, and the norm of its coefficients, each in the units of
+    |c . z + const| < bound or Re<z, a> < offset."""
+    if isinstance(face, ModulusFace):
+        c = np.asarray(face.coeffs, dtype=complex)
+        return (face.bound - abs(complex(np.dot(x, c)) + face.const),
+                abs(complex(np.dot(v, c))), float(np.linalg.norm(c)))
+    a = np.asarray(face.normal, dtype=complex)
+    return (face.offset - complex(np.vdot(a, x)).real, abs(complex(np.vdot(a, v))),
+            float(np.linalg.norm(a)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(polyhedron_segments())
+def test_polyhedron_face_table_matches_the_drawn_faces(case):
+    d, faces, x, y, z = case
+    assume(any(isinstance(f, RealFace) for f in faces))
+    P, V = np.stack([x, y]), np.stack([y - x, z - y])
+
+    def per_face(p, v):
+        return [_face_by_face(f, p, v) for f in faces]
+
+    margin = [min(s / w for s, _, w in per_face(p, p)) for p in P]
+    section = [np.linalg.norm(v) * min(s / r if r > 0 else math.inf for s, r, _ in per_face(p, v))
+               for p, v in zip(P, V)]
+    shared = [np.linalg.norm(v) * min(s / r if r > 0 else math.inf for s, r, _ in per_face(x, v))
+              for v in V]
+    lower = [max(r / (2.0 * s) for s, r, _ in per_face(p, v)) for p, v in zip(P, V)]
+    # the unit ball's support of a face's coefficients is their norm
+    inner = min(s / w for s, _, w in per_face(x, x))
+    rel = dict(rtol=1e-13, atol=0)
+    np.testing.assert_allclose(d.contains_margins(P), margin, **rel)
+    np.testing.assert_allclose(d.section_distance_paired(P, V), section, **rel)
+    np.testing.assert_allclose(d.section_distance_paired(x[None, :], V), shared, **rel)
+    np.testing.assert_allclose(d.lower_bound_paired(P, V), lower, **rel)
+    np.testing.assert_allclose(d.inner_radius_exact(x, UnitBall(d.dim)), inner, **rel)
