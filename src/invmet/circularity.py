@@ -282,7 +282,7 @@ def _active_faces(d: ConvexPolyhedron, q, tol: float = 1e-9):
     return np.flatnonzero(np.abs(s) <= tol * scale)
 
 
-def polyhedral_pipeline(d: ConvexPolyhedron, q, x, *, seed: int = 0) -> SqueezeCertificate:
+def polyhedral_pipeline(d: ConvexPolyhedron, q, x) -> SqueezeCertificate:
     """Squeeze certificate near a corner where exactly n faces meet.
 
     The chain: (i) each active face contributes the tangent complex hyperplane

@@ -10,8 +10,8 @@ normals use the Hermitian inner product <u, v> = sum u_i conj(v_i).
 
 Every kind answers one row-paired protocol, where row i is the point P[i]
 with the direction V[i] (in ``metric_paired``, ``section_distance_paired``
-and ``lower_bound_paired`` P may also be a single row, shared by every row
-of V):
+and ``bracket_paired`` P may also be a single row, shared by every row of
+V):
 
 * ``metric_paired(P, V)``: the closed-form metric K(P[i]; V[i]), or None when
   the kind has none;
@@ -20,8 +20,9 @@ of V):
 * ``section_distance_along(x, W, T)``: the same at the nodes x + T[i, j] W[i]
   of rays from one point x, along W[i] (the distance quadrature of gauge
   bodies and the distance-ball sampler); polyhedra answer it in closed form;
-* ``lower_bound_paired(P, V, stream, count)``: a certified lower bound of the
-  metric, the closed form where there is one;
+* ``bracket_paired(P, V, stream, count)``: certified (lower, upper) bounds
+  of the metric, the closed form on both sides where there is one; a body
+  known through a gauge answers both sides from one section search;
 * ``metric_form(x)``: K(x; .) at one point as a ``MetricForm`` (a Hermitian
   form or a max of moduli of linear functionals), or None;
 * ``affine_disc_length(x, y)``: the integral of the affine-disc metric upper
@@ -112,8 +113,6 @@ class Domain:
     dim: int
     bounding_radius: float
     basepoint: np.ndarray
-    # method tag of the half-space lower bounds on this kind
-    lower_method = "half-space"
 
     # -- membership -------------------------------------------------------
     def contains(self, z) -> float:
@@ -154,18 +153,20 @@ class Domain:
         return self.section_distance_paired(P.reshape(-1, self.dim),
                                             V.reshape(-1, self.dim)).reshape(T.shape)
 
-    def lower_bound_paired(self, P, V, stream: SampleStream | None = None,
-                           count: int = config.HALF_SPACE_COUNT):
-        """Certified lower bound of K(P[i]; V[i]) per row: the closed form where
-        the kind has one, else ``half_space_lower_bound`` with ``count``
-        half-spaces for row i drawn from ``stream.fork(i)`` (a shared row P is
-        broadcast to every row)."""
+    def bracket_paired(self, P, V, stream: SampleStream | None = None,
+                       count: int = config.HALF_SPACE_COUNT):
+        """Certified (lower, upper) bounds of K(P[i]; V[i]) per row: the closed
+        form on both sides where the kind has one, else
+        ``half_space_lower_bound`` with ``count`` half-spaces for row i drawn
+        from ``stream.fork(i)`` (a shared row P is broadcast to every row) and
+        the affine-disc bound |V[i]| / section distance."""
         exact = self.metric_paired(P, V)
         if exact is not None:
-            return exact
+            return exact, exact
+        upper = np.linalg.norm(V, axis=1) / self.section_distance_paired(P, V)
         if len(P) != len(V):
             P = np.broadcast_to(P, V.shape)
-        return half_space_lower_bound(self, P, V, stream or SampleStream(0), count)
+        return half_space_lower_bound(self, P, V, stream or SampleStream(0), count), upper
 
     def coordinate_bounds(self):
         """Certified per-coordinate sup |z_alpha| over the domain, or None."""
@@ -657,18 +658,22 @@ class ConvexPolyhedron(Domain):
             raise NotInteriorError("point outside the polyhedron")
         return np.linalg.norm(W, axis=1)[:, None] * per
 
-    def lower_bound_paired(self, P, V, stream=None, count=config.HALF_SPACE_COUNT):
-        """max over faces of rate / (2 slack), the half-plane metric of the
-        face projection.
+    def bracket_paired(self, P, V, stream=None, count=config.HALF_SPACE_COUNT):
+        """Lower: max over faces of rate / (2 slack), the half-plane metric of
+        the face projection.  Upper: |V[i]| / ``section_distance_paired``.
 
-        For a modulus face the tangent-plane phase that maximizes the bound is
-        arg f(x), and the resulting value |f_lin(v)| / (2(c - |f(x)|)) does not
-        depend on the phase, so the optimum is exact, vectorizes and draws no
-        half-spaces.
+        For a modulus face the tangent-plane phase that maximizes the lower
+        bound is arg f(x), and the resulting value |f_lin(v)| / (2(c - |f(x)|))
+        does not depend on the phase, so the optimum is exact, vectorizes and
+        draws no half-spaces.  Each side takes its own slacks and rates:
+        sharing them raised peak memory by 13 MB across 100,000-direction
+        calls on 16-face bodies (the heap kept growing in later calls).
         """
         t = np.abs(V @ self.coeffs.T)
         np.divide(t, 2.0 * self.slacks(P), out=t)
-        return t.max(axis=1)
+        lower = t.max(axis=1)
+        del t   # before the section's arrays of the same size
+        return lower, np.linalg.norm(V, axis=1) / self.section_distance_paired(P, V)
 
     def _line_faces(self, x, u):
         """The faces in the coordinate s of the complex line x + s u, |u| = 1:
@@ -969,12 +974,14 @@ class BalancedConvex(Domain):
     B(0, inner) subset {g < 1} subset B(0, bounding); both are spot-checked by
     sampling at construction, as is |c|-homogeneity of the gauge.
 
-    The supporting half-spaces come from finite-difference gradients, which
-    can cut the body by roundoff, so lower bounds built on them are tagged
-    heuristic ("half-space-fd").
+    One search of the section through each row answers both sides of
+    ``bracket_paired``: the inradius of the inscribed polygon it finds is
+    the upper side's section distance, and the polygon's point nearest the
+    row's point guides the supporting half-spaces of the lower side.  Those
+    half-spaces are certified from one-sided differences of the gauge (see
+    ``supporting_half_spaces``), assuming the callable returns a convex gauge
+    to within 8 eps relative.
     """
-
-    lower_method = "half-space-fd"
 
     def __init__(self, gauge, dim: int, bounding_radius: float, inner_radius: float,
                  check_samples: int = 64, seed: int = 0):
@@ -1026,6 +1033,22 @@ class BalancedConvex(Domain):
         polygon).  Off-center rows are searched together, _SECTION_BLOCK rows
         at a time.
         """
+        return self._section_search(P, V)[0]
+
+    def bracket_paired(self, P, V, stream=None, count=config.HALF_SPACE_COUNT):
+        """Upper: |V[i]| / the section distance.  Lower:
+        ``half_space_lower_bound`` guided by the point of the same search's
+        polygon nearest P[i] (at the center, the boundary point V[i] / g(V[i])),
+        with ``count`` half-spaces for row i drawn from ``stream.fork(i)``."""
+        dist, near = self._section_search(P, V)
+        V = np.asarray(V, dtype=complex)
+        return (half_space_lower_bound(self, np.broadcast_to(P, V.shape), V,
+                                       stream or SampleStream(0), count, near=near),
+                np.linalg.norm(V, axis=1) / dist)
+
+    def _section_search(self, P, V):
+        """(section distance, guide) per row, as ``section_distance_paired``
+        describes; the guide is the point of the polygon nearest P[i]."""
         rays = config.SECTION_RAYS
         V = self._check_dim(V)
         P = np.broadcast_to(self._check_dim(P), V.shape)
@@ -1033,6 +1056,7 @@ class BalancedConvex(Domain):
         if np.any(nv == 0.0):
             raise DegenerateInputError("zero direction")
         out = np.empty(P.shape[0])
+        near = np.empty(P.shape, dtype=complex)
         centre = ~np.any(P != 0, axis=1)
         off = np.flatnonzero(~centre)
         vhat = V[off] / nv[off, None]
@@ -1041,31 +1065,38 @@ class BalancedConvex(Domain):
         if np.any(gx >= 1.0):
             raise NotInteriorError("x is not inside the body")
         if np.any(centre):
-            out[centre] = nv[centre] / self.gauge(V[centre])
+            gc = self.gauge(V[centre])
+            out[centre] = nv[centre] / gc
+            near[centre] = V[centre] / gc[:, None]
         phase = np.exp(2j * np.pi * np.arange(rays) / rays)
         for start in range(0, off.size, _SECTION_BLOCK):
             block = slice(start, start + _SECTION_BLOCK)
-            out[off[block]] = self._polygon_inradius(P[off[block]], vhat[block], phase,
-                                                     gx[block], gv[block])
-        return out
+            out[off[block]], near[off[block]] = self._polygon_inradius(
+                P[off[block]], vhat[block], phase, gx[block], gv[block])
+        return out, near
 
     def _polygon_inradius(self, X, vhat, phase, gx, gv):
         """Inradius about X[i] of the polygon of boundary hits along
-        vhat[i] * phase, searched on the gauge from gx = g(X) and gv = g(vhat)."""
+        vhat[i] * phase, searched on the gauge from gx = g(X) and gv = g(vhat),
+        and the polygon's point nearest X[i]."""
         n, rays = X.shape[0], phase.size
         dirs = (vhat[:, None, :] * phase[None, :, None]).reshape(-1, self.dim)
         Xr = np.repeat(X, rays, axis=0)
         brackets = self._hit_brackets(Xr, dirs, np.repeat(gx, rays), np.repeat(gv, rays))
         lo, _ = _ray_exits(lambda Z: 1.0 - self.gauge(Z), Xr, dirs, *brackets,
                            2.0 * self.bounding_radius * 2.0 ** -60)
-        # inradius of the inscribed polygon around 0 in section coordinates
+        # the foot of X[i] on each edge of the inscribed polygon, in section
+        # coordinates around 0
         a = lo.reshape(n, rays) * phase[None, :]
         b = np.roll(a, -1, axis=1)
         seg = b - a
         L2 = np.abs(seg) ** 2
         ts = np.clip(-np.real(a * np.conj(seg)) / np.where(L2 > 0, L2, 1.0),
                      0.0, 1.0)
-        return np.min(np.abs(a + ts * seg), axis=1)
+        foot = a + ts * seg
+        dist = np.abs(foot)
+        k = (np.arange(n), dist.argmin(axis=1))
+        return dist[k], X + foot[k][:, None] * vhat
 
     def _hit_brackets(self, X, D, gx, gv):
         """Evaluated brackets (lo, f_lo, hi, f_hi) of the boundary hits of the
@@ -1095,14 +1126,29 @@ class BalancedConvex(Domain):
 
     def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
                                stream: SampleStream | None = None):
-        """Numerical tangent half-spaces at boundary points near ``near``.
+        """Certified half-spaces from subgradients at boundary points near
+        ``near``.
 
-        The gauge is convex, so the tangent plane at a boundary point supports
-        the body; gradients come from central differences of step 1e-6, and a
-        point whose difference vanishes gives no half-space.  One gauge call
-        finds every boundary point and a second takes every difference step.
+        The gauge g is convex and homogeneous, so a subgradient s at any
+        point p has Re<z, s> <= g(z) for every z, which is < 1 on the body.
+        One-sided differences along each real coordinate e_j bracket s:
+        (g(p) - g(p - t e_j)) / t <= s_j <= (g(p + t e_j) - g(p)) / t, for the
+        steps t actually taken (about 1e-6).  The normal is the bracket's
+        midpoint m, and |m - s| is at most the norm w of its half-widths, so
+        Re<z, m> < 1 + w R on the body (R = ``bounding_radius``).  The
+        callable is assumed to return a convex gauge to within rel = 8 eps
+        relative: each bracket end is widened by rel (g(p) + g(p + t e_j)) / t
+        and 2 eps of its size for its rounding, and the offset gains rel, for
+        a point the callable puts inside has g < 1 + rel.  The widening adds
+        at least about 2 rel R / t to the offset, which also covers the few
+        roundings that follow.
+        A point whose midpoint vanishes gives no half-space.  One gauge call
+        finds every boundary point p on the drawn rays and a second takes
+        g(p) and every step.
         """
         h = 1e-6
+        eps = np.finfo(float).eps
+        rel = 8.0 * eps
         stream = stream or SampleStream(0)
         dirs = []
         if near is not None:
@@ -1116,22 +1162,29 @@ class BalancedConvex(Domain):
             mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
             base_dirs = np.vstack([base_dirs[: count // 2], mixed[: count - count // 2]])
         U = np.vstack(dirs + [base_dirs])
-        n = self.dim
+        k, n = U.shape
         Y = U / self.gauge(U)[:, None]  # boundary points on the rays
         # steps h and i h along each coordinate, in the order Re z_0, Im z_0, ...
         E = np.zeros((2 * n, n), dtype=complex)
         E[0::2] = h * np.eye(n)
         E[1::2] = 1j * h * np.eye(n)
         steps = np.stack([Y[:, None, :] + E, Y[:, None, :] - E])  # (2, k, 2n, n)
-        g = self.gauge(steps.reshape(-1, n)).reshape(steps.shape[:-1])
-        grad = (g[0] - g[1]) / (2 * h)
-        N = grad[:, 0::2] + 1j * grad[:, 1::2]
+        g = self.gauge(np.concatenate([Y, steps.reshape(-1, n)]))
+        g0, g = g[:k, None], g[k:].reshape(steps.shape[:-1])
+        j = np.arange(2 * n)
+        t = (steps - Y[:, None, :])[:, :, j, j // 2]
+        t = np.where(j % 2 == 0, t.real, t.imag)        # +-h up to rounding
+        q = (g - g0) / t
+        slop = rel * (g + g0) / np.abs(t) + 2.0 * eps * np.abs(q)
+        hi, lo = q[0] + slop[0], q[1] - slop[1]
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        N = mid[:, 0::2] + 1j * mid[:, 1::2]
         nn = np.linalg.norm(N, axis=1)
         keep = nn > 0
         if not keep.any():
             raise DegenerateInputError("no supporting half-spaces found")
-        N = N[keep] / nn[keep, None]
-        return N, np.real(np.sum(Y[keep] * N.conj(), axis=1))
+        b = 1.0 + rel + np.linalg.norm(half[keep], axis=1) * self.bounding_radius
+        return N[keep] / nn[keep, None], b / nn[keep]
 
     def outer_radius_bound(self, domain, x):
         if np.isfinite(domain.bounding_radius):
@@ -1173,10 +1226,6 @@ class AffineImage(Domain):
         else:
             self.bounding_radius = np.inf
 
-    @property
-    def lower_method(self) -> str:
-        return self.inner.lower_method
-
     def contains_margins(self, Z):
         return self.inner.contains_margins(self.map_inv(Z)) * self._sv_min
 
@@ -1206,8 +1255,8 @@ class AffineImage(Domain):
         return (self.inner.section_distance_along(self.map_inv(x), Wp, T)
                 * (np.linalg.norm(W, axis=1) / np.linalg.norm(Wp, axis=1))[:, None])
 
-    def lower_bound_paired(self, P, V, stream=None, count=config.HALF_SPACE_COUNT):
-        return self.inner.lower_bound_paired(*self._pull_back(P, V), stream, count)
+    def bracket_paired(self, P, V, stream=None, count=config.HALF_SPACE_COUNT):
+        return self.inner.bracket_paired(*self._pull_back(P, V), stream, count)
 
     def affine_disc_length(self, x, y):
         # a complex-affine map scales each complex line uniformly, so the
@@ -1259,17 +1308,18 @@ def balanced_polyhedron(coeffs, scales, dim: int, name: str = "") -> ConvexPolyh
                             dim, None, float(np.linalg.norm(s) / sv[-1]), name=name)
 
 
-# Rows bisected together for the nearest boundary points: each margins call
+# Rows searched together for the nearest boundary points: each margins call
 # then sees at most 1024 * rays points, however many rows the query has.
 _NEAREST_BLOCK = 1024
 
 
 def _section_nearest_boundary_points(d: Domain, P, V, rays: int = 24):
     """Approximate nearest boundary point of the planar section through each
-    (P[i], V[i]): 50 bisection steps on ``rays`` section rays, every row and
-    ray in one ``contains_margins`` call per step."""
+    (P[i], V[i]): the exits of ``rays`` section rays, searched by
+    ``_ray_exits`` on ``contains_margins`` from the brackets [0, 2R], and the
+    nearest of them per row."""
     if not np.isfinite(d.bounding_radius):
-        return P  # no finite bracket to bisect
+        return P  # no finite bracket to search
     rows, n = P.shape
     # each row is scaled by its own 1-D norm, which rounds as a one-row call
     # does (a row-axis norm can differ in the last bit)
@@ -1277,29 +1327,33 @@ def _section_nearest_boundary_points(d: Domain, P, V, rays: int = 24):
     th = np.linspace(0.0, 2.0 * np.pi, rays, endpoint=False)
     dirs = (np.exp(1j * th)[None, :, None] * vhat[:, None, :]).reshape(-1, n)
     X = np.repeat(P, rays, axis=0)                      # row i's rays are a block
-    lo = np.zeros(rows * rays)
-    hi = np.full_like(lo, 2.0 * d.bounding_radius)
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        inside = d.contains_margins(X + mid[:, None] * dirs) > 0
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
+    f_lo = np.repeat(d.contains_margins(P), rays)
+    if not np.all(f_lo > 0):
+        raise NotInteriorError("point outside the domain")
+    hi = np.full(rows * rays, 2.0 * d.bounding_radius)
+    f_hi = d.contains_margins(X + hi[:, None] * dirs)
+    if np.any(f_hi > 0):
+        raise DegenerateInputError("declared bounding radius does not contain the domain")
+    lo, _ = _ray_exits(d.contains_margins, X, dirs, np.zeros_like(hi), f_lo, hi, f_hi,
+                       2.0 * d.bounding_radius * 2.0 ** -60)
     k = np.arange(rows) * rays + np.argmin(lo.reshape(rows, rays), axis=1)
     return P + lo[k][:, None] * dirs[k]
 
 
 def half_space_lower_bound(d: Domain, P, V, stream: SampleStream,
-                           count: int = config.HALF_SPACE_COUNT):
+                           count: int = config.HALF_SPACE_COUNT, near=None):
     """Lower bound of K(P[i]; V[i]) per row from the projections onto ``count``
-    supporting half-spaces, drawn from ``stream.fork(i)``, near the section's
-    nearest boundary point: the metric of a half-space is |<v, n>| / (2 gap),
-    and it only shrinks as the domain grows."""
+    supporting half-spaces, drawn from ``stream.fork(i)``, near the guide
+    point near[i] (by default the section's nearest boundary point): the
+    metric of a half-space is |<v, n>| / (2 gap), and it only shrinks as the
+    domain grows."""
     P = np.asarray(P, dtype=complex)
     V = np.asarray(V, dtype=complex)
-    near = np.empty_like(P)
-    for s in range(0, P.shape[0], _NEAREST_BLOCK):
-        block = slice(s, s + _NEAREST_BLOCK)
-        near[block] = _section_nearest_boundary_points(d, P[block], V[block])
+    if near is None:
+        near = np.empty_like(P)
+        for s in range(0, P.shape[0], _NEAREST_BLOCK):
+            block = slice(s, s + _NEAREST_BLOCK)
+            near[block] = _section_nearest_boundary_points(d, P[block], V[block])
     spaces = [d.supporting_half_spaces(near[i], count, stream.fork(i))
               for i in range(P.shape[0])]
     # each row's unit normals and offsets; padded slots get offset -inf, no gap

@@ -135,10 +135,10 @@ def kobayashi_metric(d: Domain, x, v, *, seed: int = 0,
         return MetricBound(val, val)
     if not np.isfinite(d.bounding_radius):
         raise UnboundedValueError("unbounded domain without a closed-form metric")
-    upper = float(metric_upper_paired(d, P, V)[0]) * nv
-    lower = float(d.lower_bound_paired(P, V, SampleStream(seed), half_space_count)[0]) * nv
+    lower, upper = (float(side[0]) * nv for side in
+                    d.bracket_paired(P, V, SampleStream(seed), half_space_count))
     return MetricBound(min(lower, upper), upper,
-                       lower_method=d.lower_method, upper_method="affine-disc")
+                       lower_method="half-space", upper_method="affine-disc")
 
 
 def kobayashi_metric_values(d: Domain, x, V, *, which: str = "mid",
@@ -150,15 +150,9 @@ def kobayashi_metric_values(d: Domain, x, V, *, which: str = "mid",
     x = cvector(x)
     V = np.asarray(V, dtype=complex)
     # the paired oracles take the base point as one shared row
-    exact = d.metric_paired(x[None, :], V)
-    if exact is not None:
-        if which == "both":
-            return exact, exact.copy()
-        return exact
-    upper = metric_upper_paired(d, x[None, :], V)
     if which == "upper":
-        return upper
-    lower = d.lower_bound_paired(x[None, :], V, stream)
+        return metric_upper_paired(d, x[None, :], V)
+    lower, upper = d.bracket_paired(x[None, :], V, stream)
     lower = np.minimum(lower, upper)
     if which == "lower":
         return lower
@@ -244,7 +238,7 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
         upper, nodes, converged, method = length + delta, 0, True, "affine-disc-length"
     lower = min(d.distance_lower_bound(x, y, SampleStream(seed), half_space_count), upper)
     return DistanceBound(lower * scale, upper * scale,
-                         lower_method=d.lower_method, upper_method=method,
+                         lower_method="half-space", upper_method=method,
                          nodes=nodes, converged=converged, final_delta=delta * scale)
 
 

@@ -38,7 +38,7 @@ from .core import cvector
 from .domains import AutomorphismFamily, Polydisc, half_space_lower_bound, model_automorphism
 from .domination import verify_convex_domination, verify_halfplane_domination
 from .errors import LemmaViolationError
-from .metrics import kobayashi_metric, metric_upper_paired
+from .metrics import kobayashi_metric
 from .sampling import SampleStream
 from .scaling import default_schedule, equivalence_audit, volume_jacobian_check
 from .zoo import (
@@ -112,8 +112,7 @@ def run_metric_suite(seed: int = 0, triples: int = 10_000, *,
         V = stream.fork(1).unit_directions(n, d.dim)
         V = V * stream.fork(2).uniform(n, 0.1, 3.0)[:, None]
 
-        upper = metric_upper_paired(d, X, V)
-        lower = d.lower_bound_paired(X, V, stream.fork(3))
+        lower, upper = d.bracket_paired(X, V, stream.fork(3))
         scale = max(1.0, float(np.max(upper)))
         worst_cross = float(np.max(lower - upper))
         ok = worst_cross <= 1e-12 * scale
@@ -516,7 +515,7 @@ def run_sweep_suite(seed: int = 0, steps: int = 12,
         # re-validate the tightest certificate by sampling
         q = cvector(corner)
         xk = (1.0 - 2.0 ** (-steps)) * q
-        cert = polyhedral_pipeline(d, q, xk, seed=seed)
+        cert = polyhedral_pipeline(d, q, xk)
         chk = cert.validate(validate_samples, seed=seed + 2)
         if not chk.passed:
             all_ok = False

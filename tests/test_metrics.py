@@ -76,19 +76,17 @@ def test_three_face_origin_brackets(three_face):
     assert b2.upper == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
-def test_finite_difference_lower_bounds_are_tagged(three_face):
+def test_gauge_body_lower_bounds_are_tagged_half_space(three_face):
     C = np.array([[1.2, 0.3 - 0.4j], [0.2j, 0.8]], dtype=complex)
     sv = np.linalg.svd(C, compute_uv=False)
     ellipsoid = BalancedConvex(lambda v: np.linalg.norm(np.asarray(v) @ C.T, axis=-1),
                                2, 1.0 / sv[-1], 1.0 / sv[0])
     x, v, y = [0.1, -0.2j], [1.0, 0.5], [0.2j, 0.1]
-    for d, tag in ((ellipsoid, "half-space-fd"),
-                   (AffineImage(ellipsoid, twin_map(2)), "half-space-fd"),
-                   (three_face, "half-space")):
+    for d in (ellipsoid, AffineImage(ellipsoid, twin_map(2)), three_face):
         x2 = d.basepoint + np.asarray(x)
-        assert kobayashi_metric(d, x2, v).lower_method == tag
+        assert kobayashi_metric(d, x2, v).lower_method == "half-space"
         assert kobayashi_distance(d, x2, d.basepoint + np.asarray(y),
-                                  tol=1e-3).lower_method == tag
+                                  tol=1e-3).lower_method == "half-space"
 
 
 def test_affine_image_lower_bound_follows_seed_and_half_space_count():
@@ -118,7 +116,7 @@ def test_sandwich_holds_across_the_zoo():
         P = d.interior_samples(40, stream.fork(hash(name) % 1000))
         V = stream.unit_directions(40, d.dim)
         upper = metric_upper_paired(d, P, V)
-        lower = d.lower_bound_paired(P, V)
+        lower = d.bracket_paired(P, V)[0]
         assert np.all(np.isfinite(upper))
         assert np.all(lower <= upper * (1 + 1e-12) + 1e-12), name
 
@@ -265,10 +263,13 @@ def test_indicatrix_volume_disc_exact():
     assert ve.lower <= ve.value <= ve.upper + 1e-15
 
 
-def _per_row_half_space_bound(d, x, v, stream, count=8, rays=24):
-    """Reference: the half-space lower bound of one row, bisected on its own."""
+def _per_row_half_space_bound(d, x, v, stream, count=8, rays=24, near=None):
+    """Reference: the half-space lower bound of one row, guided by ``near``
+    or else by its nearest boundary point, bisected on its own."""
     best = 0.0
-    if np.isfinite(d.bounding_radius):
+    if near is not None:
+        best = float(np.linalg.norm(v)) / (2.0 * (np.linalg.norm(x) + d.bounding_radius))
+    elif np.isfinite(d.bounding_radius):
         vhat = v / np.linalg.norm(v)
         dirs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, rays, endpoint=False))[:, None] * vhat
         lo, hi = np.zeros(rays), np.full(rays, 2.0 * d.bounding_radius)
@@ -302,8 +303,14 @@ def test_batched_half_space_bound_matches_the_per_row_bound(name):
     X = d.interior_samples(24, stream.fork(0))
     V = stream.fork(1).unit_directions(24, d.dim)
     V = V * stream.fork(2).uniform(24, 0.1, 3.0)[:, None]
-    got = half_space_lower_bound(d, X, V, stream.fork(3))
-    want = [_per_row_half_space_bound(d, X[i], V[i], stream.fork(3).fork(i))
+    if name == "ellipsoid":
+        # a gauge body's lower side is guided by its section search's polygon
+        got = d.bracket_paired(X, V, stream.fork(3))[0]
+        guide = d._section_search(X, V)[1]
+    else:
+        got = half_space_lower_bound(d, X, V, stream.fork(3))
+        guide = [None] * X.shape[0]
+    want = [_per_row_half_space_bound(d, X[i], V[i], stream.fork(3).fork(i), near=guide[i])
             for i in range(X.shape[0])]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert np.all(got > 0)

@@ -1,6 +1,7 @@
 """Property tests with ``hypothesis``: random ellipsoids known only through a
 gauge callable, against the closed form of the same set as an affine image of
-the unit ball; and random polyhedra, whose closed-form distance uppers must
+the unit ball; certified supporting half-spaces of gauge bodies, which must
+contain the body; and random polyhedra, whose closed-form distance uppers must
 lie inside quadrature sandwiches and agree across affine images, and whose
 face-table oracles must agree with the drawn faces taken one by one."""
 
@@ -17,6 +18,7 @@ from invmet.metrics import metric_upper_paired
 from invmet.zoo import affine_twin
 
 from conftest import segment_sandwich
+from test_domains import _counted_body
 
 RTOL = 1e-9
 
@@ -60,8 +62,44 @@ def test_gauge_ellipsoid_metric_encloses_the_affine_ball_closed_form(row):
     # kobayashi_metric clips the lower side at the upper one, so compare the
     # oracles themselves
     P, V = x[None, :], v[None, :]
-    lower = body.lower_bound_paired(P, V, SampleStream(0))
-    assert lower[0] <= metric_upper_paired(body, P, V)[0]
+    lower, upper = body.bracket_paired(P, V, SampleStream(0))
+    assert lower[0] <= upper[0] == metric_upper_paired(body, P, V)[0]
+
+
+def _assert_half_spaces_contain_the_body(body, near, seed):
+    """Every half-space that ``supporting_half_spaces`` returns near ``near``
+    contains interior samples and the boundary points U / g(U), with no
+    slack: U drawn, and U clustered ever closer around ``near``, where the
+    first half-space touches the body."""
+    stream = SampleStream(seed)
+    N, b = body.supporting_half_spaces(near, stream=stream.fork(0))
+    U = stream.fork(1).unit_directions(200, body.dim)
+    U = np.vstack([U] + [near / np.linalg.norm(near) + r * U[:50] for r in (1e-3, 1e-6, 0.0)])
+    Z = np.vstack([body.interior_samples(400, stream.fork(2)), U / body.gauge(U)[:, None]])
+    assert np.all(np.real(Z @ N.conj().T) <= b)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ellipsoid_rows(), st.integers(0, 2 ** 16))
+def test_gauge_ellipsoid_half_spaces_are_certified(row, seed):
+    C, x, v = row
+    sv = np.linalg.svd(C, compute_uv=False)
+    body = BalancedConvex(lambda z: np.linalg.norm(np.asarray(z) @ C.T, axis=-1),
+                          2, 1.0 / sv[-1], 1.0 / sv[0])
+    _assert_half_spaces_contain_the_body(body, v, seed)
+    exact = AffineImage(UnitBall(2), AffineMap(np.linalg.inv(C), np.zeros(2)))
+    lower = body.bracket_paired(x[None, :], v[None, :], SampleStream(seed))[0]
+    assert lower[0] <= kobayashi_metric(exact, x, v).value
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["four-norm", "balanced"]), st.integers(0, 2 ** 16))
+def test_gauge_body_half_spaces_are_certified(name, seed):
+    """The smooth 4-norm ball and the kinked balanced set, near points drawn
+    inside them."""
+    body = _counted_body(name)[0]
+    near = body.interior_samples(1, SampleStream(seed).fork(3))[0]
+    _assert_half_spaces_contain_the_body(body, near, seed)
 
 
 @st.composite
@@ -144,5 +182,5 @@ def test_polyhedron_face_table_matches_the_drawn_faces(case):
     np.testing.assert_allclose(d.contains_margins(P), margin, **rel)
     np.testing.assert_allclose(d.section_distance_paired(P, V), section, **rel)
     np.testing.assert_allclose(d.section_distance_paired(x[None, :], V), shared, **rel)
-    np.testing.assert_allclose(d.lower_bound_paired(P, V), lower, **rel)
+    np.testing.assert_allclose(d.bracket_paired(P, V)[0], lower, **rel)
     np.testing.assert_allclose(d.inner_radius_exact(x, UnitBall(d.dim)), inner, **rel)

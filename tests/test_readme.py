@@ -19,6 +19,7 @@ def test_readme_python_block_runs(capsys):
         exec(compile(block, str(README), "exec"), {})
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "1.0 1.0 1.0"
+    assert out[-1] == "half-space affine-disc"
 
 
 def _cli_examples():
