@@ -20,20 +20,17 @@ V):
 * ``section_distance_along(x, W, T)``: the same at the nodes x + T[i, j] W[i]
   of rays from one point x, along W[i] (the distance quadrature of gauge
   bodies and the distance-ball sampler); polyhedra answer it in closed form;
-* ``bracket_paired(P, V, stream, count)``: certified (lower, upper) bounds
-  of the metric, the closed form on both sides where there is one; a body
-  known through a gauge answers both sides from one section search;
+* ``bracket_paired(P, V, stream)``: certified (lower, upper) bounds of the
+  metric, the closed form on both sides where there is one; a body known
+  through a gauge answers both sides from one section search;
 * ``metric_form(x)``: K(x; .) at one point as a ``MetricForm`` (a Hermitian
   form or a max of moduli of linear functionals), or None;
 * ``affine_disc_length(x, y)``: the integral of the affine-disc metric upper
   bound along [x, y] with its rounding allowance, in closed form on
   polyhedra, or None (the distance then takes a quadrature);
-* ``distance_lower_bound(x, y, stream, count)``: a certified lower bound of
-  the distance from projections onto half-planes (on polyhedra, onto the
-  faces' discs and half-planes);
-* ``supporting_half_spaces(near, count, stream)``: arrays (N, b) of the
-  half-spaces {Re<z, N[k]> < b[k]} containing the domain, with unit rows N,
-  tangent near ``near`` and ``count`` more drawn from ``stream``;
+* ``distance_lower_bound(x, y, stream)``: a certified lower bound of the
+  distance from projections onto a polyhedron's faces' discs and
+  half-planes, or onto a gauge body's supporting half-spaces;
 * ``contains_margins(Z)`` and ``coordinate_bounds()``;
 * for the squeeze radii, ``inner_radius_exact(x, model)`` on the domain, and
   ``linear_sup(coeffs)`` and ``outer_radius_bound(domain, x)`` on the model.
@@ -153,20 +150,13 @@ class Domain:
         return self.section_distance_paired(P.reshape(-1, self.dim),
                                             V.reshape(-1, self.dim)).reshape(T.shape)
 
-    def bracket_paired(self, P, V, stream: SampleStream | None = None,
-                       count: int = config.HALF_SPACE_COUNT):
-        """Certified (lower, upper) bounds of K(P[i]; V[i]) per row: the closed
-        form on both sides where the kind has one, else
-        ``half_space_lower_bound`` with ``count`` half-spaces for row i drawn
-        from ``stream.fork(i)`` (a shared row P is broadcast to every row) and
-        the affine-disc bound |V[i]| / section distance."""
+    def bracket_paired(self, P, V, stream: SampleStream | None = None):
+        """Certified (lower, upper) bounds of K(P[i]; V[i]) per row, any
+        samples drawn from ``stream``; here the closed form on both sides."""
         exact = self.metric_paired(P, V)
-        if exact is not None:
-            return exact, exact
-        upper = np.linalg.norm(V, axis=1) / self.section_distance_paired(P, V)
-        if len(P) != len(V):
-            P = np.broadcast_to(P, V.shape)
-        return half_space_lower_bound(self, P, V, stream or SampleStream(0), count), upper
+        if exact is None:
+            raise NotImplementedError
+        return exact, exact
 
     def coordinate_bounds(self):
         """Certified per-coordinate sup |z_alpha| over the domain, or None."""
@@ -211,13 +201,7 @@ class Domain:
         raise UnsupportedKindError(
             f"no certified outer radius for model {type(self).__name__}")
 
-    # -- support and the other closed forms ---------------------------------
-    def supporting_half_spaces(self, near=None, count: int = config.HALF_SPACE_COUNT,
-                               stream: SampleStream | None = None):
-        """(N, b): the half-spaces {Re<z, N[k]> < b[k]} containing the domain,
-        unit rows N of shape (k, n) and offsets b of shape (k,)."""
-        raise NotImplementedError
-
+    # -- the other closed forms and the distance's lower side ---------------
     def distance_value(self, x, y):
         return None
 
@@ -228,16 +212,10 @@ class Domain:
         ``rounding`` of ``length``, or None when the kind has no closed form."""
         return None
 
-    def distance_lower_bound(self, x, y, stream: SampleStream | None = None,
-                             count: int = config.HALF_SPACE_COUNT) -> float:
-        """Certified lower bound of the distance from x to y: the largest
-        half-plane distance between the projections of x and y onto the
-        supporting half-spaces drawn from ``stream`` near x, y and their
-        midpoint, ``count`` per call."""
-        N, b = map(np.concatenate, zip(*[self.supporting_half_spaces(near, count, stream)
-                                         for near in (x, y, 0.5 * (x + y))]))
-        w1, w2 = np.stack([x, y]) @ N.conj().T
-        return float(_half_plane_distances(w1, w2, b).max(initial=0.0))
+    def distance_lower_bound(self, x, y, stream: SampleStream | None = None) -> float:
+        """Certified lower bound of the distance from x to y, any samples
+        drawn from ``stream``, for kinds without a closed-form distance."""
+        raise NotImplementedError
 
     def gauge(self, v):
         """Minkowski gauge for balanced kinds centered at 0; None otherwise."""
@@ -351,17 +329,6 @@ class UnitBall(Domain):
             return float(domain.bounding_radius + np.linalg.norm(x)), "norm-bound"
         return super().outer_radius_bound(domain, x)
 
-    def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
-                               stream: SampleStream | None = None):
-        """The tangent half-spaces Re<z, u> < 1 at unit u: the direction of
-        ``near`` first, then ``count`` drawn directions."""
-        N = (stream or SampleStream(0)).unit_directions(count, self.dim)
-        if near is not None:
-            q = cvector(near)
-            nq = np.linalg.norm(q)
-            N = np.vstack([q / nq if nq > 0 else np.eye(self.dim)[0], N])
-        return N, np.ones(len(N))
-
     def distance_value(self, x, y):
         from .automorphisms import BallMobius
         x = self._check_dim(cvector(x))
@@ -428,23 +395,6 @@ class Polydisc(Domain):
             return super().outer_radius_bound(domain, x)
         return float(np.max((cb + np.abs(x)) / self.radii)), "coordinate-bounds"
 
-    def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
-                               stream: SampleStream | None = None):
-        """The tangent half-spaces Re(z_k conj(u)) < radii_k at phases u: at
-        the phase of each nonzero coordinate of ``near`` first, then at
-        ``count`` drawn coordinates and phases."""
-        stream = stream or SampleStream(0)
-        ph = stream.phases((count, self.dim))
-        ks = stream.integers(0, self.dim, size=count)
-        phases = ph[np.arange(count), ks]
-        if near is not None:
-            q = cvector(near)
-            on = np.flatnonzero(np.abs(q) > 0)
-            ks, phases = np.concatenate([on, ks]), np.concatenate([q[on] / np.abs(q[on]), phases])
-        N = np.zeros((ks.size, self.dim), dtype=complex)
-        N[np.arange(ks.size), ks] = phases
-        return N, self.radii[ks]
-
     def distance_value(self, x, y):
         x = self._check_dim(cvector(x))
         y = np.asarray(y, dtype=complex)
@@ -501,12 +451,6 @@ class HalfPlaneProduct(Domain):
 
     def section_distance_paired(self, P, V):
         return _slack_section(self._heights(P), V, "half-plane product")
-
-    def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
-                               stream: SampleStream | None = None):
-        # the n flat faces; the sampled extras coincide with them
-        return (np.eye(self.dim, dtype=complex) * (-1j if self.orientation == "upper" else 1.0),
-                np.zeros(self.dim))
 
     def distance_value(self, x, y):
         x = self._check_dim(cvector(x))
@@ -658,7 +602,7 @@ class ConvexPolyhedron(Domain):
             raise NotInteriorError("point outside the polyhedron")
         return np.linalg.norm(W, axis=1)[:, None] * per
 
-    def bracket_paired(self, P, V, stream=None, count=config.HALF_SPACE_COUNT):
+    def bracket_paired(self, P, V, stream=None):
         """Lower: max over faces of rate / (2 slack), the half-plane metric of
         the face projection.  Upper: |V[i]| / ``section_distance_paired``.
 
@@ -762,14 +706,14 @@ class ConvexPolyhedron(Domain):
         hi = np.minimum(value + r, 0.5 * h * (g[0] + g[1]) * (1.0 + e))
         return 0.5 * math.fsum(lo + hi), float(0.5 * (hi - lo).sum() + 4.0 * eps * hi.sum())
 
-    def distance_lower_bound(self, x, y, stream=None, count=config.HALF_SPACE_COUNT):
+    def distance_lower_bound(self, x, y, stream=None):
         """max over faces of the distance between the face images of x and y.
 
         A modulus face maps the polyhedron into the disc |f| < c, where
         a = f(x) / c and b = f(y) / c are atanh|(a - b) / (1 - conj(a) b)|
         apart; a real face maps it into the half-plane Re F < bound.
         Each tangent half-space of a modulus face contains its disc, so this
-        is at least the half-space bound, and it draws no half-spaces.
+        is at least the bound of the faces' tangent half-spaces, drawing none.
         """
         F = self.face_values(np.stack([x, y]))
         mc = self.modulus_count
@@ -787,24 +731,6 @@ class ConvexPolyhedron(Domain):
         if S is None:
             return None
         return float(np.min(self.slacks(x) / S))
-
-    def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
-                               stream: SampleStream | None = None):
-        """Tangent half-spaces of every face, phased at ``near`` for modulus faces.
-
-        For a modulus face the complex tangent hyperplane closest to ``near`` is
-        f(z) = c e^{i arg f(near)}; the associated real supporting half-space is
-        Re<z, phase * w / |w|> < (c - Re(conj(phase) d)) / |w| -- exact, so no
-        extra sampled half-spaces are needed for polyhedra.  A real face is its
-        own half-space, phase 1.
-        """
-        val = self.face_values(cvector(near) if near is not None else self.basepoint)
-        av = np.abs(val)
-        phase = np.divide(val, av, out=np.ones_like(val),
-                          where=(av > 0) & (np.arange(val.size) < self.modulus_count))
-        W = self.coeffs.conj() * phase[:, None]   # Hermitian normals of Re<z, n> form
-        return (W / self.face_norms[:, None],
-                (self.bounds - np.real(phase.conj() * self.consts)) / self.face_norms)
 
     def coordinate_bounds(self):
         """Per-coordinate sup |z_alpha| upper bounds from the const-0 modulus
@@ -974,13 +900,13 @@ class BalancedConvex(Domain):
     B(0, inner) subset {g < 1} subset B(0, bounding); both are spot-checked by
     sampling at construction, as is |c|-homogeneity of the gauge.
 
-    One search of the section through each row answers both sides of
-    ``bracket_paired``: the inradius of the inscribed polygon it finds is
-    the upper side's section distance, and the polygon's point nearest the
-    row's point guides the supporting half-spaces of the lower side.  Those
-    half-spaces are certified from one-sided differences of the gauge (see
-    ``supporting_half_spaces``), assuming the callable returns a convex gauge
-    to within 8 eps relative.
+    The one kind that draws supporting half-spaces.  One search of the
+    section through each row answers both sides of ``bracket_paired``: the
+    inradius of the inscribed polygon it finds is the upper side's section
+    distance, and the polygon's point nearest the row's point guides the
+    lower side's half-spaces, certified from one-sided differences of the
+    gauge (``supporting_half_spaces``), assuming the callable returns a
+    convex gauge to within 8 eps relative.
     """
 
     def __init__(self, gauge, dim: int, bounding_radius: float, inner_radius: float,
@@ -1035,16 +961,41 @@ class BalancedConvex(Domain):
         """
         return self._section_search(P, V)[0]
 
-    def bracket_paired(self, P, V, stream=None, count=config.HALF_SPACE_COUNT):
-        """Upper: |V[i]| / the section distance.  Lower:
-        ``half_space_lower_bound`` guided by the point of the same search's
-        polygon nearest P[i] (at the center, the boundary point V[i] / g(V[i])),
-        with ``count`` half-spaces for row i drawn from ``stream.fork(i)``."""
-        dist, near = self._section_search(P, V)
+    def bracket_paired(self, P, V, stream=None):
+        """Upper: |V[i]| / the section distance.  Lower: the largest metric
+        |<v, n>| / (2 gap) of a supporting half-space drawn from
+        ``stream.fork(i)`` near the point of the same search's polygon
+        nearest P[i] (at the center, the boundary point V[i] / g(V[i])), as a
+        half-space's metric only shrinks as the domain grows, and at least
+        the bounding-sphere floor: a supporting half-space with normal v/|v|
+        lies within |x| + R of x, giving K >= |v| / (2(|x| + R))."""
         V = np.asarray(V, dtype=complex)
-        return (half_space_lower_bound(self, np.broadcast_to(P, V.shape), V,
-                                       stream or SampleStream(0), count, near=near),
-                np.linalg.norm(V, axis=1) / dist)
+        P = np.broadcast_to(np.asarray(P, dtype=complex), V.shape)
+        dist, near = self._section_search(P, V)
+        stream = stream or SampleStream(0)
+        spaces = [self.supporting_half_spaces(near[i], stream.fork(i)) for i in range(len(P))]
+        # each row's unit normals and offsets; padded slots get offset -inf, no gap
+        N = np.zeros((len(P), max((bi.size for _, bi in spaces), default=0), self.dim),
+                     dtype=complex)
+        b = np.full(N.shape[:2], -np.inf)
+        for i, (Ni, bi) in enumerate(spaces):
+            N[i, :bi.size], b[i, :bi.size] = Ni, bi
+        N = N.conj()
+        gap = b - np.real(np.einsum("ikn,in->ik", N, P))
+        lower = np.divide(np.abs(np.einsum("ikn,in->ik", N, V)), 2.0 * gap,
+                          out=np.zeros_like(gap), where=gap > 0).max(axis=1, initial=0.0)
+        nv = np.linalg.norm(V, axis=1)
+        return (np.maximum(lower, nv / (2.0 * (np.linalg.norm(P, axis=1) + self.bounding_radius))),
+                nv / dist)
+
+    def distance_lower_bound(self, x, y, stream=None):
+        """The largest half-plane distance between the projections of x and
+        y onto the supporting half-spaces drawn from ``stream`` near x, y and
+        their midpoint."""
+        N, b = map(np.concatenate, zip(*[self.supporting_half_spaces(near, stream)
+                                         for near in (x, y, 0.5 * (x + y))]))
+        w1, w2 = np.stack([x, y]) @ N.conj().T
+        return float(_half_plane_distances(w1, w2, b).max(initial=0.0))
 
     def _section_search(self, P, V):
         """(section distance, guide) per row, as ``section_distance_paired``
@@ -1124,10 +1075,11 @@ class BalancedConvex(Domain):
                     "declared bounding radius does not contain the body")
         return lo, f_lo, hi, f_hi
 
-    def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
-                               stream: SampleStream | None = None):
-        """Certified half-spaces from subgradients at boundary points near
-        ``near``.
+    def supporting_half_spaces(self, near, stream: SampleStream | None = None):
+        """(N, b): certified half-spaces {Re<z, N[k]> < b[k]} containing the
+        body, unit rows N, from subgradients at boundary points on the ray
+        through ``near`` and on config.HALF_SPACE_COUNT rays from ``stream``,
+        half jittered around ``near`` (max(that, 2 dim), all drawn, at 0).
 
         The gauge g is convex and homogeneous, so a subgradient s at any
         point p has Re<z, s> <= g(z) for every z, which is < 1 on the body.
@@ -1149,19 +1101,16 @@ class BalancedConvex(Domain):
         h = 1e-6
         eps = np.finfo(float).eps
         rel = 8.0 * eps
-        stream = stream or SampleStream(0)
-        dirs = []
-        if near is not None:
-            q = cvector(near)
-            if np.linalg.norm(q) > 0:
-                dirs.append(q / np.linalg.norm(q))
-        base_dirs = stream.unit_directions(max(count, 2 * self.dim), self.dim)
-        if dirs:
-            # jitter around the reference direction to honour 'near'
-            mixed = dirs[0][None, :] + 0.35 * base_dirs
+        count = config.HALF_SPACE_COUNT
+        U = (stream or SampleStream(0)).unit_directions(max(count, 2 * self.dim), self.dim)
+        q = cvector(near)
+        nq = np.linalg.norm(q)
+        if nq > 0:
+            # the ray through near, then half the drawn rays jittered around it
+            q = q / nq
+            mixed = q + 0.35 * U
             mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
-            base_dirs = np.vstack([base_dirs[: count // 2], mixed[: count - count // 2]])
-        U = np.vstack(dirs + [base_dirs])
+            U = np.vstack([q, U[: count // 2], mixed[: count - count // 2]])
         k, n = U.shape
         Y = U / self.gauge(U)[:, None]  # boundary points on the rays
         # steps h and i h along each coordinate, in the order Re z_0, Im z_0, ...
@@ -1255,25 +1204,16 @@ class AffineImage(Domain):
         return (self.inner.section_distance_along(self.map_inv(x), Wp, T)
                 * (np.linalg.norm(W, axis=1) / np.linalg.norm(Wp, axis=1))[:, None])
 
-    def bracket_paired(self, P, V, stream=None, count=config.HALF_SPACE_COUNT):
-        return self.inner.bracket_paired(*self._pull_back(P, V), stream, count)
+    def bracket_paired(self, P, V, stream=None):
+        return self.inner.bracket_paired(*self._pull_back(P, V), stream)
 
     def affine_disc_length(self, x, y):
         # a complex-affine map scales each complex line uniformly, so the
         # integrand, a section distance in units of |y - x|, is unchanged
         return self.inner.affine_disc_length(self.map_inv(x), self.map_inv(y))
 
-    def distance_lower_bound(self, x, y, stream=None, count=config.HALF_SPACE_COUNT):
-        return self.inner.distance_lower_bound(self.map_inv(x), self.map_inv(y), stream, count)
-
-    def supporting_half_spaces(self, near=None, count=config.HALF_SPACE_COUNT,
-                               stream: SampleStream | None = None):
-        # Re<w, n> < b at w = L^-1 z + s is Re<z, L^-* n> < b - Re<s, n>
-        nearp = self.map_inv(cvector(near)) if near is not None else None
-        N, b = self.inner.supporting_half_spaces(nearp, count, stream)
-        M = N @ self.map_inv.linear.matrix.conj()
-        nm = np.linalg.norm(M, axis=1)
-        return M / nm[:, None], (b - np.real(N.conj() @ self.map_inv.translation)) / nm
+    def distance_lower_bound(self, x, y, stream=None):
+        return self.inner.distance_lower_bound(self.map_inv(x), self.map_inv(y), stream)
 
     def distance_value(self, x, y):
         xp = self.map_inv(cvector(x))
@@ -1306,72 +1246,6 @@ def balanced_polyhedron(coeffs, scales, dim: int, name: str = "") -> ConvexPolyh
     # max_k |c_k . z| / s_k < 1 forces ||C z|| < ||s||, so ||z|| < ||s|| / sigma_min(C)
     return ConvexPolyhedron([ModulusFace(c, 0.0, float(sk)) for c, sk in zip(C, s)],
                             dim, None, float(np.linalg.norm(s) / sv[-1]), name=name)
-
-
-# Rows searched together for the nearest boundary points: each margins call
-# then sees at most 1024 * rays points, however many rows the query has.
-_NEAREST_BLOCK = 1024
-
-
-def _section_nearest_boundary_points(d: Domain, P, V, rays: int = 24):
-    """Approximate nearest boundary point of the planar section through each
-    (P[i], V[i]): the exits of ``rays`` section rays, searched by
-    ``_ray_exits`` on ``contains_margins`` from the brackets [0, 2R], and the
-    nearest of them per row."""
-    if not np.isfinite(d.bounding_radius):
-        return P  # no finite bracket to search
-    rows, n = P.shape
-    # each row is scaled by its own 1-D norm, which rounds as a one-row call
-    # does (a row-axis norm can differ in the last bit)
-    vhat = V / np.array([np.linalg.norm(v) for v in V])[:, None]
-    th = np.linspace(0.0, 2.0 * np.pi, rays, endpoint=False)
-    dirs = (np.exp(1j * th)[None, :, None] * vhat[:, None, :]).reshape(-1, n)
-    X = np.repeat(P, rays, axis=0)                      # row i's rays are a block
-    f_lo = np.repeat(d.contains_margins(P), rays)
-    if not np.all(f_lo > 0):
-        raise NotInteriorError("point outside the domain")
-    hi = np.full(rows * rays, 2.0 * d.bounding_radius)
-    f_hi = d.contains_margins(X + hi[:, None] * dirs)
-    if np.any(f_hi > 0):
-        raise DegenerateInputError("declared bounding radius does not contain the domain")
-    lo, _ = _ray_exits(d.contains_margins, X, dirs, np.zeros_like(hi), f_lo, hi, f_hi,
-                       2.0 * d.bounding_radius * 2.0 ** -60)
-    k = np.arange(rows) * rays + np.argmin(lo.reshape(rows, rays), axis=1)
-    return P + lo[k][:, None] * dirs[k]
-
-
-def half_space_lower_bound(d: Domain, P, V, stream: SampleStream,
-                           count: int = config.HALF_SPACE_COUNT, near=None):
-    """Lower bound of K(P[i]; V[i]) per row from the projections onto ``count``
-    supporting half-spaces, drawn from ``stream.fork(i)``, near the guide
-    point near[i] (by default the section's nearest boundary point): the
-    metric of a half-space is |<v, n>| / (2 gap), and it only shrinks as the
-    domain grows."""
-    P = np.asarray(P, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    if near is None:
-        near = np.empty_like(P)
-        for s in range(0, P.shape[0], _NEAREST_BLOCK):
-            block = slice(s, s + _NEAREST_BLOCK)
-            near[block] = _section_nearest_boundary_points(d, P[block], V[block])
-    spaces = [d.supporting_half_spaces(near[i], count, stream.fork(i))
-              for i in range(P.shape[0])]
-    # each row's unit normals and offsets; padded slots get offset -inf, no gap
-    N = np.zeros((P.shape[0], max((bi.size for _, bi in spaces), default=0), d.dim),
-                 dtype=complex)
-    b = np.full(N.shape[:2], -np.inf)
-    for i, (Ni, bi) in enumerate(spaces):
-        N[i, :bi.size], b[i, :bi.size] = Ni, bi
-    N = N.conj()
-    gap = b - np.real(np.einsum("ikn,in->ik", N, P))
-    best = np.divide(np.abs(np.einsum("ikn,in->ik", N, V)), 2.0 * gap,
-                     out=np.zeros_like(gap), where=gap > 0).max(axis=1, initial=0.0)
-    if np.isfinite(d.bounding_radius):
-        # bounding-sphere floor: a supporting half-space with normal v/|v|
-        # exists within distance |x| + R of x, giving K >= |v| / (2(|x| + R))
-        best = np.maximum(best, np.linalg.norm(V, axis=1)
-                          / (2.0 * (np.linalg.norm(P, axis=1) + d.bounding_radius)))
-    return best
 
 
 def convexity_witness(domain: Domain, samples: int = config.CONVEXITY_WITNESS_SAMPLES,

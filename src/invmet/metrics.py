@@ -3,9 +3,10 @@
 Closed forms on the model domains (ball, polydisc, half-plane products, and
 their affine images) make both sides of every bound coincide.  On general
 convex domains the upper bound comes from the affine disc inscribed in the
-planar section through (x, v) and the lower bound from holomorphic projections
-onto supporting half-spaces; both directions are certified by monotonicity of
-the metric under holomorphic maps, so lower <= K <= upper always holds.
+planar section through (x, v) and the lower bound from holomorphic
+projections onto a polyhedron's face discs and half-planes, or onto
+half-spaces certified from a gauge body's gauge.  Both are certified by
+monotonicity of the metric under holomorphic maps: lower <= K <= upper.
 
 The distance's upper bound integrates that affine-disc upper bound along the
 segment: exactly, in closed form, on polyhedra and their affine images, and
@@ -98,22 +99,48 @@ class DistanceBound:
 # Paired evaluators: stacks of (point, direction) rows, exact on models
 # ---------------------------------------------------------------------------
 
+# 2^-511: a row with every real and imaginary part at least this large has a
+# squared norm of at least the smallest normal double
+_SMALL = math.sqrt(np.finfo(float).tiny)
+
+
+def _moderated(V):
+    """(V, e): the direction rows, each nonzero row whose squared norm
+    underflows (so |V[i]| rounds to 0) times 2^-e[i], e[i] the np.frexp
+    exponent of its largest modulus; e[i] = 0 on the other rows, which keep
+    their bits, and e is None when no row is scaled.  A power of two scales
+    exactly, so the bound at V[i] is the scaled row's bound times 2^e[i]."""
+    V = np.asarray(V, dtype=complex)
+    R = np.ascontiguousarray(V).view(float)
+    if np.abs(R).min(initial=np.inf) >= _SMALL:   # one cheap pass rules most stacks out
+        return V, None
+    rows = np.flatnonzero(np.einsum("ij,ij->i", R, R) < _SMALL * _SMALL)
+    rows = rows[np.any(V[rows] != 0, axis=1)]
+    if not rows.size:
+        return V, None
+    e = np.zeros(len(V), dtype=int)
+    e[rows] = np.frexp(np.abs(V[rows]).max(axis=1))[1]
+    V = V.copy()
+    for part in (V.real, V.imag):
+        part[rows] = np.ldexp(part[rows], -e[rows, None])
+    return V, e
+
+
 def metric_upper_paired(d: Domain, P, V):
     """Certified upper bound for row-paired (point, direction) stacks."""
     P = np.asarray(P, dtype=complex)
-    V = np.asarray(V, dtype=complex)
-    exact = d.metric_paired(P, V)
-    if exact is not None:
-        return exact
-    return np.linalg.norm(V, axis=1) / d.section_distance_paired(P, V)
+    V, e = _moderated(V)
+    upper = d.metric_paired(P, V)
+    if upper is None:
+        upper = np.linalg.norm(V, axis=1) / d.section_distance_paired(P, V)
+    return upper if e is None else np.ldexp(upper, e)
 
 
 # ---------------------------------------------------------------------------
 # Public single-evaluation API
 # ---------------------------------------------------------------------------
 
-def kobayashi_metric(d: Domain, x, v, *, seed: int = 0,
-                     half_space_count: int = config.HALF_SPACE_COUNT) -> MetricBound:
+def kobayashi_metric(d: Domain, x, v, *, seed: int = 0) -> MetricBound:
     """Certified bounds for the infinitesimal metric K(x; v).
 
     Model domains (and their affine images) return a degenerate bracket from
@@ -124,11 +151,15 @@ def kobayashi_metric(d: Domain, x, v, *, seed: int = 0,
     v = cvector(v)
     if x.size != d.dim or v.size != d.dim:
         raise DegenerateInputError(f"expected vectors of length {d.dim}")
-    nv = float(np.linalg.norm(v))
+    nv, e = float(np.linalg.norm(v)), None
+    if nv <= _SMALL:
+        (v,), e = _moderated(v[None, :])
+        nv = float(np.linalg.norm(v))
     if nv == 0.0:
         raise DegenerateInputError("direction must be nonzero")
     d.require_interior(x, "base point")
     P, V = x[None, :], (v / nv)[None, :]
+    nv = nv if e is None else math.ldexp(nv, int(e[0]))
     exact = d.metric_paired(P, V)
     if exact is not None:
         val = float(exact[0]) * nv
@@ -136,7 +167,7 @@ def kobayashi_metric(d: Domain, x, v, *, seed: int = 0,
     if not np.isfinite(d.bounding_radius):
         raise UnboundedValueError("unbounded domain without a closed-form metric")
     lower, upper = (float(side[0]) * nv for side in
-                    d.bracket_paired(P, V, SampleStream(seed), half_space_count))
+                    d.bracket_paired(P, V, SampleStream(seed)))
     return MetricBound(min(lower, upper), upper,
                        lower_method="half-space", upper_method="affine-disc")
 
@@ -148,11 +179,13 @@ def kobayashi_metric_values(d: Domain, x, V, *, which: str = "mid",
     which: "mid" (bracket midpoint), "upper", "lower", or "both".
     """
     x = cvector(x)
-    V = np.asarray(V, dtype=complex)
     # the paired oracles take the base point as one shared row
     if which == "upper":
         return metric_upper_paired(d, x[None, :], V)
+    V, e = _moderated(V)
     lower, upper = d.bracket_paired(x[None, :], V, stream)
+    if e is not None:
+        lower, upper = np.ldexp(lower, e), np.ldexp(upper, e)
     lower = np.minimum(lower, upper)
     if which == "lower":
         return lower
@@ -196,8 +229,7 @@ def _trapezoid_upper(d: Domain, x, y, tol: float):
 
 def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
                        tol: float = config.QUADRATURE_TOL,
-                       seed: int = 0,
-                       half_space_count: int = config.HALF_SPACE_COUNT) -> DistanceBound:
+                       seed: int = 0) -> DistanceBound:
     """Certified bounds for the induced distance.
 
     Upper: the integral of the affine-disc metric upper bound along [x, y]
@@ -212,8 +244,8 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
     spent; the last move is added to the upper side, and the bound reports
     the nodes, whether it converged and that move.  Lower: the domain's
     ``distance_lower_bound``, distances between projections of x and y onto
-    supporting half-spaces or, on polyhedra, onto the faces' discs and
-    half-planes.
+    the faces' discs and half-planes of a polyhedron or the supporting
+    half-spaces of a body known through a gauge.
     """
     scale = distance_scale(convention)
     x = cvector(x)
@@ -236,7 +268,7 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
     else:
         length, delta = closed
         upper, nodes, converged, method = length + delta, 0, True, "affine-disc-length"
-    lower = min(d.distance_lower_bound(x, y, SampleStream(seed), half_space_count), upper)
+    lower = min(d.distance_lower_bound(x, y, SampleStream(seed)), upper)
     return DistanceBound(lower * scale, upper * scale,
                          lower_method="half-space", upper_method=method,
                          nodes=nodes, converged=converged, final_delta=delta * scale)
@@ -489,7 +521,7 @@ def indicatrix_gauge_upper(d: Domain, x, W, *, stream: SampleStream | None = Non
     x = cvector(x)
     W = np.asarray(W, dtype=complex)
     P = np.broadcast_to(x, W.shape)
-    nz = np.linalg.norm(W, axis=1) > 0
+    nz = np.any(W != 0, axis=1)
     out = np.zeros(W.shape[0])
     if np.any(nz):
         out[nz] = metric_upper_paired(d, P[nz], W[nz])

@@ -35,7 +35,7 @@ from .convexbox import (
     slope_check,
 )
 from .core import cvector
-from .domains import AutomorphismFamily, Polydisc, half_space_lower_bound, model_automorphism
+from .domains import AutomorphismFamily, Polydisc, model_automorphism
 from .domination import verify_convex_domination, verify_halfplane_domination
 from .errors import LemmaViolationError
 from .metrics import kobayashi_metric
@@ -43,6 +43,7 @@ from .sampling import SampleStream
 from .scaling import default_schedule, equivalence_audit, volume_jacobian_check
 from .zoo import (
     affine_twin,
+    model_twins,
     polydisc_as_polyhedron,
     three_face_polyhedron,
     twin_map,
@@ -92,8 +93,11 @@ def run_metric_suite(seed: int = 0, triples: int = 10_000, *,
 
     For every triple the certified lower bound must not exceed the certified
     upper bound.  Where a closed form exists the bracket must collapse to it,
-    and on a subsample the generic machinery (affine-disc upper, half-space
-    lower) must bracket the closed form from the correct sides.
+    and on the first ``generic_rows`` triples the model's twin from
+    ``zoo.model_twins`` -- the same set as a polyhedron or a gauge body, which
+    has no closed form -- must bracket the closed form from the correct
+    sides: ``generic_cross`` is the largest amount by which the twin's
+    ``bracket_paired`` misses it.
     """
     names = zoo_names()
     per = max(1, triples // len(names))
@@ -104,6 +108,7 @@ def run_metric_suite(seed: int = 0, triples: int = 10_000, *,
                "generic_cross", "methods", "status"]
     rows, failures = [], []
     all_ok = True
+    twins = model_twins()
     for i, name in enumerate(names):
         d = zoo_domain(name)
         stream = SampleStream(seed).fork(100 + i)
@@ -117,28 +122,20 @@ def run_metric_suite(seed: int = 0, triples: int = 10_000, *,
         worst_cross = float(np.max(lower - upper))
         ok = worst_cross <= 1e-12 * scale
 
-        closed = d.metric_value(X[0], V[0])
-        is_exact = closed is not None
-        if is_exact:
+        m = min(generic_rows, n)
+        closed_all = d.metric_paired(X[:m], V[:m])
+        if closed_all is not None:
             model_gap = float(np.max(np.abs(upper - lower)))
-            closed_all = np.array([d.metric_value(x, v) for x, v in
-                                   zip(X[:generic_rows], V[:generic_rows])])
-            closed_dev = float(np.max(np.abs(
-                0.5 * (upper + lower)[:generic_rows] - closed_all)))
-            # generic machinery must bracket the closed form
-            m = closed_all.size
-            sec = d.section_distance_paired(X[:m], V[:m])
-            gen_upper = np.linalg.norm(V[:m], axis=1) / sec
-            gen_lower = half_space_lower_bound(d, X[:m], V[:m], stream.fork(4))
+            closed_dev = float(np.max(np.abs(0.5 * (upper + lower)[:m] - closed_all)))
+            # the twin's bracket, with no closed form, must enclose it
+            gen_lower, gen_upper = twins[name].bracket_paired(X[:m], V[:m], stream.fork(4))
             generic_cross = float(max(np.max(closed_all - gen_upper),
                                       np.max(gen_lower - closed_all)))
             ok = (ok and model_gap <= config.MODEL_BRACKET_TOL
                   and closed_dev <= config.MODEL_BRACKET_TOL
                   and generic_cross <= 1e-9 * scale)
         else:
-            model_gap = NAN
-            closed_dev = NAN
-            generic_cross = NAN
+            model_gap = closed_dev = generic_cross = NAN
 
         probe = kobayashi_metric(d, X[0], V[0], seed=seed)
         methods = f"{probe.lower_method}|{probe.upper_method}"

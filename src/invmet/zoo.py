@@ -3,7 +3,8 @@
 Every entry is rebuilt on demand so callers can mutate nothing shared.  The
 polyhedron and balanced-body entries are the small hand-checkable bodies used
 throughout the test batteries; the affine twins exercise the delegation paths
-with fixed, deterministic maps.
+with fixed, deterministic maps, and ``model_twins`` rebuilds each model as a
+kind without a closed form.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import numpy as np
 from .core import AffineMap, CLinearMap
 from .domains import (
     AffineImage,
+    BalancedConvex,
     ConvexPolyhedron,
     Domain,
     HalfPlaneProduct,
     ModulusFace,
     Polydisc,
+    RealFace,
     UnitBall,
     balanced_polyhedron,
     load_domain,
@@ -82,6 +85,22 @@ _BUILDERS = {
     "sheared_polydisc": lambda: affine_twin(Polydisc([1.0, 1.0])),
     "turned_ball": lambda: affine_twin(UnitBall(2)),
 }
+
+
+def model_twins() -> dict:
+    """Each model of the zoo rebuilt as a kind without a closed form, by name:
+    modulus faces, a real face, a gauge body and an affine image of each."""
+    polydisc2 = polydisc_as_polyhedron([1.0, 1.0])
+    ball2 = BalancedConvex(UnitBall(2).gauge, 2, 1.0, 1.0)
+    return {
+        "disc": polydisc_as_polyhedron([1.0]),
+        "polydisc2": polydisc2,
+        "ball2": ball2,
+        "halfplane": ConvexPolyhedron([RealFace([-1j], 0.0)], 1, basepoint=[1j],
+                                      bounding_radius=np.inf),
+        "sheared_polydisc": affine_twin(polydisc2),
+        "turned_ball": affine_twin(ball2),
+    }
 
 
 def zoo_names() -> list[str]:

@@ -28,7 +28,6 @@ from invmet.domains import (
     AffineImage,
     BalancedConvex,
     ConvexPolyhedron,
-    Domain,
     ModulusFace,
     RealFace,
 )
@@ -367,8 +366,7 @@ def _gauge_ellipsoid():
 def test_balanced_half_space_normals_match_ellipsoid_gradient():
     C = ELLIPSOID_C
     d = _gauge_ellipsoid()
-    N, b = d.supporting_half_spaces(near=[0.3 + 0.1j, -0.2j], count=8,
-                                    stream=SampleStream(13))
+    N, b = d.supporting_half_spaces(near=[0.3 + 0.1j, -0.2j], stream=SampleStream(13))
     assert N.shape == (9, 2)
     np.testing.assert_allclose(np.linalg.norm(N, axis=1), 1.0, rtol=1e-12)
     # the support value of {|C z| < 1} in direction n is |C^-* n|: an offset
@@ -379,16 +377,23 @@ def test_balanced_half_space_normals_match_ellipsoid_gradient():
     assert np.all(b <= support * (1.0 + 1e-5))
 
 
-def _half_space_cases():
-    cases = [pytest.param(zoo_domain(name), id=name) for name in zoo_names()]
-    cases.append(pytest.param(_gauge_ellipsoid(), id="ellipsoid"))
-    cases.append(pytest.param(affine_twin(_gauge_ellipsoid()), id="ellipsoid-twin"))
-    cases.append(pytest.param(_random_polyhedron(4), id="random-polyhedron"))
-    return cases
+# the zoo sets balanced about 0, whose gauges have kinks but for ball2
+GAUGE_TWINS = ["balanced", "ball2", "disc", "polydisc2", "three_face"]
 
 
-@pytest.mark.parametrize("d", _half_space_cases())
-def test_supporting_half_spaces_are_unit_rows_containing_the_domain(d):
+def _gauge_twin(name):
+    """The zoo set ``name``, balanced about 0, as a body known only through
+    its gauge; the set's margin at 0 is the radius of the largest ball in it."""
+    d = zoo_domain(name)
+    return BalancedConvex(d.gauge, d.dim, d.bounding_radius, d.contains(np.zeros(d.dim)))
+
+
+@pytest.mark.parametrize("make", [_gauge_ellipsoid, lambda: _counted_body("four-norm")[0]]
+                         + [lambda name=name: _gauge_twin(name) for name in GAUGE_TWINS],
+                         ids=["ellipsoid", "four-norm"] + GAUGE_TWINS)
+def test_supporting_half_spaces_are_unit_rows_containing_the_domain(make):
+    """On bodies known through a gauge, the one kind that draws half-spaces."""
+    d = make()
     stream = SampleStream(19)
     Z = d.interior_samples(400, stream.fork(0))
     N, b = d.supporting_half_spaces(near=Z[0], stream=stream.fork(1))
@@ -594,6 +599,27 @@ def test_affine_disc_length_stays_tight_on_short_segments():
         assert length - rounding <= above * (1.0 + 1e-15)
 
 
+def _tangent_half_plane_distance(d, x, y):
+    """The distance lower bound from the faces' tangent half-planes: with u
+    the phase of F_k at x, y or their midpoint (1 on a real face), face k
+    maps the polyhedron into Re(conj(u) F_k) < bounds[k], where the images w1
+    and w2 of x and y are atanh|(w2 - w1) / (w2 + conj(w1) - 2 bounds[k])|
+    apart.  An affine image is measured on its inner polyhedron."""
+    if isinstance(d, AffineImage):
+        return _tangent_half_plane_distance(d.inner, d.map_inv(x), d.map_inv(y))
+    mc = d.modulus_count
+    best = 0.0
+    for near in (x, y, 0.5 * (x + y)):
+        F = d.face_values(near)
+        u = np.ones(F.size, dtype=complex)
+        on = np.flatnonzero(np.abs(F[:mc]) > 0)
+        u[on] = F[on] / np.abs(F[on])
+        w1, w2 = u.conj() * d.face_values(np.stack([x, y]))
+        t = np.abs((w2 - w1) / (w2 + w1.conj() - 2.0 * d.bounds))
+        best = max(best, np.arctanh(t[t < 1.0]).max(initial=0.0))
+    return best
+
+
 @pytest.mark.parametrize("make,exact", [
     (lambda: zoo_domain("three_face"), None),
     (lambda: affine_twin(zoo_domain("three_face")), None),
@@ -603,13 +629,13 @@ def test_affine_disc_length_stays_tight_on_short_segments():
 ], ids=["three_face", "three_face-twin", "polydisc-faces", "random-0", "random-C3"])
 def test_polyhedron_distance_lower_bound_dominates_the_half_space_bound(make, exact):
     """The faces' disc and half-plane projections bound the distance at
-    least as well as the tangent half-spaces of ``Domain``'s loop, and on
-    the polydisc as faces they give its closed-form distance."""
+    least as well as the faces' tangent half-planes, and on the polydisc as
+    faces they give its closed-form distance."""
     d = make()
     P = d.interior_samples(16, SampleStream(41))
     for x, y in zip(P[:8], P[8:]):
         lower = d.distance_lower_bound(x, y, SampleStream(0))
-        assert lower >= Domain.distance_lower_bound(d, x, y, SampleStream(0)) * (1 - 1e-15)
+        assert lower >= _tangent_half_plane_distance(d, x, y) * (1 - 1e-15)
         assert lower <= kobayashi_distance(d, x, y).upper
         if exact is not None:
             assert lower == pytest.approx(exact.distance_value(x, y), rel=1e-14)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,10 +28,11 @@ from invmet.domains import (
     BalancedConvex,
     ConvexPolyhedron,
     ModulusFace,
-    half_space_lower_bound,
 )
-from invmet.metrics import indicatrix_gauge_upper, metric_upper_paired
-from invmet.zoo import affine_twin, twin_map
+from invmet.metrics import indicatrix_gauge_upper, kobayashi_metric_values, metric_upper_paired
+from invmet.zoo import affine_twin, model_twins, twin_map
+
+from test_domains import GAUGE_TWINS, _gauge_twin
 
 
 def test_polydisc_metric_closed_form(pd2):
@@ -89,9 +91,9 @@ def test_gauge_body_lower_bounds_are_tagged_half_space(three_face):
                                   tol=1e-3).lower_method == "half-space"
 
 
-def test_affine_image_lower_bound_follows_seed_and_half_space_count():
+def test_affine_image_lower_bound_follows_seed():
     """kobayashi_metric on the affine image of a gauge body draws the same
-    half-spaces as on the body, for every seed and half-space count."""
+    half-spaces as on the body, for every seed."""
     d = BalancedConvex(lambda v: np.sum(np.abs(np.asarray(v)) ** 4, axis=-1) ** 0.25,
                        2, 2.0 ** 0.25, 1.0)
     twin = affine_twin(d)
@@ -99,11 +101,10 @@ def test_affine_image_lower_bound_follows_seed_and_half_space_count():
     stream = SampleStream(18)
     X = 0.8 * d.interior_samples(20, stream)
     V = stream.unit_directions(20, 2)
-    for seed, count in ((0, 8), (5, 8), (0, 32)):
+    for seed in (0, 5):
         for x, v in zip(X, V):
-            body = kobayashi_metric(d, x, v, seed=seed, half_space_count=count)
-            image = kobayashi_metric(twin, T(x), T.linear(v), seed=seed,
-                                     half_space_count=count)
+            body = kobayashi_metric(d, x, v, seed=seed)
+            image = kobayashi_metric(twin, T(x), T.linear(v), seed=seed)
             # the pull-back moves x by an ulp, which the finite differences
             # (step 1e-6) lift to about 1e-11; other half-spaces move it by 1e-4
             assert image.lower == pytest.approx(body.lower, rel=1e-9, abs=0)
@@ -263,26 +264,11 @@ def test_indicatrix_volume_disc_exact():
     assert ve.lower <= ve.value <= ve.upper + 1e-15
 
 
-def _per_row_half_space_bound(d, x, v, stream, count=8, rays=24, near=None):
-    """Reference: the half-space lower bound of one row, guided by ``near``
-    or else by its nearest boundary point, bisected on its own."""
-    best = 0.0
-    if near is not None:
-        best = float(np.linalg.norm(v)) / (2.0 * (np.linalg.norm(x) + d.bounding_radius))
-    elif np.isfinite(d.bounding_radius):
-        vhat = v / np.linalg.norm(v)
-        dirs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, rays, endpoint=False))[:, None] * vhat
-        lo, hi = np.zeros(rays), np.full(rays, 2.0 * d.bounding_radius)
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            inside = d.contains_margins(x[None, :] + mid[:, None] * dirs) > 0
-            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-        k = int(np.argmin(lo))
-        near = x + lo[k] * dirs[k]
-        best = float(np.linalg.norm(v)) / (2.0 * (np.linalg.norm(x) + d.bounding_radius))
-    else:
-        near = x
-    N, b = d.supporting_half_spaces(near=near, count=count, stream=stream)
+def _per_row_half_space_bound(d, x, v, stream, near):
+    """Reference: the half-space lower bound of one row, guided by ``near``,
+    half-space by half-space above the bounding-sphere floor."""
+    best = float(np.linalg.norm(v)) / (2.0 * (np.linalg.norm(x) + d.bounding_radius))
+    N, b = d.supporting_half_spaces(near=near, stream=stream)
     for n, gap in zip(N, b - np.real(N.conj() @ x)):
         if gap > 0:
             best = max(best, abs(complex(v @ n.conj())) / (2.0 * gap))
@@ -296,21 +282,17 @@ def _ellipsoid():
                           2, 1.0 / sv[-1], 1.0 / sv[0])
 
 
-@pytest.mark.parametrize("name", zoo_names() + ["ellipsoid"])
+@pytest.mark.parametrize("name", ["ellipsoid"] + GAUGE_TWINS)
 def test_batched_half_space_bound_matches_the_per_row_bound(name):
-    d = _ellipsoid() if name == "ellipsoid" else zoo_domain(name)
+    """A gauge body's lower side, guided by its section search's polygon."""
+    d = _ellipsoid() if name == "ellipsoid" else _gauge_twin(name)
     stream = SampleStream(31)
     X = d.interior_samples(24, stream.fork(0))
     V = stream.fork(1).unit_directions(24, d.dim)
     V = V * stream.fork(2).uniform(24, 0.1, 3.0)[:, None]
-    if name == "ellipsoid":
-        # a gauge body's lower side is guided by its section search's polygon
-        got = d.bracket_paired(X, V, stream.fork(3))[0]
-        guide = d._section_search(X, V)[1]
-    else:
-        got = half_space_lower_bound(d, X, V, stream.fork(3))
-        guide = [None] * X.shape[0]
-    want = [_per_row_half_space_bound(d, X[i], V[i], stream.fork(3).fork(i), near=guide[i])
+    got = d.bracket_paired(X, V, stream.fork(3))[0]
+    guide = d._section_search(X, V)[1]
+    want = [_per_row_half_space_bound(d, X[i], V[i], stream.fork(3).fork(i), guide[i])
             for i in range(X.shape[0])]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert np.all(got > 0)
@@ -319,10 +301,47 @@ def test_batched_half_space_bound_matches_the_per_row_bound(name):
 @pytest.mark.parametrize("name", ["disc", "polydisc2", "ball2", "halfplane",
                                   "sheared_polydisc", "turned_ball"])
 def test_batched_half_space_bound_is_below_the_closed_form(name):
-    d = zoo_domain(name)
+    """The bracket of the model's twin in the metric suite -- the same set
+    as a polyhedron or a gauge body, with no closed form -- encloses the
+    model's closed form, with a half-space lower side above 0."""
+    d, twin = zoo_domain(name), model_twins()[name]
     stream = SampleStream(32)
     X = d.interior_samples(64, stream.fork(0))
     V = stream.fork(1).unit_directions(64, d.dim)
-    lower = half_space_lower_bound(d, X, V, stream.fork(2))
-    assert np.all(lower <= d.metric_paired(X, V) * (1.0 + 1e-12))
+    exact = d.metric_paired(X, V)
+    lower, upper = twin.bracket_paired(X, V, stream.fork(2))
     assert np.all(lower > 0)
+    assert np.all(lower <= exact * (1.0 + 1e-12))
+    assert np.all(upper >= exact * (1.0 - 1e-12))
+    assert twin.metric_paired(X, V) is None
+
+
+@pytest.mark.parametrize("name", ["three_face", "ball2", "ellipsoid"])
+def test_bracket_of_a_direction_whose_norm_underflows(name):
+    """v = (0, 6.6e-245) has |v|^2 = 0 in doubles; its bracket is 2^-800
+    times the bracket at v 2^800, bit for bit, through every entry point."""
+    d = _ellipsoid() if name == "ellipsoid" else zoo_domain(name)
+    x = np.zeros(2, dtype=complex)
+    v = np.array([0.0, 6.6e-245], dtype=complex)
+    big = v * 2.0 ** 800
+    # the middle row is an ordinary one, the same in both stacks
+    rows = [0, 2]
+    V = np.array([v, [0.3, 0.4j], v * 1j])
+    V_big = V.copy()
+    V_big[rows] *= 2.0 ** 800
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, want = kobayashi_metric(d, x, v), kobayashi_metric(d, x, big)
+        assert (got.lower, got.upper) == (want.lower * 2.0 ** -800, want.upper * 2.0 ** -800)
+        assert got.upper > 0
+        lower, upper = kobayashi_metric_values(d, x, V, which="both")
+        big_lower, big_upper = kobayashi_metric_values(d, x, V_big, which="both")
+        paired = metric_upper_paired(d, x[None, :], V)
+        big_paired = metric_upper_paired(d, x[None, :], V_big)
+        assert np.all(indicatrix_gauge_upper(d, x, V) > 0)
+    for side, big_side in ((lower, big_lower), (upper, big_upper), (paired, big_paired)):
+        assert np.array_equal(side[rows], big_side[rows] * 2.0 ** -800)
+        assert np.all(side > 0)
+    # and the ordinary row keeps its bits
+    one = kobayashi_metric_values(d, x, V[1:2], which="both")
+    assert (lower[1], upper[1]) == (one[0][0], one[1][0])
