@@ -30,10 +30,6 @@ class Mobius1D:
         self.a, self.b, self.c, self.d = a, b, c, d
 
     @classmethod
-    def identity(cls) -> "Mobius1D":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
     def disc_to_origin(cls, p, radius: float = 1.0) -> "Mobius1D":
         """Automorphism of the disc |z| < radius sending p to 0."""
         p = complex(p)

@@ -39,7 +39,7 @@ from .errors import (
     SingularMapError,
     UnsupportedKindError,
 )
-from .metrics import kobayashi_metric_values
+from .metrics import indicatrix
 from .sampling import SampleStream
 
 
@@ -252,20 +252,16 @@ def circularity_lower_bound(d: Domain, x, certificates) -> CircularityBound:
 def barth_check(d: Domain, samples: int = 512, *, seed: int = 0) -> float:
     """Max discrepancy between the domain gauge and the indicatrix gauge at 0.
 
-    For a bounded complete circular domain the two agree exactly; closed-form
-    kinds return roundoff-level values, bracketed kinds stay within the
-    bracket half-width.
+    The indicatrix gauge is the bracket midpoint of ``indicatrix(d, 0,
+    samples, seed=seed)`` on its directions.  For a bounded complete circular
+    domain the two agree exactly (Barth); closed-form kinds return
+    roundoff-level values, bracketed kinds stay within the bracket half-width.
     """
-    probe = d.gauge(np.ones(d.dim, dtype=complex))
-    if probe is None:
+    if d.gauge(np.ones(d.dim, dtype=complex)) is None:
         raise UnsupportedKindError("gauge oracle required (complete circular)")
-    stream = SampleStream(seed)
-    U = stream.unit_directions(samples, d.dim)
-    center = np.zeros(d.dim, dtype=complex)
-    lower, upper = kobayashi_metric_values(d, center, U, which="both",
-                                           stream=stream.fork(1))
-    g = np.asarray(d.gauge(U), dtype=float)
-    return float(np.max(np.abs(0.5 * (lower + upper) - g)))
+    sample = indicatrix(d, np.zeros(d.dim, dtype=complex), samples, seed=seed)
+    mid = 0.5 * (sample.gauge_lower + sample.gauge_upper)
+    return float(np.max(np.abs(mid - np.asarray(d.gauge(sample.directions), dtype=float))))
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,10 @@ V):
 * for the squeeze radii, ``inner_radius_exact(x, model)`` on the domain, and
   ``linear_sup(coeffs)`` and ``outer_radius_bound(domain, x)`` on the model.
 
-``metric_value`` and ``section_boundary_distance`` are their single-point
-forms.  ``AffineImage`` pulls the rows back to its inner domain.
+``AffineImage`` pulls the rows back to its inner domain.  A nonzero direction
+row whose squared norm underflows (so |V[i]| rounds to 0) is the caller's to
+rescale: the oracles take |V[i]| as given.  The entry points of ``metrics``
+scale such rows by a power of two and the bounds back, exactly.
 """
 
 from __future__ import annotations
@@ -164,26 +166,6 @@ class Domain:
             return np.full(self.dim, self.bounding_radius)
         return None
 
-    # -- single-point forms of the paired oracles --------------------------
-    def metric_value(self, x, v):
-        """K(x; v) (a vector for a stack of directions), or None."""
-        P, V, single = self._rows_at(x, v)
-        k = self.metric_paired(P, V)
-        if k is None:
-            return None
-        return float(k[0]) if single else k
-
-    def section_boundary_distance(self, x, v):
-        """Section distance from x along v (a vector for a stack of directions)."""
-        P, V, single = self._rows_at(x, v)
-        d = self.section_distance_paired(P, V)
-        return float(d[0]) if single else d
-
-    def _rows_at(self, x, v):
-        x = self._check_dim(cvector(x))
-        V, single = _as_direction_stack(v, self.dim)
-        return x[None, :], V, single
-
     # -- squeeze radii ------------------------------------------------------
     def inner_radius_exact(self, x, model: "Domain"):
         """Largest r with x + r * model inside the domain, by exact arithmetic,
@@ -231,18 +213,6 @@ class Domain:
             raise DimensionMismatchError(
                 f"expected vectors of length {self.dim}, got {z.shape[-1]}")
         return z
-
-
-def _as_direction_stack(v, dim):
-    v = np.asarray(v, dtype=complex)
-    single = v.ndim == 1
-    if single:
-        v = v[None, :]
-    if v.shape[-1] != dim:
-        raise DimensionMismatchError(f"direction length {v.shape[-1]} != {dim}")
-    if np.any(np.linalg.norm(v, axis=1) == 0.0):
-        raise DegenerateInputError("zero direction")
-    return v, single
 
 
 def _half_plane_distances(w1, w2, b):
@@ -336,6 +306,11 @@ class UnitBall(Domain):
         phi = BallMobius(x)
         img = phi(y)
         t = np.linalg.norm(img, axis=-1) if y.ndim > 1 else np.linalg.norm(img)
+        if not np.all(t):
+            # where |img|^2 underflows, scale img by a power of two first
+            e = np.frexp(np.abs(img).max(axis=-1, keepdims=True))[1]
+            s = np.linalg.norm(np.ldexp(img.view(float), -e), axis=-1)
+            t = np.where(t == 0, np.ldexp(s, e[..., 0]), t)
         return np.arctanh(np.clip(t, 0.0, 1.0 - 1e-16))
 
     def gauge(self, v):
@@ -416,8 +391,7 @@ class Polydisc(Domain):
 class HalfPlaneProduct(Domain):
     """Product of half-planes: Im z_alpha > 0 ("upper") or Re z_alpha < 0 ("left").
 
-    Unbounded but hyperbolic; the declared bounding radius is infinite.  The two
-    orientations are exact rotations of one another (see halfplane_rotation).
+    Unbounded but hyperbolic; the declared bounding radius is infinite.
     """
 
     def __init__(self, dim: int, orientation: str = "upper"):
@@ -470,18 +444,6 @@ class HalfPlaneProduct(Domain):
         if self.orientation == "left":
             z = -h + 1j * off
         return z
-
-
-def halfplane_rotation(dim: int, frm: str, to: str) -> CLinearMap:
-    """Exact unitary rotation carrying one half-plane orientation to the other."""
-    if frm == to:
-        return CLinearMap.identity(dim)
-    if (frm, to) == ("left", "upper"):
-        # Re z < 0  ->  Im(-i z) = -Re z > 0
-        return CLinearMap.diagonal([-1j] * dim)
-    if (frm, to) == ("upper", "left"):
-        return CLinearMap.diagonal([1j] * dim)
-    raise DegenerateInputError(f"unknown orientations {frm!r} -> {to!r}")
 
 
 class ConvexPolyhedron(Domain):
@@ -660,10 +622,16 @@ class ConvexPolyhedron(Domain):
         hundredth of it on random polyhedra's segments across the domain."""
         x = np.asarray(x, dtype=complex)
         w = np.asarray(y, dtype=complex) - x
-        L = float(np.linalg.norm(w))
+        L, e = float(np.linalg.norm(w)), 0
+        if L == 0.0 and w.any():
+            # |w|^2 underflows: w / L from w scaled by a power of two, exactly
+            e = int(np.frexp(np.abs(w).max())[1])
+            w = np.ldexp(w.view(float), -e).view(complex)
+            L = float(np.linalg.norm(w))
         if L == 0.0:
             return 0.0, 0.0
         R, p, q, alpha, gamma = self._line_faces(x, w / L)
+        L = math.ldexp(L, e)
         nd = R.size
         if nd + alpha.size == 0:
             return 0.0, 0.0

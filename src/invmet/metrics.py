@@ -96,7 +96,7 @@ class DistanceBound:
 
 
 # ---------------------------------------------------------------------------
-# Paired evaluators: stacks of (point, direction) rows, exact on models
+# Direction rows whose squared norm underflows
 # ---------------------------------------------------------------------------
 
 # 2^-511: a row with every real and imaginary part at least this large has a
@@ -126,18 +126,8 @@ def _moderated(V):
     return V, e
 
 
-def metric_upper_paired(d: Domain, P, V):
-    """Certified upper bound for row-paired (point, direction) stacks."""
-    P = np.asarray(P, dtype=complex)
-    V, e = _moderated(V)
-    upper = d.metric_paired(P, V)
-    if upper is None:
-        upper = np.linalg.norm(V, axis=1) / d.section_distance_paired(P, V)
-    return upper if e is None else np.ldexp(upper, e)
-
-
 # ---------------------------------------------------------------------------
-# Public single-evaluation API
+# Metric and distance brackets
 # ---------------------------------------------------------------------------
 
 def kobayashi_metric(d: Domain, x, v, *, seed: int = 0) -> MetricBound:
@@ -172,26 +162,21 @@ def kobayashi_metric(d: Domain, x, v, *, seed: int = 0) -> MetricBound:
                        lower_method="half-space", upper_method="affine-disc")
 
 
-def kobayashi_metric_values(d: Domain, x, V, *, which: str = "mid",
-                            stream: SampleStream | None = None):
-    """Batch bounds at one base point for a stack of directions.
+def kobayashi_metric_values(d: Domain, x, V, *, stream: SampleStream | None = None):
+    """Certified (lower, upper) bounds of K(x; V[i]) at one base point x for a
+    stack of direction rows V, any samples drawn from ``stream``.
 
-    which: "mid" (bracket midpoint), "upper", "lower", or "both".
+    A nonzero row whose squared norm underflows is scaled by a power of two
+    before the domain's oracle sees it and its bounds are scaled back, so they
+    stay exact multiples of the scaled row's.
     """
     x = cvector(x)
-    # the paired oracles take the base point as one shared row
-    if which == "upper":
-        return metric_upper_paired(d, x[None, :], V)
     V, e = _moderated(V)
+    # the paired oracles take the base point as one shared row
     lower, upper = d.bracket_paired(x[None, :], V, stream)
     if e is not None:
         lower, upper = np.ldexp(lower, e), np.ldexp(upper, e)
-    lower = np.minimum(lower, upper)
-    if which == "lower":
-        return lower
-    if which == "both":
-        return lower, upper
-    return 0.5 * (lower + upper)
+    return np.minimum(lower, upper), upper
 
 
 def _ray_metric_upper(d: Domain, x, W, T):
@@ -258,7 +243,7 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
         return DistanceBound(val, val)
     if not np.isfinite(d.bounding_radius):
         raise UnboundedValueError("unbounded domain without a closed-form distance")
-    if np.linalg.norm(y - x) == 0.0:
+    if np.array_equal(x, y):
         return DistanceBound(0.0, 0.0, "coincident", "coincident")
 
     closed = d.affine_disc_length(x, y)
@@ -316,8 +301,7 @@ def indicatrix(d: Domain, x, directions: int = 256, convexify: bool = False,
     d.require_interior(x, "base point")
     stream = SampleStream(seed)
     U = stream.unit_directions(directions, d.dim)
-    lower, upper = kobayashi_metric_values(d, x, U, which="both",
-                                           stream=stream.fork(1))
+    lower, upper = kobayashi_metric_values(d, x, U, stream=stream.fork(1))
     sample = IndicatrixSample(x, U, lower, upper)
     if convexify:
         sample.convexified = True
@@ -389,17 +373,14 @@ def indicatrix_volume(d: Domain, x, samples: int = 100_000, *,
     """Monte Carlo Euclidean volume of the indicatrix at x (midpoint radii).
 
     Radial sampling: Vol = omega_{2n} * E[r(u)^{2n}] over uniform directions u
-    on the unit sphere of C^n.  Constant radii (isotropic metrics) give zero
-    variance, so the model cases are exact up to floating point.
+    on the unit sphere of C^n, the radii r(u) read off ``indicatrix(d, x,
+    samples, seed=seed)``; the certified inner and outer radii give the
+    bracket.  Constant radii (isotropic metrics) give zero variance, so the
+    model cases are exact up to floating point.
     """
     if samples < config.MIN_VOLUME_SAMPLES:
         raise DegenerateInputError(f"need at least {config.MIN_VOLUME_SAMPLES} samples")
-    x = cvector(x)
-    d.require_interior(x, "base point")
-    stream = SampleStream(seed)
-    U = stream.unit_directions(samples, d.dim)
-    lower, upper = kobayashi_metric_values(d, x, U, which="both",
-                                           stream=stream.fork(1))
+    sample = indicatrix(d, x, samples, seed=seed)
     n = d.dim
     coeff = _ball_volume_coeff(n)
 
@@ -408,9 +389,7 @@ def indicatrix_volume(d: Domain, x, samples: int = 100_000, *,
         return (float(coeff * powered.mean()),
                 float(coeff * powered.std(ddof=1) / math.sqrt(samples)))
 
-    r_lo = 1.0 / upper
-    with np.errstate(divide="ignore"):
-        r_hi = np.where(lower > 0, 1.0 / lower, np.inf)
+    r_lo, r_hi = sample.radius_lower, sample.radius_upper
     value, se = vol(0.5 * (r_lo + r_hi))
     v_lo, _ = vol(r_lo)
     v_hi, _ = vol(r_hi)
@@ -478,18 +457,8 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
 
     probe = d.distance_value(x, x + 1e-9 * U[0])
     if probe is not None:
-        sec = np.atleast_1d(d.section_boundary_distance(x, U))
-        hi = np.where(np.isfinite(sec), sec * (1.0 - 1e-12), 1.0)
-        # grow hi until the target distance is bracketed (rays of infinite
-        # section length still have unbounded distance: the metric is complete)
-        for _ in range(200):
-            need = _exact_radial_distances(d, x, U, hi) < targets
-            if not np.any(need):
-                break
-            grow = np.where(np.isfinite(sec), hi, hi * 2.0)
-            hi = np.where(need & ~np.isfinite(sec), grow, hi)
-            if not np.any(need & ~np.isfinite(sec)):
-                break
+        # every model's section distance is finite along a nonzero direction
+        hi = d.section_distance_paired(x[None, :], U) * (1.0 - 1e-12)
         lo = np.zeros(count)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -501,7 +470,7 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
         return DistanceBallSample(x, r, convention, pts, dist * scale)
 
     # general: certified one-sided quadrature along each ray
-    sec = np.atleast_1d(d.section_boundary_distance(x, U))
+    sec = d.section_distance_paired(x[None, :], U)
     grid = 1.0 - np.logspace(0.0, -7.0, 97)   # 0 .. 1 - 1e-7, refined near 1
     ts = sec[:, None] * grid[None, :]
     K = _ray_metric_upper(d, x, U, ts)
@@ -516,13 +485,20 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
     return DistanceBallSample(x, r, convention, pts, dist * scale)
 
 
-def indicatrix_gauge_upper(d: Domain, x, W, *, stream: SampleStream | None = None):
-    """Upper bound of the indicatrix gauge at x of offset rows W (= K(x; W))."""
+def indicatrix_gauge_upper(d: Domain, x, W):
+    """Upper bound of the indicatrix gauge at x of offset rows W (= K(x; W)):
+    the closed form where the kind has one, else |W| / the section distance,
+    0 on zero rows.  A nonzero row whose squared norm underflows is scaled by
+    a power of two before the oracles see it, and its bound scaled back."""
     x = cvector(x)
     W = np.asarray(W, dtype=complex)
-    P = np.broadcast_to(x, W.shape)
     nz = np.any(W != 0, axis=1)
     out = np.zeros(W.shape[0])
     if np.any(nz):
-        out[nz] = metric_upper_paired(d, P[nz], W[nz])
+        P = np.broadcast_to(x, W.shape)[nz]
+        V, e = _moderated(W[nz])
+        upper = d.metric_paired(P, V)
+        if upper is None:
+            upper = np.linalg.norm(V, axis=1) / d.section_distance_paired(P, V)
+        out[nz] = upper if e is None else np.ldexp(upper, e)
     return out

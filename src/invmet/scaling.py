@@ -134,7 +134,8 @@ def _searched_frame(d: Domain, x, seed: int):
     stream = SampleStream(seed)
 
     def f(V):
-        return kobayashi_metric_values(d, x, V, which="mid", stream=stream.fork(0))
+        lower, upper = kobayashi_metric_values(d, x, V, stream=stream.fork(0))
+        return 0.5 * (lower + upper)
 
     chosen, values = [], []
     for alpha in range(d.dim):

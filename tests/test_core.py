@@ -102,7 +102,11 @@ def _modulus_of_pairing(a):
 
 def _ball2_metric():
     d = zoo_domain("ball2")
-    return lambda V: kobayashi_metric_values(d, [0.3 - 0.2j, 0.1 + 0.4j], V)
+
+    def mid(V):
+        lower, upper = kobayashi_metric_values(d, [0.3 - 0.2j, 0.1 + 0.4j], V)
+        return 0.5 * (lower + upper)
+    return mid
 
 
 @pytest.mark.parametrize("f, b", [

@@ -38,7 +38,6 @@ from invmet.errors import (
     SpecLoadError,
     UnsupportedKindError,
 )
-from invmet.metrics import metric_upper_paired
 from invmet.zoo import affine_twin, polydisc_as_polyhedron, resolve_domain, twin_map
 
 from conftest import assert_inside, segment_sandwich
@@ -65,8 +64,9 @@ def test_polydisc_membership_and_section():
     assert d.contains([1.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
     assert d.contains([1.5, 0.0]) < 0
     # section through 0 along e1 exits at the first face
-    assert d.section_boundary_distance(np.zeros(2, complex), np.array([1, 0], complex)) == pytest.approx(1.0)
-    assert d.section_boundary_distance(np.zeros(2, complex), np.array([0, 1], complex)) == pytest.approx(2.0)
+    sec = d.section_distance_paired(np.zeros((1, 2), complex), np.eye(2, dtype=complex))
+    assert sec[0] == pytest.approx(1.0)
+    assert sec[1] == pytest.approx(2.0)
 
 
 def test_unit_ball_membership_and_gauge():
@@ -134,7 +134,7 @@ def test_balanced_section_distance_certified_under_ray_minimum():
     d = _gauge_balanced()
     x = np.array([0.1 + 0.05j, -0.2 + 0j])
     v = np.array([1.0 + 0.3j, 0.7 - 0.2j])
-    sec = float(d.section_boundary_distance(x, v))
+    sec = float(d.section_distance_paired(x[None, :], v[None, :])[0])
     # brute minimum of boundary hits over many phases can only be larger
     vhat = v / np.linalg.norm(v)
     best = np.inf
@@ -156,8 +156,8 @@ def test_affine_image_pullback_consistency(pd2):
     dt = AffineImage(pd2, T)
     x = np.array([0.2 + 0.1j, -0.3 + 0j])
     v = np.array([0.5, 1j])
-    kd = pd2.metric_value(x, v)
-    kt = dt.metric_value(T(x), T.derivative(x) @ v)
+    kd = pd2.metric_paired(x[None, :], v[None, :])[0]
+    kt = dt.metric_paired(T(x)[None, :], (T.derivative(x) @ v)[None, :])[0]
     assert kt == pytest.approx(kd, rel=1e-12)
     assert dt.contains(T(x)) > 0
     assert_inside(dt, dt.interior_samples(100, SampleStream(5)))
@@ -314,8 +314,9 @@ def _protocol_cases():
 
 @pytest.mark.parametrize("make,rays", _protocol_cases())
 def test_balanced_paired_section_distance_matches_per_row(make, rays, monkeypatch):
-    """Every kind answers the row-paired protocol, and its single-point forms
-    are rows of the paired forms."""
+    """Every kind answers the row-paired protocol: one-row calls give the
+    rows of the many-row call, and a shared point row P[:1] gives the rows
+    of its broadcast stack."""
     if rays is not None:
         monkeypatch.setattr(config, "SECTION_RAYS", rays)
     d = make()
@@ -325,15 +326,14 @@ def test_balanced_paired_section_distance_matches_per_row(make, rays, monkeypatc
     P[::7] = d.basepoint                       # the centre of balanced bodies
     V = stream.unit_directions(rows, d.dim) * stream.uniform(rows, 0.2, 2.0)[:, None]
     assert np.all(d.section_distance_paired(P, V) > 0)
-    for paired, single in ((d.section_distance_paired, d.section_boundary_distance),
-                           (d.metric_paired, d.metric_value)):
+    for paired in (d.section_distance_paired, d.metric_paired):
         one_row = [paired(P[i:i + 1], V[i:i + 1]) for i in range(rows)]
-        per_point = [single(p, v) for p, v in zip(P, V)]
+        shared = [paired(P[:1], V), paired(np.broadcast_to(P[0], V.shape), V)]
         if one_row[0] is None:
-            assert all(k is None for k in one_row + per_point)
+            assert all(k is None for k in one_row + shared)
             continue
         one_row = np.concatenate(one_row)
-        assert np.array_equal(one_row, np.array(per_point))
+        assert np.array_equal(*shared)
         if isinstance(d, AffineImage):
             # BLAS rounds the pull-back's many-row complex matmul apart from a
             # one-row one by an ulp, which the cancellation in a short section
@@ -342,7 +342,10 @@ def test_balanced_paired_section_distance_matches_per_row(make, rays, monkeypatc
         else:
             assert np.array_equal(paired(P, V), one_row)
     lower, upper = d.bracket_paired(P, V)
-    np.testing.assert_allclose(upper, metric_upper_paired(d, P, V), rtol=1e-12)
+    exact = d.metric_paired(P, V)
+    if exact is None:
+        exact = np.linalg.norm(V, axis=1) / d.section_distance_paired(P, V)
+    np.testing.assert_allclose(upper, exact, rtol=1e-12)
     assert np.all(lower <= upper)
 
 
@@ -472,10 +475,10 @@ def test_section_distance_along_matches_the_materialised_rows(make):
     rows, nodes = 6, 33
     W = stream.unit_directions(rows, d.dim) * stream.uniform(rows, 0.2, 2.0)[:, None]
     u = stream.unit_directions(1, d.dim)[0]
-    x = d.basepoint + 0.4 * float(d.section_boundary_distance(d.basepoint, u)) * u
+    x = d.basepoint + 0.4 * float(d.section_distance_paired(d.basepoint[None, :], u[None, :])[0]) * u
     # the section distance is at most the ray's exit, so every node is inside;
     # the last ones are within 1e-7 of it
-    exit_t = d.section_boundary_distance(x, W) / np.linalg.norm(W, axis=1)
+    exit_t = d.section_distance_paired(x[None, :], W) / np.linalg.norm(W, axis=1)
     T = exit_t[:, None] * (1.0 - np.logspace(0.0, -7.0, nodes))[None, :]
     expected, P = _paired_on_rows(d, x, W, T)
     along = d.section_distance_along(x, W, T)
@@ -662,7 +665,7 @@ def test_distance_ball_sample_keeps_its_ray_nodes(make, x, r, seed, nodes):
     rad = np.linalg.norm(ball.points - x, axis=1)
     got = np.zeros(len(nodes), dtype=int)
     moved = rad > 0
-    sec = d.section_boundary_distance(x, (ball.points[moved] - x) / rad[moved, None])
+    sec = d.section_distance_paired(x[None, :], (ball.points[moved] - x) / rad[moved, None])
     got[moved] = np.argmin(np.abs(BALL_GRID[None, :] - (rad[moved] / sec)[:, None]), axis=1)
     assert got.tolist() == nodes
     assert np.all(ball.distance_upper < r)
@@ -792,7 +795,7 @@ def test_ellipsoid_section_search_costs_at_most_15_gauge_calls():
     x, v = np.array([0.5, 0.2j]), np.array([0.3, 1.0])
     assert float(d.gauge(x)) > 0.7
     g.calls = 0
-    got = d.section_boundary_distance(x, v)
+    got = d.section_distance_paired(x[None, :], v[None, :])[0]
     assert g.calls <= 15                     # 61 with 60 bisection steps
     assert got == pytest.approx(_bisected_section_distance(d, x, v), rel=1e-13)
 
@@ -805,7 +808,7 @@ def test_ellipsoid_metric_query_costs_at_most_20_gauge_calls():
     g.calls = 0
     b = kobayashi_metric(d, x, v)
     assert g.calls <= 20          # 68 with a 50-step nearest-boundary bisection
-    true = UnitBall(2).metric_value(ELLIPSOID_C @ x, ELLIPSOID_C @ v)
+    true = UnitBall(2).metric_paired((ELLIPSOID_C @ x)[None, :], (ELLIPSOID_C @ v)[None, :])[0]
     assert b.lower <= true <= b.upper
     assert b.lower_method == "half-space"
 
@@ -856,4 +859,4 @@ def test_section_search_refuses_a_body_past_its_bounding_radius():
 
     d = BalancedConvex(spiked, 2, 1.0, 1.0)
     with pytest.raises(DegenerateInputError, match="bounding radius"):
-        d.section_boundary_distance([-0.18, 0.0], [1.0, 0.0])
+        d.section_distance_paired(np.array([[-0.18, 0.0]]), np.array([[1.0, 0.0]]))

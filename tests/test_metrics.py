@@ -12,6 +12,7 @@ from invmet import (
     Polydisc,
     SampleStream,
     UnitBall,
+    barth_check,
     distance_ball_sample,
     distance_scale,
     indicatrix,
@@ -29,7 +30,7 @@ from invmet.domains import (
     ConvexPolyhedron,
     ModulusFace,
 )
-from invmet.metrics import indicatrix_gauge_upper, kobayashi_metric_values, metric_upper_paired
+from invmet.metrics import indicatrix_gauge_upper, kobayashi_metric_values
 from invmet.zoo import affine_twin, model_twins, twin_map
 
 from test_domains import GAUGE_TWINS, _gauge_twin
@@ -116,7 +117,9 @@ def test_sandwich_holds_across_the_zoo():
         d = zoo_domain(name)
         P = d.interior_samples(40, stream.fork(hash(name) % 1000))
         V = stream.unit_directions(40, d.dim)
-        upper = metric_upper_paired(d, P, V)
+        upper = d.metric_paired(P, V)
+        if upper is None:
+            upper = np.linalg.norm(V, axis=1) / d.section_distance_paired(P, V)
         lower = d.bracket_paired(P, V)[0]
         assert np.all(np.isfinite(upper))
         assert np.all(lower <= upper * (1 + 1e-12) + 1e-12), name
@@ -127,7 +130,8 @@ def test_larger_domain_has_smaller_metric():
     big = Polydisc([2.0, 2.0])
     x = np.array([0.3 + 0.1j, 0.2j])
     v = np.array([1.0, 0.5j])
-    assert big.metric_value(x, v) < small.metric_value(x, v)
+    P, V = x[None, :], v[None, :]
+    assert big.metric_paired(P, V)[0] < small.metric_paired(P, V)[0]
 
 
 def test_distance_closed_forms_and_conventions(pd2, ball2):
@@ -141,6 +145,14 @@ def test_distance_closed_forms_and_conventions(pd2, ball2):
     hp = HalfPlaneProduct(1)
     dh = kobayashi_distance(hp, [1j], [2j])
     assert dh.value == pytest.approx(math.atanh(1 / 3), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["three_face", "balanced", "ball2"])
+def test_distance_across_a_difference_whose_norm_underflows(name):
+    """y - x = (1e-170, 0) has |y - x|^2 = 0 in doubles, yet x != y: the
+    bracket is positive, not the coincident [0, 0]."""
+    b = kobayashi_distance(zoo_domain(name), [0, 0], [1e-170, 0])
+    assert 0 < b.lower <= b.upper < 1e-169
 
 
 def test_distance_scale_guards_convention():
@@ -264,6 +276,26 @@ def test_indicatrix_volume_disc_exact():
     assert ve.lower <= ve.value <= ve.upper + 1e-15
 
 
+@pytest.mark.parametrize("name", ["three_face", "ball2", "ellipsoid"])
+def test_volume_and_barth_read_the_indicatrix_of_their_seed(name):
+    """The volume's radii and the Barth check's indicatrix gauge are those of
+    ``indicatrix`` at the same seed, bit for bit."""
+    d = _ellipsoid() if name == "ellipsoid" else zoo_domain(name)
+    x = 0.5 * d.interior_samples(1, SampleStream(8))[0]
+    sample = indicatrix(d, x, 1000, seed=4)
+    r_lo = 1.0 / sample.gauge_upper
+    with np.errstate(divide="ignore"):
+        r_hi = np.where(sample.gauge_lower > 0, 1.0 / sample.gauge_lower, np.inf)
+    coeff = math.pi ** d.dim / math.factorial(d.dim)
+    ve = indicatrix_volume(d, x, 1000, seed=4)
+    for got, radii in ((ve.value, 0.5 * (r_lo + r_hi)), (ve.lower, r_lo), (ve.upper, r_hi)):
+        assert np.array_equal(got, coeff * (radii ** (2 * d.dim)).mean())
+    centre = indicatrix(d, np.zeros(d.dim), 512, seed=6)
+    mid = 0.5 * (centre.gauge_lower + centre.gauge_upper)
+    assert np.array_equal(barth_check(d, 512, seed=6),
+                          np.abs(mid - d.gauge(centre.directions)).max())
+
+
 def _per_row_half_space_bound(d, x, v, stream, near):
     """Reference: the half-space lower bound of one row, guided by ``near``,
     half-space by half-space above the bounding-sphere floor."""
@@ -334,14 +366,14 @@ def test_bracket_of_a_direction_whose_norm_underflows(name):
         got, want = kobayashi_metric(d, x, v), kobayashi_metric(d, x, big)
         assert (got.lower, got.upper) == (want.lower * 2.0 ** -800, want.upper * 2.0 ** -800)
         assert got.upper > 0
-        lower, upper = kobayashi_metric_values(d, x, V, which="both")
-        big_lower, big_upper = kobayashi_metric_values(d, x, V_big, which="both")
-        paired = metric_upper_paired(d, x[None, :], V)
-        big_paired = metric_upper_paired(d, x[None, :], V_big)
-        assert np.all(indicatrix_gauge_upper(d, x, V) > 0)
+        lower, upper = kobayashi_metric_values(d, x, V)
+        big_lower, big_upper = kobayashi_metric_values(d, x, V_big)
+        paired = indicatrix_gauge_upper(d, x, V)
+        big_paired = indicatrix_gauge_upper(d, x, V_big)
+        assert np.all(paired > 0)
     for side, big_side in ((lower, big_lower), (upper, big_upper), (paired, big_paired)):
         assert np.array_equal(side[rows], big_side[rows] * 2.0 ** -800)
         assert np.all(side > 0)
     # and the ordinary row keeps its bits
-    one = kobayashi_metric_values(d, x, V[1:2], which="both")
+    one = kobayashi_metric_values(d, x, V[1:2])
     assert (lower[1], upper[1]) == (one[0][0], one[1][0])

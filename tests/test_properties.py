@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from invmet import AffineMap, SampleStream, UnitBall, kobayashi_distance, kobayashi_metric
 from invmet.domains import AffineImage, BalancedConvex, ConvexPolyhedron, ModulusFace, RealFace
-from invmet.metrics import metric_upper_paired
+from invmet.metrics import indicatrix_gauge_upper
 from invmet.zoo import affine_twin
 
 from conftest import segment_sandwich
@@ -63,7 +63,7 @@ def test_gauge_ellipsoid_metric_encloses_the_affine_ball_closed_form(row):
     # oracles themselves
     P, V = x[None, :], v[None, :]
     lower, upper = body.bracket_paired(P, V, SampleStream(0))
-    assert lower[0] <= upper[0] == metric_upper_paired(body, P, V)[0]
+    assert lower[0] <= upper[0] == indicatrix_gauge_upper(body, x, V)[0]
 
 
 def _assert_half_spaces_contain_the_body(body, near, seed):
@@ -120,7 +120,7 @@ def polyhedron_segments(draw):
     faces += [RealFace(c, draw(st.floats(0.2, 1.5))) for c in C[mods:mods + reals]]
     d = ConvexPolyhedron(faces, dim, bounding_radius=2.0 * dim ** 0.5)
     U = C[mods + reals:]
-    reach = d.section_boundary_distance(np.zeros(dim), U) / np.linalg.norm(U, axis=1)
+    reach = d.section_distance_paired(np.zeros((1, dim)), U) / np.linalg.norm(U, axis=1)
     P = np.array([draw(st.floats(0.0, 0.95)) for _ in range(3)])[:, None] * reach[:, None] * U
     assume(np.any(P[0] != P[1]) and np.any(P[1] != P[2]))
     return d, faces, P[0], P[1], P[2]
