@@ -255,8 +255,7 @@ def cmd_dominate(args) -> int:
     print(f"# worst gauge/claimed ratio {profile.worst_ratio!r} -> "
           + ("PASS" if profile.passed else "FAIL"))
     if not profile.passed:
-        bad = [c for c in profile.cells
-               if c.worst_gauge > c.claimed_bound * (1 + profile.tolerance)]
+        bad = [c for c in profile.cells if not profile.holds(c)]
         return _witness("domination bound violated", [
             {"radius": c.radius, "worst_gauge": c.worst_gauge,
              "claimed": c.claimed_bound} for c in bad])

@@ -43,14 +43,14 @@ def norm(v) -> float:
     return float(np.linalg.norm(np.asarray(v, dtype=complex)))
 
 
-def canonical_phase(v, tol: float = 1e-12) -> Array:
+def canonical_phase(v) -> Array:
     """Rotate v by a unit phase so its first significant entry is real positive."""
     v = np.asarray(v, dtype=complex)
     mags = np.abs(v)
     peak = mags.max(initial=0.0)
     if peak == 0.0:
         return v.copy()
-    k = int(np.argmax(mags > tol * peak))
+    k = int(np.argmax(mags > 1e-12 * peak))
     return v * (np.conj(v[k]) / mags[k])
 
 
@@ -132,10 +132,10 @@ class CLinearMap:
         """self after other."""
         return CLinearMap(self.matrix @ other.matrix)
 
-    def inverse(self, tol: float = 1e-12) -> "CLinearMap":
+    def inverse(self) -> "CLinearMap":
         n = self.dim
         sv = np.linalg.svd(self.matrix, compute_uv=False)
-        if sv[-1] <= tol * max(1.0, sv[0]):
+        if sv[-1] <= 1e-12 * max(1.0, sv[0]):
             raise SingularMapError("matrix is singular to working precision")
         inv = np.linalg.solve(self.matrix, np.eye(n, dtype=complex))
         return CLinearMap(inv)
@@ -184,16 +184,15 @@ class AffineMap:
         lin = self.linear.compose(other.linear)
         return AffineMap(lin, self.linear(other.translation) + self.translation)
 
-    def inverse(self, tol: float = 1e-12) -> "AffineMap":
-        linv = self.linear.inverse(tol)
+    def inverse(self) -> "AffineMap":
+        linv = self.linear.inverse()
         return AffineMap(linv, -linv(self.translation))
 
     def __repr__(self):
         return f"AffineMap({self.linear!r}, {self.translation!r})"
 
 
-def orthonormal_complement_basis(vectors, dim: int | None = None,
-                                 unit_tol: float = config.UNIT_NORM_TOL):
+def orthonormal_complement_basis(vectors, dim: int | None = None):
     """Orthonormal basis of the Hermitian-orthogonal complement of span(vectors).
 
     ``vectors`` is a sequence of unit vectors in C^dim, pairwise independent;
@@ -212,7 +211,7 @@ def orthonormal_complement_basis(vectors, dim: int | None = None,
     if Q.shape[0] < Q.shape[1]:
         raise DegenerateInputError("more vectors than the ambient dimension")
     norms = np.linalg.norm(Q, axis=0)
-    if np.any(np.abs(norms - 1.0) > unit_tol):
+    if np.any(np.abs(norms - 1.0) > config.UNIT_NORM_TOL):
         raise DegenerateInputError("input vectors must have unit norm")
     u, s, _ = np.linalg.svd(Q, full_matrices=True)
     k = Q.shape[1]

@@ -25,20 +25,29 @@ V):
   through a gauge answers both sides from one section search;
 * ``metric_form(x)``: K(x; .) at one point as a ``MetricForm`` (a Hermitian
   form or a max of moduli of linear functionals), or None;
-* ``affine_disc_length(x, y)``: the integral of the affine-disc metric upper
-  bound along [x, y] with its rounding allowance, in closed form on
+* ``distance_value(x, Y)``: the closed-form distance from x to y, or to
+  each row of a stack Y, or None when the kind has none;
+* ``affine_disc_length(x, w)``: the integral of the affine-disc metric upper
+  bound along [x, x + w] with its rounding allowance, in closed form on
   polyhedra, or None (the distance then takes a quadrature);
-* ``distance_lower_bound(x, y, stream)``: a certified lower bound of the
-  distance from projections onto a polyhedron's faces' discs and
-  half-planes, or onto a gauge body's supporting half-spaces;
+* ``distance_lower_bound(x, w, stream)``: a certified lower bound of the
+  distance from x to x + w from projections onto a polyhedron's faces' discs
+  and half-planes, or onto a gauge body's supporting half-spaces;
 * ``contains_margins(Z)`` and ``coordinate_bounds()``;
+* ``gauge(v)``: the Minkowski gauge of a kind balanced about 0, on one
+  vector or row-wise on a stack, or None;
+* ``interior_samples(count, stream)``: ``count`` interior points drawn from
+  ``stream``;
 * for the squeeze radii, ``inner_radius_exact(x, model)`` on the domain, and
   ``linear_sup(coeffs)`` and ``outer_radius_bound(domain, x)`` on the model.
 
-``AffineImage`` pulls the rows back to its inner domain.  A nonzero direction
-row whose squared norm underflows (so |V[i]| rounds to 0) is the caller's to
-rescale: the oracles take |V[i]| as given.  The entry points of ``metrics``
-scale such rows by a power of two and the bounds back, exactly.
+The distance's two sides take a segment as its start x and offset w, so a
+separation far below the rounding of x's coordinates survives.
+``AffineImage`` pulls points back to its inner domain, and directions and
+offsets through the linear part alone.  A nonzero direction row whose squared
+norm underflows (so |V[i]| rounds to 0) is the caller's to rescale: the
+oracles take |V[i]| as given.  The entry points of ``metrics`` scale such
+rows by a power of two and the bounds back, exactly.
 """
 
 from __future__ import annotations
@@ -187,15 +196,15 @@ class Domain:
     def distance_value(self, x, y):
         return None
 
-    def affine_disc_length(self, x, y):
+    def affine_disc_length(self, x, w):
         """The integral over t in [0, 1] of |w| / (section distance at x + t w
-        along w), w = y - x, in closed form: the affine-disc upper bound of
-        the distance, as (length, rounding) with the exact integral within
+        along w) in closed form: the affine-disc upper bound of the distance
+        from x to x + w, as (length, rounding) with the exact integral within
         ``rounding`` of ``length``, or None when the kind has no closed form."""
         return None
 
-    def distance_lower_bound(self, x, y, stream: SampleStream | None = None) -> float:
-        """Certified lower bound of the distance from x to y, any samples
+    def distance_lower_bound(self, x, w, stream: SampleStream | None = None) -> float:
+        """Certified lower bound of the distance from x to x + w, any samples
         drawn from ``stream``, for kinds without a closed-form distance."""
         raise NotImplementedError
 
@@ -215,12 +224,12 @@ class Domain:
         return z
 
 
-def _half_plane_distances(w1, w2, b):
-    """atanh|(w2 - w1) / (w2 + conj(w1) - 2 b)|, the distance between w1 and
-    w2 in the half-plane Re w < b, per entry; 0 where they are not both
-    inside it."""
+def _half_plane_distances(w1, dw, b):
+    """atanh|dw / (2 (Re w1 - b) + dw)|, the distance between w1 and w1 + dw
+    in the half-plane Re w < b, per entry; 0 where they are not both inside
+    it."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.abs((w2 - w1) / (w2 + np.conj(w1) - 2.0 * b))
+        t = np.abs(dw / (2.0 * (w1.real - b) + dw))
     return np.arctanh(np.where(t < 1.0, t, 0.0))
 
 
@@ -597,9 +606,9 @@ class ConvexPolyhedron(Domain):
         return (self.bounds[mod] / aB[mod], tau.real, np.abs(tau.imag),
                 (self.bounds[real] - F[real].real) / aB[real], B[real].real / aB[real])
 
-    def affine_disc_length(self, x, y):
-        """Closed form in the arc length s on [0, |y - x|] of the line from x
-        towards y: the section distance at s is min_k d_k(s) over the slacks
+    def affine_disc_length(self, x, w):
+        """Closed form in the arc length s on [0, |w|] of the line from x
+        along w: the section distance at s is min_k d_k(s) over the slacks
         of ``_line_faces``, and between two parameters where the smallest
         slack may change face the integrand is 1 / d_k of one face, with an
         antiderivative in closed form (``_disc_antiderivative``, or a
@@ -621,7 +630,7 @@ class ConvexPolyhedron(Domain):
         40-digit quadrature the error stays below ``rounding``, and below a
         hundredth of it on random polyhedra's segments across the domain."""
         x = np.asarray(x, dtype=complex)
-        w = np.asarray(y, dtype=complex) - x
+        w = np.asarray(w, dtype=complex)
         L, e = float(np.linalg.norm(w)), 0
         if L == 0.0 and w.any():
             # |w|^2 underflows: w / L from w scaled by a power of two, exactly
@@ -674,24 +683,25 @@ class ConvexPolyhedron(Domain):
         hi = np.minimum(value + r, 0.5 * h * (g[0] + g[1]) * (1.0 + e))
         return 0.5 * math.fsum(lo + hi), float(0.5 * (hi - lo).sum() + 4.0 * eps * hi.sum())
 
-    def distance_lower_bound(self, x, y, stream=None):
-        """max over faces of the distance between the face images of x and y.
-
-        A modulus face maps the polyhedron into the disc |f| < c, where
-        a = f(x) / c and b = f(y) / c are atanh|(a - b) / (1 - conj(a) b)|
-        apart; a real face maps it into the half-plane Re F < bound.
-        Each tangent half-space of a modulus face contains its disc, so this
-        is at least the bound of the faces' tangent half-spaces, drawing none.
-        """
-        F = self.face_values(np.stack([x, y]))
+    def distance_lower_bound(self, x, w, stream=None):
+        """max over faces of the distance between the face images of x and
+        x + w.  A modulus face maps the polyhedron into the disc |f| < c,
+        where a = f(x) / c and a + d, d = f_lin(w) / c, are
+        atanh|d / (1 - conj(a) (a + d))| apart (d read from w, which a
+        difference of face values could round away); a real face maps it
+        into the half-plane Re F < bound.  Each tangent half-space of a
+        modulus face contains its disc, so this is at least the bound of the
+        faces' tangent half-spaces, drawing none."""
+        F = self.face_values(x)
+        dF = np.asarray(w, dtype=complex) @ self.coeffs.T
         mc = self.modulus_count
-        a, b = F[:, :mc] / self.bounds[:mc]
-        t = np.abs((a - b) / (1.0 - a.conj() * b))
+        a, d = F[:mc] / self.bounds[:mc], dF[:mc] / self.bounds[:mc]
+        t = np.abs(d / (1.0 - a.conj() * (a + d)))
         lower = np.arctanh(t[t < 1.0]).max(initial=0.0)
         if mc < self.bounds.size:
             # skipped without real faces: on empty arrays the helper costs
             # about a tenth of a polyhedron distance
-            lower = max(lower, _half_plane_distances(*F[:, mc:], self.bounds[mc:]).max())
+            lower = max(lower, _half_plane_distances(F[mc:], dF[mc:], self.bounds[mc:]).max())
         return float(lower)
 
     def inner_radius_exact(self, x, model):
@@ -865,8 +875,8 @@ class BalancedConvex(Domain):
     """Balanced convex body {g < 1} given by a homogeneous gauge oracle.
 
     ``inner_radius``/``bounding_radius`` declare a Euclidean annulus
-    B(0, inner) subset {g < 1} subset B(0, bounding); both are spot-checked by
-    sampling at construction, as is |c|-homogeneity of the gauge.
+    B(0, inner) subset {g < 1} subset B(0, bounding); both are spot-checked on
+    64 seeded directions at construction, as is |c|-homogeneity of the gauge.
 
     The one kind that draws supporting half-spaces.  One search of the
     section through each row answers both sides of ``bracket_paired``: the
@@ -877,8 +887,7 @@ class BalancedConvex(Domain):
     convex gauge to within 8 eps relative.
     """
 
-    def __init__(self, gauge, dim: int, bounding_radius: float, inner_radius: float,
-                 check_samples: int = 64, seed: int = 0):
+    def __init__(self, gauge, dim: int, bounding_radius: float, inner_radius: float):
         self.dim = int(dim)
         self._gauge = gauge
         self.bounding_radius = float(bounding_radius)
@@ -886,8 +895,7 @@ class BalancedConvex(Domain):
         self.basepoint = np.zeros(self.dim, dtype=complex)
         if not (0 < self.inner_radius <= self.bounding_radius < np.inf):
             raise DegenerateInputError("need 0 < inner_radius <= bounding_radius < inf")
-        stream = SampleStream(seed)
-        U = stream.unit_directions(check_samples, self.dim)
+        U = SampleStream(0).unit_directions(64, self.dim)
         g = self.gauge(U)
         if np.any(~np.isfinite(g)) or np.any(g <= 0):
             raise DegenerateInputError("gauge must be finite and positive on directions")
@@ -956,14 +964,14 @@ class BalancedConvex(Domain):
         return (np.maximum(lower, nv / (2.0 * (np.linalg.norm(P, axis=1) + self.bounding_radius))),
                 nv / dist)
 
-    def distance_lower_bound(self, x, y, stream=None):
+    def distance_lower_bound(self, x, w, stream=None):
         """The largest half-plane distance between the projections of x and
-        y onto the supporting half-spaces drawn from ``stream`` near x, y and
-        their midpoint."""
+        x + w onto the supporting half-spaces drawn from ``stream`` near x,
+        x + w and their midpoint."""
         N, b = map(np.concatenate, zip(*[self.supporting_half_spaces(near, stream)
-                                         for near in (x, y, 0.5 * (x + y))]))
-        w1, w2 = np.stack([x, y]) @ N.conj().T
-        return float(_half_plane_distances(w1, w2, b).max(initial=0.0))
+                                         for near in (x, x + w, x + 0.5 * w)]))
+        N = N.conj().T
+        return float(_half_plane_distances(x @ N, w @ N, b).max(initial=0.0))
 
     def _section_search(self, P, V):
         """(section distance, guide) per row, as ``section_distance_paired``
@@ -1175,13 +1183,13 @@ class AffineImage(Domain):
     def bracket_paired(self, P, V, stream=None):
         return self.inner.bracket_paired(*self._pull_back(P, V), stream)
 
-    def affine_disc_length(self, x, y):
+    def affine_disc_length(self, x, w):
         # a complex-affine map scales each complex line uniformly, so the
-        # integrand, a section distance in units of |y - x|, is unchanged
-        return self.inner.affine_disc_length(self.map_inv(x), self.map_inv(y))
+        # integrand, a section distance in units of |w|, is unchanged
+        return self.inner.affine_disc_length(*self._pull_back(x, w))
 
-    def distance_lower_bound(self, x, y, stream=None):
-        return self.inner.distance_lower_bound(self.map_inv(x), self.map_inv(y), stream)
+    def distance_lower_bound(self, x, w, stream=None):
+        return self.inner.distance_lower_bound(*self._pull_back(x, w), stream)
 
     def distance_value(self, x, y):
         xp = self.map_inv(cvector(x))

@@ -96,10 +96,13 @@ class DominationProfile:
     def worst_ratio(self) -> float:
         return max(c.ratio for c in self.cells)
 
+    def holds(self, cell: DominationCell) -> bool:
+        """The cell's worst gauge is within its claimed bound, to the tolerance."""
+        return cell.worst_gauge <= cell.claimed_bound * (1 + self.tolerance)
+
     @property
     def passed(self) -> bool:
-        return all(c.worst_gauge <= c.claimed_bound * (1.0 + self.tolerance)
-                   for c in self.cells)
+        return all(self.holds(c) for c in self.cells)
 
     def to_dict(self) -> dict:
         return {

@@ -184,13 +184,17 @@ def _ray_metric_upper(d: Domain, x, W, T):
     return np.linalg.norm(W, axis=1)[:, None] / d.section_distance_along(x, W, T)
 
 
-def _trapezoid_upper(d: Domain, x, y, tol: float):
+def _trapezoid_upper(d: Domain, x, w, tol: float):
     """Trapezoid quadrature of the affine-disc metric upper bound along
-    [x, y], nodes doubling from 9 until a refinement moves the estimate by
-    less than ``tol`` or 131,073 nodes are spent: (upper, nodes, converged,
-    last move), the last move folded into the upper side."""
+    [x, x + w], nodes doubling from 9 until a refinement moves the estimate
+    by less than ``tol`` or 131,073 nodes are spent: (upper, nodes,
+    converged, last move), the last move folded into the upper side.  An
+    offset ``_moderated`` scales by 2^-e gets its nodes and values times 2^e."""
+    W, e = _moderated(w[None, :])
+    e = 0 if e is None else int(e[0])
+
     def integrand(ts):
-        return _ray_metric_upper(d, x, (y - x)[None, :], ts[None, :])[0]
+        return np.ldexp(_ray_metric_upper(d, x, W, np.ldexp(ts, e)[None, :])[0], e)
 
     ts = np.linspace(0.0, 1.0, 9)
     vals = integrand(ts)
@@ -246,14 +250,15 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
     if np.array_equal(x, y):
         return DistanceBound(0.0, 0.0, "coincident", "coincident")
 
-    closed = d.affine_disc_length(x, y)
+    w = y - x
+    closed = d.affine_disc_length(x, w)
     if closed is None:
-        upper, nodes, converged, delta = _trapezoid_upper(d, x, y, tol)
+        upper, nodes, converged, delta = _trapezoid_upper(d, x, w, tol)
         method = "quadrature"
     else:
         length, delta = closed
         upper, nodes, converged, method = length + delta, 0, True, "affine-disc-length"
-    lower = min(d.distance_lower_bound(x, y, SampleStream(seed)), upper)
+    lower = min(d.distance_lower_bound(x, w, SampleStream(seed)), upper)
     return DistanceBound(lower * scale, upper * scale,
                          lower_method="half-space", upper_method=method,
                          nodes=nodes, converged=converged, final_delta=delta * scale)
@@ -309,11 +314,11 @@ def indicatrix(d: Domain, x, directions: int = 256, convexify: bool = False,
     return sample
 
 
-def _convex_hull_radii(U, radii, phase_count: int = 8):
+def _convex_hull_radii(U, radii):
     from scipy.spatial import ConvexHull
 
     m, n = U.shape
-    phases = np.exp(2j * np.pi * np.arange(phase_count) / phase_count)
+    phases = np.exp(2j * np.pi * np.arange(8) / 8)
     pts = (radii[:, None] * U)[None, :, :] * phases[:, None, None]
     pts = pts.reshape(-1, n)
     real = np.concatenate([pts.real, pts.imag], axis=1)
@@ -414,11 +419,10 @@ class DistanceBallSample:
         return self.points.shape[0]
 
 
-def _shell_targets(stream: SampleStream, count: int, r: float,
-                   shell_fraction: float = 0.75) -> np.ndarray:
+def _shell_targets(stream: SampleStream, count: int, r: float) -> np.ndarray:
     """Distance targets concentrated near the ball's boundary shell."""
     u = stream.uniform(count)
-    shell = stream.uniform(count) < shell_fraction
+    shell = stream.uniform(count) < 0.75
     t = np.where(shell, 1.0 - 0.1 * u, 0.9 * u)
     return r * np.minimum(t, 1.0 - 1e-9)
 
@@ -430,8 +434,7 @@ def _exact_radial_distances(d: Domain, x, U, ts):
 
 
 def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
-                         seed: int = 0, convention: str = "standard",
-                         shell_fraction: float = 0.75) -> DistanceBallSample:
+                         seed: int = 0, convention: str = "standard") -> DistanceBallSample:
     """Sample points with certified distance upper bound < r.
 
     Models bisect the exact radial distance; general convex domains use the
@@ -446,14 +449,13 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
 
     if isinstance(d, AffineImage):
         inner = distance_ball_sample(d.inner, d.map_inv(x), r, count, seed=seed,
-                                     convention=convention,
-                                     shell_fraction=shell_fraction)
+                                     convention=convention)
         return DistanceBallSample(x, r, convention, d.map(inner.points),
                                   inner.distance_upper)
 
     stream = SampleStream(seed)
     U = stream.unit_directions(count, d.dim)
-    targets = _shell_targets(stream.fork(1), count, r / scale, shell_fraction)
+    targets = _shell_targets(stream.fork(1), count, r / scale)
 
     probe = d.distance_value(x, x + 1e-9 * U[0])
     if probe is not None:

@@ -169,13 +169,10 @@ def frankel_tau(phi, p) -> ScalingMap:
     return ScalingMap(phi, AffineMap(Jinv, -target))
 
 
-def indicatrix_sigma(d: Domain, phi, p, *, frame: StretchingFrame | None = None,
-                     seed: int = 0) -> ScalingMap:
-    """sigma = L_{phi(p)} o (phi(.) - phi(p)); sigma(p) = 0."""
-    p = cvector(p)
-    q = np.asarray(phi(p), dtype=complex)
-    if frame is None:
-        frame = stretching_frame(d, q, seed=seed)
+def indicatrix_sigma(phi, p, frame: StretchingFrame) -> ScalingMap:
+    """sigma = L o (phi(.) - phi(p)); sigma(p) = 0.  L is the stretching map
+    of ``frame``, which the caller computes at phi(p)."""
+    q = np.asarray(phi(cvector(p)), dtype=complex)
     L = frame.map
     return ScalingMap(phi, AffineMap(L, -L(q)))
 
@@ -271,20 +268,20 @@ def default_schedule(steps: int) -> list[float]:
     return [float(k) for k in range(1, steps + 1)]
 
 
-def equivalence_audit(d: Domain, family, p, schedule, grid=None, *,
+def equivalence_audit(d: Domain, family, p, schedule, *,
                       seed: int = 0, grid_size: int = 100) -> ScalingReport:
     """Audit tau_j vs A_j^{-1} o sigma_j over a boundary-drag schedule.
 
-    The two maps coincide identically, so sup-grid differences reflect only
-    floating-point conditioning; the report records |det A_j| and the singular
-    value range as the empirical C_1, C_2 of the equivalence estimate.
+    The maps are compared on ``grid_size`` interior samples of ``d`` drawn
+    from ``seed``, which also seeds each frame search.  The two maps coincide
+    identically, so sup-grid differences reflect only floating-point
+    conditioning; the report records |det A_j| and the singular value range
+    as the empirical C_1, C_2 of the equivalence estimate.
     """
     start = time.monotonic()
     p = cvector(p)
     d.require_interior(p, "base point")
-    if grid is None:
-        grid = d.interior_samples(grid_size, SampleStream(seed).fork(977))
-    grid = np.asarray(grid, dtype=complex)
+    grid = d.interior_samples(grid_size, SampleStream(seed).fork(977))
 
     records = []
     prev_margin = np.inf
@@ -303,7 +300,7 @@ def equivalence_audit(d: Domain, family, p, schedule, grid=None, *,
         A = frame.map.matrix @ J
         svals = np.linalg.svd(A, compute_uv=False)
         tau = frankel_tau(phi, p)
-        sigma = indicatrix_sigma(d, phi, p, frame=frame)
+        sigma = indicatrix_sigma(phi, p, frame)
         T = np.asarray(tau(grid), dtype=complex)
         S = np.asarray(sigma(grid), dtype=complex)
         back = np.linalg.solve(A, S.T).T

@@ -38,14 +38,13 @@ from .core import cvector
 from .domains import AutomorphismFamily, Polydisc, model_automorphism
 from .domination import verify_convex_domination, verify_halfplane_domination
 from .errors import LemmaViolationError
-from .metrics import kobayashi_metric
+from .metrics import CONVENTIONS, kobayashi_metric
 from .sampling import SampleStream
 from .scaling import default_schedule, equivalence_audit, volume_jacobian_check
 from .zoo import (
     affine_twin,
     model_twins,
     polydisc_as_polyhedron,
-    three_face_polyhedron,
     twin_map,
     zoo_domain,
     zoo_names,
@@ -73,9 +72,12 @@ class SuiteResult:
     name: str
     columns: list[str]
     rows: list[list]
-    passed: bool
+    failures: list[dict]
     summary: dict = field(default_factory=dict)
-    failures: list[dict] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def to_csv(self, fh):
         fh.write(",".join(self.columns) + "\n")
@@ -107,7 +109,6 @@ def run_metric_suite(seed: int = 0, triples: int = 10_000, *,
     columns = ["case", "triples", "worst_cross", "model_gap", "closed_dev",
                "generic_cross", "methods", "status"]
     rows, failures = [], []
-    all_ok = True
     twins = model_twins()
     for i, name in enumerate(names):
         d = zoo_domain(name)
@@ -142,7 +143,6 @@ def run_metric_suite(seed: int = 0, triples: int = 10_000, *,
         rows.append([name, n, worst_cross, model_gap, closed_dev,
                      generic_cross, methods, _status(ok)])
         if not ok:
-            all_ok = False
             failures.append({"case": name, "worst_cross": worst_cross,
                              "model_gap": model_gap, "closed_dev": closed_dev,
                              "generic_cross": generic_cross})
@@ -154,11 +154,9 @@ def run_metric_suite(seed: int = 0, triples: int = 10_000, *,
     rows.append(["halfplane-pin", 1, 0.0, pin.width, pin_dev, NAN,
                  f"{pin.lower_method}|{pin.upper_method}", _status(pin_ok)])
     if not pin_ok:
-        all_ok = False
         failures.append({"case": "halfplane-pin", "value": pin.value})
 
-    return SuiteResult("metric", columns, rows, all_ok,
-                       summary={"triples": triples}, failures=failures)
+    return SuiteResult("metric", columns, rows, failures, summary={"triples": triples})
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +177,15 @@ _SCALING_TARGETS = {
 }
 
 
-def run_scaling_suite(seed: int = 0, steps: int = 20, grid_size: int = 100,
-                      families=("ball2", "polydisc2")) -> SuiteResult:
+def run_scaling_suite(seed: int = 0, steps: int = 20, grid_size: int = 100) -> SuiteResult:
     """Rescaled-automorphism audit: tau_j vs A_j^{-1} sigma_j on a grid."""
     columns = ["family", "step", "parameter", "margin", "det_abs", "c1", "c2",
                "distortion", "sup_diff", "status"]
     rows, failures = [], []
     summary = {}
-    all_ok = True
-    for name in families:
+    for name, target in _SCALING_TARGETS.items():
         d = zoo_domain(name)
-        fam = AutomorphismFamily(d, _SCALING_TARGETS[name])
+        fam = AutomorphismFamily(d, target)
         report = equivalence_audit(d, fam, d.basepoint, default_schedule(steps),
                                    seed=seed, grid_size=grid_size)
         base = SCALING_BASELINES[name]
@@ -203,7 +199,6 @@ def run_scaling_suite(seed: int = 0, steps: int = 20, grid_size: int = 100,
                          rec.det_abs, rec.c1, rec.c2, distortion,
                          rec.sup_grid_diff, _status(ok)])
             if not ok:
-                all_ok = False
                 failures.append({"case": name, "step": rec.index,
                                  "det_abs": rec.det_abs,
                                  "distortion": distortion,
@@ -211,8 +206,7 @@ def run_scaling_suite(seed: int = 0, steps: int = 20, grid_size: int = 100,
         summary[name] = {"max_det_abs": report.max_det_abs,
                          "max_distortion": report.max_distortion_ratio,
                          "max_sup_diff": report.max_sup_diff}
-    return SuiteResult("scaling", columns, rows, all_ok, summary=summary,
-                       failures=failures)
+    return SuiteResult("scaling", columns, rows, failures, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +250,6 @@ def run_box_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 500,
     columns = ["dim", "instance", "r_1", "slack", "status"]
     rows, failures = [], []
     summary = {}
-    all_ok = True
     for dim in dims:
         sub, fails, slope_excess = box_stress_rows(
             dim, instances, seed, check_samples=check_samples)
@@ -265,14 +258,12 @@ def run_box_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 500,
             ok = inst not in bad
             rows.append([dim, inst, r1, slack, _status(ok)])
         failures.extend(fails)
-        all_ok = all_ok and not fails
         summary[f"dim{dim}"] = {
             "instances": instances,
             "violations": len(bad),
             "slope_excess": slope_excess if dim == 2 else None,
         }
-    return SuiteResult("boxlemma", columns, rows, all_ok, summary=summary,
-                       failures=failures)
+    return SuiteResult("boxlemma", columns, rows, failures, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -285,95 +276,74 @@ _DOM_POINTS = {
     "three_face": ((0j, 0j), (0.2 + 0j, -0.3j)),
 }
 
-_DOM_BUILDERS = {
-    "polydisc2": lambda: zoo_domain("polydisc2"),
-    "ball2": lambda: zoo_domain("ball2"),
-    "three_face": three_face_polyhedron,
-}
+_DOM_RADII = (0.25, 0.5, 1.0)
 
 
 def run_domination_suite(seed: int = 0, *, convention: str = "standard",
-                         b_values=(0.1, 1.0, 10.0),
                          sharp_radii=(0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0),
                          sharp_samples: int = 2048,
-                         conventions=("standard", "paper"),
                          domains=("polydisc2", "ball2", "three_face"),
-                         radii=(0.25, 0.5, 1.0), samples: int = 2000,
-                         include_twins: bool = True) -> SuiteResult:
-    """Half-plane sharpness plus factor-2 convex domination with affine twins."""
+                         samples: int = 2000) -> SuiteResult:
+    """Half-plane sharpness at heights 0.1, 1 and 10 in both conventions,
+    plus factor-2 convex domination on each zoo domain and its affine twin."""
     columns = ["case", "convention", "point", "radius", "lambda", "claimed",
                "worst_gauge", "ratio", "samples", "status"]
     rows, failures = [], []
-    all_ok = True
     sharp_dev_max = 0.0
-    for conv in conventions:
-        prof = verify_halfplane_domination(b_values, sharp_radii, sharp_samples,
-                                           seed=seed, convention=conv)
+    for conv in CONVENTIONS:
+        prof = verify_halfplane_domination((0.1, 1.0, 10.0), sharp_radii,
+                                           sharp_samples, seed=seed,
+                                           convention=conv)
         for cell in prof.cells:
             b = float(np.atleast_1d(cell.base_point)[0].imag)
             dev = abs(cell.worst_gauge - cell.lambda_value) / cell.lambda_value
             sharp_dev_max = max(sharp_dev_max, dev)
-            ok = (dev <= config.DOMINATION_TOL
-                  and cell.worst_gauge <= cell.claimed_bound
-                  * (1 + config.SHARPNESS_TOL))
+            ok = dev <= config.DOMINATION_TOL and prof.holds(cell)
             rows.append(["halfplane-sharp", conv, f"b={b!r}", cell.radius,
                          cell.lambda_value, cell.claimed_bound,
                          cell.worst_gauge, cell.ratio, cell.samples,
                          _status(ok)])
             if not ok:
-                all_ok = False
                 failures.append({"case": "halfplane-sharp", "convention": conv,
                                  "b": b, "r": cell.radius, "dev": dev})
         for w in prof.warnings:
-            all_ok = False
             failures.append({"case": "halfplane-sharp", "warning": w})
 
     affine_match_max = 0.0
     for name in domains:
-        d = _DOM_BUILDERS[name]()
+        d = zoo_domain(name)
         xs = [cvector(x) for x in _DOM_POINTS[name]]
-        prof = verify_convex_domination(d, xs, radii, samples, seed=seed,
+        prof = verify_convex_domination(d, xs, _DOM_RADII, samples, seed=seed,
                                         convention=convention)
-        twin_cells = []
-        if include_twins:
-            dt = affine_twin(d)
-            T = twin_map(d.dim)
-            xt = [T(x) for x in xs]
-            tprof = verify_convex_domination(dt, xt, radii, samples, seed=seed,
-                                             convention=convention)
-            twin_cells = tprof.cells
-        for idx, cell in enumerate(prof.cells):
-            i, _ = divmod(idx, len(radii))
-            ok = cell.worst_gauge <= cell.claimed_bound * (1 + prof.tolerance)
+        T = twin_map(d.dim)
+        tprof = verify_convex_domination(affine_twin(d), [T(x) for x in xs],
+                                         _DOM_RADII, samples, seed=seed,
+                                         convention=convention)
+        for idx, (cell, tcell) in enumerate(zip(prof.cells, tprof.cells)):
+            i = idx // len(_DOM_RADII)
+            ok = prof.holds(cell)
             rows.append([name, convention, f"x{i}", cell.radius,
                          cell.lambda_value, cell.claimed_bound,
                          cell.worst_gauge, cell.ratio, cell.samples,
                          _status(ok)])
             if not ok:
-                all_ok = False
                 failures.append({"case": name, "point": i, "r": cell.radius,
                                  "worst_gauge": cell.worst_gauge,
                                  "claimed": cell.claimed_bound})
-            if twin_cells:
-                tcell = twin_cells[idx]
-                dev = abs(tcell.ratio - cell.ratio)
-                affine_match_max = max(affine_match_max, dev)
-                tok = (tcell.worst_gauge <= tcell.claimed_bound
-                       * (1 + prof.tolerance)
-                       and dev <= config.AFFINE_MATCH_TOL)
-                rows.append([f"{name}-affine", convention, f"x{i}",
-                             tcell.radius, tcell.lambda_value,
-                             tcell.claimed_bound, tcell.worst_gauge,
-                             tcell.ratio, tcell.samples, _status(tok)])
-                if not tok:
-                    all_ok = False
-                    failures.append({"case": f"{name}-affine", "point": i,
-                                     "r": tcell.radius, "match_dev": dev})
+            dev = abs(tcell.ratio - cell.ratio)
+            affine_match_max = max(affine_match_max, dev)
+            ok = tprof.holds(tcell) and dev <= config.AFFINE_MATCH_TOL
+            rows.append([f"{name}-affine", convention, f"x{i}",
+                         tcell.radius, tcell.lambda_value,
+                         tcell.claimed_bound, tcell.worst_gauge,
+                         tcell.ratio, tcell.samples, _status(ok)])
+            if not ok:
+                failures.append({"case": f"{name}-affine", "point": i,
+                                 "r": tcell.radius, "match_dev": dev})
     summary = {"sharp_dev_max": sharp_dev_max,
                "affine_match_max": affine_match_max,
                "convention": convention}
-    return SuiteResult("domination", columns, rows, all_ok, summary=summary,
-                       failures=failures)
+    return SuiteResult("domination", columns, rows, failures, summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +351,10 @@ def run_domination_suite(seed: int = 0, *, convention: str = "standard",
 # ---------------------------------------------------------------------------
 
 def run_volume_suite(seed: int = 0, disc_samples: int = 50_000,
-                     ball_samples: int = 200_000, *,
-                     sigma: float = 3.0) -> SuiteResult:
-    """|det dphi(0)|^2 against the indicatrix volume ratio."""
+                     ball_samples: int = 200_000) -> SuiteResult:
+    """|det dphi(0)|^2 against the indicatrix volume ratio: exact on the
+    disc, within 3 standard errors of the Monte Carlo ratio on the ball."""
+    sigma = 3.0
     columns = ["case", "det_sq", "volume_ratio", "rel_error", "se",
                "sigma_within", "status"]
     rows, failures = [], []
@@ -392,24 +363,23 @@ def run_volume_suite(seed: int = 0, disc_samples: int = 50_000,
     zero1 = np.zeros(1, dtype=complex)
     phi = model_automorphism(disc, zero1, cvector([0.5 + 0j]))
     rep = volume_jacobian_check(disc, phi, zero1, disc_samples, seed=seed)
-    ok1 = rep.rel_error <= config.MODEL_BRACKET_TOL
+    ok = rep.rel_error <= config.MODEL_BRACKET_TOL
     rows.append(["disc-a0.5", rep.det_sq, rep.volume_ratio, rep.rel_error,
-                 rep.se_ratio, rep.within, _status(ok1)])
-    if not ok1:
+                 rep.se_ratio, rep.within, _status(ok)])
+    if not ok:
         failures.append({"case": "disc-a0.5", "rel_error": rep.rel_error})
 
     ball = zoo_domain("ball2")
     zero2 = np.zeros(2, dtype=complex)
     phib = model_automorphism(ball, zero2, cvector([0.5 + 0j, 0j]))
     repb = volume_jacobian_check(ball, phib, zero2, ball_samples, seed=seed + 1)
-    ok2 = math.isfinite(repb.within) and repb.within <= sigma
+    ok = math.isfinite(repb.within) and repb.within <= sigma
     rows.append(["ball2-a0.5", repb.det_sq, repb.volume_ratio, repb.rel_error,
-                 repb.se_ratio, repb.within, _status(ok2)])
-    if not ok2:
+                 repb.se_ratio, repb.within, _status(ok)])
+    if not ok:
         failures.append({"case": "ball2-a0.5", "within": repb.within})
 
-    return SuiteResult("volume", columns, rows, ok1 and ok2,
-                       summary={"sigma": sigma}, failures=failures)
+    return SuiteResult("volume", columns, rows, failures, summary={"sigma": sigma})
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +390,6 @@ def run_barth_suite(seed: int = 0, samples: int = 512) -> SuiteResult:
     """Gauge vs metric bracket at the center; exact on circular models."""
     columns = ["case", "samples", "discrepancy", "tol", "status"]
     rows, failures = [], []
-    all_ok = True
     enforced = {"disc": config.BARTH_MODEL_TOL,
                 "polydisc2": config.BARTH_MODEL_TOL,
                 "ball2": config.BARTH_MODEL_TOL}
@@ -429,13 +398,11 @@ def run_barth_suite(seed: int = 0, samples: int = 512) -> SuiteResult:
         ok = disc <= tol
         rows.append([name, samples, disc, tol, _status(ok)])
         if not ok:
-            all_ok = False
             failures.append({"case": name, "discrepancy": disc})
-    for name, builder in (("three_face", three_face_polyhedron),
-                          ("balanced", lambda: zoo_domain("balanced"))):
-        disc = barth_check(builder(), samples, seed=seed)
+    for name in ("three_face", "balanced"):
+        disc = barth_check(zoo_domain(name), samples, seed=seed)
         rows.append([name, samples, disc, NAN, "info"])
-    return SuiteResult("barth", columns, rows, all_ok, failures=failures)
+    return SuiteResult("barth", columns, rows, failures)
 
 
 def run_squeeze_suite(seed: int = 0,
@@ -444,10 +411,8 @@ def run_squeeze_suite(seed: int = 0,
     columns = ["case", "embedding", "r", "R", "ratio", "c_bound",
                "worst_outer", "worst_inner", "validated", "status"]
     rows, failures = [], []
-    all_ok = True
 
     def add(case, d, x, model, embedding, extra_ok=None):
-        nonlocal all_ok
         x = cvector(x)
         cert = squeeze_lower_bound(d, x, model, embedding=embedding, seed=seed)
         chk = cert.validate(validate_samples, seed=seed + 1)
@@ -459,14 +424,12 @@ def run_squeeze_suite(seed: int = 0,
                      cert.ratio, cb.bound, chk.worst_outer_gauge,
                      chk.worst_inner_margin, chk.passed, _status(ok)])
         if not ok:
-            all_ok = False
             failures.append({"case": case, "r": cert.inner_r,
                              "R": cert.outer_R, "validated": chk.passed,
                              "c_bound": cb.bound})
-        return cert, cb
 
     model2 = Polydisc([1.0, 1.0])
-    add("three_face", three_face_polyhedron(), [0j, 0j], model2, None,
+    add("three_face", zoo_domain("three_face"), [0j, 0j], model2, None,
         extra_ok=lambda c, b: (abs(c.inner_r - 0.75) <= config.SHARPNESS_TOL
                                and abs(c.outer_R - 1.0) <= config.SHARPNESS_TOL))
     add("polydisc2", zoo_domain("polydisc2"), [0j, 0j], model2, None,
@@ -476,14 +439,14 @@ def run_squeeze_suite(seed: int = 0,
         extra_ok=lambda c, b: b.bound >= 1.0 - config.DOMINATION_TOL)
     add("balanced", zoo_domain("balanced"), [0j, 0j], model2, None)
 
-    return SuiteResult("squeeze", columns, rows, all_ok, failures=failures)
+    return SuiteResult("squeeze", columns, rows, failures)
 
 
 # Frozen final-ratio thresholds for the corner sweeps (12 steps, seed 0).
 SWEEP_THRESHOLDS = {"three-face": 0.9, "polydisc-faces": 0.99}
 
 _SWEEP_CASES = {
-    "three-face": (three_face_polyhedron, (1.0 + 0j, -1.0 + 0j)),
+    "three-face": (lambda: zoo_domain("three_face"), (1.0 + 0j, -1.0 + 0j)),
     "polydisc-faces": (lambda: polydisc_as_polyhedron([1.0, 1.0]),
                        (1.0 + 0j, 1.0 + 0j)),
 }
@@ -494,7 +457,6 @@ def run_sweep_suite(seed: int = 0, steps: int = 12,
     """Corner asymptotics: certified squeeze ratios along a pinching schedule."""
     columns = ["case", "k", "dist_to_q", "r", "R", "ratio", "c_bound", "status"]
     rows, failures = [], []
-    all_ok = True
     for name, (builder, corner) in _SWEEP_CASES.items():
         d = builder()
         threshold = SWEEP_THRESHOLDS[name]
@@ -506,7 +468,6 @@ def run_sweep_suite(seed: int = 0, steps: int = 12,
             rows.append([name, row.k, row.dist_to_q, row.r, row.R, row.ratio,
                          row.c_bound, _status(ok)])
             if not ok:
-                all_ok = False
                 failures.append({"case": name, "k": row.k, "ratio": row.ratio,
                                  "threshold": threshold})
         # re-validate the tightest certificate by sampling
@@ -515,13 +476,11 @@ def run_sweep_suite(seed: int = 0, steps: int = 12,
         cert = polyhedral_pipeline(d, q, xk)
         chk = cert.validate(validate_samples, seed=seed + 2)
         if not chk.passed:
-            all_ok = False
             failures.append({"case": name, "k": steps,
                              "worst_outer": chk.worst_outer_gauge,
                              "worst_inner": chk.worst_inner_margin})
-    return SuiteResult("sweep", columns, rows, all_ok,
-                       summary={"thresholds": dict(SWEEP_THRESHOLDS)},
-                       failures=failures)
+    return SuiteResult("sweep", columns, rows, failures,
+                       summary={"thresholds": dict(SWEEP_THRESHOLDS)})
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +495,7 @@ class VerifyAllReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.results.values())
+        return self.manifest["passed"]
 
 
 def verify_all(seed: int = 7, out_dir=".", workers: int = 1, *,

@@ -100,8 +100,7 @@ def test_criterion_4_halfplane_sharpness():
 def test_criterion_5_convex_domination():
     t0 = time.monotonic()
     res = run_domination_suite(seed=0, sharp_samples=512, samples=10_000,
-                               domains=("polydisc2", "ball2", "three_face"),
-                               include_twins=True)
+                               domains=("polydisc2", "ball2", "three_face"))
     wall = time.monotonic() - t0
     convex_rows = [r for r in res.rows if r[0] != "halfplane-sharp"]
     ok = (res.passed

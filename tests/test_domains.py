@@ -538,7 +538,7 @@ def test_polyhedron_distance_uppers_are_pinned(make, x, y, length):
     distance's upper side that length plus its rounding allowance."""
     d = make()
     x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
-    got, rounding = d.affine_disc_length(x, y)
+    got, rounding = d.affine_disc_length(x, y - x)
     assert got == pytest.approx(length, rel=1e-14)
     below, above = segment_sandwich(d, x, y, 2 ** 14)
     assert below <= length <= above and above - below < 1e-8 * length
@@ -575,7 +575,7 @@ def test_affine_disc_length_with_constant_faces():
                           RealFace(np.array([1.0, 0.0]), 0.5)], 2, bounding_radius=2 ** 0.5)
     x = np.array([0.1, 0.3], dtype=complex)
     y = x + np.array([0.9j, 0.0])
-    length, rounding = d.affine_disc_length(x, y)
+    length, rounding = d.affine_disc_length(x, y - x)
     # the disc piece in the slack's own coordinate s = 0.9 t
     s = np.array([0.35 ** 0.5, 0.9])
     F, _ = domains._disc_antiderivative(s, 1.0, 0.1)
@@ -584,7 +584,7 @@ def test_affine_disc_length_with_constant_faces():
     assert below - rounding <= length <= above + rounding
     # the constant face alone: a real face with Re<w, a> = 0 the whole way
     short = x + np.array([0.5j, 0.0])
-    assert d.affine_disc_length(x, short)[0] == pytest.approx(0.5 / 0.4, rel=1e-15)
+    assert d.affine_disc_length(x, short - x)[0] == pytest.approx(0.5 / 0.4, rel=1e-15)
 
 
 def test_affine_disc_length_stays_tight_on_short_segments():
@@ -595,7 +595,7 @@ def test_affine_disc_length_stays_tight_on_short_segments():
     x, u = np.array([0.1, 0.2j]), np.array([0.6, 0.8j])
     for h in (1e-5, 1e-8):
         y = x + h * u
-        length, rounding = d.affine_disc_length(x, y)
+        length, rounding = d.affine_disc_length(x, y - x)
         assert rounding < 1e-10 * length
         below, above = segment_sandwich(d, x, y, 16)
         assert below * (1.0 - 1e-15) <= length + rounding
@@ -637,7 +637,7 @@ def test_polyhedron_distance_lower_bound_dominates_the_half_space_bound(make, ex
     d = make()
     P = d.interior_samples(16, SampleStream(41))
     for x, y in zip(P[:8], P[8:]):
-        lower = d.distance_lower_bound(x, y, SampleStream(0))
+        lower = d.distance_lower_bound(x, y - x, SampleStream(0))
         assert lower >= _tangent_half_plane_distance(d, x, y) * (1 - 1e-15)
         assert lower <= kobayashi_distance(d, x, y).upper
         if exact is not None:

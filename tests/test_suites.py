@@ -4,7 +4,9 @@ import io
 import json
 
 from invmet import verify_all
+from invmet.cli import main
 from invmet.suites import (
+    SuiteResult,
     run_barth_suite,
     run_box_suite,
     run_domination_suite,
@@ -47,7 +49,7 @@ def test_box_suite_small():
 def test_domination_suite_small():
     res = run_domination_suite(seed=0, sharp_samples=128, samples=150,
                                sharp_radii=(0.25, 1.0),
-                               domains=("polydisc2",), include_twins=True)
+                               domains=("polydisc2",))
     assert res.passed
     assert res.summary["sharp_dev_max"] <= 1e-6
     assert res.summary["affine_match_max"] <= 1e-6
@@ -84,3 +86,27 @@ def test_verify_all_writes_manifest_and_artifacts(tmp_path):
         assert lines[0].startswith("# seed=3 convention=standard")
         assert len(lines) == entry["rows"] + 2  # meta comment + header + rows
         assert not any("FAIL" in ln for ln in lines)
+
+
+def test_a_failing_suite_fails_the_manifest_and_the_command(tmp_path, monkeypatch, capsys):
+    """A suite that reports a failure reads passed: false in the manifest,
+    for itself and overall, and verify-all exits 1 with a witness naming
+    it.  Every suite is replaced by a one-row stand-in."""
+    def stand_in(name, failures):
+        return lambda seed, **kwargs: SuiteResult(name, ["case", "status"],
+                                                  [["probe", "ok"]], failures)
+
+    for name in ("metric", "scaling", "box", "domination", "volume", "squeeze", "sweep"):
+        monkeypatch.setattr(f"invmet.suites.run_{name}_suite", stand_in(name, []))
+    failure = {"case": "disc", "discrepancy": 1.0}
+    monkeypatch.setattr("invmet.suites.run_barth_suite", stand_in("barth", [failure]))
+    rep = verify_all(seed=3, out_dir=tmp_path / "api")
+    man = json.loads((tmp_path / "api" / "manifest.json").read_text())
+    assert not rep.passed and man["passed"] is False
+    assert {name for name, entry in man["suites"].items() if not entry["passed"]} == {"barth"}
+    code = main(["verify-all", "--seed", "3", "--out", str(tmp_path / "cli")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "barth: FAIL (1 rows)" in out and "metric: PASS (1 rows)" in out
+    assert json.loads(err) == {"error": "verification suite failed",
+                               "witness": {"barth": [failure]}}
