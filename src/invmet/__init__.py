@@ -27,7 +27,6 @@ from .errors import (
 from .core import AffineMap, CLinearMap, Interval, cvector
 from .sampling import SampleStream
 from .automorphisms import (
-    BallMobius,
     ComponentwiseMap,
     ComposedMap,
     IdentityMap,
@@ -41,9 +40,7 @@ from .domains import (
     ConvexPolyhedron,
     Domain,
     HalfPlaneProduct,
-    ModulusFace,
     Polydisc,
-    RealFace,
     UnitBall,
     convexity_witness,
     load_domain,

@@ -8,14 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import AffineMap, CLinearMap, cvector
-from .errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    NotInteriorError,
-    SingularMapError,
-    UnsupportedKindError,
-)
+from .core import cvector
+from .errors import DegenerateInputError, NotInteriorError, SingularMapError
 
 
 class Mobius1D:
@@ -238,6 +232,15 @@ class ComposedMap:
 
     def inverse(self) -> "ComposedMap":
         return ComposedMap([m.inverse() for m in reversed(self.maps)])
+
+
+def ball_move(frm, to):
+    """Automorphism of the unit ball sending ``frm`` to ``to``: phi_to o
+    phi_frm, through 0, or the identity when both are 0."""
+    frm, to = cvector(frm), cvector(to)
+    if not np.any(frm) and not np.any(to):
+        return IdentityMap(frm.size)
+    return ComposedMap([BallMobius(frm), BallMobius(to)])
 
 
 def cayley(n: int) -> ComponentwiseMap:

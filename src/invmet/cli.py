@@ -33,11 +33,9 @@ import numpy as np
 
 from . import config
 from .circularity import asymptotics_sweep, circularity_lower_bound, squeeze_lower_bound
-from .core import cvector
 from .domains import (
     AutomorphismFamily,
     ConvexPolyhedron,
-    Domain,
     HalfPlaneProduct,
     Polydisc,
     UnitBall,
@@ -55,7 +53,7 @@ from .metrics import indicatrix, kobayashi_distance, kobayashi_metric, write_ind
 from .metrics import CONVENTIONS
 from .sampling import SampleStream
 from .scaling import default_schedule, equivalence_audit
-from .domination import verify_convex_domination, verify_halfplane_domination
+from .domination import HALFPLANE_HEIGHTS, verify_convex_domination, verify_halfplane_domination
 from .suites import box_stress_rows, verify_all
 from .zoo import resolve_domain, zoo_names
 
@@ -230,7 +228,7 @@ def cmd_dominate(args) -> int:
     d = resolve_domain(args.domain)
     radii = _radii_list(args.radii, "--radii")
     if isinstance(d, HalfPlaneProduct):
-        profile = verify_halfplane_domination((0.1, 1.0, 10.0), radii,
+        profile = verify_halfplane_domination(HALFPLANE_HEIGHTS, radii,
                                               args.samples, seed=args.seed,
                                               convention=args.convention)
         method = "apollonius-exact"

@@ -1,8 +1,10 @@
 """Bounded convex domain oracles in C^n and their supporting geometry.
 
-Kinds: unit ball, polydisc, half-plane product (upper/left), convex polyhedron
-cut out by modulus faces |f(z)| < c and real half-space faces Re<z, a> < b,
-balanced convex bodies given by a gauge, and affine images of any of these.
+Kinds: the unit ball; the convex polyhedron, one face table of modulus faces
+|f(z)| < c and real faces Re f(z) < b built from its arrays
+(``ConvexPolyhedron``); the polydisc and the half-plane product (upper or
+left), face tables that add only their closed forms; balanced convex bodies
+given by a gauge; and affine images of any of these.
 
 Every domain carries a declared bounding radius and an interior base point.
 Membership returns a signed gauge-like margin (positive inside). Directions and
@@ -25,8 +27,8 @@ V):
   through a gauge answers both sides from one section search;
 * ``metric_form(x)``: K(x; .) at one point as a ``MetricForm`` (a Hermitian
   form or a max of moduli of linear functionals), or None;
-* ``distance_value(x, Y)``: the closed-form distance from x to y, or to
-  each row of a stack Y, or None when the kind has none;
+* ``distance_value(x, w)``: the closed-form distance from x to x + w, or to
+  x + W[i] for each row of a stack W, or None when the kind has none;
 * ``affine_disc_length(x, w)``: the integral of the affine-disc metric upper
   bound along [x, x + w] with its rounding allowance, in closed form on
   polyhedra, or None (the distance then takes a quadrature);
@@ -41,8 +43,8 @@ V):
 * for the squeeze radii, ``inner_radius_exact(x, model)`` on the domain, and
   ``linear_sup(coeffs)`` and ``outer_radius_bound(domain, x)`` on the model.
 
-The distance's two sides take a segment as its start x and offset w, so a
-separation far below the rounding of x's coordinates survives.
+Every distance takes a segment as its start x and offset w, so a separation
+far below the rounding of x's coordinates survives.
 ``AffineImage`` pulls points back to its inner domain, and directions and
 offsets through the linear part alone.  A nonzero direction row whose squared
 norm underflows (so |V[i]| rounds to 0) is the caller's to rescale: the
@@ -69,23 +71,6 @@ from .errors import (
     UnsupportedKindError,
 )
 from .sampling import SampleStream
-
-
-@dataclass(frozen=True)
-class ModulusFace:
-    """|coeffs . z + const| < bound  (complex-affine modulus constraint)."""
-
-    coeffs: np.ndarray
-    const: complex
-    bound: float
-
-
-@dataclass(frozen=True)
-class RealFace:
-    """Re<z, normal> < offset with a unit normal."""
-
-    normal: np.ndarray
-    offset: float
 
 
 @dataclass(frozen=True)
@@ -233,17 +218,6 @@ def _half_plane_distances(w1, dw, b):
     return np.arctanh(np.where(t < 1.0, t, 0.0))
 
 
-def _slack_section(slack, V, what: str):
-    """Section distances in a product domain where coordinate k of row i has
-    room slack[i, k] before its factor's boundary."""
-    if np.any(slack <= 0):
-        raise NotInteriorError(f"point outside the {what}")
-    av = np.abs(V)
-    with np.errstate(divide="ignore"):
-        t = np.where(av > 0, slack / np.where(av > 0, av, 1.0), np.inf)
-    return np.linalg.norm(V, axis=1) * t.min(axis=1)
-
-
 class UnitBall(Domain):
     """Open Euclidean unit ball in C^n."""
 
@@ -285,9 +259,6 @@ class UnitBall(Domain):
         r2 = self._slack(P)
         return (np.sqrt(c * c + r2 * nv * nv) - c) / nv
 
-    def coordinate_bounds(self):
-        return np.ones(self.dim)
-
     def inner_radius_exact(self, x, model):
         if isinstance(model, UnitBall):
             return float(1.0 - np.linalg.norm(x))
@@ -308,19 +279,18 @@ class UnitBall(Domain):
             return float(domain.bounding_radius + np.linalg.norm(x)), "norm-bound"
         return super().outer_radius_bound(domain, x)
 
-    def distance_value(self, x, y):
-        from .automorphisms import BallMobius
+    def distance_value(self, x, w):
+        """atanh |phi_x(x + w)| for the automorphism phi_x taking x to 0:
+        phi_x(x + w) = -(P w + s Q w) / (s^2 - <w, x>), with s^2 = 1 - |x|^2,
+        P the projection onto x and Q = 1 - P, so |phi_x(x + w)| is
+        sqrt(s^2 |w|^2 + |<w, x>|^2) / |s^2 - <w, x>|.  The norms are taken
+        by hypot, so an offset whose |w|^2 underflows keeps its size."""
         x = self._check_dim(cvector(x))
-        y = np.asarray(y, dtype=complex)
-        phi = BallMobius(x)
-        img = phi(y)
-        t = np.linalg.norm(img, axis=-1) if y.ndim > 1 else np.linalg.norm(img)
-        if not np.all(t):
-            # where |img|^2 underflows, scale img by a power of two first
-            e = np.frexp(np.abs(img).max(axis=-1, keepdims=True))[1]
-            s = np.linalg.norm(np.ldexp(img.view(float), -e), axis=-1)
-            t = np.where(t == 0, np.ldexp(s, e[..., 0]), t)
-        return np.arctanh(np.clip(t, 0.0, 1.0 - 1e-16))
+        w = np.asarray(w, dtype=complex)
+        s2 = self._slack(x)
+        c = w @ x.conj()
+        t = np.hypot(math.sqrt(s2) * np.hypot.reduce(np.abs(w), axis=-1), np.abs(c))
+        return np.arctanh(np.clip(t / np.abs(s2 - c), 0.0, 1.0 - 1e-16))
 
     def gauge(self, v):
         v = np.asarray(v, dtype=complex)
@@ -333,183 +303,62 @@ class UnitBall(Domain):
         return u * t[:, None]
 
 
-class Polydisc(Domain):
-    """Product of discs |z_alpha| < radii_alpha."""
-
-    def __init__(self, radii):
-        radii = np.asarray(radii, dtype=float)
-        if radii.ndim != 1 or radii.size < 1 or np.any(radii <= 0):
-            raise DegenerateInputError("radii must be positive")
-        self.radii = radii
-        self.dim = radii.size
-        self.bounding_radius = float(np.linalg.norm(radii))
-        self.basepoint = np.zeros(self.dim, dtype=complex)
-
-    def contains_margins(self, Z):
-        return np.min(self.radii - np.abs(np.asarray(Z, dtype=complex)), axis=-1)
-
-    def metric_paired(self, P, V):
-        den = self.radii ** 2 - np.abs(P) ** 2
-        if np.any(den <= 0):
-            raise NotInteriorError("point outside the polydisc")
-        return np.max(self.radii * np.abs(V) / den, axis=1)
-
-    def metric_form(self, x):
-        return _coordinate_form(self, x)
-
-    def section_distance_paired(self, P, V):
-        return _slack_section(self.radii - np.abs(P), V, "polydisc")
-
-    def coordinate_bounds(self):
-        return self.radii.copy()
-
-    def inner_radius_exact(self, x, model):
-        # the polydisc is the polyhedron of faces |z_k| < radii_k
-        S = model.linear_sup(np.eye(self.dim))
-        if S is None:
-            return None
-        return float(np.min((self.radii - np.abs(x)) / S))
-
-    def linear_sup(self, coeffs):
-        return np.abs(coeffs) @ self.radii
-
-    def outer_radius_bound(self, domain, x):
-        cb = domain.coordinate_bounds()
-        if cb is None:
-            return super().outer_radius_bound(domain, x)
-        return float(np.max((cb + np.abs(x)) / self.radii)), "coordinate-bounds"
-
-    def distance_value(self, x, y):
-        x = self._check_dim(cvector(x))
-        y = np.asarray(y, dtype=complex)
-        R = self.radii
-        t = np.abs(R * (y - x) / (R * R - np.conj(x) * y))
-        t = np.clip(t, 0.0, 1.0 - 1e-16)
-        return np.max(np.arctanh(t), axis=-1)
-
-    def gauge(self, v):
-        v = np.asarray(v, dtype=complex)
-        return np.max(np.abs(v) / self.radii, axis=-1)
-
-    def interior_samples(self, count, stream: SampleStream):
-        ph = stream.phases((count, self.dim))
-        t = np.sqrt(stream.uniform((count, self.dim)))
-        return ph * t * self.radii[None, :]
-
-
-class HalfPlaneProduct(Domain):
-    """Product of half-planes: Im z_alpha > 0 ("upper") or Re z_alpha < 0 ("left").
-
-    Unbounded but hyperbolic; the declared bounding radius is infinite.
-    """
-
-    def __init__(self, dim: int, orientation: str = "upper"):
-        if orientation not in ("upper", "left"):
-            raise DegenerateInputError(f"unknown orientation {orientation!r}")
-        if dim < 1:
-            raise DimensionMismatchError("dim must be >= 1")
-        self.dim = int(dim)
-        self.orientation = orientation
-        self.bounding_radius = np.inf
-        if orientation == "upper":
-            self.basepoint = 1j * np.ones(self.dim, dtype=complex)
-        else:
-            self.basepoint = -np.ones(self.dim, dtype=complex)
-
-    def _heights(self, z):
-        z = np.asarray(z, dtype=complex)
-        return z.imag if self.orientation == "upper" else -z.real
-
-    def contains_margins(self, Z):
-        return np.min(self._heights(Z), axis=-1)
-
-    def metric_paired(self, P, V):
-        h = self._heights(P)
-        if np.any(h <= 0):
-            raise NotInteriorError("point outside the half-plane product")
-        return np.max(np.abs(V) / (2.0 * h), axis=1)
-
-    def metric_form(self, x):
-        return _coordinate_form(self, x)
-
-    def section_distance_paired(self, P, V):
-        return _slack_section(self._heights(P), V, "half-plane product")
-
-    def distance_value(self, x, y):
-        x = self._check_dim(cvector(x))
-        y = np.asarray(y, dtype=complex)
-        if self.orientation == "upper":
-            t = np.abs((y - x) / (y - np.conj(x)))
-        else:
-            t = np.abs((y - x) / (y + np.conj(x)))
-        t = np.clip(t, 0.0, 1.0 - 1e-16)
-        return np.max(np.arctanh(t), axis=-1)
-
-    def interior_samples(self, count, stream: SampleStream):
-        # heights log-uniform in [e^-2, e^2], offsets Cauchy-ish via tan
-        h = np.exp(stream.uniform((count, self.dim), -2.0, 2.0))
-        off = np.tan(stream.uniform((count, self.dim), -1.2, 1.2))
-        z = off + 1j * h
-        if self.orientation == "left":
-            z = -h + 1j * off
-        return z
-
-
 class ConvexPolyhedron(Domain):
-    """Intersection of modulus faces |f_k(z)| < c_k and real faces Re<z,a_k> < b_k.
+    """Intersection of modulus faces |F_k(z)| < c_k and real faces Re F_k(z) < b_k,
+    built from its face table.
 
-    The faces are held as one table, modulus faces first: ``coeffs`` of
-    shape (faces, n), ``consts`` and ``bounds``.  Face k takes
+    The table is three arrays, modulus faces first: ``coeffs`` of shape
+    (faces, n), ``consts`` and ``bounds``.  Face k takes
     F_k(z) = z . coeffs[k] + consts[k] and allows |F_k| < bounds[k] for
-    k < ``modulus_count`` and Re F_k < bounds[k] after that; a real face
-    Re<z, a> < b is stored as conj(a) / |a|, const 0 and b / |a|.
-    ``face_norms`` divides a face's slack into a membership margin: |coeffs[k]|
-    on modulus faces and 1 on real faces.  Every oracle reads the table
-    through ``face_values`` and ``slacks``.
-
-    Convexity holds automatically (each face set is convex). Boundedness is
-    declared via ``bounding_radius`` and spot-checked by sampling, not inferred.
+    k < ``modulus_count`` and Re F_k < bounds[k] after that.  The constructor
+    checks the shapes, that no row is zero, that every modulus bound is
+    positive and that the basepoint (0 by default) is interior, and divides
+    each real row, its const and its bound by |coeffs[k]|: a real face
+    Re<z, a> < b is held as conj(a) / |a|, 0 and b / |a|.  ``face_norms``
+    divides a face's slack into a membership margin: |coeffs[k]| on modulus
+    faces and 1 on real faces.  Every oracle reads the table through
+    ``face_values`` and ``slacks``.  Convexity holds automatically;
+    boundedness is declared (``bounding_radius``), not inferred.
     """
 
-    def __init__(self, faces, dim: int, basepoint=None, bounding_radius=None,
-                 name: str = ""):
-        self.dim = int(dim)
-        self.name = name
-        mods, reals = [], []
-        for f in faces:
-            if isinstance(f, ModulusFace):
-                c = cvector(f.coeffs)
-                if c.size != dim:
-                    raise DimensionMismatchError("face coefficient length mismatch")
-                if np.linalg.norm(c) == 0 or f.bound <= 0:
-                    raise DegenerateInputError("modulus face must have nonzero "
-                                               "coefficients and positive bound")
-                mods.append((c, complex(f.const), float(f.bound)))
-            elif isinstance(f, RealFace):
-                a = cvector(f.normal)
-                na = np.linalg.norm(a)
-                if na == 0:
-                    raise DegenerateInputError("real face normal must be nonzero")
-                reals.append(((a / na).conj(), 0j, float(f.offset) / na))
-            else:
-                raise UnsupportedKindError(f"unknown face type {type(f).__name__}")
-        if not mods and not reals:
-            raise DegenerateInputError("polyhedron needs at least one face")
-        coeffs, consts, bounds = zip(*(mods + reals))
-        self.coeffs = np.stack(coeffs)
-        self.consts = np.array(consts, dtype=complex)
-        self.bounds = np.array(bounds, dtype=float)
-        self.modulus_count = len(mods)
-        self.face_norms = np.concatenate([np.linalg.norm(self.coeffs[:len(mods)], axis=1),
-                                          np.ones(len(reals))])
-
-        self.basepoint = (np.zeros(dim, dtype=complex) if basepoint is None
-                          else cvector(basepoint))
+    def __init__(self, coeffs, consts, bounds, modulus_count, bounding_radius,
+                 basepoint=None, name: str = ""):
+        coeffs = np.array(coeffs, dtype=complex)
+        consts = np.array(consts, dtype=complex)
+        bounds = np.array(bounds, dtype=float)
+        mc = int(modulus_count)
         if bounding_radius is None:
             raise DegenerateInputError("polyhedron requires a declared bounding radius")
-        self.bounding_radius = float(bounding_radius)
-        if self.contains(self.basepoint) <= 0:
+        if (coeffs.ndim != 2 or coeffs.shape[1] < 1 or consts.shape != coeffs.shape[:1]
+                or bounds.shape != consts.shape or not 0 <= mc <= bounds.size):
+            raise DimensionMismatchError("face table shapes do not match")
+        if not bounds.size:
+            raise DegenerateInputError("polyhedron needs at least one face")
+        norms = np.linalg.norm(coeffs, axis=1)
+        if mc < norms.size:
+            # a real row's norm as one vector's, which rounds apart from the
+            # row-wise form
+            norms[mc:] = [np.linalg.norm(a) for a in coeffs[mc:]]
+        if not ((norms > 0).all() and (bounds[:mc] > 0).all()):
+            raise DegenerateInputError("every face needs nonzero coefficients "
+                                       "and every modulus face a positive bound")
+        if mc < norms.size:
+            coeffs[mc:] /= norms[mc:, None]
+            consts[mc:] /= norms[mc:]
+            bounds[mc:] /= norms[mc:]
+            norms[mc:] = 1.0
+        self._fill(coeffs, consts, bounds, mc, norms, bounding_radius,
+                   np.zeros(coeffs.shape[1], dtype=complex) if basepoint is None
+                   else cvector(basepoint), name)
+        if not (self.slacks(self._check_dim(self.basepoint)) > 0).all():
             raise NotInteriorError("declared basepoint is not interior")
+
+    def _fill(self, coeffs, consts, bounds, modulus_count, face_norms, bounding_radius,
+              basepoint, name):
+        """Set the table and the domain's fields as given, unchecked."""
+        self.coeffs, self.consts, self.bounds = coeffs, consts, bounds
+        self.modulus_count, self.face_norms, self.dim = modulus_count, face_norms, coeffs.shape[1]
+        self.bounding_radius, self.basepoint, self.name = float(bounding_radius), basepoint, name
 
     def face_values(self, z):
         """F_k(z) of every face, of shape (..., faces), for z of shape (..., n)."""
@@ -519,16 +368,16 @@ class ConvexPolyhedron(Domain):
         """bounds - |F| on the modulus faces and bounds - Re F on the real
         faces, of shape (..., faces): positive exactly inside each face."""
         F = self.face_values(z)
-        S = np.empty(F.shape)
         mc = self.modulus_count
-        np.abs(F[..., :mc], out=S[..., :mc])
-        S[..., mc:] = F[..., mc:].real
+        S = np.abs(F) if mc == F.shape[-1] else F.real.copy()
+        if 0 < mc < S.shape[-1]:
+            np.abs(F[..., :mc], out=S[..., :mc])
         return np.subtract(self.bounds, S, out=S)
 
     def contains_margins(self, Z):
         S = self.slacks(Z)
         S /= self.face_norms
-        return S.min(axis=-1)
+        return np.minimum.reduce(S, axis=-1)
 
     def section_distance_paired(self, P, V):
         """|V[i]| min over faces of slack / rate: the section is cut by each
@@ -712,7 +561,9 @@ class ConvexPolyhedron(Domain):
 
     def coordinate_bounds(self):
         """Per-coordinate sup |z_alpha| upper bounds from the const-0 modulus
-        faces on a single coordinate."""
+        faces on a single coordinate, or None on an unbounded table."""
+        if not np.isfinite(self.bounding_radius):
+            return None
         bounds = np.full(self.dim, self.bounding_radius)
         mc = self.modulus_count
         on = np.abs(self.coeffs[:mc]) > 0
@@ -730,6 +581,8 @@ class ConvexPolyhedron(Domain):
 
     def interior_samples(self, count, stream: SampleStream):
         cb = self.coordinate_bounds()
+        if cb is None:
+            raise DegenerateInputError("interior sampling needs a bounded polyhedron")
         out = np.empty((count, self.dim), dtype=complex)
         have = 0
         attempts = 0
@@ -814,6 +667,102 @@ def _disc_antiderivative(u, R, q):
         size = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
     zero = u == 0
     return np.where(zero, 0.0, F), np.where(zero, 0.0, size)
+
+
+class Polydisc(ConvexPolyhedron):
+    """The polydisc |z_k| < radii[k]: the face table of rows e_k, modulus
+    bounds ``radii`` and consts 0, with its closed forms added (the metric on
+    both sides of the bracket, the distance, exact interior samples) and, as
+    a squeeze model, ``linear_sup`` and ``outer_radius_bound``."""
+
+    def __init__(self, radii):
+        radii = np.asarray(radii, dtype=float)
+        if radii.ndim != 1 or radii.size < 1 or (radii <= 0).any():
+            raise DegenerateInputError("radii must be positive")
+        n = radii.size
+        # positive radii make the table valid and 0 interior
+        self._fill(np.eye(n, dtype=complex), np.zeros(n, dtype=complex), radii, n,
+                   np.ones(n), np.linalg.norm(radii), np.zeros(n, dtype=complex), "")
+        self.radii = radii
+
+    def metric_paired(self, P, V):
+        den = self.radii ** 2 - np.abs(P) ** 2
+        if (den <= 0).any():
+            raise NotInteriorError("point outside the polydisc")
+        return np.maximum.reduce(self.radii * np.abs(V) / den, axis=1)
+
+    bracket_paired = Domain.bracket_paired
+    metric_form = _coordinate_form
+
+    def linear_sup(self, coeffs):
+        return np.abs(coeffs) @ self.radii
+
+    def outer_radius_bound(self, domain, x):
+        cb = domain.coordinate_bounds()
+        if cb is None:
+            return super().outer_radius_bound(domain, x)
+        return float(np.max((cb + np.abs(x)) / self.radii)), "coordinate-bounds"
+
+    def distance_value(self, x, w):
+        """max_k atanh(r_k |w_k| / |(r_k^2 - |x_k|^2) - conj(x_k) w_k|), the
+        disc distances between the coordinates of x and x + w."""
+        x = self._check_dim(cvector(x))
+        w = np.asarray(w, dtype=complex)
+        R = self.radii
+        t = R * np.abs(w) / np.abs((R * R - np.abs(x) ** 2) - np.conj(x) * w)
+        return np.max(np.arctanh(np.clip(t, 0.0, 1.0 - 1e-16)), axis=-1)
+
+    def interior_samples(self, count, stream: SampleStream):
+        ph = stream.phases((count, self.dim))
+        t = np.sqrt(stream.uniform((count, self.dim)))
+        return ph * t * self.radii[None, :]
+
+
+class HalfPlaneProduct(ConvexPolyhedron):
+    """Product of half-planes Im z_k > 0 ("upper") or Re z_k < 0 ("left"): the
+    face table of real rows i e_k or e_k with bounds 0, with its closed forms
+    added (the metric on both sides of the bracket, the distance, interior
+    samples).  Unbounded but hyperbolic: the bounding radius is infinite, so
+    it has no gauge and no coordinate bounds."""
+
+    def __init__(self, dim: int, orientation: str = "upper"):
+        if orientation not in ("upper", "left"):
+            raise DegenerateInputError(f"unknown orientation {orientation!r}")
+        if dim < 1:
+            raise DimensionMismatchError("dim must be >= 1")
+        n = int(dim)
+        upper = orientation == "upper"
+        # unit rows make the table valid, and the basepoint is interior
+        self._fill(np.eye(n, dtype=complex) * (1j if upper else 1.0),
+                   np.zeros(n, dtype=complex), np.zeros(n), 0, np.ones(n), np.inf,
+                   np.full(n, 1j) if upper else -np.ones(n, dtype=complex), "")
+        self.orientation = orientation
+
+    def metric_paired(self, P, V):
+        """max_k |v_k| / (2 h_k), h_k = Im z_k ("upper") or -Re z_k ("left")."""
+        h = P.imag if self.orientation == "upper" else -P.real
+        if (h <= 0).any():
+            raise NotInteriorError("point outside the half-plane product")
+        return np.maximum.reduce(np.abs(V) / (2.0 * h), axis=1)
+
+    bracket_paired = Domain.bracket_paired
+    metric_form = _coordinate_form
+
+    def distance_value(self, x, w):
+        """max_k atanh(|w_k| / |2i Im x_k + w_k|) ("upper") or
+        atanh(|w_k| / |2 Re x_k + w_k|) ("left"), the half-plane distances
+        between the coordinates of x and x + w."""
+        x = self._check_dim(cvector(x))
+        w = np.asarray(w, dtype=complex)
+        h = 2j * x.imag if self.orientation == "upper" else 2.0 * x.real
+        t = np.abs(w) / np.abs(h + w)
+        return np.max(np.arctanh(np.clip(t, 0.0, 1.0 - 1e-16)), axis=-1)
+
+    def interior_samples(self, count, stream: SampleStream):
+        # heights log-uniform in [e^-2, e^2], offsets Cauchy-ish via tan
+        h = np.exp(stream.uniform((count, self.dim), -2.0, 2.0))
+        off = np.tan(stream.uniform((count, self.dim), -1.2, 1.2))
+        return off + 1j * h if self.orientation == "upper" else -h + 1j * off
 
 
 # Rows of a paired section query searched together: each gauge call then sees
@@ -1191,10 +1140,9 @@ class AffineImage(Domain):
     def distance_lower_bound(self, x, w, stream=None):
         return self.inner.distance_lower_bound(*self._pull_back(x, w), stream)
 
-    def distance_value(self, x, y):
-        xp = self.map_inv(cvector(x))
-        y = np.asarray(y, dtype=complex)
-        return self.inner.distance_value(xp, self.map_inv(y))
+    def distance_value(self, x, w):
+        w = np.asarray(w, dtype=complex) @ self.map_inv.linear.matrix.T
+        return self.inner.distance_value(self.map_inv(cvector(x)), w)
 
     def gauge(self, v):
         if np.any(np.abs(self.map.translation) > 0):
@@ -1220,8 +1168,8 @@ def balanced_polyhedron(coeffs, scales, dim: int, name: str = "") -> ConvexPolyh
     if C.shape[0] < dim or sv[-1] <= 1e-12:
         raise DegenerateInputError("functionals do not span C^n; body is unbounded")
     # max_k |c_k . z| / s_k < 1 forces ||C z|| < ||s||, so ||z|| < ||s|| / sigma_min(C)
-    return ConvexPolyhedron([ModulusFace(c, 0.0, float(sk)) for c, sk in zip(C, s)],
-                            dim, None, float(np.linalg.norm(s) / sv[-1]), name=name)
+    return ConvexPolyhedron(C, np.zeros(len(C)), s, len(C), np.linalg.norm(s) / sv[-1],
+                            name=name)
 
 
 def convexity_witness(domain: Domain, samples: int = config.CONVEXITY_WITNESS_SAMPLES,
@@ -1236,17 +1184,14 @@ def convexity_witness(domain: Domain, samples: int = config.CONVEXITY_WITNESS_SA
 def model_automorphism(domain: Domain, frm, to):
     """Automorphism of a model domain sending ``frm`` to ``to``, with exact
     derivatives; raises UnsupportedKindError off the model kinds."""
-    from .automorphisms import BallMobius, ComposedMap, ComponentwiseMap, IdentityMap, Mobius1D
+    from .automorphisms import ComponentwiseMap, Mobius1D, ball_move
 
     frm = cvector(frm)
     to = cvector(to)
     domain.require_interior(frm, "source point")
     domain.require_interior(to, "target point")
     if isinstance(domain, UnitBall):
-        if not np.any(frm) and not np.any(to):
-            phi = IdentityMap(domain.dim)
-        else:
-            phi = ComposedMap([BallMobius(frm), BallMobius(to)])
+        phi = ball_move(frm, to)
     elif isinstance(domain, Polydisc):
         phi = ComponentwiseMap([
             Mobius1D.disc_move(frm[k], to[k], domain.radii[k])
@@ -1368,7 +1313,10 @@ def _domain_from_dict(obj, loc) -> Domain:
     if kind == "polyhedron":
         dim = _require(obj, "dim", f"{p}dim", int)
         faces_obj = _require(obj, "faces", f"{p}faces", list)
-        faces = []
+        if not faces_obj:
+            raise SpecLoadError("polyhedron needs at least one face", f"{p}faces")
+        # (coeffs, const, bound) per face, modulus faces and real faces apart
+        rows = {"modulus": [], "real": []}
         for i, fo in enumerate(faces_obj):
             floc = f"{p}faces[{i}]"
             if not isinstance(fo, dict):
@@ -1381,20 +1329,22 @@ def _domain_from_dict(obj, loc) -> Domain:
                 bound = _require(fo, "bound", f"{floc}.bound", (int, float))
                 if bound <= 0:
                     raise SpecLoadError("bound must be positive", f"{floc}.bound")
-                faces.append(ModulusFace(coeffs, const, float(bound)))
             elif ftype == "real":
-                normal = load_cvector(_require(fo, "normal", f"{floc}.normal"),
-                                      f"{floc}.normal", dim)
-                offset = _require(fo, "offset", f"{floc}.offset", (int, float))
-                faces.append(RealFace(normal, float(offset)))
+                # Re<z, a> < b is Re(z . conj(a)) < b
+                coeffs = load_cvector(_require(fo, "normal", f"{floc}.normal"),
+                                      f"{floc}.normal", dim).conj()
+                const = 0.0
+                bound = _require(fo, "offset", f"{floc}.offset", (int, float))
             else:
                 raise SpecLoadError(f"unknown face type {ftype!r}", f"{floc}.type")
+            rows[ftype].append((coeffs, const, float(bound)))
         br = _require(obj, "bounding_radius", f"{p}bounding_radius", (int, float))
         basepoint = (np.zeros(dim, dtype=complex) if "basepoint" not in obj else
                      load_cvector(obj["basepoint"], f"{p}basepoint", dim))
+        coeffs, consts, bounds = zip(*(rows["modulus"] + rows["real"]))
         try:
-            return ConvexPolyhedron(faces, dim, basepoint, br,
-                                    name=obj.get("name", ""))
+            return ConvexPolyhedron(np.stack(coeffs), consts, bounds, len(rows["modulus"]),
+                                    br, basepoint, name=obj.get("name", ""))
         except (DegenerateInputError, NotInteriorError) as exc:
             raise SpecLoadError(str(exc), loc or "<root>")
     if kind == "balanced":

@@ -22,15 +22,13 @@ import numpy as np
 
 from . import config
 from .core import cvector
-from .domains import Domain, HalfPlaneProduct
+from .domains import Domain
 from .errors import DegenerateInputError, UnboundedValueError
-from .metrics import (
-    CONVENTIONS,
-    distance_ball_sample,
-    distance_scale,
-    indicatrix_gauge_upper,
-)
+from .metrics import distance_ball_sample, distance_scale, indicatrix_gauge_upper
 from .sampling import SampleStream
+
+# the base points ib of the half-plane sharpness check
+HALFPLANE_HEIGHTS = (0.1, 1.0, 10.0)
 
 
 def tanh_parameter(r: float, convention: str = "standard") -> float:
@@ -38,6 +36,12 @@ def tanh_parameter(r: float, convention: str = "standard") -> float:
     if r < 0:
         raise DegenerateInputError("radius must be nonnegative")
     return math.tanh(r / distance_scale(convention))
+
+
+def _dominated(worst_gauge: float, bound: float, tolerance: float) -> bool:
+    """The domination predicate: the worst gauge is within its bound, to the
+    tolerance."""
+    return worst_gauge <= bound * (1 + tolerance)
 
 
 def lambda_halfplane(r: float, convention: str = "standard") -> float:
@@ -98,7 +102,7 @@ class DominationProfile:
 
     def holds(self, cell: DominationCell) -> bool:
         """The cell's worst gauge is within its claimed bound, to the tolerance."""
-        return cell.worst_gauge <= cell.claimed_bound * (1 + self.tolerance)
+        return _dominated(cell.worst_gauge, cell.claimed_bound, self.tolerance)
 
     @property
     def passed(self) -> bool:
@@ -209,7 +213,7 @@ class NormalFamilyRow:
 
     @property
     def passed(self) -> bool:
-        return self.worst_gauge <= self.bound * (1.0 + config.DOMINATION_TOL)
+        return _dominated(self.worst_gauge, self.bound, config.DOMINATION_TOL)
 
 
 @dataclass

@@ -241,16 +241,16 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
     y = cvector(y)
     d.require_interior(x, "first point")
     d.require_interior(y, "second point")
-    exact = d.distance_value(x, y)
+    w = y - x
+    exact = d.distance_value(x, w)
     if exact is not None:
         val = float(exact) * scale
         return DistanceBound(val, val)
     if not np.isfinite(d.bounding_radius):
         raise UnboundedValueError("unbounded domain without a closed-form distance")
-    if np.array_equal(x, y):
+    if not w.any():
         return DistanceBound(0.0, 0.0, "coincident", "coincident")
 
-    w = y - x
     closed = d.affine_disc_length(x, w)
     if closed is None:
         upper, nodes, converged, delta = _trapezoid_upper(d, x, w, tol)
@@ -429,8 +429,7 @@ def _shell_targets(stream: SampleStream, count: int, r: float) -> np.ndarray:
 
 def _exact_radial_distances(d: Domain, x, U, ts):
     """Distance from x to x + ts[i] * U[i] via closed forms, vectorized."""
-    Y = x[None, :] + ts[:, None] * U
-    return np.asarray(d.distance_value(x, Y), dtype=float)
+    return np.asarray(d.distance_value(x, ts[:, None] * U), dtype=float)
 
 
 def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
@@ -457,7 +456,7 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
     U = stream.unit_directions(count, d.dim)
     targets = _shell_targets(stream.fork(1), count, r / scale)
 
-    probe = d.distance_value(x, x + 1e-9 * U[0])
+    probe = d.distance_value(x, 1e-9 * U[0])
     if probe is not None:
         # every model's section distance is finite along a nonzero direction
         hi = d.section_distance_paired(x[None, :], U) * (1.0 - 1e-12)

@@ -36,7 +36,7 @@ from .convexbox import (
 )
 from .core import cvector
 from .domains import AutomorphismFamily, Polydisc, model_automorphism
-from .domination import verify_convex_domination, verify_halfplane_domination
+from .domination import HALFPLANE_HEIGHTS, verify_convex_domination, verify_halfplane_domination
 from .errors import LemmaViolationError
 from .metrics import CONVENTIONS, kobayashi_metric
 from .sampling import SampleStream
@@ -291,7 +291,7 @@ def run_domination_suite(seed: int = 0, *, convention: str = "standard",
     rows, failures = [], []
     sharp_dev_max = 0.0
     for conv in CONVENTIONS:
-        prof = verify_halfplane_domination((0.1, 1.0, 10.0), sharp_radii,
+        prof = verify_halfplane_domination(HALFPLANE_HEIGHTS, sharp_radii,
                                            sharp_samples, seed=seed,
                                            convention=conv)
         for cell in prof.cells:

@@ -18,9 +18,7 @@ from .domains import (
     ConvexPolyhedron,
     Domain,
     HalfPlaneProduct,
-    ModulusFace,
     Polydisc,
-    RealFace,
     UnitBall,
     balanced_polyhedron,
     load_domain,
@@ -30,26 +28,15 @@ from .errors import SpecLoadError
 
 def three_face_polyhedron() -> ConvexPolyhedron:
     """|z_1| < 1, |z_2| < 1, |z_1 + z_2| < 1.5 -- a wedge of the bidisc."""
-    faces = [
-        ModulusFace(np.array([1.0, 0.0], dtype=complex), 0.0, 1.0),
-        ModulusFace(np.array([0.0, 1.0], dtype=complex), 0.0, 1.0),
-        ModulusFace(np.array([1.0, 1.0], dtype=complex), 0.0, 1.5),
-    ]
-    return ConvexPolyhedron(faces, dim=2, bounding_radius=float(np.sqrt(2.0)),
-                            name="three-face")
+    return ConvexPolyhedron([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.zeros(3), [1.0, 1.0, 1.5],
+                            3, np.sqrt(2.0), name="three-face")
 
 
 def polydisc_as_polyhedron(radii) -> ConvexPolyhedron:
     """The polydisc presented through its modulus faces |z_k| < r_k."""
     radii = np.asarray(radii, dtype=float)
-    faces = []
-    for k, r in enumerate(radii):
-        c = np.zeros(radii.size, dtype=complex)
-        c[k] = 1.0
-        faces.append(ModulusFace(c, 0.0, float(r)))
-    return ConvexPolyhedron(faces, dim=radii.size,
-                            bounding_radius=float(np.linalg.norm(radii)),
-                            name="polydisc-faces")
+    return ConvexPolyhedron(np.eye(radii.size), np.zeros(radii.size), radii, radii.size,
+                            np.linalg.norm(radii), name="polydisc-faces")
 
 
 def balanced_two_face() -> ConvexPolyhedron:
@@ -96,8 +83,7 @@ def model_twins() -> dict:
         "disc": polydisc_as_polyhedron([1.0]),
         "polydisc2": polydisc2,
         "ball2": ball2,
-        "halfplane": ConvexPolyhedron([RealFace([-1j], 0.0)], 1, basepoint=[1j],
-                                      bounding_radius=np.inf),
+        "halfplane": ConvexPolyhedron([[1j]], [0.0], [0.0], 0, np.inf, basepoint=[1j]),
         "sheared_polydisc": affine_twin(polydisc2),
         "turned_ball": affine_twin(ball2),
     }

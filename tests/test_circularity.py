@@ -16,7 +16,7 @@ from invmet import (
     zoo_domain,
 )
 from invmet.circularity import SqueezeCertificate
-from invmet.domains import ConvexPolyhedron, ModulusFace, RealFace
+from invmet.domains import ConvexPolyhedron
 from invmet.errors import CertificateError, ScheduleError, UnsupportedKindError
 from invmet.zoo import balanced_two_face, polydisc_as_polyhedron
 
@@ -126,8 +126,7 @@ def test_asymptotics_sweep_polydisc_faces_ratio_climbs():
 def test_polyhedral_pipeline_real_face_corner():
     # |z_1| < 1, |z_2| < 1, Re z_1 < 0.5: at (0.5, i) the second modulus
     # face and the real face meet
-    d = ConvexPolyhedron([ModulusFace([1, 0], 0.0, 1.0), ModulusFace([0, 1], 0.0, 1.0),
-                          RealFace([1, 0], 0.5)], 2, bounding_radius=1.5)
+    d = ConvexPolyhedron([[1, 0], [0, 1], [1, 0]], np.zeros(3), [1.0, 1.0, 0.5], 2, 1.5)
     q = [0.5, 1j]
     cert = polyhedral_pipeline(d, q, [0.3, 0.7j])
     assert cert.notes["active_modulus_faces"] == [1]

@@ -28,8 +28,6 @@ from invmet.domains import (
     AffineImage,
     BalancedConvex,
     ConvexPolyhedron,
-    ModulusFace,
-    RealFace,
 )
 from invmet.errors import (
     DegenerateInputError,
@@ -89,6 +87,46 @@ def test_dimension_mismatch_raises():
     d = Polydisc([1.0, 1.0])
     with pytest.raises(DimensionMismatchError):
         d.contains([0.1])
+
+
+def test_face_table_constructor_checks_its_input():
+    """|z_1| < 1, |z_2| < 1 and Re z_1 < 0.5, with one entry spoiled per case."""
+    C, k, b = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], np.zeros(3), [1.0, 1.0, 0.5]
+    assert ConvexPolyhedron(C, k, b, 2, 2.0).contains([0.2, 0.3j]) > 0
+    for table in ((C, k[:2], b, 2), (C, k, b[:2], 2), ([1.0, 0.0], k, b, 2), (C, k, b, 4)):
+        with pytest.raises(DimensionMismatchError):
+            ConvexPolyhedron(*table, 2.0)
+    with pytest.raises(DegenerateInputError):
+        ConvexPolyhedron(np.zeros((0, 2)), [], [], 0, 2.0)
+    for zero in (0, 2):      # a modulus row and a real row
+        Z = np.array(C)
+        Z[zero] = 0.0
+        with pytest.raises(DegenerateInputError):
+            ConvexPolyhedron(Z, k, b, 2, 2.0)
+    for bound in (0.0, -1.0):
+        with pytest.raises(DegenerateInputError):
+            ConvexPolyhedron(C, k, [1.0, bound, 0.5], 2, 2.0)
+    with pytest.raises(DegenerateInputError):
+        ConvexPolyhedron(C, k, b, 2, None)
+    # on the real face's boundary, and outside a modulus face
+    for basepoint in ([0.5, 0.0], [0.0, 1.5]):
+        with pytest.raises(NotInteriorError):
+            ConvexPolyhedron(C, k, b, 2, 2.0, basepoint)
+    with pytest.raises(DimensionMismatchError):
+        ConvexPolyhedron(C, k, b, 2, 2.0, [0.0])
+
+
+def test_half_plane_product_is_an_unbounded_face_table():
+    """Im z_k > 0 as the real rows i e_k: no coordinate bounds, and the
+    exact inner radius of a model centred at x is its least height over the
+    model's reach along e_k."""
+    d = HalfPlaneProduct(2)
+    x = np.array([0.3 + 0.5j, 2j])
+    assert isinstance(d, ConvexPolyhedron) and d.coordinate_bounds() is None
+    assert d.inner_radius_exact(x, UnitBall(2)) == 0.5
+    assert d.inner_radius_exact(x, Polydisc([1.0, 8.0])) == 0.25
+    left = HalfPlaneProduct(1, "left")
+    assert left.contains([-2.0 + 5j]) == 2.0 and left.contains([0.1]) < 0
 
 
 def test_interior_samples_stay_inside():
@@ -250,15 +288,18 @@ def _random_polyhedron(seed, dim=2, mods=3, reals=2):
     """``mods`` modulus faces with constants plus ``reals`` real faces, inside
     the polydisc of radius 2 in C^dim."""
     rng = np.random.default_rng(seed)
-    faces = [ModulusFace(np.eye(dim, dtype=complex)[k], 0.0, 2.0) for k in range(dim)]
+    coeffs, consts, bounds = list(np.eye(dim, dtype=complex)), [0.0] * dim, [2.0] * dim
     for _ in range(mods):
-        c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        faces.append(ModulusFace(c, 0.3 * complex(*rng.standard_normal(2)),
-                                 float(rng.uniform(1.0, 2.0))))
+        coeffs.append(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        consts.append(0.3 * complex(*rng.standard_normal(2)))
+        bounds.append(float(rng.uniform(1.0, 2.0)))
     for _ in range(reals):
+        # Re<z, a> < b is the real row conj(a)
         a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        faces.append(RealFace(a, float(rng.uniform(0.5, 1.5))))
-    return ConvexPolyhedron(faces, dim=dim, bounding_radius=2.0 * np.sqrt(dim))
+        coeffs.append(a.conj())
+        consts.append(0.0)
+        bounds.append(float(rng.uniform(0.5, 1.5)))
+    return ConvexPolyhedron(np.stack(coeffs), consts, bounds, dim + mods, 2.0 * np.sqrt(dim))
 
 
 def _one_vector_balanced():
@@ -500,9 +541,8 @@ def test_section_distance_along_keeps_the_slack_of_faces_parallel_to_the_ray():
     np.testing.assert_allclose(along, _paired_on_rows(d, x, W, T)[0], rtol=1e-12)
     # Re<z, e_1> < 0.5 along i e_1: Re<w, a> = 0, so its slack 0.4 stays put
     # while |<w, a>| = 1 keeps it in the section
-    d = ConvexPolyhedron([ModulusFace(np.array([1.0, 0.0]), 0.0, 1.0),
-                          ModulusFace(np.array([0.0, 1.0]), 0.0, 1.0),
-                          RealFace(np.array([1.0, 0.0]), 0.5)], 2, bounding_radius=2 ** 0.5)
+    d = ConvexPolyhedron([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], np.zeros(3), [1.0, 1.0, 0.5], 2,
+                         2 ** 0.5)
     x = np.array([0.1, 0.3])
     W = np.array([[1j, 0.0]])
     T = np.linspace(0.0, 0.9, 10)[None, :]
@@ -570,9 +610,8 @@ def test_affine_disc_length_with_constant_faces():
     """Along i e_1 from (0.1, 0.3): |z_2| < 1 has f_lin(w) = 0 and bounds no
     section, and Re z_1 < 0.5 has Re<w, a> = 0, a constant slack 0.4, which
     binds until the disc |z_1| < 1 takes over at t = sqrt(0.35)."""
-    d = ConvexPolyhedron([ModulusFace(np.array([1.0, 0.0]), 0.0, 1.0),
-                          ModulusFace(np.array([0.0, 1.0]), 0.0, 1.0),
-                          RealFace(np.array([1.0, 0.0]), 0.5)], 2, bounding_radius=2 ** 0.5)
+    d = ConvexPolyhedron([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], np.zeros(3), [1.0, 1.0, 0.5], 2,
+                         2 ** 0.5)
     x = np.array([0.1, 0.3], dtype=complex)
     y = x + np.array([0.9j, 0.0])
     length, rounding = d.affine_disc_length(x, y - x)
@@ -641,7 +680,15 @@ def test_polyhedron_distance_lower_bound_dominates_the_half_space_bound(make, ex
         assert lower >= _tangent_half_plane_distance(d, x, y) * (1 - 1e-15)
         assert lower <= kobayashi_distance(d, x, y).upper
         if exact is not None:
-            assert lower == pytest.approx(exact.distance_value(x, y), rel=1e-14)
+            assert lower == pytest.approx(exact.distance_value(x, y - x), rel=1e-14)
+    if exact is not None:
+        # the table read from the faces answers as the polydisc, bit for bit
+        V = d.interior_samples(16, SampleStream(42))
+        for oracle in ("contains_margins", "gauge"):
+            np.testing.assert_array_equal(getattr(d, oracle)(P), getattr(exact, oracle)(P))
+        for rows in (P, P[:1]):
+            np.testing.assert_array_equal(d.section_distance_paired(rows, V),
+                                          exact.section_distance_paired(rows, V))
 
 
 BALL_GRID = 1.0 - np.logspace(0.0, -7.0, 97)   # the ball sampler's nodes on a ray

@@ -28,7 +28,6 @@ from invmet.domains import (
     AffineImage,
     BalancedConvex,
     ConvexPolyhedron,
-    ModulusFace,
 )
 from invmet.metrics import indicatrix_gauge_upper, kobayashi_metric_values
 from invmet.zoo import affine_twin, model_twins, twin_map
@@ -148,12 +147,13 @@ def test_distance_closed_forms_and_conventions(pd2, ball2):
 
 
 @pytest.mark.parametrize("name", ["three_face", "balanced", "ball2", "three_face-twin",
-                                  "ellipsoid"])
+                                  "ellipsoid", "turned_ball", "sheared_polydisc"])
 def test_distance_across_a_difference_whose_norm_underflows(name):
     """y - x = (1e-170, 0) has |y - x|^2 = 0 in doubles, yet x != y: the
-    bracket is positive, not the coincident [0, 0].  The twin pulls the
-    points back through a translation that would round y onto x, and the
-    gauge body's quadrature walks along y - x."""
+    bracket is positive, not the coincident [0, 0].  The twins pull the
+    points back through a translation that would round y onto x, so they
+    pull back the offset y - x through the linear part, and the gauge body's
+    quadrature walks along y - x."""
     if name == "ellipsoid":
         d, kw = _ellipsoid(), {"tol": 1e-4}
     elif name == "three_face-twin":
@@ -164,6 +164,17 @@ def test_distance_across_a_difference_whose_norm_underflows(name):
         warnings.simplefilter("error", RuntimeWarning)
         b = kobayashi_distance(d, [0, 0], [1e-170, 0], **kw)
     assert 0 < b.lower <= b.upper < 1e-169
+
+
+@pytest.mark.parametrize("name", ["disc", "polydisc2", "ball2", "halfplane", "sheared_polydisc",
+                                  "turned_ball"])
+def test_coincident_points_are_zero_apart_on_models(name):
+    """At coincident points off the centre every closed-form distance is 0
+    exactly: the offset is 0, whatever rounding x carries."""
+    for d in (zoo_domain(name), affine_twin(zoo_domain(name))):
+        for x in d.interior_samples(8, SampleStream(3)):
+            b = kobayashi_distance(d, x, x)
+            assert (b.lower, b.upper) == (0.0, 0.0)
 
 
 def test_distance_scale_guards_convention():
@@ -195,10 +206,8 @@ class _QuadraturePolyhedron(ConvexPolyhedron):
     gauge bodies take."""
 
     def __init__(self):
-        super().__init__([ModulusFace(np.array([1.0, 0.0]), 0.0, 1.0),
-                          ModulusFace(np.array([0.0, 1.0]), 0.0, 1.0),
-                          ModulusFace(np.array([1.0, 1.0]), 0.0, 1.5)],
-                         2, bounding_radius=math.sqrt(2.0))
+        super().__init__([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.zeros(3), [1.0, 1.0, 1.5], 3,
+                         math.sqrt(2.0))
 
     def affine_disc_length(self, x, w):
         return None
