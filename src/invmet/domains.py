@@ -379,44 +379,66 @@ class ConvexPolyhedron(Domain):
         S /= self.face_norms
         return np.minimum.reduce(S, axis=-1)
 
-    def section_distance_paired(self, P, V):
-        """|V[i]| min over faces of slack / rate: the section is cut by each
-        face at that distance from P[i] or further, and a face with rate 0
-        never meets it (slack / 0 = inf, as every slack is > 0; so does a
-        face whose slack / rate overflows)."""
-        slack = self.slacks(P)
-        if not np.all(slack > 0):
-            raise NotInteriorError("point outside the polyhedron")
-        t = np.abs(V @ self.coeffs.T)   # |f_lin(V[i])| per face
+    def _rate_blocks(self, P, V):
+        """(rows, |V[rows]|, slacks, rates) per block of at most
+        ``_ROW_BLOCK`` rows: the slacks of the block's points, taken once when
+        P is one row shared by every row of V, and the rates |f_lin(V[i])|.
+        Both are face-major, (faces, rows), so a reduction over the faces runs
+        elementwise along the rows rather than row by row.  Raises
+        NotInteriorError unless every slack is > 0."""
+        shared = len(P) != len(V)
+        for start in range(0, len(V), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            if not (shared and start):
+                S = self.slacks(P if shared else P[rows])
+                if not np.all(S > 0):
+                    raise NotInteriorError("point outside the polyhedron")
+                S = np.ascontiguousarray(S.T)
+            yield (rows, np.linalg.norm(V[rows], axis=1), S,
+                   np.ascontiguousarray(np.abs(V[rows] @ self.coeffs.T).T))
+
+    @staticmethod
+    def _section(nv, S, t):
+        """|V[i]| min over faces of slack / rate, from nv = |V[i]| and
+        face-major S and t: the section is cut by each face at that distance
+        from its point or further, and a face with rate 0 never meets it
+        (slack / 0 = inf, as every slack is > 0; so does a face whose
+        slack / rate overflows).  Divides in place on the rates t."""
         with np.errstate(divide="ignore", over="ignore"):
-            np.divide(slack, t, out=t)
-        return np.linalg.norm(V, axis=1) * t.min(axis=1)
+            np.divide(S, t, out=t)
+        return nv * t.min(axis=0)
+
+    def section_distance_paired(self, P, V):
+        out = np.empty(len(V))
+        for rows, nv, S, t in self._rate_blocks(P, V):
+            out[rows] = self._section(nv, S, t)
+        return out
 
     def section_distance_along(self, x, W, T):
         """Closed form along rays: each face is affine on a ray,
         f(x + t w) = f(x) + t f_lin(w), so f(x) and f_lin(W) are taken once
-        and a node costs one multiply-add per face.  The arrays are
-        faces-major, (faces, rows, nodes), so the minimum over faces is
-        elementwise; the per-node work runs in place, as fresh arrays of that
-        size cost more in page faults than in arithmetic, and a real face
-        needs only the real part of its values."""
+        and a node costs one multiply-add per face.  The faces are taken one
+        at a time into a running minimum, each in place on one (rows, nodes)
+        buffer, so the temporaries do not grow with the face count; a real
+        face needs only the real part of its values."""
         W = np.asarray(W, dtype=complex)
         T = np.asarray(T, dtype=float)
         B = self.coeffs @ W.T
         Fx = self.face_values(x)
-        mc = self.modulus_count
-        reach = np.empty((B.shape[0],) + T.shape)
-        F = T * B[:mc, :, None]
-        F += Fx[:mc, None, None]
-        np.abs(F, out=reach[:mc])
-        del F
-        np.multiply(T, B[mc:, :, None].real, out=reach[mc:])
-        reach[mc:] += Fx[mc:, None, None].real
-        np.subtract(self.bounds[:, None, None], reach, out=reach)
-        # a face with f_lin(w) = 0 never meets the ray's section: slack / 0 = inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(reach, np.abs(B)[:, :, None], out=reach)
-        per = reach.min(axis=0)
+        per, reach, F = np.full(T.shape, np.inf), np.empty(T.shape), np.empty(T.shape, complex)
+        for k, (b, f) in enumerate(zip(B, Fx)):
+            if k < self.modulus_count:
+                np.multiply(T, b[:, None], out=F)
+                F += f
+                np.abs(F, out=reach)
+            else:
+                np.multiply(T, b.real[:, None], out=reach)
+                reach += f.real
+            np.subtract(self.bounds[k], reach, out=reach)
+            # a face with f_lin(w) = 0 never meets the ray's section: slack / 0 = inf
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(reach, np.abs(b)[:, None], out=reach)
+            np.minimum(per, reach, out=per)
         # a node on or outside a face has slack <= 0, so per <= 0 or nan
         if not np.all(per > 0):
             raise NotInteriorError("point outside the polyhedron")
@@ -424,20 +446,18 @@ class ConvexPolyhedron(Domain):
 
     def bracket_paired(self, P, V, stream=None):
         """Lower: max over faces of rate / (2 slack), the half-plane metric of
-        the face projection.  Upper: |V[i]| / ``section_distance_paired``.
+        the face projection.  Upper: |V[i]| / the section distance.
 
         For a modulus face the tangent-plane phase that maximizes the lower
         bound is arg f(x), and the resulting value |f_lin(v)| / (2(c - |f(x)|))
         does not depend on the phase, so the optimum is exact, vectorizes and
-        draws no half-spaces.  Each side takes its own slacks and rates:
-        sharing them raised peak memory by 13 MB across 100,000-direction
-        calls on 16-face bodies (the heap kept growing in later calls).
+        draws no half-spaces.  Both sides read one block's slacks and rates.
         """
-        t = np.abs(V @ self.coeffs.T)
-        np.divide(t, 2.0 * self.slacks(P), out=t)
-        lower = t.max(axis=1)
-        del t   # before the section's arrays of the same size
-        return lower, np.linalg.norm(V, axis=1) / self.section_distance_paired(P, V)
+        lower, upper = np.empty(len(V)), np.empty(len(V))
+        for rows, nv, S, t in self._rate_blocks(P, V):
+            lower[rows] = (t / (2.0 * S)).max(axis=0)
+            upper[rows] = nv / self._section(nv, S, t)
+        return lower, upper
 
     def _line_faces(self, x, u):
         """The faces in the coordinate s of the complex line x + s u, |u| = 1:
@@ -764,6 +784,12 @@ class HalfPlaneProduct(ConvexPolyhedron):
         off = np.tan(stream.uniform((count, self.dim), -1.2, 1.2))
         return off + 1j * h if self.orientation == "upper" else -h + 1j * off
 
+
+# Rows of a polyhedron bracket taken together: a block's slacks and rates are
+# (faces, rows) arrays, so a 100,000-direction indicatrix on a 16-face body
+# holds about a megabyte of them at a time rather than tens, and the heap's
+# high-water mark does not grow with the batch.
+_ROW_BLOCK = 4096
 
 # Rows of a paired section query searched together: each gauge call then sees
 # at most 32 * rays points, however many rows the query has, which bounds the
@@ -1104,12 +1130,12 @@ class AffineImage(Domain):
         return self.inner.contains_margins(self.map_inv(Z)) * self._sv_min
 
     def _pull_back(self, P, V):
-        # a shared row P is mapped as its broadcast stack, so it keeps the bits
-        # it has when the caller broadcasts it: numpy multiplies a stride-0
-        # stack in its own loop, which rounds apart from a one-row BLAS product
-        if len(P) != len(V):
-            P = np.broadcast_to(P, V.shape)
-        return self.map_inv(P), V @ self.map_inv.linear.matrix.T
+        # a shared row P stays one row, mapped as the first row of a two-row
+        # stride-0 stack: numpy multiplies such a stack in its own loop, as it
+        # does the caller's broadcast stack, while a one-row product goes to
+        # BLAS and rounds apart; so the row keeps its broadcast stack's bits
+        Pp = self.map_inv(P if len(P) == len(V) else np.broadcast_to(P, (2, self.dim)))
+        return Pp[:len(P)], V @ self.map_inv.linear.matrix.T
 
     def metric_paired(self, P, V):
         return self.inner.metric_paired(*self._pull_back(P, V))

@@ -386,19 +386,15 @@ def indicatrix_volume(d: Domain, x, samples: int = 100_000, *,
     if samples < config.MIN_VOLUME_SAMPLES:
         raise DegenerateInputError(f"need at least {config.MIN_VOLUME_SAMPLES} samples")
     sample = indicatrix(d, x, samples, seed=seed)
-    n = d.dim
-    coeff = _ball_volume_coeff(n)
-
-    def vol(radii):
-        powered = radii ** (2 * n)
-        return (float(coeff * powered.mean()),
-                float(coeff * powered.std(ddof=1) / math.sqrt(samples)))
-
+    k = 2 * d.dim
+    coeff = _ball_volume_coeff(d.dim)
     r_lo, r_hi = sample.radius_lower, sample.radius_upper
-    value, se = vol(0.5 * (r_lo + r_hi))
-    v_lo, _ = vol(r_lo)
-    v_hi, _ = vol(r_hi)
-    return VolumeEstimate(value, se, v_lo, v_hi, samples)
+    # the standard error is the midpoint's only: the bracket's sides are bounds
+    mid = (0.5 * (r_lo + r_hi)) ** k
+    v_lo, v_hi = (float(coeff * (r ** k).mean()) for r in (r_lo, r_hi))
+    return VolumeEstimate(float(coeff * mid.mean()),
+                          float(coeff * mid.std(ddof=1) / math.sqrt(samples)),
+                          v_lo, v_hi, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -383,11 +383,44 @@ def test_balanced_paired_section_distance_matches_per_row(make, rays, monkeypatc
         else:
             assert np.array_equal(paired(P, V), one_row)
     lower, upper = d.bracket_paired(P, V)
+    assert np.array_equal(d.bracket_paired(P[:1], V),
+                          d.bracket_paired(np.broadcast_to(P[0], V.shape), V))
     exact = d.metric_paired(P, V)
     if exact is None:
         exact = np.linalg.norm(V, axis=1) / d.section_distance_paired(P, V)
     np.testing.assert_allclose(upper, exact, rtol=1e-12)
     assert np.all(lower <= upper)
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["C4-16-faces", "C4-16-faces-twin"])
+def test_polyhedron_brackets_keep_their_bits_across_row_blocks(twin):
+    """Polyhedron brackets and section distances are taken in blocks of
+    ``_ROW_BLOCK`` rows: over two blocks and three rows, a shared row, its
+    broadcast stack and a stack of distinct rows give on both sides the bits
+    of calls on three rows at a time, and an exterior row in the last block is
+    refused.  (A one-row call is no reference: BLAS takes its products as
+    matrix-vector ones, which round apart on this body.)"""
+    inner = _random_polyhedron(6, 4, 6, 6)
+    d = affine_twin(inner) if twin else inner
+    stream = SampleStream(21)
+    rows = 2 * domains._ROW_BLOCK + 3
+    P = stream.unit_directions(rows, 4) * stream.uniform(rows, 0.0, 0.1)[:, None]
+    assert np.all(inner.contains_margins(P) > 0)
+    P = d.map(P) if twin else P
+    V = stream.unit_directions(rows, 4) * stream.uniform(rows, 0.2, 2.0)[:, None]
+
+    def sides(P, V):
+        return np.stack(d.bracket_paired(P, V) + (d.section_distance_paired(P, V),))
+
+    three_rows = np.hstack([sides(P[i:i + 3], V[i:i + 3]) for i in range(0, rows, 3)])
+    shared = np.hstack([sides(P[:1], V[i:i + 3]) for i in range(0, rows, 3)])
+    assert np.array_equal(sides(P, V), three_rows)
+    assert np.array_equal(sides(P[:1], V), shared)
+    assert np.array_equal(sides(np.broadcast_to(P[0], V.shape), V), shared)
+    P[-1] = d.map(np.full(4, 3.0)) if twin else 3.0
+    for paired in (d.bracket_paired, d.section_distance_paired):
+        with pytest.raises(NotInteriorError):
+            paired(P, V)
 
 
 def test_balanced_paired_section_distance_rejects_exterior_rows():
