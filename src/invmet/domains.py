@@ -50,6 +50,12 @@ offsets through the linear part alone.  A nonzero direction row whose squared
 norm underflows (so |V[i]| rounds to 0) is the caller's to rescale: the
 oracles take |V[i]| as given.  The entry points of ``metrics`` scale such
 rows by a power of two and the bounds back, exactly.
+
+Rows of a gauge body's ``bracket_paired`` and ``supporting_half_spaces`` are
+batch-independent, bit for bit, if the gauge rounds a row alike in every stack
+(the tests pin this).  ``ConvexPolyhedron`` rows with generic complex
+coefficients may not be, from C^2 up: BLAS takes a one-row product as zgemv,
+which rounds apart from a many-row zgemm.
 """
 
 from __future__ import annotations
@@ -791,9 +797,9 @@ class HalfPlaneProduct(ConvexPolyhedron):
 # high-water mark does not grow with the batch.
 _ROW_BLOCK = 4096
 
-# Rows of a paired section query searched together: each gauge call then sees
-# at most 32 * rays points, however many rows the query has, which bounds the
-# search's temporaries.
+# Rows of a gauge body's query searched together, and given half-spaces
+# together: each gauge call then sees the points of at most 32 rows, however
+# many rows the query has, which bounds the temporaries.
 _SECTION_BLOCK = 32
 
 
@@ -859,7 +865,9 @@ class BalancedConvex(Domain):
     distance, and the polygon's point nearest the row's point guides the
     lower side's half-spaces, certified from one-sided differences of the
     gauge (``supporting_half_spaces``), assuming the callable returns a
-    convex gauge to within 8 eps relative.
+    convex gauge to within 8 eps relative.  A block of rows takes its
+    half-spaces from one pass of two gauge calls, each row drawing from its
+    own fork, so no row depends on how the rows are batched.
     """
 
     def __init__(self, gauge, dim: int, bounding_radius: float, inner_radius: float):
@@ -868,6 +876,11 @@ class BalancedConvex(Domain):
         self.bounding_radius = float(bounding_radius)
         self.inner_radius = float(inner_radius)
         self.basepoint = np.zeros(self.dim, dtype=complex)
+        # the difference steps of ``supporting_half_spaces``: h and i h along
+        # each coordinate, h = 1e-6, in the order Re z_0, Im z_0, ...
+        self._steps = np.zeros((2 * self.dim, self.dim), dtype=complex)
+        self._steps[0::2] = 1e-6 * np.eye(self.dim)
+        self._steps[1::2] = 1e-6j * np.eye(self.dim)
         if not (0 < self.inner_radius <= self.bounding_radius < np.inf):
             raise DegenerateInputError("need 0 < inner_radius <= bounding_radius < inf")
         U = SampleStream(0).unit_directions(64, self.dim)
@@ -919,22 +932,24 @@ class BalancedConvex(Domain):
         nearest P[i] (at the center, the boundary point V[i] / g(V[i])), as a
         half-space's metric only shrinks as the domain grows, and at least
         the bounding-sphere floor: a supporting half-space with normal v/|v|
-        lies within |x| + R of x, giving K >= |v| / (2(|x| + R))."""
+        lies within |x| + R of x, giving K >= |v| / (2(|x| + R)).  Each
+        block of _SECTION_BLOCK rows draws its half-spaces in one pass of two
+        gauge calls, so a row's bounds do not depend on the batching."""
         V = np.asarray(V, dtype=complex)
         P = np.broadcast_to(np.asarray(P, dtype=complex), V.shape)
         dist, near = self._section_search(P, V)
         stream = stream or SampleStream(0)
-        spaces = [self.supporting_half_spaces(near[i], stream.fork(i)) for i in range(len(P))]
-        # each row's unit normals and offsets; padded slots get offset -inf, no gap
-        N = np.zeros((len(P), max((bi.size for _, bi in spaces), default=0), self.dim),
-                     dtype=complex)
-        b = np.full(N.shape[:2], -np.inf)
-        for i, (Ni, bi) in enumerate(spaces):
-            N[i, :bi.size], b[i, :bi.size] = Ni, bi
-        N = N.conj()
-        gap = b - np.real(np.einsum("ikn,in->ik", N, P))
-        lower = np.divide(np.abs(np.einsum("ikn,in->ik", N, V)), 2.0 * gap,
-                          out=np.zeros_like(gap), where=gap > 0).max(axis=1, initial=0.0)
+        streams = [stream.fork(i) for i in range(len(P))]
+        lower = np.empty(len(P))
+        for start in range(0, len(P), _SECTION_BLOCK):
+            block = slice(start, start + _SECTION_BLOCK)
+            N, b = self.supporting_half_spaces(near[block], streams[block])
+            # slots a row leaves empty have offset -inf, so no gap
+            N = N.conj()
+            gap = b - np.real(np.einsum("ikn,in->ik", N, P[block]))
+            rates = np.abs(np.einsum("ikn,in->ik", N, V[block]))
+            lower[block] = np.divide(rates, 2.0 * gap, out=np.zeros_like(gap),
+                                     where=gap > 0).max(axis=1, initial=0.0)
         nv = np.linalg.norm(V, axis=1)
         return (np.maximum(lower, nv / (2.0 * (np.linalg.norm(P, axis=1) + self.bounding_radius))),
                 nv / dist)
@@ -942,11 +957,13 @@ class BalancedConvex(Domain):
     def distance_lower_bound(self, x, w, stream=None):
         """The largest half-plane distance between the projections of x and
         x + w onto the supporting half-spaces drawn from ``stream`` near x,
-        x + w and their midpoint."""
-        N, b = map(np.concatenate, zip(*[self.supporting_half_spaces(near, stream)
-                                         for near in (x, x + w, x + 0.5 * w)]))
-        N = N.conj().T
-        return float(_half_plane_distances(x @ N, w @ N, b).max(initial=0.0))
+        x + w and their midpoint, one after another (without a stream, each
+        from its own ``SampleStream(0)``)."""
+        streams = [stream] * 3 if stream else [SampleStream(0) for _ in range(3)]
+        N, b = self.supporting_half_spaces(np.stack([x, x + w, x + 0.5 * w]), streams)
+        found = b > -np.inf
+        N = N[found].conj().T
+        return float(_half_plane_distances(x @ N, w @ N, b[found]).max(initial=0.0))
 
     def _section_search(self, P, V):
         """(section distance, guide) per row, as ``section_distance_paired``
@@ -1026,11 +1043,13 @@ class BalancedConvex(Domain):
                     "declared bounding radius does not contain the body")
         return lo, f_lo, hi, f_hi
 
-    def supporting_half_spaces(self, near, stream: SampleStream | None = None):
-        """(N, b): certified half-spaces {Re<z, N[k]> < b[k]} containing the
-        body, unit rows N, from subgradients at boundary points on the ray
-        through ``near`` and on config.HALF_SPACE_COUNT rays from ``stream``,
-        half jittered around ``near`` (max(that, 2 dim), all drawn, at 0).
+    def supporting_half_spaces(self, near, streams):
+        """(N, b): per guide row near[i], certified half-spaces
+        {Re<z, N[i, k]> < b[i, k]} containing the body, unit N[i, k], from
+        subgradients at boundary points on the ray through near[i] and on
+        config.HALF_SPACE_COUNT rays drawn from streams[i], half jittered
+        around near[i] (max(that, 2 dim), all drawn, at 0).  Slots a row
+        leaves empty have N = 0 and offset -inf.
 
         The gauge g is convex and homogeneous, so a subgradient s at any
         point p has Re<z, s> <= g(z) for every z, which is < 1 on the body.
@@ -1045,32 +1064,39 @@ class BalancedConvex(Domain):
         a point the callable puts inside has g < 1 + rel.  The widening adds
         at least about 2 rel R / t to the offset, which also covers the few
         roundings that follow.
-        A point whose midpoint vanishes gives no half-space.  One gauge call
-        finds every boundary point p on the drawn rays and a second takes
-        g(p) and every step.
+        A point whose midpoint vanishes gives no half-space; a row left with
+        none raises DegenerateInputError.  The whole block takes two gauge
+        calls: one finds every boundary point p on the rays, and a second
+        takes g(p) and every step.  Row i reads only near[i] and its draws
+        from streams[i], taken in row order (a stream listed twice draws for
+        both rows in turn), and every later step is taken ray by ray, so a
+        row's half-spaces do not depend on how rows are batched.
         """
-        h = 1e-6
         eps = np.finfo(float).eps
         rel = 8.0 * eps
         count = config.HALF_SPACE_COUNT
-        U = (stream or SampleStream(0)).unit_directions(max(count, 2 * self.dim), self.dim)
-        q = cvector(near)
-        nq = np.linalg.norm(q)
-        if nq > 0:
-            # the ray through near, then half the drawn rays jittered around it
-            q = q / nq
-            mixed = q + 0.35 * U
-            mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
-            U = np.vstack([q, U[: count // 2], mixed[: count - count // 2]])
-        k, n = U.shape
-        Y = U / self.gauge(U)[:, None]  # boundary points on the rays
-        # steps h and i h along each coordinate, in the order Re z_0, Im z_0, ...
-        E = np.zeros((2 * n, n), dtype=complex)
-        E[0::2] = h * np.eye(n)
-        E[1::2] = 1j * h * np.eye(n)
-        steps = np.stack([Y[:, None, :] + E, Y[:, None, :] - E])  # (2, k, 2n, n)
+        near, n = self._check_dim(near), self.dim
+        drawn = max(count, 2 * n)
+        # |near[i]| as the norm of one vector takes it, not row-wise
+        nq = np.sqrt(np.vecdot(near.real, near.real) + np.vecdot(near.imag, near.imag))
+        on = nq > 0
+        # row i's rays: the ray through near[i], then the first half of its
+        # drawn rays, plain and jittered around it; at 0 the drawn rays alone
+        rays = np.empty((len(near), drawn + 1, n), dtype=complex)
+        rays[:, 0] = near / np.where(on, nq, 1.0)[:, None]
+        for i, s in enumerate(streams):
+            rays[i, 1:] = s.unit_directions(drawn, n)
+        mixed = rays[:, :1] + 0.35 * rays[:, 1:count - count // 2 + 1]
+        mixed /= np.linalg.norm(mixed, axis=2, keepdims=True)
+        np.copyto(rays[:, count // 2 + 1:count + 1], mixed, where=on[:, None, None])
+        live = np.ones(rays.shape[:2], dtype=bool)
+        live[:, 0], live[:, count + 1:] = on, ~on[:, None]
+        Y = rays[live]
+        Y /= self.gauge(Y)[:, None]  # boundary points on the rays
+        E = self._steps
+        steps = np.stack([Y[:, None, :] + E, Y[:, None, :] - E])  # (2, rays, 2n, n)
         g = self.gauge(np.concatenate([Y, steps.reshape(-1, n)]))
-        g0, g = g[:k, None], g[k:].reshape(steps.shape[:-1])
+        g0, g = g[:len(Y), None], g[len(Y):].reshape(steps.shape[:-1])
         j = np.arange(2 * n)
         t = (steps - Y[:, None, :])[:, :, j, j // 2]
         t = np.where(j % 2 == 0, t.real, t.imag)        # +-h up to rounding
@@ -1081,10 +1107,15 @@ class BalancedConvex(Domain):
         N = mid[:, 0::2] + 1j * mid[:, 1::2]
         nn = np.linalg.norm(N, axis=1)
         keep = nn > 0
-        if not keep.any():
-            raise DegenerateInputError("no supporting half-spaces found")
-        b = 1.0 + rel + np.linalg.norm(half[keep], axis=1) * self.bounding_radius
-        return N[keep] / nn[keep, None], b / nn[keep]
+        if not keep.all():
+            live[live] = keep  # the slots that keep a half-space
+            if not live.any(axis=1).all():
+                raise DegenerateInputError("no supporting half-spaces found")
+            N, nn, half = N[keep], nn[keep], half[keep]
+        b = 1.0 + rel + np.linalg.norm(half, axis=1) * self.bounding_radius
+        normals, offsets = np.zeros_like(rays), np.full(live.shape, -np.inf)
+        normals[live], offsets[live] = N / nn[:, None], b / nn
+        return normals, offsets
 
     def outer_radius_bound(self, domain, x):
         if np.isfinite(domain.bounding_radius):

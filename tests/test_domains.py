@@ -36,7 +36,7 @@ from invmet.errors import (
     SpecLoadError,
     UnsupportedKindError,
 )
-from invmet.zoo import affine_twin, polydisc_as_polyhedron, resolve_domain, twin_map
+from invmet.zoo import affine_twin, model_twins, polydisc_as_polyhedron, resolve_domain, twin_map
 
 from conftest import assert_inside, segment_sandwich
 
@@ -443,8 +443,9 @@ def _gauge_ellipsoid():
 def test_balanced_half_space_normals_match_ellipsoid_gradient():
     C = ELLIPSOID_C
     d = _gauge_ellipsoid()
-    N, b = d.supporting_half_spaces(near=[0.3 + 0.1j, -0.2j], stream=SampleStream(13))
-    assert N.shape == (9, 2)
+    N, b = d.supporting_half_spaces([[0.3 + 0.1j, -0.2j]], [SampleStream(13)])
+    assert N.shape == (1, 9, 2) and b.shape == (1, 9)
+    N, b = N[0], b[0]
     np.testing.assert_allclose(np.linalg.norm(N, axis=1), 1.0, rtol=1e-12)
     # the support value of {|C z| < 1} in direction n is |C^-* n|: an offset
     # at least that contains the body, and the certified offsets exceed it
@@ -465,18 +466,99 @@ def _gauge_twin(name):
     return BalancedConvex(d.gauge, d.dim, d.bounding_radius, d.contains(np.zeros(d.dim)))
 
 
-@pytest.mark.parametrize("make", [_gauge_ellipsoid, lambda: _counted_body("four-norm")[0]]
-                         + [lambda name=name: _gauge_twin(name) for name in GAUGE_TWINS],
-                         ids=["ellipsoid", "four-norm"] + GAUGE_TWINS)
+GAUGE_BODIES = ([_gauge_ellipsoid, lambda: _counted_body("four-norm")[0]]
+                + [lambda name=name: _gauge_twin(name) for name in GAUGE_TWINS])
+
+
+@pytest.mark.parametrize("make", GAUGE_BODIES, ids=["ellipsoid", "four-norm"] + GAUGE_TWINS)
 def test_supporting_half_spaces_are_unit_rows_containing_the_domain(make):
     """On bodies known through a gauge, the one kind that draws half-spaces."""
     d = make()
     stream = SampleStream(19)
     Z = d.interior_samples(400, stream.fork(0))
-    N, b = d.supporting_half_spaces(near=Z[0], stream=stream.fork(1))
-    assert b.ndim == 1 and b.size > 0 and N.shape == (b.size, d.dim)
+    N, b = d.supporting_half_spaces(Z[:1], [stream.fork(1)])
+    assert b.ndim == 2 and b.shape[0] == 1 and N.shape == b.shape + (d.dim,)
+    found = b[0] > -np.inf
+    assert found.any() and np.all(N[0][~found] == 0)
+    N, b = N[0][found], b[0][found]
     np.testing.assert_allclose(np.linalg.norm(N, axis=1), 1.0, rtol=1e-12)
     assert np.all(np.real(Z @ N.conj().T) <= b)
+
+
+@pytest.mark.parametrize("make", GAUGE_BODIES, ids=["ellipsoid", "four-norm"] + GAUGE_TWINS)
+def test_supporting_half_spaces_of_a_row_do_not_depend_on_its_block(make):
+    """Row i of a block, guides at 0 and off it mixed, is the one-row block
+    of near[i] with a fresh copy of streams[i], bit for bit."""
+    d = make()
+    stream = SampleStream(23)
+    near = d.interior_samples(7, stream.fork(0))
+    near[[2, 5]] = 0.0
+    N, b = d.supporting_half_spaces(near, [stream.fork(1).fork(i) for i in range(7)])
+    assert (b > -np.inf).any(axis=1).all()
+    for i in range(7):
+        Ni, bi = d.supporting_half_spaces(near[i:i + 1], [stream.fork(1).fork(i)])
+        assert np.array_equal(N[i], Ni[0]) and np.array_equal(b[i], bi[0])
+
+
+def _blind_unit_ball(cone):
+    """The unit ball behind a gauge that returns nan within 1/2 of the unit
+    sphere, but not on it, where a point's first coordinate has real part
+    above ``cone`` times its norm: there the one-sided differences find no
+    normal."""
+    def g(v):
+        v = np.asarray(v, dtype=complex)
+        r = np.linalg.norm(v, axis=-1)
+        off = np.abs(r - 1.0)
+        return np.where((off > 1e-12) & (off < 0.5) & (v[..., 0].real > cone * r), np.nan, r)
+
+    return BalancedConvex(g, 2, 1.0, 1.0)
+
+
+def test_half_spaces_leave_a_ray_without_a_normal_empty():
+    """A ray whose differences give no normal leaves its slot empty, and the
+    row's other slots and the other rows keep their one-row bits; a row left
+    with no half-space raises."""
+    near = np.array([[0.5, 0.0], [0.0, 0.0], [0.0, 0.5j]])
+    stream = SampleStream(25)
+    d = _blind_unit_ball(0.9)
+    N, b = d.supporting_half_spaces(near, [stream.fork(i) for i in range(3)])
+    # the ray through the guide (1, 0) is blind, the one through (0, i) not
+    assert b[0, 0] == -np.inf and np.all(N[0, 0] == 0) and b[2, 0] > -np.inf
+    assert (b > -np.inf).any(axis=1).all()
+    for i in range(3):
+        Ni, bi = d.supporting_half_spaces(near[i:i + 1], [stream.fork(i)])
+        assert np.array_equal(N[i], Ni[0]) and np.array_equal(b[i], bi[0])
+    with pytest.raises(DegenerateInputError, match="no supporting half-spaces"):
+        _blind_unit_ball(-1.0).supporting_half_spaces(near, [stream.fork(i) for i in range(3)])
+
+
+class _Shifted:
+    """A stand-in stream whose fork(j) is ``base.fork(shift + j)``: a one-row
+    bracket then draws what row ``shift`` of a many-row bracket draws."""
+
+    def __init__(self, base, shift):
+        self.base, self.shift = base, shift
+
+    def fork(self, j):
+        return self.base.fork(self.shift + j)
+
+
+@pytest.mark.parametrize("make", [lambda: _counted_body("ellipsoid")[0],
+                                  lambda: _counted_body("four-norm")[0],
+                                  lambda: model_twins()["ball2"]],
+                         ids=["ellipsoid", "four-norm", "ball2"])
+def test_bracket_rows_do_not_depend_on_their_block(make):
+    """A 64-row bracket, two blocks of half-spaces and a row at the centre,
+    is its 64 one-row brackets, bit for bit, on gauges taken row by row."""
+    d = make()
+    stream = SampleStream(24)
+    P = d.interior_samples(64, stream.fork(0))
+    P[5] = 0.0
+    V = stream.fork(1).unit_directions(64, d.dim) * stream.fork(2).uniform(64, 0.2, 2.0)[:, None]
+    lower, upper = d.bracket_paired(P, V, stream.fork(3))
+    for i in range(64):
+        lo, up = d.bracket_paired(P[i:i + 1], V[i:i + 1], _Shifted(stream.fork(3), i))
+        assert np.array_equal(lo, lower[i:i + 1]) and np.array_equal(up, upper[i:i + 1])
 
 
 def test_load_domain_parses_inline_json():
@@ -891,6 +973,47 @@ def test_ellipsoid_metric_query_costs_at_most_20_gauge_calls():
     true = UnitBall(2).metric_paired((ELLIPSOID_C @ x)[None, :], (ELLIPSOID_C @ v)[None, :])[0]
     assert b.lower <= true <= b.upper
     assert b.lower_method == "half-space"
+
+
+def test_ellipsoid_bracket_takes_two_half_space_calls_per_block():
+    """A 64-row bracket costs its section search and two gauge calls per
+    block of _SECTION_BLOCK rows for the half-spaces: 39 calls here, against
+    163 (35 + 2 per row) with one half-space search per row."""
+    d, g = _counted_body("ellipsoid")
+    stream = SampleStream(42)
+    P = 0.9 * d.interior_samples(64, stream.fork(0))
+    V = stream.fork(1).unit_directions(64, 2)
+    g.calls = 0
+    d.section_distance_paired(P, V)
+    search = g.calls
+    g.calls = 0
+    d.bracket_paired(P, V, stream.fork(2))
+    assert g.calls <= search + 2 * -(-64 // domains._SECTION_BLOCK)
+
+
+@pytest.mark.parametrize("seeded", [True, False], ids=["stream", "no-stream"])
+def test_gauge_distance_lower_bound_reads_its_three_guides_drawn_in_turn(seeded, monkeypatch):
+    """The one block of guides x, x + w and x + w / 2 reads the half-spaces of
+    three one-guide blocks drawn one after another from the stream, or each
+    from its own SampleStream(0) without one, and gives the largest of their
+    bounds; from the centre too."""
+    d = _counted_body("ellipsoid")[0]
+    read, distances = [], domains._half_plane_distances
+    monkeypatch.setattr(domains, "_half_plane_distances",
+                        lambda w1, dw, b: read.append(b) or distances(w1, dw, b))
+    Z = d.interior_samples(4, SampleStream(45))
+    for x, y in ((np.zeros(2, dtype=complex), Z[0]), (Z[1], Z[2]), (Z[3], 0.99 * Z[3])):
+        w = y - x
+        got = d.distance_lower_bound(x, w, SampleStream(46) if seeded else None)
+        drawn, offsets, want = SampleStream(46), [], 0.0
+        for near in (x, x + w, x + 0.5 * w):
+            N, b = d.supporting_half_spaces(near[None, :], [drawn if seeded else SampleStream(0)])
+            found = b[0] > -np.inf
+            N, b = N[0][found].conj().T, b[0][found]
+            offsets.append(b)
+            want = max(want, float(distances(x @ N, w @ N, b).max(initial=0.0)))
+        assert np.array_equal(read.pop(), np.concatenate(offsets))
+        assert got == want > 0
 
 
 @pytest.mark.parametrize("name", ["ellipsoid", "balanced", "four-norm"])

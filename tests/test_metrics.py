@@ -320,7 +320,9 @@ def _per_row_half_space_bound(d, x, v, stream, near):
     """Reference: the half-space lower bound of one row, guided by ``near``,
     half-space by half-space above the bounding-sphere floor."""
     best = float(np.linalg.norm(v)) / (2.0 * (np.linalg.norm(x) + d.bounding_radius))
-    N, b = d.supporting_half_spaces(near=near, stream=stream)
+    N, b = d.supporting_half_spaces(near[None, :], [stream])
+    found = b[0] > -np.inf
+    N, b = N[0][found], b[0][found]
     for n, gap in zip(N, b - np.real(N.conj() @ x)):
         if gap > 0:
             best = max(best, abs(complex(v @ n.conj())) / (2.0 * gap))

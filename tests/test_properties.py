@@ -66,27 +66,42 @@ def test_gauge_ellipsoid_metric_encloses_the_affine_ball_closed_form(row):
     assert lower[0] <= upper[0] == indicatrix_gauge_upper(body, x, V)[0]
 
 
-def _assert_half_spaces_contain_the_body(body, near, seed):
-    """Every half-space that ``supporting_half_spaces`` returns near ``near``
-    contains interior samples and the boundary points U / g(U), with no
-    slack: U drawn, and U clustered ever closer around ``near``, where the
-    first half-space touches the body."""
+def _assert_half_spaces_contain_the_body(body, guides, seed):
+    """Every half-space that ``supporting_half_spaces`` returns for a block
+    of guide rows contains interior samples and the boundary points U / g(U),
+    with no slack: U drawn, and U clustered ever closer around each nonzero
+    guide, where its row's first half-space touches the body."""
     stream = SampleStream(seed)
-    N, b = body.supporting_half_spaces(near, stream=stream.fork(0))
+    N, b = body.supporting_half_spaces(guides, [stream.fork(0).fork(i)
+                                                for i in range(len(guides))])
+    found = b > -np.inf
+    assert found.any(axis=1).all()
     U = stream.fork(1).unit_directions(200, body.dim)
-    U = np.vstack([U] + [near / np.linalg.norm(near) + r * U[:50] for r in (1e-3, 1e-6, 0.0)])
+    U = np.vstack([U] + [g / np.linalg.norm(g) + r * U[:50]
+                         for g in guides if np.any(g) for r in (1e-3, 1e-6, 0.0)])
     Z = np.vstack([body.interior_samples(400, stream.fork(2)), U / body.gauge(U)[:, None]])
-    assert np.all(np.real(Z @ N.conj().T) <= b)
+    for Ni, bi, fi in zip(N, b, found):
+        assert np.all(np.real(Z @ Ni[fi].conj().T) <= bi[fi])
+
+
+@st.composite
+def guide_blocks(draw):
+    """2 to 5 guide rows in C^2, one of them 0."""
+    count = draw(st.integers(2, 5))
+    G = _complex_array(draw, (count, 2))
+    G[draw(st.integers(0, count - 1))] = 0.0
+    assume(np.sum(np.linalg.norm(G, axis=1) > 1e-3) == count - 1)
+    return G
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(ellipsoid_rows(), st.integers(0, 2 ** 16))
-def test_gauge_ellipsoid_half_spaces_are_certified(row, seed):
+@given(ellipsoid_rows(), guide_blocks(), st.integers(0, 2 ** 16))
+def test_gauge_ellipsoid_half_spaces_are_certified(row, guides, seed):
     C, x, v = row
     sv = np.linalg.svd(C, compute_uv=False)
     body = BalancedConvex(lambda z: np.linalg.norm(np.asarray(z) @ C.T, axis=-1),
                           2, 1.0 / sv[-1], 1.0 / sv[0])
-    _assert_half_spaces_contain_the_body(body, v, seed)
+    _assert_half_spaces_contain_the_body(body, guides, seed)
     exact = AffineImage(UnitBall(2), AffineMap(np.linalg.inv(C), np.zeros(2)))
     lower = body.bracket_paired(x[None, :], v[None, :], SampleStream(seed))[0]
     assert lower[0] <= kobayashi_metric(exact, x, v).value
@@ -96,10 +111,10 @@ def test_gauge_ellipsoid_half_spaces_are_certified(row, seed):
 @given(st.sampled_from(["four-norm", "balanced"]), st.integers(0, 2 ** 16))
 def test_gauge_body_half_spaces_are_certified(name, seed):
     """The smooth 4-norm ball and the kinked balanced set, near points drawn
-    inside them."""
+    inside them and at 0."""
     body = _counted_body(name)[0]
-    near = body.interior_samples(1, SampleStream(seed).fork(3))[0]
-    _assert_half_spaces_contain_the_body(body, near, seed)
+    near = body.interior_samples(3, SampleStream(seed).fork(3))
+    _assert_half_spaces_contain_the_body(body, np.vstack([near, np.zeros(2)]), seed)
 
 
 @st.composite
