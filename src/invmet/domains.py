@@ -51,11 +51,9 @@ norm underflows (so |V[i]| rounds to 0) is the caller's to rescale: the
 oracles take |V[i]| as given.  The entry points of ``metrics`` scale such
 rows by a power of two and the bounds back, exactly.
 
-Rows of a gauge body's ``bracket_paired`` and ``supporting_half_spaces`` are
-batch-independent, bit for bit, if the gauge rounds a row alike in every stack
-(the tests pin this).  ``ConvexPolyhedron`` rows with generic complex
-coefficients may not be, from C^2 up: BLAS takes a one-row product as zgemv,
-which rounds apart from a many-row zgemm.
+A gauge body's bracket rows do not depend on their batch, bit for bit, if the
+gauge rounds a row alike in every stack.  ``ConvexPolyhedron`` rows may, from
+C^2 up: BLAS takes a one-row product as zgemv, not a many-row zgemm.
 """
 
 from __future__ import annotations
@@ -865,9 +863,8 @@ class BalancedConvex(Domain):
     distance, and the polygon's point nearest the row's point guides the
     lower side's half-spaces, certified from one-sided differences of the
     gauge (``supporting_half_spaces``), assuming the callable returns a
-    convex gauge to within 8 eps relative.  A block of rows takes its
-    half-spaces from one pass of two gauge calls, each row drawing from its
-    own fork, so no row depends on how the rows are batched.
+    convex gauge to within 8 eps relative.  A block of rows takes them in one
+    pass of two gauge calls, each row from its own fork, batch-independent.
     """
 
     def __init__(self, gauge, dim: int, bounding_radius: float, inner_radius: float):
@@ -876,11 +873,8 @@ class BalancedConvex(Domain):
         self.bounding_radius = float(bounding_radius)
         self.inner_radius = float(inner_radius)
         self.basepoint = np.zeros(self.dim, dtype=complex)
-        # the difference steps of ``supporting_half_spaces``: h and i h along
-        # each coordinate, h = 1e-6, in the order Re z_0, Im z_0, ...
-        self._steps = np.zeros((2 * self.dim, self.dim), dtype=complex)
-        self._steps[0::2] = 1e-6 * np.eye(self.dim)
-        self._steps[1::2] = 1e-6j * np.eye(self.dim)
+        # ``supporting_half_spaces`` steps h = 1e-6 along Re z_0, Im z_0, ...
+        self._steps = np.kron(np.eye(self.dim), [[1e-6], [1e-6j]])
         if not (0 < self.inner_radius <= self.bounding_radius < np.inf):
             raise DegenerateInputError("need 0 < inner_radius <= bounding_radius < inf")
         U = SampleStream(0).unit_directions(64, self.dim)
@@ -939,17 +933,15 @@ class BalancedConvex(Domain):
         P = np.broadcast_to(np.asarray(P, dtype=complex), V.shape)
         dist, near = self._section_search(P, V)
         stream = stream or SampleStream(0)
-        streams = [stream.fork(i) for i in range(len(P))]
         lower = np.empty(len(P))
         for start in range(0, len(P), _SECTION_BLOCK):
             block = slice(start, start + _SECTION_BLOCK)
-            N, b = self.supporting_half_spaces(near[block], streams[block])
-            # slots a row leaves empty have offset -inf, so no gap
-            N = N.conj()
+            N, b = self.supporting_half_spaces(
+                near[block], [stream.fork(i) for i in range(len(P))[block]])
+            N = N.conj()  # an empty slot's offset -inf leaves no gap
             gap = b - np.real(np.einsum("ikn,in->ik", N, P[block]))
-            rates = np.abs(np.einsum("ikn,in->ik", N, V[block]))
-            lower[block] = np.divide(rates, 2.0 * gap, out=np.zeros_like(gap),
-                                     where=gap > 0).max(axis=1, initial=0.0)
+            lower[block] = np.divide(np.abs(np.einsum("ikn,in->ik", N, V[block])), 2.0 * gap,
+                                     out=np.zeros_like(gap), where=gap > 0).max(axis=1, initial=0.0)
         nv = np.linalg.norm(V, axis=1)
         return (np.maximum(lower, nv / (2.0 * (np.linalg.norm(P, axis=1) + self.bounding_radius))),
                 nv / dist)
@@ -961,9 +953,9 @@ class BalancedConvex(Domain):
         from its own ``SampleStream(0)``)."""
         streams = [stream] * 3 if stream else [SampleStream(0) for _ in range(3)]
         N, b = self.supporting_half_spaces(np.stack([x, x + w, x + 0.5 * w]), streams)
-        found = b > -np.inf
-        N = N[found].conj().T
-        return float(_half_plane_distances(x @ N, w @ N, b[found]).max(initial=0.0))
+        # an empty slot (N = 0, offset -inf) gives distance 0
+        N = N.reshape(-1, self.dim).conj().T
+        return float(_half_plane_distances(x @ N, w @ N, b.ravel()).max(initial=0.0))
 
     def _section_search(self, P, V):
         """(section distance, guide) per row, as ``section_distance_paired``
@@ -1067,25 +1059,19 @@ class BalancedConvex(Domain):
         A point whose midpoint vanishes gives no half-space; a row left with
         none raises DegenerateInputError.  The whole block takes two gauge
         calls: one finds every boundary point p on the rays, and a second
-        takes g(p) and every step.  Row i reads only near[i] and its draws
-        from streams[i], taken in row order (a stream listed twice draws for
-        both rows in turn), and every later step is taken ray by ray, so a
-        row's half-spaces do not depend on how rows are batched.
+        takes g(p) and every step.  Row i reads only near[i] and streams[i]
+        (drawn in row order), so its half-spaces do not depend on the batch.
         """
-        eps = np.finfo(float).eps
+        eps, count = np.finfo(float).eps, config.HALF_SPACE_COUNT
         rel = 8.0 * eps
-        count = config.HALF_SPACE_COUNT
         near, n = self._check_dim(near), self.dim
-        drawn = max(count, 2 * n)
-        # |near[i]| as the norm of one vector takes it, not row-wise
-        nq = np.sqrt(np.vecdot(near.real, near.real) + np.vecdot(near.imag, near.imag))
-        on = nq > 0
         # row i's rays: the ray through near[i], then the first half of its
         # drawn rays, plain and jittered around it; at 0 the drawn rays alone
-        rays = np.empty((len(near), drawn + 1, n), dtype=complex)
+        rays = np.empty((len(near), max(count, 2 * n) + 1, n), dtype=complex)
+        rays[:, 1:] = [s.unit_directions(rays.shape[1] - 1, n) for s in streams]
+        nq = np.array([np.linalg.norm(q) for q in near])  # a row-wise norm rounds apart
+        on = nq > 0
         rays[:, 0] = near / np.where(on, nq, 1.0)[:, None]
-        for i, s in enumerate(streams):
-            rays[i, 1:] = s.unit_directions(drawn, n)
         mixed = rays[:, :1] + 0.35 * rays[:, 1:count - count // 2 + 1]
         mixed /= np.linalg.norm(mixed, axis=2, keepdims=True)
         np.copyto(rays[:, count // 2 + 1:count + 1], mixed, where=on[:, None, None])
@@ -1093,8 +1079,7 @@ class BalancedConvex(Domain):
         live[:, 0], live[:, count + 1:] = on, ~on[:, None]
         Y = rays[live]
         Y /= self.gauge(Y)[:, None]  # boundary points on the rays
-        E = self._steps
-        steps = np.stack([Y[:, None, :] + E, Y[:, None, :] - E])  # (2, rays, 2n, n)
+        steps = np.stack([Y[:, None, :] + self._steps, Y[:, None, :] - self._steps])
         g = self.gauge(np.concatenate([Y, steps.reshape(-1, n)]))
         g0, g = g[:len(Y), None], g[len(Y):].reshape(steps.shape[:-1])
         j = np.arange(2 * n)
@@ -1107,14 +1092,12 @@ class BalancedConvex(Domain):
         N = mid[:, 0::2] + 1j * mid[:, 1::2]
         nn = np.linalg.norm(N, axis=1)
         keep = nn > 0
-        if not keep.all():
-            live[live] = keep  # the slots that keep a half-space
-            if not live.any(axis=1).all():
-                raise DegenerateInputError("no supporting half-spaces found")
-            N, nn, half = N[keep], nn[keep], half[keep]
-        b = 1.0 + rel + np.linalg.norm(half, axis=1) * self.bounding_radius
+        live[live] = keep  # the slots that keep a half-space
+        if not live.any(axis=1).all():
+            raise DegenerateInputError("no supporting half-spaces found")
+        b = 1.0 + rel + np.linalg.norm(half[keep], axis=1) * self.bounding_radius
         normals, offsets = np.zeros_like(rays), np.full(live.shape, -np.inf)
-        normals[live], offsets[live] = N / nn[:, None], b / nn
+        normals[live], offsets[live] = N[keep] / nn[keep, None], b / nn[keep]
         return normals, offsets
 
     def outer_radius_bound(self, domain, x):

@@ -1012,7 +1012,8 @@ def test_gauge_distance_lower_bound_reads_its_three_guides_drawn_in_turn(seeded,
             N, b = N[0][found].conj().T, b[0][found]
             offsets.append(b)
             want = max(want, float(distances(x @ N, w @ N, b).max(initial=0.0)))
-        assert np.array_equal(read.pop(), np.concatenate(offsets))
+        b = read.pop()
+        assert np.array_equal(b[b > -np.inf], np.concatenate(offsets))
         assert got == want > 0
 
 
