@@ -24,7 +24,7 @@ from .errors import (
     UnboundedValueError,
     UnsupportedKindError,
 )
-from .core import AffineMap, CLinearMap, Interval, cvector
+from .core import AffineMap, CLinearMap, cvector
 from .sampling import SampleStream
 from .automorphisms import (
     ComponentwiseMap,

@@ -277,7 +277,8 @@ def polyhedral_pipeline(d: ConvexPolyhedron, q, x) -> SqueezeCertificate:
     per-component disc preimages, and maximized by bisection.
     """
     if not isinstance(d, ConvexPolyhedron):
-        raise UnsupportedKindError("the corner pipeline needs a convex polyhedron")
+        raise UnsupportedKindError("the corner pipeline needs a polyhedral domain, got "
+                                   + type(d).__name__)
     q = cvector(q)
     x = cvector(x)
     d.require_interior(x, "pipeline point")

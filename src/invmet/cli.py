@@ -35,7 +35,6 @@ from . import config
 from .circularity import asymptotics_sweep, circularity_lower_bound, squeeze_lower_bound
 from .domains import (
     AutomorphismFamily,
-    ConvexPolyhedron,
     HalfPlaneProduct,
     Polydisc,
     UnitBall,
@@ -289,9 +288,6 @@ def cmd_squeeze_cert(args) -> int:
 
 def cmd_squeeze_sweep(args) -> int:
     d = resolve_domain(args.domain)
-    if not isinstance(d, ConvexPolyhedron):
-        raise SpecLoadError("squeeze sweep needs a polyhedral domain, got "
-                            + type(d).__name__, "--domain")
     corner = _parse_vector(args.corner, "--corner")
     report = asymptotics_sweep(d, corner, args.steps,
                                threshold=args.threshold)

@@ -54,46 +54,6 @@ def canonical_phase(v) -> Array:
     return v * (np.conj(v[k]) / mags[k])
 
 
-class Interval:
-    """Closed interval [lo, hi]; hi may be +inf for explicitly unbounded values."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: float, hi: float):
-        lo = float(lo)
-        hi = float(hi)
-        if not np.isfinite(lo):
-            raise ValueError("interval lower endpoint must be finite")
-        if hi < lo:
-            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
-        self.lo = lo
-        self.hi = hi
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        if not np.isfinite(self.hi):
-            raise ValueError("midpoint of an unbounded interval")
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
-    def scaled(self, c: float) -> "Interval":
-        if c < 0:
-            raise ValueError("scale factor must be nonnegative")
-        return Interval(self.lo * c, self.hi * c)
-
-    def __repr__(self):
-        return f"Interval({self.lo!r}, {self.hi!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, Interval) and (self.lo, self.hi) == (other.lo, other.hi)
-
-
 class CLinearMap:
     """Invertible-or-not complex linear map on C^n with a cached determinant."""
 

@@ -3,8 +3,19 @@
 Kinds: the unit ball; the convex polyhedron, one face table of modulus faces
 |f(z)| < c and real faces Re f(z) < b built from its arrays
 (``ConvexPolyhedron``); the polydisc and the half-plane product (upper or
-left), face tables that add only their closed forms; balanced convex bodies
-given by a gauge; and affine images of any of these.
+left), face tables that add only their identity, samplers and squeeze-model
+oracles; balanced convex bodies given by a gauge; and affine images of any of
+these.
+
+Every face table's metric lower side projects onto its faces: z -> f_k(z) / c_k
+maps the body into the unit disc, so by the decreasing property
+K(x; v) >= c |f_lin v| / (c^2 - |f(x)|^2) on a modulus face, and a real face
+gives its half-plane's metric.  A table of n faces with independent rows is a
+product of discs and half-planes (the polydisc and the half-plane product
+are), where by the product property the maximum over faces is the metric and
+the largest face distance the distance: it answers both sides, its metric
+form and its distance in closed form.  Any other table shrinks that lower side
+by a relative allowance of 4 eps (see ``ConvexPolyhedron``).
 
 Every domain carries a declared bounding radius and an interior base point.
 Membership returns a signed gauge-like margin (positive inside). Directions and
@@ -95,21 +106,14 @@ class MetricForm:
         return MetricForm(self.matrix @ M, False)
 
 
-def _coordinate_form(d, x) -> MetricForm:
-    """The form of a metric K(x; v) = max_k c_k |v_k|, for products of discs
-    and half-planes: c_k = K(x; e_k), read off ``metric_paired``."""
-    x = d._check_dim(cvector(x))
-    E = np.eye(d.dim, dtype=complex)
-    return MetricForm(np.diag(d.metric_paired(np.broadcast_to(x, E.shape), E)).astype(complex),
-                      False)
-
-
 class Domain:
     """Common interface; concrete kinds override the oracles they support."""
 
     dim: int
     bounding_radius: float
     basepoint: np.ndarray
+    # the method tag of a bracket's lower side where the kind has no closed form
+    lower_method: str
 
     # -- membership -------------------------------------------------------
     def contains(self, z) -> float:
@@ -211,6 +215,16 @@ class Domain:
             raise DimensionMismatchError(
                 f"expected vectors of length {self.dim}, got {z.shape[-1]}")
         return z
+
+
+def _face_disc(t, S, B):
+    """The face-disc metric rate / (S (2 - S B)) of faces with rates t,
+    slacks S and constants B (``ConvexPolyhedron``), broadcast; t = 1 gives
+    its factor on the rate."""
+    den = S * B
+    np.subtract(2.0, den, out=den)
+    den *= S
+    return t / den
 
 
 def _half_plane_distances(w1, dw, b):
@@ -323,7 +337,26 @@ class ConvexPolyhedron(Domain):
     faces and 1 on real faces.  Every oracle reads the table through
     ``face_values`` and ``slacks``.  Convexity holds automatically;
     boundedness is declared (``bounding_radius``), not inferred.
+
+    The metric's lower side is the face-disc projection: with slack
+    S = c - |f(x)|, c = bounds[k], and rate |f_lin(v)|, a modulus face gives
+    rate / (S (2 - S B)), B = 1 / c, which is c |f_lin v| / (c^2 - |f(x)|^2),
+    the metric of the disc |f| < c; a real face gives the half-plane metric
+    rate / (2 S), the same formula with B = 0.  The constructor derives
+    ``is_product``: a table of n faces with independent rows is an affine
+    product of discs and half-planes, whose metric is the maximum over faces,
+    so ``metric_paired``, both sides of ``bracket_paired``, ``metric_form``
+    and ``distance_value`` answer from the face formulas in closed form.  On
+    any other table each modulus face's B is (1 - 4 eps) / c, which divides
+    its value by 1 + 4 eps s / (2 - s), s = S / c.  A face's value is
+    rate / S / (2 - s) against the upper side's at least rate / S, so the two
+    sides can meet only at s = 1, as both are the gauge at the centre of a
+    balanced body; there the allowance is 4 eps, which covers the roundings
+    by which their formulas part, to first order.  The rounding of the face
+    values and slacks, which both sides read, is not covered.
     """
+
+    lower_method = "face-disc"
 
     def __init__(self, coeffs, consts, bounds, modulus_count, bounding_radius,
                  basepoint=None, name: str = ""):
@@ -351,18 +384,30 @@ class ConvexPolyhedron(Domain):
             consts[mc:] /= norms[mc:]
             bounds[mc:] /= norms[mc:]
             norms[mc:] = 1.0
+        n = coeffs.shape[1]
+        product = bounds.size == n
+        if product:
+            # independent rows, by numpy's matrix_rank tolerance without its overhead
+            sv = np.linalg.svd(coeffs, compute_uv=False)
+            product = sv[-1] > n * np.finfo(float).eps * sv[0]
         self._fill(coeffs, consts, bounds, mc, norms, bounding_radius,
-                   np.zeros(coeffs.shape[1], dtype=complex) if basepoint is None
-                   else cvector(basepoint), name)
+                   np.zeros(n, dtype=complex) if basepoint is None else cvector(basepoint),
+                   name, product)
         if not (self.slacks(self._check_dim(self.basepoint)) > 0).all():
             raise NotInteriorError("declared basepoint is not interior")
 
     def _fill(self, coeffs, consts, bounds, modulus_count, face_norms, bounding_radius,
-              basepoint, name):
-        """Set the table and the domain's fields as given, unchecked."""
+              basepoint, name, product):
+        """Set the table and the domain's fields as given, unchecked, and each
+        face's face-disc constant B (``_face_disc``): 1 / c on a modulus
+        face, times 1 - 4 eps off a product, and 0 on a real face."""
         self.coeffs, self.consts, self.bounds = coeffs, consts, bounds
         self.modulus_count, self.face_norms, self.dim = modulus_count, face_norms, coeffs.shape[1]
         self.bounding_radius, self.basepoint, self.name = float(bounding_radius), basepoint, name
+        self.is_product = bool(product)
+        self._disc_b = np.zeros(bounds.size)
+        np.divide(1.0 if product else 1.0 - 4.0 * np.finfo(float).eps,
+                  bounds[:modulus_count], out=self._disc_b[:modulus_count])
 
     def face_values(self, z):
         """F_k(z) of every face, of shape (..., faces), for z of shape (..., n)."""
@@ -448,18 +493,35 @@ class ConvexPolyhedron(Domain):
             raise NotInteriorError("point outside the polyhedron")
         return np.linalg.norm(W, axis=1)[:, None] * per
 
-    def bracket_paired(self, P, V, stream=None):
-        """Lower: max over faces of rate / (2 slack), the half-plane metric of
-        the face projection.  Upper: |V[i]| / the section distance.
+    def metric_paired(self, P, V):
+        """On a product, the largest face-disc metric; else None.  A
+        product's arrays are the size of V, so it takes no row blocks."""
+        if not self.is_product:
+            return None
+        S = self.slacks(P)
+        if not S.min() > 0:
+            raise NotInteriorError("point outside the polyhedron")
+        return _face_disc(np.abs(V @ self.coeffs.T), S, self._disc_b).max(axis=1)
 
-        For a modulus face the tangent-plane phase that maximizes the lower
-        bound is arg f(x), and the resulting value |f_lin(v)| / (2(c - |f(x)|))
-        does not depend on the phase, so the optimum is exact, vectorizes and
-        draws no half-spaces.  Both sides read one block's slacks and rates.
-        """
+    def metric_form(self, x):
+        """On a product, K(x; v) = max_k |a_k . v| with a_k = coeffs[k] times
+        the face-disc factor at x; else None."""
+        if not self.is_product:
+            return None
+        S = self.slacks(self._check_dim(cvector(x)))
+        if not S.min() > 0:
+            raise NotInteriorError("point outside the polyhedron")
+        return MetricForm(self.coeffs * _face_disc(1.0, S, self._disc_b)[:, None], False)
+
+    def bracket_paired(self, P, V, stream=None):
+        """Lower: the largest face-disc metric (allowance included).  Upper:
+        |V[i]| / the section distance.  Both read one block's slacks and
+        rates.  A product answers its closed form on both sides."""
+        if self.is_product:
+            return super().bracket_paired(P, V)
         lower, upper = np.empty(len(V)), np.empty(len(V))
         for rows, nv, S, t in self._rate_blocks(P, V):
-            lower[rows] = (t / (2.0 * S)).max(axis=0)
+            lower[rows] = _face_disc(t, S, self._disc_b[:, None]).max(axis=0)
             upper[rows] = nv / self._section(nv, S, t)
         return lower, upper
 
@@ -556,26 +618,39 @@ class ConvexPolyhedron(Domain):
         hi = np.minimum(value + r, 0.5 * h * (g[0] + g[1]) * (1.0 + e))
         return 0.5 * math.fsum(lo + hi), float(0.5 * (hi - lo).sum() + 4.0 * eps * hi.sum())
 
-    def distance_lower_bound(self, x, w, stream=None):
+    def _face_distances(self, x, W):
         """max over faces of the distance between the face images of x and
-        x + w.  A modulus face maps the polyhedron into the disc |f| < c,
-        where a = f(x) / c and a + d, d = f_lin(w) / c, are
-        atanh|d / (1 - conj(a) (a + d))| apart (d read from w, which a
-        difference of face values could round away); a real face maps it
-        into the half-plane Re F < bound.  Each tangent half-space of a
-        modulus face contains its disc, so this is at least the bound of the
-        faces' tangent half-spaces, drawing none."""
+        x + W[i], per row of W (or of one offset W).  A modulus face maps
+        the polyhedron into the disc |f| < c, where f = f(x) and f + d,
+        d = f_lin(w), are atanh(c |d| / |c^2 - |f|^2 - conj(f) d|) apart (d
+        read from w, which a difference of face values could round away), 0
+        where that rounds to 1 or more; a real face maps it into the
+        half-plane Re F < bound."""
         F = self.face_values(x)
-        dF = np.asarray(w, dtype=complex) @ self.coeffs.T
+        dF = np.asarray(W, dtype=complex) @ self.coeffs.T
         mc = self.modulus_count
-        a, d = F[:mc] / self.bounds[:mc], dF[:mc] / self.bounds[:mc]
-        t = np.abs(d / (1.0 - a.conj() * (a + d)))
-        lower = np.arctanh(t[t < 1.0]).max(initial=0.0)
+        c, f, d = self.bounds[:mc], F[:mc], dF[..., :mc]
+        t = c * np.abs(d) / np.abs((c * c - np.abs(f) ** 2) - f.conj() * d)
+        dist = np.arctanh(np.where(t < 1.0, t, 0.0)).max(axis=-1, initial=0.0)
         if mc < self.bounds.size:
             # skipped without real faces: on empty arrays the helper costs
             # about a tenth of a polyhedron distance
-            lower = max(lower, _half_plane_distances(F[mc:], dF[mc:], self.bounds[mc:]).max())
-        return float(lower)
+            dist = np.maximum(dist, _half_plane_distances(
+                F[mc:], dF[..., mc:], self.bounds[mc:]).max(axis=-1))
+        return dist
+
+    def distance_value(self, x, w):
+        """On a product, the largest face distance, from x to x + w or to
+        x + W[i] for each row of a stack W; else None."""
+        if not self.is_product:
+            return None
+        return self._face_distances(self._check_dim(cvector(x)), w)
+
+    def distance_lower_bound(self, x, w, stream=None):
+        """The largest face distance.  Each tangent half-space of a modulus
+        face contains its disc, so this is at least the bound of the faces'
+        tangent half-spaces, drawing none."""
+        return float(self._face_distances(x, w))
 
     def inner_radius_exact(self, x, model):
         S = model.linear_sup(self.coeffs)
@@ -694,10 +769,10 @@ def _disc_antiderivative(u, R, q):
 
 
 class Polydisc(ConvexPolyhedron):
-    """The polydisc |z_k| < radii[k]: the face table of rows e_k, modulus
-    bounds ``radii`` and consts 0, with its closed forms added (the metric on
-    both sides of the bracket, the distance, exact interior samples) and, as
-    a squeeze model, ``linear_sup`` and ``outer_radius_bound``."""
+    """The polydisc |z_k| < radii[k]: the product face table of rows e_k,
+    modulus bounds ``radii`` and consts 0, which answers its metric and
+    distance in closed form, with exact interior samples added and, as a
+    squeeze model, ``linear_sup`` and ``outer_radius_bound``."""
 
     def __init__(self, radii):
         radii = np.asarray(radii, dtype=float)
@@ -706,17 +781,9 @@ class Polydisc(ConvexPolyhedron):
         n = radii.size
         # positive radii make the table valid and 0 interior
         self._fill(np.eye(n, dtype=complex), np.zeros(n, dtype=complex), radii, n,
-                   np.ones(n), np.linalg.norm(radii), np.zeros(n, dtype=complex), "")
+                   np.ones(n), np.linalg.norm(radii), np.zeros(n, dtype=complex), "",
+                   product=True)
         self.radii = radii
-
-    def metric_paired(self, P, V):
-        den = self.radii ** 2 - np.abs(P) ** 2
-        if (den <= 0).any():
-            raise NotInteriorError("point outside the polydisc")
-        return np.maximum.reduce(self.radii * np.abs(V) / den, axis=1)
-
-    bracket_paired = Domain.bracket_paired
-    metric_form = _coordinate_form
 
     def linear_sup(self, coeffs):
         return np.abs(coeffs) @ self.radii
@@ -727,15 +794,6 @@ class Polydisc(ConvexPolyhedron):
             return super().outer_radius_bound(domain, x)
         return float(np.max((cb + np.abs(x)) / self.radii)), "coordinate-bounds"
 
-    def distance_value(self, x, w):
-        """max_k atanh(r_k |w_k| / |(r_k^2 - |x_k|^2) - conj(x_k) w_k|), the
-        disc distances between the coordinates of x and x + w."""
-        x = self._check_dim(cvector(x))
-        w = np.asarray(w, dtype=complex)
-        R = self.radii
-        t = R * np.abs(w) / np.abs((R * R - np.abs(x) ** 2) - np.conj(x) * w)
-        return np.max(np.arctanh(np.clip(t, 0.0, 1.0 - 1e-16)), axis=-1)
-
     def interior_samples(self, count, stream: SampleStream):
         ph = stream.phases((count, self.dim))
         t = np.sqrt(stream.uniform((count, self.dim)))
@@ -744,10 +802,10 @@ class Polydisc(ConvexPolyhedron):
 
 class HalfPlaneProduct(ConvexPolyhedron):
     """Product of half-planes Im z_k > 0 ("upper") or Re z_k < 0 ("left"): the
-    face table of real rows i e_k or e_k with bounds 0, with its closed forms
-    added (the metric on both sides of the bracket, the distance, interior
-    samples).  Unbounded but hyperbolic: the bounding radius is infinite, so
-    it has no gauge and no coordinate bounds."""
+    product face table of real rows i e_k or e_k with bounds 0, which answers
+    its metric and distance in closed form, with interior samples added.
+    Unbounded but hyperbolic: the bounding radius is infinite, so it has no
+    gauge and no coordinate bounds."""
 
     def __init__(self, dim: int, orientation: str = "upper"):
         if orientation not in ("upper", "left"):
@@ -759,28 +817,9 @@ class HalfPlaneProduct(ConvexPolyhedron):
         # unit rows make the table valid, and the basepoint is interior
         self._fill(np.eye(n, dtype=complex) * (1j if upper else 1.0),
                    np.zeros(n, dtype=complex), np.zeros(n), 0, np.ones(n), np.inf,
-                   np.full(n, 1j) if upper else -np.ones(n, dtype=complex), "")
+                   np.full(n, 1j) if upper else -np.ones(n, dtype=complex), "",
+                   product=True)
         self.orientation = orientation
-
-    def metric_paired(self, P, V):
-        """max_k |v_k| / (2 h_k), h_k = Im z_k ("upper") or -Re z_k ("left")."""
-        h = P.imag if self.orientation == "upper" else -P.real
-        if (h <= 0).any():
-            raise NotInteriorError("point outside the half-plane product")
-        return np.maximum.reduce(np.abs(V) / (2.0 * h), axis=1)
-
-    bracket_paired = Domain.bracket_paired
-    metric_form = _coordinate_form
-
-    def distance_value(self, x, w):
-        """max_k atanh(|w_k| / |2i Im x_k + w_k|) ("upper") or
-        atanh(|w_k| / |2 Re x_k + w_k|) ("left"), the half-plane distances
-        between the coordinates of x and x + w."""
-        x = self._check_dim(cvector(x))
-        w = np.asarray(w, dtype=complex)
-        h = 2j * x.imag if self.orientation == "upper" else 2.0 * x.real
-        t = np.abs(w) / np.abs(h + w)
-        return np.max(np.arctanh(np.clip(t, 0.0, 1.0 - 1e-16)), axis=-1)
 
     def interior_samples(self, count, stream: SampleStream):
         # heights log-uniform in [e^-2, e^2], offsets Cauchy-ish via tan
@@ -866,6 +905,8 @@ class BalancedConvex(Domain):
     convex gauge to within 8 eps relative.  A block of rows takes them in one
     pass of two gauge calls, each row from its own fork, batch-independent.
     """
+
+    lower_method = "half-space"
 
     def __init__(self, gauge, dim: int, bounding_radius: float, inner_radius: float):
         self.dim = int(dim)
@@ -1139,6 +1180,10 @@ class AffineImage(Domain):
                                     + float(np.linalg.norm(affine.translation)))
         else:
             self.bounding_radius = np.inf
+
+    @property
+    def lower_method(self):
+        return self.inner.lower_method
 
     def contains_margins(self, Z):
         return self.inner.contains_margins(self.map_inv(Z)) * self._sv_min

@@ -76,7 +76,6 @@ class DominationCell:
     claimed_bound: float
     worst_gauge: float
     samples: int
-    extremal_point: np.ndarray | None = None
 
     @property
     def ratio(self) -> float:
@@ -163,7 +162,7 @@ def verify_halfplane_domination(b_values, r_values, samples: int = 2048, *,
             profile.cells.append(DominationCell(
                 base_point=np.array([1j * b]), radius=float(r),
                 lambda_value=lam, claimed_bound=lam, worst_gauge=worst,
-                samples=pts.size, extremal_point=np.array([top])))
+                samples=pts.size))
             analytic = (center - b + radius) / (2.0 * b)
             if abs(analytic - lam) > config.SHARPNESS_TOL * max(1.0, lam):
                 profile.warnings.append(

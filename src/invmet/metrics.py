@@ -1,12 +1,13 @@
 """Kobayashi-Royden metric and distance with certified two-sided bounds.
 
-Closed forms on the model domains (ball, polydisc, half-plane products, and
-their affine images) make both sides of every bound coincide.  On general
-convex domains the upper bound comes from the affine disc inscribed in the
-planar section through (x, v) and the lower bound from holomorphic
-projections onto a polyhedron's face discs and half-planes, or onto
-half-spaces certified from a gauge body's gauge.  Both are certified by
-monotonicity of the metric under holomorphic maps: lower <= K <= upper.
+Closed forms on the model domains (ball, polydisc, half-plane products, any
+face table of n independent faces, and their affine images) make both sides
+of every bound coincide.  On general convex domains the upper bound comes
+from the affine disc inscribed in the planar section through (x, v) and the
+lower bound from holomorphic projections onto a polyhedron's face discs and
+half-planes (tag "face-disc"), or onto half-spaces certified from a gauge
+body's gauge (tag "half-space").  Both are certified by monotonicity of the
+metric under holomorphic maps: lower <= K <= upper.
 
 The distance's upper bound integrates that affine-disc upper bound along the
 segment: exactly, in closed form, on polyhedra and their affine images, and
@@ -159,7 +160,7 @@ def kobayashi_metric(d: Domain, x, v, *, seed: int = 0) -> MetricBound:
     lower, upper = (float(side[0]) * nv for side in
                     d.bracket_paired(P, V, SampleStream(seed)))
     return MetricBound(min(lower, upper), upper,
-                       lower_method="half-space", upper_method="affine-disc")
+                       lower_method=d.lower_method, upper_method="affine-disc")
 
 
 def kobayashi_metric_values(d: Domain, x, V, *, stream: SampleStream | None = None):
@@ -233,8 +234,9 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
     spent; the last move is added to the upper side, and the bound reports
     the nodes, whether it converged and that move.  Lower: the domain's
     ``distance_lower_bound``, distances between projections of x and y onto
-    the faces' discs and half-planes of a polyhedron or the supporting
-    half-spaces of a body known through a gauge.
+    the faces' discs and half-planes of a polyhedron (tag "face-disc") or
+    the supporting half-spaces of a body known through a gauge (tag
+    "half-space").
     """
     scale = distance_scale(convention)
     x = cvector(x)
@@ -260,7 +262,7 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
         upper, nodes, converged, method = length + delta, 0, True, "affine-disc-length"
     lower = min(d.distance_lower_bound(x, w, SampleStream(seed)), upper)
     return DistanceBound(lower * scale, upper * scale,
-                         lower_method="half-space", upper_method=method,
+                         lower_method=d.lower_method, upper_method=method,
                          nodes=nodes, converged=converged, final_delta=delta * scale)
 
 
@@ -423,11 +425,6 @@ def _shell_targets(stream: SampleStream, count: int, r: float) -> np.ndarray:
     return r * np.minimum(t, 1.0 - 1e-9)
 
 
-def _exact_radial_distances(d: Domain, x, U, ts):
-    """Distance from x to x + ts[i] * U[i] via closed forms, vectorized."""
-    return np.asarray(d.distance_value(x, ts[:, None] * U), dtype=float)
-
-
 def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
                          seed: int = 0, convention: str = "standard") -> DistanceBallSample:
     """Sample points with certified distance upper bound < r.
@@ -459,11 +456,11 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
         lo = np.zeros(count)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            below = _exact_radial_distances(d, x, U, mid) < targets
+            below = d.distance_value(x, mid[:, None] * U) < targets
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         pts = x[None, :] + lo[:, None] * U
-        dist = _exact_radial_distances(d, x, U, lo)
+        dist = d.distance_value(x, lo[:, None] * U)
         return DistanceBallSample(x, r, convention, pts, dist * scale)
 
     # general: certified one-sided quadrature along each ray

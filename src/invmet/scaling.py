@@ -21,7 +21,6 @@ from . import config
 from .core import (
     AffineMap,
     CLinearMap,
-    Interval,
     canonical_phase,
     cvector,
     maximize_on_unit_sphere,
@@ -29,7 +28,7 @@ from .core import (
 )
 from .domains import Domain
 from .errors import DegenerateInputError, ScheduleError
-from .metrics import indicatrix_volume, kobayashi_metric, kobayashi_metric_values
+from .metrics import MetricBound, indicatrix_volume, kobayashi_metric, kobayashi_metric_values
 from .sampling import SampleStream
 
 
@@ -41,7 +40,7 @@ class StretchingFrame:
     directions: np.ndarray        # (n, n), row alpha = u_alpha
     values: np.ndarray            # (n,), descending positive
     map: CLinearMap               # L(u_alpha) = mu_alpha e_alpha
-    brackets: tuple[Interval, ...]  # certified metric bounds per direction
+    brackets: tuple[MetricBound, ...]  # certified metric bounds per direction
 
     def __post_init__(self):
         n = self.values.size
@@ -82,10 +81,7 @@ def stretching_frame(d: Domain, x, *, seed: int = 0) -> StretchingFrame:
         U, mu = _eigen_frame(form.matrix)
     else:
         U, mu = _row_frame(form.matrix)
-    brackets = []
-    for alpha in range(n):
-        bound = kobayashi_metric(d, x, U[alpha], seed=seed + alpha)
-        brackets.append(Interval(bound.lower, bound.upper))
+    brackets = tuple(kobayashi_metric(d, x, U[alpha], seed=seed + alpha) for alpha in range(n))
     # numerical near-ties may land out of order by strictly less than the
     # tie band; clamp to the theoretical monotone profile
     for a in range(1, n):
@@ -94,7 +90,7 @@ def stretching_frame(d: Domain, x, *, seed: int = 0) -> StretchingFrame:
                 raise DegenerateInputError("greedy frame values increased")
             mu[a] = mu[a - 1]
     L = CLinearMap(np.diag(mu) @ U.conj())
-    return StretchingFrame(x, U, mu, L, tuple(brackets))
+    return StretchingFrame(x, U, mu, L, brackets)
 
 
 def _eigen_frame(Q):

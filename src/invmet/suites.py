@@ -387,21 +387,17 @@ def run_volume_suite(seed: int = 0, disc_samples: int = 50_000,
 # ---------------------------------------------------------------------------
 
 def run_barth_suite(seed: int = 0, samples: int = 512) -> SuiteResult:
-    """Gauge vs metric bracket at the center; exact on circular models."""
+    """Gauge vs metric bracket at the center, where by Barth they agree on
+    every balanced convex body; each zoo row is held to BARTH_MODEL_TOL."""
     columns = ["case", "samples", "discrepancy", "tol", "status"]
     rows, failures = [], []
-    enforced = {"disc": config.BARTH_MODEL_TOL,
-                "polydisc2": config.BARTH_MODEL_TOL,
-                "ball2": config.BARTH_MODEL_TOL}
-    for name, tol in enforced.items():
+    tol = config.BARTH_MODEL_TOL
+    for name in ("disc", "polydisc2", "ball2", "three_face", "balanced"):
         disc = barth_check(zoo_domain(name), samples, seed=seed)
         ok = disc <= tol
         rows.append([name, samples, disc, tol, _status(ok)])
         if not ok:
             failures.append({"case": name, "discrepancy": disc})
-    for name in ("three_face", "balanced"):
-        disc = barth_check(zoo_domain(name), samples, seed=seed)
-        rows.append([name, samples, disc, NAN, "info"])
     return SuiteResult("barth", columns, rows, failures)
 
 

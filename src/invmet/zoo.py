@@ -33,7 +33,8 @@ def three_face_polyhedron() -> ConvexPolyhedron:
 
 
 def polydisc_as_polyhedron(radii) -> ConvexPolyhedron:
-    """The polydisc presented through its modulus faces |z_k| < r_k."""
+    """The polydisc presented through its modulus faces |z_k| < r_k, a
+    product table that answers in closed form as ``Polydisc`` does."""
     radii = np.asarray(radii, dtype=float)
     return ConvexPolyhedron(np.eye(radii.size), np.zeros(radii.size), radii, radii.size,
                             np.linalg.norm(radii), name="polydisc-faces")
@@ -75,15 +76,22 @@ _BUILDERS = {
 
 
 def model_twins() -> dict:
-    """Each model of the zoo rebuilt as a kind without a closed form, by name:
-    modulus faces, a real face, a gauge body and an affine image of each."""
-    polydisc2 = polydisc_as_polyhedron([1.0, 1.0])
+    """Each zoo body with a closed form rebuilt as a kind without one, by
+    name: modulus faces, real faces, a gauge body and an affine image of
+    each.  A face table of n independent faces is a product with a closed
+    form, so each table twin adds one redundant face."""
+    polydisc2 = ConvexPolyhedron([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.zeros(3),
+                                 [1.0, 1.0, 2.5], 3, np.sqrt(2.0))
     ball2 = BalancedConvex(UnitBall(2).gauge, 2, 1.0, 1.0)
     return {
-        "disc": polydisc_as_polyhedron([1.0]),
+        "disc": ConvexPolyhedron([[1.0], [1.0]], np.zeros(2), [1.0, 2.0], 2, 1.0),
         "polydisc2": polydisc2,
         "ball2": ball2,
-        "halfplane": ConvexPolyhedron([[1j]], [0.0], [0.0], 0, np.inf, basepoint=[1j]),
+        "halfplane": ConvexPolyhedron([[1j], [1j]], np.zeros(2), [0.0, 1.0], 0, np.inf,
+                                      basepoint=[1j]),
+        # |z_2| <= |z_1 + z_2| + |z_1| < 2.2 on the balanced body
+        "balanced": ConvexPolyhedron([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], np.zeros(3),
+                                     [1.0, 1.2, 2.3], 3, 2.3),
         "sheared_polydisc": affine_twin(polydisc2),
         "turned_ball": affine_twin(ball2),
     }

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from invmet import AffineMap, CLinearMap, Interval, SampleStream, cvector, zoo_domain
+from invmet import AffineMap, CLinearMap, SampleStream, cvector, zoo_domain
 from invmet.core import canonical_phase, hdot, maximize_on_unit_sphere, norm
 from invmet.core import orthonormal_complement_basis
 from invmet.errors import DimensionMismatchError, EvaluationError, SingularMapError
@@ -36,22 +36,6 @@ def test_canonical_phase_makes_first_entry_real_positive():
     assert w[0].imag == pytest.approx(0.0, abs=1e-15)
     assert w[0].real > 0
     np.testing.assert_allclose(np.abs(w), np.abs(v))
-
-
-def test_interval_basic_arithmetic():
-    iv = Interval(1.0, 3.0)
-    assert iv.width == 2.0 and iv.mid == 2.0
-    assert iv.contains(3.0) and not iv.contains(3.0001)
-    assert iv.contains(3.0001, tol=1e-3)
-    assert iv.scaled(2.0) == Interval(2.0, 6.0)
-
-
-def test_interval_rejects_reversed_endpoints():
-    with pytest.raises(ValueError):
-        Interval(2.0, 1.0)
-    with pytest.raises(ValueError):
-        Interval(np.inf, np.inf)
-    assert Interval(0.0, np.inf).width == np.inf
 
 
 def test_clinear_map_det_and_inverse_roundtrip():

@@ -70,25 +70,38 @@ def test_metric_homogeneity_in_the_direction(three_face):
 
 
 def test_three_face_origin_brackets(three_face):
-    b = kobayashi_metric(three_face, [0, 0], [1, 0])
-    assert b.lower == pytest.approx(0.5, abs=1e-12)
-    assert b.upper == pytest.approx(1.0, abs=1e-12)
-    b2 = kobayashi_metric(three_face, [0, 0], [1, 1])
-    assert b2.lower == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert b2.upper == pytest.approx(4.0 / 3.0, abs=1e-12)
+    """At the centre the metric is the gauge (Barth): 1 along (1, 0) and 4/3
+    along (1, 1), which the face-disc lower side meets within its 4 eps
+    allowance."""
+    for v, true in (([1, 0], 1.0), ([1, 1], 4.0 / 3.0)):
+        b = kobayashi_metric(three_face, [0, 0], v)
+        assert b.upper == pytest.approx(true, rel=1e-15)
+        assert b.lower == pytest.approx(true, rel=5 * np.finfo(float).eps)
+    # kobayashi_metric clips the lower side at the upper one; the oracle does not
+    lower, upper = three_face.bracket_paired(np.zeros((1, 2)), np.array([[1, 0], [1, 1]]))
+    assert np.all(lower <= upper)
 
 
-def test_gauge_body_lower_bounds_are_tagged_half_space(three_face):
+def _assert_lower_tag(d, method):
+    x, v, y = [0.1, -0.2j], [1.0, 0.5], [0.2j, 0.1]
+    x2 = d.basepoint + np.asarray(x)
+    assert kobayashi_metric(d, x2, v).lower_method == method
+    assert kobayashi_distance(d, x2, d.basepoint + np.asarray(y),
+                              tol=1e-3).lower_method == method
+
+
+def test_gauge_body_lower_bounds_are_tagged_half_space():
     C = np.array([[1.2, 0.3 - 0.4j], [0.2j, 0.8]], dtype=complex)
     sv = np.linalg.svd(C, compute_uv=False)
     ellipsoid = BalancedConvex(lambda v: np.linalg.norm(np.asarray(v) @ C.T, axis=-1),
                                2, 1.0 / sv[-1], 1.0 / sv[0])
-    x, v, y = [0.1, -0.2j], [1.0, 0.5], [0.2j, 0.1]
-    for d in (ellipsoid, AffineImage(ellipsoid, twin_map(2)), three_face):
-        x2 = d.basepoint + np.asarray(x)
-        assert kobayashi_metric(d, x2, v).lower_method == "half-space"
-        assert kobayashi_distance(d, x2, d.basepoint + np.asarray(y),
-                                  tol=1e-3).lower_method == "half-space"
+    for d in (ellipsoid, AffineImage(ellipsoid, twin_map(2))):
+        _assert_lower_tag(d, "half-space")
+
+
+def test_face_table_lower_bounds_are_tagged_face_disc(three_face):
+    for d in (three_face, AffineImage(three_face, twin_map(2)), model_twins()["balanced"]):
+        _assert_lower_tag(d, "face-disc")
 
 
 def test_affine_image_lower_bound_follows_seed():
@@ -352,12 +365,12 @@ def test_batched_half_space_bound_matches_the_per_row_bound(name):
     assert np.all(got > 0)
 
 
-@pytest.mark.parametrize("name", ["disc", "polydisc2", "ball2", "halfplane",
+@pytest.mark.parametrize("name", ["disc", "polydisc2", "ball2", "halfplane", "balanced",
                                   "sheared_polydisc", "turned_ball"])
 def test_batched_half_space_bound_is_below_the_closed_form(name):
     """The bracket of the model's twin in the metric suite -- the same set
     as a polyhedron or a gauge body, with no closed form -- encloses the
-    model's closed form, with a half-space lower side above 0."""
+    model's closed form, with a lower side above 0."""
     d, twin = zoo_domain(name), model_twins()[name]
     stream = SampleStream(32)
     X = d.interior_samples(64, stream.fork(0))

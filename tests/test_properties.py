@@ -1,9 +1,11 @@
 """Property tests with ``hypothesis``: random ellipsoids known only through a
 gauge callable, against the closed form of the same set as an affine image of
 the unit ball; certified supporting half-spaces of gauge bodies, which must
-contain the body; and random polyhedra, whose closed-form distance uppers must
-lie inside quadrature sandwiches and agree across affine images, and whose
-face-table oracles must agree with the drawn faces taken one by one."""
+contain the body; random polyhedra, whose closed-form distance uppers must
+lie inside quadrature sandwiches and agree across affine images, whose
+face-table oracles must agree with the drawn faces taken one by one, and whose
+face-disc brackets stay ordered as faces are dropped; and products of discs
+and half-planes, which answer in closed form."""
 
 import math
 
@@ -13,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invmet import AffineMap, SampleStream, UnitBall, kobayashi_distance, kobayashi_metric
-from invmet.domains import AffineImage, BalancedConvex, ConvexPolyhedron
+from invmet.domains import AffineImage, BalancedConvex, ConvexPolyhedron, Polydisc
 from invmet.metrics import indicatrix_gauge_upper
 from invmet.zoo import affine_twin
 
@@ -194,7 +196,10 @@ def test_polyhedron_face_table_matches_the_drawn_faces(case):
                for p, v in zip(P, V)]
     shared = [np.linalg.norm(v) * min(s / r if r > 0 else math.inf for s, r, _ in per_face(x, v))
               for v in V]
-    lower = [max(r / (2.0 * s) for s, r, _ in per_face(p, v)) for p, v in zip(P, V)]
+    # the face-disc metric c r / (c^2 - |f|^2) = r / (s (2 - s / c)) of a
+    # modulus face, and the half-plane metric r / (2 s) of a real face
+    lower = [max(r / (s * (2.0 - s / f[3])) if f[0] else r / (2.0 * s)
+                 for (s, r, _), f in zip(per_face(p, v), faces)) for p, v in zip(P, V)]
     # the unit ball's support of a face's coefficients is their norm
     inner = min(s / w for s, _, w in per_face(x, x))
     rel = dict(rtol=1e-13, atol=0)
@@ -203,3 +208,120 @@ def test_polyhedron_face_table_matches_the_drawn_faces(case):
     np.testing.assert_allclose(d.section_distance_paired(x[None, :], V), shared, **rel)
     np.testing.assert_allclose(d.bracket_paired(P, V)[0], lower, **rel)
     np.testing.assert_allclose(d.inner_radius_exact(x, UnitBall(d.dim)), inner, **rel)
+
+
+def _random_table(seed, dim, extra, balanced):
+    """A face table like the benchmark's random polyhedra: ``dim`` spanning
+    balanced modulus faces |M_k . z| < b_k, then ``extra`` faces, modulus
+    faces with constants alternating with real faces, or only const-0
+    modulus faces when ``balanced``."""
+    rng = np.random.default_rng(seed)
+    M = np.eye(dim) + 0.4 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    b = rng.uniform(0.8, 1.5, dim)
+    mods, reals = [(M[k], 0.0, b[k]) for k in range(dim)], []
+    for k in range(extra):
+        c = 0.7 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        if balanced or k % 2 == 0:
+            bound = rng.uniform(0.8, 2.0)
+            const = 0.0 if balanced else 0.3 * bound * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+            mods.append((c, const, bound))
+        else:
+            # Re<z, c> < offset is the real row conj(c)
+            reals.append((c.conj(), 0.0, rng.uniform(0.5, 1.5) * np.linalg.norm(c)))
+    coeffs, consts, bounds = zip(*(mods + reals))
+    radius = np.linalg.norm(b) / np.linalg.svd(M, compute_uv=False)[-1]
+    return ConvexPolyhedron(np.stack(coeffs), consts, bounds, len(mods), 1.01 * radius)
+
+
+def _table_rows(d, seed, rows=24):
+    """Points at drawn fractions (up to 0.9) of the way from 0 to the
+    boundary, the first at 0, and directions of drawn lengths."""
+    stream = SampleStream(seed)
+    U = stream.unit_directions(rows, d.dim)
+    reach = np.minimum(d.section_distance_paired(np.zeros((1, d.dim)), U), 2.0)
+    P = (stream.uniform(rows, 0.0, 0.9) * reach)[:, None] * U
+    P[0] = 0.0
+    V = stream.unit_directions(rows, d.dim) * stream.uniform(rows, 0.1, 3.0)[:, None]
+    return P, V
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(1, 4), st.booleans())
+def test_random_polyhedron_face_disc_brackets(seed, dim, extra, balanced):
+    """On tables that are not products: lower <= upper on every row, at the
+    centre of balanced bodies too; dropping a face leaves a larger body,
+    whose lower side stays below this body's upper side; and an affine twin
+    answers the same bracket."""
+    d = _random_table(seed, dim, extra, balanced)
+    assert not d.is_product
+    P, V = _table_rows(d, seed)
+    lower, upper = d.bracket_paired(P, V)
+    assert np.all((0 < lower) & (lower <= upper))
+    shared = d.bracket_paired(P[:1], V)
+    assert np.all(shared[0] <= shared[1])
+    mc = d.modulus_count
+    for k in range(d.bounds.size):
+        keep = np.arange(d.bounds.size) != k
+        # the kept real rows are already unit rows
+        wider = ConvexPolyhedron(d.coeffs[keep], d.consts[keep], d.bounds[keep],
+                                 mc - (k < mc), d.bounding_radius)
+        # a product's closed form takes no allowance: at the centre, where it
+        # is the gauge, it may round above this body's equal upper side
+        slack = 4.0 * np.finfo(float).eps if wider.is_product else 0.0
+        assert np.all(wider.bracket_paired(P, V)[0] <= upper * (1.0 + slack))
+    twin = affine_twin(d)
+    T = twin.map
+    got = twin.bracket_paired(T(P), V @ T.linear.matrix.T)
+    np.testing.assert_allclose(got[0], lower, rtol=1e-12)
+    np.testing.assert_allclose(got[1], upper, rtol=1e-12)
+
+
+@st.composite
+def product_tables(draw):
+    """(d, modulus): n faces with the independent rows of M = I + A / 2 in
+    C^n, n = 1..4, modulus faces |f| < c and real faces Re f < b mixed, with
+    constants, all with 0 inside; ``modulus`` flags the table's modulus
+    faces, which come first."""
+    dim = draw(st.integers(1, 4))
+    M = np.eye(dim) + 0.5 * _complex_array(draw, (dim, dim))
+    assume(np.linalg.cond(M) < 10.0)
+    mc = draw(st.integers(0, dim))
+    modulus = np.arange(dim) < mc
+    consts = 0.5 * _complex_array(draw, (dim,))
+    bounds = np.array([draw(st.floats(0.5, 2.0)) for _ in range(dim)])
+    bounds += np.where(modulus, np.abs(consts), consts.real)
+    # |M z + consts| < max(bounds) on every face bounds |z| on an all-modulus table
+    radius = (np.sqrt(dim) * (bounds.max() + np.abs(consts).max())
+              / np.linalg.svd(M, compute_uv=False)[-1]) if mc == dim else np.inf
+    return ConvexPolyhedron(M, consts, bounds, mc, radius), modulus
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(product_tables(), st.integers(0, 2 ** 16))
+def test_product_tables_answer_in_closed_form(table, seed):
+    """n independent faces make a product: the bracket collapses onto the
+    closed form, which ``kobayashi_metric``, ``metric_form`` and
+    ``kobayashi_distance`` report as such; an all-modulus product is the
+    affine image of a polydisc, whose metric and distance it matches."""
+    d, modulus = table
+    assert d.is_product
+    P, V = _table_rows(d, seed)
+    lower, upper = d.bracket_paired(P, V)
+    exact = d.metric_paired(P, V)
+    assert np.array_equal(lower, exact) and np.array_equal(upper, exact)
+    for x, v, y in zip(P[:4], V[:4], P[4:8]):
+        b = kobayashi_metric(d, x, v)
+        assert (b.lower_method, b.upper_method) == ("closed-form", "closed-form")
+        assert b.lower == b.upper
+        form = d.metric_form(x)
+        assert np.max(np.abs(form.matrix @ v)) == pytest.approx(b.value, rel=1e-13)
+        dist = kobayashi_distance(d, x, y)
+        assert (dist.lower_method, dist.lower) == ("closed-form", dist.upper)
+    if modulus.all():
+        # {|G z| < c}, G z = coeffs z + consts, is G^-1 of the polydisc of radii c
+        Finv = np.linalg.inv(d.coeffs)
+        image = AffineImage(Polydisc(d.bounds), AffineMap(Finv, -Finv @ d.consts))
+        np.testing.assert_allclose(image.metric_paired(P, V), exact, rtol=1e-12)
+        for x, y in zip(P[:8], P[8:16]):
+            assert kobayashi_distance(image, x, y).value == pytest.approx(
+                kobayashi_distance(d, x, y).value, rel=1e-12)

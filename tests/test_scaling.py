@@ -37,8 +37,9 @@ def test_stretching_frame_at_ball_center(ball2):
     gram = fr.directions @ fr.directions.conj().T
     np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
     assert fr.det_abs == pytest.approx(1.0, rel=1e-9)
-    for iv in fr.brackets:
-        assert iv.contains(1.0, tol=1e-9)
+    for b in fr.brackets:
+        assert b.lower - 1e-9 <= 1.0 <= b.upper + 1e-9
+        assert (b.lower_method, b.upper_method) == ("closed-form", "closed-form")
 
 
 def test_stretching_frame_orders_values():

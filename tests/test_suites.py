@@ -3,7 +3,7 @@
 import io
 import json
 
-from invmet import verify_all
+from invmet import config, verify_all
 from invmet.cli import main
 from invmet.suites import (
     SuiteResult,
@@ -63,12 +63,14 @@ def test_volume_suite_small():
     assert len(res.rows) == 2
 
 
-def test_barth_suite_flags_info_rows():
+def test_barth_suite_enforces_every_row():
+    """The balanced polyhedra are held to the models' tolerance: at the
+    centre their face-disc brackets meet the gauge."""
     res = run_barth_suite(seed=0, samples=128)
     assert res.passed
-    status = {row[0]: row[-1] for row in res.rows}
-    assert status["disc"] == "ok" and status["ball2"] == "ok"
-    assert status["three_face"] == "info" and status["balanced"] == "info"
+    assert {row[0]: (row[-2], row[-1]) for row in res.rows} == {
+        name: (config.BARTH_MODEL_TOL, "ok")
+        for name in ("disc", "polydisc2", "ball2", "three_face", "balanced")}
 
 
 def test_verify_all_writes_manifest_and_artifacts(tmp_path):
