@@ -804,6 +804,9 @@ def test_polyhedron_distance_lower_bound_dominates_the_half_space_bound(make, ex
         for rows in (P, P[:1]):
             np.testing.assert_array_equal(d.section_distance_paired(rows, V),
                                           exact.section_distance_paired(rows, V))
+            # both are products: the closed form on both sides
+            np.testing.assert_array_equal(d.bracket_paired(rows, V),
+                                          [exact.metric_paired(rows, V)] * 2)
 
 
 BALL_GRID = 1.0 - np.logspace(0.0, -7.0, 97)   # the ball sampler's nodes on a ray
