@@ -85,7 +85,7 @@ from .errors import (
     SpecLoadError,
     UnsupportedKindError,
 )
-from .sampling import SampleStream
+from .sampling import SampleStream, root_directions
 
 
 @dataclass(frozen=True)
@@ -257,13 +257,32 @@ class UnitBall(Domain):
             raise NotInteriorError("point outside the ball")
         return s2
 
-    def metric_paired(self, P, V):
-        """K(p; v) = sqrt(s |v|^2 + |<v, p>|^2) / s with s = 1 - |p|^2: the
-        batched value of ``metric_form``'s v* Q v, which it must agree with."""
-        s2 = self._slack(P)
+    def _in_row_blocks(self, rows_form, P, V):
+        """rows_form(P, V, slacks 1 - |p|^2), taken over blocks of at most
+        ``_ROW_BLOCK`` rows of V when P is one row shared by every row of V:
+        each row's sums are its own, so the blocks change no bit.  With a row
+        of P per row it takes one call, as numpy multiplies a large temporary
+        conj(P) in place, conj(P) * V, which rounds apart from V * conj(P).
+        Raises unless every point is inside."""
+        S = self._slack(P)
+        if len(P) == len(V) or len(V) <= _ROW_BLOCK:
+            return rows_form(P, V, S)
+        out = np.empty(len(V))
+        for start in range(0, len(V), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            out[rows] = rows_form(P, V[rows], S)
+        return out
+
+    @staticmethod
+    def _metric_rows(P, V, s2):
         nv2 = np.sum(np.abs(V) ** 2, axis=1)
         c2 = np.abs(np.sum(V * P.conj(), axis=1)) ** 2
         return np.sqrt(s2 * nv2 + c2) / s2
+
+    def metric_paired(self, P, V):
+        """K(p; v) = sqrt(s |v|^2 + |<v, p>|^2) / s with s = 1 - |p|^2: the
+        batched value of ``metric_form``'s v* Q v, which it must agree with."""
+        return self._in_row_blocks(self._metric_rows, P, V)
 
     def metric_form(self, x):
         x = self._check_dim(cvector(x))
@@ -271,11 +290,14 @@ class UnitBall(Domain):
         Q = (s2 * np.eye(self.dim) + np.outer(x, x.conj())) / (s2 * s2)
         return MetricForm(Q, True)
 
-    def section_distance_paired(self, P, V):
+    @staticmethod
+    def _section_rows(P, V, r2):
         nv = np.linalg.norm(V, axis=1)
         c = np.abs(np.sum(V * P.conj(), axis=1))
-        r2 = self._slack(P)
         return (np.sqrt(c * c + r2 * nv * nv) - c) / nv
+
+    def section_distance_paired(self, P, V):
+        return self._in_row_blocks(self._section_rows, P, V)
 
     def inner_radius_exact(self, x, model):
         if isinstance(model, UnitBall):
@@ -359,7 +381,9 @@ class ConvexPolyhedron(Domain):
     lower_method = "face-disc"
 
     def __init__(self, coeffs, consts, bounds, modulus_count, bounding_radius,
-                 basepoint=None, name: str = ""):
+                 basepoint=None, name: str = "", *, _singular_values=None):
+        # _singular_values: those of ``coeffs`` when its rows are all modulus
+        # faces and the caller has taken them (``balanced_polyhedron``)
         coeffs = np.array(coeffs, dtype=complex)
         consts = np.array(consts, dtype=complex)
         bounds = np.array(bounds, dtype=float)
@@ -388,7 +412,8 @@ class ConvexPolyhedron(Domain):
         product = bounds.size == n
         if product:
             # independent rows, by numpy's matrix_rank tolerance without its overhead
-            sv = np.linalg.svd(coeffs, compute_uv=False)
+            sv = (np.linalg.svd(coeffs, compute_uv=False) if _singular_values is None
+                  else _singular_values)
             product = sv[-1] > n * np.finfo(float).eps * sv[0]
         self._fill(coeffs, consts, bounds, mc, norms, bounding_radius,
                    np.zeros(n, dtype=complex) if basepoint is None else cvector(basepoint),
@@ -918,7 +943,7 @@ class BalancedConvex(Domain):
         self._steps = np.kron(np.eye(self.dim), [[1e-6], [1e-6j]])
         if not (0 < self.inner_radius <= self.bounding_radius < np.inf):
             raise DegenerateInputError("need 0 < inner_radius <= bounding_radius < inf")
-        U = SampleStream(0).unit_directions(64, self.dim)
+        U = root_directions(0, 64, self.dim)
         g = self.gauge(U)
         if np.any(~np.isfinite(g)) or np.any(g <= 0):
             raise DegenerateInputError("gauge must be finite and positive on directions")
@@ -1254,7 +1279,7 @@ def balanced_polyhedron(coeffs, scales, dim: int, name: str = "") -> ConvexPolyh
         raise DegenerateInputError("functionals do not span C^n; body is unbounded")
     # max_k |c_k . z| / s_k < 1 forces ||C z|| < ||s||, so ||z|| < ||s|| / sigma_min(C)
     return ConvexPolyhedron(C, np.zeros(len(C)), s, len(C), np.linalg.norm(s) / sv[-1],
-                            name=name)
+                            name=name, _singular_values=sv)
 
 
 def convexity_witness(domain: Domain, samples: int = config.CONVEXITY_WITNESS_SAMPLES,

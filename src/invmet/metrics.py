@@ -32,7 +32,7 @@ from . import config
 from .core import cvector
 from .domains import AffineImage, Domain
 from .errors import DegenerateInputError, UnboundedValueError
-from .sampling import SampleStream
+from .sampling import SampleStream, root_directions
 
 CONVENTIONS = ("standard", "paper")
 
@@ -100,8 +100,8 @@ class DistanceBound:
 # Direction rows whose squared norm underflows
 # ---------------------------------------------------------------------------
 
-# 2^-511: a row with every real and imaginary part at least this large has a
-# squared norm of at least the smallest normal double
+# 2^-511, whose square is the smallest normal double: a row whose squared norm
+# falls below that is scaled
 _SMALL = math.sqrt(np.finfo(float).tiny)
 
 
@@ -113,8 +113,6 @@ def _moderated(V):
     exactly, so the bound at V[i] is the scaled row's bound times 2^e[i]."""
     V = np.asarray(V, dtype=complex)
     R = np.ascontiguousarray(V).view(float)
-    if np.abs(R).min(initial=np.inf) >= _SMALL:   # one cheap pass rules most stacks out
-        return V, None
     rows = np.flatnonzero(np.einsum("ij,ij->i", R, R) < _SMALL * _SMALL)
     rows = rows[np.any(V[rows] != 0, axis=1)]
     if not rows.size:
@@ -300,15 +298,18 @@ def indicatrix(d: Domain, x, directions: int = 256, convexify: bool = False,
                *, seed: int = 0) -> IndicatrixSample:
     """Sampled indicatrix at x; optionally its convex hull surrogate.
 
+    The directions are ``SampleStream(seed).unit_directions(directions, n)``,
+    read through ``root_directions``, which draws each seed's normals once per
+    process, so repeated calls at one seed skip the draw and return the same
+    bits; any samples the bracket draws come from ``SampleStream(seed).fork(1)``.
     The convexified radii replace each radial value with the hull's radial
     extent (the Kobayashi-Buseman convexification, approximated by the hull of
     midpoint boundary points with phase copies in R^{2n}).
     """
     x = cvector(x)
     d.require_interior(x, "base point")
-    stream = SampleStream(seed)
-    U = stream.unit_directions(directions, d.dim)
-    lower, upper = kobayashi_metric_values(d, x, U, stream=stream.fork(1))
+    U = root_directions(seed, directions, d.dim)
+    lower, upper = kobayashi_metric_values(d, x, U, stream=SampleStream(seed).fork(1))
     sample = IndicatrixSample(x, U, lower, upper)
     if convexify:
         sample.convexified = True
@@ -388,9 +389,12 @@ def indicatrix_volume(d: Domain, x, samples: int = 100_000, *,
     if samples < config.MIN_VOLUME_SAMPLES:
         raise DegenerateInputError(f"need at least {config.MIN_VOLUME_SAMPLES} samples")
     sample = indicatrix(d, x, samples, seed=seed)
+    # the sums read only the radii: the directions, the sample's largest
+    # array, are freed first
+    sample.directions = None
+    r_lo, r_hi = sample.radius_lower, sample.radius_upper
     k = 2 * d.dim
     coeff = _ball_volume_coeff(d.dim)
-    r_lo, r_hi = sample.radius_lower, sample.radius_upper
     # the standard error is the midpoint's only: the bracket's sides are bounds
     mid = (0.5 * (r_lo + r_hi)) ** k
     v_lo, v_hi = (float(coeff * (r ** k).mean()) for r in (r_lo, r_hi))
@@ -431,7 +435,10 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
 
     Models bisect the exact radial distance; general convex domains use the
     cumulative trapezoid of the metric upper bound along each ray, which
-    overestimates the true distance, so membership stays certified.
+    overestimates the true distance, so membership stays certified.  The rays
+    are ``SampleStream(seed).unit_directions(count, n)``, read through
+    ``root_directions`` as in ``indicatrix``, and the distance targets come
+    from ``SampleStream(seed).fork(1)``.
     """
     if r <= 0:
         raise DegenerateInputError("radius must be positive")
@@ -445,9 +452,8 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
         return DistanceBallSample(x, r, convention, d.map(inner.points),
                                   inner.distance_upper)
 
-    stream = SampleStream(seed)
-    U = stream.unit_directions(count, d.dim)
-    targets = _shell_targets(stream.fork(1), count, r / scale)
+    U = root_directions(seed, count, d.dim)
+    targets = _shell_targets(SampleStream(seed).fork(1), count, r / scale)
 
     probe = d.distance_value(x, 1e-9 * U[0])
     if probe is not None:

@@ -8,8 +8,33 @@ draws, regardless of what sibling streams consumed.
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
+
+# Rows of a direction stack whose squared moduli are held at a time.
+_NORM_BLOCK = 4096
+
+
+def _row_norms(z):
+    """|z[i]| per row of a 2-D stack, rounded as ``np.linalg.norm(z, axis=1)``
+    rounds it (the same sum of (z.conj() * z).real), taken over blocks of
+    ``_NORM_BLOCK`` rows."""
+    out = np.empty(len(z))
+    for start in range(0, len(z), _NORM_BLOCK):
+        block = z[start:start + _NORM_BLOCK]
+        np.add.reduce((block.conj() * block).real, axis=1, out=out[start:start + _NORM_BLOCK])
+    return np.sqrt(out, out=out)
+
+
+def _unit_rows(z, norms):
+    """Divide each row of a complex stack z by its nonzero norm, in place:
+    both parts times 1 / norm, which is how numpy's complex-by-real division
+    rounds, without its complex temporaries.  Overwrites ``norms``."""
+    np.divide(1.0, norms, out=norms)
+    parts = z.view(float)
+    parts *= norms[:, None]
+    return z
 
 
 class SampleStream:
@@ -34,27 +59,83 @@ class SampleStream:
         return self._rng.standard_normal(size)
 
     def complex_normal(self, size):
-        return self._rng.standard_normal(size) + 1j * self._rng.standard_normal(size)
+        """Standard normals as real parts, then as many as imaginary parts."""
+        z = np.empty(size, dtype=complex)
+        part = np.empty(size)
+        for view in (z.real, z.imag):
+            self._rng.standard_normal(out=part)
+            view[...] = part
+        return z
 
     def unit_directions(self, count: int, dim: int, field: str = "complex"):
         """Rows uniform on the unit sphere of C^dim (or R^dim); norms 1 to 1e-12."""
         if field == "complex":
-            z = self.complex_normal((count, dim))
+            draw = self.complex_normal
         elif field == "real":
-            z = self._rng.standard_normal((count, dim))
+            draw = self._rng.standard_normal
         else:
             raise ValueError(f"unknown field {field!r}")
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        z = draw((count, dim))
+        norms = _row_norms(z)
         # resample the (measure-zero) zero rows rather than dividing by 0
-        while np.any(norms == 0.0):
-            bad = norms[:, 0] == 0.0
-            z[bad] = (self.complex_normal((int(bad.sum()), dim)) if field == "complex"
-                      else self._rng.standard_normal((int(bad.sum()), dim)))
-            norms = np.linalg.norm(z, axis=1, keepdims=True)
-        return z / norms
+        while not norms.all():
+            bad = norms == 0.0
+            z[bad] = draw((int(bad.sum()), dim))
+            norms = _row_norms(z)
+        if field == "real":
+            z /= norms[:, None]
+            return z
+        return _unit_rows(z, norms)
 
     def phases(self, size):
         return np.exp(2j * np.pi * self._rng.uniform(0.0, 1.0, size=size))
 
     def integers(self, low, high=None, size=None):
         return self._rng.integers(low, high, size=size)
+
+
+# Normals of one root stream, SampleStream(seed), kept for the last seed asked
+# for, with the generator that extends them: (seed, normals, generator).  At
+# most _ROOT_NORMALS_MAX normals (8 MiB) are kept; a larger request draws
+# afresh.
+_ROOT_NORMALS_MAX = 1 << 20
+_root_lock = threading.Lock()
+_root_memo = None
+
+
+def root_directions(seed: int, count: int, dim: int):
+    """``SampleStream(seed).unit_directions(count, dim)``, bit for bit, with
+    each seed's normals drawn once per process.
+
+    The root stream's draw is its first count * dim normals as real parts and
+    the next count * dim as imaginary parts, and a generator's normals do not
+    depend on how its draws are split, so every (count, dim) at a seed reads a
+    prefix of one sequence.  The last seed's sequence is kept and grown as
+    requests need.  Each call returns a new array.  For callers whose root
+    stream draws nothing after the directions (it may fork).
+    """
+    global _root_memo
+    seed, size = int(seed), int(count) * int(dim)
+    if 2 * size > _ROOT_NORMALS_MAX:
+        return SampleStream(seed).unit_directions(count, dim)
+    with _root_lock:
+        if _root_memo is not None and _root_memo[0] == seed:
+            _, normals, rng = _root_memo
+        else:
+            # the last seed's normals go before the new ones are drawn
+            _root_memo, normals, rng = None, np.empty(0), SampleStream(seed)._rng
+        if normals.size < 2 * size:
+            grown = np.empty(2 * size)
+            grown[:normals.size] = normals
+            rng.standard_normal(out=grown[normals.size:])
+            normals = grown
+            _root_memo = (seed, normals, rng)
+    # the kept normals are never written after they are published
+    z = np.empty((count, dim), dtype=complex)
+    z.real = normals[:size].reshape(count, dim)
+    z.imag = normals[size:2 * size].reshape(count, dim)
+    norms = _row_norms(z)
+    if not norms.all():
+        # the plain stream resamples a zero row from later normals
+        return SampleStream(seed).unit_directions(count, dim)
+    return _unit_rows(z, norms)

@@ -423,6 +423,37 @@ def test_polyhedron_brackets_keep_their_bits_across_row_blocks(twin):
             paired(P, V)
 
 
+def test_ball_closed_forms_keep_their_bits_across_row_blocks():
+    """A ball's closed forms at a shared row are taken in blocks of
+    ``_ROW_BLOCK`` rows: over two blocks and three rows they give the bits of
+    calls on three rows at a time."""
+    d = UnitBall(3)
+    stream = SampleStream(22)
+    rows = 2 * domains._ROW_BLOCK + 3
+    x = np.array([[0.2, -0.1j, 0.3 + 0.2j]])
+    V = stream.unit_directions(rows, 3) * stream.uniform(rows, 0.2, 2.0)[:, None]
+    for paired in (d.metric_paired, d.section_distance_paired):
+        three_rows = np.concatenate([paired(x, V[i:i + 3]) for i in range(0, rows, 3)])
+        assert np.array_equal(paired(x, V), three_rows)
+
+
+@pytest.mark.parametrize("coeffs", [[[1, 0], [1, 1]], [[1e6, 0], [1e6, 1e-11]],
+                                    [[1, 0], [0, 1], [1, 1j]]],
+                         ids=["product", "near-dependent", "three-faces"])
+def test_balanced_polyhedron_takes_one_svd(coeffs, monkeypatch):
+    """The span check's decomposition also decides the product, as the
+    constructor would on the same table."""
+    C = np.array(coeffs, dtype=complex)
+    s = np.ones(len(C))
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+    d = domains.balanced_polyhedron(C, s, 2)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    own = ConvexPolyhedron(C, np.zeros(len(C)), s, len(C), d.bounding_radius)
+    assert d.is_product == own.is_product
+
+
 def test_balanced_paired_section_distance_rejects_exterior_rows():
     d = _gauge_balanced()
     P = np.array([[0.1, 0.0], [5.0, 0.0]], dtype=complex)
