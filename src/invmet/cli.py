@@ -22,6 +22,7 @@ Wall-clock time appears only in the ``verify-all`` manifest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -64,21 +65,20 @@ _ENV_FLAGS = {"domain": (str, None), "seed": (int, 0), "tol": (float, None),
               "workers": (int, 1)}
 
 
-def _parse_vector(text: str, flag: str):
+def _load_json(text: str, flag: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecLoadError(f"invalid JSON ({exc.msg})",
                             f"{flag} offset {exc.pos}")
-    return load_cvector(obj, flag)
+
+
+def _parse_vector(text: str, flag: str):
+    return load_cvector(_load_json(text, flag), flag)
 
 
 def _parse_points(text: str, flag: str):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecLoadError(f"invalid JSON ({exc.msg})",
-                            f"{flag} offset {exc.pos}")
+    obj = _load_json(text, flag)
     if not isinstance(obj, list) or not obj:
         raise SpecLoadError("expected a list of points", flag)
     return [load_cvector(p, f"{flag}[{i}]") for i, p in enumerate(obj)]
@@ -100,8 +100,15 @@ def _meta_line(args, **extra) -> str:
     return "# " + " ".join(f"{k}={v}" for k, v in fields.items()) + "\n"
 
 
-def _open_out(path):
-    return open(path, "w") if path else sys.stdout
+def _output(path):
+    """The file at ``path`` to write, closed on leaving, or stdout, left open."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
+def _write_json(path, payload):
+    """``payload`` as indented JSON to the file at ``path``, or stdout."""
+    with _output(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _witness(message: str, payload) -> int:
@@ -147,16 +154,11 @@ def cmd_distance(args) -> int:
 def cmd_indicatrix(args) -> int:
     d = resolve_domain(args.domain)
     x = _parse_vector(args.at, "--at")
-    sample = indicatrix(d, x, directions=args.directions,
-                        convexify=args.convexify, seed=args.seed)
-    fh = _open_out(args.out)
-    try:
+    sample = indicatrix(d, x, directions=args.directions, seed=args.seed)
+    with _output(args.out) as fh:
         fh.write(_meta_line(args, directions=args.directions,
                             method="bracket-radial"))
         write_indicatrix_csv(sample, fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     lo = float(np.min(sample.radius_lower))
     hi = float(np.max(sample.radius_upper))
     print(f"# {args.directions} directions, radius range"
@@ -204,16 +206,12 @@ def cmd_scale_audit(args) -> int:
 def cmd_boxlemma_stress(args) -> int:
     rows, failures, slope_excess = box_stress_rows(args.dim, args.instances,
                                                    args.seed)
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         fh.write(_meta_line(args, dim=args.dim, instances=args.instances,
                             method="cascade-exact-vertices"))
         fh.write("instance,r_1,slack\n")
         for inst, r1, slack in rows:
             fh.write(f"{inst},{r1!r},{slack!r}\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     if args.dim == 2 and slope_excess > config.SLOPE_BOUND_TOL:
         failures.append({"dim": 2, "slope_excess": slope_excess})
     if failures:
@@ -244,11 +242,7 @@ def cmd_dominate(args) -> int:
         method = "certified-sampling"
     payload = {"seed": args.seed, "version": config.VERSION, "method": method,
                "profile": profile.to_dict()}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(args.out, payload)
     print(f"# worst gauge/claimed ratio {profile.worst_ratio!r} -> "
           + ("PASS" if profile.passed else "FAIL"))
     if not profile.passed:
@@ -276,11 +270,7 @@ def cmd_squeeze_cert(args) -> int:
                "worst_outer_gauge": check.worst_outer_gauge,
                "worst_inner_margin": check.worst_inner_margin,
                "notes": {k: str(v) for k, v in cert.notes.items()}}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(args.out, payload)
     if not check.passed:
         return _witness("squeeze certificate failed validation", payload)
     return 0
@@ -291,14 +281,10 @@ def cmd_squeeze_sweep(args) -> int:
     corner = _parse_vector(args.corner, "--corner")
     report = asymptotics_sweep(d, corner, args.steps,
                                threshold=args.threshold)
-    fh = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         fh.write(_meta_line(args, steps=args.steps,
                             method="pipeline-bisection"))
         report.to_csv(fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     print(f"# final ratio {report.final_ratio!r} after {args.steps} steps"
           f" (c >= {report.rows[-1].c_bound!r})")
     if args.threshold is not None and not report.threshold_met:
@@ -390,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "radial indicatrix profile as CSV", "domain seed convention out")
     p.add_argument("--at", required=True)
     p.add_argument("--directions", type=int, default=256)
-    p.add_argument("--convexify", action="store_true")
 
     p = sub.add_parser("scale", help="rescaling audits")
     scale_sub = p.add_subparsers(dest="subcommand", required=True)

@@ -40,6 +40,8 @@ V):
   form or a max of moduli of linear functionals), or None;
 * ``distance_value(x, w)``: the closed-form distance from x to x + w, or to
   x + W[i] for each row of a stack W, or None when the kind has none;
+* ``distance_radii(x, U, T)``: per ray U[i] from x, the t > 0 at which
+  ``distance_value(x, t U[i])`` is T[i], in closed form, or None;
 * ``affine_disc_length(x, w)``: the integral of the affine-disc metric upper
   bound along [x, x + w] with its rounding allowance, in closed form on
   polyhedra, or None (the distance then takes a quadrature);
@@ -189,6 +191,11 @@ class Domain:
     def distance_value(self, x, y):
         return None
 
+    def distance_radii(self, x, U, T):
+        """Per ray U[i] from x, the t at which ``distance_value(x, t U[i])``
+        is T[i] >= 0, its only root, as distance balls are convex; or None."""
+        return None
+
     def affine_disc_length(self, x, w):
         """The integral over t in [0, 1] of |w| / (section distance at x + t w
         along w) in closed form: the affine-disc upper bound of the distance
@@ -259,24 +266,24 @@ class UnitBall(Domain):
 
     def _in_row_blocks(self, rows_form, P, V):
         """rows_form(P, V, slacks 1 - |p|^2), taken over blocks of at most
-        ``_ROW_BLOCK`` rows of V when P is one row shared by every row of V:
-        each row's sums are its own, so the blocks change no bit.  With a row
-        of P per row it takes one call, as numpy multiplies a large temporary
-        conj(P) in place, conj(P) * V, which rounds apart from V * conj(P).
+        ``_ROW_BLOCK`` rows of V, P one row shared by every row of V or a row
+        per row: each row's sums are its own, so the blocks change no bit.
+        The row forms hold conj(P) by name, as numpy would multiply a large
+        temporary in place, conj(P) * V, which rounds apart from V * conj(P).
         Raises unless every point is inside."""
-        S = self._slack(P)
-        if len(P) == len(V) or len(V) <= _ROW_BLOCK:
-            return rows_form(P, V, S)
+        S, shared = self._slack(P), len(P) != len(V)
         out = np.empty(len(V))
         for start in range(0, len(V), _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
-            out[rows] = rows_form(P, V[rows], S)
+            own = slice(None) if shared else rows
+            out[rows] = rows_form(P[own], V[rows], S[own])
         return out
 
     @staticmethod
     def _metric_rows(P, V, s2):
         nv2 = np.sum(np.abs(V) ** 2, axis=1)
-        c2 = np.abs(np.sum(V * P.conj(), axis=1)) ** 2
+        Pc = P.conj()
+        c2 = np.abs(np.sum(V * Pc, axis=1)) ** 2
         return np.sqrt(s2 * nv2 + c2) / s2
 
     def metric_paired(self, P, V):
@@ -293,7 +300,8 @@ class UnitBall(Domain):
     @staticmethod
     def _section_rows(P, V, r2):
         nv = np.linalg.norm(V, axis=1)
-        c = np.abs(np.sum(V * P.conj(), axis=1))
+        Pc = P.conj()
+        c = np.abs(np.sum(V * Pc, axis=1))
         return (np.sqrt(c * c + r2 * nv * nv) - c) / nv
 
     def section_distance_paired(self, P, V):
@@ -331,6 +339,14 @@ class UnitBall(Domain):
         c = w @ x.conj()
         t = np.hypot(math.sqrt(s2) * np.hypot.reduce(np.abs(w), axis=-1), np.abs(c))
         return np.arctanh(np.clip(t / np.abs(s2 - c), 0.0, 1.0 - 1e-16))
+
+    def distance_radii(self, x, U, T):
+        """``distance_value``'s equation |phi_x(x + t u)| = tanh T, with
+        s^2 = 1 - |x|^2 and g = <u, x>: (s^2 |u|^2 + |g|^2) t^2 = tanh^2 T
+        |s^2 - t g|^2."""
+        x = self._check_dim(cvector(x))
+        s2, g = self._slack(x), U @ x.conj()
+        return _ray_roots(s2 * np.sum(np.abs(U) ** 2, axis=1) + np.abs(g) ** 2, s2, g, T)
 
     def gauge(self, v):
         v = np.asarray(v, dtype=complex)
@@ -671,6 +687,20 @@ class ConvexPolyhedron(Domain):
             return None
         return self._face_distances(self._check_dim(cvector(x)), w)
 
+    def distance_radii(self, x, U, T):
+        """On a product, the least over faces of the root of the face's
+        ``_face_distances`` equation, else None: with f = f(x), b = f_lin(u),
+        c^2 |b|^2 t^2 = tanh^2 T |c^2 - |f|^2 - t conj(f) b|^2 on a modulus
+        face, and |b|^2 t^2 = tanh^2 T |2 s - t b|^2 on a real one of slack s."""
+        if not self.is_product:
+            return None
+        F, B = self.face_values(self._check_dim(cvector(x))), U @ self.coeffs.T
+        mc = self.modulus_count
+        c, G, A = self.bounds.copy(), F.conj(), 2.0 * (self.bounds - F.real)
+        c[mc:], G[mc:] = 1.0, 1.0
+        A[:mc] = c[:mc] ** 2 - np.abs(F[:mc]) ** 2
+        return _ray_roots(np.abs(c * B) ** 2, A, G * B, T[:, None]).min(axis=1)
+
     def distance_lower_bound(self, x, w, stream=None):
         """The largest face distance.  Each tangent half-space of a modulus
         face contains its disc, so this is at least the bound of the faces'
@@ -767,6 +797,21 @@ def _quadratic_roots(a, b, c):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         Q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
         return np.concatenate([np.ravel(Q / a), np.ravel(c / Q)])
+
+
+def _ray_roots(N, A, beta, T):
+    """The t > 0 with N t^2 = tau^2 |A - t beta|^2, tau = tanh T (broadcast;
+    A > 0): the root of a t^2 + b t + c, a = N - tau^2 |beta|^2 >= 0 > c, in
+    the form that cancels nothing, Q / a (Q as in ``_quadratic_roots``) where
+    b's sign bit is set, even at b = -0.0, else c / Q; inf where a = 0 leaves
+    none (beta = 0, or tau rounded to 1), and 0 where tau^2 is 0."""
+    tau2 = np.tanh(T) ** 2
+    a, b, c = N - tau2 * np.abs(beta) ** 2, 2.0 * tau2 * A * beta.real, -tau2 * A * A
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        Q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        t = np.where(np.signbit(b), Q / a, c / Q)
+    t[np.isnan(t)] = np.inf
+    return np.where(tau2 > 0, t, 0.0)
 
 
 def _disc_antiderivative(u, R, q):

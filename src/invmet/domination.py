@@ -196,10 +196,6 @@ def verify_convex_domination(d: Domain, x_values, r_values,
                 base_point=x, radius=float(r), lambda_value=lam,
                 claimed_bound=2.0 * lam, worst_gauge=float(np.max(gauges)),
                 samples=len(ball)))
-            if len(ball) < samples:
-                profile.warnings.append(
-                    f"reduced coverage at x index {i}, r={r}: "
-                    f"{len(ball)}/{samples} points")
     return profile
 
 

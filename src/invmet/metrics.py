@@ -276,8 +276,6 @@ class IndicatrixSample:
     directions: np.ndarray          # (m, n) unit rows
     gauge_lower: np.ndarray         # per-direction K lower bounds
     gauge_upper: np.ndarray
-    convexified: bool = False
-    convex_radii: np.ndarray | None = None
 
     @property
     def radius_lower(self):
@@ -294,46 +292,19 @@ class IndicatrixSample:
         return 0.5 * (self.radius_lower + self.radius_upper)
 
 
-def indicatrix(d: Domain, x, directions: int = 256, convexify: bool = False,
-               *, seed: int = 0) -> IndicatrixSample:
-    """Sampled indicatrix at x; optionally its convex hull surrogate.
+def indicatrix(d: Domain, x, directions: int = 256, *, seed: int = 0) -> IndicatrixSample:
+    """Sampled indicatrix at x.
 
     The directions are ``SampleStream(seed).unit_directions(directions, n)``,
     read through ``root_directions``, which draws each seed's normals once per
     process, so repeated calls at one seed skip the draw and return the same
     bits; any samples the bracket draws come from ``SampleStream(seed).fork(1)``.
-    The convexified radii replace each radial value with the hull's radial
-    extent (the Kobayashi-Buseman convexification, approximated by the hull of
-    midpoint boundary points with phase copies in R^{2n}).
     """
     x = cvector(x)
     d.require_interior(x, "base point")
     U = root_directions(seed, directions, d.dim)
     lower, upper = kobayashi_metric_values(d, x, U, stream=SampleStream(seed).fork(1))
-    sample = IndicatrixSample(x, U, lower, upper)
-    if convexify:
-        sample.convexified = True
-        sample.convex_radii = _convex_hull_radii(U, sample.radius_mid)
-    return sample
-
-
-def _convex_hull_radii(U, radii):
-    from scipy.spatial import ConvexHull
-
-    m, n = U.shape
-    phases = np.exp(2j * np.pi * np.arange(8) / 8)
-    pts = (radii[:, None] * U)[None, :, :] * phases[:, None, None]
-    pts = pts.reshape(-1, n)
-    real = np.concatenate([pts.real, pts.imag], axis=1)
-    hull = ConvexHull(real)
-    A = hull.equations[:, :-1]
-    b = -hull.equations[:, -1]
-    dirs = np.concatenate([U.real, U.imag], axis=1)
-    proj = dirs @ A.T
-    with np.errstate(divide="ignore"):
-        t = np.where(proj > 1e-15, b[None, :] / np.where(proj > 1e-15, proj, 1.0),
-                     np.inf)
-    return t.min(axis=1)
+    return IndicatrixSample(x, U, lower, upper)
 
 
 def write_indicatrix_csv(sample: IndicatrixSample, fh):
@@ -343,8 +314,6 @@ def write_indicatrix_csv(sample: IndicatrixSample, fh):
     for k in range(n):
         cols += [f"dir{k}_re", f"dir{k}_im"]
     cols += ["radius_lo", "radius_hi"]
-    if sample.convexified:
-        cols.append("radius_convex")
     fh.write(",".join(cols) + "\n")
     rl, ru = sample.radius_lower, sample.radius_upper
     for i, u in enumerate(sample.directions):
@@ -352,8 +321,6 @@ def write_indicatrix_csv(sample: IndicatrixSample, fh):
         for k in range(n):
             row += [repr(float(u[k].real)), repr(float(u[k].imag))]
         row += [repr(float(rl[i])), repr(float(ru[i]))]
-        if sample.convexified:
-            row.append(repr(float(sample.convex_radii[i])))
         fh.write(",".join(row) + "\n")
 
 
@@ -433,9 +400,12 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
                          seed: int = 0, convention: str = "standard") -> DistanceBallSample:
     """Sample points with certified distance upper bound < r.
 
-    Models bisect the exact radial distance; general convex domains use the
-    cumulative trapezoid of the metric upper bound along each ray, which
-    overestimates the true distance, so membership stays certified.  The rays
+    Kinds with a closed-form distance give each ray's radius as a root of
+    its distance equation (``distance_radii``), capped just inside the
+    section; a row whose closed-form distance there is not below its target
+    is stepped down until it is.  General convex domains use the cumulative
+    trapezoid of the metric upper bound along each ray, which overestimates
+    the true distance, so membership stays certified.  The rays
     are ``SampleStream(seed).unit_directions(count, n)``, read through
     ``root_directions`` as in ``indicatrix``, and the distance targets come
     from ``SampleStream(seed).fork(1)``.
@@ -455,19 +425,20 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
     U = root_directions(seed, count, d.dim)
     targets = _shell_targets(SampleStream(seed).fork(1), count, r / scale)
 
-    probe = d.distance_value(x, 1e-9 * U[0])
-    if probe is not None:
-        # every model's section distance is finite along a nonzero direction
-        hi = d.section_distance_paired(x[None, :], U) * (1.0 - 1e-12)
-        lo = np.zeros(count)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            below = d.distance_value(x, mid[:, None] * U) < targets
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        pts = x[None, :] + lo[:, None] * U
-        dist = d.distance_value(x, lo[:, None] * U)
-        return DistanceBallSample(x, r, convention, pts, dist * scale)
+    t = d.distance_radii(x, U, targets)
+    if t is not None:
+        # capped inside the section, as tanh rounds a large target to 1 and a
+        # product's face distances read 0 on or past its boundary; rows the
+        # rounding leaves at their targets step down, to t = 0 at k = 52
+        t = np.minimum(t, d.section_distance_paired(x[None, :], U) * (1.0 - 1e-12))
+        dist = d.distance_value(x, t[:, None] * U)
+        for k in range(1, 53):
+            over = (dist >= targets) & (t > 0)
+            if not over.any():
+                break
+            t[over] *= 1.0 - 2.0 ** (k - 52)
+            dist = d.distance_value(x, t[:, None] * U)
+        return DistanceBallSample(x, r, convention, x[None, :] + t[:, None] * U, dist * scale)
 
     # general: certified one-sided quadrature along each ray
     sec = d.section_distance_paired(x[None, :], U)

@@ -63,3 +63,38 @@ def segment_sandwich(d, x, y, intervals):
     g = np.linalg.norm(w) / d.section_distance_along(x, np.stack([w, w]), T)
     trapezoid = (g[0].sum() - 0.5 * (g[0, 0] + g[0, -1])) / intervals
     return g[1, :-1].sum() / intervals, trapezoid
+
+
+def ball_against_bisection(d, x, r, count, seed, convention="standard"):
+    """``distance_ball_sample(d, x, r, count, seed=seed)`` next to the 60-step
+    bisection that the sampler ran before its radii had a closed form, on the
+    same rays and targets.  An affine image's rays are drawn on its inner
+    domain D at its inner point xD, where both run.  Returns a namespace of
+    the ball, D, xD, the rays U and standard targets, the sampler's count of
+    ``distance_value`` calls on D and the offsets W = t U of its last, and
+    the radii t = |W| and final bracket [lo, hi] of the bisection per ray."""
+    from types import SimpleNamespace
+
+    from invmet import metrics
+    from invmet.domains import AffineImage
+    from invmet.sampling import SampleStream, root_directions
+
+    D, xD = (d.inner, d.map_inv(x)) if isinstance(d, AffineImage) else (d, x)
+    calls, value = [], D.distance_value
+    D.distance_value = lambda x, w: calls.append(w) or value(x, w)
+    try:
+        ball = metrics.distance_ball_sample(d, x, r, count, seed=seed,
+                                            convention=convention)
+    finally:
+        del D.distance_value
+    U = root_directions(seed, count, D.dim)
+    targets = metrics._shell_targets(SampleStream(seed).fork(1), count,
+                                     r / metrics.distance_scale(convention))
+    hi = D.section_distance_paired(xD[None, :], U) * (1.0 - 1e-12)
+    lo = np.zeros(count)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = value(xD, mid[:, None] * U) < targets
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return SimpleNamespace(ball=ball, D=D, xD=xD, U=U, targets=targets, calls=len(calls),
+                           W=calls[-1], t=np.linalg.norm(calls[-1], axis=1), lo=lo, hi=hi)

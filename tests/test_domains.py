@@ -437,6 +437,21 @@ def test_ball_closed_forms_keep_their_bits_across_row_blocks():
         assert np.array_equal(paired(x, V), three_rows)
 
 
+def test_ball_paired_rows_keep_their_bits_in_any_stack():
+    """With a point row per direction row, 9,000 rows in C^2 span three
+    blocks of ``_ROW_BLOCK`` rows, and their products are past the 256 KiB at
+    which numpy reuses a temporary conj(P) in place: each row's metric and
+    section distance are its one-row call's, bit for bit."""
+    d = UnitBall(2)
+    stream = SampleStream(23)
+    rows = 9000
+    P = stream.unit_directions(rows, 2) * stream.uniform(rows, 0.0, 0.95)[:, None]
+    V = stream.unit_directions(rows, 2) * stream.uniform(rows, 0.2, 2.0)[:, None]
+    for paired in (d.metric_paired, d.section_distance_paired):
+        one_row = [paired(P[i:i + 1], V[i:i + 1])[0] for i in range(rows)]
+        assert np.array_equal(paired(P, V), one_row)
+
+
 @pytest.mark.parametrize("coeffs", [[[1, 0], [1, 1]], [[1e6, 0], [1e6, 1e-11]],
                                     [[1, 0], [0, 1], [1, 1j]]],
                          ids=["product", "near-dependent", "three-faces"])

@@ -3,7 +3,8 @@
 No module imports another module's private ``_`` names, and ``metrics`` sees
 the domain kinds only through the oracle protocol of ``Domain`` (plus the
 ``AffineImage`` pull-back of ``distance_ball_sample``).  Importing the package
-and its command line loads no scipy: the two scipy users import it lazily.
+and its command line loads no scipy: its one user, the vertex bodies of
+``convexbox``, imports it lazily.
 """
 
 import ast

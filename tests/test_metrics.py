@@ -29,9 +29,12 @@ from invmet.domains import (
     BalancedConvex,
     ConvexPolyhedron,
 )
+from invmet import metrics
 from invmet.metrics import indicatrix_gauge_upper, kobayashi_metric_values
+from invmet.sampling import root_directions
 from invmet.zoo import affine_twin, model_twins, twin_map
 
+from conftest import ball_against_bisection
 from test_domains import GAUGE_TWINS, _gauge_twin
 
 
@@ -278,6 +281,70 @@ def test_distance_ball_respects_convention(ball2):
     assert r_pap < r_std
     assert r_std <= math.tanh(0.5) + 1e-9
     assert r_pap <= math.tanh(0.25) + 1e-9
+
+
+@pytest.mark.parametrize("name", ["disc", "polydisc2", "ball2"])
+def test_distance_ball_radii_at_the_centre(name):
+    """At x = 0 each ray's radius is tanh(T) / g(u), g the gauge, within the
+    few ulps a row may step down.  There a product's Re(conj(f(x)) f_lin(u)),
+    whose sign picks the root's form, is a signed zero, -0.0 on some
+    polydisc rays."""
+    d = zoo_domain(name)
+    x = np.zeros(d.dim, dtype=complex)
+    got = ball_against_bisection(d, x, 0.8, 400, 5)
+    if name == "polydisc2":
+        assert np.signbit((d.face_values(x).conj() * (got.U @ d.coeffs.T)).real).any()
+    np.testing.assert_allclose(got.t, np.tanh(got.targets) / d.gauge(got.U), rtol=1e-14)
+    assert np.all(np.abs(got.t - got.lo) <= 1e-12 * got.lo + (got.hi - got.lo))
+    assert np.all(got.ball.distance_upper < got.targets)
+
+
+@pytest.mark.parametrize("name", ["disc", "polydisc2", "ball2", "halfplane", "three_face"])
+def test_distance_ball_zero_targets_give_the_centre(name, monkeypatch):
+    """A row whose target is 0 gets the centre with distance 0, on the
+    closed-form radii as on the quadrature; the other rows move off it."""
+    shell = metrics._shell_targets
+    zero = np.arange(30) % 3 == 0
+    monkeypatch.setattr(metrics, "_shell_targets",
+                        lambda *a: np.where(zero, 0.0, shell(*a)))
+    d = zoo_domain(name)
+    x = d.basepoint + 0.1
+    ball = distance_ball_sample(d, x, 0.5, 30, seed=2)
+    assert np.array_equal(ball.points[zero], np.broadcast_to(x, (10, d.dim)))
+    assert np.all(ball.distance_upper[zero] == 0.0)
+    assert np.all(ball.distance_upper[~zero] > 0.0)
+    if name != "three_face":
+        assert np.all(d.distance_radii(x, root_directions(2, 30, d.dim), np.zeros(30)) == 0.0)
+
+
+@pytest.mark.parametrize("name", ["disc", "polydisc2", "ball2", "halfplane"])
+def test_distance_ball_at_a_large_radius_stops_inside_the_section(name):
+    """At r = 25 tanh rounds most targets to 1, whose roots lie on the
+    boundary, where a product's face distances read 0: those radii stop at
+    the section distance times 1 - 1e-12, and every point stays interior
+    with a distance below r."""
+    d = zoo_domain(name)
+    x = d.basepoint + 0.1
+    got = ball_against_bisection(d, x, 25.0, 200, 9)
+    sec = d.section_distance_paired(x[None, :], got.U)
+    clamped = np.tanh(got.targets) == 1.0
+    assert clamped.sum() > 100
+    np.testing.assert_allclose(got.t[clamped], sec[clamped] * (1.0 - 1e-12), rtol=1e-15)
+    assert np.all(got.t < sec)
+    assert np.all(np.abs(got.t - got.lo) <= 1e-12 * got.lo + (got.hi - got.lo))
+    assert np.all(d.contains_margins(got.ball.points) > 0)
+    assert np.all((got.ball.distance_upper > 0) & (got.ball.distance_upper < 25.0))
+
+
+@pytest.mark.parametrize("name", ["polydisc2", "ball2", "halfplane", "sheared_polydisc",
+                                  "turned_ball"])
+def test_model_ball_costs_at_most_4_distance_calls(name):
+    """A 2000-point ball takes its radii in closed form: one distance_value
+    call checks them, and the few rows rounding leaves at their targets step
+    down in at most three more (61 calls with 60 bisection steps)."""
+    d = zoo_domain(name)
+    for r in (0.3, 1.5):
+        assert 1 <= ball_against_bisection(d, d.basepoint + 0.1, r, 2000, 4).calls <= 4
 
 
 def test_indicatrix_radii_bracket_model(pd2):

@@ -4,8 +4,9 @@ the unit ball; certified supporting half-spaces of gauge bodies, which must
 contain the body; random polyhedra, whose closed-form distance uppers must
 lie inside quadrature sandwiches and agree across affine images, whose
 face-table oracles must agree with the drawn faces taken one by one, and whose
-face-disc brackets stay ordered as faces are dropped; and products of discs
-and half-planes, which answer in closed form."""
+face-disc brackets stay ordered as faces are dropped; products of discs
+and half-planes, which answer in closed form; and distance balls on kinds
+with a closed-form distance, whose radii must meet the bisection's."""
 
 import math
 
@@ -15,11 +16,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invmet import AffineMap, SampleStream, UnitBall, kobayashi_distance, kobayashi_metric
-from invmet.domains import AffineImage, BalancedConvex, ConvexPolyhedron, Polydisc
-from invmet.metrics import indicatrix_gauge_upper
+from invmet.domains import (AffineImage, BalancedConvex, ConvexPolyhedron, HalfPlaneProduct,
+                            Polydisc)
+from invmet.metrics import distance_scale, indicatrix_gauge_upper
 from invmet.zoo import affine_twin
 
-from conftest import segment_sandwich
+from conftest import ball_against_bisection, segment_sandwich
 from test_domains import _counted_body
 
 RTOL = 1e-9
@@ -325,3 +327,44 @@ def test_product_tables_answer_in_closed_form(table, seed):
         for x, y in zip(P[:8], P[8:16]):
             assert kobayashi_distance(image, x, y).value == pytest.approx(
                 kobayashi_distance(d, x, y).value, rel=1e-12)
+
+
+@st.composite
+def closed_form_balls(draw):
+    """(d, x): a product table (modulus, real or mixed faces), a ball or a
+    half-plane product, or the affine twin of one, with a drawn interior
+    point x."""
+    kind = draw(st.sampled_from(["table", "ball", "upper", "left"]))
+    if kind == "table":
+        d = draw(product_tables())[0]
+    else:
+        dim = draw(st.integers(1, 3))
+        d = UnitBall(dim) if kind == "ball" else HalfPlaneProduct(dim, kind)
+    x = d.basepoint + draw(st.floats(0.0, 0.9)) * _complex_array(draw, (d.dim,))
+    assume(d.contains(x) > 0)
+    if draw(st.booleans()):
+        d = affine_twin(d)
+        x = d.map(x)
+    return d, x
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(closed_form_balls(), st.one_of(st.floats(0.05, 3.0), st.just(25.0)),
+       st.sampled_from(["standard", "paper"]), st.integers(0, 2 ** 16))
+def test_distance_ball_points_meet_the_bisection(case, r, convention, seed):
+    """Every point is interior with its distance upper bound below its ray's
+    target, that bound is the closed-form distance at the point's offset, and
+    each ray's radius is the 60-step bisection's within 1e-12 relative, past
+    the bisection's own final bracket.  At r = 25 tanh rounds the larger
+    targets to 1, and the radius stops just inside the section."""
+    d, x = case
+    got = ball_against_bisection(d, x, r, 48, seed, convention)
+    ball, scale = got.ball, distance_scale(convention)
+    assert len(ball) == 48
+    assert np.all(d.contains_margins(ball.points) > 0)
+    assert np.all(ball.distance_upper < got.targets * scale)
+    assert np.all(ball.distance_upper < r)
+    np.testing.assert_array_equal(ball.distance_upper, got.D.distance_value(got.xD, got.W) * scale)
+    points = got.xD + got.W
+    np.testing.assert_array_equal(ball.points, d.map(points) if got.D is not d else points)
+    assert np.all(np.abs(got.t - got.lo) <= 1e-12 * got.lo + (got.hi - got.lo))
