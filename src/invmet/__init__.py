@@ -39,12 +39,12 @@ from .domains import (
     BalancedConvex,
     ConvexPolyhedron,
     Domain,
-    HalfPlaneProduct,
-    Polydisc,
     UnitBall,
     convexity_witness,
+    halfplane_product,
     load_domain,
     model_automorphism,
+    polydisc,
 )
 from .metrics import (
     CONVENTIONS,

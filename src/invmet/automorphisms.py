@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import cvector
-from .errors import DegenerateInputError, NotInteriorError, SingularMapError
+from .errors import NotInteriorError, SingularMapError
 
 
 class Mobius1D:
@@ -40,20 +40,13 @@ class Mobius1D:
         return m2.compose(m1)
 
     @classmethod
-    def halfplane_move(cls, frm, to, orientation: str = "upper") -> "Mobius1D":
-        """Real-affine automorphism of a half-plane sending frm to to."""
+    def halfplane_move(cls, frm, to) -> "Mobius1D":
+        """Real-affine automorphism of Re z < 0 sending frm to to."""
         frm, to = complex(frm), complex(to)
-        if orientation == "upper":
-            if frm.imag <= 0 or to.imag <= 0:
-                raise NotInteriorError("points must lie in the upper half-plane")
-            s = to.imag / frm.imag
-            return cls(s, to.real - s * frm.real, 0, 1)
-        if orientation == "left":
-            if frm.real >= 0 or to.real >= 0:
-                raise NotInteriorError("points must lie in the left half-plane")
-            s = to.real / frm.real
-            return cls(s, 1j * (to.imag - s * frm.imag), 0, 1)
-        raise DegenerateInputError(f"unknown orientation {orientation!r}")
+        if frm.real >= 0 or to.real >= 0:
+            raise NotInteriorError("points must lie in the left half-plane")
+        s = to.real / frm.real
+        return cls(s, 1j * (to.imag - s * frm.imag), 0, 1)
 
     @classmethod
     def cayley_factor(cls) -> "Mobius1D":

@@ -29,7 +29,7 @@ import numpy as np
 from . import config
 from .automorphisms import ComponentwiseMap, ComposedMap, Mobius1D, cayley
 from .core import AffineMap, CLinearMap, cvector
-from .domains import ConvexPolyhedron, Domain, Polydisc, UnitBall, model_automorphism
+from .domains import ConvexPolyhedron, Domain, model_automorphism, polydisc, same_model
 from .errors import (
     CertificateError,
     DegenerateInputError,
@@ -177,10 +177,7 @@ def squeeze_lower_bound(d: Domain, x, model: Domain, embedding=None, *,
     if embedding not in (None, "automorphism"):
         raise DegenerateInputError(f"unknown embedding {embedding!r}")
     if embedding == "automorphism":
-        same_ball = isinstance(d, UnitBall) and isinstance(model, UnitBall)
-        same_poly = (isinstance(d, Polydisc) and isinstance(model, Polydisc)
-                     and np.array_equal(d.radii, model.radii))
-        if not (same_ball or same_poly):
+        if not same_model(d, model):
             raise UnsupportedKindError(
                 "automorphism embedding needs the domain to be the model")
         phi = model_automorphism(d, x, d.basepoint)
@@ -360,7 +357,7 @@ def polyhedral_pipeline(d: ConvexPolyhedron, q, x) -> SqueezeCertificate:
             if hi - lo < config.INNER_BISECT_TOL:
                 break
     return SqueezeCertificate(
-        d, Polydisc(np.ones(n)), x, float(lo), 1.0, forward, inverse,
+        d, polydisc(np.ones(n)), x, float(lo), 1.0, forward, inverse,
         "half-space normalization -> componentwise Cayley -> disc automorphism",
         notes={
             "inner_method": "bisection on exact per-face disc arithmetic",
@@ -436,5 +433,4 @@ def asymptotics_sweep(d: ConvexPolyhedron, q, steps: int = 12, *,
         ratio = cert.ratio
         rows.append(SweepRow(k, float(np.linalg.norm(xk - q)), cert.inner_r,
                              cert.outer_R, ratio, ratio ** 2))
-    name = getattr(d, "name", "") or type(d).__name__
-    return SweepReport(name, q, rows, threshold)
+    return SweepReport(d.label, q, rows, threshold)

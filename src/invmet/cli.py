@@ -34,13 +34,7 @@ import numpy as np
 
 from . import config
 from .circularity import asymptotics_sweep, circularity_lower_bound, squeeze_lower_bound
-from .domains import (
-    AutomorphismFamily,
-    HalfPlaneProduct,
-    Polydisc,
-    UnitBall,
-    load_cvector,
-)
+from .domains import AutomorphismFamily, UnitBall, load_cvector, polydisc
 from .errors import (
     CertificateError,
     EvaluationError,
@@ -166,17 +160,8 @@ def cmd_indicatrix(args) -> int:
     return 0
 
 
-_FAMILY_KINDS = {"ball": UnitBall, "polydisc": Polydisc,
-                 "halfplane": HalfPlaneProduct}
-
-
 def cmd_scale_audit(args) -> int:
     d = resolve_domain(args.domain)
-    kind = _FAMILY_KINDS[args.family]
-    if not isinstance(d, kind):
-        raise SpecLoadError(
-            f"{args.family} needs a {kind.__name__} domain, "
-            f"got {type(d).__name__}", "--family")
     target = _parse_vector(args.target, "--target")
     fam = AutomorphismFamily(d, target)
     report = equivalence_audit(d, fam, d.basepoint,
@@ -224,7 +209,7 @@ def cmd_boxlemma_stress(args) -> int:
 def cmd_dominate(args) -> int:
     d = resolve_domain(args.domain)
     radii = _radii_list(args.radii, "--radii")
-    if isinstance(d, HalfPlaneProduct):
+    if d.is_product and not d.modulus_count:
         profile = verify_halfplane_domination(HALFPLANE_HEIGHTS, radii,
                                               args.samples, seed=args.seed,
                                               convention=args.convention)
@@ -256,10 +241,7 @@ def cmd_dominate(args) -> int:
 def cmd_squeeze_cert(args) -> int:
     d = resolve_domain(args.domain)
     x = _parse_vector(args.at, "--at")
-    if args.model == "ball":
-        model = UnitBall(d.dim)
-    else:
-        model = Polydisc(np.ones(d.dim))
+    model = UnitBall(d.dim) if args.model == "ball" else polydisc(np.ones(d.dim))
     cert = squeeze_lower_bound(d, x, model, seed=args.seed)
     check = cert.validate(args.samples, seed=args.seed + 1)
     cb = circularity_lower_bound(d, x, [cert])
@@ -381,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     scale_sub = p.add_subparsers(dest="subcommand", required=True)
     pa = _command(scale_sub, "audit", "cmd_scale_audit",
                   "tau vs A^-1 sigma along a schedule", "domain seed tol out")
-    pa.add_argument("--family", choices=sorted(_FAMILY_KINDS), required=True)
     pa.add_argument("--target", required=True)
     pa.add_argument("--steps", type=int, default=20)
     pa.add_argument("--grid", type=int, default=100)

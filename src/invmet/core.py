@@ -71,10 +71,6 @@ class CLinearMap:
     def identity(cls, n: int) -> "CLinearMap":
         return cls(np.eye(n, dtype=complex))
 
-    @classmethod
-    def diagonal(cls, entries) -> "CLinearMap":
-        return cls(np.diag(np.asarray(entries, dtype=complex)))
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -117,10 +113,6 @@ class AffineMap:
             raise DimensionMismatchError("translation length does not match matrix size")
         self.linear = linear
         self.translation = t
-
-    @classmethod
-    def identity(cls, n: int) -> "AffineMap":
-        return cls(CLinearMap.identity(n), np.zeros(n, dtype=complex))
 
     @classmethod
     def translation_by(cls, t) -> "AffineMap":

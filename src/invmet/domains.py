@@ -2,20 +2,19 @@
 
 Kinds: the unit ball; the convex polyhedron, one face table of modulus faces
 |f(z)| < c and real faces Re f(z) < b built from its arrays
-(``ConvexPolyhedron``); the polydisc and the half-plane product (upper or
-left), face tables that add only their identity, samplers and squeeze-model
-oracles; balanced convex bodies given by a gauge; and affine images of any of
-these.
+(``ConvexPolyhedron``), of which the polydisc and the half-plane product
+(``polydisc``, ``halfplane_product``) are instances built without checks;
+balanced convex bodies given by a gauge; and affine images of any of these.
 
 Every face table's metric lower side projects onto its faces: z -> f_k(z) / c_k
 maps the body into the unit disc, so by the decreasing property
 K(x; v) >= c |f_lin v| / (c^2 - |f(x)|^2) on a modulus face, and a real face
 gives its half-plane's metric.  A table of n faces with independent rows is a
-product of discs and half-planes (the polydisc and the half-plane product
-are), where by the product property the maximum over faces is the metric and
-the largest face distance the distance: it answers both sides, its metric
-form and its distance in closed form.  Any other table shrinks that lower side
-by a relative allowance of 4 eps (see ``ConvexPolyhedron``).
+product of discs and half-planes, where by the product property the maximum
+over faces is the metric and the largest face distance the distance: it
+answers both sides, its metric form and its distance in closed form, and has
+an exact sampler and automorphisms in its face coordinates w = f(z).  Any
+other table shrinks that lower side by 4 eps relative (``ConvexPolyhedron``).
 
 Every domain carries a declared bounding radius and an interior base point.
 Membership returns a signed gauge-like margin (positive inside). Directions and
@@ -54,7 +53,9 @@ V):
 * ``interior_samples(count, stream)``: ``count`` interior points drawn from
   ``stream``;
 * for the squeeze radii, ``inner_radius_exact(x, model)`` on the domain, and
-  ``linear_sup(coeffs)`` and ``outer_radius_bound(domain, x)`` on the model.
+  ``linear_sup(coeffs)`` and ``outer_radius_bound(domain, x)`` on the model;
+* ``automorphism(frm, to)``: one of the domain sending frm to to, on the
+  ball and on products (checked by ``model_automorphism``).
 
 Every distance takes a segment as its start x and offset w, so a separation
 far below the rounding of x's coordinates survives.
@@ -78,6 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
+from .automorphisms import ComponentwiseMap, ComposedMap, Mobius1D, ball_move
 from .core import AffineMap, CLinearMap, cvector
 from .errors import (
     DegenerateInputError,
@@ -116,6 +118,12 @@ class Domain:
     basepoint: np.ndarray
     # the method tag of a bracket's lower side where the kind has no closed form
     lower_method: str
+    is_product = False  # a table of n independent faces (``ConvexPolyhedron``)
+
+    @property
+    def label(self) -> str:
+        """The domain's name, else its kind."""
+        return getattr(self, "name", "") or type(self).__name__
 
     # -- membership -------------------------------------------------------
     def contains(self, z) -> float:
@@ -186,6 +194,11 @@ class Domain:
         with its method tag."""
         raise UnsupportedKindError(
             f"no certified outer radius for model {type(self).__name__}")
+
+    def automorphism(self, frm, to):
+        """An automorphism of the domain sending the interior point ``frm`` to
+        ``to``, with exact derivatives (``model_automorphism`` checks both)."""
+        raise UnsupportedKindError(f"no automorphism model for {self.label}")
 
     # -- the other closed forms and the distance's lower side ---------------
     def distance_value(self, x, y):
@@ -308,11 +321,13 @@ class UnitBall(Domain):
         return self._in_row_blocks(self._section_rows, P, V)
 
     def inner_radius_exact(self, x, model):
+        """1 - |x| for the ball as model.  For a model with ``linear_sup``, the
+        root r > 0 of sum (|x_a| + r R_a)^2 = 1, R_a = sup |w_a| over it: a
+        lower bound, as |x_a + r w_a| <= |x_a| + r R_a, exact on a polydisc."""
         if isinstance(model, UnitBall):
             return float(1.0 - np.linalg.norm(x))
-        if isinstance(model, Polydisc):
-            # solve sum (|x_a| + r R_a)^2 = 1 for the positive root
-            R = model.radii
+        R = model.linear_sup(np.eye(self.dim))
+        if R is not None:
             a = float(R @ R)
             b = float(np.abs(x) @ R)
             c = float(np.linalg.norm(x) ** 2 - 1.0)
@@ -352,6 +367,9 @@ class UnitBall(Domain):
         v = np.asarray(v, dtype=complex)
         return np.linalg.norm(v, axis=-1)
 
+    def automorphism(self, frm, to):
+        return ball_move(frm, to)
+
     def interior_samples(self, count, stream: SampleStream):
         u = stream.unit_directions(count, self.dim)
         # radius ~ t^{1/2n} gives the uniform volume law on the 2n-real-dim ball
@@ -384,7 +402,9 @@ class ConvexPolyhedron(Domain):
     ``is_product``: a table of n faces with independent rows is an affine
     product of discs and half-planes, whose metric is the maximum over faces,
     so ``metric_paired``, both sides of ``bracket_paired``, ``metric_form``
-    and ``distance_value`` answer from the face formulas in closed form.  On
+    and ``distance_value`` answer from the face formulas in closed form; in
+    the face coordinates w = F(z), a polydisc times half-planes, it samples,
+    moves points and, balanced, serves the squeeze as a model.  On
     any other table each modulus face's B is (1 - 4 eps) / c, which divides
     its value by 1 + 4 eps s / (2 - s), s = S / c.  A face's value is
     rate / S / (2 - s) against the upper side's at least rate / S, so the two
@@ -713,6 +733,45 @@ class ConvexPolyhedron(Domain):
             return None
         return float(np.min(self.slacks(x) / S))
 
+    @property
+    def _balanced_product(self):
+        return self.is_product and self.modulus_count == self.dim and not self.consts.any()
+
+    def linear_sup(self, coeffs):
+        """On a balanced product, |C coeffs^-1| @ bounds, as w = coeffs^-1 u
+        with u over the polydisc |u_k| <= bounds[k]; else None."""
+        if self._balanced_product:
+            return np.abs(coeffs @ np.linalg.inv(self.coeffs)) @ self.bounds
+        return None
+
+    def outer_radius_bound(self, domain, x):
+        """On a balanced product, max_k |a_k| @ (cb + |x|) / bounds[k] with
+        a_k = coeffs[k] and cb the domain's ``coordinate_bounds``, which bounds
+        |a_k . (z - x)| / bounds[k] over the domain."""
+        cb = domain.coordinate_bounds()
+        if cb is None or not self._balanced_product:
+            return super().outer_radius_bound(domain, x)
+        return (float(np.max((np.abs(self.coeffs) @ (cb + np.abs(x))) / self.bounds)),
+                "coordinate-bounds")
+
+    def automorphism(self, frm, to):
+        """On a product, A^-1 psi A, A the face map z -> F(z) and psi the
+        componentwise move of each face's disc |w| < c or half-plane
+        Re w < b (the left half-plane's, shifted by b)."""
+        if not self.is_product:
+            return super().automorphism(frm, to)
+        A = AffineMap(self.coeffs, self.consts)
+        p, q = A(frm), A(to)
+        psi = []
+        for k, b in enumerate(self.bounds):
+            if k < self.modulus_count:
+                psi.append(Mobius1D.disc_move(p[k], q[k], b))
+            else:
+                shift = Mobius1D(1.0, b, 0.0, 1.0)
+                move = Mobius1D.halfplane_move(p[k] - b, q[k] - b)
+                psi.append(shift.compose(move).compose(shift.inverse()))
+        return ComposedMap([A, ComponentwiseMap(psi), A.inverse()])
+
     def coordinate_bounds(self):
         """Per-coordinate sup |z_alpha| upper bounds from the const-0 modulus
         faces on a single coordinate, or None on an unbounded table."""
@@ -734,6 +793,20 @@ class ConvexPolyhedron(Domain):
         return np.max(np.abs(v @ self.coeffs.T) / self.bounds, axis=-1)
 
     def interior_samples(self, count, stream: SampleStream):
+        """On a product, drawn in the face coordinates and mapped back by one
+        solve: phase * sqrt(U) * c on a modulus face (uniform on its disc),
+        b - e^U(-2, 2) + i tan U(-1.2, 1.2) on a real face.  Otherwise
+        rejection from the box of ``coordinate_bounds``."""
+        if self.is_product:
+            mc, real = self.modulus_count, (count, self.dim - self.modulus_count)
+            W = np.empty((count, self.dim), dtype=complex)
+            if mc:
+                ph = stream.phases((count, mc))
+                W[:, :mc] = ph * np.sqrt(stream.uniform((count, mc))) * self.bounds[:mc]
+            if real[1]:
+                h = np.exp(stream.uniform(real, -2.0, 2.0))
+                W[:, mc:] = self.bounds[mc:] - h + 1j * np.tan(stream.uniform(real, -1.2, 1.2))
+            return np.linalg.solve(self.coeffs, (W - self.consts).T).T
         cb = self.coordinate_bounds()
         if cb is None:
             raise DegenerateInputError("interior sampling needs a bounded polyhedron")
@@ -836,66 +909,6 @@ def _disc_antiderivative(u, R, q):
         size = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
     zero = u == 0
     return np.where(zero, 0.0, F), np.where(zero, 0.0, size)
-
-
-class Polydisc(ConvexPolyhedron):
-    """The polydisc |z_k| < radii[k]: the product face table of rows e_k,
-    modulus bounds ``radii`` and consts 0, which answers its metric and
-    distance in closed form, with exact interior samples added and, as a
-    squeeze model, ``linear_sup`` and ``outer_radius_bound``."""
-
-    def __init__(self, radii):
-        radii = np.asarray(radii, dtype=float)
-        if radii.ndim != 1 or radii.size < 1 or (radii <= 0).any():
-            raise DegenerateInputError("radii must be positive")
-        n = radii.size
-        # positive radii make the table valid and 0 interior
-        self._fill(np.eye(n, dtype=complex), np.zeros(n, dtype=complex), radii, n,
-                   np.ones(n), np.linalg.norm(radii), np.zeros(n, dtype=complex), "",
-                   product=True)
-        self.radii = radii
-
-    def linear_sup(self, coeffs):
-        return np.abs(coeffs) @ self.radii
-
-    def outer_radius_bound(self, domain, x):
-        cb = domain.coordinate_bounds()
-        if cb is None:
-            return super().outer_radius_bound(domain, x)
-        return float(np.max((cb + np.abs(x)) / self.radii)), "coordinate-bounds"
-
-    def interior_samples(self, count, stream: SampleStream):
-        ph = stream.phases((count, self.dim))
-        t = np.sqrt(stream.uniform((count, self.dim)))
-        return ph * t * self.radii[None, :]
-
-
-class HalfPlaneProduct(ConvexPolyhedron):
-    """Product of half-planes Im z_k > 0 ("upper") or Re z_k < 0 ("left"): the
-    product face table of real rows i e_k or e_k with bounds 0, which answers
-    its metric and distance in closed form, with interior samples added.
-    Unbounded but hyperbolic: the bounding radius is infinite, so it has no
-    gauge and no coordinate bounds."""
-
-    def __init__(self, dim: int, orientation: str = "upper"):
-        if orientation not in ("upper", "left"):
-            raise DegenerateInputError(f"unknown orientation {orientation!r}")
-        if dim < 1:
-            raise DimensionMismatchError("dim must be >= 1")
-        n = int(dim)
-        upper = orientation == "upper"
-        # unit rows make the table valid, and the basepoint is interior
-        self._fill(np.eye(n, dtype=complex) * (1j if upper else 1.0),
-                   np.zeros(n, dtype=complex), np.zeros(n), 0, np.ones(n), np.inf,
-                   np.full(n, 1j) if upper else -np.ones(n, dtype=complex), "",
-                   product=True)
-        self.orientation = orientation
-
-    def interior_samples(self, count, stream: SampleStream):
-        # heights log-uniform in [e^-2, e^2], offsets Cauchy-ish via tan
-        h = np.exp(stream.uniform((count, self.dim), -2.0, 2.0))
-        off = np.tan(stream.uniform((count, self.dim), -1.2, 1.2))
-        return off + 1j * h if self.orientation == "upper" else -h + 1j * off
 
 
 # Rows of a polyhedron bracket taken together: a block's slacks and rates are
@@ -1312,6 +1325,51 @@ class AffineImage(Domain):
         return self.map(self.inner.interior_samples(count, stream))
 
 
+def _product_table(coeffs, bounds, modulus_count, bounding_radius, basepoint, name):
+    """A product of unit rows and consts 0, without the constructor's checks:
+    its builder's input checks keep the table valid and the basepoint inside."""
+    d, n = object.__new__(ConvexPolyhedron), len(bounds)
+    d._fill(coeffs, np.zeros(n, dtype=complex), bounds, modulus_count, np.ones(n),
+            bounding_radius, basepoint, name, product=True)
+    return d
+
+
+def polydisc(radii) -> ConvexPolyhedron:
+    """The polydisc |z_k| < radii[k]: modulus rows e_k, consts 0."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or radii.size < 1 or (radii <= 0).any():
+        raise DegenerateInputError("radii must be positive")
+    n = radii.size
+    return _product_table(np.eye(n, dtype=complex), radii, n, np.linalg.norm(radii),
+                          np.zeros(n, dtype=complex), "polydisc")
+
+
+def halfplane_product(dim: int, orientation: str = "upper") -> ConvexPolyhedron:
+    """The product of half-planes Im z_k > 0 ("upper") or Re z_k < 0
+    ("left"): real rows i e_k or e_k, bounds 0.  Unbounded, so it has no
+    gauge and no coordinate bounds."""
+    if orientation not in ("upper", "left"):
+        raise DegenerateInputError(f"unknown orientation {orientation!r}")
+    if dim < 1:
+        raise DimensionMismatchError("dim must be >= 1")
+    n = int(dim)
+    upper = orientation == "upper"
+    return _product_table(np.eye(n, dtype=complex) * (1j if upper else 1.0), np.zeros(n),
+                          0, np.inf, np.full(n, 1j) if upper else -np.ones(n, dtype=complex),
+                          "halfplane")
+
+
+def same_model(a: Domain, b: Domain) -> bool:
+    """Whether a and b are one model: unit balls of one dimension, or face
+    tables with equal arrays."""
+    if isinstance(a, UnitBall) and isinstance(b, UnitBall):
+        return a.dim == b.dim
+    if isinstance(a, ConvexPolyhedron) and isinstance(b, ConvexPolyhedron):
+        return a.modulus_count == b.modulus_count and all(
+            np.array_equal(getattr(a, k), getattr(b, k)) for k in ("coeffs", "consts", "bounds"))
+    return False
+
+
 def balanced_polyhedron(coeffs, scales, dim: int, name: str = "") -> ConvexPolyhedron:
     """The balanced body max_k |c_k . z| / s_k < 1, as const-0 modulus faces.
 
@@ -1338,26 +1396,12 @@ def convexity_witness(domain: Domain, samples: int = config.CONVEXITY_WITNESS_SA
 
 def model_automorphism(domain: Domain, frm, to):
     """Automorphism of a model domain sending ``frm`` to ``to``, with exact
-    derivatives; raises UnsupportedKindError off the model kinds."""
-    from .automorphisms import ComponentwiseMap, Mobius1D, ball_move
-
-    frm = cvector(frm)
-    to = cvector(to)
+    derivatives (``Domain.automorphism``); raises UnsupportedKindError on a
+    kind without one."""
+    frm, to = cvector(frm), cvector(to)
     domain.require_interior(frm, "source point")
     domain.require_interior(to, "target point")
-    if isinstance(domain, UnitBall):
-        phi = ball_move(frm, to)
-    elif isinstance(domain, Polydisc):
-        phi = ComponentwiseMap([
-            Mobius1D.disc_move(frm[k], to[k], domain.radii[k])
-            for k in range(domain.dim)])
-    elif isinstance(domain, HalfPlaneProduct):
-        phi = ComponentwiseMap([
-            Mobius1D.halfplane_move(frm[k], to[k], domain.orientation)
-            for k in range(domain.dim)])
-    else:
-        raise UnsupportedKindError(
-            f"no automorphism model for {type(domain).__name__}")
+    phi = domain.automorphism(frm, to)
     err = np.linalg.norm(phi(frm) - to)
     if err > config.AUTOMORPHISM_MAP_TOL:
         raise SingularMapError(f"automorphism misses its target by {err:.3e}")
@@ -1457,14 +1501,13 @@ def _domain_from_dict(obj, loc) -> Domain:
                                     f"{p}radii")
         else:
             radii = [1.0] * _require(obj, "dim", f"{p}dim", int)
-        return Polydisc(radii)
+        return polydisc(radii)
     if kind == "halfplane":
         dim = _require(obj, "dim", f"{p}dim", int)
-        orientation = obj.get("orientation", "upper")
-        if orientation not in ("upper", "left"):
-            raise SpecLoadError("orientation must be 'upper' or 'left'",
-                                f"{p}orientation")
-        return HalfPlaneProduct(dim, orientation)
+        try:
+            return halfplane_product(dim, obj.get("orientation", "upper"))
+        except DegenerateInputError as exc:
+            raise SpecLoadError(str(exc), f"{p}orientation")
     if kind == "polyhedron":
         dim = _require(obj, "dim", f"{p}dim", int)
         faces_obj = _require(obj, "faces", f"{p}faces", list)

@@ -180,8 +180,7 @@ def verify_convex_domination(d: Domain, x_values, r_values,
     Ball points carry distance upper bounds < r; gauges are metric upper
     bounds.  Both overestimates point the same way, so a pass is sound.
     """
-    name = getattr(d, "name", "") or type(d).__name__
-    profile = DominationProfile(name, convention, 2.0, tolerance=tol)
+    profile = DominationProfile(d.label, convention, 2.0, tolerance=tol)
     stream = SampleStream(seed)
     for i, x in enumerate(x_values):
         x = cvector(x)
@@ -251,5 +250,4 @@ def normal_family_witness(d: Domain, family, p, r: float, schedule,
         gauges = indicatrix_gauge_upper(d, p, images)
         rows.append(NormalFamilyRow(float(t), float(np.max(gauges)), bound,
                                     len(ball)))
-    name = getattr(d, "name", "") or type(d).__name__
-    return NormalFamilyReport(name, float(r), convention, rows)
+    return NormalFamilyReport(d.label, float(r), convention, rows)

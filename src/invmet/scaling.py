@@ -306,9 +306,7 @@ def equivalence_audit(d: Domain, family, p, schedule, *,
             dphi=J, frame_values=frame.values, frame_directions=frame.directions,
             A=A, singular_values=svals, det_abs=float(abs(np.linalg.det(A))),
             sup_grid_diff=sup))
-    name = getattr(d, "name", "") or type(d).__name__
-    return ScalingReport(name, records, grid.shape[0], seed,
-                         time.monotonic() - start)
+    return ScalingReport(d.label, records, grid.shape[0], seed, time.monotonic() - start)
 
 
 @dataclass(frozen=True)

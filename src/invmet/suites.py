@@ -35,7 +35,7 @@ from .convexbox import (
     slope_check,
 )
 from .core import cvector
-from .domains import AutomorphismFamily, Polydisc, model_automorphism
+from .domains import AutomorphismFamily, model_automorphism, polydisc
 from .domination import HALFPLANE_HEIGHTS, verify_convex_domination, verify_halfplane_domination
 from .errors import LemmaViolationError
 from .metrics import CONVENTIONS, kobayashi_metric
@@ -424,7 +424,7 @@ def run_squeeze_suite(seed: int = 0,
                              "R": cert.outer_R, "validated": chk.passed,
                              "c_bound": cb.bound})
 
-    model2 = Polydisc([1.0, 1.0])
+    model2 = polydisc([1.0, 1.0])
     add("three_face", zoo_domain("three_face"), [0j, 0j], model2, None,
         extra_ok=lambda c, b: (abs(c.inner_r - 0.75) <= config.SHARPNESS_TOL
                                and abs(c.outer_R - 1.0) <= config.SHARPNESS_TOL))

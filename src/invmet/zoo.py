@@ -17,11 +17,11 @@ from .domains import (
     BalancedConvex,
     ConvexPolyhedron,
     Domain,
-    HalfPlaneProduct,
-    Polydisc,
     UnitBall,
     balanced_polyhedron,
+    halfplane_product,
     load_domain,
+    polydisc,
 )
 from .errors import SpecLoadError
 
@@ -32,12 +32,8 @@ def three_face_polyhedron() -> ConvexPolyhedron:
                             3, np.sqrt(2.0), name="three-face")
 
 
-def polydisc_as_polyhedron(radii) -> ConvexPolyhedron:
-    """The polydisc presented through its modulus faces |z_k| < r_k, a
-    product table that answers in closed form as ``Polydisc`` does."""
-    radii = np.asarray(radii, dtype=float)
-    return ConvexPolyhedron(np.eye(radii.size), np.zeros(radii.size), radii, radii.size,
-                            np.linalg.norm(radii), name="polydisc-faces")
+# the polydisc through its modulus faces, the table the corner sweep runs on
+polydisc_as_polyhedron = polydisc
 
 
 def balanced_two_face() -> ConvexPolyhedron:
@@ -64,13 +60,13 @@ def affine_twin(d: Domain) -> AffineImage:
 
 
 _BUILDERS = {
-    "disc": lambda: Polydisc([1.0]),
-    "polydisc2": lambda: Polydisc([1.0, 1.0]),
+    "disc": lambda: polydisc([1.0]),
+    "polydisc2": lambda: polydisc([1.0, 1.0]),
     "ball2": lambda: UnitBall(2),
-    "halfplane": lambda: HalfPlaneProduct(1, "upper"),
+    "halfplane": lambda: halfplane_product(1, "upper"),
     "three_face": three_face_polyhedron,
     "balanced": balanced_two_face,
-    "sheared_polydisc": lambda: affine_twin(Polydisc([1.0, 1.0])),
+    "sheared_polydisc": lambda: affine_twin(polydisc([1.0, 1.0])),
     "turned_ball": lambda: affine_twin(UnitBall(2)),
 }
 

@@ -14,9 +14,9 @@ import pytest
 
 from invmet import (
     AutomorphismFamily,
-    HalfPlaneProduct,
     asymptotics_sweep,
     barth_check,
+    halfplane_product,
     kobayashi_metric,
     lambda_halfplane,
     model_automorphism,
@@ -43,7 +43,7 @@ def _report(n: int, ok: bool, wall: float, budget: float, detail: str):
 def test_criterion_1_metric_sandwich():
     t0 = time.monotonic()
     res = run_metric_suite(seed=0, triples=10_000)
-    pin = kobayashi_metric(HalfPlaneProduct(1), [1j], [1])
+    pin = kobayashi_metric(halfplane_product(1), [1j], [1])
     wall = time.monotonic() - t0
     ok = res.passed and pin.value == 0.5 and pin.width == 0.0
     _report(1, ok, wall, 60,

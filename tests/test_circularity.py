@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from invmet import (
-    Polydisc,
     UnitBall,
     asymptotics_sweep,
     barth_check,
     circularity_lower_bound,
     config,
+    polydisc,
     polyhedral_pipeline,
     squeeze_lower_bound,
     zoo_domain,
@@ -38,7 +38,7 @@ def test_barth_vanishes_at_the_centre_of_balanced_polyhedra(three_face):
 
 
 def test_three_face_identity_certificate(three_face):
-    cert = squeeze_lower_bound(three_face, [0, 0], Polydisc([1.0, 1.0]))
+    cert = squeeze_lower_bound(three_face, [0, 0], polydisc([1.0, 1.0]))
     assert cert.inner_r == pytest.approx(0.75, abs=1e-12)
     assert cert.outer_R == pytest.approx(1.0, abs=1e-12)
     assert cert.ratio == pytest.approx(0.75, abs=1e-12)
@@ -51,7 +51,7 @@ def test_three_face_identity_certificate(three_face):
 
 
 def test_polydisc_identity_certificate_is_tight(pd2):
-    cert = squeeze_lower_bound(pd2, [0, 0], Polydisc([1.0, 1.0]))
+    cert = squeeze_lower_bound(pd2, [0, 0], polydisc([1.0, 1.0]))
     assert cert.ratio == pytest.approx(1.0, abs=1e-12)
     assert cert.validate(1000, seed=1).passed
 
@@ -62,19 +62,36 @@ def test_automorphism_certificate_reaches_ratio_one(ball2):
     assert cert.inner_r == cert.outer_R == 1.0
     assert cert.validate(1500, seed=2).passed
     with pytest.raises(UnsupportedKindError):
-        squeeze_lower_bound(ball2, x, Polydisc([1.0, 1.0]), embedding="automorphism")
+        squeeze_lower_bound(ball2, x, polydisc([1.0, 1.0]), embedding="automorphism")
+
+
+def test_balanced_products_are_squeeze_models(three_face):
+    """A balanced product through two faces is a model like the polydisc:
+    it embeds itself by its automorphism at ratio 1, and bounds another body
+    by its face arithmetic."""
+    d = balanced_two_face()
+    x = np.array([0.3 + 0j, -0.2j])
+    cert = squeeze_lower_bound(d, x, balanced_two_face(), embedding="automorphism")
+    assert cert.ratio == 1.0
+    assert cert.validate(1500, seed=2).passed
+    with pytest.raises(UnsupportedKindError):
+        squeeze_lower_bound(d, x, polydisc([1.0, 1.0]), embedding="automorphism")
+    cert = squeeze_lower_bound(three_face, [0.1, 0.2j], d)
+    assert cert.notes == {"inner_method": "closed-form", "outer_method": "coordinate-bounds"}
+    assert 0 < cert.ratio < 1
+    assert cert.validate(1500, seed=3).passed
 
 
 def test_balanced_identity_certificate():
     d = balanced_two_face()
-    cert = squeeze_lower_bound(d, np.zeros(2, complex), Polydisc([1.0, 1.0]))
+    cert = squeeze_lower_bound(d, np.zeros(2, complex), polydisc([1.0, 1.0]))
     assert 0 < cert.ratio <= 1
     assert cert.validate(1500, seed=4).passed
 
 
 def test_certificate_rejects_inconsistent_radii(pd2):
     with pytest.raises(CertificateError):
-        SqueezeCertificate(pd2, Polydisc([1.0, 1.0]), np.zeros(2, complex),
+        SqueezeCertificate(pd2, polydisc([1.0, 1.0]), np.zeros(2, complex),
                            inner_r=0.9, outer_R=0.5, forward=None, inverse=None,
                            description="bad")
 
@@ -84,11 +101,11 @@ def test_circularity_bound_center_identity_and_max_semantics(three_face):
     assert cb0.bound == 1.0
     assert "circular center" in cb0.provenance
     x = np.array([0.2 + 0j, -0.1 + 0j])
-    cert = squeeze_lower_bound(three_face, x, Polydisc([1.0, 1.0]))
+    cert = squeeze_lower_bound(three_face, x, polydisc([1.0, 1.0]))
     cb1 = circularity_lower_bound(three_face, x, [cert])
     assert cb1.bound >= cert.ratio ** 2 - 1e-12
     # adding a weaker certificate can only help
-    weak = SqueezeCertificate(three_face, Polydisc([1.0, 1.0]), x,
+    weak = SqueezeCertificate(three_face, polydisc([1.0, 1.0]), x,
                               inner_r=0.01 * cert.inner_r, outer_R=cert.outer_R,
                               forward=cert.forward, inverse=cert.inverse,
                               description="deliberately slack")

@@ -106,18 +106,25 @@ def test_indicatrix_csv_artifact(capsys, tmp_path, polydisc2_file):
     assert len(lines) == 2 + 16
 
 
-def test_scale_audit_pass_and_family_mismatch(capsys, tmp_path):
+def test_scale_audit_pass_and_no_automorphisms(capsys, tmp_path):
+    """The domain decides its automorphisms: the ball and a polydisc pass,
+    and a table that is not a product is bad input."""
     out_file = tmp_path / "audit.json"
     code, out, _ = run(capsys, "scale", "audit", "--domain", "ball2",
-                       "--family", "ball", "--target", "[1,0]",
+                       "--target", "[1,0]",
                        "--steps", "4", "--grid", "20", "--out", str(out_file))
     assert code == 0
     assert "PASS" in out
     assert json.loads(out_file.read_text())["summary"]["bounded"] is True
-    code, _, err = run(capsys, "scale", "audit", "--domain", "ball2",
-                       "--family", "polydisc", "--target", "[1,0]")
+    code, out, _ = run(capsys, "scale", "audit", "--domain", "polydisc2",
+                       "--target", "[1,1]", "--steps", "4", "--grid", "20",
+                       "--out", str(out_file))
+    assert code == 0 and "PASS" in out
+    assert json.loads(out_file.read_text())["domain"] == "polydisc"
+    code, _, err = run(capsys, "scale", "audit", "--domain", "three_face",
+                       "--target", "[1,0]")
     assert code == 2
-    assert err.startswith("error: --family:")
+    assert err == "error: no automorphism model for three-face\n"
 
 
 def test_boxlemma_stress_csv(capsys, tmp_path):
@@ -145,6 +152,11 @@ def test_dominate_halfplane_profile(capsys, tmp_path):
     assert payload["seed"] == 0
     assert payload["profile"]["passed"] is True
     assert len(payload["profile"]["cells"]) == 6
+    # any product of half-planes alone takes the half-plane check
+    code, out, _ = run(capsys, "dominate", "--radii", "0.25", "--samples", "64",
+                       "--domain", '{"kind": "halfplane", "dim": 2, "orientation": "left"}')
+    assert code == 0
+    assert json.loads(out[:out.rindex("}") + 1])["method"] == "apollonius-exact"
 
 
 def test_dominate_convex_inline_points(capsys):
@@ -155,6 +167,7 @@ def test_dominate_convex_inline_points(capsys):
     payload = json.loads(out[:out.rindex("}") + 1])
     assert payload["method"] == "certified-sampling"
     assert payload["profile"]["passed"] is True
+    assert payload["profile"]["domain"] == "polydisc"
 
 
 def test_dominate_rejects_bad_radii(capsys):

@@ -9,17 +9,17 @@ from invmet import (
     AffineMap,
     AutomorphismFamily,
     CLinearMap,
-    HalfPlaneProduct,
-    Polydisc,
     SampleStream,
     UnitBall,
     config,
     convexity_witness,
     distance_ball_sample,
+    halfplane_product,
     kobayashi_distance,
     kobayashi_metric,
     load_domain,
     model_automorphism,
+    polydisc,
     zoo_domain,
     zoo_names,
 )
@@ -57,7 +57,7 @@ def _gauge_balanced():
 
 
 def test_polydisc_membership_and_section():
-    d = Polydisc([1.0, 2.0])
+    d = polydisc([1.0, 2.0])
     assert d.contains([0.5, 1.0]) > 0
     assert d.contains([1.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
     assert d.contains([1.5, 0.0]) < 0
@@ -76,7 +76,7 @@ def test_unit_ball_membership_and_gauge():
 
 
 def test_halfplane_membership_requires_positive_height():
-    d = HalfPlaneProduct(2)
+    d = halfplane_product(2)
     assert d.contains([1j, 2 + 1j]) > 0
     assert d.contains([1j, 1.0]) <= 0
     with pytest.raises(NotInteriorError):
@@ -84,7 +84,7 @@ def test_halfplane_membership_requires_positive_height():
 
 
 def test_dimension_mismatch_raises():
-    d = Polydisc([1.0, 1.0])
+    d = polydisc([1.0, 1.0])
     with pytest.raises(DimensionMismatchError):
         d.contains([0.1])
 
@@ -120,12 +120,12 @@ def test_half_plane_product_is_an_unbounded_face_table():
     """Im z_k > 0 as the real rows i e_k: no coordinate bounds, and the
     exact inner radius of a model centred at x is its least height over the
     model's reach along e_k."""
-    d = HalfPlaneProduct(2)
+    d = halfplane_product(2)
     x = np.array([0.3 + 0.5j, 2j])
     assert isinstance(d, ConvexPolyhedron) and d.coordinate_bounds() is None
     assert d.inner_radius_exact(x, UnitBall(2)) == 0.5
-    assert d.inner_radius_exact(x, Polydisc([1.0, 8.0])) == 0.25
-    left = HalfPlaneProduct(1, "left")
+    assert d.inner_radius_exact(x, polydisc([1.0, 8.0])) == 0.25
+    left = halfplane_product(1, "left")
     assert left.contains([-2.0 + 5j]) == 2.0 and left.contains([0.1]) < 0
 
 
@@ -218,6 +218,106 @@ def test_model_automorphism_rejects_polyhedra(three_face):
         model_automorphism(three_face, np.zeros(2, complex), np.zeros(2, complex))
 
 
+def _disc_times_half_plane():
+    """|z_1 + 0.5 z_2 + 0.1| < 1.5 times Re(0.3 z_1 + (1 + 0.5i) z_2 + 0.2i) < 0.7,
+    unbounded, a product whose real face has a nonzero bound."""
+    return ConvexPolyhedron([[1.0, 0.5], [0.3, 1.0 + 0.5j]], [0.1, 0.2j], [1.5, 0.7], 1,
+                            np.inf)
+
+
+def _face_condition(d, Z):
+    """max_k (|F_k(z)| + |bounds[k]|) / min_k slack_k(z) per point: the
+    factor by which a face formula at z scales a relative rounding."""
+    F = d.face_values(Z)
+    return (np.abs(F) + np.abs(d.bounds)).max(axis=-1) / d.slacks(Z).min(axis=-1)
+
+
+@pytest.mark.parametrize("make", [lambda: zoo_domain("balanced"), _disc_times_half_plane],
+                         ids=["balanced", "disc-x-half-plane"])
+def test_product_automorphisms_are_isometries(make):
+    """On a product through its faces, A^-1 psi A sends frm to to, keeps
+    interior points inside, and preserves the closed-form metric:
+    K(phi(x); phi'(x) v) = K(x; v), to 1e-12 relative on moves between the
+    basepoint and points halfway to the samples.  Moves between samples can
+    push images to within 1e-5 of the boundary, where the face formulas
+    round by eps times ``_face_condition``, and are held to 8 eps times the
+    conditions at x, phi(x), frm and to."""
+    d = make()
+    assert d.is_product
+    base = d.basepoint
+    P = d.interior_samples(4, SampleStream(11))
+    Z = d.interior_samples(200, SampleStream(12))
+    V = SampleStream(13).unit_directions(200, 2)
+    half = base + 0.5 * (P - base)
+    moves = [(base, half[0], 1e-12), (half[1], base, 1e-12), (half[2], half[3], 1e-12),
+             (P[0], P[1], None), (P[2], P[3], None)]
+    for frm, to, rtol in moves:
+        phi = model_automorphism(d, frm, to)
+        np.testing.assert_allclose(phi(frm), to, rtol=0, atol=1e-12 * (1 + np.abs(to).max()))
+        W = phi(Z)
+        assert d.contains_margins(W).min() > 0
+        DV = np.stack([phi.derivative(z) @ v for z, v in zip(Z, V)])
+        K = d.metric_paired(Z, V)
+        err = np.abs(d.metric_paired(W, DV) - K) / K
+        if rtol is None:
+            ends = _face_condition(d, np.stack([frm, to])).sum()
+            rtol = 8 * np.finfo(float).eps * (_face_condition(d, Z) + _face_condition(d, W) + ends)
+        assert np.all(err <= rtol), err.max()
+        np.testing.assert_allclose(phi.inverse()(W), Z, rtol=0, atol=1e-12 * (1 + np.abs(Z).max()))
+
+
+def test_product_sampler_draws_the_model_formulas():
+    """In face coordinates a product draws phases * sqrt(U) * c on a modulus
+    face and b - e^U + i tan U on a real face: on the polydisc and the two
+    half-plane products these are their coordinates, bit for bit."""
+    s = SampleStream(3)
+    ph = s.phases((300, 2))
+    expect = ph * np.sqrt(s.uniform((300, 2))) * np.array([1.0, 0.7])[None, :]
+    assert polydisc([1.0, 0.7]).interior_samples(300, SampleStream(3)).tobytes() == expect.tobytes()
+    s = SampleStream(4)
+    h = np.exp(s.uniform((300, 2), -2.0, 2.0))
+    off = np.tan(s.uniform((300, 2), -1.2, 1.2))
+    for orientation, expect in (("upper", off + 1j * h), ("left", -h + 1j * off)):
+        got = halfplane_product(2, orientation).interior_samples(300, SampleStream(4))
+        assert got.tobytes() == expect.tobytes()
+    # a product with nonzero consts and bounds, which no box contains, draws
+    # its modulus face first
+    d = _disc_times_half_plane()
+    assert d.coordinate_bounds() is None
+    Z = d.interior_samples(200, SampleStream(5))
+    assert_inside(d, Z)
+    s = SampleStream(5)
+    ph = s.phases((200, 1))
+    W = np.hstack([ph * np.sqrt(s.uniform((200, 1))) * 1.5,
+                   d.bounds[1] - np.exp(s.uniform((200, 1), -2.0, 2.0))
+                   + 1j * np.tan(s.uniform((200, 1), -1.2, 1.2))])
+    np.testing.assert_allclose(d.face_values(Z), W, rtol=1e-13, atol=1e-14)
+
+
+def test_balanced_products_serve_as_squeeze_models():
+    """On a balanced product, sup |c . w| over the closed body is
+    |c coeffs^-1| @ bounds, attained with the phases aligned; the ball's
+    inner radius reads it as each coordinate's reach, exact on a polydisc."""
+    d = zoo_domain("balanced")
+    C = np.array([[1.0, 2.0j], [0.3 - 0.1j, 1.0]])
+    sup = d.linear_sup(C)
+    A = np.linalg.inv(d.coeffs)
+    U = SampleStream(6).phases((4000, 2)) * d.bounds          # the torus |u_k| = c_k
+    assert np.abs((U @ A.T) @ C.T).max(axis=0).max() <= sup.max() * (1 + 1e-12)
+    for c, s in zip(C, sup):
+        w = A @ (np.exp(-1j * np.angle(c @ A)) * d.bounds)    # on the boundary torus
+        assert d.gauge(w) == pytest.approx(1.0, rel=1e-14)
+        assert abs(c @ w) == pytest.approx(s, rel=1e-14)
+    assert UnitBall(2).inner_radius_exact(np.zeros(2), polydisc([1.0, 1.0])) == 2 ** -0.5
+    x = np.array([0.2, 0.1j])
+    r = UnitBall(2).inner_radius_exact(x, d)
+    W = d.interior_samples(4000, SampleStream(7))
+    assert UnitBall(2).contains_margins(x + r * W).min() > 0
+    # tables that are not balanced products are no models
+    assert zoo_domain("three_face").linear_sup(C) is None
+    assert _disc_times_half_plane().linear_sup(C) is None
+
+
 def test_automorphism_family_schedule(ball2):
     fam = AutomorphismFamily(ball2, np.array([1.0 + 0j, 0j]))
     np.testing.assert_allclose(fam.point_at(0.0), ball2.basepoint, atol=1e-15)
@@ -228,7 +328,7 @@ def test_automorphism_family_schedule(ball2):
 
 def test_load_domain_from_file_and_dict(polydisc2_file, three_face_file):
     d = load_domain(str(polydisc2_file))
-    assert isinstance(d, Polydisc) and d.dim == 2
+    assert d.is_product and d.label == "polydisc" and d.dim == 2
     t = load_domain(str(three_face_file))
     assert t.dim == 2 and t.contains([0.2, -0.3]) > 0
     b = load_domain({"kind": "ball", "dim": 3})
@@ -826,7 +926,8 @@ def _tangent_half_plane_distance(d, x, y):
 @pytest.mark.parametrize("make,exact", [
     (lambda: zoo_domain("three_face"), None),
     (lambda: affine_twin(zoo_domain("three_face")), None),
-    (lambda: polydisc_as_polyhedron([1.0, 0.7]), Polydisc([1.0, 0.7])),
+    (lambda: polydisc_as_polyhedron([1.0, 0.7]),
+     ConvexPolyhedron(np.eye(2), np.zeros(2), [1.0, 0.7], 2, np.linalg.norm([1.0, 0.7]))),
     (lambda: _random_polyhedron(0), None),
     (lambda: _random_polyhedron(2, 3, 3, 2), None),
 ], ids=["three_face", "three_face-twin", "polydisc-faces", "random-0", "random-C3"])
@@ -843,7 +944,7 @@ def test_polyhedron_distance_lower_bound_dominates_the_half_space_bound(make, ex
         if exact is not None:
             assert lower == pytest.approx(exact.distance_value(x, y - x), rel=1e-14)
     if exact is not None:
-        # the table read from the faces answers as the polydisc, bit for bit
+        # the unchecked fill answers as the checked table, bit for bit
         V = d.interior_samples(16, SampleStream(42))
         for oracle in ("contains_margins", "gauge"):
             np.testing.assert_array_equal(getattr(d, oracle)(P), getattr(exact, oracle)(P))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from invmet import (
-    HalfPlaneProduct,
     apollonius_disc,
+    halfplane_product,
     kobayashi_distance,
     lambda_halfplane,
     normal_family_witness,
@@ -37,7 +37,7 @@ def test_lambda_linearizes_for_small_radii():
 
 
 def test_apollonius_disc_is_the_distance_ball():
-    hp = HalfPlaneProduct(1)
+    hp = halfplane_product(1)
     for b in (0.1, 1.0, 10.0):
         for r in (0.25, 1.0):
             c, rho = apollonius_disc(b, r)

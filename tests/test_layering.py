@@ -2,7 +2,9 @@
 
 No module imports another module's private ``_`` names, and ``metrics`` sees
 the domain kinds only through the oracle protocol of ``Domain`` (plus the
-``AffineImage`` pull-back of ``distance_ball_sample``).  Importing the package
+``AffineImage`` pull-back of ``distance_ball_sample``).  Outside ``domains``
+no code asks which kind a domain is, but for that pull-back and the input
+guard of the corner pipeline.  Importing the package
 and its command line loads no scipy: its one user, the vertex bodies of
 ``convexbox``, imports it lazily.
 """
@@ -48,3 +50,42 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]", out
+
+
+def _domain_kinds():
+    """``Domain`` and every class of ``domains`` derived from it."""
+    tree = ast.parse((PACKAGE / "domains.py").read_text())
+    kinds, grew = {"Domain"}, True
+    while grew:
+        found = {node.name for node in tree.body if isinstance(node, ast.ClassDef)
+                 and any(isinstance(b, ast.Name) and b.id in kinds for b in node.bases)}
+        grew = not found <= kinds
+        kinds |= found
+    return kinds
+
+
+def _kind_tests(path, kinds):
+    """(innermost enclosing function, kind) for each ``isinstance(_, kind)``
+    in the file."""
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            arg = node.args[1]
+            for name in (arg.elts if isinstance(arg, ast.Tuple) else [arg]):
+                if isinstance(name, ast.Name) and name.id in kinds:
+                    yield fn, name.id
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, fn)
+
+    yield from visit(ast.parse(path.read_text(), str(path)), "<module>")
+
+
+def test_only_domains_asks_a_domain_its_kind():
+    kinds = _domain_kinds()
+    assert {"UnitBall", "ConvexPolyhedron", "AffineImage", "BalancedConvex"} <= kinds
+    sites = {(path.stem, fn, kind) for path in MODULES if path.stem != "domains"
+             for fn, kind in _kind_tests(path, kinds)}
+    assert sites == {("metrics", "distance_ball_sample", "AffineImage"),
+                     ("circularity", "polyhedral_pipeline", "ConvexPolyhedron")}, sorted(sites)

@@ -8,18 +8,18 @@ import numpy as np
 import pytest
 
 from invmet import (
-    HalfPlaneProduct,
-    Polydisc,
     SampleStream,
     UnitBall,
     barth_check,
     distance_ball_sample,
     distance_scale,
+    halfplane_product,
     indicatrix,
     indicatrix_volume,
     kobayashi_distance,
     kobayashi_metric,
     config,
+    polydisc,
     write_indicatrix_csv,
     zoo_domain,
     zoo_names,
@@ -44,7 +44,7 @@ def test_polydisc_metric_closed_form(pd2):
     assert b.value == pytest.approx(1.0 / (1.0 - 0.81), abs=1e-15)
     assert b.lower_method == "closed-form"
     # max over components, weighted by the radii
-    d = Polydisc([1.0, 2.0])
+    d = polydisc([1.0, 2.0])
     b2 = kobayashi_metric(d, [0, 0], [1, 1])
     assert b2.value == pytest.approx(1.0, abs=1e-15)
 
@@ -58,7 +58,7 @@ def test_ball_metric_closed_form(ball2):
 
 
 def test_halfplane_metric_pin():
-    hp = HalfPlaneProduct(1)
+    hp = halfplane_product(1)
     b = kobayashi_metric(hp, [1j], [1])
     assert b.value == 0.5 and b.width == 0.0
 
@@ -141,8 +141,8 @@ def test_sandwich_holds_across_the_zoo():
 
 
 def test_larger_domain_has_smaller_metric():
-    small = Polydisc([1.0, 1.0])
-    big = Polydisc([2.0, 2.0])
+    small = polydisc([1.0, 1.0])
+    big = polydisc([2.0, 2.0])
     x = np.array([0.3 + 0.1j, 0.2j])
     v = np.array([1.0, 0.5j])
     P, V = x[None, :], v[None, :]
@@ -157,7 +157,7 @@ def test_distance_closed_forms_and_conventions(pd2, ball2):
     assert d2.value == pytest.approx(2 * math.atanh(1 / 3), abs=1e-15)
     db = kobayashi_distance(ball2, [0, 0], [0.5, 0])
     assert db.value == pytest.approx(math.atanh(0.5), rel=1e-12)
-    hp = HalfPlaneProduct(1)
+    hp = halfplane_product(1)
     dh = kobayashi_distance(hp, [1j], [2j])
     assert dh.value == pytest.approx(math.atanh(1 / 3), rel=1e-12)
 

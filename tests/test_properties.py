@@ -16,8 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invmet import AffineMap, SampleStream, UnitBall, kobayashi_distance, kobayashi_metric
-from invmet.domains import (AffineImage, BalancedConvex, ConvexPolyhedron, HalfPlaneProduct,
-                            Polydisc)
+from invmet.domains import (AffineImage, BalancedConvex, ConvexPolyhedron, halfplane_product,
+                            polydisc)
 from invmet.metrics import distance_scale, indicatrix_gauge_upper
 from invmet.zoo import affine_twin
 
@@ -322,7 +322,7 @@ def test_product_tables_answer_in_closed_form(table, seed):
     if modulus.all():
         # {|G z| < c}, G z = coeffs z + consts, is G^-1 of the polydisc of radii c
         Finv = np.linalg.inv(d.coeffs)
-        image = AffineImage(Polydisc(d.bounds), AffineMap(Finv, -Finv @ d.consts))
+        image = AffineImage(polydisc(d.bounds), AffineMap(Finv, -Finv @ d.consts))
         np.testing.assert_allclose(image.metric_paired(P, V), exact, rtol=1e-12)
         for x, y in zip(P[:8], P[8:16]):
             assert kobayashi_distance(image, x, y).value == pytest.approx(
@@ -339,7 +339,7 @@ def closed_form_balls(draw):
         d = draw(product_tables())[0]
     else:
         dim = draw(st.integers(1, 3))
-        d = UnitBall(dim) if kind == "ball" else HalfPlaneProduct(dim, kind)
+        d = UnitBall(dim) if kind == "ball" else halfplane_product(dim, kind)
     x = d.basepoint + draw(st.floats(0.0, 0.9)) * _complex_array(draw, (d.dim,))
     assume(d.contains(x) > 0)
     if draw(st.booleans()):

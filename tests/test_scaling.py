@@ -8,12 +8,12 @@ from invmet import (
     AffineMap,
     AutomorphismFamily,
     CLinearMap,
-    Polydisc,
     SampleStream,
     default_schedule,
     equivalence_audit,
     frankel_tau,
     model_automorphism,
+    polydisc,
     stretching_frame,
     volume_jacobian_check,
     zoo_domain,
@@ -43,7 +43,7 @@ def test_stretching_frame_at_ball_center(ball2):
 
 
 def test_stretching_frame_orders_values():
-    d = Polydisc([1.0, 2.0])
+    d = polydisc([1.0, 2.0])
     fr = stretching_frame(d, [0, 0])
     # K(0; e1) = 1 dominates K(0; e2) = 1/2
     assert fr.values[0] == pytest.approx(1.0, rel=1e-6)
