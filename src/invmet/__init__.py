@@ -29,7 +29,6 @@ from .sampling import SampleStream
 from .automorphisms import (
     ComponentwiseMap,
     ComposedMap,
-    IdentityMap,
     Mobius1D,
     cayley,
 )
@@ -63,7 +62,6 @@ from .metrics import (
 )
 from .scaling import (
     JacobianVolumeReport,
-    ScalingMap,
     ScalingRecord,
     ScalingReport,
     StretchingFrame,

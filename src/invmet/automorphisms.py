@@ -40,13 +40,15 @@ class Mobius1D:
         return m2.compose(m1)
 
     @classmethod
-    def halfplane_move(cls, frm, to) -> "Mobius1D":
-        """Real-affine automorphism of Re z < 0 sending frm to to."""
+    def halfplane_move(cls, frm, to, bound: float = 0.0) -> "Mobius1D":
+        """Real-affine automorphism of Re z < bound sending frm to to:
+        z -> s z + bound (1 - s) + i (Im to - s Im frm), with
+        s = (Re to - bound) / (Re frm - bound)."""
         frm, to = complex(frm), complex(to)
-        if frm.real >= 0 or to.real >= 0:
-            raise NotInteriorError("points must lie in the left half-plane")
-        s = to.real / frm.real
-        return cls(s, 1j * (to.imag - s * frm.imag), 0, 1)
+        if frm.real >= bound or to.real >= bound:
+            raise NotInteriorError("points must lie in the half-plane")
+        s = (to.real - bound) / (frm.real - bound)
+        return cls(s, bound * (1.0 - s) + 1j * (to.imag - s * frm.imag), 0, 1)
 
     @classmethod
     def cayley_factor(cls) -> "Mobius1D":
@@ -133,22 +135,6 @@ class ComponentwiseMap:
         return ComponentwiseMap([f.inverse() for f in self.factors])
 
 
-class IdentityMap:
-    __slots__ = ("dim",)
-
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def __call__(self, z):
-        return np.asarray(z, dtype=complex).copy()
-
-    def derivative(self, z):
-        return np.eye(self.dim, dtype=complex)
-
-    def inverse(self) -> "IdentityMap":
-        return self
-
-
 class BallMobius:
     """The classical involutive automorphism phi_a of the unit ball, phi_a(a) = 0.
 
@@ -229,10 +215,8 @@ class ComposedMap:
 
 def ball_move(frm, to):
     """Automorphism of the unit ball sending ``frm`` to ``to``: phi_to o
-    phi_frm, through 0, or the identity when both are 0."""
-    frm, to = cvector(frm), cvector(to)
-    if not np.any(frm) and not np.any(to):
-        return IdentityMap(frm.size)
+    phi_frm, through 0.  As phi_0(z) = -z, the move from 0 to 0 is exactly
+    z, with derivative exactly I."""
     return ComposedMap([BallMobius(frm), BallMobius(to)])
 
 

@@ -172,20 +172,19 @@ def orthonormal_complement_basis(vectors, dim: int | None = None):
     return [canonical_phase(u[:, j]) for j in range(k, n)]
 
 
-def _as_batch_callable(f):
-    """Wrap f so it accepts an (N, n) stack of directions, row-wise if needed."""
-
-    def batched(V):
-        V = np.asarray(V, dtype=complex)
-        try:
-            out = np.asarray(f(V), dtype=float)
-            if out.shape == (V.shape[0],):
-                return out
-        except Exception:
-            pass
-        return np.array([float(f(v)) for v in V], dtype=float)
-
-    return batched
+def call_rowwise(f, V):
+    """f's value on each row of a stack V of shape (..., n), of shape
+    V.shape[:-1]: the whole stack in one call when f answers that shape,
+    else one call per row."""
+    V = np.asarray(V, dtype=complex)
+    try:
+        out = np.asarray(f(V), dtype=float)
+        if out.shape == V.shape[:-1]:
+            return out
+    except Exception:
+        pass
+    rows = V.reshape(-1, V.shape[-1])
+    return np.array([float(f(row)) for row in rows], dtype=float).reshape(V.shape[:-1])
 
 
 def pattern_search(g, x0):
@@ -251,10 +250,9 @@ def maximize_on_unit_sphere(f, basis=None, dim: int | None = None, *, seed: int 
     gram = B.conj().T @ B
     if np.max(np.abs(gram - np.eye(m))) > 1e-8:
         raise DegenerateInputError("subspace basis must be orthonormal")
-    fb = _as_batch_callable(f)
     if m == 1:
         b = B[:, 0]
-        val = float(_require_finite(fb(b[None, :]), b[None, :])[0])
+        val = float(_require_finite(call_rowwise(f, b[None, :]), b[None, :])[0])
         return canonical_phase(b), val
 
     coarse = config.SPHERE_COARSE_BASE * (4 ** max(0, m - 3))
@@ -264,7 +262,7 @@ def maximize_on_unit_sphere(f, basis=None, dim: int | None = None, *, seed: int 
     C = np.vstack([np.eye(m, dtype=complex), C])
     C /= np.linalg.norm(C, axis=1, keepdims=True)
     V = C @ B.T
-    vals = _require_finite(fb(V), V)
+    vals = _require_finite(call_rowwise(f, V), V)
 
     best = float(vals.max())
     band = abs(best) * config.SPHERE_TIE_BAND + config.SPHERE_TIE_BAND
@@ -283,7 +281,7 @@ def maximize_on_unit_sphere(f, basis=None, dim: int | None = None, *, seed: int 
 
     def objective(X):
         W = chart(X)
-        return _require_finite(fb(W), W)
+        return _require_finite(call_rowwise(f, W), W)
 
     x, val = pattern_search(objective, np.concatenate([C[start].real, C[start].imag]))
     if val > coarse_val:

@@ -54,8 +54,9 @@ V):
   ``stream``;
 * for the squeeze radii, ``inner_radius_exact(x, model)`` on the domain, and
   ``linear_sup(coeffs)`` and ``outer_radius_bound(domain, x)`` on the model;
-* ``automorphism(frm, to)``: one of the domain sending frm to to, on the
-  ball and on products (checked by ``model_automorphism``).
+* ``automorphism(frm, to)``: one of the domain sending frm to to, a
+  ``ComposedMap`` with exact derivatives, on the ball, on products and on
+  their affine images (checked by ``model_automorphism``).
 
 Every distance takes a segment as its start x and offset w, so a separation
 far below the rounding of x's coordinates survives.
@@ -80,7 +81,7 @@ import numpy as np
 
 from . import config
 from .automorphisms import ComponentwiseMap, ComposedMap, Mobius1D, ball_move
-from .core import AffineMap, CLinearMap, cvector
+from .core import AffineMap, CLinearMap, call_rowwise, cvector
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -757,19 +758,14 @@ class ConvexPolyhedron(Domain):
     def automorphism(self, frm, to):
         """On a product, A^-1 psi A, A the face map z -> F(z) and psi the
         componentwise move of each face's disc |w| < c or half-plane
-        Re w < b (the left half-plane's, shifted by b)."""
+        Re w < b."""
         if not self.is_product:
             return super().automorphism(frm, to)
         A = AffineMap(self.coeffs, self.consts)
         p, q = A(frm), A(to)
-        psi = []
-        for k, b in enumerate(self.bounds):
-            if k < self.modulus_count:
-                psi.append(Mobius1D.disc_move(p[k], q[k], b))
-            else:
-                shift = Mobius1D(1.0, b, 0.0, 1.0)
-                move = Mobius1D.halfplane_move(p[k] - b, q[k] - b)
-                psi.append(shift.compose(move).compose(shift.inverse()))
+        mc = self.modulus_count
+        psi = [(Mobius1D.disc_move if k < mc else Mobius1D.halfplane_move)(p[k], q[k], b)
+               for k, b in enumerate(self.bounds)]
         return ComposedMap([A, ComponentwiseMap(psi), A.inverse()])
 
     def coordinate_bounds(self):
@@ -1017,14 +1013,7 @@ class BalancedConvex(Domain):
         v = np.asarray(v, dtype=complex)
         if v.ndim == 1:
             return float(self._gauge(v))
-        try:
-            out = np.asarray(self._gauge(v), dtype=float)
-            if out.shape == v.shape[:-1]:
-                return out
-        except Exception:
-            pass
-        rows = v.reshape(-1, v.shape[-1])
-        return np.array([float(self._gauge(row)) for row in rows]).reshape(v.shape[:-1])
+        return call_rowwise(self._gauge, v)
 
     def contains_margins(self, Z):
         # > 0 exactly when g < 1
@@ -1320,6 +1309,12 @@ class AffineImage(Domain):
             return None
         v = np.asarray(v, dtype=complex)
         return self.inner.gauge(v @ self.map_inv.linear.matrix.T)
+
+    def automorphism(self, frm, to):
+        """T psi T^-1, psi the inner domain's automorphism moving T^-1(frm)
+        to T^-1(to)."""
+        psi = self.inner.automorphism(self.map_inv(frm), self.map_inv(to))
+        return ComposedMap([self.map_inv, psi, self.map])
 
     def interior_samples(self, count, stream: SampleStream):
         return self.map(self.inner.interior_samples(count, stream))

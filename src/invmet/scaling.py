@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
+from .automorphisms import ComposedMap
 from .core import (
     AffineMap,
     CLinearMap,
@@ -142,35 +143,21 @@ def _searched_frame(d: Domain, x, seed: int):
     return np.stack(chosen), np.array(values)
 
 
-@dataclass(frozen=True)
-class ScalingMap:
-    """post o inner, where inner is a holomorphic map with a derivative oracle."""
-
-    inner: object
-    post: AffineMap
-
-    def __call__(self, z):
-        return self.post(self.inner(z))
-
-    def derivative(self, z):
-        return self.post.linear.matrix @ self.inner.derivative(z)
-
-
-def frankel_tau(phi, p) -> ScalingMap:
+def frankel_tau(phi, p) -> ComposedMap:
     """tau = [dphi(p)]^{-1} o (phi(.) - phi(p)); tau(p) = 0, dtau(p) = Id."""
     p = cvector(p)
     J = CLinearMap(np.asarray(phi.derivative(p), dtype=complex))
     Jinv = J.inverse()
     target = Jinv(np.asarray(phi(p), dtype=complex))
-    return ScalingMap(phi, AffineMap(Jinv, -target))
+    return ComposedMap([phi, AffineMap(Jinv, -target)])
 
 
-def indicatrix_sigma(phi, p, frame: StretchingFrame) -> ScalingMap:
+def indicatrix_sigma(phi, p, frame: StretchingFrame) -> ComposedMap:
     """sigma = L o (phi(.) - phi(p)); sigma(p) = 0.  L is the stretching map
     of ``frame``, which the caller computes at phi(p)."""
     q = np.asarray(phi(cvector(p)), dtype=complex)
     L = frame.map
-    return ScalingMap(phi, AffineMap(L, -L(q)))
+    return ComposedMap([phi, AffineMap(L, -L(q))])
 
 
 @dataclass

@@ -107,8 +107,9 @@ def test_indicatrix_csv_artifact(capsys, tmp_path, polydisc2_file):
 
 
 def test_scale_audit_pass_and_no_automorphisms(capsys, tmp_path):
-    """The domain decides its automorphisms: the ball and a polydisc pass,
-    and a table that is not a product is bad input."""
+    """The domain decides its automorphisms: the ball, a polydisc and an
+    affine image of it pass, a target outside the domain and a table that
+    is not a product are bad input."""
     out_file = tmp_path / "audit.json"
     code, out, _ = run(capsys, "scale", "audit", "--domain", "ball2",
                        "--target", "[1,0]",
@@ -121,6 +122,14 @@ def test_scale_audit_pass_and_no_automorphisms(capsys, tmp_path):
                        "--out", str(out_file))
     assert code == 0 and "PASS" in out
     assert json.loads(out_file.read_text())["domain"] == "polydisc"
+    # the polydisc's corner (1, 1) is (1.35 + 0.25i, 1 - 0.05i) in sheared_polydisc
+    code, out, _ = run(capsys, "scale", "audit", "--domain", "sheared_polydisc",
+                       "--target", "[[1.35,0.25],[1.0,-0.05]]", "--steps", "4", "--grid", "20")
+    assert code == 0 and "PASS" in out
+    code, _, err = run(capsys, "scale", "audit", "--domain", "sheared_polydisc",
+                       "--target", "[1,1]")
+    assert code == 2
+    assert err == "error: target point is not in the domain interior\n"
     code, _, err = run(capsys, "scale", "audit", "--domain", "three_face",
                        "--target", "[1,0]")
     assert code == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from invmet import AffineMap, CLinearMap, SampleStream, cvector, zoo_domain
-from invmet.core import canonical_phase, hdot, maximize_on_unit_sphere, norm
+from invmet.core import call_rowwise, canonical_phase, hdot, maximize_on_unit_sphere, norm
 from invmet.core import orthonormal_complement_basis
 from invmet.errors import DimensionMismatchError, EvaluationError, SingularMapError
 from invmet.metrics import kobayashi_metric_values
@@ -15,6 +15,26 @@ def test_cvector_coerces_scalars_and_lists():
     assert v.shape == (1,) and v.dtype == complex
     w = cvector([1, 2j, -3.0])
     np.testing.assert_array_equal(w, np.array([1, 2j, -3.0], dtype=complex))
+
+
+def test_call_rowwise_takes_the_stack_or_each_row_alike():
+    """A callable that answers a stack is called once; one that answers a
+    single row only is called per row; the values agree bit for bit and take
+    the stack's leading shape."""
+    calls = []
+
+    def stacked(v):
+        calls.append(v.shape)
+        return np.abs(v).max(axis=-1)
+
+    def one_row(v):
+        if v.ndim != 1:
+            raise ValueError("one row at a time")
+        return np.abs(v).max()
+
+    V = SampleStream(2).complex_normal((2, 3, 4))
+    assert call_rowwise(stacked, V).tobytes() == call_rowwise(one_row, V).tobytes()
+    assert call_rowwise(one_row, V).shape == (2, 3) and calls == [(2, 3, 4)]
 
 
 def test_cvector_rejects_matrices():

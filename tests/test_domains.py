@@ -24,6 +24,7 @@ from invmet import (
     zoo_names,
 )
 from invmet import domains
+from invmet.automorphisms import Mobius1D, ball_move
 from invmet.domains import (
     AffineImage,
     BalancedConvex,
@@ -264,6 +265,57 @@ def test_product_automorphisms_are_isometries(make):
             rtol = 8 * np.finfo(float).eps * (_face_condition(d, Z) + _face_condition(d, W) + ends)
         assert np.all(err <= rtol), err.max()
         np.testing.assert_allclose(phi.inverse()(W), Z, rtol=0, atol=1e-12 * (1 + np.abs(Z).max()))
+
+
+@pytest.mark.parametrize("name", ["sheared_polydisc", "turned_ball"])
+def test_affine_image_automorphisms_are_isometries(name):
+    """An affine image T(D) moves frm to to by T psi T^-1, psi the inner
+    domain's move of T^-1(frm) to T^-1(to): over 40 random interior pairs
+    it hits its target, its inverse returns, and it keeps the metric,
+    K(phi(frm); phi'(frm) v) = K(frm; v), to 1e-11 relative."""
+    d = zoo_domain(name)
+    P = d.interior_samples(80, SampleStream(21))
+    V = SampleStream(22).unit_directions(40, 2)
+    K = d.metric_paired(P[0::2], V)
+    for frm, to, v, k in zip(P[0::2], P[1::2], V, K):
+        phi = model_automorphism(d, frm, to)
+        np.testing.assert_allclose(phi(frm), to, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(phi.inverse()(to), frm, rtol=0, atol=1e-11)
+        moved = d.metric_paired(phi(frm)[None, :], (phi.derivative(frm) @ v)[None, :])[0]
+        assert abs(moved - k) <= 1e-11 * k
+
+
+def test_ball_move_between_centres_is_the_identity():
+    """phi_0(z) = -z, so the ball's move from 0 to 0 is z and I, bit for bit."""
+    Z = UnitBall(3).interior_samples(50, SampleStream(4))
+    phi = ball_move(np.zeros(3), np.zeros(3))
+    assert np.array_equal(phi(Z), Z)
+    for z in Z[:5]:
+        assert np.array_equal(phi.derivative(z), np.eye(3))
+
+
+def test_halfplane_move_with_bound_zero_keeps_the_left_half_plane_formula():
+    """At bound 0, z -> s z + i (Im to - s Im frm) with s = Re to / Re frm,
+    the coefficients and values bit for bit; at a bound b it sends frm to
+    to in Re z < b and agrees with moving the left half-plane shifted by b."""
+    s = SampleStream(8)
+    frm = -np.exp(s.uniform(20, -2.0, 2.0)) + 1j * s.uniform(20, -3.0, 3.0)
+    to = -np.exp(s.uniform(20, -2.0, 2.0)) + 1j * s.uniform(20, -3.0, 3.0)
+    Z = -np.exp(s.uniform(30, -2.0, 2.0)) + 1j * s.uniform(30, -3.0, 3.0)
+    b = 0.7
+    shift = Mobius1D(1.0, b, 0.0, 1.0)
+    for f, t in zip(frm, to):
+        m = Mobius1D.halfplane_move(f, t)
+        k = t.real / f.real
+        old = Mobius1D(k, 1j * (t.imag - k * f.imag), 0, 1)
+        assert (m.a, m.b, m.c, m.d) == (old.a, old.b, old.c, old.d)
+        assert m(Z).tobytes() == old(Z).tobytes()
+        moved = Mobius1D.halfplane_move(f + b, t + b, b)
+        conj = shift.compose(m).compose(shift.inverse())
+        assert abs(moved(f + b) - (t + b)) <= 1e-14 * (1 + abs(t))
+        np.testing.assert_allclose(moved(Z + b), conj(Z + b), rtol=1e-14, atol=1e-14)
+    with pytest.raises(NotInteriorError):
+        Mobius1D.halfplane_move(0.5, -1.0, 0.5)
 
 
 def test_product_sampler_draws_the_model_formulas():

@@ -30,6 +30,7 @@ from invmet.domains import (
     ConvexPolyhedron,
 )
 from invmet import metrics
+from invmet.errors import NotInteriorError
 from invmet.metrics import indicatrix_gauge_upper, kobayashi_metric_values
 from invmet.sampling import root_directions
 from invmet.zoo import affine_twin, model_twins, twin_map
@@ -254,6 +255,44 @@ def test_distance_reports_its_quadrature_work(three_face, pd2, ball2):
     for d, y in ((pd2, [0.3, 0.1j]), (ball2, [0.5, 0])):
         b = kobayashi_distance(d, [0, 0], y)
         assert (b.nodes, b.converged, b.final_delta) == (0, True, 0.0)
+
+
+@pytest.mark.skipif(not hasattr(np, "trapezoid"), reason="np.trapezoid is numpy >= 2.0")
+def test_trapezoid_sum_is_numpys_on_the_quadrature_grids(three_face):
+    """The quadrature's trapezoid sums, on its grids of 9 to 131,073 nodes
+    and its integrand, are ``np.trapezoid``'s, bit for bit."""
+    x, W = np.zeros(2, dtype=complex), np.array([[0.9, 0.3j]])
+    ts = np.linspace(0.0, 1.0, 9)
+    while ts.size <= 131_073:
+        vals = metrics._ray_metric_upper(three_face, x, W, ts[None, :])[0]
+        assert float(metrics._trapezoid_areas(ts, vals).sum()) == float(np.trapezoid(vals, ts))
+        merged = np.empty(2 * ts.size - 1)
+        merged[0::2], merged[1::2] = ts, 0.5 * (ts[:-1] + ts[1:])
+        ts = merged
+
+
+OUTSIDE = {
+    "ball": lambda: zoo_domain("ball2"),
+    "product-table": lambda: zoo_domain("polydisc2"),
+    "table": lambda: zoo_domain("three_face"),
+    "affine-image": lambda: zoo_domain("sheared_polydisc"),
+    "gauge-body": lambda: _gauge_twin("three_face"),
+}
+
+
+@pytest.mark.parametrize("entry", [
+    lambda d, x: kobayashi_metric(d, x, [1.0, 0.5j]),
+    lambda d, x: indicatrix(d, x, 16),
+    lambda d, x: distance_ball_sample(d, x, 0.5, 16),
+], ids=["kobayashi_metric", "indicatrix", "distance_ball_sample"])
+@pytest.mark.parametrize("make", OUTSIDE.values(), ids=OUTSIDE.keys())
+def test_metric_entry_points_reject_a_point_outside(make, entry):
+    """The oracles behind each entry point check the base point."""
+    d = make()
+    x = np.array([1.2, 0.9j])
+    assert d.contains(x) < 0
+    with pytest.raises(NotInteriorError):
+        entry(d, x)
 
 
 def test_distance_ball_sample_is_certified(pd2):

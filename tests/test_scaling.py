@@ -12,6 +12,7 @@ from invmet import (
     default_schedule,
     equivalence_audit,
     frankel_tau,
+    indicatrix_sigma,
     model_automorphism,
     polydisc,
     stretching_frame,
@@ -113,6 +114,25 @@ def test_frankel_tau_normalization(ball2):
         e[k] = 1.0
         col = (tau(p + h * e) - tau(p)) / h
         np.testing.assert_allclose(col, e, atol=1e-5)
+
+
+@pytest.mark.parametrize("name", ["ball2", "sheared_polydisc"])
+def test_tau_and_sigma_are_phi_then_an_affine_map(name):
+    """tau and sigma chain phi with an affine post map: values post(phi(z))
+    and derivatives post.linear.matrix @ phi'(z), bit for bit."""
+    d = zoo_domain(name)
+    Z = d.interior_samples(20, SampleStream(3))
+    p = Z[0]
+    phi = model_automorphism(d, p, Z[1])
+    q = phi(p)
+    Jinv = CLinearMap(phi.derivative(p)).inverse()
+    frame = stretching_frame(d, q)
+    L = frame.map
+    for made, post in ((frankel_tau(phi, p), AffineMap(Jinv, -Jinv(q))),
+                       (indicatrix_sigma(phi, p, frame), AffineMap(L, -L(q)))):
+        assert made(Z).tobytes() == post(phi(Z)).tobytes()
+        for z in Z[:5]:
+            assert made.derivative(z).tobytes() == (post.linear.matrix @ phi.derivative(z)).tobytes()
 
 
 def test_equivalence_audit_ball(ball2):
