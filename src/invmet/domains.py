@@ -1312,8 +1312,12 @@ class AffineImage(Domain):
 
     def automorphism(self, frm, to):
         """T psi T^-1, psi the inner domain's automorphism moving T^-1(frm)
-        to T^-1(to)."""
-        psi = self.inner.automorphism(self.map_inv(frm), self.map_inv(to))
+        to T^-1(to); where the inner domain has none, the error names this
+        domain."""
+        try:
+            psi = self.inner.automorphism(self.map_inv(frm), self.map_inv(to))
+        except UnsupportedKindError:
+            return super().automorphism(frm, to)
         return ComposedMap([self.map_inv, psi, self.map])
 
     def interior_samples(self, count, stream: SampleStream):

@@ -31,7 +31,7 @@ import numpy as np
 from . import config
 from .core import cvector
 from .domains import AffineImage, Domain
-from .errors import DegenerateInputError, UnboundedValueError
+from .errors import DegenerateInputError, DimensionMismatchError, UnboundedValueError
 from .sampling import SampleStream, root_directions
 
 CONVENTIONS = ("standard", "paper")
@@ -298,6 +298,15 @@ class IndicatrixSample:
         return 0.5 * (self.radius_lower + self.radius_upper)
 
 
+def _base_point(d: Domain, x):
+    """x as a complex vector of the domain's dimension; whether it is
+    interior is left to the oracles, which check it."""
+    x = cvector(x)
+    if x.size != d.dim:
+        raise DimensionMismatchError(f"expected vectors of length {d.dim}, got {x.size}")
+    return x
+
+
 def indicatrix(d: Domain, x, directions: int = 256, *, seed: int = 0) -> IndicatrixSample:
     """Sampled indicatrix at x.
 
@@ -306,7 +315,7 @@ def indicatrix(d: Domain, x, directions: int = 256, *, seed: int = 0) -> Indicat
     process, so repeated calls at one seed skip the draw and return the same
     bits; any samples the bracket draws come from ``SampleStream(seed).fork(1)``.
     """
-    x = cvector(x)
+    x = _base_point(d, x)
     U = root_directions(seed, directions, d.dim)
     lower, upper = kobayashi_metric_values(d, x, U, stream=SampleStream(seed).fork(1))
     return IndicatrixSample(x, U, lower, upper)
@@ -417,7 +426,7 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
     """
     if r <= 0:
         raise DegenerateInputError("radius must be positive")
-    x = cvector(x)
+    x = _base_point(d, x)
     scale = distance_scale(convention)
 
     if isinstance(d, AffineImage):

@@ -106,6 +106,13 @@ def test_indicatrix_csv_artifact(capsys, tmp_path, polydisc2_file):
     assert len(lines) == 2 + 16
 
 
+def test_indicatrix_base_point_of_the_wrong_size_is_exit_2(capsys):
+    code, _, err = run(capsys, "indicatrix", "--domain", "ball2", "--at", "[0.3]",
+                       "--directions", "16")
+    assert code == 2
+    assert "expected vectors of length 2, got 1" in err
+
+
 def test_scale_audit_pass_and_no_automorphisms(capsys, tmp_path):
     """The domain decides its automorphisms: the ball, a polydisc and an
     affine image of it pass, a target outside the domain and a table that

@@ -219,6 +219,13 @@ def test_model_automorphism_rejects_polyhedra(three_face):
         model_automorphism(three_face, np.zeros(2, complex), np.zeros(2, complex))
 
 
+def test_affine_image_without_inner_automorphisms_names_itself(three_face):
+    """An affine image of a table that is not a product has no
+    automorphism model, and the error names the image, not the table."""
+    with pytest.raises(UnsupportedKindError, match="no automorphism model for AffineImage$"):
+        affine_twin(three_face).automorphism(np.zeros(2, complex), np.zeros(2, complex))
+
+
 def _disc_times_half_plane():
     """|z_1 + 0.5 z_2 + 0.1| < 1.5 times Re(0.3 z_1 + (1 + 0.5i) z_2 + 0.2i) < 0.7,
     unbounded, a product whose real face has a nonzero bound."""

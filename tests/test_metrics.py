@@ -30,7 +30,7 @@ from invmet.domains import (
     ConvexPolyhedron,
 )
 from invmet import metrics
-from invmet.errors import NotInteriorError
+from invmet.errors import DimensionMismatchError, NotInteriorError
 from invmet.metrics import indicatrix_gauge_upper, kobayashi_metric_values
 from invmet.sampling import root_directions
 from invmet.zoo import affine_twin, model_twins, twin_map
@@ -271,7 +271,7 @@ def test_trapezoid_sum_is_numpys_on_the_quadrature_grids(three_face):
         ts = merged
 
 
-OUTSIDE = {
+ONE_OF_EACH_KIND = {
     "ball": lambda: zoo_domain("ball2"),
     "product-table": lambda: zoo_domain("polydisc2"),
     "table": lambda: zoo_domain("three_face"),
@@ -285,7 +285,7 @@ OUTSIDE = {
     lambda d, x: indicatrix(d, x, 16),
     lambda d, x: distance_ball_sample(d, x, 0.5, 16),
 ], ids=["kobayashi_metric", "indicatrix", "distance_ball_sample"])
-@pytest.mark.parametrize("make", OUTSIDE.values(), ids=OUTSIDE.keys())
+@pytest.mark.parametrize("make", ONE_OF_EACH_KIND.values(), ids=ONE_OF_EACH_KIND.keys())
 def test_metric_entry_points_reject_a_point_outside(make, entry):
     """The oracles behind each entry point check the base point."""
     d = make()
@@ -293,6 +293,18 @@ def test_metric_entry_points_reject_a_point_outside(make, entry):
     assert d.contains(x) < 0
     with pytest.raises(NotInteriorError):
         entry(d, x)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda d, x: indicatrix(d, x, 16),
+    lambda d, x: distance_ball_sample(d, x, 0.5, 16),
+], ids=["indicatrix", "distance_ball_sample"])
+@pytest.mark.parametrize("make", ONE_OF_EACH_KIND.values(), ids=ONE_OF_EACH_KIND.keys())
+@pytest.mark.parametrize("x", [[0.3], [0.1, 0.2j, 0.0]], ids=["short", "long"])
+def test_metric_entry_points_reject_a_base_point_of_the_wrong_size(make, entry, x):
+    """The base point's size is checked before any oracle broadcasts it."""
+    with pytest.raises(DimensionMismatchError, match="expected vectors of length 2"):
+        entry(make(), x)
 
 
 def test_distance_ball_sample_is_certified(pd2):
