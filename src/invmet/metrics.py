@@ -129,6 +129,14 @@ def _moderated(V):
 # Metric and distance brackets
 # ---------------------------------------------------------------------------
 
+def _sized(d: Domain, z):
+    """z as a complex vector of d's dimension; the oracles check interiority."""
+    z = cvector(z)
+    if z.size != d.dim:
+        raise DimensionMismatchError(f"expected vectors of length {d.dim}, got {z.size}")
+    return z
+
+
 def kobayashi_metric(d: Domain, x, v, *, seed: int = 0) -> MetricBound:
     """Certified bounds for the infinitesimal metric K(x; v).
 
@@ -136,10 +144,7 @@ def kobayashi_metric(d: Domain, x, v, *, seed: int = 0) -> MetricBound:
     closed forms.  Homogeneity K(x; cv) = |c| K(x; v) is exact by construction:
     the direction is normalized first and the bound scaled back.
     """
-    x = cvector(x)
-    v = cvector(v)
-    if x.size != d.dim or v.size != d.dim:
-        raise DegenerateInputError(f"expected vectors of length {d.dim}")
+    x, v = _sized(d, x), _sized(d, v)
     nv, e = float(np.linalg.norm(v)), None
     if nv <= _SMALL:
         (v,), e = _moderated(v[None, :])
@@ -298,15 +303,6 @@ class IndicatrixSample:
         return 0.5 * (self.radius_lower + self.radius_upper)
 
 
-def _base_point(d: Domain, x):
-    """x as a complex vector of the domain's dimension; whether it is
-    interior is left to the oracles, which check it."""
-    x = cvector(x)
-    if x.size != d.dim:
-        raise DimensionMismatchError(f"expected vectors of length {d.dim}, got {x.size}")
-    return x
-
-
 def indicatrix(d: Domain, x, directions: int = 256, *, seed: int = 0) -> IndicatrixSample:
     """Sampled indicatrix at x.
 
@@ -315,7 +311,7 @@ def indicatrix(d: Domain, x, directions: int = 256, *, seed: int = 0) -> Indicat
     process, so repeated calls at one seed skip the draw and return the same
     bits; any samples the bracket draws come from ``SampleStream(seed).fork(1)``.
     """
-    x = _base_point(d, x)
+    x = _sized(d, x)
     U = root_directions(seed, directions, d.dim)
     lower, upper = kobayashi_metric_values(d, x, U, stream=SampleStream(seed).fork(1))
     return IndicatrixSample(x, U, lower, upper)
@@ -426,7 +422,7 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
     """
     if r <= 0:
         raise DegenerateInputError("radius must be positive")
-    x = _base_point(d, x)
+    x = _sized(d, x)
     scale = distance_scale(convention)
 
     if isinstance(d, AffineImage):

@@ -296,15 +296,19 @@ def test_metric_entry_points_reject_a_point_outside(make, entry):
 
 
 @pytest.mark.parametrize("entry", [
-    lambda d, x: indicatrix(d, x, 16),
-    lambda d, x: distance_ball_sample(d, x, 0.5, 16),
-], ids=["indicatrix", "distance_ball_sample"])
+    lambda d, z: kobayashi_metric(d, z, [1.0, 0.5j]),
+    lambda d, z: kobayashi_metric(d, [0.1, 0.2j], z),
+    lambda d, z: indicatrix(d, z, 16),
+    lambda d, z: distance_ball_sample(d, z, 0.5, 16),
+], ids=["kobayashi_metric", "kobayashi_metric-direction", "indicatrix",
+        "distance_ball_sample"])
 @pytest.mark.parametrize("make", ONE_OF_EACH_KIND.values(), ids=ONE_OF_EACH_KIND.keys())
-@pytest.mark.parametrize("x", [[0.3], [0.1, 0.2j, 0.0]], ids=["short", "long"])
-def test_metric_entry_points_reject_a_base_point_of_the_wrong_size(make, entry, x):
-    """The base point's size is checked before any oracle broadcasts it."""
-    with pytest.raises(DimensionMismatchError, match="expected vectors of length 2"):
-        entry(make(), x)
+@pytest.mark.parametrize("z", [[0.3], [0.1, 0.2j, 0.0]], ids=["short", "long"])
+def test_metric_entry_points_reject_a_vector_of_the_wrong_size(make, entry, z):
+    """The size of the base point and of the direction is checked before any
+    oracle broadcasts them."""
+    with pytest.raises(DimensionMismatchError, match="expected vectors of length 2, got"):
+        entry(make(), z)
 
 
 def test_distance_ball_sample_is_certified(pd2):
