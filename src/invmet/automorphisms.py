@@ -185,12 +185,12 @@ class BallMobius:
 
 
 class ComposedMap:
-    """Composition chain; maps[0] is applied first."""
+    """Composition chain; maps[0] is applied first, and a chain among them spliced in."""
 
     __slots__ = ("maps",)
 
     def __init__(self, maps):
-        self.maps = tuple(maps)
+        self.maps = tuple(f for m in maps for f in (m.maps if isinstance(m, ComposedMap) else [m]))
         if not self.maps:
             raise ValueError("need at least one map")
 
@@ -202,11 +202,10 @@ class ComposedMap:
 
     def derivative(self, z):
         z = np.asarray(z, dtype=complex)
-        J = None
-        for m in self.maps:
-            Jm = m.derivative(z)
-            J = Jm if J is None else Jm @ J
-            z = m(z)
+        J = self.maps[0].derivative(z)
+        for prev, m in zip(self.maps, self.maps[1:]):
+            z = prev(z)
+            J = m.derivative(z) @ J
         return J
 
     def inverse(self) -> "ComposedMap":

@@ -1408,14 +1408,16 @@ def model_automorphism(domain: Domain, frm, to):
 
 
 class AutomorphismFamily:
-    """Schedule t -> automorphism of a model domain dragging a base point toward
-    a boundary target: member t sends ``base`` to base + (1 - 2^-t)(target - base)."""
+    """Automorphisms of a model domain dragging ``base`` toward a boundary (not
+    interior) ``target``: member t sends base to base + (1 - 2^-t)(target - base)."""
 
     def __init__(self, model: Domain, target, base=None):
         self.model = model
         self.target = cvector(target)
         self.base = model.basepoint if base is None else cvector(base)
         model.require_interior(self.base, "family base point")
+        if model.contains(self.target) > 0:
+            raise DegenerateInputError("target point is inside the domain, not on its boundary")
 
     def point_at(self, t: float):
         return self.base + (1.0 - 2.0 ** (-float(t))) * (self.target - self.base)

@@ -10,8 +10,8 @@ body's gauge (tag "half-space").  Both are certified by monotonicity of the
 metric under holomorphic maps: lower <= K <= upper.
 
 The distance's upper bound integrates that affine-disc upper bound along the
-segment: exactly, in closed form, on polyhedra and their affine images, and
-by a trapezoid quadrature to ``tol`` on bodies known through a gauge.  Its
+segment: in closed form on polyhedra and their affine images, else by chord
+bounds of the concave section distance (``_chord_areas``) to ``tol``.  Its
 lower bound is the largest distance between the projections of the two
 points onto a disc or half-plane the domain maps into.
 
@@ -182,45 +182,42 @@ def kobayashi_metric_values(d: Domain, x, V, *, stream: SampleStream | None = No
     return np.minimum(lower, upper), upper
 
 
-def _ray_metric_upper(d: Domain, x, W, T):
-    """Affine-disc upper bound of K(x + T[i, j] W[i]; W[i]), of shape T.shape."""
-    return np.linalg.norm(W, axis=1)[:, None] / d.section_distance_along(x, W, T)
+def _chord_areas(h, da, db):
+    """Upper bounds of the integral of 1 / d over intervals [a, a + h] with
+    section distances d = da at a and db at a + h: concave along a segment,
+    d lies above its chord there, and 1 / chord integrates to h over the
+    logarithmic mean of da and db, which is at least their harmonic mean
+    (never above the trapezoid) and grows in each (lower bounds of d keep it)."""
+    r = (db - da) / da
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per = np.where(r == 0, 1.0, np.log1p(r) / r)
+    return h * per / da
 
 
-def _trapezoid_areas(ts, vals):
-    """Per-interval trapezoid areas along the last axis of the nodes ``ts``
-    and values ``vals``, as numpy's ``trapezoid`` (from numpy 2.0) takes
-    them before its sum."""
-    return np.diff(ts, axis=-1) * (vals[..., 1:] + vals[..., :-1]) / 2.0
-
-
-def _trapezoid_upper(d: Domain, x, w, tol: float):
-    """Trapezoid quadrature of the affine-disc metric upper bound along
-    [x, x + w], nodes doubling from 9 until a refinement moves the estimate
-    by less than ``tol`` or 131,073 nodes are spent: (upper, nodes,
-    converged, last move), the last move folded into the upper side.  An
-    offset ``_moderated`` scales by 2^-e gets its nodes and values times 2^e."""
+def _chord_upper(d: Domain, x, w, tol: float):
+    """The chord bound of the affine-disc metric upper bound along [x, x + w],
+    nodes doubling from 9 until a refinement moves it by less than ``tol`` or
+    131,073 nodes are spent: (upper, nodes, converged, last move), the last
+    move folded into the upper side.  An offset ``_moderated`` scales by 2^-e
+    gets its nodes and sum times 2^e."""
     W, e = _moderated(w[None, :])
     e = 0 if e is None else int(e[0])
 
-    def integrand(ts):
-        return np.ldexp(_ray_metric_upper(d, x, W, np.ldexp(ts, e)[None, :])[0], e)
+    def sections(ts):
+        return d.section_distance_along(x, W, np.ldexp(ts, e)[None, :])[0]
+
+    def estimate(ts, sec):
+        areas = _chord_areas(np.diff(ts), sec[:-1], sec[1:])
+        return math.ldexp(float(np.linalg.norm(W) * areas.sum()), e)
 
     ts = np.linspace(0.0, 1.0, 9)
-    vals = integrand(ts)
-    est = float(_trapezoid_areas(ts, vals).sum())
-    delta = np.inf
+    sec = sections(ts)
+    est, delta = estimate(ts, sec), np.inf
     for _ in range(14):
-        mids = 0.5 * (ts[:-1] + ts[1:])
-        mid_vals = integrand(mids)
-        merged_t = np.empty(ts.size + mids.size)
-        merged_v = np.empty_like(merged_t)
-        merged_t[0::2], merged_t[1::2] = ts, mids
-        merged_v[0::2], merged_v[1::2] = vals, mid_vals
-        ts, vals = merged_t, merged_v
-        new_est = float(_trapezoid_areas(ts, vals).sum())
-        delta = abs(est - new_est)
-        est = new_est
+        ts = np.linspace(0.0, 1.0, 2 * ts.size - 1)
+        sec = np.insert(sec, np.arange(1, sec.size), sections(ts[1::2]))
+        est, prev = estimate(ts, sec), est
+        delta = abs(prev - est)
         if delta < tol:
             break
     return est + delta, ts.size, bool(delta < tol), delta
@@ -236,20 +233,16 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
     and their affine images give it in closed form (``affine_disc_length``,
     tag "affine-disc-length"), with the rounding allowance added to the upper
     side and reported as ``final_delta``, and 0 nodes.  Other kinds take a
-    trapezoid quadrature (tag "quadrature"): the integrand is convex along
-    the segment (the section distance is concave), so every trapezoid
-    refinement overestimates the integral.  The nodes double from 9 until a
-    refinement moves the estimate by less than ``tol`` or 131,073 nodes are
-    spent; the last move is added to the upper side, and the bound reports
-    the nodes, whether it converged and that move.  Lower: the domain's
-    ``distance_lower_bound``, distances between projections of x and y onto
-    the faces' discs and half-planes of a polyhedron (tag "face-disc") or
-    the supporting half-spaces of a body known through a gauge (tag
-    "half-space").
+    quadrature of chord bounds (``_chord_upper``, tag "quadrature"), exact
+    where the section distance is linear, whose nodes double from 9 until a
+    refinement moves it by less than ``tol``; it reports the nodes, whether
+    it converged and the last move, which the upper side includes.  Lower:
+    the domain's ``distance_lower_bound``, distances between projections of
+    x and y onto the faces' discs and half-planes of a polyhedron (tag
+    "face-disc") or the supporting half-spaces of a gauge body ("half-space").
     """
     scale = distance_scale(convention)
-    x = cvector(x)
-    y = cvector(y)
+    x, y = cvector(x), cvector(y)
     d.require_interior(x, "first point")
     d.require_interior(y, "second point")
     w = y - x
@@ -264,11 +257,10 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
 
     closed = d.affine_disc_length(x, w)
     if closed is None:
-        upper, nodes, converged, delta = _trapezoid_upper(d, x, w, tol)
-        method = "quadrature"
+        upper, nodes, converged, delta = _chord_upper(d, x, w, tol)
     else:
-        length, delta = closed
-        upper, nodes, converged, method = length + delta, 0, True, "affine-disc-length"
+        upper, nodes, converged, delta = closed[0] + closed[1], 0, True, closed[1]
+    method = "quadrature" if nodes else "affine-disc-length"
     lower = min(d.distance_lower_bound(x, w, SampleStream(seed)), upper)
     return DistanceBound(lower * scale, upper * scale,
                          lower_method=d.lower_method, upper_method=method,
@@ -411,14 +403,15 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
     """Sample points with certified distance upper bound < r.
 
     Kinds with a closed-form distance give each ray's radius as a root of
-    its distance equation (``distance_radii``), capped just inside the
-    section; a row whose closed-form distance there is not below its target
-    is stepped down until it is.  General convex domains use the cumulative
-    trapezoid of the metric upper bound along each ray, which overestimates
-    the true distance, so membership stays certified.  The rays
-    are ``SampleStream(seed).unit_directions(count, n)``, read through
-    ``root_directions`` as in ``indicatrix``, and the distance targets come
-    from ``SampleStream(seed).fork(1)``.
+    its distance equation (``distance_radii``), capped inside the section.
+    Other kinds sum chord bounds (``_chord_areas``) of the affine-disc metric
+    upper bound along each ray, on 33 nodes from x to 1 - 1e-7 of the
+    section distance, geometric toward its end, and invert the sum in closed
+    form where it crosses the target.  A row whose distance does not read
+    below its target steps down until it does.  The rays are
+    ``SampleStream(seed).unit_directions(count, n)``, read through
+    ``root_directions`` as in ``indicatrix``; the targets come from
+    ``SampleStream(seed).fork(1)``.
     """
     if r <= 0:
         raise DegenerateInputError("radius must be positive")
@@ -435,34 +428,45 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
     targets = _shell_targets(SampleStream(seed).fork(1), count, r / scale)
 
     t = d.distance_radii(x, U, targets)
+    sec = d.section_distance_paired(x[None, :], U)
     if t is not None:
         # capped inside the section, as tanh rounds a large target to 1 and a
-        # product's face distances read 0 on or past its boundary; rows the
-        # rounding leaves at their targets step down, to t = 0 at k = 52
-        t = np.minimum(t, d.section_distance_paired(x[None, :], U) * (1.0 - 1e-12))
-        dist = d.distance_value(x, t[:, None] * U)
-        for k in range(1, 53):
-            over = (dist >= targets) & (t > 0)
-            if not over.any():
-                break
-            t[over] *= 1.0 - 2.0 ** (k - 52)
-            dist = d.distance_value(x, t[:, None] * U)
-        return DistanceBallSample(x, r, convention, x[None, :] + t[:, None] * U, dist * scale)
+        # product's face distances read 0 on or past its boundary
+        t = np.minimum(t, sec * (1.0 - 1e-12))
 
-    # general: certified one-sided quadrature along each ray
-    sec = d.section_distance_paired(x[None, :], U)
-    grid = 1.0 - np.logspace(0.0, -7.0, 97)   # 0 .. 1 - 1e-7, refined near 1
-    ts = sec[:, None] * grid[None, :]
-    K = _ray_metric_upper(d, x, U, ts)
-    # per-interval trapezoid, cumulative: certified upper bound of distance
-    D = np.zeros_like(K)
-    D[:, 1:] = np.cumsum(_trapezoid_areas(ts, K), axis=1)
-    # rows of D are non-decreasing: the last node below each row's target
-    idx = np.clip((D < targets[:, None]).sum(axis=1) - 1, 0, grid.size - 1)
-    chosen = ts[np.arange(count), idx]
-    pts = x[None, :] + chosen[:, None] * U
-    dist = D[np.arange(count), idx]
-    return DistanceBallSample(x, r, convention, pts, dist * scale)
+        def measure(t):
+            return d.distance_value(x, t[:, None] * U)
+    else:
+        # 33 nodes: the fewest measured with median points within 2% of their targets
+        ts = sec[:, None] * (1.0 - np.logspace(0.0, -7.0, 33))
+        ds = d.section_distance_along(x, U, ts)
+        h = np.diff(ts, axis=1)
+        D = np.pad(np.cumsum(_chord_areas(h, ds[:, :-1], ds[:, 1:]), axis=1), ((0, 0), (1, 0)))
+        slope = np.diff(ds, axis=1) / h
+        rows, last = np.arange(count), ts.shape[1] - 2
+
+        def measure(t):
+            k = np.clip((ts <= t[:, None]).sum(axis=1) - 1, 0, last)
+            a, da = ts[rows, k], ds[rows, k]
+            return D[rows, k] + _chord_areas(t - a, da, da + slope[rows, k] * (t - a))
+
+        # from node a a chord of slope m integrates to log1p(m (t - a) / d_a) / m, so it
+        # reads the rest of the target, rem, at a + d_a expm1(m rem) / m (capped at node k + 1)
+        k = np.clip((D < targets[:, None]).sum(axis=1) - 1, 0, last)
+        rem = targets - D[rows, k]
+        z = slope[rows, k] * rem
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grow = np.where(z == 0, 1.0, np.expm1(z) / z)
+        t = np.minimum(ts[rows, k] + ds[rows, k] * rem * grow, ts[rows, k + 1])
+    # rows the rounding leaves at their targets step down, to t = 0 at j = 52
+    dist = measure(t)
+    for j in range(1, 53):
+        over = (dist >= targets) & (t > 0)
+        if not over.any():
+            break
+        t[over] *= 1.0 - 2.0 ** (j - 52)
+        dist = measure(t)
+    return DistanceBallSample(x, r, convention, x[None, :] + t[:, None] * U, dist * scale)
 
 
 def indicatrix_gauge_upper(d: Domain, x, W):

@@ -115,8 +115,8 @@ def test_indicatrix_base_point_of_the_wrong_size_is_exit_2(capsys):
 
 def test_scale_audit_pass_and_no_automorphisms(capsys, tmp_path):
     """The domain decides its automorphisms: the ball, a polydisc and an
-    affine image of it pass, a target outside the domain and a table that
-    is not a product are bad input."""
+    affine image of it pass, a target outside or inside the domain and a
+    table that is not a product are bad input."""
     out_file = tmp_path / "audit.json"
     code, out, _ = run(capsys, "scale", "audit", "--domain", "ball2",
                        "--target", "[1,0]",
@@ -137,6 +137,9 @@ def test_scale_audit_pass_and_no_automorphisms(capsys, tmp_path):
                        "--target", "[1,1]")
     assert code == 2
     assert err == "error: target point is not in the domain interior\n"
+    code, _, err = run(capsys, "scale", "audit", "--domain", "turned_ball", "--target", "[1,0]")
+    assert code == 2
+    assert err == "error: target point is inside the domain, not on its boundary\n"
     code, _, err = run(capsys, "scale", "audit", "--domain", "three_face",
                        "--target", "[1,0]")
     assert code == 2

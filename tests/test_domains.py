@@ -23,8 +23,8 @@ from invmet import (
     zoo_domain,
     zoo_names,
 )
-from invmet import domains
-from invmet.automorphisms import Mobius1D, ball_move
+from invmet import domains, metrics
+from invmet.automorphisms import BallMobius, Mobius1D, ball_move
 from invmet.domains import (
     AffineImage,
     BalancedConvex,
@@ -292,6 +292,26 @@ def test_affine_image_automorphisms_are_isometries(name):
         assert abs(moved - k) <= 1e-11 * k
 
 
+def test_composed_derivative_takes_each_image_once(monkeypatch):
+    """A turned_ball move chains an affine map, the two-map ball chain and
+    an affine map; the nested chain is spliced in.  Its derivative
+    evaluates each ball map once inside its own derivative and once for the
+    image the next map reads, 4 calls of ``BallMobius.__call__``, and skips
+    the last map's image.  It is the nested chain rule's product to
+    rounding."""
+    phi = model_automorphism(zoo_domain("turned_ball"), [0.1, 0.2j], [-0.3j, 0.1])
+    pre, first, second, post = phi.maps
+    z = np.array([0.2 - 0.1j, 0.05j])
+    w = pre(z)
+    nested = post.derivative(second(first(w))) @ (
+        (second.derivative(first(w)) @ first.derivative(w)) @ pre.derivative(z))
+    calls, call = [], BallMobius.__call__
+    monkeypatch.setattr(BallMobius, "__call__", lambda m, z: calls.append(1) or call(m, z))
+    got = phi.derivative(z)
+    assert len(calls) == 4
+    np.testing.assert_allclose(got, nested, rtol=1e-14, atol=0.0)
+
+
 def test_ball_move_between_centres_is_the_identity():
     """phi_0(z) = -z, so the ball's move from 0 to 0 is z and I, bit for bit."""
     Z = UnitBall(3).interior_samples(50, SampleStream(4))
@@ -383,6 +403,9 @@ def test_automorphism_family_schedule(ball2):
     np.testing.assert_allclose(fam.point_at(1.0), [0.5, 0.0], atol=1e-15)
     phi = fam.automorphism(2.0)
     np.testing.assert_allclose(phi(ball2.basepoint), fam.point_at(2.0), atol=1e-12)
+    # a target inside never nears the boundary
+    with pytest.raises(DegenerateInputError, match="target point is inside the domain"):
+        AutomorphismFamily(ball2, np.array([0.3 + 0j, 0.1 + 0j]))
 
 
 def test_load_domain_from_file_and_dict(polydisc2_file, three_face_file):
@@ -1015,31 +1038,45 @@ def test_polyhedron_distance_lower_bound_dominates_the_half_space_bound(make, ex
                                           [exact.metric_paired(rows, V)] * 2)
 
 
-BALL_GRID = 1.0 - np.logspace(0.0, -7.0, 97)   # the ball sampler's nodes on a ray
+def _ball_floor_and_reach(d, x, P):
+    """Per row of P, (a floor the sampler's ``distance_upper`` must not go
+    below, a lower bound of the affine-disc length from x): on a table both
+    are the closed-form length less its rounding; on the ellipsoid
+    {|C z| < 1} (a gauge body) the floor is its distance, the affine ball's,
+    and the length a 1024-interval midpoint sum of the affine-disc integrand
+    of the same set as the ball's affine image, which underestimates it, as
+    the integrand is convex along the segment."""
+    W = P - x
+    if not isinstance(d, BalancedConvex):
+        floor = np.array([np.subtract(*d.affine_disc_length(x, w)) for w in W])
+        return floor, floor
+    image = AffineImage(UnitBall(2), AffineMap(CLinearMap(np.linalg.inv(ELLIPSOID_C)),
+                                               np.zeros(2)))
+    mids = (np.arange(1024) + 0.5) / 1024
+    sec = image.section_distance_along(x, W, np.broadcast_to(mids, (len(W), mids.size)))
+    return image.distance_value(x, W), np.linalg.norm(W, axis=1) * (1.0 / sec).mean(axis=1)
 
 
-@pytest.mark.parametrize("make,x,r,seed,nodes", [
-    (lambda: zoo_domain("three_face"), [0.1, -0.2j], 0.8, 5,
-     [5, 4, 4, 4, 5, 7, 1, 1, 1, 5, 1, 5, 0, 4, 5, 5, 4, 2, 7, 6, 4, 6, 5, 6, 5, 5, 6, 7,
-      1, 3, 5, 8, 4, 2, 3, 3, 5, 3, 5, 2]),
-    (lambda: _random_polyhedron(6, 4, 6, 6), [0, 0, 0, 0], 0.7, 6,
-     [2, 4, 10, 4, 4, 11, 0, 6, 5, 6, 1, 3, 12, 3, 6, 1, 3, 5, 4, 3, 6, 7, 6, 4, 3, 9, 4,
-      5, 4, 5, 9, 5, 1, 11, 7, 3, 8, 3, 10, 5]),
-], ids=["three_face", "random-C4-16-faces"])
-def test_distance_ball_sample_keeps_its_ray_nodes(make, x, r, seed, nodes):
-    """Each point is the last node of its ray whose cumulative upper distance
-    is below the ray's target; the node indices are pinned from a per-ray
-    ``searchsorted``."""
+@pytest.mark.parametrize("make,x,r,seed,count", [
+    (lambda: zoo_domain("three_face"), [0.1, -0.2j], 0.8, 5, 400),
+    (lambda: _random_polyhedron(6, 4, 6, 6), [0, 0, 0, 0], 0.7, 6, 400),
+    (lambda: affine_twin(_random_polyhedron(3)), twin_map(2)([0.1, 0.05j]), 0.6, 2, 400),
+    (_gauge_ellipsoid, [0.2, -0.1j], 0.6, 3, 40),
+], ids=["three_face", "random-C4-16-faces", "affine-twin", "ellipsoid"])
+def test_distance_ball_sample_reaches_its_targets(make, x, r, seed, count):
+    """Each point is certified inside B(x; r), its reported distance at or
+    above the affine-disc length it bounds (on the ellipsoid, its distance),
+    and near its target: the chord bound loses under 2% of it in the median,
+    and no point with a positive target sits at x."""
     d = make()
     x = np.asarray(x, dtype=complex)
-    ball = distance_ball_sample(d, x, r, len(nodes), seed=seed)
-    rad = np.linalg.norm(ball.points - x, axis=1)
-    got = np.zeros(len(nodes), dtype=int)
-    moved = rad > 0
-    sec = d.section_distance_paired(x[None, :], (ball.points[moved] - x) / rad[moved, None])
-    got[moved] = np.argmin(np.abs(BALL_GRID[None, :] - (rad[moved] / sec)[:, None]), axis=1)
-    assert got.tolist() == nodes
+    ball = distance_ball_sample(d, x, r, count, seed=seed)
+    targets = metrics._shell_targets(SampleStream(seed).fork(1), count, r)
+    floor, length = _ball_floor_and_reach(d, x, ball.points)
     assert np.all(ball.distance_upper < r)
+    assert np.all(ball.distance_upper >= floor)
+    assert np.median(length / targets) >= 0.98
+    assert np.all(np.any(ball.points != x, axis=1) | (targets == 0))
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,7 @@ def test_distance_symmetry_and_triangle_upper(three_face):
 
 class _QuadraturePolyhedron(ConvexPolyhedron):
     """The three-face wedge |z_1| < 1, |z_2| < 1, |z_1 + z_2| < 1.5 without
-    the closed-form length: its distances take the trapezoid quadrature that
+    the closed-form length: its distances take the chord quadrature that
     gauge bodies take."""
 
     def __init__(self):
@@ -239,7 +239,16 @@ def test_distance_reports_its_quadrature_work(three_face, pd2, ball2):
     assert (exact.upper_method, exact.nodes, exact.converged) == ("affine-disc-length", 0, True)
     assert exact.upper == length + exact.final_delta and 0.0 < exact.final_delta < 1e-12
     quadrature = _QuadraturePolyhedron()
-    # 9 nodes doubled 14 times is the cap: 131,073 nodes
+    # there the section distance 1 - t is linear, so its chord is exact and
+    # the first refinement does not move the estimate
+    axis = kobayashi_distance(quadrature, x, y)
+    assert (axis.nodes, axis.converged, axis.final_delta) == (17, True, 0.0)
+    assert axis.upper == pytest.approx(length, rel=1e-15)
+    # off the axis the section distance bends near the face |z_1 + z_2| < 1.5,
+    # and 9 nodes doubled 14 times is the cap: 131,073 nodes
+    x, y = np.array([0.3j, 0.3j]), np.array([0.74, 0.74], dtype=complex)
+    length, _ = three_face.affine_disc_length(x, y - x)
+    exact = kobayashi_distance(three_face, x, y)
     capped = kobayashi_distance(quadrature, x, y)
     assert capped.upper_method == "quadrature"
     assert capped.nodes == 131_073 and capped.converged is False
@@ -247,28 +256,14 @@ def test_distance_reports_its_quadrature_work(three_face, pd2, ball2):
     loose = kobayashi_distance(quadrature, x, y, tol=1e-4)
     assert loose.converged is True and loose.nodes < capped.nodes
     assert 0.0 < loose.final_delta < 1e-4
-    # the trapezoid overestimates, and the last refinement step folded into
-    # the upper side covers the rest of its error
+    # the chord bound overestimates, and the last refinement step folded
+    # into the upper side covers the rest of its error
     for b in (capped, loose):
         assert length <= b.upper <= length + 2.0 * b.final_delta
         assert b.lower == exact.lower
     for d, y in ((pd2, [0.3, 0.1j]), (ball2, [0.5, 0])):
         b = kobayashi_distance(d, [0, 0], y)
         assert (b.nodes, b.converged, b.final_delta) == (0, True, 0.0)
-
-
-@pytest.mark.skipif(not hasattr(np, "trapezoid"), reason="np.trapezoid is numpy >= 2.0")
-def test_trapezoid_sum_is_numpys_on_the_quadrature_grids(three_face):
-    """The quadrature's trapezoid sums, on its grids of 9 to 131,073 nodes
-    and its integrand, are ``np.trapezoid``'s, bit for bit."""
-    x, W = np.zeros(2, dtype=complex), np.array([[0.9, 0.3j]])
-    ts = np.linspace(0.0, 1.0, 9)
-    while ts.size <= 131_073:
-        vals = metrics._ray_metric_upper(three_face, x, W, ts[None, :])[0]
-        assert float(metrics._trapezoid_areas(ts, vals).sum()) == float(np.trapezoid(vals, ts))
-        merged = np.empty(2 * ts.size - 1)
-        merged[0::2], merged[1::2] = ts, 0.5 * (ts[:-1] + ts[1:])
-        ts = merged
 
 
 ONE_OF_EACH_KIND = {

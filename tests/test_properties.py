@@ -2,7 +2,8 @@
 gauge callable, against the closed form of the same set as an affine image of
 the unit ball; certified supporting half-spaces of gauge bodies, which must
 contain the body; random polyhedra, whose closed-form distance uppers must
-lie inside quadrature sandwiches and agree across affine images, whose
+lie inside quadrature sandwiches and agree across affine images, whose chord
+sums on random grids lie between those lengths and the trapezoid, whose
 face-table oracles must agree with the drawn faces taken one by one, and whose
 face-disc brackets stay ordered as faces are dropped; products of discs
 and half-planes, which answer in closed form; and distance balls on kinds
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from invmet import AffineMap, SampleStream, UnitBall, kobayashi_distance, kobayashi_metric
+from invmet import (AffineMap, SampleStream, UnitBall, kobayashi_distance, kobayashi_metric,
+                    metrics)
 from invmet.domains import (AffineImage, BalancedConvex, ConvexPolyhedron, halfplane_product,
                             polydisc)
 from invmet.metrics import distance_scale, indicatrix_gauge_upper
@@ -166,6 +168,23 @@ def test_polyhedron_length_lies_in_the_quadrature_sandwich(case):
     for b in (xy, yz, xz):
         assert b.lower <= b.upper
     assert xz.lower <= xy.upper + yz.upper
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(polyhedron_segments(), st.lists(st.floats(0.0, 1.0), max_size=40))
+def test_chord_sum_lies_between_the_length_and_the_trapezoid(case, inner):
+    """On any grid of the segment the chord bound of the affine-disc
+    integrand is at least its closed-form integral and at most the
+    trapezoid of the integrand on the same nodes."""
+    d, _, x, y, _ = case
+    w = y - x
+    ts = np.unique(np.concatenate([[0.0, 1.0], inner]))
+    sec = d.section_distance_along(x, w[None, :], ts[None, :])[0]
+    nw = np.linalg.norm(w)
+    chord = nw * metrics._chord_areas(np.diff(ts), sec[:-1], sec[1:]).sum()
+    trapezoid = nw * (np.diff(ts) * (1.0 / sec[1:] + 1.0 / sec[:-1]) / 2.0).sum()
+    length, rounding = d.affine_disc_length(x, w)
+    assert length - rounding <= chord <= trapezoid * (1.0 + 1e-14)
 
 
 def _face_by_face(face, x, v):
