@@ -73,6 +73,7 @@ C^2 up: BLAS takes a one-row product as zgemv, not a many-row zgemm.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -919,53 +920,99 @@ _ROW_BLOCK = 4096
 _SECTION_BLOCK = 32
 
 
-def _ray_exits(margin, X, D, lo, f_lo, hi, f_hi, width):
-    """Boundary crossings of the rays t -> X[k] + t D[k] inside the evaluated
-    brackets [lo[k], hi[k]].
+@functools.cache
+def _ray_phases(rays):
+    """The rays' directions e^{2 pi i j / rays} in a section, j < rays."""
+    phase = np.exp(2j * np.pi * np.arange(rays) / rays)
+    phase.flags.writeable = False
+    return phase
 
-    ``margin`` maps a stack of points to values > 0 exactly inside; on entry
-    f_lo = margin > 0 at lo and f_hi = margin <= 0 at hi.  Each ray takes a
-    secant step through its two latest iterates, kept about the points'
-    rounding resolution away from both ends, and takes the bracket's midpoint
-    instead when the secant leaves [lo, hi] or the bracket has not halved in
-    three steps.  A ray stops once hi is the next double above lo or
-    hi - lo <= width.  Returns (lo, hi): per ray the last evaluated parameter
-    inside and the first evaluated parameter outside.
+
+def _edge_feet(a, b):
+    """The foot of 0 on each segment [a, b] of the complex plane."""
+    seg = b - a
+    L2 = np.abs(seg) ** 2
+    ts = np.clip(-np.real(a * np.conj(seg)) / np.where(L2 > 0, L2, 1.0), 0.0, 1.0)
+    return a + ts * seg
+
+
+def _polygon_search(margin, X, D, phase, lo, f_lo, hi, f_hi, width):
+    """The polygon inscribed in each row's section, searched on its rays.
+
+    Row r has the rays t -> X[k] + t D[k], k = r * rays + j, D[k] = vhat
+    phase[j], with ``phase`` the rays' equally spaced directions: in section
+    coordinates around X[k] ray j runs along phase[j], and edge j joins its
+    vertex to that of ray j + 1.  ``margin`` maps a stack of points to values
+    > 0 exactly inside; on entry f_lo = margin > 0 at lo and f_hi = margin
+    <= 0 at hi.  Each ray takes a secant step through its two latest
+    iterates, kept about the points' rounding resolution away from both
+    ends, and takes the bracket's midpoint instead when the secant leaves
+    [lo, hi] or the bracket has not halved in three steps.
+
+    A ray stops once hi is the next double above lo or hi - lo <= width, or
+    once neither edge at its vertex can be the nearest.  An edge's distance
+    from X lies between cos(pi / rays) times its nearer vertex's distance
+    (its points' projection on the edge's bisecting ray) and that distance.
+    Inside ends only move out, so cos(pi / rays) min(lo) over a ray and its
+    two neighbours bounds both its edges' final distances below, and the
+    row's least hi bounds the final minimum above.  A ray whose lower bound
+    passes that minimum by more than 1e-12 of the row's farthest outside end
+    (the edge distances round within a few eps of it) keeps its edges
+    farther than the nearest one.  So every ray that can carry the nearest
+    edge runs to the end, and as each ray's iterates depend on its own
+    margins alone, the nearest edge, its distance and its foot are those of
+    searching every ray to the end, bit for bit, if ``margin`` rounds a
+    point alike in every stack.
+
+    Returns (lo, hi, k): per row and ray (rows, rays) the last evaluated
+    parameter inside and the first evaluated parameter outside, and per row
+    the nearest edge of the polygon of the inside ends.
     """
-    eps = np.finfo(float).eps
-    # per ray, updated in place: the bracket, the parameter step that moves a
-    # point by about one rounding unit, the two latest iterates and their
-    # margins, and the bracket's half-widths three, two and one steps ago
-    S = np.empty((10, len(lo)))
-    S[0], S[1], S[3], S[4], S[5], S[6], S[7:] = lo, hi, lo, f_lo, hi, f_hi, np.inf
-    S[2] = eps * np.linalg.norm(X, axis=1) / np.linalg.norm(D, axis=1)
-    out = S[:2].copy()
-    idx = np.arange(len(lo))
+    eps, rays = np.finfo(float).eps, phase.size
+    rows = lo.size // rays
+    ring = np.arange(lo.size).reshape(rows, rays)
+    LO, HI = lo.copy(), hi.copy()
+    slack = 1e-12 * HI.reshape(rows, rays).max(axis=1)
+    # per live ray: its index, row and neighbours' indices, the parameter
+    # step that moves a point by about one rounding unit, the two latest
+    # iterates and their margins, and the bracket's half-widths three, two
+    # and one steps ago
+    idx, row, Xl, Dl = ring.ravel(), np.repeat(np.arange(rows), rays), X, D
+    prv, nxt = np.roll(ring, 1, axis=1).ravel(), np.roll(ring, -1, axis=1).ravel()
+    res = eps * np.linalg.norm(X, axis=1) / np.linalg.norm(D, axis=1)
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    h3 = h2 = h1 = np.full(lo.size, np.inf)
+    cos = math.cos(math.pi / rays)
     while True:
-        live = (S[1] > np.nextafter(S[0], np.inf)) & (S[1] - S[0] > width)
+        least = (HI.reshape(rows, rays).min(axis=1) + slack)[row]
+        reach = cos * np.minimum(np.minimum(LO[prv], lo), LO[nxt]) <= least
+        live = reach & (hi > np.nextafter(lo, np.inf)) & (hi - lo > width)
         if not live.all():
-            out[:, idx[~live]] = S[:2, ~live]
-            S, idx = S.compress(live, axis=1), idx.compress(live)
+            keep = np.flatnonzero(live)
+            idx, row, prv, nxt, Xl, Dl, lo, hi, res, a, fa, b, fb, h3, h2, h1 = (
+                v[keep] for v in (idx, row, prv, nxt, Xl, Dl, lo, hi, res,
+                                  a, fa, b, fb, h3, h2, h1))
             if not idx.size:
-                return out[0], out[1]
-        lo, hi, res, a, fa, b, fb, h3 = S[:8]
+                break
         half = 0.5 * (hi - lo)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = b - fb * (b - a) / (fb - fa)
+        # equal margins give no secant: nan, and so the midpoint
+        s = b - fb * (b - a) / np.where(fb != fa, fb - fa, np.nan)
         s = np.where((s >= lo) & (s <= hi) & (half <= 0.5 * h3), s, lo + half)
         # at least one double in from each end (the midpoint once the bracket
         # is that narrow), so each evaluation shrinks the bracket
         nudge = np.minimum(res + 2.0 * eps * hi, half)
         s = np.maximum(np.minimum(s, hi - nudge), lo + nudge)
-        Z = D.take(idx, axis=0)
-        Z *= s[:, None]
-        Z += X.take(idx, axis=0)
+        Z = Dl * s[:, None]
+        Z += Xl
         f = margin(Z)
         inside = f > 0
-        np.copyto(lo, s, where=inside)
-        np.copyto(hi, s, where=~inside)
-        S[3:5], S[5], S[6] = S[5:7], s, f
-        S[7:9], S[9] = S[8:10], half
+        lo, hi = np.where(inside, s, lo), np.where(inside, hi, s)
+        LO[idx], HI[idx] = lo, hi
+        a, fa, b, fb = b, fb, s, f
+        h3, h2, h1 = h2, h1, half
+    LO, HI = LO.reshape(rows, rays), HI.reshape(rows, rays)
+    a = LO * phase
+    return LO, HI, np.abs(_edge_feet(a, np.roll(a, -1, axis=1))).argmin(axis=1)
 
 
 class BalancedConvex(Domain):
@@ -978,11 +1025,14 @@ class BalancedConvex(Domain):
     The one kind that draws supporting half-spaces.  One search of the
     section through each row answers both sides of ``bracket_paired``: the
     inradius of the inscribed polygon it finds is the upper side's section
-    distance, and the polygon's point nearest the row's point guides the
-    lower side's half-spaces, certified from one-sided differences of the
-    gauge (``supporting_half_spaces``), assuming the callable returns a
-    convex gauge to within 8 eps relative.  A block of rows takes them in one
-    pass of two gauge calls, each row from its own fork, batch-independent.
+    distance (rays that cannot reach its nearest edge stop early, each
+    vertex still an evaluated inside point, so the bracket is that of the
+    search run to the end), and the polygon's point nearest the row's point
+    guides the lower side's half-spaces, certified from one-sided
+    differences of the gauge (``supporting_half_spaces``), assuming the
+    callable returns a convex gauge to within 8 eps relative.  A block of
+    rows takes them in one pass of two gauge calls, each row from its own
+    fork, batch-independent.
     """
 
     lower_method = "half-space"
@@ -1024,11 +1074,14 @@ class BalancedConvex(Domain):
 
         Exact disc radius at the center; off center, boundary hits along
         config.SECTION_RAYS planar directions are searched on the gauge
-        (``_ray_exits``) and the inradius of the polygon of the last points
-        found inside is returned -- a certified lower bound on the true
-        section distance (the section is convex, so it contains that
-        polygon).  Off-center rows are searched together, _SECTION_BLOCK rows
-        at a time.
+        (``_polygon_search``) and the inradius of the polygon of the last
+        points found inside is returned -- a certified lower bound on the
+        true section distance (the section is convex, so it contains that
+        polygon).  A ray stops early once neither polygon edge at its vertex
+        can be the nearest; its vertex is still an evaluated inside point and
+        the nearest edge's rays run to the end, so the value is that of
+        searching every ray to the end, bit for bit.  Off-center rows are
+        searched together, _SECTION_BLOCK rows at a time.
         """
         return self._section_search(P, V)[0]
 
@@ -1092,7 +1145,7 @@ class BalancedConvex(Domain):
             gc = self.gauge(V[centre])
             out[centre] = nv[centre] / gc
             near[centre] = V[centre] / gc[:, None]
-        phase = np.exp(2j * np.pi * np.arange(rays) / rays)
+        phase = _ray_phases(rays)
         for start in range(0, off.size, _SECTION_BLOCK):
             block = slice(start, start + _SECTION_BLOCK)
             out[off[block]], near[off[block]] = self._polygon_inradius(
@@ -1107,20 +1160,12 @@ class BalancedConvex(Domain):
         dirs = (vhat[:, None, :] * phase[None, :, None]).reshape(-1, self.dim)
         Xr = np.repeat(X, rays, axis=0)
         brackets = self._hit_brackets(Xr, dirs, np.repeat(gx, rays), np.repeat(gv, rays))
-        lo, _ = _ray_exits(lambda Z: 1.0 - self.gauge(Z), Xr, dirs, *brackets,
-                           2.0 * self.bounding_radius * 2.0 ** -60)
-        # the foot of X[i] on each edge of the inscribed polygon, in section
-        # coordinates around 0
-        a = lo.reshape(n, rays) * phase[None, :]
-        b = np.roll(a, -1, axis=1)
-        seg = b - a
-        L2 = np.abs(seg) ** 2
-        ts = np.clip(-np.real(a * np.conj(seg)) / np.where(L2 > 0, L2, 1.0),
-                     0.0, 1.0)
-        foot = a + ts * seg
-        dist = np.abs(foot)
-        k = (np.arange(n), dist.argmin(axis=1))
-        return dist[k], X + foot[k][:, None] * vhat
+        lo, _, k = _polygon_search(lambda Z: 1.0 - self.gauge(Z), Xr, dirs, phase, *brackets,
+                                   2.0 * self.bounding_radius * 2.0 ** -60)
+        # the foot of X[i] on the nearest edge, in section coordinates around 0
+        rows, k1 = np.arange(n), (k + 1) % rays
+        foot = _edge_feet(lo[rows, k] * phase[k], lo[rows, k1] * phase[k1])
+        return np.abs(foot), X + foot[:, None] * vhat
 
     def _hit_brackets(self, X, D, gx, gv):
         """Evaluated brackets (lo, f_lo, hi, f_hi) of the boundary hits of the

@@ -77,7 +77,8 @@ class DistanceBound:
     """Certified interval for a distance, with per-side method tags and the
     quadrature's work: ``nodes`` on the segment (0 for closed forms), whether
     the last refinement moved the estimate by less than the tolerance, and
-    that last move, which the upper side includes."""
+    the allowance the upper side includes: a quadrature's last move plus its
+    sum's rounding bound, or a closed-form length's rounding allowance."""
 
     lower: float
     upper: float
@@ -197,9 +198,10 @@ def _chord_areas(h, da, db):
 def _chord_upper(d: Domain, x, w, tol: float):
     """The chord bound of the affine-disc metric upper bound along [x, x + w],
     nodes doubling from 9 until a refinement moves it by less than ``tol`` or
-    131,073 nodes are spent: (upper, nodes, converged, last move), the last
-    move folded into the upper side.  An offset ``_moderated`` scales by 2^-e
-    gets its nodes and sum times 2^e."""
+    131,073 nodes are spent: (upper, nodes, converged, allowance), the
+    allowance the last move plus a bound on the sum's own rounding, both
+    folded into the upper side.  An offset ``_moderated`` scales by 2^-e gets
+    its nodes and sum times 2^e."""
     W, e = _moderated(w[None, :])
     e = 0 if e is None else int(e[0])
 
@@ -220,7 +222,14 @@ def _chord_upper(d: Domain, x, w, tol: float):
         delta = abs(prev - est)
         if delta < tol:
             break
-    return est + delta, ts.size, bool(delta < tol), delta
+    # relative roundings, in units of eps: each chord area at most 8 +
+    # 2 max(1, da / db) (r twice, log1p once and its argument's error grown
+    # by at most da / db, then the quotient, the product and the division);
+    # the sum of N areas at most N; |W|, the product and the final additions
+    # at most dim + 4
+    spread = max(1.0, float(np.max(sec[:-1] / sec[1:])))
+    rounding = float(np.finfo(float).eps * (ts.size + W.size + 12 + 2.0 * spread) * est)
+    return est + delta + rounding, ts.size, bool(delta < tol), delta + rounding
 
 
 def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
@@ -236,10 +245,11 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
     quadrature of chord bounds (``_chord_upper``, tag "quadrature"), exact
     where the section distance is linear, whose nodes double from 9 until a
     refinement moves it by less than ``tol``; it reports the nodes, whether
-    it converged and the last move, which the upper side includes.  Lower:
-    the domain's ``distance_lower_bound``, distances between projections of
-    x and y onto the faces' discs and half-planes of a polyhedron (tag
-    "face-disc") or the supporting half-spaces of a gauge body ("half-space").
+    it converged and the last move plus the sum's rounding allowance, which
+    the upper side includes.  Lower: the domain's ``distance_lower_bound``,
+    distances between projections of x and y onto the faces' discs and
+    half-planes of a polyhedron (tag "face-disc") or the supporting
+    half-spaces of a gauge body ("half-space").
     """
     scale = distance_scale(convention)
     x, y = cvector(x), cvector(y)

@@ -1083,8 +1083,6 @@ def test_distance_ball_sample_reaches_its_targets(make, x, r, seed, count):
 # Gauge-body sections: boundary hits searched along rays
 # ---------------------------------------------------------------------------
 
-ELLIPSOID_C = np.array([[1.2, 0.3 - 0.4j], [0.2j, 0.8]])
-
 
 class _CountingGauge:
     """A vectorized gauge that counts its calls."""
@@ -1156,25 +1154,38 @@ def _bisected_section_distance(d, x, v, rays=128):
 
 
 def _record_ray_searches(monkeypatch):
-    """Every (X, D, lo, hi) that ``domains._ray_exits`` returns from now on."""
-    searches, ray_exits = [], domains._ray_exits
+    """Every (X, D, phase, lo, hi, k) that ``domains._polygon_search`` takes
+    and returns from now on."""
+    searches, polygon_search = [], domains._polygon_search
 
-    def recorded(margin, X, D, *bracket):
-        lo, hi = ray_exits(margin, X, D, *bracket)
-        searches.append((X, D, lo, hi))
-        return lo, hi
+    def recorded(margin, X, D, phase, *bracket):
+        lo, hi, k = polygon_search(margin, X, D, phase, *bracket)
+        searches.append((X, D, phase, lo, hi, k))
+        return lo, hi, k
 
-    monkeypatch.setattr(domains, "_ray_exits", recorded)
+    monkeypatch.setattr(domains, "_polygon_search", recorded)
     return searches
 
 
 def _assert_searches_end_on_evaluated_hits(d, searches, rays):
-    assert sum(X.shape[0] for X, *_ in searches) == rays
-    for X, D, lo, hi in searches:
-        assert np.all(d.contains_margins(X + lo[:, None] * D) > 0)
-        assert np.all(d.contains_margins(X + hi[:, None] * D) <= 0)
+    """Every ray's ends are points the gauge put inside and outside; the two
+    rays of each row's nearest edge end at adjacent doubles (or 2R 2^-60
+    apart), while the rays that cannot carry it may stop sooner."""
+    assert sum(lo.size for *_, lo, hi, k in searches) == rays
+    for X, D, phase, lo, hi, k in searches:
+        assert np.all(d.contains_margins(X + lo.reshape(-1, 1) * D) > 0)
+        assert np.all(d.contains_margins(X + hi.reshape(-1, 1) * D) <= 0)
+        a = lo * phase
+        feet = domains._edge_feet(a, np.roll(a, -1, axis=1))
+        assert np.array_equal(k, np.abs(feet).argmin(axis=1))
+        rows = np.arange(len(k))[:, None]
+        edge = np.stack([k, (k + 1) % phase.size], axis=1)
+        lo, hi = lo[rows, edge], hi[rows, edge]
         assert np.all((hi == np.nextafter(lo, np.inf))
                       | (hi - lo <= 2.0 * d.bounding_radius * 2.0 ** -60))
+    # the nearest edge's rays alone need run to the end
+    assert any(np.any(hi - lo > 2.0 * d.bounding_radius * 2.0 ** -60)
+               for *_, lo, hi, k in searches)
 
 
 def _assert_pinned_to_the_ellipsoid_sections(got, P, V):
@@ -1221,20 +1232,24 @@ def test_ellipsoid_metric_query_costs_at_most_20_gauge_calls():
     assert b.lower_method == "half-space"
 
 
-def test_ellipsoid_bracket_takes_two_half_space_calls_per_block():
+@pytest.mark.parametrize("name,search,bracket", [("ellipsoid", 29, 33), ("balanced", 30, 34),
+                                                  ("four-norm", 27, 31)],
+                         ids=["ellipsoid", "balanced", "four-norm"])
+def test_bracket_takes_two_half_space_calls_per_block(name, search, bracket):
     """A 64-row bracket costs its section search and two gauge calls per
-    block of _SECTION_BLOCK rows for the half-spaces: 39 calls here, against
-    163 (35 + 2 per row) with one half-space search per row."""
-    d, g = _counted_body("ellipsoid")
+    block of _SECTION_BLOCK rows for the half-spaces: 33 calls on the
+    ellipsoid, against 163 (35 + 2 per row) with one half-space search per
+    row.  Searching every ray to the end took 35, 35 and 36 calls."""
+    d, g = _counted_body(name)
     stream = SampleStream(42)
     P = 0.9 * d.interior_samples(64, stream.fork(0))
     V = stream.fork(1).unit_directions(64, 2)
     g.calls = 0
     d.section_distance_paired(P, V)
-    search = g.calls
+    assert g.calls == search
     g.calls = 0
     d.bracket_paired(P, V, stream.fork(2))
-    assert g.calls <= search + 2 * -(-64 // domains._SECTION_BLOCK)
+    assert g.calls == bracket == search + 2 * -(-64 // domains._SECTION_BLOCK)
 
 
 @pytest.mark.parametrize("seeded", [True, False], ids=["stream", "no-stream"])
@@ -1263,19 +1278,50 @@ def test_gauge_distance_lower_bound_reads_its_three_guides_drawn_in_turn(seeded,
         assert got == want > 0
 
 
-@pytest.mark.parametrize("name", ["ellipsoid", "balanced", "four-norm"])
-def test_section_search_stays_on_the_bisection_values(name):
-    """One block of 32 rows costs at most the 60 calls of bisection, and each
-    row's section distance is the 60-step bisection's within 1e-13."""
+@pytest.mark.parametrize("name,calls", [("ellipsoid", 17), ("balanced", 16), ("four-norm", 16)],
+                         ids=["ellipsoid", "balanced", "four-norm"])
+def test_section_search_stays_on_the_bisection_values(name, calls):
+    """One block of 32 rows costs 16 or 17 gauge calls (25, 27 and 26 when
+    every ray ran to the end, 60 for bisection), and each row's section
+    distance is the 60-step bisection's within 1e-13."""
     d, g = _counted_body(name)
     stream = SampleStream(42)
     P = d.interior_samples(32, stream)
     V = stream.unit_directions(32, 2) * stream.uniform(32, 0.2, 2.0)[:, None]
     g.calls = 0
     got = d.section_distance_paired(P, V)
-    assert g.calls <= 60
+    assert g.calls == calls
     want = [_bisected_section_distance(d, x, v) for x, v in zip(P, V)]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_polygon_search_runs_the_nearest_edge_to_the_end_past_a_nearer_vertex():
+    """A planar section with a flat side at 0.5 whose foot falls halfway
+    between rays 0 and 1 (delta = 2 pi / rays apart), and another at
+    0.5 (1 + 1e-6) through the vertex of ray rays / 2.  That vertex is
+    nearer than both vertices of the nearest edge, edge 0, which lie
+    0.5 / cos(delta / 2) out; the search still runs rays 0 and 1 to
+    adjacent doubles while most rays stop early."""
+    rays = 128
+    delta = 2.0 * np.pi / rays
+    far = 0.5 * (1.0 + 1e-6)
+
+    def margin(Z):
+        z = Z[:, 0]
+        return np.minimum(np.minimum(0.5 - np.real(z * np.exp(-0.5j * delta)), far + z.real),
+                          3.0 - np.abs(z))
+
+    phase = domains._ray_phases(rays)
+    X, D = np.zeros((rays, 1), dtype=complex), phase[:, None]
+    lo, hi = np.zeros(rays), np.full(rays, 4.0)
+    lo, hi, k = domains._polygon_search(margin, X, D, phase, lo, margin(X), hi,
+                                        margin(hi[:, None] * D), 8.0 * 2.0 ** -60)
+    assert k.tolist() == [0] and lo.shape == (1, rays)
+    assert np.all(margin(X + lo.reshape(-1, 1) * D) > 0)
+    assert np.all(margin(X + hi.reshape(-1, 1) * D) <= 0)
+    assert 0.5 < lo[0, rays // 2] < min(lo[0, 0], lo[0, 1])
+    assert np.all(hi[0, :2] == np.nextafter(lo[0, :2], np.inf))
+    assert np.count_nonzero(hi > np.nextafter(lo, np.inf)) > rays // 2
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -240,10 +240,18 @@ def test_distance_reports_its_quadrature_work(three_face, pd2, ball2):
     assert exact.upper == length + exact.final_delta and 0.0 < exact.final_delta < 1e-12
     quadrature = _QuadraturePolyhedron()
     # there the section distance 1 - t is linear, so its chord is exact and
-    # the first refinement does not move the estimate
+    # the first refinement does not move the estimate: the upper side adds
+    # only the bound on the sum's rounding, and never reads below log 10
     axis = kobayashi_distance(quadrature, x, y)
-    assert (axis.nodes, axis.converged, axis.final_delta) == (17, True, 0.0)
-    assert axis.upper == pytest.approx(length, rel=1e-15)
+    assert (axis.nodes, axis.converged) == (17, True)
+    assert 0.0 < axis.final_delta < 1e-13
+    assert length <= axis.upper == pytest.approx(length, rel=1e-13)
+    assert math.log(10.0) < axis.upper
+    # toward (0.9, 0.3i) the section distance is linear too, and the sum
+    # alone reads two ulps below the length there
+    y_off = np.array([0.9, 0.3j])
+    off = kobayashi_distance(quadrature, x, y_off)
+    assert three_face.affine_disc_length(x, y_off - x)[0] <= off.upper
     # off the axis the section distance bends near the face |z_1 + z_2| < 1.5,
     # and 9 nodes doubled 14 times is the cap: 131,073 nodes
     x, y = np.array([0.3j, 0.3j]), np.array([0.74, 0.74], dtype=complex)
