@@ -7,6 +7,8 @@ certificates for circularity lower bounds — plus the batch suites and CLI
 that tie them together.
 """
 
+from types import ModuleType as _ModuleType
+
 from .config import VERSION as __version__
 from .errors import (
     CertificateError,
@@ -39,7 +41,6 @@ from .domains import (
     ConvexPolyhedron,
     Domain,
     UnitBall,
-    convexity_witness,
     halfplane_product,
     load_domain,
     model_automorphism,
@@ -77,17 +78,14 @@ from .convexbox import (
     SymmetricBody,
     box_lemma_bound,
     brute_force_containment,
-    min_boundary_distance,
     random_symmetric_polytope,
     slope_check,
 )
 from .domination import (
     DominationCell,
     DominationProfile,
-    NormalFamilyReport,
     apollonius_disc,
     lambda_halfplane,
-    normal_family_witness,
     verify_convex_domination,
     verify_halfplane_domination,
 )
@@ -104,4 +102,7 @@ from .circularity import (
 from .zoo import resolve_domain, zoo_domain, zoo_names
 from .suites import SuiteResult, verify_all
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here by the imports above; a star import takes
+# only the public names they define
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

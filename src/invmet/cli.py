@@ -189,16 +189,13 @@ def cmd_scale_audit(args) -> int:
 
 
 def cmd_boxlemma_stress(args) -> int:
-    rows, failures, slope_excess = box_stress_rows(args.dim, args.instances,
-                                                   args.seed)
+    rows, failures, _ = box_stress_rows(args.dim, args.instances, args.seed)
     with _output(args.out) as fh:
         fh.write(_meta_line(args, dim=args.dim, instances=args.instances,
                             method="cascade-exact-vertices"))
         fh.write("instance,r_1,slack\n")
         for inst, r1, slack in rows:
             fh.write(f"{inst},{r1!r},{slack!r}\n")
-    if args.dim == 2 and slope_excess > config.SLOPE_BOUND_TOL:
-        failures.append({"dim": 2, "slope_excess": slope_excess})
     if failures:
         return _witness("box containment violated", failures)
     print(f"# {args.instances} instances in dimension {args.dim}: "

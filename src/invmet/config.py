@@ -12,7 +12,6 @@ UNIT_NORM_TOL = 1e-10          # orthonormality of supplied or constructed frame
 # Domains
 GAUGE_HOMOGENEITY_TOL = 1e-10  # balanced gauge g(cv) = |c| g(v)
 AUTOMORPHISM_MAP_TOL = 1e-12   # model_automorphism(from) vs to
-CONVEXITY_WITNESS_SAMPLES = 10_000
 
 # Metrics
 MODEL_BRACKET_TOL = 1e-9       # upper - lower on closed-form domains

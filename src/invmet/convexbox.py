@@ -5,12 +5,13 @@ boundary, rotate the minimizing direction onto e_1; then the body is contained
 in [-r_1, r_1] x 2*B', where B' is the box obtained by repeating the procedure
 on the slice {x_1 = 0}.  Unwinding gives box radii (r_1, 2 r_2, 4 r_3, ...,
 2^{n-1} r_n), where r_k is the minimum boundary distance of the (k-1)-fold
-slice.  Every computed box is verified by brute force before it is returned.
+slice.  Every computed box is checked by ``brute_force_containment`` before it
+is returned, and carries the worst slack of that check.
 
-Vertex bodies answer every query exactly from their facets.  Support-oracle
-bodies keep a mirrored cloud of sampled outer half-spaces for radial queries,
-and their minimum boundary distance is the minimum of the support function,
-found by ``core.pattern_search`` from the best cloud direction.
+Every level reads the body's half-space table (``halfspace_data``).  Vertex
+bodies answer every query exactly from their facets, so there r_1 is the least
+facet-plane distance.  Support-oracle bodies keep a mirrored cloud of sampled
+outer half-spaces, whose least offset is at least the support minimum.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .core import pattern_search
 from .errors import DegenerateInputError, LemmaViolationError, NotInteriorError
 from .sampling import SampleStream
 
@@ -34,7 +34,7 @@ class SymmetricBody:
     """
 
     def __init__(self, vertices=None, support=None, dim: int | None = None,
-                 check_samples: int = 128, seed: int = 0):
+                 seed: int = 0):
         if (vertices is None) == (support is None):
             raise DegenerateInputError("provide exactly one of vertices, support")
         if vertices is not None:
@@ -70,7 +70,7 @@ class SymmetricBody:
             self.vertices = None
             self._support = support
             stream = SampleStream(seed)
-            U = stream.unit_directions(check_samples, self.dim, field="real")
+            U = stream.unit_directions(128, self.dim, field="real")
             h = np.array([float(support(u)) for u in U])
             hm = np.array([float(support(-u)) for u in U])
             if np.any(~np.isfinite(h)) or np.any(h <= 0):
@@ -127,29 +127,6 @@ def _householder_to_e1(u: np.ndarray) -> np.ndarray:
     return np.eye(m) - 2.0 * np.outer(w, w)
 
 
-def min_boundary_distance(body: SymmetricBody):
-    """(r_1, direction): minimum boundary norm and a unit direction achieving it.
-
-    For vertex bodies this is the minimum facet-plane distance, which is exact:
-    the foot of the perpendicular onto the minimizing plane lies in the body
-    (any plane crossed earlier would be closer still).  For oracle bodies it
-    is the minimum of the support function over unit directions (the ball of
-    radius r_1 touches the boundary where its tangent plane supports the
-    body), searched from the best direction of the half-space cloud; the
-    returned value is never above the support value in that direction.
-    """
-    A, b = body.halfspace_data()
-    i = int(np.argmin(b))
-    if body.is_vertex_body:
-        return float(b[i]), A[i]
-
-    def neg_support(X):
-        return -body.support_value(X / np.linalg.norm(X, axis=1, keepdims=True))
-
-    x, val = pattern_search(neg_support, A[i])
-    return -val, x / np.linalg.norm(x)
-
-
 @dataclass(frozen=True)
 class BoxBound:
     """Box radii with the aligning rotation: |(rotation @ x)_a| <= radii_a."""
@@ -157,6 +134,7 @@ class BoxBound:
     radii: np.ndarray
     rotation: np.ndarray
     base_distances: np.ndarray   # per-level minimum boundary distances r_k
+    slack: float                 # worst slack of the containment check
 
     @property
     def dim(self) -> int:
@@ -177,9 +155,10 @@ def _slice_halfspaces(A, b):
 def box_lemma_bound(body: SymmetricBody, *, seed: int = 0) -> BoxBound:
     """Compute the cascaded box and verify containment by brute force.
 
-    Every level slices ``halfspace_data``, so for oracle bodies r_1 is the
-    least offset of the half-space cloud, not the support minimum that
-    ``min_boundary_distance`` searches for.
+    Every level slices ``halfspace_data``: on vertex bodies r_1 is the least
+    facet-plane distance, which is exact, and on oracle bodies it is the least
+    offset of the half-space cloud.  Raises LemmaViolationError when the check
+    fails; otherwise ``slack`` is its worst slack.
     """
     n = body.dim
     A, b = body.halfspace_data()
@@ -211,7 +190,7 @@ def box_lemma_bound(body: SymmetricBody, *, seed: int = 0) -> BoxBound:
     if not ok:
         raise LemmaViolationError(
             f"box containment failed by {-worst:.3e}", witness=witness)
-    return BoxBound(radii, rotation, base)
+    return BoxBound(radii, rotation, base, worst)
 
 
 def brute_force_containment(body: SymmetricBody, radii, rotation, *,
@@ -243,9 +222,8 @@ def slope_check(body: SymmetricBody):
     (max |slope| over facets through the point, bound).
 
     Like ``box_lemma_bound``, the check runs on ``halfspace_data``: r_1, its
-    direction, the slice and the facets all come from one polytope, which for
-    oracle bodies is the half-space cloud (its r_1 is at least the support
-    minimum that ``min_boundary_distance`` returns).
+    direction, the slice and the facets all come from one polytope, the
+    facets of a vertex body or the half-space cloud of an oracle body.
     """
     if body.dim != 2:
         raise DegenerateInputError("slope check is a planar statement")

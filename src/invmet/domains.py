@@ -1429,15 +1429,6 @@ def balanced_polyhedron(coeffs, scales, dim: int, name: str = "") -> ConvexPolyh
                             name=name, _singular_values=sv)
 
 
-def convexity_witness(domain: Domain, samples: int = config.CONVEXITY_WITNESS_SAMPLES,
-                      seed: int = 0) -> float:
-    """Worst midpoint margin over sampled interior pairs (>= 0 for convex sets)."""
-    stream = SampleStream(seed)
-    pts = domain.interior_samples(2 * samples, stream)
-    mids = 0.5 * (pts[:samples] + pts[samples:])
-    return float(np.min(domain.contains_margins(mids)))
-
-
 def model_automorphism(domain: Domain, frm, to):
     """Automorphism of a model domain sending ``frm`` to ``to``, with exact
     derivatives (``Domain.automorphism``); raises UnsupportedKindError on a

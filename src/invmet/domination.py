@@ -38,12 +38,6 @@ def tanh_parameter(r: float, convention: str = "standard") -> float:
     return math.tanh(r / distance_scale(convention))
 
 
-def _dominated(worst_gauge: float, bound: float, tolerance: float) -> bool:
-    """The domination predicate: the worst gauge is within its bound, to the
-    tolerance."""
-    return worst_gauge <= bound * (1 + tolerance)
-
-
 def lambda_halfplane(r: float, convention: str = "standard") -> float:
     """lambda(r) = t/(1-t): the sharp half-plane domination factor.
 
@@ -101,7 +95,7 @@ class DominationProfile:
 
     def holds(self, cell: DominationCell) -> bool:
         """The cell's worst gauge is within its claimed bound, to the tolerance."""
-        return _dominated(cell.worst_gauge, cell.claimed_bound, self.tolerance)
+        return cell.worst_gauge <= cell.claimed_bound * (1 + self.tolerance)
 
     @property
     def passed(self) -> bool:
@@ -196,58 +190,3 @@ def verify_convex_domination(d: Domain, x_values, r_values,
                 claimed_bound=2.0 * lam, worst_gauge=float(np.max(gauges)),
                 samples=len(ball)))
     return profile
-
-
-@dataclass
-class NormalFamilyRow:
-    parameter: float
-    worst_gauge: float
-    bound: float
-    samples: int
-
-    @property
-    def passed(self) -> bool:
-        return _dominated(self.worst_gauge, self.bound, config.DOMINATION_TOL)
-
-
-@dataclass
-class NormalFamilyReport:
-    domain: str
-    radius: float
-    convention: str
-    rows: list[NormalFamilyRow]
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-    @property
-    def worst_gauge(self) -> float:
-        return max(row.worst_gauge for row in self.rows)
-
-
-def normal_family_witness(d: Domain, family, p, r: float, schedule,
-                          samples: int = 2000, *, seed: int = 0,
-                          convention: str = "standard") -> NormalFamilyReport:
-    """Boundedness of tau_phi(B(p; r)) inside 2 lambda(r) I(p) over a schedule.
-
-    Since each phi is an isometry, tau_phi(B(p;r)) = dphi(p)^{-1}(B(phi p; r)
-    - phi p), which the domination theorem traps in 2 lambda(r) I(p); the
-    witness evaluates the exact model metric as the gauge.
-    """
-    from .scaling import frankel_tau
-
-    p = cvector(p)
-    lam = lambda_halfplane(r, convention)
-    bound = 2.0 * lam
-    rows = []
-    for k, t in enumerate(schedule):
-        phi = family.automorphism(t)
-        tau = frankel_tau(phi, p)
-        ball = distance_ball_sample(d, p, r, samples, seed=seed + k,
-                                    convention=convention)
-        images = np.asarray(tau(ball.points), dtype=complex)
-        gauges = indicatrix_gauge_upper(d, p, images)
-        rows.append(NormalFamilyRow(float(t), float(np.max(gauges)), bound,
-                                    len(ball)))
-    return NormalFamilyReport(d.label, float(r), convention, rows)

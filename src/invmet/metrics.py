@@ -300,10 +300,6 @@ class IndicatrixSample:
         with np.errstate(divide="ignore"):
             return np.where(self.gauge_lower > 0, 1.0 / self.gauge_lower, np.inf)
 
-    @property
-    def radius_mid(self):
-        return 0.5 * (self.radius_lower + self.radius_upper)
-
 
 def indicatrix(d: Domain, x, directions: int = 256, *, seed: int = 0) -> IndicatrixSample:
     """Sampled indicatrix at x.

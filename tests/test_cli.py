@@ -159,6 +159,16 @@ def test_boxlemma_stress_csv(capsys, tmp_path):
     assert all(float(line.split(",")[2]) >= -1e-9 for line in lines[2:])
 
 
+def test_boxlemma_stress_lists_each_slope_failure_once(capsys, monkeypatch):
+    monkeypatch.setattr("invmet.suites.slope_check", lambda body: (1.0, 0.5))
+    code, _, err = run(capsys, "boxlemma", "stress", "--dim", "2",
+                       "--instances", "3")
+    assert code == 1
+    witness = json.loads(err)["witness"]
+    assert [f["instance"] for f in witness] == [0, 1, 2]
+    assert all(f["slope"] - f["slope_bound"] == 0.5 for f in witness)
+
+
 def test_dominate_halfplane_profile(capsys, tmp_path):
     out_file = tmp_path / "profile.json"
     code, out, _ = run(capsys, "dominate", "--domain", "halfplane",

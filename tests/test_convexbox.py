@@ -10,7 +10,6 @@ from invmet import (
     SymmetricBody,
     box_lemma_bound,
     brute_force_containment,
-    min_boundary_distance,
     random_symmetric_polytope,
     slope_check,
 )
@@ -35,27 +34,6 @@ def test_support_and_radial_on_the_square():
     np.testing.assert_allclose(rho, [1.0, math.sqrt(2)], rtol=1e-12)
 
 
-def test_min_boundary_distance_square_and_cross():
-    r, u = min_boundary_distance(SymmetricBody(vertices=SQUARE))
-    assert r == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(u) == pytest.approx(1.0)
-    r2, _ = min_boundary_distance(SymmetricBody(vertices=CROSS))
-    assert r2 == pytest.approx(1 / math.sqrt(2), rel=1e-12)
-
-
-def test_min_boundary_distance_of_a_support_oracle_ellipse():
-    a, b, t = 2.0, 0.7, 0.4
-    R = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-    M = R @ np.diag([a, b])
-
-    def support(u):
-        return float(np.linalg.norm(M.T @ u))
-
-    r, u = min_boundary_distance(SymmetricBody(support=support, dim=2))
-    assert r == pytest.approx(b, abs=1e-8)
-    assert abs(u @ R[:, 1]) == pytest.approx(1.0, abs=1e-6)
-
-
 def test_box_lemma_square_doubling():
     body = SymmetricBody(vertices=SQUARE)
     bb = box_lemma_bound(body)
@@ -63,6 +41,7 @@ def test_box_lemma_square_doubling():
     np.testing.assert_allclose(bb.radii, bb.base_distances * [1.0, 2.0], rtol=1e-9)
     ok, slack, witness = brute_force_containment(body, bb.radii, bb.rotation)
     assert ok and slack >= -1e-9 and witness is None
+    assert bb.slack == slack
 
 
 def test_box_lemma_doubles_per_level():
@@ -72,6 +51,7 @@ def test_box_lemma_doubles_per_level():
                                rtol=1e-12)
     ok, slack, _ = brute_force_containment(body, bb.radii, bb.rotation)
     assert ok and slack >= -1e-9
+    assert bb.slack == slack
 
 
 def test_halving_first_radius_breaks_containment():

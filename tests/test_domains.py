@@ -12,7 +12,6 @@ from invmet import (
     SampleStream,
     UnitBall,
     config,
-    convexity_witness,
     distance_ball_sample,
     halfplane_product,
     kobayashi_distance,
@@ -136,12 +135,6 @@ def test_interior_samples_stay_inside():
         pts = d.interior_samples(200, SampleStream(1))
         assert pts.shape == (200, d.dim)
         assert_inside(d, pts)
-
-
-def test_convexity_witness_nonnegative_on_zoo():
-    for name in zoo_names():
-        d = zoo_domain(name)
-        assert convexity_witness(d, samples=300, seed=2) >= 0
 
 
 def test_three_face_gauge_positive_homogeneous(three_face):

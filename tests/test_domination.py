@@ -10,12 +10,10 @@ from invmet import (
     halfplane_product,
     kobayashi_distance,
     lambda_halfplane,
-    normal_family_witness,
     verify_convex_domination,
     verify_halfplane_domination,
     zoo_domain,
 )
-from invmet.domains import AutomorphismFamily
 from invmet.errors import UnboundedValueError
 
 
@@ -84,11 +82,3 @@ def test_convex_domination_off_center_polyhedron(three_face):
     assert prof.passed
     assert 0 < prof.worst_ratio <= 1.0 + 1e-6
 
-
-def test_normal_family_witness_on_ball(ball2):
-    fam = AutomorphismFamily(ball2, np.array([1.0 + 0j, 0j]))
-    rep = normal_family_witness(ball2, fam, ball2.basepoint, 0.5,
-                                schedule=[1.0, 2.0, 3.0], samples=200, seed=0)
-    assert rep.passed
-    assert rep.worst_gauge <= 2 * lambda_halfplane(0.5) * (1 + 1e-6)
-    assert len(rep.rows) == 3

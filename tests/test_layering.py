@@ -6,19 +6,25 @@ the domain kinds only through the oracle protocol of ``Domain`` (plus the
 no code asks which kind a domain is, but for that pull-back and the input
 guard of the corner pipeline.  Importing the package
 and its command line loads no scipy: its one user, the vertex bodies of
-``convexbox``, imports it lazily.
+``convexbox``, imports it lazily.  Every public name has a reader in the
+package or in the README, and no module imports a name it never reads.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import invmet
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "invmet"
 MODULES = sorted(PACKAGE.glob("*.py"))
+README = PACKAGE.parents[1] / "README.md"
 
 
 def _package_imports(path):
@@ -89,3 +95,43 @@ def test_only_domains_asks_a_domain_its_kind():
              for fn, kind in _kind_tests(path, kinds)}
     assert sites == {("metrics", "distance_ball_sample", "AffineImage"),
                      ("circularity", "polyhedral_pipeline", "ConvexPolyhedron")}, sorted(sites)
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from invmet import *", namespace)
+    modules = [name for name, value in namespace.items()
+               if not name.startswith("__") and isinstance(value, types.ModuleType)]
+    assert not modules, modules
+
+
+def test_every_public_name_has_a_reader():
+    """Each name of ``__all__`` is read, as a ``Name`` or an ``Attribute``, by
+    a module other than ``__init__``, or is named in the README."""
+    read = set()
+    for path in MODULES:
+        if path.stem != "__init__":
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    readme = README.read_text()
+    unread = [name for name in invmet.__all__
+              if name not in read and not re.search(rf"\b{name}\b", readme)]
+    assert not unread, f"public names nothing reads: {unread}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"],
+                         ids=[p.stem for p in MODULES if p.stem != "__init__"])
+def test_no_unread_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    unread = sorted(imported - {node.id for node in ast.walk(tree)
+                                if isinstance(node, ast.Name)})
+    assert not unread, f"{path.name} imports names it never reads: {unread}"

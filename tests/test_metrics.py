@@ -409,8 +409,8 @@ def test_indicatrix_radii_bracket_model(pd2):
     s = indicatrix(pd2, [0, 0], directions=128)
     # unit-polydisc indicatrix radii lie between 1 (axes) and sqrt(2) (diagonal)
     assert np.all(s.radius_lower <= s.radius_upper + 1e-12)
-    assert float(s.radius_mid.min()) >= 1.0 - 1e-9
-    assert float(s.radius_mid.max()) <= math.sqrt(2) + 1e-9
+    assert float(s.radius_lower.min()) >= 1.0 - 1e-9
+    assert float(s.radius_upper.max()) <= math.sqrt(2) + 1e-9
     fh = io.StringIO()
     write_indicatrix_csv(s, fh)
     lines = fh.getvalue().splitlines()

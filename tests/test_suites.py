@@ -39,7 +39,7 @@ def test_scaling_suite_small():
 
 
 def test_box_suite_small():
-    res = run_box_suite(seed=0, dims=(2, 3), instances=12, check_samples=500)
+    res = run_box_suite(seed=0, dims=(2, 3), instances=12)
     assert res.passed
     assert res.summary["dim2"]["violations"] == 0
     assert res.summary["dim2"]["slope_excess"] <= 1e-9
