@@ -77,9 +77,11 @@ from .convexbox import (
     BoxBound,
     SymmetricBody,
     box_lemma_bound,
+    box_lemma_bounds,
     brute_force_containment,
     random_symmetric_polytope,
     slope_check,
+    slope_checks,
 )
 from .domination import (
     DominationCell,

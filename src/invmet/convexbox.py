@@ -5,13 +5,15 @@ boundary, rotate the minimizing direction onto e_1; then the body is contained
 in [-r_1, r_1] x 2*B', where B' is the box obtained by repeating the procedure
 on the slice {x_1 = 0}.  Unwinding gives box radii (r_1, 2 r_2, 4 r_3, ...,
 2^{n-1} r_n), where r_k is the minimum boundary distance of the (k-1)-fold
-slice.  Every computed box is checked by ``brute_force_containment`` before it
-is returned, and carries the worst slack of that check.
+slice.  Every box carries the worst slack of its containment check.
 
-Every level reads the body's half-space table (``halfspace_data``).  Vertex
-bodies answer every query exactly from their facets, so there r_1 is the least
-facet-plane distance.  Support-oracle bodies keep a mirrored cloud of sampled
-outer half-spaces, whose least offset is at least the support minimum.
+``box_lemma_bounds`` runs each level once over a stack of bodies of one
+dimension, on their half-space tables (``halfspace_data``): the facets of a
+vertex body, whose ``vertices`` are the given points mirrored through 0, or
+the mirrored cloud of sampled outer half-spaces of a support-oracle body.
+Tables are padded to the stack's most rows with normal 0 and offset +inf, which
+no argmin picks; a slice masks the rows it loses the same way, and the
+containment check pads each point set with its first point.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .sampling import SampleStream
 class SymmetricBody:
     """Centrally symmetric bounded convex body, as vertices or a support oracle.
 
-    Vertex bodies are convex hulls of an exactly symmetric point list; oracle
-    bodies expose the support function h(u) = sup{x . u : x in body}, checked
-    for symmetry on samples.
+    ``SymmetricBody(vertices=P)`` is the convex hull of P and -P, so it is
+    symmetric by construction; oracle bodies expose the support function
+    h(u) = sup{x . u : x in body}, checked for symmetry on samples.
     """
 
     def __init__(self, vertices=None, support=None, dim: int | None = None,
@@ -38,31 +40,23 @@ class SymmetricBody:
         if (vertices is None) == (support is None):
             raise DegenerateInputError("provide exactly one of vertices, support")
         if vertices is not None:
-            V = np.asarray(vertices, dtype=float)
-            if V.ndim != 2 or V.shape[0] < 2:
+            P = np.asarray(vertices, dtype=float)
+            if P.ndim != 2 or P.shape[0] == 0:
                 raise DegenerateInputError("vertex list must be a 2d point array")
-            self.dim = V.shape[1]
-            scale = float(np.max(np.linalg.norm(V, axis=1)))
-            if scale == 0:
-                raise DegenerateInputError("degenerate (zero) body")
-            # central symmetry: every vertex must have its exact negative
-            gaps = np.linalg.norm(V[:, None, :] + V[None, :, :], axis=2)
-            if np.max(np.min(gaps, axis=1)) > 1e-9 * scale:
-                raise DegenerateInputError("vertex list is not symmetric")
+            self.dim = P.shape[1]
+            # row norms as np.linalg.norm rounds them, without its call overhead
+            scale = float(np.sqrt((P ** 2).sum(axis=1).max()))
+            self.vertices = np.concatenate([P, -P])
             from scipy.spatial import ConvexHull, QhullError
             try:
-                hull = ConvexHull(V)
+                hull = ConvexHull(self.vertices)
             except QhullError as exc:
                 raise DegenerateInputError(f"degenerate vertex body: {exc}")
-            self.vertices = V
-            self._facet_normals = hull.equations[:, :-1]
-            self._facet_offsets = -hull.equations[:, -1]
-            norms = np.linalg.norm(self._facet_normals, axis=1)
-            self._facet_normals /= norms[:, None]
-            self._facet_offsets /= norms
-            if np.min(self._facet_offsets) <= 1e-12 * scale:
+            norms = np.sqrt((hull.equations[:, :-1] ** 2).sum(axis=1))
+            self._normals = hull.equations[:, :-1] / norms[:, None]
+            self._offsets = -hull.equations[:, -1] / norms
+            if self._offsets.min() <= 1e-12 * scale:
                 raise NotInteriorError("origin is not interior to the body")
-            self._support = None
         else:
             if dim is None or dim < 1:
                 raise DegenerateInputError("support-oracle bodies need dim")
@@ -83,8 +77,8 @@ class SymmetricBody:
             W = stream.unit_directions(2048, self.dim, field="real")
             hw = np.array([0.5 * (float(support(u)) + float(support(-u)))
                            for u in W])
-            self._cloud_dirs = np.vstack([W, -W])
-            self._cloud_h = np.concatenate([hw, hw])
+            self._normals = np.vstack([W, -W])
+            self._offsets = np.concatenate([hw, hw])
 
     # -- oracles ------------------------------------------------------------
     @property
@@ -99,32 +93,59 @@ class SymmetricBody:
 
     def halfspace_data(self):
         """(normals, offsets) with unit rows; exact facets or a sampled cloud."""
-        if self.is_vertex_body:
-            return self._facet_normals.copy(), self._facet_offsets.copy()
-        return self._cloud_dirs.copy(), self._cloud_h.copy()
+        return self._normals.copy(), self._offsets.copy()
 
     def radial(self, U):
-        """Boundary distance from the origin along unit directions (rows)."""
-        A, b = self.halfspace_data()
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        proj = U @ A.T
-        with np.errstate(divide="ignore"):
-            t = np.where(proj > 1e-15, b[None, :] / np.where(proj > 1e-15, proj, 1.0),
-                         np.inf)
-        return t.min(axis=1)
+        """Boundary distance from the origin along unit directions (rows).
+        A row whose normal makes a product below 1e-15 with u counts at 1e-15:
+        b / 1e-15 is past the circumradius when every offset b is above 1e-15
+        of it, as the constructor ensures on vertex bodies."""
+        t = np.atleast_2d(np.asarray(U, dtype=float)) @ self._normals.T
+        np.maximum(t, 1e-15, out=t)
+        return np.divide(self._offsets, t, out=t).min(axis=1)
 
 
-def _householder_to_e1(u: np.ndarray) -> np.ndarray:
-    """Orthogonal (reflection) matrix Q with Q @ u = e_1, for unit u."""
-    m = u.size
-    e1 = np.zeros(m)
-    e1[0] = 1.0
-    w = u - e1
-    nw = np.linalg.norm(w)
-    if nw < 1e-14:
-        return np.eye(m)
-    w /= nw
-    return np.eye(m) - 2.0 * np.outer(w, w)
+def _stack(arrays, fill=None):
+    """(k, rows, ...) stack of arrays, each padded to the most rows with
+    ``fill``, or with copies of its first row."""
+    rows = max(len(a) for a in arrays)
+    out = np.empty((len(arrays), rows) + arrays[0].shape[1:])
+    for j, a in enumerate(arrays):
+        out[j, :len(a)] = a
+        out[j, len(a):] = a[0] if fill is None else fill
+    return out
+
+
+def _nearest(b):
+    """Per body: the row of its least offset, and that offset."""
+    i = np.argmin(b, axis=1)
+    r = b[np.arange(len(b)), i]
+    if np.any(np.isinf(r)):
+        raise DegenerateInputError("ran out of constraints while slicing")
+    if np.any(r <= 0):
+        raise DegenerateInputError("slice lost the origin; degenerate body")
+    return i, r
+
+
+def _rotate_and_slice(A, b, i):
+    """Householder Q taking each body's row i to e_1, the rows A Q^T, and their
+    slice {x_1 = 0}, with the rows left without a normal masked."""
+    W = A[np.arange(len(i)), i]
+    W[:, 0] -= 1.0
+    # |w| as a dot product per row, which rounds as the 1-D np.linalg.norm
+    nw = np.sqrt((W[:, None, :] @ W[:, :, None])[:, 0, 0])
+    far = nw >= 1e-14
+    W /= np.where(far, nw, 1.0)[:, None]
+    Q = np.eye(W.shape[1]) - 2.0 * (W[:, :, None] * W[:, None, :])
+    Q[~far] = np.eye(W.shape[1])
+    A = A @ Q.transpose(0, 2, 1)
+    norms = np.linalg.norm(A[..., 1:], axis=-1)
+    keep = norms > 1e-12
+    if np.any(b[~keep] < -1e-12):
+        raise DegenerateInputError("inconsistent slice constraints")
+    norms[~keep] = 1.0
+    A2 = np.where(keep[..., None], A[..., 1:] / norms[..., None], 0.0)
+    return Q, A, A2, np.where(keep, b / norms, np.inf)
 
 
 @dataclass(frozen=True)
@@ -140,107 +161,107 @@ class BoxBound:
     def dim(self) -> int:
         return self.radii.size
 
+    @property
+    def contained(self) -> bool:
+        return self.slack >= -config.CONTAINMENT_SLACK
 
-def _slice_halfspaces(A, b):
-    """H-representation of the slice {x_1 = 0}: drop the first column."""
-    A2 = A[:, 1:]
-    norms = np.linalg.norm(A2, axis=1)
-    keep = norms > 1e-12
-    if np.any(b[~keep] < -1e-12):
-        raise DegenerateInputError("inconsistent slice constraints")
-    A2 = A2[keep] / norms[keep][:, None]
-    return A2, b[keep] / norms[keep]
+
+def box_lemma_bounds(bodies, *, seed: int = 0) -> list[BoxBound]:
+    """The cascaded box of each body of a stack of one dimension, with the
+    worst slack of its containment check (``contained`` is false if it fails).
+    r_1 is the least facet-plane distance of a vertex body, which is exact,
+    and the least offset of an oracle body's half-space cloud."""
+    if not bodies:
+        return []
+    A = _stack([body._normals for body in bodies], 0.0)
+    b = _stack([body._offsets for body in bodies], np.inf)
+    norms = np.linalg.norm(A, axis=2)
+    norms[np.isinf(b)] = 1.0
+    A, b = A / norms[..., None], b / norms
+    k, n = len(bodies), bodies[0].dim
+    base = np.empty((k, n))
+    rotation = np.tile(np.eye(n), (k, 1, 1))
+    for level in range(n):
+        i, base[:, level] = _nearest(b)
+        if level == n - 1:
+            break
+        Q, _, A, b = _rotate_and_slice(A, b, i)
+        full = np.tile(np.eye(n), (k, 1, 1))
+        full[:, level:, level:] = Q
+        rotation = full @ rotation
+    radii = base * 2.0 ** np.arange(n)
+    slack, _ = _worst_slack(bodies, radii, rotation, seed=seed)
+    return [BoxBound(radii[j], rotation[j], base[j], float(slack[j]))
+            for j in range(k)]
 
 
 def box_lemma_bound(body: SymmetricBody, *, seed: int = 0) -> BoxBound:
-    """Compute the cascaded box and verify containment by brute force.
+    """``box_lemma_bounds`` of one body; raises LemmaViolationError, with the
+    worst point as witness, when the containment check fails."""
+    bound = box_lemma_bounds([body], seed=seed)[0]
+    if not bound.contained:
+        _, worst, witness = brute_force_containment(body, bound.radii,
+                                                    bound.rotation, seed=seed)
+        raise LemmaViolationError(f"box containment failed by {-worst:.3e}", witness=witness)
+    return bound
 
-    Every level slices ``halfspace_data``: on vertex bodies r_1 is the least
-    facet-plane distance, which is exact, and on oracle bodies it is the least
-    offset of the half-space cloud.  Raises LemmaViolationError when the check
-    fails; otherwise ``slack`` is its worst slack.
-    """
-    n = body.dim
-    A, b = body.halfspace_data()
-    norms = np.linalg.norm(A, axis=1)
-    A, b = A / norms[:, None], b / norms
 
-    base = []
-    rotation = np.eye(n)
-    for level in range(n):
-        m = n - level
-        if A.shape[0] == 0:
-            raise DegenerateInputError("ran out of constraints while slicing")
-        i = int(np.argmin(b))
-        r = float(b[i])
-        if r <= 0:
-            raise DegenerateInputError("slice lost the origin; degenerate body")
-        base.append(r)
-        if m == 1:
-            break
-        Q = _householder_to_e1(A[i])
-        A = A @ Q.T
-        full = np.eye(n)
-        full[level:, level:] = Q
-        rotation = full @ rotation
-        A, b = _slice_halfspaces(A, b)
-    base = np.array(base)
-    radii = base * 2.0 ** np.arange(n)
-    ok, worst, witness = brute_force_containment(body, radii, rotation, seed=seed)
-    if not ok:
-        raise LemmaViolationError(
-            f"box containment failed by {-worst:.3e}", witness=witness)
-    return BoxBound(radii, rotation, base, worst)
+def _worst_slack(bodies, radii, rotation, samples=10_000, seed=0):
+    """Per body of a stack: the least box slack over its vertices, or over its
+    boundary points along sampled directions, and the point that has it."""
+    pts = []
+    for body in bodies:
+        if body.is_vertex_body:
+            pts.append(body.vertices)
+        else:
+            U = SampleStream(seed).unit_directions(samples, body.dim, field="real")
+            pts.append(body.radial(U)[:, None] * U)
+    pts = _stack(pts)
+    per_point = (radii[:, None, :] - np.abs(pts @ rotation.transpose(0, 2, 1))).min(axis=2)
+    i = np.argmin(per_point, axis=1)
+    return per_point[np.arange(len(i)), i], pts[np.arange(len(i)), i]
 
 
 def brute_force_containment(body: SymmetricBody, radii, rotation, *,
                             samples: int = 10_000, seed: int = 0):
     """(contained, worst slack, witness): exact vertex check or sampled boundary."""
-    radii = np.asarray(radii, dtype=float)
-    rotation = np.asarray(rotation, dtype=float)
-    if body.is_vertex_body:
-        pts = body.vertices
-    else:
-        U = SampleStream(seed).unit_directions(samples, body.dim, field="real")
-        pts = body.radial(U)[:, None] * U
-    W = pts @ rotation.T
-    slacks = radii[None, :] - np.abs(W)
-    per_point = slacks.min(axis=1)
-    i = int(np.argmin(per_point))
-    worst = float(per_point[i])
+    worst, pts = _worst_slack([body], np.asarray(radii, dtype=float)[None],
+                              np.asarray(rotation, dtype=float)[None], samples, seed)
+    worst = float(worst[0])
     ok = worst >= -config.CONTAINMENT_SLACK
-    witness = None if ok else pts[i]
-    return ok, worst, witness
+    return ok, worst, None if ok else pts[0]
 
 
-def slope_check(body: SymmetricBody):
-    """For n = 2: the supporting-line slope bound at the slice-extreme point.
+def slope_checks(bodies):
+    """For n = 2, per body of a stack: the supporting-line slope bound at the
+    slice-extreme point, on the raw ``halfspace_data`` tables.
 
     After rotating the minimizing direction onto e_1, the slice {x_1 = 0} is
     the segment [-r_2, r_2] e_2, and any supporting line x_2 = a_1 x_1 + r_2 at
     (0, r_2) must satisfy |a_1| <= sqrt((r_2/r_1)^2 - 1).  Returns
-    (max |slope| over facets through the point, bound).
-
-    Like ``box_lemma_bound``, the check runs on ``halfspace_data``: r_1, its
-    direction, the slice and the facets all come from one polytope, the
-    facets of a vertex body or the half-space cloud of an oracle body.
+    (max |slope| over facets through the point, bound) per body.
     """
-    if body.dim != 2:
+    if any(body.dim != 2 for body in bodies):
         raise DegenerateInputError("slope check is a planar statement")
-    A, b = body.halfspace_data()
-    i = int(np.argmin(b))
-    r1, u = float(b[i]), A[i]
-    Q = _householder_to_e1(u)
-    A = A @ Q.T
-    A2, b2 = _slice_halfspaces(A, b)
-    r2 = float(np.min(b2))
-    top = np.array([0.0, r2])
-    active = np.abs(A @ top - b) <= 1e-9 * max(1.0, r2)
-    if not np.any(active):
+    if not bodies:
+        return []
+    A = _stack([body._normals for body in bodies], 0.0)
+    b = _stack([body._offsets for body in bodies], np.inf)
+    i, r1 = _nearest(b)
+    _, A, _, b2 = _rotate_and_slice(A, b, i)
+    r2 = np.min(b2, axis=1)
+    # A @ (0, r_2) is A[:, 1] r_2, rounded once; the +inf pad is never active
+    active = np.abs(A[..., 1] * r2[:, None] - b) <= 1e-9 * np.maximum(1.0, r2)[:, None]
+    if not np.all(np.any(active, axis=1)):
         raise DegenerateInputError("no supporting facet at the slice extreme")
-    slopes = -A[active, 0] / A[active, 1]
-    bound = float(np.sqrt(max((r2 / r1) ** 2 - 1.0, 0.0)))
-    return float(np.max(np.abs(slopes))), bound
+    slopes = np.where(active, np.abs(A[..., 0] / np.where(active, A[..., 1], 1.0)), -np.inf)
+    return [(float(s), float(np.sqrt(max((float(q) / float(p)) ** 2 - 1.0, 0.0))))
+            for s, p, q in zip(slopes.max(axis=1), r1, r2)]
+
+
+def slope_check(body: SymmetricBody):
+    """``slope_checks`` of one planar body: (max |slope|, bound)."""
+    return slope_checks([body])[0]
 
 
 def random_symmetric_polytope(dim: int, pairs: int,
@@ -249,9 +270,8 @@ def random_symmetric_polytope(dim: int, pairs: int,
     for _ in range(50):
         scales = np.exp(stream.uniform(dim, -0.7, 0.7))
         P = stream.normal((pairs, dim)) * scales[None, :]
-        V = np.vstack([P, -P])
         try:
-            body = SymmetricBody(vertices=V)
+            body = SymmetricBody(vertices=P)
         except (DegenerateInputError, NotInteriorError):
             continue
         return body

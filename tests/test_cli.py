@@ -160,7 +160,8 @@ def test_boxlemma_stress_csv(capsys, tmp_path):
 
 
 def test_boxlemma_stress_lists_each_slope_failure_once(capsys, monkeypatch):
-    monkeypatch.setattr("invmet.suites.slope_check", lambda body: (1.0, 0.5))
+    monkeypatch.setattr("invmet.suites.slope_checks",
+                        lambda bodies: [(1.0, 0.5)] * len(bodies))
     code, _, err = run(capsys, "boxlemma", "stress", "--dim", "2",
                        "--instances", "3")
     assert code == 1

@@ -1,17 +1,22 @@
 """Rotated-box containment cascade for symmetric convex bodies."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invmet import (
     SampleStream,
     SymmetricBody,
     box_lemma_bound,
+    box_lemma_bounds,
     brute_force_containment,
     random_symmetric_polytope,
     slope_check,
+    slope_checks,
 )
 from invmet.errors import DegenerateInputError, NotInteriorError
 
@@ -19,11 +24,18 @@ SQUARE = [[1, 1], [1, -1], [-1, -1], [-1, 1]]
 CROSS = [[1, 0], [0, 1], [-1, 0], [0, -1]]
 
 
-def test_vertex_body_requires_symmetry():
-    with pytest.raises(DegenerateInputError):
-        SymmetricBody(vertices=[[1, 1], [1, -1], [-1, 1]])
+def test_vertex_body_rejects_a_flat_hull():
     with pytest.raises((DegenerateInputError, NotInteriorError)):
         SymmetricBody(vertices=[[1, 0], [-1, 0], [1, 1e-15], [-1, -1e-15]])
+
+
+def test_vertex_body_is_the_hull_of_the_points_and_their_mirror_images():
+    P = SampleStream(4).normal((6, 3))
+    half = SymmetricBody(vertices=P)
+    whole = SymmetricBody(vertices=np.vstack([P, -P]))
+    np.testing.assert_array_equal(half.vertices, np.vstack([P, -P]))
+    np.testing.assert_allclose(box_lemma_bound(half).radii,
+                               box_lemma_bound(whole).radii, rtol=0, atol=1e-12)
 
 
 def test_support_and_radial_on_the_square():
@@ -104,3 +116,41 @@ def test_random_polytopes_contain_origin_symmetrically():
         assert np.min(np.linalg.norm(V + v, axis=1)) < 1e-9
     _, b = body.halfspace_data()
     assert np.all(b > 0)
+
+
+@functools.cache
+def _oracle(dim):
+    """A support-oracle body per dimension, the hull of a random polytope's
+    vertices known only through its support function, and its one-body box."""
+    V = random_symmetric_polytope(dim, 2 * dim + 1, SampleStream(90 + dim)).vertices
+    body = SymmetricBody(support=lambda u: float(np.max(V @ u)), dim=dim, seed=dim)
+    return body, box_lemma_bound(body, seed=3)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4), st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=6),
+       st.randoms(use_true_random=False))
+def test_a_stacked_cascade_matches_each_one_body_call(dim, seeds, rnd):
+    """Bodies of different facet counts and one support-oracle body, stacked
+    in a random order, each get the box of their own one-body call."""
+    oracle, oracle_bound = _oracle(dim)
+    bodies = [random_symmetric_polytope(dim, dim + 2 + s % (3 * dim + 3), SampleStream(s))
+              for s in seeds] + [oracle]
+    rnd.shuffle(bodies)
+    for body, stacked in zip(bodies, box_lemma_bounds(bodies, seed=3)):
+        alone = oracle_bound if body is oracle else box_lemma_bound(body, seed=3)
+        for field in ("radii", "rotation", "base_distances", "slack"):
+            assert np.array_equal(getattr(stacked, field), getattr(alone, field)), field
+    if dim == 2:
+        assert slope_checks(bodies) == [slope_check(body) for body in bodies]
+
+
+def test_a_stack_with_one_degenerate_body_raises():
+    bodies = [random_symmetric_polytope(3, 6 + k, SampleStream(k)) for k in range(4)]
+    box_lemma_bounds(bodies)
+    # the origin on a facet plane of one body: its first level has r_1 = 0
+    offsets = bodies[2]._offsets.copy()
+    offsets[1] = 0.0
+    bodies[2]._offsets = offsets
+    with pytest.raises(DegenerateInputError, match="lost the origin"):
+        box_lemma_bounds(bodies)
