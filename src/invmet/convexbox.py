@@ -99,10 +99,16 @@ class SymmetricBody:
         """Boundary distance from the origin along unit directions (rows).
         A row whose normal makes a product below 1e-15 with u counts at 1e-15:
         b / 1e-15 is past the circumradius when every offset b is above 1e-15
-        of it, as the constructor ensures on vertex bodies."""
-        t = np.atleast_2d(np.asarray(U, dtype=float)) @ self._normals.T
-        np.maximum(t, 1e-15, out=t)
-        return np.divide(self._offsets, t, out=t).min(axis=1)
+        of it, as the constructor ensures on vertex bodies.  Blocks of 256 to
+        511 directions bound the product's memory; only a one-row U makes a
+        one-row block, which BLAS would round apart as matrix-vector."""
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        out = []
+        for block in np.array_split(U, max(1, len(U) // 256)):
+            t = block @ self._normals.T
+            np.maximum(t, 1e-15, out=t)
+            out.append(np.divide(self._offsets, t, out=t).min(axis=1))
+        return np.concatenate(out)
 
 
 def _stack(arrays, fill=None):

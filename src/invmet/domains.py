@@ -111,6 +111,16 @@ class MetricForm:
             return MetricForm(M.conj().T @ self.matrix @ M, True)
         return MetricForm(self.matrix @ M, False)
 
+    @property
+    def volume(self) -> float:
+        """Euclidean volume of the unit ball {K(x; .) < 1} in C^n = R^{2n}:
+        pi^n / (n! det Q), or pi^n / |det A|^2 for n rows A (the image of the
+        unit polydisc under A^{-1})."""
+        n = self.matrix.shape[1]
+        if self.hermitian:
+            return math.pi ** n / (math.factorial(n) * float(np.linalg.det(self.matrix).real))
+        return math.pi ** n / float(abs(np.linalg.det(self.matrix))) ** 2
+
 
 class Domain:
     """Common interface; concrete kinds override the oracles they support."""

@@ -334,7 +334,8 @@ def write_indicatrix_csv(sample: IndicatrixSample, fh):
 
 @dataclass(frozen=True)
 class VolumeEstimate:
-    """Monte Carlo indicatrix volume with its certified sensitivity bracket."""
+    """Indicatrix volume with its certified sensitivity bracket: a Monte Carlo
+    mean, or with ``samples == 0`` the closed form (se 0, lower = upper)."""
 
     value: float
     se: float
@@ -353,16 +354,23 @@ def _ball_volume_coeff(n: int) -> float:
 
 def indicatrix_volume(d: Domain, x, samples: int = 100_000, *,
                       seed: int = 0) -> VolumeEstimate:
-    """Monte Carlo Euclidean volume of the indicatrix at x (midpoint radii).
+    """Euclidean volume of the indicatrix at x: ``MetricForm.volume`` where d
+    has a ``metric_form`` at x (products, the ball and their affine images),
+    drawing nothing, with value = lower = upper, se 0 and ``samples == 0``;
+    else a Monte Carlo mean of midpoint radii.
 
     Radial sampling: Vol = omega_{2n} * E[r(u)^{2n}] over uniform directions u
     on the unit sphere of C^n, the radii r(u) read off ``indicatrix(d, x,
     samples, seed=seed)``; the certified inner and outer radii give the
-    bracket.  Constant radii (isotropic metrics) give zero variance, so the
-    model cases are exact up to floating point.
+    bracket.
     """
     if samples < config.MIN_VOLUME_SAMPLES:
         raise DegenerateInputError(f"need at least {config.MIN_VOLUME_SAMPLES} samples")
+    x = _sized(d, x)
+    form = d.metric_form(x)
+    if form is not None:
+        v = form.volume
+        return VolumeEstimate(v, 0.0, v, v, 0)
     sample = indicatrix(d, x, samples, seed=seed)
     # the sums read only the radii: the directions, the sample's largest
     # array, are freed first

@@ -307,23 +307,34 @@ class JacobianVolumeReport:
     volume_at_p: float
     volume_at_q: float
 
+    @classmethod
+    def from_volumes(cls, det_sq: float, vp, vq) -> "JacobianVolumeReport":
+        """The report of volumes vp at p and vq at phi(p), whose ratio should
+        be det_sq; the standard errors combine as independent."""
+        ratio = vq.value / vp.value
+        se = ratio * float(np.hypot(vp.se / vp.value, vq.se / vq.value))
+        rel = abs(ratio - det_sq) / det_sq if det_sq > 0 else np.inf
+        return cls(det_sq, ratio, rel, se, vp.value, vq.value)
+
     @property
     def within(self) -> float:
-        """Discrepancy measured in combined standard errors."""
+        """Discrepancy measured in combined standard errors: 0 for a ratio
+        within ``MODEL_BRACKET_TOL`` relative of det_sq, as closed forms give
+        with se 0, and inf for any other ratio with se 0."""
+        if self.rel_error <= config.MODEL_BRACKET_TOL:
+            return 0.0
         if self.se_ratio == 0.0:
-            return 0.0 if self.volume_ratio == self.det_sq else np.inf
+            return np.inf
         return abs(self.volume_ratio - self.det_sq) / self.se_ratio
 
 
 def volume_jacobian_check(d: Domain, phi, p, samples: int = 100_000, *,
                           seed: int = 0) -> JacobianVolumeReport:
-    """Check |det dphi(p)|^2 = Vol(I(phi(p))) / Vol(I(p)) by Monte Carlo."""
+    """Check |det dphi(p)|^2 = Vol(I(phi(p))) / Vol(I(p)), in closed form
+    where d has a ``metric_form``, else by Monte Carlo."""
     p = cvector(p)
     q = np.asarray(phi(p), dtype=complex)
     det_sq = float(abs(np.linalg.det(np.asarray(phi.derivative(p)))) ** 2)
-    vp = indicatrix_volume(d, p, samples, seed=seed)
-    vq = indicatrix_volume(d, q, samples, seed=seed + 1)
-    ratio = vq.value / vp.value
-    se = ratio * float(np.hypot(vp.se / vp.value, vq.se / vq.value))
-    rel = abs(ratio - det_sq) / det_sq if det_sq > 0 else np.inf
-    return JacobianVolumeReport(det_sq, ratio, rel, se, vp.value, vq.value)
+    return JacobianVolumeReport.from_volumes(
+        det_sq, indicatrix_volume(d, p, samples, seed=seed),
+        indicatrix_volume(d, q, samples, seed=seed + 1))

@@ -14,9 +14,11 @@ import pytest
 
 from invmet import (
     AutomorphismFamily,
+    JacobianVolumeReport,
     asymptotics_sweep,
     barth_check,
     halfplane_product,
+    indicatrix_volume,
     kobayashi_metric,
     lambda_halfplane,
     model_automorphism,
@@ -31,6 +33,7 @@ from invmet.suites import (
     run_scaling_suite,
     run_squeeze_suite,
 )
+from invmet.zoo import affine_twin, twin_map
 
 
 def _report(n: int, ok: bool, wall: float, budget: float, detail: str):
@@ -124,12 +127,22 @@ def test_criterion_6_jacobian_volume():
     x = np.array([0.4 + 0.1j, 0.2j])
     chi = model_automorphism(ball2, x, np.zeros(2, complex))
     ball_rep = volume_jacobian_check(ball2, chi, x, samples=1_000_000, seed=1)
+    # three_face has no metric form: its volumes are Monte Carlo means, whose
+    # ratio against the affine twin's must be |det T|^2
+    three, T = zoo_domain("three_face"), twin_map(2)
+    y = np.array([0.3 - 0.1j, 0.2j])
+    twin_rep = JacobianVolumeReport.from_volumes(
+        abs(T.linear.det) ** 2, indicatrix_volume(three, y, 200_000, seed=2),
+        indicatrix_volume(affine_twin(three), T(y), 200_000, seed=3))
     wall = time.monotonic() - t0
     ok = (disc_rep.rel_error <= 1e-9 and forward_err <= 1e-9
-          and ball_rep.within <= 3.0)
+          and ball_rep.within <= 3.0 and twin_rep.se_ratio > 0
+          and twin_rep.within <= 3.0)
     _report(6, ok, wall, 120,
             f"disc identity exact (rel err {disc_rep.rel_error:.1e}); ball n=2 "
-            f"Monte Carlo within {ball_rep.within:.2f} se at 10^6 samples")
+            f"closed form within {ball_rep.within:.2f} se (rel err {ball_rep.rel_error:.1e}); "
+            f"three_face against its twin, Monte Carlo within {twin_rep.within:.2f} se "
+            "at 2x10^5 samples a side")
 
 
 def test_criterion_7_circularity_suite():

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,3 +155,46 @@ def test_a_stack_with_one_degenerate_body_raises():
     bodies[2]._offsets = offsets
     with pytest.raises(DegenerateInputError, match="lost the origin"):
         box_lemma_bounds(bodies)
+
+
+def _radial_in_one_product(body, U):
+    """``radial`` as one (directions, rows) product over every direction."""
+    t = np.atleast_2d(np.asarray(U, dtype=float)) @ body._normals.T
+    np.maximum(t, 1e-15, out=t)
+    return np.divide(body._offsets, t, out=t).min(axis=1)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_radial_in_blocks_keeps_the_bits_of_one_product(monkeypatch, dim):
+    """Taking an oracle body's directions in blocks moves no bit of its radii,
+    its box or its containment checks, passing and failing."""
+    body, _ = _oracle(dim)
+    U = SampleStream(5).unit_directions(10_000, dim, field="real")
+    for rows in (1, 2, 255, 257, 511, 513, 10_000):
+        assert np.array_equal(body.radial(U[:rows]), _radial_in_one_product(body, U[:rows]))
+
+    def run():
+        bound = box_lemma_bounds([body], seed=3)[0]
+        checks = [brute_force_containment(body, s * bound.radii, bound.rotation, seed=3)
+                  for s in (1.0, 0.5)]
+        return [bound.radii, bound.rotation, bound.base_distances, bound.slack] + [
+            np.asarray(v) for check in checks for v in check if v is not None]
+
+    blocked = run()
+    monkeypatch.setattr(SymmetricBody, "radial", _radial_in_one_product)
+    whole = run()
+    assert len(blocked) == len(whole) == 9
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, whole))
+
+
+def test_an_oracle_containment_check_holds_one_block_of_directions():
+    """10,000 directions against a 4096-row half-space cloud: the whole
+    product would take 328 MB, one block about 16 MB at most."""
+    body, bound = _oracle(4)
+    tracemalloc.start()
+    try:
+        brute_force_containment(body, bound.radii, bound.rotation, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6

@@ -6,8 +6,9 @@ lie inside quadrature sandwiches and agree across affine images, whose chord
 sums on random grids lie between those lengths and the trapezoid, whose
 face-table oracles must agree with the drawn faces taken one by one, and whose
 face-disc brackets stay ordered as faces are dropped; products of discs
-and half-planes, which answer in closed form; and distance balls on kinds
-with a closed-form distance, whose radii must meet the bisection's."""
+and half-planes, which answer in closed form; distance balls on kinds with a
+closed-form distance, whose radii must meet the bisection's; and indicatrix
+volumes on products, the ball and their affine images, in closed form."""
 
 import math
 
@@ -387,3 +388,52 @@ def test_distance_ball_points_meet_the_bisection(case, r, convention, seed):
     points = got.xD + got.W
     np.testing.assert_array_equal(ball.points, d.map(points) if got.D is not d else points)
     assert np.all(np.abs(got.t - got.lo) <= 1e-12 * got.lo + (got.hi - got.lo))
+
+
+@st.composite
+def closed_form_volumes(draw):
+    """(d, x, vol): a polydisc of drawn radii, a half-plane product or a
+    ball, a drawn interior point x, and the volume of the indicatrix at x
+    written out per kind."""
+    kind = draw(st.sampled_from(["polydisc", "upper", "left", "ball"]))
+    dim = draw(st.integers(1, 3))
+    if kind == "polydisc":
+        r = np.array([draw(st.floats(0.2, 5.0)) for _ in range(dim)])
+        x = r * draw(st.floats(0.0, 0.95)) * _complex_array(draw, (dim,)) / math.sqrt(2.0)
+        # a disc of radius (r^2 - |x|^2) / r per factor
+        return polydisc(r), x, math.prod(math.pi * ((r * r - np.abs(x) ** 2) / r) ** 2)
+    if kind == "ball":
+        x = draw(st.floats(0.0, 0.95)) * _complex_array(draw, (dim,)) / math.sqrt(2.0 * dim)
+        # pi^n / (n! det Q) with det Q = (1 - |x|^2)^-(n + 1)
+        vol = math.pi ** dim / math.factorial(dim) * (1.0 - np.vdot(x, x).real) ** (dim + 1)
+        return UnitBall(dim), x, vol
+    depth = np.array([draw(st.floats(0.05, 5.0)) for _ in range(dim)])
+    x = _complex_array(draw, (dim,))
+    x = x.real + 1j * depth if kind == "upper" else -depth + 1j * x.imag
+    # a disc of radius twice the distance to the boundary line per factor
+    return halfplane_product(dim, kind), x, math.prod(math.pi * (2.0 * depth) ** 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(closed_form_volumes(), st.integers(0, 2 ** 16))
+def test_indicatrix_volume_is_the_closed_form(case, seed):
+    """On products, the ball and a random affine image of each the volume is
+    ``MetricForm.volume``, drawing no direction: the written-out formula to
+    1e-12 relative, |det M|^2 times it on the image of M, and within 4 se of
+    the Monte Carlo mean of 20,000 sampled radii."""
+    d, x, vol = case
+    rng = np.random.default_rng(seed)
+    M = np.eye(d.dim) + 0.25 * (rng.normal(size=(d.dim, d.dim))
+                                + 1j * rng.normal(size=(d.dim, d.dim)))
+    twin = AffineImage(d, AffineMap(M, rng.normal(size=d.dim) + 0j))
+    det_sq = abs(np.linalg.det(M)) ** 2
+    got = []
+    for dom, z, want in ((d, x, vol), (twin, twin.map(x), det_sq * vol)):
+        est = metrics.indicatrix_volume(dom, z, seed=seed)
+        assert (est.samples, est.se, est.lower, est.upper) == (0, 0.0, est.value, est.value)
+        assert est.value == pytest.approx(want, rel=1e-12)
+        r = metrics.indicatrix(dom, z, 20_000, seed=seed).radius_lower
+        mc = math.pi ** dom.dim / math.factorial(dom.dim) * r ** (2 * dom.dim)
+        assert abs(est.value - mc.mean()) <= 4.0 * mc.std(ddof=1) / math.sqrt(r.size) + 1e-12 * want
+        got.append(est.value)
+    assert got[1] == pytest.approx(det_sq * got[0], rel=1e-12)

@@ -8,7 +8,9 @@ from invmet import (
     AffineMap,
     AutomorphismFamily,
     CLinearMap,
+    JacobianVolumeReport,
     SampleStream,
+    VolumeEstimate,
     default_schedule,
     equivalence_audit,
     frankel_tau,
@@ -191,3 +193,19 @@ def test_volume_jacobian_ball_within_mc_error(ball2):
     rep = volume_jacobian_check(ball2, phi, x, samples=40_000, seed=2)
     assert rep.within <= 3.0
     assert rep.volume_ratio == pytest.approx(rep.det_sq, rel=0.05)
+
+
+def _ratio_report(det_sq, ratio, se):
+    return JacobianVolumeReport.from_volumes(det_sq, VolumeEstimate(1.0, 0.0, 1.0, 1.0, 0),
+                                             VolumeEstimate(ratio, se, ratio, ratio, 1000))
+
+
+def test_within_reads_a_ratio_inside_the_model_tolerance_as_zero():
+    """A closed-form ratio one ulp off det_sq, or a Monte Carlo one off by
+    dozens of a tiny se, is within 0; a ratio 1e-6 off with se 0 is not."""
+    det_sq = 0.421875
+    ulp = np.nextafter(det_sq, 1.0)
+    assert _ratio_report(det_sq, ulp, 0.0).within == 0.0
+    assert _ratio_report(det_sq, ulp, 1.6e-18).within == 0.0
+    assert _ratio_report(det_sq, det_sq * (1 + 1e-6), 0.0).within == np.inf
+    assert _ratio_report(det_sq, det_sq * (1 + 1e-6), det_sq * 1e-6).within == pytest.approx(1.0)

@@ -58,9 +58,11 @@ def test_domination_suite_small():
 
 
 def test_volume_suite_small():
-    res = run_volume_suite(seed=0, disc_samples=2000, ball_samples=4000)
+    res = run_volume_suite(seed=0, samples=4000)
     assert res.passed
-    assert len(res.rows) == 2
+    assert [row[0] for row in res.rows] == ["disc-a0.5", "ball2-a0.5", "three_face-twin"]
+    # the models' volumes are closed forms; the twin's ratio is Monte Carlo
+    assert [row[4] > 0 for row in res.rows] == [False, False, True]
 
 
 def test_barth_suite_enforces_every_row():
