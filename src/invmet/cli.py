@@ -59,6 +59,18 @@ _ENV_FLAGS = {"domain": (str, None), "seed": (int, 0), "tol": (float, None),
               "workers": (int, 1)}
 
 
+def _count(least: int):
+    """An argparse type for a count flag: an integer of at least ``least``,
+    so that a smaller one is bad input, exit 2 naming the flag."""
+    def count(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    count.__name__ = "int"   # argparse's message for text that is no integer
+    return count
+
+
 def _load_json(text: str, flag: str):
     try:
         return json.loads(text)
@@ -354,22 +366,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "indicatrix", "cmd_indicatrix",
                  "radial indicatrix profile as CSV", "domain seed convention out")
     p.add_argument("--at", required=True)
-    p.add_argument("--directions", type=int, default=256)
+    p.add_argument("--directions", type=_count(1), default=256)
 
     p = sub.add_parser("scale", help="rescaling audits")
     scale_sub = p.add_subparsers(dest="subcommand", required=True)
     pa = _command(scale_sub, "audit", "cmd_scale_audit",
                   "tau vs A^-1 sigma along a schedule", "domain seed tol out")
     pa.add_argument("--target", required=True)
-    pa.add_argument("--steps", type=int, default=20)
-    pa.add_argument("--grid", type=int, default=100)
+    pa.add_argument("--steps", type=_count(1), default=20)
+    pa.add_argument("--grid", type=_count(1), default=100)
 
     p = sub.add_parser("boxlemma", help="symmetric box bounds")
     box_sub = p.add_subparsers(dest="subcommand", required=True)
     pb = _command(box_sub, "stress", "cmd_boxlemma_stress",
                   "random polytope stress battery", "seed convention out")
-    pb.add_argument("--dim", type=int, required=True)
-    pb.add_argument("--instances", type=int, default=500)
+    pb.add_argument("--dim", type=_count(2), required=True)
+    pb.add_argument("--instances", type=_count(1), default=500)
 
     p = _command(sub, "dominate", "cmd_dominate",
                  "distance-ball domination profile", "domain seed tol convention out")
@@ -377,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated list, e.g. 0.25,0.5,1")
     p.add_argument("--points", default="auto",
                    help="'auto' or JSON list of points")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=_count(1), default=2000)
 
     p = sub.add_parser("squeeze", help="squeeze certificates")
     sq_sub = p.add_subparsers(dest="subcommand", required=True)
@@ -386,11 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--at", required=True)
     pc.add_argument("--model", choices=("polydisc", "ball"),
                     default="polydisc")
-    pc.add_argument("--samples", type=int, default=10_000)
+    pc.add_argument("--samples", type=_count(1), default=10_000)
     ps = _command(sq_sub, "sweep", "cmd_squeeze_sweep",
                   "corner asymptotics sweep", "domain seed convention out")
     ps.add_argument("--corner", required=True)
-    ps.add_argument("--steps", type=int, default=12)
+    ps.add_argument("--steps", type=_count(1), default=12)
     ps.add_argument("--threshold", type=float, default=None)
 
     _command(sub, "verify-all", "cmd_verify_all",

@@ -91,7 +91,7 @@ from .errors import (
     SpecLoadError,
     UnsupportedKindError,
 )
-from .sampling import SampleStream, root_directions
+from .sampling import SampleStream, root_directions, row_norms
 
 
 @dataclass(frozen=True)
@@ -324,7 +324,7 @@ class UnitBall(Domain):
 
     @staticmethod
     def _section_rows(P, V, r2):
-        nv = np.linalg.norm(V, axis=1)
+        nv = row_norms(V)
         Pc = P.conj()
         c = np.abs(np.sum(V * Pc, axis=1))
         return (np.sqrt(c * c + r2 * nv * nv) - c) / nv
@@ -503,11 +503,14 @@ class ConvexPolyhedron(Domain):
 
     def _rate_blocks(self, P, V):
         """(rows, |V[rows]|, slacks, rates) per block of at most
-        ``_ROW_BLOCK`` rows: the slacks of the block's points, taken once when
-        P is one row shared by every row of V, and the rates |f_lin(V[i])|.
+        ``_ROW_BLOCK`` rows: the row norms by ``row_norms`` (numpy's bits, in
+        column passes), the slacks of the block's points, taken once when P
+        is one row shared by every row of V, and the rates |f_lin(V[i])|.
         Both are face-major, (faces, rows), so a reduction over the faces runs
-        elementwise along the rows rather than row by row.  Raises
-        NotInteriorError unless every slack is > 0."""
+        elementwise along the rows rather than row by row.  The rates are the
+        row-major product V @ coeffs.T, transposed: the face-major product
+        coeffs @ V.T rounds a stack of a few rows apart from a tall one.
+        Raises NotInteriorError unless every slack is > 0."""
         shared = len(P) != len(V)
         for start in range(0, len(V), _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
@@ -516,7 +519,7 @@ class ConvexPolyhedron(Domain):
                 if not np.all(S > 0):
                     raise NotInteriorError("point outside the polyhedron")
                 S = np.ascontiguousarray(S.T)
-            yield (rows, np.linalg.norm(V[rows], axis=1), S,
+            yield (rows, row_norms(V[rows]), S,
                    np.ascontiguousarray(np.abs(V[rows] @ self.coeffs.T).T))
 
     @staticmethod
@@ -564,7 +567,7 @@ class ConvexPolyhedron(Domain):
         # a node on or outside a face has slack <= 0, so per <= 0 or nan
         if not np.all(per > 0):
             raise NotInteriorError("point outside the polyhedron")
-        return np.linalg.norm(W, axis=1)[:, None] * per
+        return row_norms(W)[:, None] * per
 
     def metric_paired(self, P, V):
         """On a product, the largest face-disc metric; else None.  A
@@ -989,7 +992,7 @@ def _polygon_search(margin, X, D, phase, lo, f_lo, hi, f_hi, width):
     # and one steps ago
     idx, row, Xl, Dl = ring.ravel(), np.repeat(np.arange(rows), rays), X, D
     prv, nxt = np.roll(ring, 1, axis=1).ravel(), np.roll(ring, -1, axis=1).ravel()
-    res = eps * np.linalg.norm(X, axis=1) / np.linalg.norm(D, axis=1)
+    res = eps * row_norms(X) / row_norms(D)
     a, fa, b, fb = lo, f_lo, hi, f_hi
     h3 = h2 = h1 = np.full(lo.size, np.inf)
     cos = math.cos(math.pi / rays)
@@ -1118,7 +1121,7 @@ class BalancedConvex(Domain):
             gap = b - np.real(np.einsum("ikn,in->ik", N, P[block]))
             lower[block] = np.divide(np.abs(np.einsum("ikn,in->ik", N, V[block])), 2.0 * gap,
                                      out=np.zeros_like(gap), where=gap > 0).max(axis=1, initial=0.0)
-        nv = np.linalg.norm(V, axis=1)
+        nv = row_norms(V)
         return (np.maximum(lower, nv / (2.0 * (np.linalg.norm(P, axis=1) + self.bounding_radius))),
                 nv / dist)
 
@@ -1139,7 +1142,7 @@ class BalancedConvex(Domain):
         rays = config.SECTION_RAYS
         V = self._check_dim(V)
         P = np.broadcast_to(self._check_dim(P), V.shape)
-        nv = np.linalg.norm(V, axis=1)
+        nv = row_norms(V)
         if np.any(nv == 0.0):
             raise DegenerateInputError("zero direction")
         out = np.empty(P.shape[0])
@@ -1333,13 +1336,13 @@ class AffineImage(Domain):
     def section_distance_paired(self, P, V):
         Pp, Vp = self._pull_back(P, V)
         return (self.inner.section_distance_paired(Pp, Vp)
-                * np.linalg.norm(V, axis=1) / np.linalg.norm(Vp, axis=1))
+                * row_norms(V) / row_norms(Vp))
 
     def section_distance_along(self, x, W, T):
         W = np.asarray(W, dtype=complex)
         Wp = W @ self.map_inv.linear.matrix.T
         return (self.inner.section_distance_along(self.map_inv(x), Wp, T)
-                * (np.linalg.norm(W, axis=1) / np.linalg.norm(Wp, axis=1))[:, None])
+                * (row_norms(W) / row_norms(Wp))[:, None])
 
     def bracket_paired(self, P, V, stream=None):
         return self.inner.bracket_paired(*self._pull_back(P, V), stream)

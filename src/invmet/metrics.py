@@ -32,7 +32,7 @@ from . import config
 from .core import cvector
 from .domains import AffineImage, Domain
 from .errors import DegenerateInputError, DimensionMismatchError, UnboundedValueError
-from .sampling import SampleStream, root_directions
+from .sampling import SampleStream, root_directions, row_norms
 
 CONVENTIONS = ("standard", "paper")
 
@@ -308,7 +308,10 @@ def indicatrix(d: Domain, x, directions: int = 256, *, seed: int = 0) -> Indicat
     read through ``root_directions``, which draws each seed's normals once per
     process, so repeated calls at one seed skip the draw and return the same
     bits; any samples the bracket draws come from ``SampleStream(seed).fork(1)``.
+    Raises DegenerateInputError unless ``directions`` is at least 1.
     """
+    if directions < 1:
+        raise DegenerateInputError("need at least 1 direction")
     x = _sized(d, x)
     U = root_directions(seed, directions, d.dim)
     lower, upper = kobayashi_metric_values(d, x, U, stream=SampleStream(seed).fork(1))
@@ -316,20 +319,18 @@ def indicatrix(d: Domain, x, directions: int = 256, *, seed: int = 0) -> Indicat
 
 
 def write_indicatrix_csv(sample: IndicatrixSample, fh):
-    """Columns: direction components (re/im interleaved), radius_lo, radius_hi."""
+    """Columns: direction components (re/im interleaved), radius_lo, radius_hi.
+    Each row is one list of floats, the direction's real view then its two
+    radii, each written by ``repr``."""
     n = sample.directions.shape[1]
     cols = []
     for k in range(n):
         cols += [f"dir{k}_re", f"dir{k}_im"]
     cols += ["radius_lo", "radius_hi"]
     fh.write(",".join(cols) + "\n")
-    rl, ru = sample.radius_lower, sample.radius_upper
-    for i, u in enumerate(sample.directions):
-        row = []
-        for k in range(n):
-            row += [repr(float(u[k].real)), repr(float(u[k].imag))]
-        row += [repr(float(rl[i])), repr(float(ru[i]))]
-        fh.write(",".join(row) + "\n")
+    table = np.column_stack([np.ascontiguousarray(sample.directions, dtype=complex).view(float),
+                             sample.radius_lower, sample.radius_upper])
+    fh.write("".join(",".join(map(repr, row)) + "\n" for row in table.tolist()))
 
 
 @dataclass(frozen=True)
@@ -497,6 +498,6 @@ def indicatrix_gauge_upper(d: Domain, x, W):
         V, e = _moderated(W[nz])
         upper = d.metric_paired(P, V)
         if upper is None:
-            upper = np.linalg.norm(V, axis=1) / d.section_distance_paired(P, V)
+            upper = row_norms(V) / d.section_distance_paired(P, V)
         out[nz] = upper if e is None else np.ldexp(upper, e)
     return out

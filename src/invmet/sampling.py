@@ -14,16 +14,64 @@ import numpy as np
 
 # Rows of a direction stack whose squared moduli are held at a time.
 _NORM_BLOCK = 4096
+# Rows per column pass from which ``row_norms`` sums by column passes: one
+# pass over a column costs about what numpy's reduce pays on this many rows.
+_PASS_ROWS = 64
 
 
-def _row_norms(z):
-    """|z[i]| per row of a 2-D stack, rounded as ``np.linalg.norm(z, axis=1)``
-    rounds it (the same sum of (z.conj() * z).real), taken over blocks of
-    ``_NORM_BLOCK`` rows."""
-    out = np.empty(len(z))
-    for start in range(0, len(z), _NORM_BLOCK):
+def _add_columns(sq, out):
+    """Each row's sum of the columns of sq into out, in numpy's pairwise
+    order for up to 128 columns, by whole-column passes."""
+    n = sq.shape[1]
+    if n < 8:
+        np.copyto(out, sq[:, 0])
+        for k in range(1, n):
+            out += sq[:, k]
+        return
+    # r[j] = sq[:, j] + sq[:, j + 8] + ... over the whole blocks of 8 columns
+    m = n - n % 8
+    r = sq[:, :8].T.copy()
+    for k in range(8, m, 8):
+        r += sq[:, k:k + 8].T
+    r[0] += r[1]
+    r[2] += r[3]
+    r[4] += r[5]
+    r[6] += r[7]
+    r[0] += r[2]
+    r[4] += r[6]
+    np.add(r[0], r[4], out=out)
+    for k in range(m, n):
+        out += sq[:, k]
+
+
+def row_norms(z):
+    """|z[i]| per row of a 2-D stack of real or complex floats:
+    ``np.linalg.norm(z, axis=1)`` bit for bit.
+
+    numpy squares the moduli as (z.conj() * z).real and sums each row in its
+    pairwise order: left to right below 8 columns; from 8 to 128 columns in
+    eight accumulators r_j = a_j + a_{j+8} + ... over the whole blocks of 8,
+    combined as ((r_0 + r_1) + (r_2 + r_3)) + ((r_4 + r_5) + (r_6 + r_7)),
+    then the remaining columns left to right.  Its reduce pays per row, which
+    on a tall stack of a few columns costs more than the sums, so here the
+    same squares are summed in the same order by whole-column passes,
+    out += sq[:, k], over blocks of ``_NORM_BLOCK`` rows, which bound the
+    temporaries.  A short stack, of fewer than ``_PASS_ROWS`` rows per pass,
+    keeps numpy's reduce, which costs less there; so does a stack of more
+    than 128 columns, or of 8 or more not in C order, which numpy sums in
+    other orders, over the whole stack at once.
+    """
+    z = np.asarray(z)
+    rows, cols = z.shape
+    passes = cols if cols < 8 else cols + 8
+    columns = (0 < cols <= 128 and rows >= _PASS_ROWS * passes
+               and (cols < 8 or z.flags.c_contiguous))
+    if not columns:
+        return np.sqrt(np.add.reduce((z.conj() * z).real, axis=1))
+    out = np.empty(rows)
+    for start in range(0, rows, _NORM_BLOCK):
         block = z[start:start + _NORM_BLOCK]
-        np.add.reduce((block.conj() * block).real, axis=1, out=out[start:start + _NORM_BLOCK])
+        _add_columns((block.conj() * block).real, out[start:start + _NORM_BLOCK])
     return np.sqrt(out, out=out)
 
 
@@ -76,12 +124,12 @@ class SampleStream:
         else:
             raise ValueError(f"unknown field {field!r}")
         z = draw((count, dim))
-        norms = _row_norms(z)
+        norms = row_norms(z)
         # resample the (measure-zero) zero rows rather than dividing by 0
         while not norms.all():
             bad = norms == 0.0
             z[bad] = draw((int(bad.sum()), dim))
-            norms = _row_norms(z)
+            norms = row_norms(z)
         if field == "real":
             z /= norms[:, None]
             return z
@@ -111,8 +159,9 @@ def root_directions(seed: int, count: int, dim: int):
     the next count * dim as imaginary parts, and a generator's normals do not
     depend on how its draws are split, so every (count, dim) at a seed reads a
     prefix of one sequence.  The last seed's sequence is kept and grown as
-    requests need.  Each call returns a new array.  For callers whose root
-    stream draws nothing after the directions (it may fork).
+    requests need.  Each call returns a new array, normalised by
+    ``row_norms`` as the plain stream's is.  For callers whose root stream
+    draws nothing after the directions (it may fork).
     """
     global _root_memo
     seed, size = int(seed), int(count) * int(dim)
@@ -134,7 +183,7 @@ def root_directions(seed: int, count: int, dim: int):
     z = np.empty((count, dim), dtype=complex)
     z.real = normals[:size].reshape(count, dim)
     z.imag = normals[size:2 * size].reshape(count, dim)
-    norms = _row_norms(z)
+    norms = row_norms(z)
     if not norms.all():
         # the plain stream resamples a zero row from later normals
         return SampleStream(seed).unit_directions(count, dim)

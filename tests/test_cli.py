@@ -286,6 +286,34 @@ def test_bad_input_is_exit_2_and_a_program_fault_exit_3(capsys, monkeypatch):
     assert "ValueError: invalid bound" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["indicatrix", "--domain", "three_face", "--at", "[0,0]", "--directions", "0"],
+    ["indicatrix", "--domain", "three_face", "--at", "[0,0]", "--directions", "-5"],
+    ["dominate", "--domain", "three_face", "--radii", "0.5", "--samples", "0"],
+    ["dominate", "--domain", "three_face", "--radii", "0.5", "--samples", "-3"],
+    ["squeeze", "cert", "--domain", "three_face", "--at", "[0,0]", "--samples", "0"],
+    ["squeeze", "sweep", "--domain", "three_face", "--corner", "[1,-1]", "--steps", "0"],
+    ["boxlemma", "stress", "--dim", "1"],
+    ["boxlemma", "stress", "--dim", "0"],
+    ["boxlemma", "stress", "--dim", "2", "--instances", "0"],
+    ["scale", "audit", "--domain", "disc", "--target", "[1]", "--steps", "0"],
+    ["scale", "audit", "--domain", "disc", "--target", "[1]", "--grid", "0"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_a_count_below_its_least_value_is_exit_2_naming_the_flag(capsys, argv):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be at least" in err
+
+
+def test_a_count_that_is_no_integer_keeps_argparses_message(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["boxlemma", "stress", "--dim", "two"])
+    assert ei.value.code == 2
+    assert "argument --dim: invalid int value: 'two'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("var, argv", [
     ("INVMET_SEED", ["metric", "--domain", "disc", "--at", "[0]", "--dir", "[1]"]),
     ("INVMET_TOL", ["metric", "--domain", "disc", "--at", "[0]", "--dir", "[1]"]),

@@ -30,7 +30,7 @@ from invmet.domains import (
     ConvexPolyhedron,
 )
 from invmet import metrics
-from invmet.errors import DimensionMismatchError, NotInteriorError
+from invmet.errors import DegenerateInputError, DimensionMismatchError, NotInteriorError
 from invmet.metrics import indicatrix_gauge_upper, kobayashi_metric_values
 from invmet.sampling import root_directions
 from invmet.zoo import affine_twin, model_twins, twin_map
@@ -416,6 +416,37 @@ def test_indicatrix_radii_bracket_model(pd2):
     lines = fh.getvalue().splitlines()
     assert lines[0] == "dir0_re,dir0_im,dir1_re,dir1_im,radius_lo,radius_hi"
     assert len(lines) == 1 + 128
+
+
+def _csv_per_element(sample):
+    """The indicatrix CSV as it was written one element at a time."""
+    n = sample.directions.shape[1]
+    lines = [",".join(f"dir{k}_{part}" for k in range(n) for part in ("re", "im"))
+             + ",radius_lo,radius_hi"]
+    rl, ru = sample.radius_lower, sample.radius_upper
+    for i, u in enumerate(sample.directions):
+        row = [repr(float(getattr(u[k], part))) for k in range(n) for part in ("real", "imag")]
+        lines.append(",".join(row + [repr(float(rl[i])), repr(float(ru[i]))]))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("name,x", [("three_face", [0.1, 0.2]), ("disc", [0.3j]),
+                                    ("balanced", [0.1, -0.2j])])
+def test_indicatrix_csv_bytes_are_the_per_element_formatting(name, x):
+    s = indicatrix(zoo_domain(name), x, directions=300, seed=3)
+    # rows whose outer radius is inf (gauge lower side 0), and signed zeros
+    s.gauge_lower[[0, 7, 299]] = 0.0
+    s.directions[1] = [complex(-0.0, 0.5)] + [0j] * (s.directions.shape[1] - 1)
+    fh = io.StringIO()
+    write_indicatrix_csv(s, fh)
+    assert "inf" in fh.getvalue() and "-0.0" in fh.getvalue()
+    assert fh.getvalue() == _csv_per_element(s)
+
+
+@pytest.mark.parametrize("directions", [0, -5])
+def test_indicatrix_needs_a_direction(directions):
+    with pytest.raises(DegenerateInputError):
+        indicatrix(zoo_domain("three_face"), [0, 0], directions)
 
 
 def test_indicatrix_gauge_upper_matches_polydisc_model(pd2):

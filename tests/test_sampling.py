@@ -1,5 +1,6 @@
 """Direction draws: the plain stream's arithmetic and the per-seed memo of
-``root_directions``, which must return the plain stream's bits."""
+``root_directions``, which must return the plain stream's bits; and the row
+norms of ``row_norms``, which must be ``np.linalg.norm``'s."""
 
 import functools
 import sys
@@ -7,9 +8,14 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invmet import metrics, sampling, zoo_domain
-from invmet.sampling import SampleStream, root_directions
+from invmet import domains, metrics, sampling, zoo_domain
+from invmet.sampling import SampleStream, root_directions, row_norms
+from invmet.zoo import affine_twin
+
+from test_domains import _random_polyhedron
 
 
 def _plain(seed, count, dim):
@@ -127,3 +133,65 @@ def test_indicatrix_volume_and_ball_sample_equal_the_plain_stream_path(monkeypat
         monkeypatch.setattr(metrics, "root_directions", _plain)
     for memo, plain in zip(*runs):
         assert np.array_equal(memo, plain)
+
+
+# Entries planted into a stack: a row of zeros, or one entry subnormal, whose
+# square overflows to inf, inf, or nan.
+_PLANTS = ("zero_row", "subnormal", "overflow", "inf", "nan")
+
+
+# numpy sums a row left to right below 8 columns and pairwise from 8
+@pytest.mark.parametrize("cols", range(1, 13))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(rows=st.sampled_from([0, 1, 63, 64, 4095, 4096, 4097, 2 * 4096 + 3]),
+       field=st.sampled_from(["complex", "real"]), order=st.sampled_from("CF"),
+       seed=st.integers(0, 2 ** 32 - 1), plants=st.lists(st.sampled_from(_PLANTS), max_size=6))
+def test_row_norms_are_numpys_bit_for_bit(cols, rows, field, order, seed, plants):
+    # entries over 40 binades, so that a sum taken in another order rounds apart
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return rng.standard_normal((rows, cols)) * 2.0 ** rng.integers(-20, 20, (rows, cols))
+
+    z = draw() + 1j * draw() if field == "complex" else draw()
+    for plant in plants if rows else ():
+        i, k = rng.integers(rows), rng.integers(cols)
+        if plant == "zero_row":
+            z[i] = 0.0
+        else:
+            z[i, k] = {"subnormal": 3e-320, "overflow": -1e200, "inf": np.inf,
+                       "nan": np.nan}[plant]
+    z = np.asarray(z, order=order)
+    with np.errstate(all="ignore"):
+        assert np.array_equal(row_norms(z), np.linalg.norm(z, axis=1), equal_nan=True)
+
+
+def _outputs(d, x):
+    """The direction-stack outputs of d at x: indicatrix rows, the volume,
+    distance-ball points, and section distances from x and from points up
+    to 0.9 of the way from 0 to the boundary."""
+    s = metrics.indicatrix(d, x, 5000, seed=2)
+    v = metrics.indicatrix_volume(d, x, 5000, seed=2)
+    b = metrics.distance_ball_sample(d, x, 0.4, 3000, seed=2)
+    stream = SampleStream(2)
+    U, V = stream.unit_directions(4500, d.dim), stream.unit_directions(4500, d.dim)
+    reach = d.section_distance_paired(np.zeros((1, d.dim)), U)
+    P = (stream.uniform(4500, 0.0, 0.9) * reach)[:, None] * U
+    return (s.directions, s.gauge_lower, s.gauge_upper, np.array([v.value, v.se, v.lower, v.upper]),
+            b.points, b.distance_upper, reach, d.section_distance_paired(P, V),
+            d.section_distance_paired(x[None, :], V))
+
+
+@pytest.mark.parametrize("make,x", [
+    (lambda: zoo_domain("three_face"), [0.1, -0.2j]),
+    (lambda: affine_twin(zoo_domain("three_face")), [0.2, 0.1]),
+    (lambda: _random_polyhedron(29, dim=4), [0.1, 0.05j, -0.1, 0.0]),
+    (lambda: zoo_domain("ball2"), [0.3, 0.1j]),
+], ids=["three_face", "three_face-twin", "table-c4", "ball2"])
+def test_outputs_equal_those_of_numpys_row_norms(monkeypatch, make, x):
+    d, x = make(), np.asarray(x, dtype=complex)
+    live = _outputs(d, x)
+    for module in (sampling, domains, metrics):
+        monkeypatch.setattr(module, "row_norms", lambda z: np.linalg.norm(z, axis=1))
+    for got, want in zip(live, _outputs(d, x)):
+        assert np.array_equal(got, want)
