@@ -19,59 +19,31 @@ _NORM_BLOCK = 4096
 _PASS_ROWS = 64
 
 
-def _add_columns(sq, out):
-    """Each row's sum of the columns of sq into out, in numpy's pairwise
-    order for up to 128 columns, by whole-column passes."""
-    n = sq.shape[1]
-    if n < 8:
-        np.copyto(out, sq[:, 0])
-        for k in range(1, n):
-            out += sq[:, k]
-        return
-    # r[j] = sq[:, j] + sq[:, j + 8] + ... over the whole blocks of 8 columns
-    m = n - n % 8
-    r = sq[:, :8].T.copy()
-    for k in range(8, m, 8):
-        r += sq[:, k:k + 8].T
-    r[0] += r[1]
-    r[2] += r[3]
-    r[4] += r[5]
-    r[6] += r[7]
-    r[0] += r[2]
-    r[4] += r[6]
-    np.add(r[0], r[4], out=out)
-    for k in range(m, n):
-        out += sq[:, k]
-
-
 def row_norms(z):
     """|z[i]| per row of a 2-D stack of real or complex floats:
     ``np.linalg.norm(z, axis=1)`` bit for bit.
 
-    numpy squares the moduli as (z.conj() * z).real and sums each row in its
-    pairwise order: left to right below 8 columns; from 8 to 128 columns in
-    eight accumulators r_j = a_j + a_{j+8} + ... over the whole blocks of 8,
-    combined as ((r_0 + r_1) + (r_2 + r_3)) + ((r_4 + r_5) + (r_6 + r_7)),
-    then the remaining columns left to right.  Its reduce pays per row, which
-    on a tall stack of a few columns costs more than the sums, so here the
-    same squares are summed in the same order by whole-column passes,
-    out += sq[:, k], over blocks of ``_NORM_BLOCK`` rows, which bound the
-    temporaries.  A short stack, of fewer than ``_PASS_ROWS`` rows per pass,
-    keeps numpy's reduce, which costs less there; so does a stack of more
-    than 128 columns, or of 8 or more not in C order, which numpy sums in
-    other orders, over the whole stack at once.
+    numpy squares the moduli as (z.conj() * z).real and, below 8 columns,
+    sums each row left to right.  Its reduce pays per row, which on a tall
+    stack of a few columns costs more than the sums, so here the same squares
+    are summed in the same order by whole-column passes, out += sq[:, k],
+    over blocks of ``_NORM_BLOCK`` rows, which bound the temporaries.  A
+    short stack, of fewer than ``_PASS_ROWS`` rows per column, keeps numpy's
+    reduce, which costs less there; so does a stack of 8 or more columns,
+    which numpy sums in other orders.
     """
     z = np.asarray(z)
     rows, cols = z.shape
-    passes = cols if cols < 8 else cols + 8
-    columns = (0 < cols <= 128 and rows >= _PASS_ROWS * passes
-               and (cols < 8 or z.flags.c_contiguous))
-    if not columns:
+    if not (0 < cols < 8 and rows >= _PASS_ROWS * cols):
         return np.sqrt(np.add.reduce((z.conj() * z).real, axis=1))
     out = np.empty(rows)
     for start in range(0, rows, _NORM_BLOCK):
         block = z[start:start + _NORM_BLOCK]
-        _add_columns((block.conj() * block).real, out[start:start + _NORM_BLOCK])
+        sq = (block.conj() * block).real
+        acc = out[start:start + _NORM_BLOCK]
+        np.copyto(acc, sq[:, 0])
+        for k in range(1, cols):
+            acc += sq[:, k]
     return np.sqrt(out, out=out)
 
 
