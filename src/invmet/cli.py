@@ -9,7 +9,7 @@ common flags its handler reads, each also supplied through an
 parser is built once per process and reads no environment: each ``main``
 call reads the variables for the flags its subcommand has, ignores the rest
 (an empty variable counts as unset), and exits 2 naming the variable when a
-value does not convert.
+value does not convert or, for a count, is below its least value.
 
 Exit codes: 0 on success, 1 when a verified property fails (a witness is
 dumped to stderr as JSON), 2 on malformed input (the message names the
@@ -51,13 +51,6 @@ from .domination import HALFPLANE_HEIGHTS, verify_convex_domination, verify_half
 from .suites import box_stress_rows, verify_all
 from .zoo import resolve_domain, zoo_names
 
-_ENV_PREFIX = "INVMET_"
-# Flags that fall back to INVMET_<FLAG>: dest -> (type, value when neither the
-# flag nor the variable is given).
-_ENV_FLAGS = {"domain": (str, None), "seed": (int, 0), "tol": (float, None),
-              "convention": (str, "standard"), "out": (str, None),
-              "workers": (int, 1)}
-
 
 def _count(least: int):
     """An argparse type for a count flag: an integer of at least ``least``,
@@ -69,6 +62,14 @@ def _count(least: int):
         return value
     count.__name__ = "int"   # argparse's message for text that is no integer
     return count
+
+
+_ENV_PREFIX = "INVMET_"
+# Flags that fall back to INVMET_<FLAG>: dest -> (type, value when neither the
+# flag nor the variable is given).
+_ENV_FLAGS = {"domain": (str, None), "seed": (int, 0), "tol": (float, None),
+              "convention": (str, "standard"), "out": (str, None),
+              "workers": (_count(1), 1)}
 
 
 def _load_json(text: str, flag: str):
@@ -336,6 +337,8 @@ def _fill_from_env(args):
             continue
         try:
             setattr(args, dest, kind(text))
+        except argparse.ArgumentTypeError as exc:
+            args.parser.error(f"{var}: {exc}")
         except ValueError:
             args.parser.error(f"{var}: invalid {kind.__name__} value {text!r}")
     if hasattr(args, "domain") and args.domain is None:

@@ -7,13 +7,12 @@ on the slice {x_1 = 0}.  Unwinding gives box radii (r_1, 2 r_2, 4 r_3, ...,
 2^{n-1} r_n), where r_k is the minimum boundary distance of the (k-1)-fold
 slice.  Every box carries the worst slack of its containment check.
 
+A body is the convex hull of its points and their mirror images through 0.
 ``box_lemma_bounds`` runs each level once over a stack of bodies of one
-dimension, on their half-space tables (``halfspace_data``): the facets of a
-vertex body, whose ``vertices`` are the given points mirrored through 0, or
-the mirrored cloud of sampled outer half-spaces of a support-oracle body.
-Tables are padded to the stack's most rows with normal 0 and offset +inf, which
-no argmin picks; a slice masks the rows it loses the same way, and the
-containment check pads each point set with its first point.
+dimension, on their facet tables: unit normals and plane offsets.  Tables are
+padded to the stack's most rows with normal 0 and offset +inf, which no argmin
+picks; a slice masks the rows it loses the same way, and the containment check
+pads each vertex set with its first vertex.
 """
 
 from __future__ import annotations
@@ -28,87 +27,28 @@ from .sampling import SampleStream
 
 
 class SymmetricBody:
-    """Centrally symmetric bounded convex body, as vertices or a support oracle.
+    """Centrally symmetric bounded convex body: the convex hull of the points
+    P and -P, so symmetric by construction.  ``vertices`` holds P then -P;
+    the facets come from scipy's convex hull."""
 
-    ``SymmetricBody(vertices=P)`` is the convex hull of P and -P, so it is
-    symmetric by construction; oracle bodies expose the support function
-    h(u) = sup{x . u : x in body}, checked for symmetry on samples.
-    """
-
-    def __init__(self, vertices=None, support=None, dim: int | None = None,
-                 seed: int = 0):
-        if (vertices is None) == (support is None):
-            raise DegenerateInputError("provide exactly one of vertices, support")
-        if vertices is not None:
-            P = np.asarray(vertices, dtype=float)
-            if P.ndim != 2 or P.shape[0] == 0:
-                raise DegenerateInputError("vertex list must be a 2d point array")
-            self.dim = P.shape[1]
-            # row norms as np.linalg.norm rounds them, without its call overhead
-            scale = float(np.sqrt((P ** 2).sum(axis=1).max()))
-            self.vertices = np.concatenate([P, -P])
-            from scipy.spatial import ConvexHull, QhullError
-            try:
-                hull = ConvexHull(self.vertices)
-            except QhullError as exc:
-                raise DegenerateInputError(f"degenerate vertex body: {exc}")
-            norms = np.sqrt((hull.equations[:, :-1] ** 2).sum(axis=1))
-            self._normals = hull.equations[:, :-1] / norms[:, None]
-            self._offsets = -hull.equations[:, -1] / norms
-            if self._offsets.min() <= 1e-12 * scale:
-                raise NotInteriorError("origin is not interior to the body")
-        else:
-            if dim is None or dim < 1:
-                raise DegenerateInputError("support-oracle bodies need dim")
-            self.dim = int(dim)
-            self.vertices = None
-            self._support = support
-            stream = SampleStream(seed)
-            U = stream.unit_directions(128, self.dim, field="real")
-            h = np.array([float(support(u)) for u in U])
-            hm = np.array([float(support(-u)) for u in U])
-            if np.any(~np.isfinite(h)) or np.any(h <= 0):
-                raise DegenerateInputError("support values must be finite positive")
-            if np.max(np.abs(h - hm)) > 1e-9 * np.max(h):
-                raise DegenerateInputError("support function is not symmetric")
-            # cached outer half-space cloud for radial evaluations; mirrored
-            # so the induced polyhedron is exactly centrally symmetric (the
-            # cascade's projection-vs-section step needs symmetry)
-            W = stream.unit_directions(2048, self.dim, field="real")
-            hw = np.array([0.5 * (float(support(u)) + float(support(-u)))
-                           for u in W])
-            self._normals = np.vstack([W, -W])
-            self._offsets = np.concatenate([hw, hw])
-
-    # -- oracles ------------------------------------------------------------
-    @property
-    def is_vertex_body(self) -> bool:
-        return self.vertices is not None
-
-    def support_value(self, U):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        if self.is_vertex_body:
-            return np.max(U @ self.vertices.T, axis=1)
-        return np.array([float(self._support(u)) for u in U])
-
-    def halfspace_data(self):
-        """(normals, offsets) with unit rows; exact facets or a sampled cloud."""
-        return self._normals.copy(), self._offsets.copy()
-
-    def radial(self, U):
-        """Boundary distance from the origin along unit directions (rows).
-        A row whose normal makes a product below 1e-15 with u counts at 1e-15:
-        b / 1e-15 is past the circumradius when every offset b is above 1e-15
-        of it, as the constructor ensures on vertex bodies.  Blocks of 256 to
-        511 directions bound the product's memory; only a one-row U makes a
-        one-row block, which BLAS would round apart as matrix-vector."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        out = []
-        for block in np.array_split(U, max(1, len(U) // 256)):
-            t = block @ self._normals.T
-            np.maximum(t, 1e-15, out=t)
-            out.append(np.divide(self._offsets, t, out=t).min(axis=1))
-        return np.concatenate(out)
+    def __init__(self, vertices):
+        P = np.asarray(vertices, dtype=float)
+        if P.ndim != 2 or P.shape[0] == 0:
+            raise DegenerateInputError("vertex list must be a 2d point array")
+        self.dim = P.shape[1]
+        # row norms as np.linalg.norm rounds them, without its call overhead
+        scale = float(np.sqrt((P ** 2).sum(axis=1).max()))
+        self.vertices = np.concatenate([P, -P])
+        from scipy.spatial import ConvexHull, QhullError
+        try:
+            hull = ConvexHull(self.vertices)
+        except QhullError as exc:
+            raise DegenerateInputError(f"degenerate vertex body: {exc}")
+        norms = np.sqrt((hull.equations[:, :-1] ** 2).sum(axis=1))
+        self._normals = hull.equations[:, :-1] / norms[:, None]
+        self._offsets = -hull.equations[:, -1] / norms
+        if self._offsets.min() <= 1e-12 * scale:
+            raise NotInteriorError("origin is not interior to the body")
 
 
 def _stack(arrays, fill=None):
@@ -172,11 +112,11 @@ class BoxBound:
         return self.slack >= -config.CONTAINMENT_SLACK
 
 
-def box_lemma_bounds(bodies, *, seed: int = 0) -> list[BoxBound]:
+def box_lemma_bounds(bodies) -> list[BoxBound]:
     """The cascaded box of each body of a stack of one dimension, with the
-    worst slack of its containment check (``contained`` is false if it fails).
-    r_1 is the least facet-plane distance of a vertex body, which is exact,
-    and the least offset of an oracle body's half-space cloud."""
+    worst slack of its containment check over its vertices (``contained`` is
+    false if it fails).  r_1 is the least facet-plane distance, which is
+    exact."""
     if not bodies:
         return []
     A = _stack([body._normals for body in bodies], 0.0)
@@ -196,43 +136,34 @@ def box_lemma_bounds(bodies, *, seed: int = 0) -> list[BoxBound]:
         full[:, level:, level:] = Q
         rotation = full @ rotation
     radii = base * 2.0 ** np.arange(n)
-    slack, _ = _worst_slack(bodies, radii, rotation, seed=seed)
+    slack, _ = _worst_slack(bodies, radii, rotation)
     return [BoxBound(radii[j], rotation[j], base[j], float(slack[j]))
             for j in range(k)]
 
 
-def box_lemma_bound(body: SymmetricBody, *, seed: int = 0) -> BoxBound:
+def box_lemma_bound(body: SymmetricBody) -> BoxBound:
     """``box_lemma_bounds`` of one body; raises LemmaViolationError, with the
-    worst point as witness, when the containment check fails."""
-    bound = box_lemma_bounds([body], seed=seed)[0]
+    worst vertex as witness, when the containment check fails."""
+    bound = box_lemma_bounds([body])[0]
     if not bound.contained:
-        _, worst, witness = brute_force_containment(body, bound.radii,
-                                                    bound.rotation, seed=seed)
+        _, worst, witness = brute_force_containment(body, bound.radii, bound.rotation)
         raise LemmaViolationError(f"box containment failed by {-worst:.3e}", witness=witness)
     return bound
 
 
-def _worst_slack(bodies, radii, rotation, samples=10_000, seed=0):
-    """Per body of a stack: the least box slack over its vertices, or over its
-    boundary points along sampled directions, and the point that has it."""
-    pts = []
-    for body in bodies:
-        if body.is_vertex_body:
-            pts.append(body.vertices)
-        else:
-            U = SampleStream(seed).unit_directions(samples, body.dim, field="real")
-            pts.append(body.radial(U)[:, None] * U)
-    pts = _stack(pts)
+def _worst_slack(bodies, radii, rotation):
+    """Per body of a stack: the least box slack over its vertices, and the
+    vertex that has it."""
+    pts = _stack([body.vertices for body in bodies])
     per_point = (radii[:, None, :] - np.abs(pts @ rotation.transpose(0, 2, 1))).min(axis=2)
     i = np.argmin(per_point, axis=1)
     return per_point[np.arange(len(i)), i], pts[np.arange(len(i)), i]
 
 
-def brute_force_containment(body: SymmetricBody, radii, rotation, *,
-                            samples: int = 10_000, seed: int = 0):
-    """(contained, worst slack, witness): exact vertex check or sampled boundary."""
+def brute_force_containment(body: SymmetricBody, radii, rotation):
+    """(contained, worst slack, witness): the exact check over the vertices."""
     worst, pts = _worst_slack([body], np.asarray(radii, dtype=float)[None],
-                              np.asarray(rotation, dtype=float)[None], samples, seed)
+                              np.asarray(rotation, dtype=float)[None])
     worst = float(worst[0])
     ok = worst >= -config.CONTAINMENT_SLACK
     return ok, worst, None if ok else pts[0]
@@ -240,7 +171,7 @@ def brute_force_containment(body: SymmetricBody, radii, rotation, *,
 
 def slope_checks(bodies):
     """For n = 2, per body of a stack: the supporting-line slope bound at the
-    slice-extreme point, on the raw ``halfspace_data`` tables.
+    slice-extreme point, on the raw facet tables.
 
     After rotating the minimizing direction onto e_1, the slice {x_1 = 0} is
     the segment [-r_2, r_2] e_2, and any supporting line x_2 = a_1 x_1 + r_2 at

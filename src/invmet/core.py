@@ -3,8 +3,8 @@
 Conventions used throughout the package:
 
 * vectors are 1-d ``numpy`` arrays of ``complex`` (``CVector``);
-* the Hermitian inner product ``hdot(u, v) = sum_i u_i conj(v_i)`` is linear in
-  its first argument;
+* the Hermitian inner product ``<u, v> = sum_i u_i conj(v_i)``, which is
+  ``np.vdot(v, u)``, is linear in its first argument;
 * a direction is only ever meaningful up to a unit phase, and canonical
   representatives make the first significant coordinate real positive.
 """
@@ -32,15 +32,6 @@ def cvector(data) -> Array:
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatchError("expected a 1-d vector with n >= 1")
     return v
-
-
-def hdot(u, v) -> complex:
-    """Hermitian inner product <u, v> = sum u_i conj(v_i); linear in u."""
-    return complex(np.vdot(np.asarray(v, dtype=complex), np.asarray(u, dtype=complex)))
-
-
-def norm(v) -> float:
-    return float(np.linalg.norm(np.asarray(v, dtype=complex)))
 
 
 def canonical_phase(v) -> Array:

@@ -87,24 +87,15 @@ class SampleStream:
             view[...] = part
         return z
 
-    def unit_directions(self, count: int, dim: int, field: str = "complex"):
-        """Rows uniform on the unit sphere of C^dim (or R^dim); norms 1 to 1e-12."""
-        if field == "complex":
-            draw = self.complex_normal
-        elif field == "real":
-            draw = self._rng.standard_normal
-        else:
-            raise ValueError(f"unknown field {field!r}")
-        z = draw((count, dim))
+    def unit_directions(self, count: int, dim: int):
+        """Rows uniform on the unit sphere of C^dim; norms 1 to 1e-12."""
+        z = self.complex_normal((count, dim))
         norms = row_norms(z)
         # resample the (measure-zero) zero rows rather than dividing by 0
         while not norms.all():
             bad = norms == 0.0
-            z[bad] = draw((int(bad.sum()), dim))
+            z[bad] = self.complex_normal((int(bad.sum()), dim))
             norms = row_norms(z)
-        if field == "real":
-            z /= norms[:, None]
-            return z
         return _unit_rows(z, norms)
 
     def phases(self, size):

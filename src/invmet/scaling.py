@@ -166,10 +166,7 @@ class ScalingRecord:
     parameter: float
     point: np.ndarray             # p_j = phi_j(p)
     boundary_margin: float
-    dphi: np.ndarray
     frame_values: np.ndarray
-    frame_directions: np.ndarray
-    A: np.ndarray
     singular_values: np.ndarray
     det_abs: float
     sup_grid_diff: float
@@ -290,9 +287,8 @@ def equivalence_audit(d: Domain, family, p, schedule, *,
         sup = float(np.max(np.linalg.norm(T - back, axis=1)))
         records.append(ScalingRecord(
             index=j, parameter=float(t), point=q, boundary_margin=float(margin),
-            dphi=J, frame_values=frame.values, frame_directions=frame.directions,
-            A=A, singular_values=svals, det_abs=float(abs(np.linalg.det(A))),
-            sup_grid_diff=sup))
+            frame_values=frame.values, singular_values=svals,
+            det_abs=float(abs(np.linalg.det(A))), sup_grid_diff=sup))
     return ScalingReport(d.label, records, grid.shape[0], seed, time.monotonic() - start)
 
 

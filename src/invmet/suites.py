@@ -224,7 +224,7 @@ def box_stress_rows(dim: int, instances: int, seed: int = 0):
         st = stream.fork(i)
         pairs = int(st.integers(dim + 2, 4 * dim + 4))
         bodies.append(random_symmetric_polytope(dim, pairs, st.fork(0)))
-    bounds = box_lemma_bounds(bodies, seed=seed)
+    bounds = box_lemma_bounds(bodies)
     held = [bodies[i] for i, bound in enumerate(bounds) if bound.contained]
     slopes = iter(slope_checks(held) if dim == 2 else [])
     rows, failures = [], []

@@ -298,6 +298,8 @@ def test_bad_input_is_exit_2_and_a_program_fault_exit_3(capsys, monkeypatch):
     ["boxlemma", "stress", "--dim", "2", "--instances", "0"],
     ["scale", "audit", "--domain", "disc", "--target", "[1]", "--steps", "0"],
     ["scale", "audit", "--domain", "disc", "--target", "[1]", "--grid", "0"],
+    ["verify-all", "--out", "unused", "--workers", "0"],
+    ["verify-all", "--out", "unused", "--workers", "-1"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_a_count_below_its_least_value_is_exit_2_naming_the_flag(capsys, argv):
     with pytest.raises(SystemExit) as ei:
@@ -314,18 +316,23 @@ def test_a_count_that_is_no_integer_keeps_argparses_message(capsys):
     assert "argument --dim: invalid int value: 'two'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("var, argv", [
-    ("INVMET_SEED", ["metric", "--domain", "disc", "--at", "[0]", "--dir", "[1]"]),
-    ("INVMET_TOL", ["metric", "--domain", "disc", "--at", "[0]", "--dir", "[1]"]),
-    ("INVMET_WORKERS", ["verify-all", "--out", "unused"]),
-], ids=["seed-metric", "tol-metric", "workers-verify-all"])
+@pytest.mark.parametrize("var, value, message, argv", [
+    ("INVMET_SEED", "x", "invalid int value 'x'",
+     ["metric", "--domain", "disc", "--at", "[0]", "--dir", "[1]"]),
+    ("INVMET_TOL", "x", "invalid float value 'x'",
+     ["metric", "--domain", "disc", "--at", "[0]", "--dir", "[1]"]),
+    ("INVMET_WORKERS", "x", "invalid int value 'x'", ["verify-all", "--out", "unused"]),
+    ("INVMET_WORKERS", "0", "must be at least 1, got 0", ["verify-all", "--out", "unused"]),
+    ("INVMET_WORKERS", "-1", "must be at least 1, got -1", ["verify-all", "--out", "unused"]),
+], ids=["seed-metric", "tol-metric", "workers-verify-all", "workers-0-verify-all",
+        "workers-minus-1-verify-all"])
 def test_malformed_env_value_is_exit_2_naming_the_variable(capsys, monkeypatch,
-                                                           var, argv):
-    monkeypatch.setenv(var, "x")
+                                                           var, value, message, argv):
+    monkeypatch.setenv(var, value)
     with pytest.raises(SystemExit) as ei:
         main(argv)
     assert ei.value.code == 2
-    assert f"error: {var}: invalid" in capsys.readouterr().err
+    assert f"error: {var}: {message}" in capsys.readouterr().err
 
 
 def test_env_value_for_a_flag_the_subcommand_lacks_is_ignored(capsys, monkeypatch):

@@ -1,9 +1,5 @@
 """Rotated-box containment cascade for symmetric convex bodies."""
 
-import functools
-import math
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,10 +15,10 @@ from invmet import (
     slope_check,
     slope_checks,
 )
-from invmet.errors import DegenerateInputError, NotInteriorError
+from invmet import config
+from invmet.errors import DegenerateInputError, LemmaViolationError, NotInteriorError
 
 SQUARE = [[1, 1], [1, -1], [-1, -1], [-1, 1]]
-CROSS = [[1, 0], [0, 1], [-1, 0], [0, -1]]
 
 
 def test_vertex_body_rejects_a_flat_hull():
@@ -37,14 +33,6 @@ def test_vertex_body_is_the_hull_of_the_points_and_their_mirror_images():
     np.testing.assert_array_equal(half.vertices, np.vstack([P, -P]))
     np.testing.assert_allclose(box_lemma_bound(half).radii,
                                box_lemma_bound(whole).radii, rtol=0, atol=1e-12)
-
-
-def test_support_and_radial_on_the_square():
-    body = SymmetricBody(vertices=SQUARE)
-    np.testing.assert_allclose(body.support_value([[1, 0], [0, 1]]), [1.0, 1.0])
-    assert body.support_value([[1 / math.sqrt(2), 1 / math.sqrt(2)]])[0] == pytest.approx(math.sqrt(2))
-    rho = body.radial(np.array([[1.0, 0.0], [1 / math.sqrt(2), 1 / math.sqrt(2)]]))
-    np.testing.assert_allclose(rho, [1.0, math.sqrt(2)], rtol=1e-12)
 
 
 def test_box_lemma_square_doubling():
@@ -75,6 +63,20 @@ def test_halving_first_radius_breaks_containment():
     assert not ok and slack < 0 and witness is not None
 
 
+def test_a_failed_containment_check_raises_with_the_worst_vertex(monkeypatch):
+    """Under an allowance that asks more slack than the box has, the one-body
+    call raises, with the vertex of least slack as witness."""
+    body = random_symmetric_polytope(3, 7, SampleStream(5))
+    bound = box_lemma_bounds([body])[0]
+    monkeypatch.setattr(config, "CONTAINMENT_SLACK", -bound.slack - 1e-3)
+    with pytest.raises(LemmaViolationError) as ei:
+        box_lemma_bound(body)
+    witness = ei.value.witness
+    assert any(np.array_equal(witness, v) for v in body.vertices)
+    slack = np.min(bound.radii - np.abs(bound.rotation @ witness))
+    assert slack == pytest.approx(bound.slack, abs=1e-12)
+
+
 def test_slope_bound_on_random_planar_bodies():
     stream = SampleStream(11)
     for k in range(50):
@@ -82,31 +84,11 @@ def test_slope_bound_on_random_planar_bodies():
                                          stream.fork(k))
         slope, bound = slope_check(body)
         assert slope <= bound + 1e-9
-        if k % 10 == 0:
-            # the same body through its support function: the check runs on
-            # the oracle's half-space cloud
-            oracle = SymmetricBody(support=lambda u, V=body.vertices: float(np.max(V @ u)),
-                                   dim=2, seed=k)
-            slope, bound = slope_check(oracle)
-            assert slope <= bound + 1e-9
 
 
 def test_slope_check_is_planar_only():
     with pytest.raises(DegenerateInputError):
         slope_check(random_symmetric_polytope(3, 6, SampleStream(1)))
-
-
-def test_support_oracle_body_matches_vertex_body():
-    vbody = SymmetricBody(vertices=SQUARE)
-    obody = SymmetricBody(support=lambda u: float(abs(u[0]) + abs(u[1])), dim=2)
-    # oracle body is the square again: h(u) = |u1| + |u2|
-    U = SampleStream(2).unit_directions(32, 2, field="real")
-    np.testing.assert_allclose(obody.support_value(U), vbody.support_value(U),
-                               rtol=1e-9)
-    bb = box_lemma_bound(obody)
-    ok, slack, _ = brute_force_containment(obody, bb.radii, bb.rotation,
-                                           samples=2000)
-    assert ok
 
 
 def test_random_polytopes_contain_origin_symmetrically():
@@ -115,31 +97,20 @@ def test_random_polytopes_contain_origin_symmetrically():
     V = body.vertices
     for v in V:
         assert np.min(np.linalg.norm(V + v, axis=1)) < 1e-9
-    _, b = body.halfspace_data()
-    assert np.all(b > 0)
-
-
-@functools.cache
-def _oracle(dim):
-    """A support-oracle body per dimension, the hull of a random polytope's
-    vertices known only through its support function, and its one-body box."""
-    V = random_symmetric_polytope(dim, 2 * dim + 1, SampleStream(90 + dim)).vertices
-    body = SymmetricBody(support=lambda u: float(np.max(V @ u)), dim=dim, seed=dim)
-    return body, box_lemma_bound(body, seed=3)
+    assert np.all(body._offsets > 0)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 4), st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=6),
        st.randoms(use_true_random=False))
 def test_a_stacked_cascade_matches_each_one_body_call(dim, seeds, rnd):
-    """Bodies of different facet counts and one support-oracle body, stacked
-    in a random order, each get the box of their own one-body call."""
-    oracle, oracle_bound = _oracle(dim)
+    """Bodies of different facet counts, stacked in a random order, each get
+    the box of their own one-body call."""
     bodies = [random_symmetric_polytope(dim, dim + 2 + s % (3 * dim + 3), SampleStream(s))
-              for s in seeds] + [oracle]
+              for s in seeds]
     rnd.shuffle(bodies)
-    for body, stacked in zip(bodies, box_lemma_bounds(bodies, seed=3)):
-        alone = oracle_bound if body is oracle else box_lemma_bound(body, seed=3)
+    for body, stacked in zip(bodies, box_lemma_bounds(bodies)):
+        alone = box_lemma_bound(body)
         for field in ("radii", "rotation", "base_distances", "slack"):
             assert np.array_equal(getattr(stacked, field), getattr(alone, field)), field
     if dim == 2:
@@ -155,46 +126,3 @@ def test_a_stack_with_one_degenerate_body_raises():
     bodies[2]._offsets = offsets
     with pytest.raises(DegenerateInputError, match="lost the origin"):
         box_lemma_bounds(bodies)
-
-
-def _radial_in_one_product(body, U):
-    """``radial`` as one (directions, rows) product over every direction."""
-    t = np.atleast_2d(np.asarray(U, dtype=float)) @ body._normals.T
-    np.maximum(t, 1e-15, out=t)
-    return np.divide(body._offsets, t, out=t).min(axis=1)
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4])
-def test_radial_in_blocks_keeps_the_bits_of_one_product(monkeypatch, dim):
-    """Taking an oracle body's directions in blocks moves no bit of its radii,
-    its box or its containment checks, passing and failing."""
-    body, _ = _oracle(dim)
-    U = SampleStream(5).unit_directions(10_000, dim, field="real")
-    for rows in (1, 2, 255, 257, 511, 513, 10_000):
-        assert np.array_equal(body.radial(U[:rows]), _radial_in_one_product(body, U[:rows]))
-
-    def run():
-        bound = box_lemma_bounds([body], seed=3)[0]
-        checks = [brute_force_containment(body, s * bound.radii, bound.rotation, seed=3)
-                  for s in (1.0, 0.5)]
-        return [bound.radii, bound.rotation, bound.base_distances, bound.slack] + [
-            np.asarray(v) for check in checks for v in check if v is not None]
-
-    blocked = run()
-    monkeypatch.setattr(SymmetricBody, "radial", _radial_in_one_product)
-    whole = run()
-    assert len(blocked) == len(whole) == 9
-    assert all(np.array_equal(a, b) for a, b in zip(blocked, whole))
-
-
-def test_an_oracle_containment_check_holds_one_block_of_directions():
-    """10,000 directions against a 4096-row half-space cloud: the whole
-    product would take 328 MB, one block about 16 MB at most."""
-    body, bound = _oracle(4)
-    tracemalloc.start()
-    try:
-        brute_force_containment(body, bound.radii, bound.rotation, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6

@@ -6,8 +6,9 @@ the domain kinds only through the oracle protocol of ``Domain`` (plus the
 no code asks which kind a domain is, but for that pull-back and the input
 guard of the corner pipeline.  Importing the package
 and its command line loads no scipy: its one user, the vertex bodies of
-``convexbox``, imports it lazily.  Every public name has a reader in the
-package or in the README, and no module imports a name it never reads.
+``convexbox``, imports it lazily.  Every public name, function and method has
+a reader in the package or in the README, and no module imports a name it
+never reads.
 """
 
 import ast
@@ -25,6 +26,7 @@ import invmet
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "invmet"
 MODULES = sorted(PACKAGE.glob("*.py"))
 README = PACKAGE.parents[1] / "README.md"
+TESTS = Path(__file__).resolve().parent
 
 
 def _package_imports(path):
@@ -105,9 +107,28 @@ def test_star_import_binds_no_module():
     assert not modules, modules
 
 
+def _public_definitions():
+    """``module.name`` of every public module-level function and every public
+    method of a module-level class, but the ``cli.cmd_*`` handlers, which
+    ``main`` looks up by name."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in MODULES:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, functions):
+                names = [node.name]
+            elif isinstance(node, ast.ClassDef):
+                names = [n.name for n in node.body if isinstance(n, functions)]
+            else:
+                continue
+            for name in names:
+                if not (name.startswith("_") or path.stem == "cli" and name.startswith("cmd_")):
+                    yield path.stem, name
+
+
 def test_every_public_name_has_a_reader():
-    """Each name of ``__all__`` is read, as a ``Name`` or an ``Attribute``, by
-    a module other than ``__init__``, or is named in the README."""
+    """Each name of ``__all__``, public module-level function and public class
+    method is read, as a ``Name`` or an ``Attribute``, by a module other than
+    ``__init__``, or is named in the README."""
     read = set()
     for path in MODULES:
         if path.stem != "__init__":
@@ -117,8 +138,9 @@ def test_every_public_name_has_a_reader():
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
     readme = README.read_text()
-    unread = [name for name in invmet.__all__
-              if name not in read and not re.search(rf"\b{name}\b", readme)]
+    names = [(None, name) for name in invmet.__all__] + list(_public_definitions())
+    unread = sorted({name if module is None else f"{module}.{name}" for module, name in names
+                     if name not in read and not re.search(rf"\b{name}\b", readme)})
     assert not unread, f"public names nothing reads: {unread}"
 
 
@@ -135,3 +157,24 @@ def test_no_unread_imports(path):
     unread = sorted(imported - {node.id for node in ast.walk(tree)
                                 if isinstance(node, ast.Name)})
     assert not unread, f"{path.name} imports names it never reads: {unread}"
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """Each top-level module imported under ``src`` or ``tests`` is in the
+    standard library, is ``invmet`` or a test module, or is named by
+    ``dependencies`` or the ``test`` extra of ``pyproject.toml`` (each of
+    which is imported under its distribution name)."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"] + project["optional-dependencies"]["test"]}
+    local = {"invmet"} | {path.stem for path in TESTS.glob("*.py")}
+    imported = set()
+    for path in MODULES + sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    undeclared = sorted(imported - set(sys.stdlib_module_names) - local - declared)
+    assert not undeclared, f"imported but not declared in pyproject.toml: {undeclared}"

@@ -30,10 +30,6 @@ def test_unit_directions_round_as_dividing_by_the_row_norm(dim, count):
     z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
     U = SampleStream(4).unit_directions(count, dim)
     assert np.array_equal(U, z / np.linalg.norm(z, axis=1, keepdims=True))
-    rng = np.random.default_rng(np.random.SeedSequence(4))
-    r = rng.standard_normal((count, dim))
-    R = SampleStream(4).unit_directions(count, dim, field="real")
-    assert np.array_equal(R, r / np.linalg.norm(r, axis=1, keepdims=True))
 
 
 def test_root_directions_equal_the_plain_stream_growing_shrinking_and_switching():
