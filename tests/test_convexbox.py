@@ -63,6 +63,19 @@ def test_halving_first_radius_breaks_containment():
     assert not ok and slack < 0 and witness is not None
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_the_box_holds_the_body_and_half_of_it_does_not(dim):
+    """The box holds every vertex; at half its radii the nearest facet's
+    vertex sticks out of the first side by at least r_1 / 2."""
+    body = random_symmetric_polytope(dim, 2 * dim + 1, SampleStream(90 + dim))
+    bound = box_lemma_bound(body)
+    ok, slack, witness = brute_force_containment(body, bound.radii, bound.rotation)
+    assert ok and slack == bound.slack and witness is None
+    ok, slack, witness = brute_force_containment(body, 0.5 * bound.radii, bound.rotation)
+    assert not ok and slack <= -0.5 * bound.radii[0] + 1e-12
+    assert any(np.array_equal(witness, v) for v in body.vertices)
+
+
 def test_a_failed_containment_check_raises_with_the_worst_vertex(monkeypatch):
     """Under an allowance that asks more slack than the box has, the one-body
     call raises, with the vertex of least slack as witness."""
