@@ -67,7 +67,7 @@ def _count(least: int):
 _ENV_PREFIX = "INVMET_"
 # Flags that fall back to INVMET_<FLAG>: dest -> (type, value when neither the
 # flag nor the variable is given).
-_ENV_FLAGS = {"domain": (str, None), "seed": (int, 0), "tol": (float, None),
+_ENV_FLAGS = {"domain": (str, None), "seed": (_count(0), 0), "tol": (float, None),
               "convention": (str, "standard"), "out": (str, None),
               "workers": (_count(1), 1)}
 

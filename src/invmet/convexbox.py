@@ -23,7 +23,7 @@ import numpy as np
 
 from . import config
 from .errors import DegenerateInputError, LemmaViolationError, NotInteriorError
-from .sampling import SampleStream
+from .sampling import SampleStream, vector_norms
 
 
 class SymmetricBody:
@@ -78,8 +78,7 @@ def _rotate_and_slice(A, b, i):
     slice {x_1 = 0}, with the rows left without a normal masked."""
     W = A[np.arange(len(i)), i]
     W[:, 0] -= 1.0
-    # |w| as a dot product per row, which rounds as the 1-D np.linalg.norm
-    nw = np.sqrt((W[:, None, :] @ W[:, :, None])[:, 0, 0])
+    nw = vector_norms(W)
     far = nw >= 1e-14
     W /= np.where(far, nw, 1.0)[:, None]
     Q = np.eye(W.shape[1]) - 2.0 * (W[:, :, None] * W[:, None, :])

@@ -91,7 +91,7 @@ from .errors import (
     SpecLoadError,
     UnsupportedKindError,
 )
-from .sampling import SampleStream, root_directions, row_norms
+from .sampling import SampleStream, root_directions, row_norms, vector_norms
 
 
 @dataclass(frozen=True)
@@ -447,7 +447,7 @@ class ConvexPolyhedron(Domain):
         if mc < norms.size:
             # a real row's norm as one vector's, which rounds apart from the
             # row-wise form
-            norms[mc:] = [np.linalg.norm(a) for a in coeffs[mc:]]
+            norms[mc:] = vector_norms(coeffs[mc:])
         if not ((norms > 0).all() and (bounds[:mc] > 0).all()):
             raise DegenerateInputError("every face needs nonzero coefficients "
                                        "and every modulus face a positive bound")
@@ -1045,7 +1045,9 @@ class BalancedConvex(Domain):
     differences of the gauge (``supporting_half_spaces``), assuming the
     callable returns a convex gauge to within 8 eps relative.  A block of
     rows takes them in one pass of two gauge calls, each row from its own
-    fork, batch-independent.
+    fork, batch-independent; a fork's rays are its first draw, which
+    ``SampleStream.unit_directions`` keeps per process, so a bracket repeated
+    at one seed builds no generator.
     """
 
     lower_method = "half-space"
@@ -1232,6 +1234,9 @@ class BalancedConvex(Domain):
         calls: one finds every boundary point p on the rays, and a second
         takes g(p) and every step.  Row i reads only near[i] and streams[i]
         (drawn in row order), so its half-spaces do not depend on the batch.
+        A stream that has not drawn before gives its rays as its first draw,
+        served from the per-process table of ``SampleStream.unit_directions``
+        once it has been drawn, with the same bits.
         """
         eps, count = np.finfo(float).eps, config.HALF_SPACE_COUNT
         rel = 8.0 * eps
@@ -1240,7 +1245,7 @@ class BalancedConvex(Domain):
         # drawn rays, plain and jittered around it; at 0 the drawn rays alone
         rays = np.empty((len(near), max(count, 2 * n) + 1, n), dtype=complex)
         rays[:, 1:] = [s.unit_directions(rays.shape[1] - 1, n) for s in streams]
-        nq = np.array([np.linalg.norm(q) for q in near])  # a row-wise norm rounds apart
+        nq = vector_norms(near)
         on = nq > 0
         rays[:, 0] = near / np.where(on, nq, 1.0)[:, None]
         mixed = rays[:, :1] + 0.35 * rays[:, 1:count - count // 2 + 1]

@@ -308,6 +308,9 @@ def indicatrix(d: Domain, x, directions: int = 256, *, seed: int = 0) -> Indicat
     read through ``root_directions``, which draws each seed's normals once per
     process, so repeated calls at one seed skip the draw and return the same
     bits; any samples the bracket draws come from ``SampleStream(seed).fork(1)``.
+    A gauge body's half-space rays are the first draws of that stream's forks,
+    which ``SampleStream.unit_directions`` keeps per process, so a repeated
+    call at one seed builds no generator.
     Raises DegenerateInputError unless ``directions`` is at least 1.
     """
     if directions < 1:

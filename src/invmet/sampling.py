@@ -12,6 +12,8 @@ import threading
 
 import numpy as np
 
+from .errors import DegenerateInputError
+
 # Rows of a direction stack whose squared moduli are held at a time.
 _NORM_BLOCK = 4096
 # Rows per column pass from which ``row_norms`` sums by column passes: one
@@ -47,6 +49,23 @@ def row_norms(z):
     return np.sqrt(out, out=out)
 
 
+def vector_norms(z):
+    """|z[i]| per row of a 2-D stack of real or complex floats, as
+    ``np.linalg.norm(z[i])`` rounds each row on its own, bit for bit.
+
+    The 1-D norm is sqrt(re . re + im . im) by dot products, which round
+    apart from ``row_norms``'s sums; here each part's dot products are one
+    stack of (1 x n) @ (n x 1) products, taken on the C-ordered stack as the
+    1-D norm takes them on its contiguous row.
+    """
+    z = np.ascontiguousarray(z)
+    parts = (z.real, z.imag) if np.iscomplexobj(z) else (z,)
+    sq = parts[0][:, None, :] @ parts[0][:, :, None]
+    if len(parts) == 2:
+        sq = sq + parts[1][:, None, :] @ parts[1][:, :, None]
+    return np.sqrt(sq[:, 0, 0])
+
+
 def _unit_rows(z, norms):
     """Divide each row of a complex stack z by its nonzero norm, in place:
     both parts times 1 / norm, which is how numpy's complex-by-real division
@@ -58,15 +77,26 @@ def _unit_rows(z, norms):
 
 
 class SampleStream:
+    # normals that a first draw served by ``_first_draws`` stood for: the
+    # generator, once built, skips them
+    _skip = 0
+
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise DegenerateInputError(f"seed must be at least 0, got {self.seed}")
         self.path = tuple(int(p) for p in path)
 
     @functools.cached_property
     def _rng(self):
         # built on the first draw: a stream that is only forked, or handed to
-        # an oracle that draws nothing, costs no generator
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.path))
+        # an oracle that draws nothing, costs no generator.  A generator's
+        # normals do not depend on how its draws are split, so drawing the
+        # skipped ones leaves it where the first draw would have.
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=self.path))
+        if self._skip:
+            rng.standard_normal(self._skip)
+        return rng
 
     def fork(self, index: int) -> "SampleStream":
         """Independent child stream; deterministic in (seed, path, index)."""
@@ -88,15 +118,43 @@ class SampleStream:
         return z
 
     def unit_directions(self, count: int, dim: int):
-        """Rows uniform on the unit sphere of C^dim; norms 1 to 1e-12."""
+        """Rows uniform on the unit sphere of C^dim; norms 1 to 1e-12.
+
+        The draw is 2 * count * dim normals, the real parts then the
+        imaginary parts, each row divided by its norm; a zero row is drawn
+        again from the normals that follow.  A stream's first draw of at most
+        64 entries (count * dim) is drawn once per process for each (seed,
+        path, count, dim) and kept, at most 4096 draws, the table cleared when
+        full; later first draws of that size read the kept bits.  A later draw
+        of such a stream continues after it as it would have.  A first draw
+        that drew a zero row again read more normals, and is not kept.
+        """
+        key = None
+        if "_rng" not in self.__dict__ and not self._skip and count * dim <= _FIRST_DRAW_MAX:
+            key = (self.seed, self.path, count, dim)
+            with _lock:
+                kept = _first_draws.get(key)
+            if kept is not None:
+                self._skip = 2 * count * dim
+                return kept.copy()
         z = self.complex_normal((count, dim))
         norms = row_norms(z)
-        # resample the (measure-zero) zero rows rather than dividing by 0
+        # resample the (measure-zero) zero rows rather than dividing by 0;
+        # such a draw read more normals than its size says, so is not kept
         while not norms.all():
+            key = None
             bad = norms == 0.0
             z[bad] = self.complex_normal((int(bad.sum()), dim))
             norms = row_norms(z)
-        return _unit_rows(z, norms)
+        z = _unit_rows(z, norms)
+        if key is not None:
+            kept = z.copy()
+            kept.flags.writeable = False
+            with _lock:
+                if len(_first_draws) >= _FIRST_DRAWS_MAX:
+                    _first_draws.clear()
+                _first_draws[key] = kept
+        return z
 
     def phases(self, size):
         return np.exp(2j * np.pi * self._rng.uniform(0.0, 1.0, size=size))
@@ -105,12 +163,22 @@ class SampleStream:
         return self._rng.integers(low, high, size=size)
 
 
+# One lock for the two per-process tables below.
+_lock = threading.Lock()
+
+# First unit-direction draws of streams, (seed, path, count, dim) -> the
+# read-only unit rows, for draws of at most _FIRST_DRAW_MAX complex entries
+# (1 KiB).  At most _FIRST_DRAWS_MAX draws are kept (about 5 MB with their
+# keys at the largest size); the table is cleared when full.
+_FIRST_DRAW_MAX = 64
+_FIRST_DRAWS_MAX = 4096
+_first_draws = {}
+
 # Normals of one root stream, SampleStream(seed), kept for the last seed asked
 # for, with the generator that extends them: (seed, normals, generator).  At
 # most _ROOT_NORMALS_MAX normals (8 MiB) are kept; a larger request draws
 # afresh.
 _ROOT_NORMALS_MAX = 1 << 20
-_root_lock = threading.Lock()
 _root_memo = None
 
 
@@ -130,7 +198,7 @@ def root_directions(seed: int, count: int, dim: int):
     seed, size = int(seed), int(count) * int(dim)
     if 2 * size > _ROOT_NORMALS_MAX:
         return SampleStream(seed).unit_directions(count, dim)
-    with _root_lock:
+    with _lock:
         if _root_memo is not None and _root_memo[0] == seed:
             _, normals, rng = _root_memo
         else:

@@ -300,6 +300,9 @@ def test_bad_input_is_exit_2_and_a_program_fault_exit_3(capsys, monkeypatch):
     ["scale", "audit", "--domain", "disc", "--target", "[1]", "--grid", "0"],
     ["verify-all", "--out", "unused", "--workers", "0"],
     ["verify-all", "--out", "unused", "--workers", "-1"],
+    ["indicatrix", "--domain", "three_face", "--at", "[0,0]", "--seed", "-3"],
+    ["metric", "--domain", "ball2", "--at", "[0,0]", "--dir", "[1,0]", "--seed", "-3"],
+    ["verify-all", "--out", "unused", "--seed", "-1"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_a_count_below_its_least_value_is_exit_2_naming_the_flag(capsys, argv):
     with pytest.raises(SystemExit) as ei:
@@ -324,8 +327,10 @@ def test_a_count_that_is_no_integer_keeps_argparses_message(capsys):
     ("INVMET_WORKERS", "x", "invalid int value 'x'", ["verify-all", "--out", "unused"]),
     ("INVMET_WORKERS", "0", "must be at least 1, got 0", ["verify-all", "--out", "unused"]),
     ("INVMET_WORKERS", "-1", "must be at least 1, got -1", ["verify-all", "--out", "unused"]),
+    ("INVMET_SEED", "-2", "must be at least 0, got -2",
+     ["indicatrix", "--domain", "three_face", "--at", "[0,0]"]),
 ], ids=["seed-metric", "tol-metric", "workers-verify-all", "workers-0-verify-all",
-        "workers-minus-1-verify-all"])
+        "workers-minus-1-verify-all", "seed-minus-2-indicatrix"])
 def test_malformed_env_value_is_exit_2_naming_the_variable(capsys, monkeypatch,
                                                            var, value, message, argv):
     monkeypatch.setenv(var, value)

@@ -1,6 +1,7 @@
-"""Direction draws: the plain stream's arithmetic and the per-seed memo of
-``root_directions``, which must return the plain stream's bits; and the row
-norms of ``row_norms``, which must be ``np.linalg.norm``'s."""
+"""Direction draws: the plain stream's arithmetic, the per-seed memo of
+``root_directions`` and the table of first draws, which must return the
+plain stream's bits; and the row norms of ``row_norms`` and
+``vector_norms``, which must be ``np.linalg.norm``'s."""
 
 import functools
 import sys
@@ -12,14 +13,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invmet import domains, metrics, sampling, zoo_domain
-from invmet.sampling import SampleStream, root_directions, row_norms
+from invmet.errors import DegenerateInputError
+from invmet.sampling import SampleStream, root_directions, row_norms, vector_norms
 from invmet.zoo import affine_twin
 
-from test_domains import _random_polyhedron
+from test_domains import _gauge_ellipsoid, _random_polyhedron
+
+
+def _uncached(seed, path, count, dim):
+    """The draw of a stream whose generator is built before it, which the
+    table of first draws never serves."""
+    stream = SampleStream(seed, path)
+    stream._rng
+    return stream.unit_directions(count, dim)
 
 
 def _plain(seed, count, dim):
-    return SampleStream(seed).unit_directions(count, dim)
+    return _uncached(seed, (), count, dim)
 
 
 @pytest.mark.parametrize("dim", range(1, 10))
@@ -81,6 +91,7 @@ def test_a_zero_row_falls_back_to_the_plain_streams_resampling(monkeypatch):
 
     monkeypatch.setattr(sampling, "SampleStream", ZeroingStream)
     monkeypatch.setattr(sampling, "_root_memo", None)
+    monkeypatch.setattr(sampling, "_first_draws", {})
     U = root_directions(11, count, dim)
     expected = ZeroingStream(11).unit_directions(count, dim)
     assert np.array_equal(U, expected)
@@ -129,6 +140,166 @@ def test_indicatrix_volume_and_ball_sample_equal_the_plain_stream_path(monkeypat
         monkeypatch.setattr(metrics, "root_directions", _plain)
     for memo, plain in zip(*runs):
         assert np.array_equal(memo, plain)
+
+
+def test_a_negative_seed_is_bad_input():
+    with pytest.raises(DegenerateInputError, match="seed must be at least 0"):
+        SampleStream(-3)
+    with pytest.raises(DegenerateInputError):
+        root_directions(-1, 4, 2)
+
+
+@pytest.mark.parametrize("path", [(), (1,), (0, 5), (1, 63)])
+def test_first_draws_equal_a_fresh_generators_draw(monkeypatch, path):
+    monkeypatch.setattr(sampling, "_first_draws", {})
+    for count, dim in [(1, 1), (8, 2), (16, 4), (64, 1), (9, 7), (13, 5), (200, 3), (0, 2)]:
+        want = _uncached(3, path, count, dim)
+        for _ in range(2):   # drawn and kept, then served from the table
+            assert np.array_equal(SampleStream(3, path).unit_directions(count, dim), want)
+        kept = (3, path, count, dim) in sampling._first_draws
+        assert kept == (count * dim <= sampling._FIRST_DRAW_MAX)
+
+
+@pytest.mark.parametrize("calls", [
+    [("unit", 8, 2)] * 3,               # distance_lower_bound's [stream] * 3
+    [("unit", 8, 2), ("uniform", 8)],   # interior_samples
+    [("unit", 4, 3), ("unit", 40, 2), ("normal", 5), ("unit", 4, 3)],
+])
+def test_a_stream_continues_after_a_served_first_draw(monkeypatch, calls):
+    monkeypatch.setattr(sampling, "_first_draws", {})
+
+    def run(stream):
+        out = []
+        for kind, *size in calls:
+            out.append(stream.unit_directions(*size) if kind == "unit"
+                       else getattr(stream, kind)(*size))
+        return out
+
+    plain = SampleStream(4, (2,))
+    plain._rng
+    want = run(plain)
+    SampleStream(4, (2,)).unit_directions(*calls[0][1:])   # kept
+    served = SampleStream(4, (2,))
+    for got, expected in zip(run(served), want):
+        assert np.array_equal(got, expected)
+    assert served._skip == 2 * calls[0][1] * calls[0][2]
+
+
+def test_a_first_draw_that_resampled_a_zero_row_is_not_kept(monkeypatch):
+    count, dim = 20, 2
+    zeros = [6, 7, 46, 47]   # row 3's real, then imaginary parts
+
+    class ZeroingStream(SampleStream):
+        @functools.cached_property
+        def _rng(self):
+            return _ZeroingGenerator(np.random.default_rng(
+                np.random.SeedSequence(self.seed, spawn_key=self.path)), zeros)
+
+    monkeypatch.setattr(sampling, "_first_draws", {})
+    U = ZeroingStream(12, (1,)).unit_directions(count, dim)
+    np.testing.assert_allclose(np.linalg.norm(U, axis=1), 1.0, atol=1e-12)
+    assert sampling._first_draws == {}
+    assert np.array_equal(SampleStream(12, (1,)).unit_directions(count, dim),
+                          _uncached(12, (1,), count, dim))
+
+
+def test_the_table_holds_at_most_its_bound(monkeypatch):
+    monkeypatch.setattr(sampling, "_first_draws", {})
+    # the bounds unit_directions documents
+    assert (sampling._FIRST_DRAW_MAX, sampling._FIRST_DRAWS_MAX) == (64, 4096)
+    most = sampling._FIRST_DRAWS_MAX
+    for i in range(most + 10):
+        SampleStream(6, (i,)).unit_directions(1, 2)
+        assert len(sampling._first_draws) <= most
+    # cleared when full, then refilled by the last ten
+    assert len(sampling._first_draws) == 10
+    assert np.array_equal(SampleStream(6, (most + 9,)).unit_directions(1, 2),
+                          _uncached(6, (most + 9,), 1, 2))
+
+
+def test_writing_into_a_served_draw_does_not_change_the_next(monkeypatch):
+    monkeypatch.setattr(sampling, "_first_draws", {})
+    want = _uncached(7, (3,), 8, 2)
+    for _ in range(3):
+        U = SampleStream(7, (3,)).unit_directions(8, 2)
+        assert np.array_equal(U, want)
+        U[:] = 0.0
+
+
+def _two_draws(seed, path, count, dim):
+    stream = SampleStream(seed, path)
+    stream._rng
+    return stream.unit_directions(count, dim), stream.unit_directions(count, dim)
+
+
+def test_threads_drawing_first_draws_at_once_get_the_plain_bits(monkeypatch):
+    # a table of eight draws, so that the threads also keep clearing it
+    monkeypatch.setattr(sampling, "_first_draws", {})
+    monkeypatch.setattr(sampling, "_FIRST_DRAWS_MAX", 8)
+    keys = [(seed, (i,), count, 2) for seed in (30, 31) for i in range(6) for count in (4, 8)]
+    expected = {key: _two_draws(*key) for key in keys}
+    wrong = []
+
+    def work(offset):
+        for _ in range(30):
+            for key in keys[offset:] + keys[:offset]:
+                stream = SampleStream(*key[:2])
+                got = stream.unit_directions(*key[2:]), stream.unit_directions(*key[2:])
+                if not all(map(np.array_equal, got, expected[key])):
+                    wrong.append(key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(3 * k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_repeated_gauge_body_brackets_build_no_generator(monkeypatch):
+    d = _gauge_ellipsoid()
+    x, v = np.array([0.2 - 0.1j, 0.3j]), np.array([0.6, -0.2 + 0.5j])
+    first = metrics.indicatrix(d, x, 64, seed=5), metrics.kobayashi_metric(d, x, v, seed=5)
+    built = []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    sample, bound = metrics.indicatrix(d, x, 64, seed=5), metrics.kobayashi_metric(d, x, v, seed=5)
+    assert built == []
+    for got, want in [(sample.directions, first[0].directions),
+                      (sample.gauge_lower, first[0].gauge_lower),
+                      (sample.gauge_upper, first[0].gauge_upper),
+                      ((bound.lower, bound.upper), (first[1].lower, first[1].upper))]:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cols", range(1, 9))
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_vector_norms_are_numpys_one_row_norms(cols, field, order):
+    # entries over e^-30 to e^30, so that sums in another order round apart
+    rng = np.random.default_rng(cols)
+
+    def draw():
+        return rng.standard_normal((3000, cols)) * np.exp(rng.uniform(-30, 30, (3000, cols)))
+
+    z = draw() + 1j * draw() if field == "complex" else draw()
+    z[[0, 17]] = 0.0
+    z[5] *= 1e-160   # squares below the least normal
+    z = np.asarray(z, order=order)
+    want = np.array([np.linalg.norm(row) for row in z])
+    assert np.array_equal(vector_norms(z), want)
+    assert vector_norms(z[:0]).shape == (0,)
 
 
 # Entries planted into a stack: a row of zeros, or one entry subnormal, whose
