@@ -51,7 +51,6 @@ from .sampling import SampleStream
 class CertificateCheck:
     """Fresh-sample re-validation of both inclusions of a certificate."""
 
-    samples: int
     worst_outer_gauge: float     # max model gauge of forward(Omega) samples
     worst_inner_margin: float    # min domain margin of pulled-back r*D samples
     base_image_error: float      # |forward(x)| (should be 0)
@@ -104,14 +103,13 @@ class SqueezeCertificate:
             inner = float(np.min(self.domain.contains_margins(Zi)))
         else:
             inner = np.inf if self.inner_r == 0 else -np.inf
-        return CertificateCheck(samples, outer, inner, base_err, self.outer_R)
+        return CertificateCheck(outer, inner, base_err, self.outer_R)
 
 
 @dataclass(frozen=True)
 class CircularityBound:
     """Lower bound on the maximal circularity c(x), with its provenance."""
 
-    point: np.ndarray
     bound: float
     provenance: str
 
@@ -224,7 +222,7 @@ def circularity_lower_bound(d: Domain, x, certificates) -> CircularityBound:
         provenance = "circular center: the domain equals its indicatrix"
     if best <= 0.0:
         raise DegenerateInputError("no applicable certificate at this point")
-    return CircularityBound(x, min(best, 1.0), provenance)
+    return CircularityBound(min(best, 1.0), provenance)
 
 
 def barth_check(d: Domain, samples: int = 512, *, seed: int = 0) -> float:
@@ -389,8 +387,6 @@ class SweepRow:
 
 @dataclass
 class SweepReport:
-    domain: str
-    corner: np.ndarray
     rows: list[SweepRow]
     threshold: float | None = None
 
@@ -433,4 +429,4 @@ def asymptotics_sweep(d: ConvexPolyhedron, q, steps: int = 12, *,
         ratio = cert.ratio
         rows.append(SweepRow(k, float(np.linalg.norm(xk - q)), cert.inner_r,
                              cert.outer_R, ratio, ratio ** 2))
-    return SweepReport(d.label, q, rows, threshold)
+    return SweepReport(rows, threshold)

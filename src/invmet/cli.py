@@ -9,14 +9,18 @@ common flags its handler reads, each also supplied through an
 parser is built once per process and reads no environment: each ``main``
 call reads the variables for the flags its subcommand has, ignores the rest
 (an empty variable counts as unset), and exits 2 naming the variable when a
-value does not convert or, for a count, is below its least value.
+value does not convert or is out of range: a count below its least value, a
+tolerance that is negative or not finite.  ``--seed`` is on every subcommand
+but ``squeeze sweep``, which draws nothing; ``--convention`` only on those
+that measure a distance: distance, dominate and verify-all.
 
 Exit codes: 0 on success, 1 when a verified property fails (a witness is
 dumped to stderr as JSON), 2 on malformed input (the message names the
 offending location), 3 on an internal error, a fault in the program itself
-(the traceback goes to stderr).  Artifacts record the seed; CSV bodies
-contain no timestamps, so reruns with the same seed are byte-identical.
-Wall-clock time appears only in the ``verify-all`` manifest.
+(the traceback goes to stderr).  A CSV artifact's first line records the
+settings its command reads and the version; CSV bodies contain no
+timestamps, so reruns with the same seed are byte-identical.  Wall-clock
+time appears only in the ``verify-all`` manifest.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 import traceback
@@ -64,10 +69,25 @@ def _count(least: int):
     return count
 
 
+def _number(least: float, most: float = math.inf):
+    """An argparse type for a tolerance or threshold: a finite number from
+    ``least`` to ``most``, so that any other, NaN too, is bad input, exit 2
+    naming the flag."""
+    bound = "and finite" if most == math.inf else f"and at most {most:g}"
+
+    def number(text):
+        value = float(text)
+        if not (least <= value <= most and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be at least {least:g} {bound}, got {value}")
+        return value
+    number.__name__ = "float"   # argparse's message for text that is no number
+    return number
+
+
 _ENV_PREFIX = "INVMET_"
 # Flags that fall back to INVMET_<FLAG>: dest -> (type, value when neither the
 # flag nor the variable is given).
-_ENV_FLAGS = {"domain": (str, None), "seed": (_count(0), 0), "tol": (float, None),
+_ENV_FLAGS = {"domain": (str, None), "seed": (_count(0), 0), "tol": (_number(0.0), None),
               "convention": (str, "standard"), "out": (str, None),
               "workers": (_count(1), 1)}
 
@@ -96,14 +116,16 @@ def _radii_list(text: str, flag: str):
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise SpecLoadError("expected comma-separated numbers", flag)
-    if not vals or any(r <= 0 for r in vals):
-        raise SpecLoadError("radii must be positive", flag)
+    if not vals or any(not 0 < r < math.inf for r in vals):
+        raise SpecLoadError("radii must be positive and finite", flag)
     return vals
 
 
 def _meta_line(args, **extra) -> str:
-    fields = {"seed": args.seed, "convention": args.convention,
-              "version": config.VERSION, **extra}
+    """An artifact's first line: the seed, where the command has one, the
+    version, then ``extra``."""
+    fields = {"seed": args.seed} if hasattr(args, "seed") else {}
+    fields.update(version=config.VERSION, **extra)
     return "# " + " ".join(f"{k}={v}" for k, v in fields.items()) + "\n"
 
 
@@ -202,7 +224,7 @@ def cmd_scale_audit(args) -> int:
 
 
 def cmd_boxlemma_stress(args) -> int:
-    rows, failures, _ = box_stress_rows(args.dim, args.instances, args.seed)
+    rows, failures = box_stress_rows(args.dim, args.instances, args.seed)
     with _output(args.out) as fh:
         fh.write(_meta_line(args, dim=args.dim, instances=args.instances,
                             method="cascade-exact-vertices"))
@@ -367,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True)
 
     p = _command(sub, "indicatrix", "cmd_indicatrix",
-                 "radial indicatrix profile as CSV", "domain seed convention out")
+                 "radial indicatrix profile as CSV", "domain seed out")
     p.add_argument("--at", required=True)
     p.add_argument("--directions", type=_count(1), default=256)
 
@@ -382,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("boxlemma", help="symmetric box bounds")
     box_sub = p.add_subparsers(dest="subcommand", required=True)
     pb = _command(box_sub, "stress", "cmd_boxlemma_stress",
-                  "random polytope stress battery", "seed convention out")
+                  "random polytope stress battery", "seed out")
     pb.add_argument("--dim", type=_count(2), required=True)
     pb.add_argument("--instances", type=_count(1), default=500)
 
@@ -403,10 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
                     default="polydisc")
     pc.add_argument("--samples", type=_count(1), default=10_000)
     ps = _command(sq_sub, "sweep", "cmd_squeeze_sweep",
-                  "corner asymptotics sweep", "domain seed convention out")
+                  "corner asymptotics sweep", "domain out")
     ps.add_argument("--corner", required=True)
     ps.add_argument("--steps", type=_count(1), default=12)
-    ps.add_argument("--threshold", type=float, default=None)
+    ps.add_argument("--threshold", type=_number(0.0, 1.0), default=None)
 
     _command(sub, "verify-all", "cmd_verify_all",
              "run every suite, write CSVs + manifest", "seed convention out workers")

@@ -120,9 +120,6 @@ def box_lemma_bounds(bodies) -> list[BoxBound]:
         return []
     A = _stack([body._normals for body in bodies], 0.0)
     b = _stack([body._offsets for body in bodies], np.inf)
-    norms = np.linalg.norm(A, axis=2)
-    norms[np.isinf(b)] = 1.0
-    A, b = A / norms[..., None], b / norms
     k, n = len(bodies), bodies[0].dim
     base = np.empty((k, n))
     rotation = np.tile(np.eye(n), (k, 1, 1))

@@ -206,11 +206,9 @@ def pattern_search(g, x0):
     return x, val
 
 
-def _require_finite(vals, V):
+def _require_finite(vals):
     if not np.all(np.isfinite(vals)):
-        bad = int(np.argmax(~np.isfinite(vals)))
-        raise EvaluationError("functional returned a non-finite value",
-                              direction=V[bad])
+        raise EvaluationError("functional returned a non-finite value")
     return vals
 
 
@@ -243,7 +241,7 @@ def maximize_on_unit_sphere(f, basis=None, dim: int | None = None, *, seed: int 
         raise DegenerateInputError("subspace basis must be orthonormal")
     if m == 1:
         b = B[:, 0]
-        val = float(_require_finite(call_rowwise(f, b[None, :]), b[None, :])[0])
+        val = float(_require_finite(call_rowwise(f, b[None, :]))[0])
         return canonical_phase(b), val
 
     coarse = config.SPHERE_COARSE_BASE * (4 ** max(0, m - 3))
@@ -253,7 +251,7 @@ def maximize_on_unit_sphere(f, basis=None, dim: int | None = None, *, seed: int 
     C = np.vstack([np.eye(m, dtype=complex), C])
     C /= np.linalg.norm(C, axis=1, keepdims=True)
     V = C @ B.T
-    vals = _require_finite(call_rowwise(f, V), V)
+    vals = _require_finite(call_rowwise(f, V))
 
     best = float(vals.max())
     band = abs(best) * config.SPHERE_TIE_BAND + config.SPHERE_TIE_BAND
@@ -271,8 +269,7 @@ def maximize_on_unit_sphere(f, basis=None, dim: int | None = None, *, seed: int 
         return (c / np.linalg.norm(c, axis=1, keepdims=True)) @ B.T
 
     def objective(X):
-        W = chart(X)
-        return _require_finite(call_rowwise(f, W), W)
+        return _require_finite(call_rowwise(f, chart(X)))
 
     x, val = pattern_search(objective, np.concatenate([C[start].real, C[start].imag]))
     if val > coarse_val:

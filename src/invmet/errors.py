@@ -28,10 +28,6 @@ class UnsupportedKindError(InvmetError, TypeError):
 class EvaluationError(InvmetError, RuntimeError):
     """A user-supplied functional returned a non-finite value."""
 
-    def __init__(self, message, direction=None):
-        super().__init__(message)
-        self.direction = direction
-
 
 class UnboundedValueError(InvmetError, ValueError):
     """A quantity that must stay finite became unbounded."""

@@ -285,7 +285,6 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
 class IndicatrixSample:
     """Radial picture of the unit indicatrix I(x) = {v : K(x; v) < 1}."""
 
-    base_point: np.ndarray
     directions: np.ndarray          # (m, n) unit rows
     gauge_lower: np.ndarray         # per-direction K lower bounds
     gauge_upper: np.ndarray
@@ -318,7 +317,7 @@ def indicatrix(d: Domain, x, directions: int = 256, *, seed: int = 0) -> Indicat
     x = _sized(d, x)
     U = root_directions(seed, directions, d.dim)
     lower, upper = kobayashi_metric_values(d, x, U, stream=SampleStream(seed).fork(1))
-    return IndicatrixSample(x, U, lower, upper)
+    return IndicatrixSample(U, lower, upper)
 
 
 def write_indicatrix_csv(sample: IndicatrixSample, fh):
@@ -398,9 +397,6 @@ def indicatrix_volume(d: Domain, x, samples: int = 100_000, *,
 class DistanceBallSample:
     """Points certified inside B(x; r): distance_upper[i] < r for every row."""
 
-    center: np.ndarray
-    radius: float
-    convention: str
     points: np.ndarray
     distance_upper: np.ndarray
 
@@ -439,8 +435,7 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
     if isinstance(d, AffineImage):
         inner = distance_ball_sample(d.inner, d.map_inv(x), r, count, seed=seed,
                                      convention=convention)
-        return DistanceBallSample(x, r, convention, d.map(inner.points),
-                                  inner.distance_upper)
+        return DistanceBallSample(d.map(inner.points), inner.distance_upper)
 
     U = root_directions(seed, count, d.dim)
     targets = _shell_targets(SampleStream(seed).fork(1), count, r / scale)
@@ -484,7 +479,7 @@ def distance_ball_sample(d: Domain, x, r: float, count: int = 1000, *,
             break
         t[over] *= 1.0 - 2.0 ** (j - 52)
         dist = measure(t)
-    return DistanceBallSample(x, r, convention, x[None, :] + t[:, None] * U, dist * scale)
+    return DistanceBallSample(x[None, :] + t[:, None] * U, dist * scale)
 
 
 def indicatrix_gauge_upper(d: Domain, x, W):

@@ -29,7 +29,7 @@ from .core import (
 )
 from .domains import Domain
 from .errors import DegenerateInputError, ScheduleError
-from .metrics import MetricBound, indicatrix_volume, kobayashi_metric, kobayashi_metric_values
+from .metrics import indicatrix_volume, kobayashi_metric_values
 from .sampling import SampleStream
 
 
@@ -37,11 +37,9 @@ from .sampling import SampleStream
 class StretchingFrame:
     """Greedy metric frame: unit directions, values, and the stretching map."""
 
-    base_point: np.ndarray
     directions: np.ndarray        # (n, n), row alpha = u_alpha
     values: np.ndarray            # (n,), descending positive
     map: CLinearMap               # L(u_alpha) = mu_alpha e_alpha
-    brackets: tuple[MetricBound, ...]  # certified metric bounds per direction
 
     def __post_init__(self):
         n = self.values.size
@@ -70,7 +68,7 @@ def stretching_frame(d: Domain, x, *, seed: int = 0) -> StretchingFrame:
     directions are the Householder QR of the cluster's projections of
     e_1, ..., e_n, in that order, and among tied rows the lowest index wins.
     Otherwise ``maximize_on_unit_sphere`` searches each complement on the
-    bracket midpoint.  The certified bracket is kept alongside each value.
+    bracket midpoint.
     """
     x = cvector(x)
     d.require_interior(x, "base point")
@@ -82,7 +80,6 @@ def stretching_frame(d: Domain, x, *, seed: int = 0) -> StretchingFrame:
         U, mu = _eigen_frame(form.matrix)
     else:
         U, mu = _row_frame(form.matrix)
-    brackets = tuple(kobayashi_metric(d, x, U[alpha], seed=seed + alpha) for alpha in range(n))
     # numerical near-ties may land out of order by strictly less than the
     # tie band; clamp to the theoretical monotone profile
     for a in range(1, n):
@@ -91,7 +88,7 @@ def stretching_frame(d: Domain, x, *, seed: int = 0) -> StretchingFrame:
                 raise DegenerateInputError("greedy frame values increased")
             mu[a] = mu[a - 1]
     L = CLinearMap(np.diag(mu) @ U.conj())
-    return StretchingFrame(x, U, mu, L, brackets)
+    return StretchingFrame(U, mu, L)
 
 
 def _eigen_frame(Q):
@@ -300,8 +297,6 @@ class JacobianVolumeReport:
     volume_ratio: float
     rel_error: float
     se_ratio: float
-    volume_at_p: float
-    volume_at_q: float
 
     @classmethod
     def from_volumes(cls, det_sq: float, vp, vq) -> "JacobianVolumeReport":
@@ -310,7 +305,7 @@ class JacobianVolumeReport:
         ratio = vq.value / vp.value
         se = ratio * float(np.hypot(vp.se / vp.value, vq.se / vq.value))
         rel = abs(ratio - det_sq) / det_sq if det_sq > 0 else np.inf
-        return cls(det_sq, ratio, rel, se, vp.value, vq.value)
+        return cls(det_sq, ratio, rel, se)
 
     @property
     def within(self) -> float:

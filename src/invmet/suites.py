@@ -15,7 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,11 +72,9 @@ def _cell(v) -> str:
 
 @dataclass
 class SuiteResult:
-    name: str
     columns: list[str]
     rows: list[list]
     failures: list[dict]
-    summary: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -159,7 +157,7 @@ def run_metric_suite(seed: int = 0, triples: int = 10_000, *,
     if not pin_ok:
         failures.append({"case": "halfplane-pin", "value": pin.value})
 
-    return SuiteResult("metric", columns, rows, failures, summary={"triples": triples})
+    return SuiteResult(columns, rows, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +183,6 @@ def run_scaling_suite(seed: int = 0, steps: int = 20, grid_size: int = 100) -> S
     columns = ["family", "step", "parameter", "margin", "det_abs", "c1", "c2",
                "distortion", "sup_diff", "status"]
     rows, failures = [], []
-    summary = {}
     for name, target in _SCALING_TARGETS.items():
         d = zoo_domain(name)
         fam = AutomorphismFamily(d, target)
@@ -206,10 +203,7 @@ def run_scaling_suite(seed: int = 0, steps: int = 20, grid_size: int = 100) -> S
                                  "det_abs": rec.det_abs,
                                  "distortion": distortion,
                                  "sup_diff": rec.sup_grid_diff})
-        summary[name] = {"max_det_abs": report.max_det_abs,
-                         "max_distortion": report.max_distortion_ratio,
-                         "max_sup_diff": report.max_sup_diff}
-    return SuiteResult("scaling", columns, rows, failures, summary=summary)
+    return SuiteResult(columns, rows, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +211,8 @@ def run_scaling_suite(seed: int = 0, steps: int = 20, grid_size: int = 100) -> S
 # ---------------------------------------------------------------------------
 
 def box_stress_rows(dim: int, instances: int, seed: int = 0):
-    """(instance, r_1, slack) triples plus slope stats for the plane case."""
+    """(instance, r_1, slack) triples and the failures: of the box, and in
+    the plane of the slope bound."""
     stream = SampleStream(seed).fork(dim)
     bodies = []
     for i in range(instances):
@@ -228,7 +223,6 @@ def box_stress_rows(dim: int, instances: int, seed: int = 0):
     held = [bodies[i] for i, bound in enumerate(bounds) if bound.contained]
     slopes = iter(slope_checks(held) if dim == 2 else [])
     rows, failures = [], []
-    slope_excess = -math.inf
     for i, bound in enumerate(bounds):
         if not bound.contained:
             rows.append([i, NAN, NAN])
@@ -238,30 +232,23 @@ def box_stress_rows(dim: int, instances: int, seed: int = 0):
         rows.append([i, float(bound.base_distances[0]), bound.slack])
         if dim == 2:
             slope, sbound = next(slopes)
-            slope_excess = max(slope_excess, slope - sbound)
             if slope - sbound > config.SLOPE_BOUND_TOL:
                 failures.append({"dim": 2, "instance": i, "slope": slope,
                                  "slope_bound": sbound})
-    return rows, failures, slope_excess
+    return rows, failures
 
 
 def run_box_suite(seed: int = 0, dims=(2, 3, 4), instances: int = 500) -> SuiteResult:
     columns = ["dim", "instance", "r_1", "slack", "status"]
     rows, failures = [], []
-    summary = {}
     for dim in dims:
-        sub, fails, slope_excess = box_stress_rows(dim, instances, seed)
+        sub, fails = box_stress_rows(dim, instances, seed)
         bad = {f["instance"] for f in fails}
         for inst, r1, slack in sub:
             ok = inst not in bad
             rows.append([dim, inst, r1, slack, _status(ok)])
         failures.extend(fails)
-        summary[f"dim{dim}"] = {
-            "instances": instances,
-            "violations": len(bad),
-            "slope_excess": slope_excess if dim == 2 else None,
-        }
-    return SuiteResult("boxlemma", columns, rows, failures, summary=summary)
+    return SuiteResult(columns, rows, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +274,6 @@ def run_domination_suite(seed: int = 0, *, convention: str = "standard",
     columns = ["case", "convention", "point", "radius", "lambda", "claimed",
                "worst_gauge", "ratio", "samples", "status"]
     rows, failures = [], []
-    sharp_dev_max = 0.0
     for conv in CONVENTIONS:
         prof = verify_halfplane_domination(HALFPLANE_HEIGHTS, sharp_radii,
                                            sharp_samples, seed=seed,
@@ -295,7 +281,6 @@ def run_domination_suite(seed: int = 0, *, convention: str = "standard",
         for cell in prof.cells:
             b = float(np.atleast_1d(cell.base_point)[0].imag)
             dev = abs(cell.worst_gauge - cell.lambda_value) / cell.lambda_value
-            sharp_dev_max = max(sharp_dev_max, dev)
             ok = dev <= config.DOMINATION_TOL and prof.holds(cell)
             rows.append(["halfplane-sharp", conv, f"b={b!r}", cell.radius,
                          cell.lambda_value, cell.claimed_bound,
@@ -307,7 +292,6 @@ def run_domination_suite(seed: int = 0, *, convention: str = "standard",
         for w in prof.warnings:
             failures.append({"case": "halfplane-sharp", "warning": w})
 
-    affine_match_max = 0.0
     for name in domains:
         d = zoo_domain(name)
         xs = [cvector(x) for x in _DOM_POINTS[name]]
@@ -329,7 +313,6 @@ def run_domination_suite(seed: int = 0, *, convention: str = "standard",
                                  "worst_gauge": cell.worst_gauge,
                                  "claimed": cell.claimed_bound})
             dev = abs(tcell.ratio - cell.ratio)
-            affine_match_max = max(affine_match_max, dev)
             ok = tprof.holds(tcell) and dev <= config.AFFINE_MATCH_TOL
             rows.append([f"{name}-affine", convention, f"x{i}",
                          tcell.radius, tcell.lambda_value,
@@ -338,10 +321,7 @@ def run_domination_suite(seed: int = 0, *, convention: str = "standard",
             if not ok:
                 failures.append({"case": f"{name}-affine", "point": i,
                                  "r": tcell.radius, "match_dev": dev})
-    summary = {"sharp_dev_max": sharp_dev_max,
-               "affine_match_max": affine_match_max,
-               "convention": convention}
-    return SuiteResult("domination", columns, rows, failures, summary=summary)
+    return SuiteResult(columns, rows, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +357,7 @@ def run_volume_suite(seed: int = 0, samples: int = 50_000) -> SuiteResult:
     record("three_face-twin", JacobianVolumeReport.from_volumes(
         abs(T.linear.det) ** 2, indicatrix_volume(three, x, samples, seed=seed),
         indicatrix_volume(affine_twin(three), T(x), samples, seed=seed + 1)), False)
-    return SuiteResult("volume", columns, rows, failures, summary={"sigma": sigma})
+    return SuiteResult(columns, rows, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +376,7 @@ def run_barth_suite(seed: int = 0, samples: int = 512) -> SuiteResult:
         rows.append([name, samples, disc, tol, _status(ok)])
         if not ok:
             failures.append({"case": name, "discrepancy": disc})
-    return SuiteResult("barth", columns, rows, failures)
+    return SuiteResult(columns, rows, failures)
 
 
 def run_squeeze_suite(seed: int = 0,
@@ -433,7 +413,7 @@ def run_squeeze_suite(seed: int = 0,
         extra_ok=lambda c, b: b.bound >= 1.0 - config.DOMINATION_TOL)
     add("balanced", zoo_domain("balanced"), [0j, 0j], model2, None)
 
-    return SuiteResult("squeeze", columns, rows, failures)
+    return SuiteResult(columns, rows, failures)
 
 
 # Frozen final-ratio thresholds for the corner sweeps (12 steps, seed 0).
@@ -473,8 +453,7 @@ def run_sweep_suite(seed: int = 0, steps: int = 12,
             failures.append({"case": name, "k": steps,
                              "worst_outer": chk.worst_outer_gauge,
                              "worst_inner": chk.worst_inner_margin})
-    return SuiteResult("sweep", columns, rows, failures,
-                       summary={"thresholds": dict(SWEEP_THRESHOLDS)})
+    return SuiteResult(columns, rows, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,12 @@ def test_criterion_3_box_stress():
     t0 = time.monotonic()
     res = run_box_suite(seed=0, dims=(2, 3, 4), instances=500)
     wall = time.monotonic() - t0
+    # a row reads ok when its box holds and, in the plane, its slope is
+    # within SLOPE_BOUND_TOL = 1e-9 of the bound
     ok = (res.passed
-          and all(res.summary[f"dim{n}"]["violations"] == 0 for n in (2, 3, 4))
-          and res.summary["dim2"]["slope_excess"] <= 1e-9)
+          and sorted({row[0] for row in res.rows}) == [2, 3, 4]
+          and len(res.rows) == 3 * 500
+          and all(row[-1] == "ok" for row in res.rows))
     _report(3, ok, wall, 90,
             "500 symmetric polytopes per n in {2,3,4}: zero violations, "
             "slope bound to 1e-9")
@@ -106,13 +109,18 @@ def test_criterion_5_convex_domination():
                                domains=("polydisc2", "ball2", "three_face"))
     wall = time.monotonic() - t0
     convex_rows = [r for r in res.rows if r[0] != "halfplane-sharp"]
+    # each cell's row is followed by its affine twin's; column 7 is the ratio
+    pairs = list(zip(convex_rows[::2], convex_rows[1::2]))
+    affine_dev = max(abs(t[7] - r[7]) for r, t in pairs)
     ok = (res.passed
           and len(convex_rows) == 36            # 3 domains x 6 cells, plus twins
+          and all(t[0] == f"{r[0]}-affine" for r, t in pairs)
           and all(r[8] == 10_000 for r in convex_rows)
-          and res.summary["affine_match_max"] <= 1e-6)
+          and all(r[-1] == "ok" for r in res.rows)
+          and affine_dev <= 1e-6)
     _report(5, ok, wall, 180,
             "10^4 certified ball points per cell within 2 lambda(r)(1+1e-6); "
-            f"affine twins match ratios (max dev {res.summary['affine_match_max']:.2e})")
+            f"affine twins match ratios (max dev {affine_dev:.2e})")
 
 
 def test_criterion_6_jacobian_volume():

@@ -1,10 +1,13 @@
 """End-to-end command-line behavior: outputs, artifacts, exit codes."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from invmet import cli, config
 from invmet.cli import build_parser, main
 
 
@@ -101,7 +104,7 @@ def test_indicatrix_csv_artifact(capsys, tmp_path, polydisc2_file):
                        "--out", str(out_file))
     assert code == 0
     lines = out_file.read_text().splitlines()
-    assert lines[0].startswith("# seed=0 convention=standard version=")
+    assert lines[0] == f"# seed=0 version={config.VERSION} directions=16 method=bracket-radial"
     assert lines[1] == "dir0_re,dir0_im,dir1_re,dir1_im,radius_lo,radius_hi"
     assert len(lines) == 2 + 16
 
@@ -201,10 +204,11 @@ def test_dominate_convex_inline_points(capsys):
 
 
 def test_dominate_rejects_bad_radii(capsys):
-    code, _, err = run(capsys, "dominate", "--domain", "polydisc2",
-                       "--radii", "0.5,-1")
-    assert code == 2
-    assert "radii must be positive" in err
+    for radii in ("0.5,-1", "nan", "inf", "0.25,-inf"):
+        code, _, err = run(capsys, "dominate", "--domain", "polydisc2",
+                           "--radii", radii)
+        assert code == 2
+        assert err == "error: --radii: radii must be positive and finite\n"
 
 
 def test_squeeze_cert_three_face(capsys):
@@ -226,7 +230,7 @@ def test_squeeze_sweep_csv_and_threshold_failure(capsys, tmp_path):
                        "--out", str(out_file))
     assert code == 0
     lines = out_file.read_text().splitlines()
-    assert lines[0].startswith("# seed=0")
+    assert lines[0] == f"# version={config.VERSION} steps=6 method=pipeline-bisection"
     assert lines[1] == "k,dist_to_q,r,R,ratio,c_bound"
     assert len(lines) == 2 + 6
     code, _, err = run(capsys, "squeeze", "sweep", "--domain", "three_face",
@@ -255,6 +259,39 @@ def test_env_defaults_are_honored(capsys, monkeypatch, polydisc2_file):
                        "--at", "[0,0]", "--dir", "[1,1]")
     assert code == 0
     assert "seed 4" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["indicatrix", "--domain", "three_face", "--at", "[0,0]", "--convention", "paper"],
+    ["boxlemma", "stress", "--dim", "2", "--convention", "paper"],
+    ["squeeze", "sweep", "--domain", "three_face", "--corner", "[1,-1]",
+     "--convention", "paper"],
+    ["squeeze", "sweep", "--domain", "three_face", "--corner", "[1,-1]", "--seed", "3"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_a_setting_the_command_does_not_read_is_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_every_common_flag_a_subcommand_takes_is_read_by_its_handler():
+    """Each common flag named in a ``_command(sub, name, handler, help,
+    flags)`` call is read as ``args.<flag>`` in the body of ``handler``."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    handlers = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands, unread = [], []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_command"):
+            name, handler, flags = (node.args[i].value for i in (1, 2, 4))
+            read = {n.attr for n in ast.walk(handlers[handler])
+                    if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                    and n.value.id == "args"}
+            commands.append(name)
+            unread += [f"{name} --{flag}" for flag in flags.split() if flag not in read]
+    assert len(commands) == 9, commands
+    assert not unread, f"flags their handlers never read: {unread}"
 
 
 def test_workers_is_a_verify_all_flag(capsys):
@@ -303,6 +340,13 @@ def test_bad_input_is_exit_2_and_a_program_fault_exit_3(capsys, monkeypatch):
     ["indicatrix", "--domain", "three_face", "--at", "[0,0]", "--seed", "-3"],
     ["metric", "--domain", "ball2", "--at", "[0,0]", "--dir", "[1,0]", "--seed", "-3"],
     ["verify-all", "--out", "unused", "--seed", "-1"],
+    ["metric", "--domain", "ball2", "--at", "[0,0]", "--dir", "[1,0]", "--tol", "nan"],
+    ["metric", "--domain", "ball2", "--at", "[0,0]", "--dir", "[1,0]", "--tol", "-1"],
+    ["metric", "--domain", "ball2", "--at", "[0,0]", "--dir", "[1,0]", "--tol", "inf"],
+    ["scale", "audit", "--domain", "ball2", "--target", "[1,0]", "--tol", "nan"],
+    ["dominate", "--domain", "three_face", "--radii", "0.5", "--tol", "-1"],
+    ["squeeze", "sweep", "--domain", "three_face", "--corner", "[1,-1]", "--threshold", "nan"],
+    ["squeeze", "sweep", "--domain", "three_face", "--corner", "[1,-1]", "--threshold", "1.5"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_a_count_below_its_least_value_is_exit_2_naming_the_flag(capsys, argv):
     with pytest.raises(SystemExit) as ei:
@@ -329,8 +373,13 @@ def test_a_count_that_is_no_integer_keeps_argparses_message(capsys):
     ("INVMET_WORKERS", "-1", "must be at least 1, got -1", ["verify-all", "--out", "unused"]),
     ("INVMET_SEED", "-2", "must be at least 0, got -2",
      ["indicatrix", "--domain", "three_face", "--at", "[0,0]"]),
+    ("INVMET_TOL", "nan", "must be at least 0 and finite, got nan",
+     ["metric", "--domain", "disc", "--at", "[0]", "--dir", "[1]"]),
+    ("INVMET_TOL", "-1", "must be at least 0 and finite, got -1.0",
+     ["dominate", "--domain", "three_face", "--radii", "0.5"]),
 ], ids=["seed-metric", "tol-metric", "workers-verify-all", "workers-0-verify-all",
-        "workers-minus-1-verify-all", "seed-minus-2-indicatrix"])
+        "workers-minus-1-verify-all", "seed-minus-2-indicatrix", "tol-nan-metric",
+        "tol-minus-1-dominate"])
 def test_malformed_env_value_is_exit_2_naming_the_variable(capsys, monkeypatch,
                                                            var, value, message, argv):
     monkeypatch.setenv(var, value)
@@ -344,6 +393,12 @@ def test_env_value_for_a_flag_the_subcommand_lacks_is_ignored(capsys, monkeypatc
     monkeypatch.setenv("INVMET_WORKERS", "abc")
     code, out, _ = run(capsys, "metric", "--domain", "disc", "--at", "[0]", "--dir", "[1]")
     assert code == 0 and out.splitlines()[0] == "1.0"
+    monkeypatch.setenv("INVMET_SEED", "abc")
+    monkeypatch.setenv("INVMET_CONVENTION", "bogus")
+    code, out, _ = run(capsys, "squeeze", "sweep", "--domain", "three_face",
+                       "--corner", "[1,-1]", "--steps", "2")
+    assert code == 0
+    assert out.splitlines()[0] == f"# version={config.VERSION} steps=2 method=pipeline-bisection"
 
 
 def test_cached_parser_reads_the_environment_on_each_call(capsys, monkeypatch):

@@ -7,8 +7,8 @@ no code asks which kind a domain is, but for that pull-back and the input
 guard of the corner pipeline.  Importing the package
 and its command line loads no scipy: its one user, the vertex bodies of
 ``convexbox``, imports it lazily.  Every public name, function and method has
-a reader in the package or in the README, and no module imports a name it
-never reads.
+a reader in the package or in the README, so has every field of a dataclass,
+and no module imports a name it never reads.
 """
 
 import ast
@@ -142,6 +142,33 @@ def test_every_public_name_has_a_reader():
     unread = sorted({name if module is None else f"{module}.{name}" for module, name in names
                      if name not in read and not re.search(rf"\b{name}\b", readme)})
     assert not unread, f"public names nothing reads: {unread}"
+
+
+def _dataclass_fields():
+    """(``module.Class``, field) for every field of a module-level class
+    decorated ``@dataclass`` or ``@dataclass(...)``."""
+    for path in MODULES:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                    for d in node.decorator_list):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield f"{path.stem}.{node.name}", item.target.id
+
+
+def test_every_dataclass_field_has_a_reader():
+    """Each dataclass field is read as an attribute, ``.field``, somewhere in
+    the package, or is read so in the README.  The check goes by name: a
+    field shares its readers with every attribute of the same name."""
+    read = {node.attr for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    readme = README.read_text()
+    fields = list(_dataclass_fields())
+    assert len(fields) > 50, fields
+    unread = [f"{cls}.{name}" for cls, name in fields
+              if name not in read and not re.search(rf"\.{name}\b", readme)]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"],

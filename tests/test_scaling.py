@@ -15,6 +15,7 @@ from invmet import (
     equivalence_audit,
     frankel_tau,
     indicatrix_sigma,
+    kobayashi_metric,
     model_automorphism,
     polydisc,
     stretching_frame,
@@ -40,7 +41,8 @@ def test_stretching_frame_at_ball_center(ball2):
     gram = fr.directions @ fr.directions.conj().T
     np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
     assert fr.det_abs == pytest.approx(1.0, rel=1e-9)
-    for b in fr.brackets:
+    for alpha, u in enumerate(fr.directions):
+        b = kobayashi_metric(ball2, ball2.basepoint, u, seed=alpha)
         assert b.lower - 1e-9 <= 1.0 <= b.upper + 1e-9
         assert (b.lower_method, b.upper_method) == ("closed-form", "closed-form")
 
