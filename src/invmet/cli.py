@@ -242,12 +242,15 @@ def cmd_dominate(args) -> int:
     d = resolve_domain(args.domain)
     radii = _radii_list(args.radii, "--radii")
     if d.is_product and not d.modulus_count:
+        for flag, value in (("--tol (or INVMET_TOL)", args.tol), ("--points", args.points)):
+            if value is not None:
+                args.parser.error(f"{flag} has no effect on a product of half-planes")
         profile = verify_halfplane_domination(HALFPLANE_HEIGHTS, radii,
                                               args.samples, seed=args.seed,
                                               convention=args.convention)
         method = "apollonius-exact"
     else:
-        if args.points == "auto":
+        if args.points in (None, "auto"):
             stream = SampleStream(args.seed).fork(555)
             xs = [d.basepoint] + list(d.interior_samples(2, stream))
         else:
@@ -412,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "distance-ball domination profile", "domain seed tol convention out")
     p.add_argument("--radii", required=True,
                    help="comma-separated list, e.g. 0.25,0.5,1")
-    p.add_argument("--points", default="auto",
-                   help="'auto' or JSON list of points")
+    p.add_argument("--points", default=None,
+                   help="'auto' (default) or JSON list of points; not on half-planes")
     p.add_argument("--samples", type=_count(1), default=2000)
 
     p = sub.add_parser("squeeze", help="squeeze certificates")

@@ -13,8 +13,11 @@ gives its half-plane's metric.  A table of n faces with independent rows is a
 product of discs and half-planes, where by the product property the maximum
 over faces is the metric and the largest face distance the distance: it
 answers both sides, its metric form and its distance in closed form, and has
-an exact sampler and automorphisms in its face coordinates w = f(z).  Any
-other table shrinks that lower side by 4 eps relative (``ConvexPolyhedron``).
+an exact sampler and automorphisms in its face coordinates w = f(z).  So does
+a hidden product: more faces, of which n independent modulus faces S leave
+each other face redundant, below its bound on their product by more than an
+allowance for rounding.  Any other table shrinks that lower side by 4 eps
+relative (``ConvexPolyhedron``).
 
 Every domain carries a declared bounding radius and an interior base point.
 Membership returns a signed gauge-like margin (positive inside). Directions and
@@ -74,6 +77,7 @@ C^2 up: BLAS takes a one-row product as zgemv, not a many-row zgemm.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -412,13 +416,23 @@ class ConvexPolyhedron(Domain):
     the metric of the disc |f| < c; a real face gives the half-plane metric
     rate / (2 S), the same formula with B = 0.  The constructor derives
     ``is_product``: a table of n faces with independent rows is an affine
-    product of discs and half-planes, whose metric is the maximum over faces,
-    so ``metric_paired``, both sides of ``bracket_paired``, ``metric_form``
-    and ``distance_value`` answer from the face formulas in closed form; in
-    the face coordinates w = F(z), a polydisc times half-planes, it samples,
-    moves points and, balanced, serves the squeeze as a model.  On
-    any other table each modulus face's B is (1 - 4 eps) / c, which divides
-    its value by 1 + 4 eps s / (2 - s), s = S / c.  A face's value is
+    product of discs and half-planes, whose metric is the maximum over faces.
+    So is a hidden product.  ``_search`` takes as S the n faces of an n-face
+    table, else the n modulus faces of least product volume
+    prod c_k^2 / |det F_S|^2 (of at most ``_SEARCH_CAP`` subsets), as every
+    such product contains the body; S needs n eps kappa < 1, kappa the
+    infinity-norm condition number of F_S.  Face j = sum_k beta_jk f_k +
+    gamma_j, beta_j = a_j F_S^-1, is redundant when |gamma_j| +
+    sum_k |beta_jk| c_k, its supremum there (Re gamma_j + ... on a real
+    face), plus 8 n eps kappa (|consts_j| + sum_k |beta_jk| (c_k + |consts_k|)),
+    for beta's error and the sums' rounding, is below its bound; a tangent
+    face, whose supremum is its bound, never is.  ``metric_paired``,
+    ``bracket_paired``, ``distance_value`` and ``distance_radii`` take all
+    faces, as a redundant one's value is below the product's; ``metric_form``
+    (so its volume and the stretching frame), ``automorphism``, the sampler
+    and the squeeze model's radii read S's rows, in w = F_S(z).  On any other
+    table each modulus face's B is (1 - 4 eps) / c, which divides its value
+    by 1 + 4 eps s / (2 - s), s = S / c.  A face's value is
     rate / S / (2 - s) against the upper side's at least rate / S, so the two
     sides can meet only at s = 1, as both are the gauge at the centre of a
     balanced body; there the allowance is 4 eps, which covers the roundings
@@ -429,9 +443,7 @@ class ConvexPolyhedron(Domain):
     lower_method = "face-disc"
 
     def __init__(self, coeffs, consts, bounds, modulus_count, bounding_radius,
-                 basepoint=None, name: str = "", *, _singular_values=None):
-        # _singular_values: those of ``coeffs`` when its rows are all modulus
-        # faces and the caller has taken them (``balanced_polyhedron``)
+                 basepoint=None, name: str = ""):
         coeffs = np.array(coeffs, dtype=complex)
         consts = np.array(consts, dtype=complex)
         bounds = np.array(bounds, dtype=float)
@@ -457,30 +469,64 @@ class ConvexPolyhedron(Domain):
             bounds[mc:] /= norms[mc:]
             norms[mc:] = 1.0
         n = coeffs.shape[1]
-        product = bounds.size == n
-        if product:
-            # independent rows, by numpy's matrix_rank tolerance without its overhead
-            sv = (np.linalg.svd(coeffs, compute_uv=False) if _singular_values is None
-                  else _singular_values)
-            product = sv[-1] > n * np.finfo(float).eps * sv[0]
+        subset, product = self._search(mc, coeffs.tobytes(), consts.tobytes(), bounds.tobytes())
         self._fill(coeffs, consts, bounds, mc, norms, bounding_radius,
                    np.zeros(n, dtype=complex) if basepoint is None else cvector(basepoint),
-                   name, product)
+                   name, subset, product)
         if not (self.slacks(self._check_dim(self.basepoint)) > 0).all():
             raise NotInteriorError("declared basepoint is not interior")
 
+    @staticmethod
+    @functools.lru_cache(maxsize=64)
+    def _search(mc, coeffs, consts, bounds):
+        """(S or None, is_product) of the table with these bytes of its arrays,
+        once per process (see the class docstring)."""
+        bounds = np.frombuffer(bounds)
+        coeffs = np.frombuffer(coeffs, dtype=complex).reshape(bounds.size, -1)
+        consts, n, eps = np.frombuffer(consts, dtype=complex), coeffs.shape[1], np.finfo(float).eps
+        k = n if bounds.size == n else mc     # the faces S is drawn from
+        if k < n or math.comb(k, n) > _SEARCH_CAP:
+            return None, False
+        subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(k), n)),
+                              np.intp).reshape(-1, n)
+        subsets.flags.writeable = False    # S is every table's with these bytes
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            size = bounds[subsets].prod(axis=1) / np.abs(np.linalg.det(coeffs[subsets]))
+            S = subsets[size.argmin()]
+            Finv = np.linalg.inv(coeffs[S]) if np.isfinite(size.min()) else np.full((n, n), np.inf)
+            kappa = np.abs(coeffs[S]).sum(axis=1).max() * np.abs(Finv).sum(axis=1).max()
+            if not n * eps * kappa < 1.0:
+                return None, False
+            R = np.delete(np.arange(bounds.size), S)
+            beta = coeffs[R] @ Finv
+            ab, c, gamma = np.abs(beta), bounds[S], consts[R] - beta @ consts[S]
+            sup = ab @ c + np.where(R < mc, np.abs(gamma), gamma.real)
+            terms = np.abs(consts[R]) + ab @ (c + np.abs(consts[S]))
+            return S, bool(np.all(sup + 8.0 * n * eps * kappa * terms < bounds[R]))
+
     def _fill(self, coeffs, consts, bounds, modulus_count, face_norms, bounding_radius,
-              basepoint, name, product):
-        """Set the table and the domain's fields as given, unchecked, and each
-        face's face-disc constant B (``_face_disc``): 1 / c on a modulus
-        face, times 1 - 4 eps off a product, and 0 on a real face."""
+              basepoint, name, subset, product):
+        """Set the table and the domain's fields as given, unchecked, S as
+        ``subset``, and each face's face-disc constant B (``_face_disc``): 1 / c
+        on a modulus face, times 1 - 4 eps off a product, 0 on a real face."""
         self.coeffs, self.consts, self.bounds = coeffs, consts, bounds
         self.modulus_count, self.face_norms, self.dim = modulus_count, face_norms, coeffs.shape[1]
         self.bounding_radius, self.basepoint, self.name = float(bounding_radius), basepoint, name
-        self.is_product = bool(product)
+        self._subset, self.is_product = subset, bool(product)
         self._disc_b = np.zeros(bounds.size)
         np.divide(1.0 if product else 1.0 - 4.0 * np.finfo(float).eps,
                   bounds[:modulus_count], out=self._disc_b[:modulus_count])
+
+    @functools.cached_property
+    def _factors(self):
+        """The faces S alone, a product table: this one when S is every face."""
+        S = self._subset
+        if S is None or S.size == self.bounds.size:
+            return None if S is None else self
+        d = object.__new__(ConvexPolyhedron)
+        d._fill(self.coeffs[S], self.consts[S], self.bounds[S], S.size, self.face_norms[S],
+                self.bounding_radius, self.basepoint, self.name, np.arange(S.size), True)
+        return d
 
     def face_values(self, z):
         """F_k(z) of every face, of shape (..., faces), for z of shape (..., n)."""
@@ -580,14 +626,15 @@ class ConvexPolyhedron(Domain):
         return _face_disc(np.abs(V @ self.coeffs.T), S, self._disc_b).max(axis=1)
 
     def metric_form(self, x):
-        """On a product, K(x; v) = max_k |a_k . v| with a_k = coeffs[k] times
-        the face-disc factor at x; else None."""
+        """On a product, K(x; v) = max_k |a_k . v| over the faces S, with
+        a_k = coeffs[k] times the face-disc factor at x; else None."""
         if not self.is_product:
             return None
-        S = self.slacks(self._check_dim(cvector(x)))
+        d = self._factors
+        S = d.slacks(self._check_dim(cvector(x)))
         if not S.min() > 0:
             raise NotInteriorError("point outside the polyhedron")
-        return MetricForm(self.coeffs * _face_disc(1.0, S, self._disc_b)[:, None], False)
+        return MetricForm(d.coeffs * _face_disc(1.0, S, d._disc_b)[:, None], False)
 
     def bracket_paired(self, P, V, stream=None):
         """Lower: the largest face-disc metric (allowance included).  Upper:
@@ -750,36 +797,39 @@ class ConvexPolyhedron(Domain):
 
     @property
     def _balanced_product(self):
-        return self.is_product and self.modulus_count == self.dim and not self.consts.any()
+        d = self._factors
+        return self.is_product and d.modulus_count == self.dim and not d.consts.any()
 
     def linear_sup(self, coeffs):
-        """On a balanced product, |C coeffs^-1| @ bounds, as w = coeffs^-1 u
-        with u over the polydisc |u_k| <= bounds[k]; else None."""
+        """On a balanced product, |C F_S^-1| @ c_S, as w = F_S^-1 u with u over
+        the polydisc |u_k| <= c_k of its faces S; else None."""
         if self._balanced_product:
-            return np.abs(coeffs @ np.linalg.inv(self.coeffs)) @ self.bounds
+            return np.abs(coeffs @ np.linalg.inv(self._factors.coeffs)) @ self._factors.bounds
         return None
 
     def outer_radius_bound(self, domain, x):
-        """On a balanced product, max_k |a_k| @ (cb + |x|) / bounds[k] with
-        a_k = coeffs[k] and cb the domain's ``coordinate_bounds``, which bounds
-        |a_k . (z - x)| / bounds[k] over the domain."""
+        """On a balanced product, max_k |a_k| @ (cb + |x|) / bounds[k] over its
+        faces S, with a_k = coeffs[k] and cb the domain's ``coordinate_bounds``,
+        which bounds |a_k . (z - x)| / bounds[k] over the domain."""
         cb = domain.coordinate_bounds()
         if cb is None or not self._balanced_product:
             return super().outer_radius_bound(domain, x)
-        return (float(np.max((np.abs(self.coeffs) @ (cb + np.abs(x))) / self.bounds)),
+        d = self._factors
+        return (float(np.max((np.abs(d.coeffs) @ (cb + np.abs(x))) / d.bounds)),
                 "coordinate-bounds")
 
     def automorphism(self, frm, to):
-        """On a product, A^-1 psi A, A the face map z -> F(z) and psi the
-        componentwise move of each face's disc |w| < c or half-plane
+        """On a product, A^-1 psi A, A the map z -> F_S(z) of its faces S and
+        psi the componentwise move of each face's disc |w| < c or half-plane
         Re w < b."""
         if not self.is_product:
             return super().automorphism(frm, to)
-        A = AffineMap(self.coeffs, self.consts)
+        d = self._factors
+        A = AffineMap(d.coeffs, d.consts)
         p, q = A(frm), A(to)
-        mc = self.modulus_count
+        mc = d.modulus_count
         psi = [(Mobius1D.disc_move if k < mc else Mobius1D.halfplane_move)(p[k], q[k], b)
-               for k, b in enumerate(self.bounds)]
+               for k, b in enumerate(d.bounds)]
         return ComposedMap([A, ComponentwiseMap(psi), A.inverse()])
 
     def coordinate_bounds(self):
@@ -803,23 +853,27 @@ class ConvexPolyhedron(Domain):
         return np.max(np.abs(v @ self.coeffs.T) / self.bounds, axis=-1)
 
     def interior_samples(self, count, stream: SampleStream):
-        """On a product, drawn in the face coordinates and mapped back by one
-        solve: phase * sqrt(U) * c on a modulus face (uniform on its disc),
-        b - e^U(-2, 2) + i tan U(-1.2, 1.2) on a real face.  Otherwise
-        rejection from the box of ``coordinate_bounds``."""
+        """On a product, drawn in the face coordinates w = F_S(z) of its faces
+        S and mapped back by one solve: phase * sqrt(U) * c on a modulus face
+        (uniform on its disc), b - e^U(-2, 2) + i tan U(-1.2, 1.2) on a real
+        face.  Otherwise rejection from the polydisc of S drawn so, or without
+        S from the box of ``coordinate_bounds``, in batches of at least 64."""
+        d = self._factors
+        if d is None:
+            cb = self.coordinate_bounds()
+            if cb is None:
+                raise DegenerateInputError("interior sampling needs a bounded polyhedron")
+            d = polydisc(cb)
         if self.is_product:
-            mc, real = self.modulus_count, (count, self.dim - self.modulus_count)
+            mc, real = d.modulus_count, (count, self.dim - d.modulus_count)
             W = np.empty((count, self.dim), dtype=complex)
             if mc:
                 ph = stream.phases((count, mc))
-                W[:, :mc] = ph * np.sqrt(stream.uniform((count, mc))) * self.bounds[:mc]
+                W[:, :mc] = ph * np.sqrt(stream.uniform((count, mc))) * d.bounds[:mc]
             if real[1]:
                 h = np.exp(stream.uniform(real, -2.0, 2.0))
-                W[:, mc:] = self.bounds[mc:] - h + 1j * np.tan(stream.uniform(real, -1.2, 1.2))
-            return np.linalg.solve(self.coeffs, (W - self.consts).T).T
-        cb = self.coordinate_bounds()
-        if cb is None:
-            raise DegenerateInputError("interior sampling needs a bounded polyhedron")
+                W[:, mc:] = d.bounds[mc:] - h + 1j * np.tan(stream.uniform(real, -1.2, 1.2))
+            return np.linalg.solve(d.coeffs, (W - d.consts).T).T
         out = np.empty((count, self.dim), dtype=complex)
         have = 0
         attempts = 0
@@ -828,10 +882,7 @@ class ConvexPolyhedron(Domain):
             if attempts > 2000:
                 raise DegenerateInputError("interior sampling starved; check faces "
                                            "and bounding radius")
-            m = max(count - have, 64)
-            ph = stream.phases((m, self.dim))
-            t = np.sqrt(stream.uniform((m, self.dim)))
-            Z = ph * t * cb[None, :]
+            Z = d.interior_samples(max(count - have, 64), stream)
             ok = self.contains_margins(Z) > 0
             take = Z[ok][: count - have]
             out[have:have + take.shape[0]] = take
@@ -931,6 +982,10 @@ _ROW_BLOCK = 4096
 # together: each gauge call then sees the points of at most 32 rows, however
 # many rows the query has, which bounds the temporaries.
 _SECTION_BLOCK = 32
+
+
+# Most n-subsets of modulus faces ``ConvexPolyhedron._search`` ranks: C(16, 4) is 1820
+_SEARCH_CAP = 4096
 
 
 @functools.cache
@@ -1392,7 +1447,7 @@ def _product_table(coeffs, bounds, modulus_count, bounding_radius, basepoint, na
     its builder's input checks keep the table valid and the basepoint inside."""
     d, n = object.__new__(ConvexPolyhedron), len(bounds)
     d._fill(coeffs, np.zeros(n, dtype=complex), bounds, modulus_count, np.ones(n),
-            bounding_radius, basepoint, name, product=True)
+            bounding_radius, basepoint, name, np.arange(n), True)
     return d
 
 
@@ -1443,8 +1498,7 @@ def balanced_polyhedron(coeffs, scales, dim: int, name: str = "") -> ConvexPolyh
     if C.shape[0] < dim or sv[-1] <= 1e-12:
         raise DegenerateInputError("functionals do not span C^n; body is unbounded")
     # max_k |c_k . z| / s_k < 1 forces ||C z|| < ||s||, so ||z|| < ||s|| / sigma_min(C)
-    return ConvexPolyhedron(C, np.zeros(len(C)), s, len(C), np.linalg.norm(s) / sv[-1],
-                            name=name, _singular_values=sv)
+    return ConvexPolyhedron(C, np.zeros(len(C)), s, len(C), np.linalg.norm(s) / sv[-1], name=name)
 
 
 def model_automorphism(domain: Domain, frm, to):

@@ -1,7 +1,8 @@
 """Kobayashi-Royden metric and distance with certified two-sided bounds.
 
 Closed forms on the model domains (ball, polydisc, half-plane products, any
-face table of n independent faces, and their affine images) make both sides
+face table of n independent faces or whose other faces are redundant on the
+product of n of its modulus faces, and their affine images) make both sides
 of every bound coincide.  On general convex domains the upper bound comes
 from the affine disc inscribed in the planar section through (x, v) and the
 lower bound from holomorphic projections onto a polyhedron's face discs and

@@ -74,20 +74,21 @@ _BUILDERS = {
 def model_twins() -> dict:
     """Each zoo body with a closed form rebuilt as a kind without one, by
     name: modulus faces, real faces, a gauge body and an affine image of
-    each.  A face table of n independent faces is a product with a closed
-    form, so each table twin adds one redundant face."""
+    each.  A table whose other faces are strictly redundant on the product of
+    n of its faces is that product, with a closed form, so each table twin
+    adds one tangent face: its supremum on the body is its bound."""
     polydisc2 = ConvexPolyhedron([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], np.zeros(3),
-                                 [1.0, 1.0, 2.5], 3, np.sqrt(2.0))
+                                 [1.0, 1.0, 2.0], 3, np.sqrt(2.0))
     ball2 = BalancedConvex(UnitBall(2).gauge, 2, 1.0, 1.0)
     return {
-        "disc": ConvexPolyhedron([[1.0], [1.0]], np.zeros(2), [1.0, 2.0], 2, 1.0),
+        "disc": ConvexPolyhedron([[1.0], [1.0]], np.zeros(2), [1.0, 1.0], 2, 1.0),
         "polydisc2": polydisc2,
         "ball2": ball2,
         "halfplane": ConvexPolyhedron([[1j], [1j]], np.zeros(2), [0.0, 1.0], 0, np.inf,
                                       basepoint=[1j]),
-        # |z_2| <= |z_1 + z_2| + |z_1| < 2.2 on the balanced body
+        # |z_2| <= |z_1 + z_2| + |z_1| < 2.2, equal at (-1, 2.2), where |z| = 2.42
         "balanced": ConvexPolyhedron([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], np.zeros(3),
-                                     [1.0, 1.2, 2.3], 3, 2.3),
+                                     [1.0, 1.2, 2.2], 3, 2.5),
         "sheared_polydisc": affine_twin(polydisc2),
         "turned_ball": affine_twin(ball2),
     }

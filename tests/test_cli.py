@@ -192,6 +192,17 @@ def test_dominate_halfplane_profile(capsys, tmp_path):
     assert json.loads(out[:out.rindex("}") + 1])["method"] == "apollonius-exact"
 
 
+@pytest.mark.parametrize("flag", [["--tol", "0"], ["--tol", "1e9"], ["--points", "[[1]]"],
+                                  ["--points", "auto"]])
+def test_dominate_flags_the_half_plane_check_does_not_read_are_exit_2(capsys, flag):
+    """The half-plane check reads neither --tol nor --points: given either,
+    dominate exits 2 naming it."""
+    with pytest.raises(SystemExit) as ei:
+        main(["dominate", "--domain", "halfplane", "--radii", "0.5", "--samples", "64"] + flag)
+    assert ei.value.code == 2
+    assert f"{flag[0]} " in capsys.readouterr().err
+
+
 def test_dominate_convex_inline_points(capsys):
     code, out, _ = run(capsys, "dominate", "--domain", "polydisc2",
                        "--radii", "0.5", "--samples", "200",

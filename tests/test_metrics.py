@@ -28,6 +28,7 @@ from invmet.domains import (
     AffineImage,
     BalancedConvex,
     ConvexPolyhedron,
+    same_model,
 )
 from invmet import metrics
 from invmet.errors import DegenerateInputError, DimensionMismatchError, NotInteriorError
@@ -554,6 +555,24 @@ def test_batched_half_space_bound_is_below_the_closed_form(name):
     assert np.all(lower <= exact * (1.0 + 1e-12))
     assert np.all(upper >= exact * (1.0 - 1e-12))
     assert twin.metric_paired(X, V) is None
+
+
+@pytest.mark.parametrize("name, face", [("disc", 1), ("polydisc2", 2), ("balanced", 2)])
+def test_table_twins_add_a_tangent_face(name, face):
+    """Each table twin is its model with one face added whose supremum on
+    the model, the product of the other faces, is its bound: a tangent face,
+    which is not redundant, so the twin is no product and the metric suite
+    compares a face-disc bracket with the model's closed form."""
+    twin = model_twins()[name]
+    assert not twin.is_product
+    keep = np.arange(twin.bounds.size) != face
+    # face = beta . (other faces) + gamma
+    beta = np.linalg.solve(twin.coeffs[keep].T, twin.coeffs[face])
+    gamma = twin.consts[face] - beta @ twin.consts[keep]
+    assert abs(gamma) + np.abs(beta) @ twin.bounds[keep] == twin.bounds[face]
+    model = ConvexPolyhedron(twin.coeffs[keep], twin.consts[keep], twin.bounds[keep],
+                             keep.sum(), twin.bounding_radius)
+    assert model.is_product and same_model(model, zoo_domain(name))
 
 
 @pytest.mark.parametrize("name", ["three_face", "ball2", "ellipsoid"])
