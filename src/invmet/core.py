@@ -92,16 +92,18 @@ class CLinearMap:
 
 
 class AffineMap:
-    """z -> linear(z) + translation. Usable as a holomorphic map (has derivative)."""
+    """z -> linear(z) + translation. Usable as a holomorphic map (has derivative).
+    A value: the translation, like the linear map's matrix, is a read-only copy."""
 
     __slots__ = ("linear", "translation")
 
     def __init__(self, linear, translation):
         if not isinstance(linear, CLinearMap):
             linear = CLinearMap(linear)
-        t = cvector(translation)
+        t = cvector(translation).copy()
         if t.size != linear.dim:
             raise DimensionMismatchError("translation length does not match matrix size")
+        t.setflags(write=False)
         self.linear = linear
         self.translation = t
 

@@ -253,6 +253,13 @@ class Domain:
         return z
 
 
+def _read_only(a):
+    """``a``, marked read-only: a domain is a value that callers share (the
+    zoo keeps one per name per process), so each kind marks what it stores."""
+    a.setflags(write=False)
+    return a
+
+
 def _face_disc(t, S, B):
     """The face-disc metric rate / (S (2 - S B)) of faces with rates t,
     slacks S and constants B (``ConvexPolyhedron``), broadcast; t = 1 gives
@@ -280,7 +287,7 @@ class UnitBall(Domain):
             raise DimensionMismatchError("dim must be >= 1")
         self.dim = int(dim)
         self.bounding_radius = 1.0
-        self.basepoint = np.zeros(self.dim, dtype=complex)
+        self.basepoint = _read_only(np.zeros(self.dim, dtype=complex))
 
     def contains_margins(self, Z):
         return 1.0 - np.linalg.norm(np.asarray(Z, dtype=complex), axis=-1)
@@ -469,27 +476,22 @@ class ConvexPolyhedron(Domain):
             bounds[mc:] /= norms[mc:]
             norms[mc:] = 1.0
         n = coeffs.shape[1]
-        subset, product = self._search(mc, coeffs.tobytes(), consts.tobytes(), bounds.tobytes())
+        subset, product = self._search(mc, coeffs, consts, bounds)
         self._fill(coeffs, consts, bounds, mc, norms, bounding_radius,
-                   np.zeros(n, dtype=complex) if basepoint is None else cvector(basepoint),
+                   np.zeros(n, dtype=complex) if basepoint is None else cvector(basepoint).copy(),
                    name, subset, product)
         if not (self.slacks(self._check_dim(self.basepoint)) > 0).all():
             raise NotInteriorError("declared basepoint is not interior")
 
     @staticmethod
-    @functools.lru_cache(maxsize=64)
     def _search(mc, coeffs, consts, bounds):
-        """(S or None, is_product) of the table with these bytes of its arrays,
-        once per process (see the class docstring)."""
-        bounds = np.frombuffer(bounds)
-        coeffs = np.frombuffer(coeffs, dtype=complex).reshape(bounds.size, -1)
-        consts, n, eps = np.frombuffer(consts, dtype=complex), coeffs.shape[1], np.finfo(float).eps
+        """(S or None, is_product) of the table (see the class docstring)."""
+        n, eps = coeffs.shape[1], np.finfo(float).eps
         k = n if bounds.size == n else mc     # the faces S is drawn from
         if k < n or math.comb(k, n) > _SEARCH_CAP:
             return None, False
         subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(k), n)),
                               np.intp).reshape(-1, n)
-        subsets.flags.writeable = False    # S is every table's with these bytes
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             size = bounds[subsets].prod(axis=1) / np.abs(np.linalg.det(coeffs[subsets]))
             S = subsets[size.argmin()]
@@ -506,9 +508,13 @@ class ConvexPolyhedron(Domain):
 
     def _fill(self, coeffs, consts, bounds, modulus_count, face_norms, bounding_radius,
               basepoint, name, subset, product):
-        """Set the table and the domain's fields as given, unchecked, S as
-        ``subset``, and each face's face-disc constant B (``_face_disc``): 1 / c
-        on a modulus face, times 1 - 4 eps off a product, 0 on a real face."""
+        """Set the table and the domain's fields as given, unchecked and made
+        read-only, S as ``subset``, and each face's face-disc constant B
+        (``_face_disc``): 1 / c on a modulus face, times 1 - 4 eps off a
+        product, 0 on a real face."""
+        for a in (coeffs, consts, bounds, face_norms, basepoint, subset):
+            if a is not None:
+                _read_only(a)
         self.coeffs, self.consts, self.bounds = coeffs, consts, bounds
         self.modulus_count, self.face_norms, self.dim = modulus_count, face_norms, coeffs.shape[1]
         self.bounding_radius, self.basepoint, self.name = float(bounding_radius), basepoint, name
@@ -516,6 +522,7 @@ class ConvexPolyhedron(Domain):
         self._disc_b = np.zeros(bounds.size)
         np.divide(1.0 if product else 1.0 - 4.0 * np.finfo(float).eps,
                   bounds[:modulus_count], out=self._disc_b[:modulus_count])
+        _read_only(self._disc_b)
 
     @functools.cached_property
     def _factors(self):
@@ -606,8 +613,9 @@ class ConvexPolyhedron(Domain):
                 np.multiply(T, b.real[:, None], out=reach)
                 reach += f.real
             np.subtract(self.bounds[k], reach, out=reach)
-            # a face with f_lin(w) = 0 never meets the ray's section: slack / 0 = inf
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # a face with f_lin(w) = 0 never meets the ray's section: slack / 0 = inf;
+            # nor does one whose slack / f_lin(w) overflows
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 np.divide(reach, np.abs(b)[:, None], out=reach)
             np.minimum(per, reach, out=per)
         # a node on or outside a face has slack <= 0, so per <= 0 or nan
@@ -1112,9 +1120,9 @@ class BalancedConvex(Domain):
         self._gauge = gauge
         self.bounding_radius = float(bounding_radius)
         self.inner_radius = float(inner_radius)
-        self.basepoint = np.zeros(self.dim, dtype=complex)
+        self.basepoint = _read_only(np.zeros(self.dim, dtype=complex))
         # ``supporting_half_spaces`` steps h = 1e-6 along Re z_0, Im z_0, ...
-        self._steps = np.kron(np.eye(self.dim), [[1e-6], [1e-6j]])
+        self._steps = _read_only(np.kron(np.eye(self.dim), [[1e-6], [1e-6j]]))
         if not (0 < self.inner_radius <= self.bounding_radius < np.inf):
             raise DegenerateInputError("need 0 < inner_radius <= bounding_radius < inf")
         U = root_directions(0, 64, self.dim)
@@ -1364,7 +1372,7 @@ class AffineImage(Domain):
         sv = np.linalg.svd(affine.linear.matrix, compute_uv=False)
         self._sv_min = float(sv[-1])
         self._sv_max = float(sv[0])
-        self.basepoint = affine(inner.basepoint)
+        self.basepoint = _read_only(affine(inner.basepoint))
         if np.isfinite(inner.bounding_radius):
             self.bounding_radius = (self._sv_max * inner.bounding_radius
                                     + float(np.linalg.norm(affine.translation)))
@@ -1453,7 +1461,7 @@ def _product_table(coeffs, bounds, modulus_count, bounding_radius, basepoint, na
 
 def polydisc(radii) -> ConvexPolyhedron:
     """The polydisc |z_k| < radii[k]: modulus rows e_k, consts 0."""
-    radii = np.asarray(radii, dtype=float)
+    radii = np.array(radii, dtype=float)    # a copy: the table is made read-only
     if radii.ndim != 1 or radii.size < 1 or (radii <= 0).any():
         raise DegenerateInputError("radii must be positive")
     n = radii.size

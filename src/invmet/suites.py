@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -495,6 +494,9 @@ def verify_all(seed: int = 7, out_dir=".", workers: int = 1, *,
     ]
     start = time.monotonic()
     if workers > 1:
+        # imported here: concurrent.futures pulls in logging, which no other
+        # path reads
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [(name, pool.submit(fn)) for name, fn in specs]
             results = {name: fut.result() for name, fut in futures}

@@ -1,6 +1,7 @@
 """Bundled example domains for suites, CLI demos, and regression baselines.
 
-Every entry is rebuilt on demand so callers can mutate nothing shared.  The
+Every entry is built once per process, on first use, and read-only: each
+name gives one shared instance, whose arrays raise ValueError on a write.  The
 polyhedron and balanced-body entries are the small hand-checkable bodies used
 throughout the test batteries; the affine twins exercise the delegation paths
 with fixed, deterministic maps, and ``model_twins`` rebuilds each model as a
@@ -8,6 +9,8 @@ kind without a closed form.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -98,12 +101,16 @@ def zoo_names() -> list[str]:
     return sorted(_BUILDERS)
 
 
+@functools.cache
 def zoo_domain(name: str) -> Domain:
+    """The named zoo domain, built on first use and shared after (threads that
+    ask for a new name at once may each build it: equal, read-only values)."""
     try:
-        return _BUILDERS[name]()
+        builder = _BUILDERS[name]
     except KeyError:
         raise SpecLoadError(f"unknown zoo domain {name!r}; "
                             f"known: {', '.join(zoo_names())}")
+    return builder()
 
 
 def resolve_domain(arg: str) -> Domain:

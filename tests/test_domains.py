@@ -1,5 +1,6 @@
 """Domain oracles: membership, sections, gauges, loaders, and the zoo."""
 
+import functools
 import json
 
 import numpy as np
@@ -19,11 +20,13 @@ from invmet import (
     load_domain,
     model_automorphism,
     polydisc,
+    verify_all,
     zoo_domain,
     zoo_names,
 )
 from invmet import domains, metrics
 from invmet.automorphisms import BallMobius, Mobius1D, ball_move
+from invmet.cli import main
 from invmet.domains import (
     AffineImage,
     BalancedConvex,
@@ -439,15 +442,81 @@ def test_load_domain_affine_image_spec(tmp_path):
     assert_inside(d, d.interior_samples(50, SampleStream(6)))
 
 
-def test_zoo_names_and_fresh_instances():
+def _fields(obj, path="d", seen=None):
+    """(path, value) of every array and scalar reachable from an invmet
+    object: its attributes, slots and cached properties (computed here if
+    they were not yet), through nested invmet objects, containers and bound
+    methods, each object once."""
+    seen = set() if seen is None else seen
+    if obj is None or isinstance(obj, (np.ndarray, np.generic, bool, int, float, complex, str)):
+        yield path, obj
+        return
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    cls = type(obj)
+    if isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from _fields(v, f"{path}[{i}]", seen)
+    elif hasattr(obj, "__self__"):
+        yield from _fields(obj.__self__, f"{path}.__self__", seen)
+    else:
+        assert cls.__module__.startswith("invmet."), f"{path}: {cls}"
+        names = set(getattr(obj, "__dict__", ()))
+        for c in cls.__mro__:
+            names |= set(getattr(c, "__slots__", ()))
+            names |= {n for n, v in vars(c).items() if isinstance(v, functools.cached_property)}
+        for n in sorted(names):
+            if hasattr(obj, n):
+                yield from _fields(getattr(obj, n), f"{path}.{n}", seen)
+
+
+def _state(d):
+    """Every field of d by path: arrays by dtype, shape and bytes, scalars by value."""
+    return {path: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for path, v in _fields(d)}
+
+
+def test_zoo_names_and_shared_read_only_instances():
     names = zoo_names()
     assert names == sorted(names)
     for required in ("disc", "polydisc2", "ball2", "halfplane", "three_face",
                      "balanced", "sheared_polydisc", "turned_ball"):
         assert required in names
-    assert zoo_domain("ball2") is not zoo_domain("ball2")
+    for name in names:
+        d = zoo_domain(name)
+        assert zoo_domain(name) is d
+        arrays = [(path, v) for path, v in _fields(d) if isinstance(v, np.ndarray)]
+        assert any(path == "d.basepoint" for path, _ in arrays)
+        for path, a in arrays:
+            assert not a.flags.writeable, (name, path)
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a
     with pytest.raises(SpecLoadError):
         zoo_domain("no_such_domain")
+
+
+def test_cli_calls_and_suites_leave_each_shared_zoo_domain_as_built(tmp_path, capsys):
+    """verify-all and in-process commands on zoo names share the zoo's
+    domains; afterwards each equals a fresh build, field by field."""
+    assert verify_all(7, out_dir=tmp_path).passed
+    for name in zoo_names():
+        d = zoo_domain(name)
+        at, v = json.dumps([[z.real, z.imag] for z in d.basepoint]), json.dumps([1.0] * d.dim)
+        assert main(["metric", "--domain", name, "--at", at, "--dir", v]) == 0, name
+    for argv in (
+        ["distance", "--domain", "turned_ball", "--from", "[0,0]", "--to", "[0.3,0.1]"],
+        ["distance", "--domain", "three_face", "--from", "[0,0]", "--to", "[0.9,0]"],
+        ["indicatrix", "--domain", "sheared_polydisc", "--at", "[0.1,0]", "--directions", "16"],
+        ["dominate", "--domain", "three_face", "--radii", "0.25,0.5", "--samples", "200"],
+        ["squeeze", "cert", "--domain", "three_face", "--at", "[0.1,0]", "--samples", "500"],
+        ["scale", "audit", "--domain", "turned_ball", "--target", "[[1.1,0.15],[0.1,-0.05]]",
+         "--steps", "20"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    for name in zoo_names():
+        assert _state(zoo_domain(name)) == _state(zoo_domain.__wrapped__(name)), name
 
 
 def test_resolve_domain_falls_back_to_files(polydisc2_file):
@@ -885,6 +954,19 @@ def test_section_distance_along_keeps_the_slack_of_faces_parallel_to_the_ray():
     along = d.section_distance_along(x, W, T)
     np.testing.assert_allclose(along, np.minimum(1.0 - np.hypot(0.1, T), 0.4), rtol=1e-12)
     np.testing.assert_allclose(along, _paired_on_rows(d, x, W, T)[0], rtol=1e-12)
+
+
+def test_section_distance_along_passes_a_face_whose_rate_is_subnormal():
+    """A face whose rate along the ray is subnormal but nonzero has slack /
+    rate = inf (an overflow, not a warning): it never meets the section, so
+    the table answers as it does without that face."""
+    coeffs = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1j], [0, -1j, -2.2e-311j]]
+    x, W, T = np.zeros(3), np.array([[0, 0, 0.5]], dtype=complex), np.array([[0.0, 0.5, 1.0]])
+    with_face = ConvexPolyhedron(coeffs, np.zeros(5), [2, 2, 2, 1, 1], 3, 12 ** 0.5)
+    without = ConvexPolyhedron(coeffs[:4], np.zeros(4), [2, 2, 2, 1], 3, 12 ** 0.5)
+    assert 0 < abs(with_face.coeffs[4] @ W[0]) < np.finfo(float).tiny
+    along = with_face.section_distance_along(x, W, T)
+    assert along.tobytes() == without.section_distance_along(x, W, T).tobytes()
 
 
 @pytest.mark.parametrize("make", [

@@ -6,9 +6,10 @@ the domain kinds only through the oracle protocol of ``Domain`` (plus the
 no code asks which kind a domain is, but for that pull-back and the input
 guard of the corner pipeline.  Importing the package
 and its command line loads no scipy: its one user, the vertex bodies of
-``convexbox``, imports it lazily.  Every public name, function and method has
-a reader in the package or in the README, so has every field of a dataclass,
-and no module imports a name it never reads.
+``convexbox``, imports it lazily, as ``verify_all`` does its thread pool.
+Every public name, function and method has a reader in the package or in the
+README, so has every field of a dataclass, and no module imports a name it
+never reads.
 """
 
 import ast
@@ -52,8 +53,11 @@ def test_metrics_sees_domains_only_through_the_protocol():
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():
+    """Nor concurrent.futures, with the logging it imports: only the thread
+    pool of ``verify_all(workers > 1)`` uses it, and imports it there."""
     probe = ("import sys, invmet, invmet.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('scipy', 'concurrent', 'logging')))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
