@@ -6,7 +6,10 @@ common flags its handler reads, each also supplied through an
 ``INVMET_``-prefixed environment variable (``INVMET_SEED``, ``INVMET_TOL``,
 ``INVMET_CONVENTION``, ``INVMET_OUT``, ``INVMET_WORKERS``,
 ``INVMET_DOMAIN``); an explicit flag always wins over the environment.  The
-parser is built once per process and reads no environment: each ``main``
+parser is built once per process and reads no environment.  ``main`` hands an
+argv that starts with a command's words (``metric``, ``scale audit``) to that
+command's own parser alone, so an unrecognized argument gets its usage line;
+the top-level parser takes and reports any other argv.  Each ``main``
 call reads the variables for the flags its subcommand has, ignores the rest
 (an empty variable counts as unset), and exits 2 naming the variable when a
 value does not convert or is out of range: a count below its least value, a
@@ -331,6 +334,10 @@ def cmd_verify_all(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+# each command's parser by its words, its prog's after "invmet"; build_parser fills it
+_COMMANDS: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
 def _command(sub, name: str, handler: str, help: str,
              flags: str) -> argparse.ArgumentParser:
     """A subcommand with the common flags its handler reads, named in
@@ -338,6 +345,7 @@ def _command(sub, name: str, handler: str, help: str,
     command runs."""
     p = sub.add_parser(name, help=help)
     p.set_defaults(handler=handler, parser=p)
+    _COMMANDS[tuple(p.prog.split()[1:])] = p
     for dest in flags.split():
         kw = {}
         if dest == "domain":
@@ -440,7 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    # an argv that starts with a command's words is parsed once, by that
+    # command's parser; the top-level parser takes and reports any other
+    n = next((n for n in (1, 2) if tuple(argv[:n]) in _COMMANDS), 0)
+    args = _COMMANDS.get(tuple(argv[:n]), parser).parse_args(argv[n:])
     _fill_from_env(args)
     try:
         return globals()[args.handler](args)

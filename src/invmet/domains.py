@@ -38,6 +38,8 @@ V):
 * ``bracket_paired(P, V, stream)``: certified (lower, upper) bounds of the
   metric, the closed form on both sides where there is one; a body known
   through a gauge answers both sides from one section search;
+* ``metric_pullback(P, V)``: (domain, P', V'), a kind whose metric at P', V'
+  is this one's at P, V: an affine image's inner kind at the pulled-back rows;
 * ``metric_form(x)``: K(x; .) at one point as a ``MetricForm`` (a Hermitian
   form or a max of moduli of linear functionals), or None;
 * ``distance_value(x, w)``: the closed-form distance from x to x + w, or to
@@ -163,6 +165,10 @@ class Domain:
         """K(x; .) at the point x as a ``MetricForm``, or None when the kind
         has no closed form."""
         return None
+
+    def metric_pullback(self, P, V):
+        """(self, P, V): the metric oracles answer these rows themselves."""
+        return self, P, V
 
     def section_distance_paired(self, P, V):
         """Euclidean distance from P[i] to the boundary of the planar section
@@ -661,16 +667,17 @@ class ConvexPolyhedron(Domain):
         modulus face k allows the disc |s - tau_k| < R_k, tau_k = p_k + i q_k
         with q_k >= 0, and real face k a half-plane, so at real s their slacks
         are R_k - |s - tau_k| and alpha_k - gamma_k s, with |gamma_k| <= 1.
-        A face constant on the line (f_lin(u) = 0) bounds no section and is
-        left out.  Returns (R, p, q, alpha, gamma)."""
+        A face constant on the line (f_lin(u) = 0, or subnormal, so that its
+        disc or half-plane overflows) bounds no section of the bounded body
+        and is left out.  Returns (R, p, q, alpha, gamma)."""
         B = self.coeffs @ u
         F = self.face_values(x)
-        modulus = np.arange(B.size) < self.modulus_count
-        mod, real = modulus & (B != 0), ~modulus & (B != 0)
         aB = np.abs(B)
-        tau = -F[mod] / B[mod]
-        return (self.bounds[mod] / aB[mod], tau.real, np.abs(tau.imag),
-                (self.bounds[real] - F[real].real) / aB[real], B[real].real / aB[real])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            tau, R, alpha = -F / B, self.bounds / aB, (self.bounds - F.real) / aB
+        modulus = np.arange(B.size) < self.modulus_count
+        mod, real = modulus & np.isfinite(tau) & np.isfinite(R), ~modulus & np.isfinite(alpha)
+        return R[mod], tau[mod].real, np.abs(tau[mod].imag), alpha[real], B[real].real / aB[real]
 
     def affine_disc_length(self, x, w):
         """Closed form in the arc length s on [0, |w|] of the line from x
@@ -1397,6 +1404,9 @@ class AffineImage(Domain):
     def metric_paired(self, P, V):
         return self.inner.metric_paired(*self._pull_back(P, V))
 
+    def metric_pullback(self, P, V):
+        return self.inner.metric_pullback(*self._pull_back(P, V))
+
     def metric_form(self, x):
         form = self.inner.metric_form(self.map_inv(self._check_dim(cvector(x))))
         return None if form is None else form.pulled_back(self.map_inv.linear.matrix)
@@ -1546,16 +1556,20 @@ class AutomorphismFamily:
 # JSON domain specifications
 # ---------------------------------------------------------------------------
 
+def _is_number(obj) -> bool:
+    """A JSON number: an int or a float, and not a bool, which subclasses int."""
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def _load_complex(obj, loc):
-    if isinstance(obj, (int, float)):
+    if _is_number(obj):
         return complex(obj)
     if isinstance(obj, str):
         try:
             return complex(obj.replace(" ", ""))
         except ValueError:
             raise SpecLoadError("cannot parse complex number", loc)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(
-            isinstance(x, (int, float)) for x in obj):
+    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_number, obj)):
         return complex(obj[0], obj[1])
     raise SpecLoadError("expected a number, [re, im] pair, or complex string", loc)
 
@@ -1574,7 +1588,8 @@ def _require(obj, key, loc, types=None):
     if key not in obj:
         raise SpecLoadError(f"missing required key {key!r}", loc)
     val = obj[key]
-    if types is not None and not isinstance(val, types):
+    # bool subclasses int, and no typed key takes JSON true or false
+    if types is not None and (not isinstance(val, types) or isinstance(val, bool)):
         raise SpecLoadError(f"key {key!r} has the wrong type", loc)
     return val
 
@@ -1613,7 +1628,7 @@ def _domain_from_dict(obj, loc) -> Domain:
         if "radii" in obj:
             radii = obj["radii"]
             if not isinstance(radii, list) or not all(
-                    isinstance(r, (int, float)) and r > 0 for r in radii):
+                    _is_number(r) and r > 0 for r in radii):
                 raise SpecLoadError("radii must be a list of positive numbers",
                                     f"{p}radii")
         else:

@@ -153,7 +153,8 @@ def kobayashi_metric(d: Domain, x, v, *, seed: int = 0) -> MetricBound:
         nv = float(np.linalg.norm(v))
     if nv == 0.0:
         raise DegenerateInputError("direction must be nonzero")
-    P, V = x[None, :], (v / nv)[None, :]
+    # an affine image's rows are pulled back once, for both oracles below
+    d, P, V = d.metric_pullback(x[None, :], (v / nv)[None, :])
     nv = nv if e is None else math.ldexp(nv, int(e[0]))
     exact = d.metric_paired(P, V)
     if exact is not None:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: outputs, artifacts, exit codes."""
 
+import argparse
 import ast
 import json
 import math
@@ -45,6 +46,22 @@ def test_metric_accepts_inline_json_domain(capsys):
     code, out, _ = run(capsys, "metric", "--domain", '{"kind":"ball","dim":2}',
                        "--at", "[0,0]", "--dir", "[1,0]")
     assert code == 0 and out.splitlines()[0] == "1.0"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--at", "[false, [true, false]]", "error: --at[0]: expected a number"),
+    ("--at", "[0, [true, false]]", "error: --at[1]: expected a number"),
+    ("--dir", "[1, [0, true]]", "error: --dir[1]: expected a number"),
+    ("--domain", '{"kind": "ball", "dim": true}', "error: dim: key 'dim' has the wrong type"),
+    ("--domain", '{"kind": "polydisc", "radii": [true, 1.0]}',
+     "error: radii: radii must be a list of positive numbers"),
+], ids=["at", "at-pair", "dir-pair", "ball-dim", "polydisc-radii"])
+def test_json_true_and_false_are_not_numbers_exit_2(capsys, flag, value, message):
+    argv = {"--domain": "ball2", "--at": "[0,0]", "--dir": "[1,0]"}
+    argv[flag] = value
+    code, out, err = run(capsys, "metric", *(tok for kv in argv.items() for tok in kv))
+    assert code == 2 and out == ""
+    assert err.startswith(message)
 
 
 def test_missing_file_is_exit_2(capsys):
@@ -429,3 +446,131 @@ def test_domain_is_required_without_the_environment(capsys, monkeypatch):
         main(["metric", "--at", "[0]", "--dir", "[1]"])
     assert ei.value.code == 2
     assert "the following arguments are required: --domain" in capsys.readouterr().err
+
+
+# a representative argv after each command's words, setting each of its flags
+_COMMAND_ARGV = {
+    ("metric",): ["--domain", "ball2", "--at", "[0,0]", "--dir", "[1,0]", "--seed", "3",
+                  "--tol", "0.5"],
+    ("distance",): ["--domain", "disc", "--from", "[0]", "--to", "[0.5]", "--seed", "1",
+                    "--convention", "paper"],
+    ("indicatrix",): ["--domain", "three_face", "--at", "[0,0]", "--directions", "8",
+                      "--seed", "2", "--out", "unused.csv"],
+    ("scale", "audit"): ["--domain", "ball2", "--target", "[1,0]", "--steps", "3",
+                         "--grid", "5", "--seed", "4", "--tol", "1e-6", "--out", "unused"],
+    ("boxlemma", "stress"): ["--dim", "2", "--instances", "3", "--seed", "5",
+                             "--out", "unused.csv"],
+    ("dominate",): ["--domain", "three_face", "--radii", "0.5", "--points", "auto",
+                    "--samples", "10", "--seed", "6", "--tol", "0.1",
+                    "--convention", "standard", "--out", "unused"],
+    ("squeeze", "cert"): ["--domain", "three_face", "--at", "[0,0]", "--model", "ball",
+                          "--samples", "10", "--seed", "7", "--out", "unused"],
+    ("squeeze", "sweep"): ["--domain", "three_face", "--corner", "[1,-1]", "--steps", "2",
+                           "--threshold", "0.5", "--out", "unused.csv"],
+    ("verify-all",): ["--seed", "8", "--convention", "paper", "--workers", "2",
+                      "--out", "unused"],
+}
+
+
+def _leaf_commands(parser, words=()):
+    """(words, parser) of each command of the tree under ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_commands(sub, words + (name,))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the top-level parser was consulted")
+
+
+class _Parsed(Exception):
+    pass
+
+
+def test_main_parses_each_command_once_with_its_own_parser(monkeypatch):
+    """For every command of the parser tree, main's namespace is the
+    top-level parser's less ``command`` and ``subcommand``, and it comes
+    from the command's own parser: the top-level one is never consulted."""
+    parser = build_parser()
+    leaves = dict(_leaf_commands(parser))
+    assert sorted(leaves) == sorted(_COMMAND_ARGV)
+    expected = {}
+    for words, tail in _COMMAND_ARGV.items():
+        ns = vars(parser.parse_args([*words, *tail]))
+        assert (ns.pop("command"), ns.pop("subcommand", None)) == (words + (None,))[:2]
+        expected[words] = ns
+    for method in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(parser, method, _refuse)
+    seen = []
+
+    def parsed(args):
+        seen.append(args)
+        raise _Parsed
+
+    monkeypatch.setattr(cli, "_fill_from_env", parsed)
+    for words, tail in _COMMAND_ARGV.items():
+        with pytest.raises(_Parsed):
+            main([*words, *tail])
+        assert vars(seen[-1]) == expected[words], words
+        assert seen[-1].parser is leaves[words]
+
+
+def test_a_valid_command_runs_without_the_top_level_parser(capsys, monkeypatch):
+    monkeypatch.delenv("INVMET_SEED", raising=False)
+    parser = build_parser()
+    for method in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(parser, method, _refuse)
+    code, out, _ = run(capsys, "metric", "--domain", "ball2", "--at", "[0,0]", "--dir", "[1,0]")
+    assert (code, out) == (0, "1.0\n# bracket [1.0, 1.0] methods closed-form|closed-form seed 0\n")
+    monkeypatch.setattr("sys.argv", ["invmet", "squeeze", "sweep", "--domain", "three_face",
+                                     "--corner", "[1,-1]", "--steps", "2"])
+    assert main() == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"# version={config.VERSION} steps=2 method=pipeline-bisection"
+
+
+_CHOICES = "'metric', 'distance', 'indicatrix', 'scale', 'boxlemma', 'dominate', " \
+           "'squeeze', 'verify-all'"
+
+
+@pytest.mark.parametrize("argv, usage, message", [
+    ([], "usage: invmet [-h]\n",
+     "invmet: error: the following arguments are required: command"),
+    (["nosuch"], "usage: invmet [-h]\n",
+     f"invmet: error: argument command: invalid choice: 'nosuch' (choose from {_CHOICES})"),
+    (["--domain", "ball2", "metric"], "usage: invmet [-h]\n",
+     f"invmet: error: argument command: invalid choice: 'ball2' (choose from {_CHOICES})"),
+    (["scale"], "usage: invmet scale [-h] {audit} ...\n",
+     "invmet scale: error: the following arguments are required: subcommand"),
+    (["scale", "nosuch"], "usage: invmet scale [-h] {audit} ...\n",
+     "invmet scale: error: argument subcommand: invalid choice: 'nosuch' (choose from 'audit')"),
+    (["metric", "--domain", "ball2", "--at", "[0,0]", "--dir", "[1,0]", "--bogus", "1"],
+     "usage: invmet metric [-h]", "invmet metric: error: unrecognized arguments: --bogus 1"),
+    (["scale", "audit", "--domain", "ball2"], "usage: invmet scale audit [-h]",
+     "invmet scale audit: error: the following arguments are required: --target"),
+], ids=["none", "nosuch", "flag-first", "scale", "scale-nosuch", "unrecognized", "required"])
+def test_an_argv_no_command_takes_is_exit_2_with_its_parsers_usage(capsys, argv, usage,
+                                                                   message):
+    """No command, an unknown one or ``scale`` alone are the top-level
+    parser's (or ``scale``'s) to report, as before; an unrecognized argument
+    is reported with the command's own usage line."""
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage) and err.endswith(f"\n{message}\n"), err
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["-h"], "usage: invmet [-h]"),
+    (["scale", "-h"], "usage: invmet scale [-h] {audit} ..."),
+    (["squeeze", "sweep", "-h"], "usage: invmet squeeze sweep [-h]"),
+])
+def test_help_exits_0_with_its_parsers_usage(capsys, argv, usage):
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 0
+    assert capsys.readouterr().out.startswith(usage)

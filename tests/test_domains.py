@@ -2,6 +2,7 @@
 
 import functools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -426,6 +427,52 @@ def test_load_domain_error_locations():
     assert ei.value.location == "funcs[1].scale"
     with pytest.raises(SpecLoadError, match="kind"):
         load_domain({"dim": 2})
+
+
+_TABLE = {"kind": "polyhedron", "dim": 2, "bounding_radius": 2.0, "basepoint": [0, 0.1],
+          "faces": [{"type": "modulus", "coeffs": [1, 0], "const": 0.1, "bound": 1},
+                    {"type": "modulus", "coeffs": [0, [1, 0]], "bound": 1},
+                    {"type": "real", "normal": [1, 0], "offset": 0.5}]}
+_FUNCS = {"kind": "balanced", "dim": 2,
+          "funcs": [{"coeffs": [1, 0], "scale": 1}, {"coeffs": [1, 1], "scale": 1.2}]}
+_IMAGE = {"kind": "affine_image", "inner": {"kind": "ball", "dim": 2},
+          "matrix": [[1, 0.2], [0, 1]], "translation": [0.1, 0]}
+
+
+_BOOLEAN_CASES = [
+    ({"kind": "ball", "dim": 2}, ("dim",), True, "dim"),
+    ({"kind": "polydisc", "dim": 2}, ("dim",), True, "dim"),
+    ({"kind": "halfplane", "dim": 1}, ("dim",), True, "dim"),
+    ({"kind": "polydisc", "radii": [1.0, 1.0]}, ("radii", 0), True, "radii"),
+    (_TABLE, ("dim",), True, "dim"),
+    (_TABLE, ("faces", 0, "bound"), True, "faces[0].bound"),
+    (_TABLE, ("faces", 2, "offset"), False, "faces[2].offset"),
+    (_TABLE, ("bounding_radius",), True, "bounding_radius"),
+    (_TABLE, ("faces", 0, "coeffs", 0), True, "faces[0].coeffs[0]"),
+    (_TABLE, ("faces", 1, "coeffs", 1), [True, False], "faces[1].coeffs[1]"),
+    (_TABLE, ("faces", 0, "const"), False, "faces[0].const"),
+    (_TABLE, ("faces", 2, "normal", 1), False, "faces[2].normal[1]"),
+    (_TABLE, ("basepoint", 0), False, "basepoint[0]"),
+    (_FUNCS, ("funcs", 1, "scale"), True, "funcs[1].scale"),
+    (_FUNCS, ("funcs", 0, "coeffs", 0), True, "funcs[0].coeffs[0]"),
+    (_IMAGE, ("inner", "dim"), True, "inner.dim"),
+    (_IMAGE, ("matrix", 0, 0), True, "matrix[0][0]"),
+    (_IMAGE, ("translation", 1), False, "translation[1]"),
+]
+
+
+@pytest.mark.parametrize("spec, path, value, location", _BOOLEAN_CASES,
+                         ids=[f"{spec['kind']} {loc}" for spec, *_, loc in _BOOLEAN_CASES])
+def test_json_true_and_false_are_not_numbers(spec, path, value, location):
+    """The spec loads; with JSON true or false at ``path`` (a bool subclasses
+    int, so 1 or 0 would read) it does not, naming the location."""
+    load_domain(spec)
+    spec = json.loads(json.dumps(spec))
+    *keys, last = path
+    functools.reduce(operator.getitem, keys, spec)[last] = value
+    with pytest.raises(SpecLoadError) as ei:
+        load_domain(json.dumps(spec))
+    assert ei.value.location == location
 
 
 def test_load_domain_affine_image_spec(tmp_path):
@@ -967,6 +1014,23 @@ def test_section_distance_along_passes_a_face_whose_rate_is_subnormal():
     assert 0 < abs(with_face.coeffs[4] @ W[0]) < np.finfo(float).tiny
     along = with_face.section_distance_along(x, W, T)
     assert along.tobytes() == without.section_distance_along(x, W, T).tobytes()
+
+
+@pytest.mark.parametrize("modulus_count", [4, 3], ids=["modulus-face", "real-face"])
+def test_affine_disc_length_passes_a_face_whose_rate_is_subnormal(modulus_count):
+    """A face whose rate along the segment is subnormal but nonzero has a
+    disc or half-plane beyond the floats (its centre or reach overflows): it
+    bounds no section, so the closed-form length is the one without that
+    face, bit for bit, and the distance does not take the segment for one
+    that leaves the body."""
+    coeffs = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1j, -2.2e-311j]]
+    with_face = ConvexPolyhedron(coeffs, np.zeros(4), [2, 2, 2, 1], modulus_count, 12 ** 0.5)
+    without = ConvexPolyhedron(coeffs[:3], np.zeros(3), [2, 2, 2], 3, 12 ** 0.5)
+    x, w = np.array([0.1, 0.2, 0.0]), np.array([0, 0, 0.5])
+    assert 0 < abs(with_face.coeffs[3] @ w) < np.finfo(float).tiny
+    assert with_face.affine_disc_length(x, w) == without.affine_disc_length(x, w)
+    bound = kobayashi_distance(with_face, x, x + w)
+    assert bound.lower <= bound.upper
 
 
 @pytest.mark.parametrize("make", [

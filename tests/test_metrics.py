@@ -31,7 +31,8 @@ from invmet.domains import (
     same_model,
 )
 from invmet import metrics
-from invmet.errors import DegenerateInputError, DimensionMismatchError, NotInteriorError
+from invmet.errors import (DegenerateInputError, DimensionMismatchError, NotInteriorError,
+                           UnboundedValueError)
 from invmet.metrics import indicatrix_gauge_upper, kobayashi_metric_values
 from invmet.sampling import root_directions
 from invmet.zoo import affine_twin, model_twins, twin_map
@@ -107,6 +108,33 @@ def test_gauge_body_lower_bounds_are_tagged_half_space():
 def test_face_table_lower_bounds_are_tagged_face_disc(three_face):
     for d in (three_face, AffineImage(three_face, twin_map(2)), model_twins()["balanced"]):
         _assert_lower_tag(d, "face-disc")
+
+
+@pytest.mark.parametrize("name, tags", [("three_face", ("face-disc", "affine-disc")),
+                                        ("polydisc2", ("closed-form", "closed-form"))])
+def test_an_affine_image_metric_query_pulls_its_row_back_once(monkeypatch, name, tags):
+    """kobayashi_metric on an affine image pulls its one row back once, for
+    the closed form and for the bracket, and reads the image's own oracles'
+    bits; an unbounded image without a closed form still raises."""
+    calls = []
+    pull_back = AffineImage._pull_back
+
+    def counted(self, P, V):
+        calls.append(len(V))
+        return pull_back(self, P, V)
+
+    monkeypatch.setattr(AffineImage, "_pull_back", counted)
+    twin = affine_twin(zoo_domain(name))
+    x, v = twin.map(np.array([0.2, -0.1j])), np.array([1.0, 0.0])
+    bound = kobayashi_metric(twin, x, v, seed=3)
+    assert calls == [1]
+    assert (bound.lower_method, bound.upper_method) == tags
+    lower, upper = twin.bracket_paired(x[None, :], v[None, :], SampleStream(3))
+    assert (bound.lower, bound.upper) == (lower[0], upper[0])
+    calls.clear()
+    with pytest.raises(UnboundedValueError):
+        kobayashi_metric(affine_twin(model_twins()["halfplane"]), [0.1 + 1j], [1.0])
+    assert calls == [1]
 
 
 def test_affine_image_lower_bound_follows_seed():

@@ -172,21 +172,40 @@ def test_polyhedron_length_lies_in_the_quadrature_sandwich(case):
     assert xz.lower <= xy.upper + yz.upper
 
 
+def _assert_chord_sum_between_the_length_and_the_trapezoid(d, x, y, inner):
+    """The chord bound of the affine-disc integrand along [x, y] on the grid
+    0, ``inner``, 1 is at least its closed-form integral and at most the
+    trapezoid of the integrand on the same nodes.  As in the distance's own
+    quadrature, an offset whose squared norm underflows is scaled by 2^-e
+    (``metrics._moderated``), its nodes and sums by 2^e."""
+    (w,), e = metrics._moderated((y - x)[None, :])
+    e = 0 if e is None else int(e[0])
+    ts = np.unique(np.concatenate([[0.0, 1.0], inner]))
+    sec = d.section_distance_along(x, w[None, :], np.ldexp(ts, e)[None, :])[0]
+    nw = np.linalg.norm(w)
+    chord = math.ldexp(nw * metrics._chord_areas(np.diff(ts), sec[:-1], sec[1:]).sum(), e)
+    trapezoid = math.ldexp(nw * (np.diff(ts) * (1.0 / sec[1:] + 1.0 / sec[:-1]) / 2.0).sum(), e)
+    length, rounding = d.affine_disc_length(x, y - x)
+    assert length - rounding <= chord <= trapezoid * (1.0 + 1e-14)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(polyhedron_segments(), st.lists(st.floats(0.0, 1.0), max_size=40))
 def test_chord_sum_lies_between_the_length_and_the_trapezoid(case, inner):
-    """On any grid of the segment the chord bound of the affine-disc
-    integrand is at least its closed-form integral and at most the
-    trapezoid of the integrand on the same nodes."""
+    """On any grid of the segment, also one whose offset's squared norm
+    underflows."""
     d, _, x, y, _ = case
-    w = y - x
-    ts = np.unique(np.concatenate([[0.0, 1.0], inner]))
-    sec = d.section_distance_along(x, w[None, :], ts[None, :])[0]
-    nw = np.linalg.norm(w)
-    chord = nw * metrics._chord_areas(np.diff(ts), sec[:-1], sec[1:]).sum()
-    trapezoid = nw * (np.diff(ts) * (1.0 / sec[1:] + 1.0 / sec[:-1]) / 2.0).sum()
-    length, rounding = d.affine_disc_length(x, w)
-    assert length - rounding <= chord <= trapezoid * (1.0 + 1e-14)
+    _assert_chord_sum_between_the_length_and_the_trapezoid(d, x, y, inner)
+
+
+def test_chord_sum_lies_between_the_length_and_the_trapezoid_on_a_tiny_segment():
+    """y - x = (0, 0, 1e-241 i), a segment ``polyhedron_segments`` draws: its
+    squared norm underflows, and unscaled its section distances read 0."""
+    d = polydisc([2.0, 2.0, 2.0])
+    x = np.array([0.3, -0.2j, 0.0])
+    y = x + np.array([0, 0, 1e-241j])
+    assert np.any(y != x) and np.linalg.norm(y - x) ** 2 == 0.0
+    _assert_chord_sum_between_the_length_and_the_trapezoid(d, x, y, [0.25, 0.5])
 
 
 def _face_by_face(face, x, v):
