@@ -1011,12 +1011,21 @@ def _ray_phases(rays):
     return phase
 
 
+@functools.cache
+def _ray_rings(rays):
+    """Per ray of _SECTION_BLOCK rows of ``rays`` rays: its index, its row and
+    its two neighbours' indices in its row's ring; fewer rows read a prefix."""
+    ring = np.arange(_SECTION_BLOCK * rays).reshape(-1, rays)
+    return tuple(_read_only(t.ravel()) for t in (ring, ring // rays, np.roll(ring, 1, axis=1),
+                                                 np.roll(ring, -1, axis=1)))
+
+
 def _edge_feet(a, b):
     """The foot of 0 on each segment [a, b] of the complex plane."""
     seg = b - a
     L2 = np.abs(seg) ** 2
-    ts = np.clip(-np.real(a * np.conj(seg)) / np.where(L2 > 0, L2, 1.0), 0.0, 1.0)
-    return a + ts * seg
+    ts = -np.real(a * np.conj(seg)) / np.where(L2 > 0, L2, 1.0)
+    return a + np.minimum(np.maximum(0.0, ts), 1.0) * seg
 
 
 def _polygon_search(margin, X, D, phase, lo, f_lo, hi, f_hi, width):
@@ -1047,55 +1056,59 @@ def _polygon_search(margin, X, D, phase, lo, f_lo, hi, f_hi, width):
     searching every ray to the end, bit for bit, if ``margin`` rounds a
     point alike in every stack.
 
+    At most _SECTION_BLOCK rows are searched, on ring tables cached per ray
+    count.  Divide and invalid warnings are off, also in ``margin``: equal
+    margins give an infinite or nan secant step, and so the midpoint.
+
     Returns (lo, hi, k): per row and ray (rows, rays) the last evaluated
     parameter inside and the first evaluated parameter outside, and per row
     the nearest edge of the polygon of the inside ends.
     """
     eps, rays = np.finfo(float).eps, phase.size
     rows = lo.size // rays
-    ring = np.arange(lo.size).reshape(rows, rays)
     LO, HI = lo.copy(), hi.copy()
-    slack = 1e-12 * HI.reshape(rows, rays).max(axis=1)
+    lows, highs = LO.reshape(rows, rays), HI.reshape(rows, rays)
+    slack = 1e-12 * highs.max(axis=1)
     # per live ray: its index, row and neighbours' indices, the parameter
     # step that moves a point by about one rounding unit, the two latest
     # iterates and their margins, and the bracket's half-widths three, two
     # and one steps ago
-    idx, row, Xl, Dl = ring.ravel(), np.repeat(np.arange(rows), rays), X, D
-    prv, nxt = np.roll(ring, 1, axis=1).ravel(), np.roll(ring, -1, axis=1).ravel()
+    idx, row, prv, nxt = rings = [t[:lo.size] for t in _ray_rings(rays)]
     res = eps * row_norms(X) / row_norms(D)
     a, fa, b, fb = lo, f_lo, hi, f_hi
     h3 = h2 = h1 = np.full(lo.size, np.inf)
     cos = math.cos(math.pi / rays)
-    while True:
-        least = (HI.reshape(rows, rays).min(axis=1) + slack)[row]
-        reach = cos * np.minimum(np.minimum(LO[prv], lo), LO[nxt]) <= least
-        live = reach & (hi > np.nextafter(lo, np.inf)) & (hi - lo > width)
-        if not live.all():
-            keep = np.flatnonzero(live)
-            idx, row, prv, nxt, Xl, Dl, lo, hi, res, a, fa, b, fb, h3, h2, h1 = (
-                v[keep] for v in (idx, row, prv, nxt, Xl, Dl, lo, hi, res,
-                                  a, fa, b, fb, h3, h2, h1))
-            if not idx.size:
-                break
-        half = 0.5 * (hi - lo)
-        # equal margins give no secant: nan, and so the midpoint
-        s = b - fb * (b - a) / np.where(fb != fa, fb - fa, np.nan)
-        s = np.where((s >= lo) & (s <= hi) & (half <= 0.5 * h3), s, lo + half)
-        # at least one double in from each end (the midpoint once the bracket
-        # is that narrow), so each evaluation shrinks the bracket
-        nudge = np.minimum(res + 2.0 * eps * hi, half)
-        s = np.maximum(np.minimum(s, hi - nudge), lo + nudge)
-        Z = Dl * s[:, None]
-        Z += Xl
-        f = margin(Z)
-        inside = f > 0
-        lo, hi = np.where(inside, s, lo), np.where(inside, hi, s)
-        LO[idx], HI[idx] = lo, hi
-        a, fa, b, fb = b, fb, s, f
-        h3, h2, h1 = h2, h1, half
-    LO, HI = LO.reshape(rows, rays), HI.reshape(rows, rays)
-    a = LO * phase
-    return LO, HI, np.abs(_edge_feet(a, np.roll(a, -1, axis=1))).argmin(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            gap = hi - lo
+            live = hi > np.nextafter(lo, np.inf)
+            live &= gap > width
+            live &= cos * np.minimum(np.minimum(LO[prv], lo), LO[nxt]) <= (
+                np.minimum.reduce(highs, axis=1) + slack)[row]
+            keep = live.nonzero()[0]
+            if keep.size < live.size:
+                if not keep.size:
+                    break
+                idx, row, prv, nxt, X, D, lo, hi, gap, res, a, fa, b, fb, h3, h2, h1 = (
+                    v.take(keep, axis=0) for v in (idx, row, prv, nxt, X, D, lo, hi, gap,
+                                                   res, a, fa, b, fb, h3, h2, h1))
+            half = 0.5 * gap
+            s = b - fb * (b - a) / (fb - fa)
+            s = np.where((s >= lo) & (s <= hi) & (gap <= h3), s, lo + half)
+            # at least one double in from each end (the midpoint once the
+            # bracket is that narrow), so each evaluation shrinks the bracket
+            nudge = np.minimum(res + 2.0 * eps * hi, half)
+            s = np.maximum(np.minimum(s, hi - nudge), lo + nudge)
+            Z = D * s[:, None]
+            Z += X
+            f = margin(Z)
+            inside = f > 0
+            lo, hi = np.where(inside, s, lo), np.where(inside, hi, s)
+            LO[idx], HI[idx] = lo, hi
+            a, fa, b, fb = b, fb, s, f
+            h3, h2, h1 = h2, h1, half
+    a = (lows * phase).ravel()
+    return lows, highs, np.abs(_edge_feet(a, a[rings[3]])).reshape(rows, rays).argmin(axis=1)
 
 
 class BalancedConvex(Domain):
@@ -1215,18 +1228,18 @@ class BalancedConvex(Domain):
         V = self._check_dim(V)
         P = np.broadcast_to(self._check_dim(P), V.shape)
         nv = row_norms(V)
-        if np.any(nv == 0.0):
+        if (nv == 0.0).any():
             raise DegenerateInputError("zero direction")
         out = np.empty(P.shape[0])
         near = np.empty(P.shape, dtype=complex)
-        centre = ~np.any(P != 0, axis=1)
-        off = np.flatnonzero(~centre)
+        centre = ~(P != 0).any(axis=1)
+        off = (~centre).nonzero()[0]
         vhat = V[off] / nv[off, None]
         g = self.gauge(np.concatenate([P[off], vhat])) if off.size else np.empty(0)
         gx, gv = g[:off.size], g[off.size:]
-        if np.any(gx >= 1.0):
+        if (gx >= 1.0).any():
             raise NotInteriorError("x is not inside the body")
-        if np.any(centre):
+        if centre.any():
             gc = self.gauge(V[centre])
             out[centre] = nv[centre] / gc
             near[centre] = V[centre] / gc[:, None]
@@ -1259,17 +1272,19 @@ class BalancedConvex(Domain):
 
         The gauge is subadditive and g(vhat e^{i theta}) = g(vhat), so each
         hit lies in [t0, t1] = [(1 - g(x)) / g(vhat), (1 + g(x)) / g(vhat)].
-        Both ends are evaluated, one call each to halve the peak memory, and
-        a ray whose end rounding puts on the wrong side falls back on t = 0
-        (inside, as g(x) < 1) or on t = 2R.
+        Both ends are evaluated in one gauge call, of at most 2 x 32 x 128
+        points, and a ray whose end rounding puts on the wrong side falls back
+        on t = 0 (inside, as g(x) < 1) or on t = 2R.
         """
-        t0, t1 = (1.0 - gx) / gv, (1.0 + gx) / gv
-        f0, f1 = (1.0 - self.gauge(X + t[:, None] * D) for t in (t0, t1))
+        t0, t1 = t = np.concatenate([(1.0 - gx) / gv, (1.0 + gx) / gv]).reshape(2, -1)
+        Z = t[:, :, None] * D
+        Z += X
+        f0, f1 = (1.0 - self.gauge(Z.reshape(-1, self.dim))).reshape(2, -1)
         inner = f0 > 0
         lo, f_lo = np.where(inner, t0, 0.0), np.where(inner, f0, 1.0 - gx)
         hi, f_hi = np.where(inner, t1, t0), np.where(inner, f1, f0)
         short = f_hi > 0
-        if np.any(short):
+        if short.any():
             lo[short], f_lo[short] = hi[short], f_hi[short]
             hi[short] = 2.0 * self.bounding_radius
             f_hi[short] = 1.0 - self.gauge(X[short] + hi[short, None] * D[short])

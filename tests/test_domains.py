@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import operator
 
 import numpy as np
@@ -42,6 +43,7 @@ from invmet.errors import (
 )
 from invmet.zoo import affine_twin, model_twins, polydisc_as_polyhedron, resolve_domain, twin_map
 
+import section_search_reference
 from conftest import assert_inside, segment_sandwich
 
 # the zoo balanced set max(|z_1|, |z_1 + z_2| / 1.2) < 1
@@ -1330,15 +1332,18 @@ def _assert_searches_end_on_evaluated_hits(d, searches, rays):
 def _assert_pinned_to_the_ellipsoid_sections(got, P, V):
     true = np.array([_ellipsoid_section_distance(x, v) for x, v in zip(P, V)])
     # the polygon is inscribed, so only the closed form's rounding can put it
-    # above the true value
+    # above the true value; each point of its nearest edge projects onto the
+    # edge's bisecting ray at least cos(pi / rays) times its nearer vertex's
+    # distance, and both vertices lie at least the true value out, up to the
+    # rounding of the hits and of the closed form
     assert np.all(got <= true * (1.0 + 1e-12))
-    assert np.all(got >= true * (1.0 - 5e-4))
+    assert np.all(got >= true * math.cos(math.pi / config.SECTION_RAYS) * (1.0 - 1e-12))
 
 
 def test_ellipsoid_section_distance_is_pinned_to_its_closed_form(monkeypatch):
-    """Off centre the 128-ray polygon lies inside the disc section, within
-    5e-4 of its true inradius, and each of its vertices is a point the gauge
-    put inside."""
+    """Off centre the 128-ray polygon lies inside the disc section, its
+    inradius at least cos(pi / 128) times the true one, and each of its
+    vertices is a point the gauge put inside."""
     d = _counted_body("ellipsoid")[0]
     searches = _record_ray_searches(monkeypatch)
     stream = SampleStream(41)
@@ -1360,25 +1365,28 @@ def test_ellipsoid_section_search_costs_at_most_15_gauge_calls():
 
 def test_ellipsoid_metric_query_costs_at_most_20_gauge_calls():
     """One section search answers both sides of an off-centre query: its
-    polygon guides the half-spaces, which cost two more calls."""
+    polygon guides the half-spaces, which cost two more calls.  The query
+    costs 12 calls: one for x and the row's direction, one for both ends of
+    every ray's starting bracket, eight search rounds and two for the
+    half-spaces."""
     d, g = _counted_body("ellipsoid")
     x, v = np.array([0.5, 0.2j]), np.array([0.3, 1.0])
     g.calls = 0
     b = kobayashi_metric(d, x, v)
-    assert g.calls <= 20          # 68 with a 50-step nearest-boundary bisection
+    assert g.calls == 12          # 68 with a 50-step nearest-boundary bisection
     true = UnitBall(2).metric_paired((ELLIPSOID_C @ x)[None, :], (ELLIPSOID_C @ v)[None, :])[0]
     assert b.lower <= true <= b.upper
     assert b.lower_method == "half-space"
 
 
-@pytest.mark.parametrize("name,search,bracket", [("ellipsoid", 29, 33), ("balanced", 30, 34),
-                                                  ("four-norm", 27, 31)],
+@pytest.mark.parametrize("name,search,bracket", [("ellipsoid", 27, 31), ("balanced", 28, 32),
+                                                  ("four-norm", 25, 29)],
                          ids=["ellipsoid", "balanced", "four-norm"])
 def test_bracket_takes_two_half_space_calls_per_block(name, search, bracket):
     """A 64-row bracket costs its section search and two gauge calls per
-    block of _SECTION_BLOCK rows for the half-spaces: 33 calls on the
-    ellipsoid, against 163 (35 + 2 per row) with one half-space search per
-    row.  Searching every ray to the end took 35, 35 and 36 calls."""
+    block of _SECTION_BLOCK rows for the half-spaces: 31 calls on the
+    ellipsoid, against 161 (33 + 2 per row) with one half-space search per
+    row.  Searching every ray to the end takes 33, 33 and 34 calls."""
     d, g = _counted_body(name)
     stream = SampleStream(42)
     P = 0.9 * d.interior_samples(64, stream.fork(0))
@@ -1417,11 +1425,11 @@ def test_gauge_distance_lower_bound_reads_its_three_guides_drawn_in_turn(seeded,
         assert got == want > 0
 
 
-@pytest.mark.parametrize("name,calls", [("ellipsoid", 17), ("balanced", 16), ("four-norm", 16)],
+@pytest.mark.parametrize("name,calls", [("ellipsoid", 16), ("balanced", 15), ("four-norm", 15)],
                          ids=["ellipsoid", "balanced", "four-norm"])
 def test_section_search_stays_on_the_bisection_values(name, calls):
-    """One block of 32 rows costs 16 or 17 gauge calls (25, 27 and 26 when
-    every ray ran to the end, 60 for bisection), and each row's section
+    """One block of 32 rows costs 15 or 16 gauge calls (24, 26 and 25 when
+    every ray runs to the end, 60 for bisection), and each row's section
     distance is the 60-step bisection's within 1e-13."""
     d, g = _counted_body(name)
     stream = SampleStream(42)
@@ -1463,6 +1471,16 @@ def test_polygon_search_runs_the_nearest_edge_to_the_end_past_a_nearer_vertex():
     assert np.count_nonzero(hi > np.nextafter(lo, np.inf)) > rays // 2
 
 
+def _along_their_own_lines(d, sign):
+    """24 rows x = sign * a * vhat, 0.1 <= a g(vhat) <= 0.9, and their
+    directions v: along vhat each meets the boundary at an end of its
+    sublinear bracket."""
+    stream = SampleStream(43)
+    V = stream.unit_directions(24, 2)
+    vhat = V / np.linalg.norm(V, axis=1, keepdims=True)
+    return sign * stream.uniform(24, 0.1, 0.9)[:, None] * vhat / d.gauge(vhat)[:, None], V
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_section_search_falls_back_when_the_sublinear_ends_round_across(sign, monkeypatch):
     """Along its own line, x = sign * a * vhat meets the boundary at exactly
@@ -1470,15 +1488,59 @@ def test_section_search_falls_back_when_the_sublinear_ends_round_across(sign, mo
     put on either side; the search still returns the inscribed polygon."""
     d = _counted_body("ellipsoid")[0]
     searches = _record_ray_searches(monkeypatch)
-    stream = SampleStream(43)
-    V = stream.unit_directions(24, 2)
-    vhat = V / np.linalg.norm(V, axis=1, keepdims=True)
-    P = sign * stream.uniform(24, 0.1, 0.9)[:, None] * vhat / d.gauge(vhat)[:, None]
+    P, V = _along_their_own_lines(d, sign)
     got = d.section_distance_paired(P, V)
     _assert_pinned_to_the_ellipsoid_sections(got, P, V)
     _assert_searches_end_on_evaluated_hits(d, searches, 24 * config.SECTION_RAYS)
     want = [_bisected_section_distance(d, x, v) for x, v in zip(P, V)]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def _search_bits(d, g, P, V):
+    """Section distances, guides and the (lower, upper) bracket sides, and
+    every point the counting gauge g was asked about, in order."""
+    asked, gauge = [], g.g
+    g.g = lambda v: asked.append(v.reshape(-1, v.shape[-1])) or gauge(v)
+    try:
+        bits = (*d._section_search(P, V), *d.bracket_paired(P, V, SampleStream(47)))
+    finally:
+        g.g = gauge
+    return (*bits, np.concatenate(asked))
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "balanced", "four-norm"])
+def test_section_search_keeps_the_reference_search_bits(name, monkeypatch):
+    """On gauges that round a row alike in every stack, section distances,
+    guides and both bracket sides equal, bit for bit, those of the search in
+    ``section_search_reference``, and the gauge is asked about the same
+    points in the same order: one-row calls from the centre out to
+    1 - 2^-30 of the exit, one 70-row call over three _SECTION_BLOCKs, and
+    the rows along their own lines, whose starting brackets fall back on 0
+    and on 2R."""
+    d, g = _counted_body(name)
+    stream = SampleStream(46)
+    fraction = np.resize([0.0, 0.5, 0.9, 0.99, 1 - 2.0 ** -10, 1 - 2.0 ** -20, 1 - 2.0 ** -30], 70)
+    U = stream.unit_directions(70, 2)
+    P = fraction[:, None] * U / d.gauge(U)[:, None]
+    V = stream.unit_directions(70, 2) * stream.uniform(70, 0.2, 2.0)[:, None]
+    cases = [(P[i:i + 1], V[i:i + 1]) for i in range(7)] + [(P, V)]
+    cases += [_along_their_own_lines(d, sign) for sign in (1.0, -1.0)]
+    got = [_search_bits(d, g, P, V) for P, V in cases]
+    brackets = []
+
+    def recorded(self, X, D, gx, gv):
+        brackets.append(section_search_reference._hit_brackets(self, X, D, gx, gv))
+        return brackets[-1]
+
+    monkeypatch.setattr(domains, "_edge_feet", section_search_reference._edge_feet)
+    monkeypatch.setattr(domains, "_polygon_search", section_search_reference._polygon_search)
+    monkeypatch.setattr(BalancedConvex, "_hit_brackets", recorded)
+    want = [_search_bits(d, g, P, V) for P, V in cases]
+    for got_case, want_case in zip(got, want):
+        for a, b in zip(got_case, want_case):
+            assert np.array_equal(a, b)
+    lo, _, hi, _ = map(np.concatenate, zip(*brackets))
+    assert np.any(lo == 0.0) and np.any(hi == 2.0 * d.bounding_radius)
 
 
 def test_section_search_refuses_a_body_past_its_bounding_radius():
