@@ -17,7 +17,8 @@ AUTOMORPHISM_MAP_TOL = 1e-12   # model_automorphism(from) vs to
 MODEL_BRACKET_TOL = 1e-9       # upper - lower on closed-form domains
 HALF_SPACE_COUNT = 8           # sampled supporting half-spaces for lower bounds
 SECTION_RAYS = 128             # planar rays for oracle-domain section distance
-QUADRATURE_TOL = 1e-10         # distance upper-bound quadrature target (gauge callables)
+QUADRATURE_TOL = 1e-10         # distance quadrature: stop on a move below this,
+QUADRATURE_WIDTH_FRACTION = 5e-4   # or below this fraction of the bracket
 MIN_VOLUME_SAMPLES = 1000
 
 # Scaling

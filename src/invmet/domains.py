@@ -1041,8 +1041,12 @@ def _polygon_search(margin, X, D, phase, lo, f_lo, hi, f_hi, width):
     ends, and takes the bracket's midpoint instead when the secant leaves
     [lo, hi] or the bracket has not halved in three steps.
 
-    A ray stops once hi is the next double above lo or hi - lo <= width, or
-    once neither edge at its vertex can be the nearest.  An edge's distance
+    A ray stops once hi - lo <= 4 eps hi (a vertex then moves by at most 4
+    eps relative), or hi - lo <= width, or once neither edge at its vertex
+    can be the nearest.  The ``width`` floor decides the rays whose hit lies
+    within width / (4 eps) of X[k]: near the boundary the relative stop alone
+    would go on halving brackets far below the points' rounding resolution,
+    for up to 30 more gauge calls a row.  An edge's distance
     from X lies between cos(pi / rays) times its nearer vertex's distance
     (its points' projection on the edge's bisecting ray) and that distance.
     Inside ends only move out, so cos(pi / rays) min(lo) over a ray and its
@@ -1081,8 +1085,7 @@ def _polygon_search(margin, X, D, phase, lo, f_lo, hi, f_hi, width):
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             gap = hi - lo
-            live = hi > np.nextafter(lo, np.inf)
-            live &= gap > width
+            live = gap > np.maximum(4.0 * eps * hi, width)
             live &= cos * np.minimum(np.minimum(LO[prv], lo), LO[nxt]) <= (
                 np.minimum.reduce(highs, axis=1) + slack)[row]
             keep = live.nonzero()[0]
@@ -1121,16 +1124,17 @@ class BalancedConvex(Domain):
     The one kind that draws supporting half-spaces.  One search of the
     section through each row answers both sides of ``bracket_paired``: the
     inradius of the inscribed polygon it finds is the upper side's section
-    distance (rays that cannot reach its nearest edge stop early, each
-    vertex still an evaluated inside point, so the bracket is that of the
-    search run to the end), and the polygon's point nearest the row's point
-    guides the lower side's half-spaces, certified from one-sided
-    differences of the gauge (``supporting_half_spaces``), assuming the
-    callable returns a convex gauge to within 8 eps relative.  A block of
-    rows takes them in one pass of two gauge calls, each row from its own
-    fork, batch-independent; a fork's rays are its first draw, which
-    ``SampleStream.unit_directions`` keeps per process, so a bracket repeated
-    at one seed builds no generator.
+    distance (its nearest edge's ends are evaluated inside points within 4
+    eps of evaluated outside ones; rays that cannot reach that edge stop
+    sooner, so the bracket is that of the search run to the end), and the
+    polygon's point nearest the row's point guides the lower side's
+    half-spaces, certified from one-sided differences of the gauge
+    (``supporting_half_spaces``), assuming the callable returns a convex
+    gauge to within 8 eps relative.  A block of rows takes them in one pass
+    of two gauge calls, each row from its own fork, batch-independent; a
+    fork's rays are its first draw, which ``SampleStream.unit_directions``
+    keeps per process, so a bracket repeated at one seed builds no
+    generator.
     """
 
     lower_method = "half-space"
@@ -1175,11 +1179,13 @@ class BalancedConvex(Domain):
         (``_polygon_search``) and the inradius of the polygon of the last
         points found inside is returned -- a certified lower bound on the
         true section distance (the section is convex, so it contains that
-        polygon).  A ray stops early once neither polygon edge at its vertex
-        can be the nearest; its vertex is still an evaluated inside point and
-        the nearest edge's rays run to the end, so the value is that of
-        searching every ray to the end, bit for bit.  Off-center rows are
-        searched together, _SECTION_BLOCK rows at a time.
+        polygon).  A ray's search ends once its inside and outside points
+        are within 4 eps of each other, relative; it stops sooner once
+        neither polygon edge at its vertex can be the nearest, its vertex
+        still an evaluated inside point, and the nearest edge's rays run to
+        the end, so the value is that of searching every ray to the end, bit
+        for bit.  Off-center rows are searched together, _SECTION_BLOCK rows
+        at a time.
         """
         return self._section_search(P, V)[0]
 

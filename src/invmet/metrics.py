@@ -12,9 +12,10 @@ metric under holomorphic maps: lower <= K <= upper.
 
 The distance's upper bound integrates that affine-disc upper bound along the
 segment: in closed form on polyhedra and their affine images, else by chord
-bounds of the concave section distance (``_chord_areas``) to ``tol``.  Its
-lower bound is the largest distance between the projections of the two
-points onto a disc or half-plane the domain maps into.
+bounds of the concave section distance (``_chord_areas``) to a fraction of
+the bracket, or ``tol``.  Its lower bound is the largest distance between
+the projections of the two points onto a disc or half-plane the domain maps
+into.
 
 Distance conventions: "standard" pairs the metric |v|/(2 Im z) on the upper
 half-plane with the distance tanh^{-1}|.|, its actual integral.  "paper"
@@ -77,8 +78,9 @@ class MetricBound:
 class DistanceBound:
     """Certified interval for a distance, with per-side method tags and the
     quadrature's work: ``nodes`` on the segment (0 for closed forms), whether
-    the last refinement moved the estimate by less than the tolerance, and
-    the allowance the upper side includes: a quadrature's last move plus its
+    the last refinement moved the estimate by less than its stop, the larger
+    of ``tol`` and config.QUADRATURE_WIDTH_FRACTION of the bracket, and the
+    allowance the upper side includes: a quadrature's last move plus its
     sum's rounding bound, or a closed-form length's rounding allowance."""
 
     lower: float
@@ -197,13 +199,14 @@ def _chord_areas(h, da, db):
     return h * per / da
 
 
-def _chord_upper(d: Domain, x, w, tol: float):
+def _chord_upper(d: Domain, x, w, tol: float, lower: float):
     """The chord bound of the affine-disc metric upper bound along [x, x + w],
     nodes doubling from 9 until a refinement moves it by less than ``tol`` or
-    131,073 nodes are spent: (upper, nodes, converged, allowance), the
-    allowance the last move plus a bound on the sum's own rounding, both
-    folded into the upper side.  An offset ``_moderated`` scales by 2^-e gets
-    its nodes and sum times 2^e."""
+    config.QUADRATURE_WIDTH_FRACTION of its distance from ``lower``, the
+    bracket's lower side, or 131,073 nodes are spent: (upper, nodes,
+    converged, allowance), the allowance the last move plus a bound on the
+    sum's own rounding, both folded into the upper side.  An offset
+    ``_moderated`` scales by 2^-e gets its nodes and sum times 2^e."""
     W, e = _moderated(w[None, :])
     e = 0 if e is None else int(e[0])
 
@@ -221,8 +224,8 @@ def _chord_upper(d: Domain, x, w, tol: float):
         ts = np.linspace(0.0, 1.0, 2 * ts.size - 1)
         sec = np.insert(sec, np.arange(1, sec.size), sections(ts[1::2]))
         est, prev = estimate(ts, sec), est
-        delta = abs(prev - est)
-        if delta < tol:
+        delta, stop = abs(prev - est), max(tol, config.QUADRATURE_WIDTH_FRACTION * (est - lower))
+        if delta < stop:
             break
     # relative roundings, in units of eps: each chord area at most 8 +
     # 2 max(1, da / db) (r twice, log1p once and its argument's error grown
@@ -231,7 +234,7 @@ def _chord_upper(d: Domain, x, w, tol: float):
     # at most dim + 4
     spread = max(1.0, float(np.max(sec[:-1] / sec[1:])))
     rounding = float(np.finfo(float).eps * (ts.size + W.size + 12 + 2.0 * spread) * est)
-    return est + delta + rounding, ts.size, bool(delta < tol), delta + rounding
+    return est + delta + rounding, ts.size, bool(delta < stop), delta + rounding
 
 
 def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
@@ -246,12 +249,15 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
     side and reported as ``final_delta``, and 0 nodes.  Other kinds take a
     quadrature of chord bounds (``_chord_upper``, tag "quadrature"), exact
     where the section distance is linear, whose nodes double from 9 until a
-    refinement moves it by less than ``tol``; it reports the nodes, whether
-    it converged and the last move plus the sum's rounding allowance, which
-    the upper side includes.  Lower: the domain's ``distance_lower_bound``,
-    distances between projections of x and y onto the faces' discs and
-    half-planes of a polyhedron (tag "face-disc") or the supporting
-    half-spaces of a gauge body ("half-space").
+    refinement moves it by less than config.QUADRATURE_WIDTH_FRACTION of the
+    bracket, as the lower side leaves it, or by less than ``tol``, whichever
+    is larger: ``tol`` decides only where the bracket is narrower than tol /
+    that fraction.  It reports the nodes, whether it so converged within
+    131,073 nodes, and the last move plus the sum's rounding allowance,
+    which the upper side includes.  Lower, taken first: the domain's
+    ``distance_lower_bound``, distances between projections of x and y onto
+    the faces' discs and half-planes of a polyhedron (tag "face-disc") or
+    the supporting half-spaces of a gauge body ("half-space").
     """
     scale = distance_scale(convention)
     x, y = cvector(x), cvector(y)
@@ -267,13 +273,14 @@ def kobayashi_distance(d: Domain, x, y, *, convention: str = "standard",
     if not w.any():
         return DistanceBound(0.0, 0.0, "coincident", "coincident")
 
+    lower = d.distance_lower_bound(x, w, SampleStream(seed))
     closed = d.affine_disc_length(x, w)
     if closed is None:
-        upper, nodes, converged, delta = _chord_upper(d, x, w, tol)
+        upper, nodes, converged, delta = _chord_upper(d, x, w, tol, lower)
     else:
         upper, nodes, converged, delta = closed[0] + closed[1], 0, True, closed[1]
     method = "quadrature" if nodes else "affine-disc-length"
-    lower = min(d.distance_lower_bound(x, w, SampleStream(seed)), upper)
+    lower = min(lower, upper)
     return DistanceBound(lower * scale, upper * scale,
                          lower_method=d.lower_method, upper_method=method,
                          nodes=nodes, converged=converged, final_delta=delta * scale)

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import operator
+import types
 
 import numpy as np
 import pytest
@@ -43,7 +44,6 @@ from invmet.errors import (
 )
 from invmet.zoo import affine_twin, model_twins, polydisc_as_polyhedron, resolve_domain, twin_map
 
-import section_search_reference
 from conftest import assert_inside, segment_sandwich
 
 # the zoo balanced set max(|z_1|, |z_1 + z_2| / 1.2) < 1
@@ -1308,10 +1308,17 @@ def _record_ray_searches(monkeypatch):
     return searches
 
 
+def _ended(lo, hi, width):
+    """Whether each ray's bracket [lo, hi] is at the search's stop: within 4
+    eps of hi, or ``width`` wide."""
+    return hi - lo <= np.maximum(4.0 * np.finfo(float).eps * hi, width)
+
+
 def _assert_searches_end_on_evaluated_hits(d, searches, rays):
     """Every ray's ends are points the gauge put inside and outside; the two
-    rays of each row's nearest edge end at adjacent doubles (or 2R 2^-60
+    rays of each row's nearest edge end within 4 eps of hi (or 2R 2^-60
     apart), while the rays that cannot carry it may stop sooner."""
+    width = 2.0 * d.bounding_radius * 2.0 ** -60
     assert sum(lo.size for *_, lo, hi, k in searches) == rays
     for X, D, phase, lo, hi, k in searches:
         assert np.all(d.contains_margins(X + lo.reshape(-1, 1) * D) > 0)
@@ -1321,12 +1328,9 @@ def _assert_searches_end_on_evaluated_hits(d, searches, rays):
         assert np.array_equal(k, np.abs(feet).argmin(axis=1))
         rows = np.arange(len(k))[:, None]
         edge = np.stack([k, (k + 1) % phase.size], axis=1)
-        lo, hi = lo[rows, edge], hi[rows, edge]
-        assert np.all((hi == np.nextafter(lo, np.inf))
-                      | (hi - lo <= 2.0 * d.bounding_radius * 2.0 ** -60))
+        assert np.all(_ended(lo[rows, edge], hi[rows, edge], width))
     # the nearest edge's rays alone need run to the end
-    assert any(np.any(hi - lo > 2.0 * d.bounding_radius * 2.0 ** -60)
-               for *_, lo, hi, k in searches)
+    assert not all(np.all(_ended(lo, hi, width)) for *_, lo, hi, k in searches)
 
 
 def _assert_pinned_to_the_ellipsoid_sections(got, P, V):
@@ -1353,40 +1357,40 @@ def test_ellipsoid_section_distance_is_pinned_to_its_closed_form(monkeypatch):
     _assert_searches_end_on_evaluated_hits(d, searches, 48 * config.SECTION_RAYS)
 
 
-def test_ellipsoid_section_search_costs_at_most_15_gauge_calls():
+def test_ellipsoid_section_search_costs_8_gauge_calls():
     d, g = _counted_body("ellipsoid")
     x, v = np.array([0.5, 0.2j]), np.array([0.3, 1.0])
     assert float(d.gauge(x)) > 0.7
     g.calls = 0
     got = d.section_distance_paired(x[None, :], v[None, :])[0]
-    assert g.calls <= 15                     # 61 with 60 bisection steps
+    assert g.calls == 8                      # 61 with 60 bisection steps
     assert got == pytest.approx(_bisected_section_distance(d, x, v), rel=1e-13)
 
 
-def test_ellipsoid_metric_query_costs_at_most_20_gauge_calls():
+def test_ellipsoid_metric_query_costs_10_gauge_calls():
     """One section search answers both sides of an off-centre query: its
     polygon guides the half-spaces, which cost two more calls.  The query
-    costs 12 calls: one for x and the row's direction, one for both ends of
-    every ray's starting bracket, eight search rounds and two for the
+    costs 10 calls: one for x and the row's direction, one for both ends of
+    every ray's starting bracket, six search rounds and two for the
     half-spaces."""
     d, g = _counted_body("ellipsoid")
     x, v = np.array([0.5, 0.2j]), np.array([0.3, 1.0])
     g.calls = 0
     b = kobayashi_metric(d, x, v)
-    assert g.calls == 12          # 68 with a 50-step nearest-boundary bisection
+    assert g.calls == 10          # 68 with a 50-step nearest-boundary bisection
     true = UnitBall(2).metric_paired((ELLIPSOID_C @ x)[None, :], (ELLIPSOID_C @ v)[None, :])[0]
     assert b.lower <= true <= b.upper
     assert b.lower_method == "half-space"
 
 
-@pytest.mark.parametrize("name,search,bracket", [("ellipsoid", 27, 31), ("balanced", 28, 32),
-                                                  ("four-norm", 25, 29)],
+@pytest.mark.parametrize("name,search,bracket", [("ellipsoid", 22, 26), ("balanced", 22, 26),
+                                                  ("four-norm", 22, 26)],
                          ids=["ellipsoid", "balanced", "four-norm"])
 def test_bracket_takes_two_half_space_calls_per_block(name, search, bracket):
     """A 64-row bracket costs its section search and two gauge calls per
-    block of _SECTION_BLOCK rows for the half-spaces: 31 calls on the
-    ellipsoid, against 161 (33 + 2 per row) with one half-space search per
-    row.  Searching every ray to the end takes 33, 33 and 34 calls."""
+    block of _SECTION_BLOCK rows for the half-spaces: 26 calls on the
+    ellipsoid, against 150 (22 + 2 per row) with one half-space search per
+    row.  Searching every ray to the end takes 28, 30 and 30 calls."""
     d, g = _counted_body(name)
     stream = SampleStream(42)
     P = 0.9 * d.interior_samples(64, stream.fork(0))
@@ -1425,10 +1429,10 @@ def test_gauge_distance_lower_bound_reads_its_three_guides_drawn_in_turn(seeded,
         assert got == want > 0
 
 
-@pytest.mark.parametrize("name,calls", [("ellipsoid", 16), ("balanced", 15), ("four-norm", 15)],
+@pytest.mark.parametrize("name,calls", [("ellipsoid", 14), ("balanced", 13), ("four-norm", 13)],
                          ids=["ellipsoid", "balanced", "four-norm"])
 def test_section_search_stays_on_the_bisection_values(name, calls):
-    """One block of 32 rows costs 15 or 16 gauge calls (24, 26 and 25 when
+    """One block of 32 rows costs 13 or 14 gauge calls (22, 23 and 23 when
     every ray runs to the end, 60 for bisection), and each row's section
     distance is the 60-step bisection's within 1e-13."""
     d, g = _counted_body(name)
@@ -1447,8 +1451,8 @@ def test_polygon_search_runs_the_nearest_edge_to_the_end_past_a_nearer_vertex():
     between rays 0 and 1 (delta = 2 pi / rays apart), and another at
     0.5 (1 + 1e-6) through the vertex of ray rays / 2.  That vertex is
     nearer than both vertices of the nearest edge, edge 0, which lie
-    0.5 / cos(delta / 2) out; the search still runs rays 0 and 1 to
-    adjacent doubles while most rays stop early."""
+    0.5 / cos(delta / 2) out; the search still runs rays 0 and 1 to within
+    4 eps of their outside ends while most rays stop early."""
     rays = 128
     delta = 2.0 * np.pi / rays
     far = 0.5 * (1.0 + 1e-6)
@@ -1461,14 +1465,15 @@ def test_polygon_search_runs_the_nearest_edge_to_the_end_past_a_nearer_vertex():
     phase = domains._ray_phases(rays)
     X, D = np.zeros((rays, 1), dtype=complex), phase[:, None]
     lo, hi = np.zeros(rays), np.full(rays, 4.0)
+    width = 8.0 * 2.0 ** -60
     lo, hi, k = domains._polygon_search(margin, X, D, phase, lo, margin(X), hi,
-                                        margin(hi[:, None] * D), 8.0 * 2.0 ** -60)
+                                        margin(hi[:, None] * D), width)
     assert k.tolist() == [0] and lo.shape == (1, rays)
     assert np.all(margin(X + lo.reshape(-1, 1) * D) > 0)
     assert np.all(margin(X + hi.reshape(-1, 1) * D) <= 0)
     assert 0.5 < lo[0, rays // 2] < min(lo[0, 0], lo[0, 1])
-    assert np.all(hi[0, :2] == np.nextafter(lo[0, :2], np.inf))
-    assert np.count_nonzero(hi > np.nextafter(lo, np.inf)) > rays // 2
+    assert np.all(hi[0, :2] - lo[0, :2] <= 4.0 * np.finfo(float).eps * hi[0, :2])
+    assert np.count_nonzero(~_ended(lo, hi, width)) > rays // 2
 
 
 def _along_their_own_lines(d, sign):
@@ -1496,27 +1501,15 @@ def test_section_search_falls_back_when_the_sublinear_ends_round_across(sign, mo
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
-def _search_bits(d, g, P, V):
-    """Section distances, guides and the (lower, upper) bracket sides, and
-    every point the counting gauge g was asked about, in order."""
-    asked, gauge = [], g.g
-    g.g = lambda v: asked.append(v.reshape(-1, v.shape[-1])) or gauge(v)
-    try:
-        bits = (*d._section_search(P, V), *d.bracket_paired(P, V, SampleStream(47)))
-    finally:
-        g.g = gauge
-    return (*bits, np.concatenate(asked))
-
-
 @pytest.mark.parametrize("name", ["ellipsoid", "balanced", "four-norm"])
-def test_section_search_keeps_the_reference_search_bits(name, monkeypatch):
+def test_section_search_keeps_the_unpruned_search_bits(name, monkeypatch):
     """On gauges that round a row alike in every stack, section distances,
-    guides and both bracket sides equal, bit for bit, those of the search in
-    ``section_search_reference``, and the gauge is asked about the same
-    points in the same order: one-row calls from the centre out to
+    guides and both bracket sides equal, bit for bit, those of the same
+    search with no ray stopped early: one-row calls from the centre out to
     1 - 2^-30 of the exit, one 70-row call over three _SECTION_BLOCKs, and
     the rows along their own lines, whose starting brackets fall back on 0
-    and on 2R."""
+    and on 2R.  Read as 0, cos(pi / rays) bounds no edge away from the
+    nearest, so every ray runs to the end, at more gauge calls."""
     d, g = _counted_body(name)
     stream = SampleStream(46)
     fraction = np.resize([0.0, 0.5, 0.9, 0.99, 1 - 2.0 ** -10, 1 - 2.0 ** -20, 1 - 2.0 ** -30], 70)
@@ -1525,20 +1518,26 @@ def test_section_search_keeps_the_reference_search_bits(name, monkeypatch):
     V = stream.unit_directions(70, 2) * stream.uniform(70, 0.2, 2.0)[:, None]
     cases = [(P[i:i + 1], V[i:i + 1]) for i in range(7)] + [(P, V)]
     cases += [_along_their_own_lines(d, sign) for sign in (1.0, -1.0)]
-    got = [_search_bits(d, g, P, V) for P, V in cases]
-    brackets = []
 
-    def recorded(self, X, D, gx, gv):
-        brackets.append(section_search_reference._hit_brackets(self, X, D, gx, gv))
-        return brackets[-1]
+    def run():
+        g.calls = 0
+        bits = [(*d._section_search(P, V), *d.bracket_paired(P, V, SampleStream(47)))
+                for P, V in cases]
+        return bits, g.calls
 
-    monkeypatch.setattr(domains, "_edge_feet", section_search_reference._edge_feet)
-    monkeypatch.setattr(domains, "_polygon_search", section_search_reference._polygon_search)
-    monkeypatch.setattr(BalancedConvex, "_hit_brackets", recorded)
-    want = [_search_bits(d, g, P, V) for P, V in cases]
+    got, pruned = run()
+    monkeypatch.setattr(domains, "math", types.SimpleNamespace(**{**vars(math),
+                                                                   "cos": lambda a: 0.0}))
+    searches, brackets, hit_brackets = _record_ray_searches(monkeypatch), [], d._hit_brackets
+    monkeypatch.setattr(d, "_hit_brackets", lambda *a: brackets.append(hit_brackets(*a))
+                        or brackets[-1])
+    want, unpruned = run()
     for got_case, want_case in zip(got, want):
         for a, b in zip(got_case, want_case):
             assert np.array_equal(a, b)
+    width = 2.0 * d.bounding_radius * 2.0 ** -60
+    assert all(np.all(_ended(lo, hi, width)) for *_, lo, hi, k in searches)
+    assert pruned < unpruned
     lo, _, hi, _ = map(np.concatenate, zip(*brackets))
     assert np.any(lo == 0.0) and np.any(hi == 2.0 * d.bounding_radius)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from invmet import (
+    AffineMap,
     SampleStream,
     UnitBall,
     barth_check,
@@ -38,7 +39,7 @@ from invmet.sampling import root_directions
 from invmet.zoo import affine_twin, model_twins, twin_map
 
 from conftest import ball_against_bisection
-from test_domains import GAUGE_TWINS, _gauge_twin
+from test_domains import ELLIPSOID_C, GAUGE_TWINS, _counted_body, _gauge_twin
 
 
 def test_polydisc_metric_closed_form(pd2):
@@ -144,6 +145,12 @@ def test_affine_image_lower_bound_follows_seed():
                        2, 2.0 ** 0.25, 1.0)
     twin = affine_twin(d)
     T = twin.map
+    # the pull-back moves x by an ulp, and with it the section search's guide
+    # and the boundary points, so each difference quotient (step t = 1e-6)
+    # re-rolls its rounding: within the allowance supporting_half_spaces
+    # gives it, 8 eps (g + g0) / t with g, g0 about 1, 3.6e-9 (measured up to
+    # 1.6e-9, median 2e-10)
+    rel = 8.0 * np.finfo(float).eps * 2.0 / 1e-6
     stream = SampleStream(18)
     X = 0.8 * d.interior_samples(20, stream)
     V = stream.unit_directions(20, 2)
@@ -151,9 +158,7 @@ def test_affine_image_lower_bound_follows_seed():
         for x, v in zip(X, V):
             body = kobayashi_metric(d, x, v, seed=seed)
             image = kobayashi_metric(twin, T(x), T.linear(v), seed=seed)
-            # the pull-back moves x by an ulp, which the finite differences
-            # (step 1e-6) lift to about 1e-11; other half-spaces move it by 1e-4
-            assert image.lower == pytest.approx(body.lower, rel=1e-9, abs=0)
+            assert image.lower == pytest.approx(body.lower, rel=rel, abs=0)
 
 
 def test_sandwich_holds_across_the_zoo():
@@ -259,7 +264,7 @@ class _QuadraturePolyhedron(ConvexPolyhedron):
         return None
 
 
-def test_distance_reports_its_quadrature_work(three_face, pd2, ball2):
+def test_distance_reports_its_quadrature_work(three_face, pd2, ball2, monkeypatch):
     x, y = np.zeros(2, dtype=complex), np.array([0.9, 0.0], dtype=complex)
     # along the axis the section is the disc |z_1| < 1: the length is log 10
     length, _ = three_face.affine_disc_length(x, y - x)
@@ -281,26 +286,55 @@ def test_distance_reports_its_quadrature_work(three_face, pd2, ball2):
     y_off = np.array([0.9, 0.3j])
     off = kobayashi_distance(quadrature, x, y_off)
     assert three_face.affine_disc_length(x, y_off - x)[0] <= off.upper
-    # off the axis the section distance bends near the face |z_1 + z_2| < 1.5,
-    # and 9 nodes doubled 14 times is the cap: 131,073 nodes
+    # off the axis the section distance bends near the face |z_1 + z_2| < 1.5;
+    # the face-disc lower side leaves a bracket about 2.2 wide, and the nodes
+    # double until a refinement moves the upper side by less than
+    # QUADRATURE_WIDTH_FRACTION of it, far above tol
     x, y = np.array([0.3j, 0.3j]), np.array([0.74, 0.74], dtype=complex)
     length, _ = three_face.affine_disc_length(x, y - x)
     exact = kobayashi_distance(three_face, x, y)
+    wide = kobayashi_distance(quadrature, x, y)
+    assert wide.upper_method == "quadrature"
+    assert (wide.nodes, wide.converged) == (65, True)
+    assert config.QUADRATURE_TOL < wide.final_delta < config.QUADRATURE_WIDTH_FRACTION * wide.width
+    assert wide.lower == exact.lower and wide.width > 2.0
+    # a lower side at the length itself leaves the quadrature's own error as
+    # the bracket, so tol decides: 9 nodes doubled 14 times is the cap,
+    # 131,073 nodes, at the default, and tol = 1e-4 stops sooner
+    monkeypatch.setattr(quadrature, "distance_lower_bound", lambda x, w, stream=None: length)
     capped = kobayashi_distance(quadrature, x, y)
     assert capped.upper_method == "quadrature"
     assert capped.nodes == 131_073 and capped.converged is False
     assert capped.final_delta >= config.QUADRATURE_TOL
     loose = kobayashi_distance(quadrature, x, y, tol=1e-4)
-    assert loose.converged is True and loose.nodes < capped.nodes
-    assert 0.0 < loose.final_delta < 1e-4
+    assert (loose.nodes, loose.converged) == (257, True)
+    assert config.QUADRATURE_WIDTH_FRACTION * loose.width < loose.final_delta < 1e-4
     # the chord bound overestimates, and the last refinement step folded
     # into the upper side covers the rest of its error
-    for b in (capped, loose):
+    for b in (wide, capped, loose):
         assert length <= b.upper <= length + 2.0 * b.final_delta
-        assert b.lower == exact.lower
+    assert capped.lower == loose.lower == length
     for d, y in ((pd2, [0.3, 0.1j]), (ball2, [0.5, 0])):
         b = kobayashi_distance(d, [0, 0], y)
         assert (b.nodes, b.converged, b.final_delta) == (0, True, 0.0)
+
+
+@pytest.mark.parametrize("x,y,nodes", [((0.0, 0.0), (0.3, 0.2j), 17),
+                                       ((0.2, -0.1j), (-0.25j, 0.3), 33),
+                                       ((0.5, 0.1), (0.1j, -0.4), 65)],
+                         ids=["centre", "across", "far"])
+def test_gauge_distance_quadrature_stops_at_a_fraction_of_its_bracket(x, y, nodes):
+    """On the ellipsoid {|C z| < 1} through its elementwise gauge, at the
+    default tol, the three pairs converge on 17, 33 and 65 nodes (against
+    tol alone they took 131,073, 65,537 and 131,073, the first unconverged),
+    and each bracket encloses the closed form of the same set as an affine
+    image of the unit ball."""
+    d = _counted_body("ellipsoid")[0]
+    x, y = np.array(x, dtype=complex), np.array(y, dtype=complex)
+    b = kobayashi_distance(d, x, y)
+    assert (b.upper_method, b.nodes, b.converged) == ("quadrature", nodes, True)
+    ball = AffineImage(UnitBall(2), AffineMap(np.linalg.inv(ELLIPSOID_C), np.zeros(2)))
+    assert b.lower <= kobayashi_distance(ball, x, y).value <= b.upper
 
 
 ONE_OF_EACH_KIND = {

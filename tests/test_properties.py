@@ -74,6 +74,28 @@ def test_gauge_ellipsoid_metric_encloses_the_affine_ball_closed_form(row):
     assert lower[0] <= upper[0] == indicatrix_gauge_upper(body, x, V)[0]
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(ellipsoid_rows(), st.floats(0.0, 0.9), unit, unit)
+def test_gauge_ellipsoid_distance_encloses_the_affine_ball_closed_form(row, s, a, b):
+    """At the default tol the quadrature stops at a fraction of the bracket,
+    within 129 nodes, and the bracket holds the closed-form distance from x
+    to a second point y at a drawn fraction of the way to the boundary."""
+    C, x, v = row
+    u = np.array([a, b * 1j]) + v
+    assume(np.linalg.norm(u) > 1e-3)
+    y = s * u / np.linalg.norm(C @ u)
+    sv = np.linalg.svd(C, compute_uv=False)
+    body = BalancedConvex(lambda z: np.linalg.norm(np.asarray(z) @ C.T, axis=-1),
+                          2, 1.0 / sv[-1], 1.0 / sv[0])
+    exact = AffineImage(UnitBall(2), AffineMap(np.linalg.inv(C), np.zeros(2)))
+    true = kobayashi_distance(exact, x, y)
+    assert true.lower == true.upper
+    got = kobayashi_distance(body, x, y)
+    assert got.lower <= true.value * (1.0 + RTOL)
+    assert got.upper >= true.value * (1.0 - RTOL)
+    assert got.converged and got.nodes <= 129
+
+
 def _assert_half_spaces_contain_the_body(body, guides, seed):
     """Every half-space that ``supporting_half_spaces`` returns for a block
     of guide rows contains interior samples and the boundary points U / g(U),
